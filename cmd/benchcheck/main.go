@@ -50,7 +50,7 @@ type table struct {
 	Pipeline  []pipelineMetric `json:"pipeline"`
 }
 
-// pipelineMetric mirrors experiments.PipelineMetric: the three-executor
+// pipelineMetric mirrors experiments.PipelineMetric: the two-executor
 // comparison plus the columnar run's dictionary statistics.
 type pipelineMetric struct {
 	Name             string `json:"name"`
@@ -58,8 +58,6 @@ type pipelineMetric struct {
 	PeakMaterialize  int    `json:"peak_materialize_tuples"`
 	AllocStream      int64  `json:"alloc_stream_bytes"`
 	AllocMaterialize int64  `json:"alloc_materialize_bytes"`
-	PeakStreamRows   int    `json:"peak_stream_rows_tuples"`
-	AllocStreamRows  int64  `json:"alloc_stream_rows_bytes"`
 	DictSize         int    `json:"dict_size"`
 	InternHits       uint64 `json:"intern_hits"`
 	InternMisses     uint64 `json:"intern_misses"`
@@ -77,7 +75,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
 	requireOps := fs.String("require-ops", "", "comma-separated operator kinds that must appear (e.g. join,group,step)")
 	minReports := fs.Int("min-reports", 1, "minimum total op_reports across all tables")
-	requireStorage := fs.Bool("require-storage", false, "require at least one report with storage-engine I/O (segments_opened > 0)")
+	requireStorage := fs.Bool("require-storage", false, "require at least one report with storage-engine I/O (segments_opened > 0), and no boxed_batches in any such report")
 	baseline := fs.String("pipeline-baseline", "", "BENCH_pipeline.json-schema file; fail if any matching (id,name) allocates more than 1.1x its baseline alloc_stream_bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,6 +105,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			}
 			for _, s := range r.Steps {
 				seenOps[s.Op] = true
+				// Every engine runs the ID-column executor; a boxed batch
+				// over a data directory means a row path crept back in.
+				if *requireStorage && r.SegmentsOpened > 0 && s.BoxedBatches > 0 {
+					return fmt.Errorf("%s op_reports[%d]: %s#%d reports %d boxed_batches over a data directory, want 0",
+						t.ID, i, s.Op, s.ID, s.BoxedBatches)
+				}
 			}
 		}
 		for i, p := range t.Pipeline {
@@ -149,10 +153,8 @@ func checkPipeline(p pipelineMetric) error {
 	for field, v := range map[string]int64{
 		"peak_stream_tuples":      int64(p.PeakStream),
 		"peak_materialize_tuples": int64(p.PeakMaterialize),
-		"peak_stream_rows_tuples": int64(p.PeakStreamRows),
 		"alloc_stream_bytes":      p.AllocStream,
 		"alloc_materialize_bytes": p.AllocMaterialize,
-		"alloc_stream_rows_bytes": p.AllocStreamRows,
 	} {
 		if v < 0 {
 			return fmt.Errorf("%s: negative %s", p.Name, field)

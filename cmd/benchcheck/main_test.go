@@ -69,8 +69,8 @@ func pipelineInput(t *testing.T, alloc int64) string {
 	t.Helper()
 	p := pipelineMetric{
 		Name: "direct support=20", PeakStream: 100, PeakMaterialize: 200,
-		AllocStream: alloc, AllocMaterialize: 2000, PeakStreamRows: 120,
-		AllocStreamRows: 1500, DictSize: 7, InternHits: 5, InternMisses: 1,
+		AllocStream: alloc, AllocMaterialize: 2000,
+		DictSize: 7, InternHits: 5, InternMisses: 1,
 	}
 	var doc []map[string]any
 	if err := json.Unmarshal([]byte(goodInput(t)), &doc); err != nil {
@@ -184,6 +184,27 @@ func TestBenchcheckRejects(t *testing.T) {
 		if err := run(c.args, strings.NewReader(c.input), &out); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestBenchcheckRequireStorage covers -require-storage: a report with
+// storage I/O must be present, and none of them may carry boxed batches
+// (every engine runs the ID-column executor).
+func TestBenchcheckRequireStorage(t *testing.T) {
+	report := func(step string) string {
+		return `[{"id":"E12","op_reports":[{"strategy":"direct","wall_ns":5,"answer_rows":1,"max_rows":1,"total_rows":1,` +
+			`"segments_opened":2,"storage_bytes_read":640,"steps":[` + step + `]}]}]`
+	}
+	args := []string{"-require-storage"}
+	if err := run(args, strings.NewReader(report(`{"op":"join","rows_out":1,"id_batches":3}`)), &strings.Builder{}); err != nil {
+		t.Fatalf("columnar disk report rejected: %v", err)
+	}
+	err := run(args, strings.NewReader(report(`{"op":"join","rows_out":1,"boxed_batches":3}`)), &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "boxed_batches") {
+		t.Fatalf("boxed batches over a data directory should fail, got %v", err)
+	}
+	if err := run(args, strings.NewReader(goodInput(t)), &strings.Builder{}); err == nil {
+		t.Fatal("a run without storage I/O should fail -require-storage")
 	}
 }
 

@@ -21,8 +21,8 @@
 // published under the expvar key "flock_last_report".
 //
 // -pipeline-out FILE extracts the executor pipeline comparison (interned
-// columnar vs row-at-a-time streaming vs materializing: peak buffered
-// tuples, allocation, dictionary statistics) into FILE using the
+// columnar streaming vs materializing: peak buffered tuples, allocation,
+// dictionary statistics) into FILE using the
 // BENCH_pipeline.json schema; it implies metrics collection and composes
 // with both output modes.
 package main

@@ -118,7 +118,7 @@ func TestRunE1TinyScaleClampsSupports(t *testing.T) {
 }
 
 // TestRunPipelineOut checks -pipeline-out writes the BENCH_pipeline.json
-// schema with the three-executor comparison and dictionary statistics.
+// schema with the two-executor comparison and dictionary statistics.
 func TestRunPipelineOut(t *testing.T) {
 	path := t.TempDir() + "/pipeline.json"
 	var out strings.Builder
@@ -136,10 +136,10 @@ func TestRunPipelineOut(t *testing.T) {
 		Experiments []struct {
 			ID       string `json:"id"`
 			Pipeline []struct {
-				Name            string `json:"name"`
-				AllocStream     int64  `json:"alloc_stream_bytes"`
-				AllocStreamRows int64  `json:"alloc_stream_rows_bytes"`
-				DictSize        int    `json:"dict_size"`
+				Name             string `json:"name"`
+				AllocStream      int64  `json:"alloc_stream_bytes"`
+				AllocMaterialize int64  `json:"alloc_materialize_bytes"`
+				DictSize         int    `json:"dict_size"`
 			} `json:"pipeline"`
 		} `json:"experiments"`
 	}
@@ -153,7 +153,7 @@ func TestRunPipelineOut(t *testing.T) {
 		t.Fatalf("experiments = %+v", pf.Experiments)
 	}
 	p := pf.Experiments[0].Pipeline[0]
-	if p.Name == "" || p.AllocStream <= 0 || p.AllocStreamRows <= 0 || p.DictSize < 1 {
+	if p.Name == "" || p.AllocStream <= 0 || p.AllocMaterialize <= 0 || p.DictSize < 1 {
 		t.Errorf("pipeline metric = %+v", p)
 	}
 	// An experiment with no pipeline metrics must refuse to write an

@@ -228,6 +228,7 @@ type queryResponse struct {
 type errorResponse struct {
 	Error       string                `json:"error"`
 	Shard       string                `json:"shard,omitempty"`
+	Relation    string                `json:"relation,omitempty"` // the relation whose segment could not be read
 	Diagnostics []analysis.Diagnostic `json:"diagnostics,omitempty"`
 }
 
@@ -907,6 +908,10 @@ func (s *server) respondEval(w http.ResponseWriter, rctx context.Context, db *st
 		if errors.As(err, &se) {
 			resp.Shard = se.Shard
 		}
+		var sge *storage.SegmentError
+		if errors.As(err, &sge) {
+			resp.Relation = sge.Relation
+		}
 		writeJSON(w, statusForEvalError(err), resp)
 		return
 	}
@@ -1027,13 +1032,16 @@ func requestTimeout(r *http.Request, serverLimit time.Duration) (time.Duration, 
 // statusForEvalError maps evaluation failures onto HTTP statuses: a dead
 // worker shard is a bad gateway, deadline and cancellation are the
 // gateway-timeout family, an exceeded resource budget is the client's
-// query being too expensive, panics are 500s, and anything else (unknown
-// strategy, plan errors) is a bad request.
+// query being too expensive, an unreadable segment and panics are 500s,
+// and anything else (unknown strategy, plan errors) is a bad request.
 func statusForEvalError(err error) int {
 	var se *cluster.ShardError
+	var sge *storage.SegmentError
 	switch {
 	case errors.As(err, &se):
 		return http.StatusBadGateway
+	case errors.As(err, &sge):
+		return http.StatusInternalServerError
 	case errors.Is(err, eval.ErrCanceled):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, eval.ErrBudgetExceeded):

@@ -327,14 +327,14 @@ func passSchema(a *analyzer) {
 				}
 				continue
 			}
-			rel, err := a.opts.DB.Relation(at.Pred)
+			src, err := a.opts.DB.Source(at.Pred)
 			if err != nil {
 				a.report("QF016", SevError, at.Pos, "relation %q not found in the database", at.Pred)
 				continue
 			}
-			if rel.Arity() != len(at.Args) {
+			if src.Arity() != len(at.Args) {
 				a.report("QF016", SevError, at.Pos,
-					"atom %s has %d arguments but relation %s has %d columns", at, len(at.Args), at.Pred, rel.Arity())
+					"atom %s has %d arguments but relation %s has %d columns", at, len(at.Args), at.Pred, src.Arity())
 			}
 		}
 	}

@@ -57,9 +57,9 @@ func TestFusableSteps(t *testing.T) {
 
 // TestExecuteFusedMatchesExecute is the fusion oracle: on both the
 // fusable fig3 plan and the non-fusable symmetry plan, ExecuteFused
-// must produce the same answer set as the step-materializing Execute —
-// and as the naive evaluator — in both streaming modes (columnar and
-// row-at-a-time) at worker counts 1, 2 and 8.
+// must produce the same answer set as the step-at-a-time Execute — under
+// the streaming executor and under the materializing one — and as the
+// naive evaluator, at worker counts 1, 2 and 8.
 func TestExecuteFusedMatchesExecute(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,14 +76,13 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, exec := range []eval.ExecMode{eval.ExecStream, eval.ExecStreamRows} {
+			for _, exec := range []eval.ExecMode{eval.ExecStream, eval.ExecMaterialize} {
 				for _, w := range []int{1, 2, 8} {
-					opts := &EvalOptions{Workers: w, Exec: exec}
-					fused, err := c.plan.ExecuteFused(db, opts)
+					fused, err := c.plan.ExecuteFused(db, &EvalOptions{Workers: w})
 					if err != nil {
-						t.Fatalf("%v workers=%d: fused: %v", exec, w, err)
+						t.Fatalf("workers=%d: fused: %v", w, err)
 					}
-					res, err := c.plan.Execute(db, opts)
+					res, err := c.plan.Execute(db, &EvalOptions{Workers: w, Exec: exec})
 					if err != nil {
 						t.Fatalf("%v workers=%d: unfused: %v", exec, w, err)
 					}

@@ -88,7 +88,7 @@ func TestCrossKindRepeatedVariable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ExecMode{ExecStream, ExecStreamRows, ExecMaterialize} {
+		for _, mode := range []ExecMode{ExecStream, ExecMaterialize} {
 			got, err := EvalRule(db, rule, nil, &Options{Exec: mode})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", shape, mode, err)

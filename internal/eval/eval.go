@@ -43,30 +43,22 @@ const (
 	ExecStream ExecMode = iota
 	// ExecMaterialize runs the legacy relation-at-a-time executor, which
 	// materializes every intermediate binding relation. Kept as the
-	// bit-identical oracle baseline and for peak-memory comparisons.
+	// streaming executor's bit-identical differential oracle and for
+	// peak-memory comparisons.
 	ExecMaterialize
-	// ExecStreamRows streams boxed tuple rows through the same physical
-	// plans — the pre-interning pipeline. Kept as the columnar path's
-	// second bit-identical differential oracle.
-	ExecStreamRows
 )
 
-// String names the mode ("stream" / "materialize" / "stream-rows").
+// String names the mode ("stream" / "materialize").
 func (m ExecMode) String() string {
-	switch m {
-	case ExecMaterialize:
+	if m == ExecMaterialize {
 		return "materialize"
-	case ExecStreamRows:
-		return "stream-rows"
-	default:
-		return "stream"
 	}
+	return "stream"
 }
 
-// Streaming reports whether the mode runs compiled physical plans (the
-// columnar default or the boxed row oracle) rather than the legacy
-// materializing executor.
-func (m ExecMode) Streaming() bool { return m == ExecStream || m == ExecStreamRows }
+// Streaming reports whether the mode runs compiled physical plans rather
+// than the legacy materializing executor.
+func (m ExecMode) Streaming() bool { return m == ExecStream }
 
 // Options configures rule evaluation.
 type Options struct {
@@ -175,22 +167,12 @@ func ResolveOrder(db *storage.Database, r *datalog.Rule, opts *Options) ([]int, 
 	return order, nil
 }
 
-// RunPlan executes a compiled physical plan against db under the
-// options' worker knob, recording operator events into the trace.
-// A nil opts uses the defaults.
+// RunPlan executes a compiled physical plan against db — either storage
+// engine — under the options' worker knob, recording operator events into
+// the trace. A nil opts uses the defaults.
 func RunPlan(db *storage.Database, plan *physical.Plan, opts *Options) (*storage.Relation, error) {
 	o := opts.orDefault()
-	ctx := &physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()}
-	if o.Exec == ExecStream && db.Resident() {
-		// The columnar default executes over interned IDs; ExecStreamRows
-		// leaves Dict nil and takes the boxed row path through the same
-		// plan, bit-identically. Non-resident catalogs (disk engine) also
-		// fall through to the row path: the columnar caches live on
-		// concrete in-memory relations, and pinning them would defeat the
-		// out-of-core engine.
-		ctx.Dict = db.Dict()
-	}
-	return plan.Run(ctx)
+	return plan.Run(&physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()})
 }
 
 // evalRuleMaterialized is the legacy relation-at-a-time path (the

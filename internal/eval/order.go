@@ -216,7 +216,12 @@ func estimateOrderCost(db *storage.Database, atoms []*datalog.Atom, order []int)
 func distinctOf(rel storage.RelationSource, a *datalog.Atom, t datalog.Term) int {
 	for i, u := range a.Args {
 		if u == t {
-			return rel.DistinctCount(rel.Columns()[i])
+			// An unreadable disk source has no statistics; the read error
+			// itself surfaces when the plan opens the relation.
+			if d, err := rel.DistinctCount(rel.Columns()[i]); err == nil {
+				return d
+			}
+			break
 		}
 	}
 	return rel.Len()

@@ -10,15 +10,15 @@ import (
 )
 
 // E12 demonstrates the pluggable storage engine: the same flock, over the
-// same data directory, evaluated with relations fully materialized
-// (engine=memory) and streamed from the sorted segment files
-// (engine=disk). The flock is a pure scan+group shape — frequent single
-// items, the first a-priori pass — so the disk engine never needs the
-// base relation resident: tuples stream through the scan operator into
-// per-group COUNT accumulators, and the peak number of buffered tuples
-// stays far below the base cardinality. That is the beyond-memory-budget
-// claim: answering a flock over a relation that never fully exists in
-// memory.
+// same data directory, evaluated with relations fully materialized as
+// boxed tuples (engine=memory) and served from the sorted segment files
+// (engine=disk). Both run the same ID-column executor; what the disk
+// engine keeps resident of a base relation is its ID columns (4 bytes per
+// cell, built by one streaming pass over the segment), never boxed
+// tuples. The flock is a pure scan+group shape — frequent single items,
+// the first a-priori pass — whose rows stream through the scan operator
+// into per-group COUNT accumulators, so the peak number of buffered
+// tuples stays far below the base cardinality.
 //
 // Answers must be bit-identical across engines and worker counts (the
 // storage-oracle contract); a mismatch fails the experiment.
@@ -52,8 +52,8 @@ func E12(cfg Config) (*Table, error) {
 	}
 
 	// Frequent single items — the first a-priori pass as a flock. One
-	// positive subgoal and a monotone COUNT: the shape the disk engine can
-	// answer without ever holding the base relation in memory.
+	// positive subgoal and a monotone COUNT: nothing but the group
+	// accumulators buffers tuples.
 	f := core.MustParse(`QUERY:
 answer(B) :- baskets(B,$1)
 FILTER:
@@ -96,9 +96,8 @@ COUNT(answer.B) >= 20
 				t.OpReports = append(t.OpReports, rep)
 				peak = fmt.Sprintf("%d", rep.PeakTuples)
 				bytesRead = fmt.Sprintf("%d", rep.StorageBytesRead)
-				// The beyond-memory-budget claim: the disk engine's peak
-				// buffered tuples stay well below the base cardinality it
-				// streamed past.
+				// The pipeline's peak buffered tuples stay well below the
+				// base cardinality it scanned.
 				if engine == storage.EngineDisk && rep.PeakTuples*4 > baseRows {
 					return nil, fmt.Errorf("E12: disk peak %d tuples is not ≪ base %d rows",
 						rep.PeakTuples, baseRows)

@@ -58,10 +58,6 @@ type PipelineMetric struct {
 	PeakMaterialize  int    `json:"peak_materialize_tuples"`
 	AllocStream      int64  `json:"alloc_stream_bytes"`
 	AllocMaterialize int64  `json:"alloc_materialize_bytes"`
-	// The row-at-a-time streaming oracle (ExecStreamRows), for isolating
-	// what interned columnar batches buy over boxed-value streaming.
-	PeakStreamRows  int   `json:"peak_stream_rows_tuples"`
-	AllocStreamRows int64 `json:"alloc_stream_rows_bytes"`
 	// Dictionary statistics of the columnar run: distinct equality
 	// classes (incl. the null sentinel) and the intern hit/miss split.
 	DictSize     int    `json:"dict_size"`
@@ -199,12 +195,12 @@ func (c Config) scaled(n int) int {
 	return s
 }
 
-// AddPipeline runs one workload under the three executors — interned
-// columnar streaming (the default), row-at-a-time streaming, and the
-// legacy materializing baseline — and records the peak intermediate
-// buffering and allocation of each, plus the columnar run's dictionary
-// statistics. All answers must be equal (the executor-oracle contract);
-// a mismatch is returned as an error. A disabled-metrics configuration
+// AddPipeline runs one workload under the two executors — interned
+// columnar streaming (the default) and the legacy materializing
+// baseline — and records the peak intermediate buffering and allocation
+// of each, plus the columnar run's dictionary statistics. The answers
+// must be equal (the executor-oracle contract); a mismatch is returned
+// as an error. A disabled-metrics configuration
 // skips the comparison entirely.
 func (t *Table) AddPipeline(cfg Config, name string,
 	run func(exec eval.ExecMode, tr *eval.Trace) (*storage.Relation, error)) error {
@@ -235,16 +231,12 @@ func (t *Table) AddPipeline(cfg Config, name string,
 	if err != nil {
 		return fmt.Errorf("pipeline %s (stream): %w", name, err)
 	}
-	rowsRel, rowsRep, rowsAlloc, err := measure(eval.ExecStreamRows)
-	if err != nil {
-		return fmt.Errorf("pipeline %s (stream-rows): %w", name, err)
-	}
 	matRel, matRep, matAlloc, err := measure(eval.ExecMaterialize)
 	if err != nil {
 		return fmt.Errorf("pipeline %s (materialize): %w", name, err)
 	}
-	if !streamRel.Equal(matRel) || !streamRel.Equal(rowsRel) {
-		return fmt.Errorf("pipeline %s: the three executors disagree", name)
+	if !streamRel.Equal(matRel) {
+		return fmt.Errorf("pipeline %s: the two executors disagree", name)
 	}
 	t.Pipeline = append(t.Pipeline, PipelineMetric{
 		Name:             name,
@@ -252,8 +244,6 @@ func (t *Table) AddPipeline(cfg Config, name string,
 		PeakMaterialize:  materializedPeak(matRep),
 		AllocStream:      streamAlloc,
 		AllocMaterialize: matAlloc,
-		PeakStreamRows:   rowsRep.PeakTuples,
-		AllocStreamRows:  rowsAlloc,
 		DictSize:         streamRep.DictSize,
 		InternHits:       streamRep.InternHits,
 		InternMisses:     streamRep.InternMisses,

@@ -9,20 +9,16 @@ import (
 	"queryflocks/internal/storage"
 )
 
-// This file is the columnar twin of operators.go: the same operator
-// tree, executed over batches of interned uint32 value IDs instead of
-// rows of boxed Values. Every probe, dedup, and group key works on IDs
-// (dictionary IDs are equal exactly when the values are Equal, so ID
-// comparisons decide what AppendKey byte comparisons decide in the row
-// path); boxed Values appear only at the materialize sink and inside
-// comparison/aggregate arithmetic. The two paths are bit-identical —
-// same tuples, same order, same batch boundaries, same buffered-tuple
-// gauge — so either can serve as the other's differential oracle.
-//
-// One deliberate asymmetry: the row path's repeated-variable checks use
-// Go == on Values (kind-sensitive: Int(1) != Float(1)) while IDs are
-// semantic (Int(1) and Float(1) share an ID). Columnar scan and join
-// therefore run dup checks against the original base tuples, never IDs.
+// This file is the streaming executor: the operator tree executed over
+// batches of interned uint32 value IDs. Every probe, dedup, and group key
+// works on IDs (dictionary IDs are equal exactly when the values are
+// Equal, so an ID comparison decides what an AppendKey byte comparison
+// decides in the materializing executor); boxed Values appear only at
+// the materialize sink and inside comparison/aggregate arithmetic. Base
+// relations are read through storage.RelationSource's ID-space access
+// paths, so the memory and disk engines run the same operators. The
+// answers are bit-identical to the materializing executor's — same
+// tuples, same order — which is what makes it the differential oracle.
 
 // colBatch is one batch of bindings in columnar interned form: cols[j][i]
 // is the dictionary ID of row i's j-th column. n is explicit because a
@@ -82,51 +78,85 @@ func (dc *decoder) value(id uint32) storage.Value {
 	return dc.view.Value(id)
 }
 
-// colValue resolves a check argument in columnar context: constants stay
-// boxed, binding columns decode their ID, base columns read the original
-// base tuple (exact, no decode).
-func (a argRef) colValue(dec *decoder, cur []uint32, base []storage.Tuple, bt int) storage.Value {
+// colValue resolves a check argument: constants stay boxed, binding and
+// base columns decode their ID (the representative is Equal to the
+// stored value, so Compare-based verdicts are unchanged).
+func (a argRef) colValue(dec *decoder, cur []uint32, baseCols [][]uint32, bt int) storage.Value {
 	switch a.src {
 	case srcConst:
 		return a.val
 	case srcCur:
 		return dec.value(cur[a.pos])
 	default:
-		return base[bt][a.pos]
+		return dec.value(baseCols[a.pos][bt])
 	}
 }
 
-// colCheck is one absorbed check in columnar form: cur is the current
+// colCheck is one absorbed check in executable form: cur is the current
 // binding row's IDs (nil at a scan, whose checks never reference binding
 // columns) and bt the base-relation row index.
 type colCheck func(cur []uint32, bt int) bool
 
-// instantiateCol returns one worker's private columnar check. Membership
-// checks probe the check relation's IDSet — ID equality is semantic, so
-// the verdicts match the row path's normalized-key ContainsKey probes; a
-// constant argument missing from the dictionary can never be a member.
-func (c *Check) instantiateCol(dict *storage.Dict, baseTuples []storage.Tuple, baseCols [][]uint32) colCheck {
+// boundCheck is a Check resolved against one execution's catalog: the ID
+// set a membership check probes and the IDs of its constant arguments.
+// Resolving per execution (not on the shared plan node) lets one compiled
+// plan run concurrently against different database snapshots.
+type boundCheck struct {
+	*Check
+	set      *storage.IDSet
+	constIDs []uint32
+	absent   bool // a constant argument is in no stored relation: never a member
+}
+
+// bindChecks resolves the checks absorbed into one operator at its open.
+func bindChecks(ctx *Ctx, checks []*Check) ([]boundCheck, error) {
+	if len(checks) == 0 {
+		return nil, nil
+	}
+	out := make([]boundCheck, len(checks))
+	for i, c := range checks {
+		out[i].Check = c
+		if c.kind == checkCmp {
+			continue
+		}
+		src, err := openSource(ctx, c.pred, c.desc, len(c.args))
+		if err != nil {
+			return nil, err
+		}
+		if out[i].set, err = src.IDSet(ctx.dict, ctx.Gate.Check); err != nil {
+			return nil, fmt.Errorf("physical: %w", err)
+		}
+		out[i].constIDs = make([]uint32, len(c.args))
+		for j, a := range c.args {
+			if a.src != srcConst {
+				continue
+			}
+			id, ok := ctx.dict.Lookup(a.val)
+			if !ok {
+				out[i].absent = true
+			}
+			out[i].constIDs[j] = id
+		}
+	}
+	return out, nil
+}
+
+// instantiate returns one worker's private check. Membership checks own
+// their probe buffer and comparisons their decoder, so concurrent workers
+// never share mutable state.
+func (c *boundCheck) instantiate(dict *storage.Dict, baseCols [][]uint32) colCheck {
 	if c.kind == checkCmp {
 		op, l, r := c.op, c.left, c.right
 		dec := newDecoder(dict)
 		return func(cur []uint32, bt int) bool {
-			return op.Eval(l.colValue(dec, cur, baseTuples, bt), r.colValue(dec, cur, baseTuples, bt))
+			return op.Eval(l.colValue(dec, cur, baseCols, bt), r.colValue(dec, cur, baseCols, bt))
 		}
 	}
 	want := c.kind == checkMember
-	args := c.args
-	constIDs := make([]uint32, len(args))
-	for i, a := range args {
-		if a.src == srcConst {
-			id, ok := dict.Lookup(a.val)
-			if !ok {
-				verdict := !want
-				return func([]uint32, int) bool { return verdict }
-			}
-			constIDs[i] = id
-		}
+	if c.absent {
+		return func([]uint32, int) bool { return !want }
 	}
-	set := c.rel.IDSet(dict)
+	args, constIDs, set := c.args, c.constIDs, c.set
 	probe := make([]uint32, len(args))
 	return func(cur []uint32, bt int) bool {
 		for i, a := range args {
@@ -143,25 +173,69 @@ func (c *Check) instantiateCol(dict *storage.Dict, baseTuples []storage.Tuple, b
 	}
 }
 
-func instantiateAllCol(checks []*Check, dict *storage.Dict, baseTuples []storage.Tuple, baseCols [][]uint32) []colCheck {
+func instantiateAll(checks []boundCheck, dict *storage.Dict, baseCols [][]uint32) []colCheck {
 	if len(checks) == 0 {
 		return nil
 	}
 	out := make([]colCheck, len(checks))
-	for i, c := range checks {
-		out[i] = c.instantiateCol(dict, baseTuples, baseCols)
+	for i := range checks {
+		out[i] = checks[i].instantiate(dict, baseCols)
 	}
 	return out
 }
 
-// colOperator mirrors operator for columnar batches.
+// openSource resolves an atom's base relation at operator open.
+func openSource(ctx *Ctx, pred, atom string, arity int) (storage.RelationSource, error) {
+	src, err := ctx.DB.Source(pred)
+	if err != nil {
+		return nil, fmt.Errorf("physical: %w", err)
+	}
+	if src.Arity() != arity {
+		return nil, fmt.Errorf("physical: atom %s arity %d vs relation arity %d", atom, arity, src.Arity())
+	}
+	return src, nil
+}
+
+// lookupConsts returns the dictionary IDs of an atom's constant
+// arguments; ok is false when one is absent from the dictionary, i.e.
+// matches no stored value.
+func lookupConsts(dict *storage.Dict, consts []constPos) (ids []uint32, ok bool) {
+	ids = make([]uint32, len(consts))
+	ok = true
+	for i, c := range consts {
+		id, found := dict.Lookup(c.val)
+		if !found {
+			ok = false
+		}
+		ids[i] = id
+	}
+	return ids, ok
+}
+
+// sameIDs reports whether base row i satisfies the atom's repeated-
+// variable positions. A repeated variable binds one equality class, and
+// IDs are exactly those classes (Int(1) and Float(1) share one).
+func sameIDs(baseCols [][]uint32, dup [][2]int, i int) bool {
+	for _, d := range dup {
+		if baseCols[d[0]][i] != baseCols[d[1]][i] {
+			return false
+		}
+	}
+	return true
+}
+
+// colOperator is one node's runtime state: a pull iterator over ID
+// batches. next returns ok=false at end-of-stream; a returned batch may
+// be empty while the stream is still live. close releases state and
+// records the operator's event (children first, so events arrive in
+// leaf-to-root pipeline order).
 type colOperator interface {
 	open(ctx *Ctx) error
 	next(ctx *Ctx) (batch colBatch, ok bool, err error)
 	close(ctx *Ctx)
 }
 
-// newColOp instantiates the columnar runtime state of a node.
+// newColOp instantiates the runtime state of a node.
 func newColOp(p *Plan, n Node) colOperator {
 	switch x := n.(type) {
 	case *ScanNode:
@@ -189,7 +263,7 @@ func newColOp(p *Plan, n Node) colOperator {
 	case *SymJoinNode:
 		return &colSymJoinOp{n: x, id: p.ids[x], left: newColOp(p, x.Left), right: newColOp(p, x.Right)}
 	default:
-		panic(fmt.Sprintf("physical: no columnar operator for %T", n))
+		panic(fmt.Sprintf("physical: no operator for %T", n))
 	}
 }
 
@@ -199,7 +273,7 @@ type colScanOp struct {
 	n  *ScanNode
 	id int
 
-	tuples   []storage.Tuple
+	rows     int
 	baseCols [][]uint32
 	pos      int
 	checks   []colCheck
@@ -212,30 +286,20 @@ type colScanOp struct {
 }
 
 func (o *colScanOp) open(ctx *Ctx) error {
-	rel, err := ctx.DB.Relation(o.n.Pred)
+	src, err := openSource(ctx, o.n.Pred, o.n.atom, o.n.arity)
 	if err != nil {
+		return err
+	}
+	bound, err := bindChecks(ctx, o.n.checks)
+	if err != nil {
+		return err
+	}
+	if o.baseCols, err = src.InternedColumns(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
 	}
-	if rel.Arity() != o.n.arity {
-		return fmt.Errorf("physical: atom %s arity %d vs relation arity %d", o.n.atom, o.n.arity, rel.Arity())
-	}
-	for _, c := range o.n.checks {
-		if err := c.bind(ctx.DB); err != nil {
-			return err
-		}
-	}
-	o.tuples = rel.Tuples()
-	o.baseCols = rel.InternedColumns(ctx.Dict)
-	o.checks = instantiateAllCol(o.n.checks, ctx.Dict, o.tuples, o.baseCols)
-	o.live = true
-	o.constIDs = make([]uint32, len(o.n.consts))
-	for i, c := range o.n.consts {
-		id, ok := ctx.Dict.Lookup(c.val)
-		if !ok {
-			o.live = false // the constant matches no stored value
-		}
-		o.constIDs[i] = id
-	}
+	o.rows = src.Len()
+	o.checks = instantiateAll(bound, ctx.dict, o.baseCols)
+	o.constIDs, o.live = lookupConsts(ctx.dict, o.n.consts)
 	return nil
 }
 
@@ -243,7 +307,7 @@ func (o *colScanOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if err := ctx.Gate.Check(); err != nil {
 		return colBatch{}, false, err
 	}
-	if !o.live || o.pos >= len(o.tuples) {
+	if !o.live || o.pos >= o.rows {
 		return colBatch{}, false, nil
 	}
 	var start time.Time
@@ -252,7 +316,7 @@ func (o *colScanOp) next(ctx *Ctx) (colBatch, bool, error) {
 	}
 	out := newColBatch(len(o.n.newPos))
 scan:
-	for o.pos < len(o.tuples) && out.n < batchSize {
+	for o.pos < o.rows && out.n < batchSize {
 		i := o.pos
 		o.pos++
 		for k, c := range o.n.consts {
@@ -260,14 +324,8 @@ scan:
 				continue scan
 			}
 		}
-		// Repeated variables bind one equality class, so dup checks use
-		// Equal on the original tuple, matching the joins' AppendKey
-		// semantics (Int(1) and Float(1) are the same value).
-		bt := o.tuples[i]
-		for _, d := range o.n.dup {
-			if !bt[d[0]].Equal(bt[d[1]]) {
-				continue scan
-			}
+		if !sameIDs(o.baseCols, o.n.dup, i) {
+			continue
 		}
 		for _, check := range o.checks {
 			if !check(nil, i) {
@@ -290,7 +348,7 @@ scan:
 func (o *colScanOp) close(ctx *Ctx) {
 	record(ctx, obs.Event{
 		Op: obs.OpScan, ID: o.id, Desc: o.n.atom,
-		RowsIn: len(o.tuples), RowsOut: o.rowsOut,
+		RowsIn: o.rows, RowsOut: o.rowsOut,
 		Absorbed: len(o.n.checks), Workers: 1, Wall: o.wall,
 		IDBatches: o.batches,
 	})
@@ -325,14 +383,14 @@ type colJoinOp struct {
 	buildID int
 	input   colOperator
 
-	rel      *storage.Relation
-	tuples   []storage.Tuple
-	baseCols [][]uint32
-	idx      *storage.IDIndex
-	constIDs []uint32
-	live     bool
-	checks   []colCheck
-	pending  colBatch
+	buildRows int
+	baseCols  [][]uint32
+	idx       *storage.IDIndex
+	constIDs  []uint32
+	live      bool
+	bound     []boundCheck
+	checks    []colCheck
+	pending   colBatch
 
 	buildWall time.Duration
 	rowsIn    int
@@ -346,48 +404,37 @@ func (o *colJoinOp) open(ctx *Ctx) error {
 	if err := o.input.open(ctx); err != nil {
 		return err
 	}
-	rel, err := ctx.DB.Relation(o.n.Pred)
+	src, err := openSource(ctx, o.n.Pred, o.n.atom, o.n.arity)
 	if err != nil {
-		return fmt.Errorf("physical: %w", err)
+		return err
 	}
-	if rel.Arity() != o.n.arity {
-		return fmt.Errorf("physical: atom %s arity %d vs relation arity %d", o.n.atom, o.n.arity, rel.Arity())
+	if o.bound, err = bindChecks(ctx, o.n.checks); err != nil {
+		return err
 	}
-	for _, c := range o.n.checks {
-		if err := c.bind(ctx.DB); err != nil {
-			return err
-		}
-	}
-	o.rel = rel
 	o.used = 1
 	var start time.Time
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	o.tuples = rel.Tuples()
-	o.baseCols = rel.InternedColumns(ctx.Dict)
-	o.idx = rel.IDIndex(ctx.Dict, o.n.Input.idxCols)
+	if o.baseCols, err = src.InternedColumns(ctx.dict, ctx.Gate.Check); err != nil {
+		return fmt.Errorf("physical: %w", err)
+	}
+	if o.idx, err = src.IDIndex(ctx.dict, o.n.Input.idxCols, ctx.Gate.Check); err != nil {
+		return fmt.Errorf("physical: %w", err)
+	}
+	o.buildRows = src.Len()
 	if ctx.Col != nil {
 		o.buildWall = time.Since(start)
 	}
-	o.checks = instantiateAllCol(o.n.checks, ctx.Dict, o.tuples, o.baseCols)
-	o.live = true
-	o.constIDs = make([]uint32, len(o.n.consts))
-	for i, c := range o.n.consts {
-		id, ok := ctx.Dict.Lookup(c.val)
-		if !ok {
-			o.live = false // the constant matches no stored value
-		}
-		o.constIDs[i] = id
-	}
+	o.checks = instantiateAll(o.bound, ctx.dict, o.baseCols)
+	o.constIDs, o.live = lookupConsts(ctx.dict, o.n.consts)
 	return nil
 }
 
-// probe is the columnar twin of joinOp.probe: it scans binding rows
-// [lo, hi) against the ID index and emits surviving joined rows. Callers
-// supply private checks; all other state is read-only, so concurrent
-// probes never share mutable state. Output order matches the row path:
-// binding rows in order, matches in base insertion order.
+// probe scans binding rows [lo, hi) against the ID index and emits
+// surviving joined rows. Callers supply private checks; all other state
+// is read-only, so concurrent probes never share mutable state. Output
+// order: binding rows in order, matches in base insertion order.
 func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
 	n := o.n
 	ids := make([]uint32, len(o.constIDs)+len(n.probeCur))
@@ -411,11 +458,8 @@ func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
 		}
 	match:
 		for _, r := range matches {
-			bt := o.tuples[r]
-			for _, d := range n.dup {
-				if !bt[d[0]].Equal(bt[d[1]]) {
-					continue match
-				}
+			if !sameIDs(o.baseCols, n.dup, int(r)) {
+				continue
 			}
 			for _, check := range cks {
 				if !check(cur, int(r)) {
@@ -435,7 +479,10 @@ func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
 }
 
 func (o *colJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
-	// Mirror joinOp: emit probe output in batch-size chunks.
+	// A join's fan-out can multiply one input batch far past batchSize;
+	// emit the probe output in batch-size chunks so downstream operators
+	// (and the cancellation checkpoints at every batch boundary) keep
+	// their per-call work bounded.
 	if o.pending.n > 0 {
 		return o.emitChunk(), true, nil
 	}
@@ -461,11 +508,11 @@ func (o *colJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 		if w <= 1 {
 			out = o.probe(batch, 0, batch.n, o.checks)
 		} else {
-			// Range-partitioned probe concatenated in worker order: the
-			// same split as the row path, hence the same output order.
+			// Range-partitioned probe: per-worker outputs concatenated in
+			// worker order reproduce the sequential emission order exactly.
 			outs := make([]colBatch, par.Chunks(batch.n, w))
 			par.Run(batch.n, w, func(wi, lo, hi int) {
-				outs[wi] = o.probe(batch, lo, hi, instantiateAllCol(o.n.checks, ctx.Dict, o.tuples, o.baseCols))
+				outs[wi] = o.probe(batch, lo, hi, instantiateAll(o.bound, ctx.dict, o.baseCols))
 			})
 			total := 0
 			for _, part := range outs {
@@ -514,13 +561,9 @@ func (o *colJoinOp) emitChunk() colBatch {
 
 func (o *colJoinOp) close(ctx *Ctx) {
 	o.input.close(ctx)
-	buildRows := 0
-	if o.rel != nil {
-		buildRows = o.rel.Len()
-	}
 	record(ctx, obs.Event{
 		Op: obs.OpBuild, ID: o.buildID, Desc: o.n.Input.Desc(),
-		RowsIn: buildRows, RowsOut: buildRows, Workers: 1, Wall: o.buildWall,
+		RowsIn: o.buildRows, RowsOut: o.buildRows, Workers: 1, Wall: o.buildWall,
 	})
 	record(ctx, obs.Event{
 		Op: obs.OpJoin, ID: o.id, Desc: o.n.atom,
@@ -552,14 +595,13 @@ func (o *colAntiJoinOp) open(ctx *Ctx) error {
 	if err := o.input.open(ctx); err != nil {
 		return err
 	}
-	rel, err := ctx.DB.Relation(o.n.Pred)
+	src, err := openSource(ctx, o.n.Pred, o.n.atom, o.n.arity)
 	if err != nil {
+		return err
+	}
+	if o.set, err = src.IDSet(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
 	}
-	if rel.Arity() != o.n.arity {
-		return fmt.Errorf("physical: atom %s arity %d vs relation arity %d", o.n.atom, o.n.arity, rel.Arity())
-	}
-	o.set = rel.IDSet(ctx.Dict)
 	o.used = 1
 	o.live = true
 	o.constIDs = make([]uint32, len(o.n.srcPos))
@@ -567,7 +609,7 @@ func (o *colAntiJoinOp) open(ctx *Ctx) error {
 		if p >= 0 {
 			continue
 		}
-		id, ok := ctx.Dict.Lookup(o.n.constVal[j])
+		id, ok := ctx.dict.Lookup(o.n.constVal[j])
 		if !ok {
 			o.live = false
 		}
@@ -668,13 +710,13 @@ type colSelectOp struct {
 }
 
 func (o *colSelectOp) open(ctx *Ctx) error {
-	o.dec = newDecoder(ctx.Dict)
+	o.dec = newDecoder(ctx.dict)
 	return o.input.open(ctx)
 }
 
 // argValue resolves a select argument: constants stay boxed, binding
 // columns decode (representatives are Equal to the originals, so the
-// Compare-based verdict is identical to the row path's).
+// Compare-based verdict is the one the stored values would give).
 func (o *colSelectOp) argValue(a argRef, batch colBatch, i int) storage.Value {
 	if a.src == srcConst {
 		return a.val
@@ -718,7 +760,7 @@ func (o *colSelectOp) close(ctx *Ctx) {
 
 // --- project ---
 
-// idSeen is an incremental ID-tuple seen-set: the columnar dedup state.
+// idSeen is an incremental ID-tuple seen-set: the dedup state.
 // One and two columns key on the IDs directly; wider tuples on the
 // packed encoding.
 type idSeen struct {
@@ -803,6 +845,8 @@ func (o *colProjectOp) open(ctx *Ctx) error {
 func (o *colProjectOp) next(ctx *Ctx) (colBatch, bool, error) {
 	batch, ok, err := o.input.next(ctx)
 	if err != nil || !ok {
+		// The dedup seen-set dies with the stream; release it from the
+		// buffered-tuples gauge.
 		if o.seen != nil && !o.released {
 			ctx.track(-o.seen.len())
 			o.released = true
@@ -941,17 +985,21 @@ func (o *colGroupOp) open(ctx *Ctx) error {
 	return nil
 }
 
-// build mirrors groupOp.build over IDs: group keys and the full-row
-// dedup keys are packed IDs instead of AppendKey bytes, and only the
+// build drains the input, aggregating incrementally: one accumulator per
+// parameter group, fed the group's distinct head tuples in arrival order
+// (duplicates from the un-deduplicated upstream are dropped by full key,
+// exactly reproducing the materializing path's distinct extended
+// tuples). Group keys and full-row dedup keys are packed IDs; only the
 // distinct head tuples an accumulator actually consumes are decoded to
-// boxed Values. Arrival order, the Done short-circuit, and the gauge
-// accounting are identical to the row path.
+// boxed Values. Once a monotone accumulator reports Done, its group stops
+// retaining keys — this is where streaming beats materializing: large
+// passing groups hold threshold-many entries instead of all their rows.
 func (o *colGroupOp) build(ctx *Ctx) error {
 	groups := make(map[string]*colGrp)
 	var order []*colGrp
 	seen := make(map[string]struct{})
 	var buf []byte
-	dec := newDecoder(ctx.Dict)
+	dec := newDecoder(ctx.dict)
 	retained := 0
 	for {
 		batch, ok, err := o.input.next(ctx)
@@ -1015,6 +1063,8 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	}
 	o.groupsN = len(order)
 	o.rowsOut = len(o.passing)
+	// The group state is released here; only the passing parameter
+	// tuples stream on.
 	ctx.track(-(len(order) + retained))
 	if ctx.Col != nil {
 		o.wall += time.Since(start)
@@ -1064,8 +1114,12 @@ type colMaterializeOp struct {
 	id    int
 	input colOperator
 
-	rel      *storage.Relation
-	sink     bool
+	rel *storage.Relation
+	// ids holds rel's rows in ID form, row i beside rel.Tuples()[i]: what
+	// a barrier re-emits and what seeds a registered relation's ID cache.
+	// The answer sink of an unregistered plan has no use for it.
+	ids      colBatch
+	sink     bool // plan root: the answer relation, where MaxRows applies
 	done     bool
 	emitPos  int
 	released bool
@@ -1077,17 +1131,19 @@ type colMaterializeOp struct {
 
 func (o *colMaterializeOp) open(ctx *Ctx) error { return o.input.open(ctx) }
 
-// materialize drains the input, decoding each row back to boxed Values —
-// the one place the columnar pipeline re-boxes — and inserting in
-// arrival order, so the relation is identical to the row path's (same
-// tuples, same insertion order, same normalized dedup keys). Duplicates
-// are detected on a scratch tuple before anything is allocated.
+// materialize drains the input into a fresh relation, decoding each row
+// back to boxed Values — the one place the pipeline re-boxes — and
+// inserting in arrival order (set semantics; identical to the
+// materializing executor's insertion order), then runs the Hook (§4.4
+// decision) and Register callbacks. Rows are decoded into a scratch tuple,
+// so a duplicate allocates nothing.
 func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 	rel := storage.NewRelation(o.n.Name, o.n.cols...)
-	dec := newDecoder(ctx.Dict)
+	dec := newDecoder(ctx.dict)
 	width := len(o.n.cols)
+	keepIDs := !o.sink || o.n.Register != nil
+	ids := newColBatch(width)
 	scratch := make(storage.Tuple, width)
-	var keyBuf []byte
 	for {
 		batch, ok, err := o.input.next(ctx)
 		if err != nil {
@@ -1104,12 +1160,12 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 			for c := 0; c < width; c++ {
 				scratch[c] = dec.value(batch.cols[c][i])
 			}
-			keyBuf = scratch.AppendKey(keyBuf[:0])
-			if rel.ContainsKey(keyBuf) {
+			if !rel.InsertCopy(scratch) {
 				continue
 			}
-			if rel.Insert(scratch.Clone()) {
-				ctx.track(1)
+			ctx.track(1)
+			if keepIDs {
+				ids.appendRow(batch, i)
 			}
 		}
 		o.rowsIn += batch.n
@@ -1124,6 +1180,8 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 		}
 	}
 	if o.n.Hook != nil {
+		// A decision barrier is a boundary between pipeline phases; observe
+		// cancellation before running the (possibly expensive) hook.
 		if err := ctx.Gate.Check(); err != nil {
 			return err
 		}
@@ -1132,18 +1190,44 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 			return err
 		}
 		if reduced != rel {
+			if keepIDs {
+				if ids, err = keptRows(ids, rel, reduced); err != nil {
+					return err
+				}
+			}
 			ctx.track(reduced.Len() - rel.Len())
 			rel = reduced
 		}
 	}
 	if o.n.Register != nil {
+		// The next step scans the registered relation: hand it the IDs
+		// instead of letting that scan intern every cell again.
+		rel.SeedInternedColumns(ctx.dict, ids.cols)
 		if err := o.n.Register(rel); err != nil {
 			return err
 		}
 	}
-	o.rel = rel
+	o.rel, o.ids = rel, ids
 	o.done = true
 	return nil
+}
+
+// keptRows returns the rows of ids — row i beside full's i-th tuple —
+// that a Hook's reduced relation kept. A Hook returns a subsequence of
+// its input, so one merge pass pairs them up.
+func keptRows(ids colBatch, full, reduced *storage.Relation) (colBatch, error) {
+	kept := reduced.Tuples()
+	out := newColBatch(len(ids.cols))
+	for i, t := range full.Tuples() {
+		if out.n < len(kept) && t.Equal(kept[out.n]) {
+			out.appendRow(ids, i)
+		}
+	}
+	if out.n != len(kept) {
+		return colBatch{}, fmt.Errorf("physical: barrier hook returned %d rows, %d of them not a subsequence of its input",
+			len(kept), len(kept)-out.n)
+	}
+	return out, nil
 }
 
 func (o *colMaterializeOp) next(ctx *Ctx) (colBatch, bool, error) {
@@ -1152,26 +1236,22 @@ func (o *colMaterializeOp) next(ctx *Ctx) (colBatch, bool, error) {
 			return colBatch{}, false, err
 		}
 	}
-	tuples := o.rel.Tuples()
-	if o.emitPos >= len(tuples) {
+	if o.emitPos >= o.ids.n {
+		// Mid-pipeline barrier: the buffered relation is no longer
+		// referenced once fully re-streamed.
 		if !o.released {
-			ctx.track(-len(tuples))
+			ctx.track(-o.ids.n)
 			o.released = true
 		}
 		return colBatch{}, false, nil
 	}
 	end := o.emitPos + batchSize
-	if end > len(tuples) {
-		end = len(tuples)
+	if end > o.ids.n {
+		end = o.ids.n
 	}
-	// Re-intern the barrier's tuples to continue in ID form. All values
-	// are dictionary hits except ones a Hook introduced.
-	out := newColBatch(len(o.n.cols))
-	for _, t := range tuples[o.emitPos:end] {
-		for c, v := range t {
-			out.cols[c] = append(out.cols[c], ctx.Dict.Intern(v))
-		}
-		out.n++
+	out := colBatch{n: end - o.emitPos, cols: make([][]uint32, len(o.ids.cols))}
+	for c, col := range o.ids.cols {
+		out.cols[c] = col[o.emitPos:end:end]
 	}
 	o.emitPos = end
 	return out, true, nil

@@ -1,119 +1,101 @@
 package physical
 
 import (
+	"fmt"
 	"testing"
 
-	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
 )
 
-// compileRunMode runs the compiled rule on the row path (dict == nil)
-// or the columnar path (dict != nil) with identical plans.
-func compileRunMode(t *testing.T, db *storage.Database, r *datalog.Rule, order []int, workers int, columnar bool) *storage.Relation {
-	t.Helper()
-	node, err := CompileRule(db, r, RuleOpts{Order: order, Out: r.Head.Args, Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
-	ctx := &Ctx{DB: db, Workers: workers}
-	if columnar {
-		ctx.Dict = db.Dict()
-	}
-	rel, err := plan.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel
-}
-
-// TestColumnarMatchesRows is the operator-level differential oracle:
-// for each rule shape (joins, negation, comparison, constants, repeated
-// variables) the columnar ID pipeline must produce the row pipeline's
-// answer tuple-for-tuple, in order, at every worker count.
-func TestColumnarMatchesRows(t *testing.T) {
+// TestRuleShapesPinned pins, for each rule shape (joins, negation,
+// comparison, constants, repeated variables), the executor's answer
+// tuple-for-tuple in emission order — the order the boxed row operators
+// this executor replaced produced — at every worker count.
+func TestRuleShapesPinned(t *testing.T) {
 	db := testDB()
 	cases := []struct {
 		name  string
 		rule  string
 		order []int
+		want  string // fmt of the answer's tuples, in order
 	}{
-		{"chain", "answer(X,Z) :- e(X,Y) AND e(Y,Z)", []int{0, 1}},
-		{"triangle", "answer(X,Y,Z) :- e(X,Y) AND e(Y,Z) AND e(Z,X)", []int{0, 1, 2}},
-		{"neg-cmp", "answer(X,Y) :- e(X,Y) AND NOT blocked(Y) AND X < Y", []int{0}},
-		{"const", "answer(Y) :- e(1,Y)", []int{0}},
-		{"label-join", "answer(X,L) :- e(X,Y) AND l(Y,L)", []int{0, 1}},
-		{"self-loop", "answer(X) :- e(X,X)", []int{0}},
+		{"chain", "answer(X,Z) :- e(X,Y) AND e(Y,Z)", []int{0, 1},
+			"[(1, 3) (1, 4) (2, 4) (3, 1) (4, 2) (4, 3) (2, 1)]"},
+		{"triangle", "answer(X,Y,Z) :- e(X,Y) AND e(Y,Z) AND e(Z,X)", []int{0, 1, 2},
+			"[(1, 2, 4) (1, 3, 4) (3, 4, 1) (4, 1, 2) (4, 1, 3) (2, 4, 1)]"},
+		{"neg-cmp", "answer(X,Y) :- e(X,Y) AND NOT blocked(Y) AND X < Y", []int{0},
+			"[(1, 2) (1, 3) (2, 3)]"},
+		{"const", "answer(Y) :- e(1,Y)", []int{0}, "[(2) (3)]"},
+		{"label-join", "answer(X,L) :- e(X,Y) AND l(Y,L)", []int{0, 1},
+			"[(1, b) (1, a) (2, a) (3, b) (4, a) (2, b)]"},
+		{"self-loop", "answer(X) :- e(X,X)", []int{0}, "[]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := mustRule(t, c.rule)
-			row := compileRunMode(t, db, r, c.order, 1, false)
 			for _, w := range []int{1, 2, 8} {
-				col := compileRunMode(t, db, r, c.order, w, true)
-				if col.Dump() != row.Dump() {
-					t.Fatalf("workers=%d columnar answer differs\ncolumnar:\n%s\nrows:\n%s", w, col.Dump(), row.Dump())
+				got := compileRun(t, db, r, c.order, w)
+				if s := fmt.Sprint(got.Tuples()); s != c.want {
+					t.Fatalf("workers=%d answer %s, want %s", w, s, c.want)
 				}
 			}
 		})
 	}
 }
 
-// TestColumnarMissingConstant covers the dictionary-miss path: a query
-// constant absent from every stored relation matches nothing, without
-// interning the constant into the dictionary.
-func TestColumnarMissingConstant(t *testing.T) {
+// TestMissingConstant covers the dictionary-miss path: a query constant
+// absent from every stored relation matches nothing, without interning
+// the constant into the dictionary.
+func TestMissingConstant(t *testing.T) {
 	db := testDB()
-	dictLen := db.Dict().Len()
-	for _, src := range []string{
-		"answer(Y) :- e(99,Y)",                             // dead scan constant
-		"answer(X,Y) :- l(X,L) AND e(X,Y) AND L = \"zzz\"", // dead comparison constant
-		"answer(X,Y) :- e(X,Y) AND NOT blocked(99)",        // negated const: never a member, keep all
+	dict, err := db.Dict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictLen := dict.Len()
+	for _, c := range []struct{ rule, want string }{
+		{"answer(Y) :- e(99,Y)", "[]"},                             // dead scan constant
+		{"answer(X,Y) :- l(X,L) AND e(X,Y) AND L = \"zzz\"", "[]"}, // dead comparison constant
+		// negated const: never a member, keep all
+		{"answer(X,Y) :- e(X,Y) AND NOT blocked(99)", "[(1, 2) (1, 3) (2, 3) (3, 4) (4, 1) (2, 4)]"},
 	} {
-		r := mustRule(t, src)
+		r := mustRule(t, c.rule)
 		order := make([]int, len(r.PositiveAtoms()))
 		for i := range order {
 			order[i] = i
 		}
-		row := compileRunMode(t, db, r, order, 1, false)
-		col := compileRunMode(t, db, r, order, 1, true)
-		if col.Dump() != row.Dump() {
-			t.Fatalf("%s: columnar differs\ncolumnar:\n%s\nrows:\n%s", src, col.Dump(), row.Dump())
+		got := compileRun(t, db, r, order, 1)
+		if s := fmt.Sprint(got.Tuples()); s != c.want {
+			t.Fatalf("%s: answer %s, want %s", c.rule, s, c.want)
 		}
 	}
-	if db.Dict().Len() != dictLen {
-		t.Fatalf("query constants grew the dictionary: %d -> %d", dictLen, db.Dict().Len())
+	if dict.Len() != dictLen {
+		t.Fatalf("query constants grew the dictionary: %d -> %d", dictLen, dict.Len())
 	}
 }
 
-// TestColumnarCrossKindDup pins repeated-variable semantics: dup checks
-// use Equal, the same equality class AppendKey gives the joins, so a
-// tuple pairing Int(1) with Float(1) satisfies e(X,X) in both paths
-// (the two values share a dictionary ID and a join key). This replaced
-// an earlier deliberate kind-sensitive == — which made e(X,X) disagree
-// with the equivalent self-join — see TestCrossKindRepeatedVariable in
-// internal/eval.
-func TestColumnarCrossKindDup(t *testing.T) {
+// TestCrossKindDup pins repeated-variable semantics: a repeated variable
+// binds one equality class — the class AppendKey gives the joins and the
+// dictionary gives its IDs — so a tuple pairing Int(1) with Float(1)
+// satisfies e(X,X). This replaced an earlier deliberate kind-sensitive
+// == — which made e(X,X) disagree with the equivalent self-join — see
+// TestCrossKindRepeatedVariable in internal/eval.
+func TestCrossKindDup(t *testing.T) {
 	db := storage.NewDatabase()
 	e := storage.NewRelation("e", "a", "b")
 	e.InsertValues(storage.Int(1), storage.Float(1))
 	e.InsertValues(storage.Int(2), storage.Int(2))
 	e.InsertValues(storage.Int(3), storage.Int(4))
 	db.Add(e)
-	r := mustRule(t, "answer(X) :- e(X,X)")
-	row := compileRunMode(t, db, r, []int{0}, 1, false)
-	col := compileRunMode(t, db, r, []int{0}, 1, true)
-	if col.Dump() != row.Dump() {
-		t.Fatalf("columnar dup check differs\ncolumnar:\n%s\nrows:\n%s", col.Dump(), row.Dump())
-	}
-	if row.Len() != 2 {
-		t.Fatalf("want the Int(1)/Float(1) and Int(2) rows, got:\n%s", row.Dump())
+	got := compileRun(t, db, mustRule(t, "answer(X) :- e(X,X)"), []int{0}, 1)
+	if s := fmt.Sprint(got.Tuples()); s != "[(1) (2)]" {
+		t.Fatalf("want the Int(1)/Float(1) and Int(2) rows, got %s", s)
 	}
 }
 
 // streamRun compiles a rule with one atom streamed from a producer
-// pipeline and runs it in the requested mode.
-func streamRun(t *testing.T, db *storage.Database, rule string, order []int, streams map[string]Node, workers int, columnar bool) *storage.Relation {
+// pipeline and runs it.
+func streamRun(t *testing.T, db *storage.Database, rule string, order []int, streams map[string]Node, workers int) *storage.Relation {
 	t.Helper()
 	r := mustRule(t, rule)
 	node, err := CompileRule(db, r, RuleOpts{Order: order, Out: r.Head.Args, Dedup: true, Streams: streams})
@@ -121,11 +103,7 @@ func streamRun(t *testing.T, db *storage.Database, rule string, order []int, str
 		t.Fatal(err)
 	}
 	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
-	ctx := &Ctx{DB: db, Workers: workers}
-	if columnar {
-		ctx.Dict = db.Dict()
-	}
-	rel, err := plan.Run(ctx)
+	rel, err := plan.Run(&Ctx{DB: db, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +123,13 @@ func producerNode(t *testing.T, db *storage.Database) Node {
 }
 
 // TestSymJoinMatchesStoredJoin checks the symmetric hash join against
-// the oracle of materializing the streamed predicate first: same
-// answer set in both executors at every worker count, and the row and
-// columnar fused pipelines agree tuple-for-tuple.
+// the oracle of materializing the streamed predicate first: same answer
+// set at every worker count and in both join orders, with a stable
+// emission order.
 func TestSymJoinMatchesStoredJoin(t *testing.T) {
 	db := testDB()
 	// Oracle: materialize hop, then join as a stored relation.
-	hopAnswer := compileRunMode(t, db, mustRule(t, "hop(X,Z) :- e(X,Y) AND e(Y,Z)"), []int{0, 1}, 1, false)
+	hopAnswer := compileRun(t, db, mustRule(t, "hop(X,Z) :- e(X,Y) AND e(Y,Z)"), []int{0, 1}, 1)
 	hop := storage.NewRelation("hop", "X", "Z")
 	for _, tp := range hopAnswer.Tuples() {
 		hop.Insert(tp)
@@ -164,25 +142,18 @@ func TestSymJoinMatchesStoredJoin(t *testing.T) {
 	// the streamed atom joins symmetrically (not as pipeline source).
 	const rule = "answer(A,B,L) :- hop(A,B) AND l(B,L)"
 	db.Add(storage.NewRelation("hop", "A", "B")) // stand-in for order resolution
-	var rowBase string
 	for _, order := range [][]int{{1, 0}, {0, 1}} {
+		var base string
 		for _, w := range []int{1, 2, 8} {
-			row := streamRun(t, db, rule, order, map[string]Node{"hop": producerNode(t, db)}, w, false)
-			col := streamRun(t, db, rule, order, map[string]Node{"hop": producerNode(t, db)}, w, true)
-			if !row.Equal(oracle) {
-				t.Fatalf("order=%v workers=%d fused row answer differs from stored-join oracle\ngot:\n%s\nwant:\n%s",
-					order, w, row.Dump(), oracle.Dump())
+			got := streamRun(t, db, rule, order, map[string]Node{"hop": producerNode(t, db)}, w)
+			if !got.Equal(oracle) {
+				t.Fatalf("order=%v workers=%d fused answer differs from stored-join oracle\ngot:\n%s\nwant:\n%s",
+					order, w, got.Dump(), oracle.Dump())
 			}
-			if col.Dump() != row.Dump() {
-				t.Fatalf("order=%v workers=%d columnar symjoin differs from row symjoin\ncolumnar:\n%s\nrows:\n%s",
-					order, w, col.Dump(), row.Dump())
-			}
-			if order[0] == 1 {
-				if rowBase == "" {
-					rowBase = row.Dump()
-				} else if row.Dump() != rowBase {
-					t.Fatalf("workers=%d symjoin emission order changed", w)
-				}
+			if base == "" {
+				base = fmt.Sprint(got.Tuples())
+			} else if s := fmt.Sprint(got.Tuples()); s != base {
+				t.Fatalf("order=%v workers=%d symjoin emission order changed: %s vs %s", order, w, s, base)
 			}
 		}
 	}

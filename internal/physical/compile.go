@@ -78,13 +78,13 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 			}
 			continue
 		}
-		rel, err := db.Relation(a.Pred)
+		src, err := db.Source(a.Pred)
 		if err != nil {
 			return nil, fmt.Errorf("physical: %w", err)
 		}
-		if rel.Arity() != len(a.Args) {
+		if src.Arity() != len(a.Args) {
 			return nil, fmt.Errorf("physical: atom %s has %d arguments but relation %s has %d columns",
-				a, len(a.Args), a.Pred, rel.Arity())
+				a, len(a.Args), a.Pred, src.Arity())
 		}
 	}
 	atoms := r.PositiveAtoms()
@@ -268,12 +268,12 @@ func (c *ruleCompiler) absorb(atom *datalog.Atom) ([]*Check, error) {
 }
 
 func (c *ruleCompiler) checkArity(a *datalog.Atom) error {
-	rel, err := c.db.Relation(a.Pred)
+	src, err := c.db.Source(a.Pred)
 	if err != nil {
 		return fmt.Errorf("physical: %w", err)
 	}
-	if rel.Arity() != len(a.Args) {
-		return fmt.Errorf("physical: atom %s arity %d vs relation arity %d", a, len(a.Args), rel.Arity())
+	if src.Arity() != len(a.Args) {
+		return fmt.Errorf("physical: atom %s arity %d vs relation arity %d", a, len(a.Args), src.Arity())
 	}
 	return nil
 }

@@ -32,10 +32,10 @@ type Ctx struct {
 	// checkpoint: operators consult it at batch boundaries, and the
 	// buffered-tuple gauge feeds its tuple budget. Nil means unlimited.
 	Gate *Gate
-	// Dict, when non-nil, selects columnar execution: operators stream
-	// batches of interned uint32 IDs from this dictionary instead of
-	// boxed tuple rows. Results are bit-identical to the row path.
-	Dict *storage.Dict
+
+	// dict is DB's value dictionary, resolved by Run: operators stream
+	// batches of its uint32 IDs.
+	dict *storage.Dict
 
 	buffered int
 	peak     int
@@ -54,15 +54,11 @@ func (c *Ctx) track(delta int) {
 // Peak returns the high-water count of buffered tuples observed so far.
 func (c *Ctx) Peak() int { return c.peak }
 
-// operator is one node's runtime state: a pull iterator over tuple
-// batches. next returns ok=false at end-of-stream; a returned batch may
-// be empty while the stream is still live. close releases state and
-// records the operator's event (children first, so events arrive in
-// leaf-to-root pipeline order).
-type operator interface {
-	open(ctx *Ctx) error
-	next(ctx *Ctx) (batch []storage.Tuple, ok bool, err error)
-	close(ctx *Ctx)
+// record sends one event if collection is on.
+func record(ctx *Ctx, e obs.Event) {
+	if ctx.Col != nil {
+		ctx.Col.Record(e)
+	}
 }
 
 // Run executes the plan against ctx. The root must be a Materialize
@@ -74,49 +70,26 @@ func (p *Plan) Run(ctx *Ctx) (*storage.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("physical: plan root is %s, want materialize", p.Root.Kind())
 	}
-	if ctx.Dict != nil {
-		return p.runColumnar(ctx, root)
-	}
-	op := root.newOp(p).(*materializeOp)
-	op.sink = true // the answer relation: where the MaxRows budget applies
-	err := op.open(ctx)
-	if err == nil {
-		err = op.materialize(ctx)
-	}
-	op.close(ctx)
-	if ctx.Col != nil {
-		ctx.Col.ObservePeak(ctx.peak)
-		observeStorage(ctx)
-	}
+	dict, err := ctx.DB.Dict()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("physical: %w", err)
 	}
-	return op.rel, nil
-}
-
-// observeStorage samples the catalog's disk I/O counters (cumulative, so
-// the collector max-merges them) after a plan execution.
-func observeStorage(ctx *Ctx) {
-	if io := ctx.DB.IO(); io != nil {
-		ctx.Col.ObserveStorage(uint64(io.SegmentsOpened()), uint64(io.IndexBlocksRead()),
-			uint64(io.DeltaRows()), uint64(io.BytesRead()))
-	}
-}
-
-// runColumnar is Run's interned-ID twin: the same plan, instantiated as
-// columnar operators keyed on ctx.Dict.
-func (p *Plan) runColumnar(ctx *Ctx, root *MaterializeNode) (*storage.Relation, error) {
+	ctx.dict = dict
 	op := newColOp(p, root).(*colMaterializeOp)
-	op.sink = true
-	err := op.open(ctx)
+	op.sink = true // the answer relation: where the MaxRows budget applies
+	err = op.open(ctx)
 	if err == nil {
 		err = op.materialize(ctx)
 	}
 	op.close(ctx)
 	if ctx.Col != nil {
 		ctx.Col.ObservePeak(ctx.peak)
-		ctx.Col.ObserveDict(ctx.Dict.Len(), ctx.Dict.Hits(), ctx.Dict.Misses())
-		observeStorage(ctx)
+		ctx.Col.ObserveDict(dict.Len(), dict.Hits(), dict.Misses())
+		if io := ctx.DB.IO(); io != nil {
+			// Cumulative counters: the collector max-merges the samples.
+			ctx.Col.ObserveStorage(uint64(io.SegmentsOpened()), uint64(io.IndexBlocksRead()),
+				uint64(io.DeltaRows()), uint64(io.BytesRead()))
+		}
 	}
 	if err != nil {
 		return nil, err

@@ -25,17 +25,6 @@ type argRef struct {
 	val storage.Value
 }
 
-func (a argRef) value(ct, bt storage.Tuple) storage.Value {
-	switch a.src {
-	case srcConst:
-		return a.val
-	case srcCur:
-		return ct[a.pos]
-	default:
-		return bt[a.pos]
-	}
-}
-
 // checkKind classifies an absorbed per-row check.
 type checkKind int8
 
@@ -58,58 +47,6 @@ type Check struct {
 	// Membership checks: probe (args...) against the pred relation.
 	pred string
 	args []argRef
-	keys storage.KeyProber // resolved at open
-	rel  *storage.Relation // set when the source is resident (columnar path)
-}
-
-func (c *Check) bind(db *storage.Database) error {
-	if c.kind == checkCmp {
-		return nil
-	}
-	src, err := db.Source(c.pred)
-	if err != nil {
-		return fmt.Errorf("physical: %w", err)
-	}
-	if src.Arity() != len(c.args) {
-		return fmt.Errorf("physical: check %s arity %d vs relation arity %d", c.desc, len(c.args), src.Arity())
-	}
-	c.keys = src.Keys()
-	c.rel, _ = src.Resident()
-	return nil
-}
-
-// instantiate returns one worker's private row check. Membership checks
-// own a probe tuple and key buffer, so concurrent workers never share
-// mutable state; comparison checks are stateless.
-func (c *Check) instantiate() func(ct, bt storage.Tuple) bool {
-	if c.kind == checkCmp {
-		op, l, r := c.op, c.left, c.right
-		return func(ct, bt storage.Tuple) bool {
-			return op.Eval(l.value(ct, bt), r.value(ct, bt))
-		}
-	}
-	want := c.kind == checkMember
-	keys, args := c.keys, c.args
-	probe := make(storage.Tuple, len(args))
-	var buf []byte
-	return func(ct, bt storage.Tuple) bool {
-		for i, a := range args {
-			probe[i] = a.value(ct, bt)
-		}
-		buf = probe.AppendKey(buf[:0])
-		return keys.ContainsKey(buf) == want
-	}
-}
-
-func instantiateAll(checks []*Check) []func(ct, bt storage.Tuple) bool {
-	if len(checks) == 0 {
-		return nil
-	}
-	out := make([]func(ct, bt storage.Tuple) bool, len(checks))
-	for i, c := range checks {
-		out[i] = c.instantiate()
-	}
-	return out
 }
 
 // constPos is one constant argument position of a joined atom.
@@ -155,7 +92,8 @@ func (n *UnitNode) Inputs() []Node    { return nil }
 
 // BuildNode is the hash-index build on a join's base relation (the only
 // build-side pipeline breaker). Key columns list constants first (fixed
-// key prefix) then the probed positions.
+// key prefix) then the probed positions. The join operator performs the
+// build itself; the node exists for the plan tree and per-operator events.
 type BuildNode struct {
 	Pred    string
 	idxCols []int
@@ -165,9 +103,6 @@ func (n *BuildNode) Kind() Kind        { return KindBuild }
 func (n *BuildNode) Columns() []string { return nil }
 func (n *BuildNode) Inputs() []Node    { return nil }
 
-// newOp is never called: the join operator performs the index build
-// itself (the node exists for the plan tree and per-operator events).
-func (n *BuildNode) newOp(p *Plan) operator { return nil }
 func (n *BuildNode) Desc() string {
 	keys := make([]string, len(n.idxCols))
 	for i, c := range n.idxCols {

@@ -1,7 +1,7 @@
 // Package physical is the unified physical-plan layer of the flock
 // system: a small operator IR (scan, hash build/join, anti-join, select,
 // project, union, group-filter, materialize) plus a batch-at-a-time pull
-// executor. Every evaluation strategy — direct, FILTER-step plans, and
+// executor over columns of interned value IDs (colops.go). Every evaluation strategy — direct, FILTER-step plans, and
 // the §4.4 dynamic strategy — *compiles* to this IR and runs on the one
 // executor, so joins stream probe-side through the pipeline instead of
 // materializing each intermediate relation. Pipeline breakers exist only
@@ -69,9 +69,6 @@ type Node interface {
 	Columns() []string
 	// Inputs returns the child nodes (build side first for joins).
 	Inputs() []Node
-
-	// newOp instantiates the operator's runtime state.
-	newOp(p *Plan) operator
 }
 
 // Plan is a compiled physical plan: a root node plus stable preorder
@@ -137,8 +134,9 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, prefix, childPrefix strin
 }
 
 // Hook is a dynamic-strategy callback run on a Materialize barrier's
-// relation; it may return a reduced replacement with the same columns
-// (the §4.4 FILTER reduction) or the input unchanged.
+// relation; it returns the input unchanged or a reduced replacement (the
+// §4.4 FILTER reduction): the same columns and a subsequence of the
+// input's tuples, in input order.
 type Hook func(*storage.Relation) (*storage.Relation, error)
 
 // GroupAcc accumulates one group's head tuples for a FILTER condition.

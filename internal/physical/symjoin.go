@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"queryflocks/internal/obs"
-	"queryflocks/internal/storage"
 )
 
 // SymJoinNode is a symmetric hash join: both inputs are streams, neither
@@ -17,7 +16,7 @@ import (
 // is the left columns followed by the right side's non-key columns
 // (matching JoinNode's layout). The pull schedule alternates strictly
 // between the sides, one batch at a time, so the emission order is
-// deterministic and identical between the row and columnar executors.
+// deterministic.
 //
 // The compiler picks this operator when neither input is already
 // materialized — the fused FILTER-step pipelines where a producing
@@ -75,175 +74,11 @@ func (n *SymJoinNode) Desc() string {
 	return "on " + strings.Join(keys, ",")
 }
 
-// --- row operator ---
-
-func (n *SymJoinNode) newOp(p *Plan) operator {
-	return &symJoinOp{n: n, id: p.ids[n], left: n.Left.newOp(p), right: n.Right.newOp(p)}
-}
-
-type symJoinOp struct {
-	n           *SymJoinNode
-	id          int
-	left, right operator
-
-	leftTab, rightTab   map[string][]storage.Tuple
-	leftDone, rightDone bool
-	pullLeft            bool
-	keyBuf              []byte
-	tracked             int
-	released            bool
-	pending             []storage.Tuple
-
-	rowsIn  int
-	rowsOut int
-	batches int
-	wall    time.Duration
-}
-
-func (o *symJoinOp) open(ctx *Ctx) error {
-	if err := o.left.open(ctx); err != nil {
-		return err
-	}
-	if err := o.right.open(ctx); err != nil {
-		return err
-	}
-	o.leftTab = make(map[string][]storage.Tuple)
-	o.rightTab = make(map[string][]storage.Tuple)
-	o.pullLeft = true
-	return nil
-}
-
-// emit builds the output row for a matched (left, right) pair.
-func (o *symJoinOp) emit(l, r storage.Tuple, out []storage.Tuple) []storage.Tuple {
-	row := make(storage.Tuple, 0, len(o.n.cols))
-	row = append(row, l...)
-	for _, p := range o.n.rightNew {
-		row = append(row, r[p])
-	}
-	return append(out, row)
-}
-
-// absorbLeft inserts one left batch and probes the right table.
-func (o *symJoinOp) absorbLeft(ctx *Ctx, batch []storage.Tuple) []storage.Tuple {
-	var out []storage.Tuple
-	for _, l := range batch {
-		o.keyBuf = l.AppendKeyOn(o.keyBuf[:0], o.n.leftKey)
-		o.leftTab[string(o.keyBuf)] = append(o.leftTab[string(o.keyBuf)], l)
-		o.tracked++
-		ctx.track(1)
-		for _, r := range o.rightTab[string(o.keyBuf)] {
-			out = o.emit(l, r, out)
-		}
-	}
-	return out
-}
-
-// absorbRight inserts one right batch and probes the left table.
-func (o *symJoinOp) absorbRight(ctx *Ctx, batch []storage.Tuple) []storage.Tuple {
-	var out []storage.Tuple
-	for _, r := range batch {
-		o.keyBuf = r.AppendKeyOn(o.keyBuf[:0], o.n.rightKey)
-		o.rightTab[string(o.keyBuf)] = append(o.rightTab[string(o.keyBuf)], r)
-		o.tracked++
-		ctx.track(1)
-		for _, l := range o.leftTab[string(o.keyBuf)] {
-			out = o.emit(l, r, out)
-		}
-	}
-	return out
-}
-
-func (o *symJoinOp) next(ctx *Ctx) ([]storage.Tuple, bool, error) {
-	if len(o.pending) > 0 {
-		return o.emitChunk(), true, nil
-	}
-	for !o.leftDone || !o.rightDone {
-		if err := ctx.Gate.Check(); err != nil {
-			return nil, false, err
-		}
-		// Strict alternation: one batch left, one batch right; an
-		// exhausted side yields its turn to the survivor.
-		fromLeft := o.pullLeft
-		if o.leftDone {
-			fromLeft = false
-		} else if o.rightDone {
-			fromLeft = true
-		}
-		o.pullLeft = !fromLeft
-		var (
-			batch []storage.Tuple
-			ok    bool
-			err   error
-		)
-		if fromLeft {
-			batch, ok, err = o.left.next(ctx)
-		} else {
-			batch, ok, err = o.right.next(ctx)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			if fromLeft {
-				o.leftDone = true
-			} else {
-				o.rightDone = true
-			}
-			continue
-		}
-		var start time.Time
-		if ctx.Col != nil {
-			start = time.Now()
-		}
-		var out []storage.Tuple
-		if fromLeft {
-			out = o.absorbLeft(ctx, batch)
-		} else {
-			out = o.absorbRight(ctx, batch)
-		}
-		o.rowsIn += len(batch)
-		o.rowsOut += len(out)
-		o.batches++
-		if ctx.Col != nil {
-			o.wall += time.Since(start)
-		}
-		o.pending = out
-		return o.emitChunk(), true, nil
-	}
-	// Both streams drained: the two hash tables die with the operator.
-	if !o.released {
-		ctx.track(-o.tracked)
-		o.released = true
-	}
-	return nil, false, nil
-}
-
-func (o *symJoinOp) emitChunk() []storage.Tuple {
-	n := len(o.pending)
-	if n > batchSize {
-		n = batchSize
-	}
-	chunk := o.pending[:n]
-	o.pending = o.pending[n:]
-	return chunk
-}
-
-func (o *symJoinOp) close(ctx *Ctx) {
-	o.left.close(ctx)
-	o.right.close(ctx)
-	record(ctx, obs.Event{
-		Op: obs.OpSymJoin, ID: o.id, Desc: o.n.Desc(),
-		RowsIn: o.rowsIn, RowsOut: o.rowsOut, Workers: 1, Wall: o.wall,
-		BoxedBatches: o.batches,
-	})
-}
-
-// --- columnar operator ---
+// --- operator ---
 
 // colSymTable is one side's accumulated rows in ID form: a column store
 // of every row inserted so far plus a packed-key bucket index, rows in
-// insertion order — the same enumeration order as the row operator's
-// map[string][]Tuple buckets.
+// insertion order.
 type colSymTable struct {
 	store   colBatch
 	buckets map[string][]int32
@@ -347,6 +182,8 @@ func (o *colSymJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 		if err := ctx.Gate.Check(); err != nil {
 			return colBatch{}, false, err
 		}
+		// Strict alternation: one batch left, one batch right; an
+		// exhausted side yields its turn to the survivor.
 		fromLeft := o.pullLeft
 		if o.leftDone {
 			fromLeft = false
@@ -394,6 +231,7 @@ func (o *colSymJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 		o.pending = out
 		return o.emitChunk(), true, nil
 	}
+	// Both streams drained: the two hash tables die with the operator.
 	if !o.released {
 		ctx.track(-o.tracked)
 		o.released = true

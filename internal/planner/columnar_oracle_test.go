@@ -37,13 +37,13 @@ func corpusDB(t *testing.T, name string) *storage.Database {
 	}
 }
 
-// TestColumnarMatchesRowsCorpus is the interned-execution property test:
-// for every program in examples/flocks, on its generated workload
+// TestColumnarMatchesMaterializeCorpus is the interned-execution property
+// test: for every program in examples/flocks, on its generated workload
 // database, the columnar ID pipeline (ExecStream) must be bit-identical
-// to the row-at-a-time streaming pipeline (ExecStreamRows) — same
-// answer tuples in the same order (Dump equality), and for the dynamic
-// strategy the same decision sequence — at worker counts 1, 2 and 8.
-func TestColumnarMatchesRowsCorpus(t *testing.T) {
+// to the materializing executor (ExecMaterialize) — same answer tuples in
+// the same order (Dump equality), and for the dynamic strategy the same
+// decision sequence — at worker counts 1, 2 and 8.
+func TestColumnarMatchesMaterializeCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "flocks")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -100,20 +100,20 @@ func TestColumnarMatchesRowsCorpus(t *testing.T) {
 						if err != nil {
 							t.Fatalf("columnar workers=%d: %v", w, err)
 						}
-						rows, err := run(w, eval.ExecStreamRows)
+						mat, err := run(w, eval.ExecMaterialize)
 						if err != nil {
-							t.Fatalf("rows workers=%d: %v", w, err)
+							t.Fatalf("materialize workers=%d: %v", w, err)
 						}
-						if got, want := col.rel.Dump(), rows.rel.Dump(); got != want {
-							t.Fatalf("workers=%d: columnar answer not bit-identical to row path\ncolumnar:\n%s\nrows:\n%s", w, got, want)
+						if got, want := col.rel.Dump(), mat.rel.Dump(); got != want {
+							t.Fatalf("workers=%d: columnar answer not bit-identical to the materializing executor\ncolumnar:\n%s\nmaterialize:\n%s", w, got, want)
 						}
-						if len(col.decisions) != len(rows.decisions) {
-							t.Fatalf("workers=%d: %d columnar decisions vs %d row", w, len(col.decisions), len(rows.decisions))
+						if len(col.decisions) != len(mat.decisions) {
+							t.Fatalf("workers=%d: %d columnar decisions vs %d materialize", w, len(col.decisions), len(mat.decisions))
 						}
 						for i := range col.decisions {
-							if col.decisions[i].String() != rows.decisions[i].String() {
-								t.Fatalf("workers=%d decision %d differs:\ncolumnar: %s\nrows: %s",
-									w, i, col.decisions[i], rows.decisions[i])
+							if col.decisions[i].String() != mat.decisions[i].String() {
+								t.Fatalf("workers=%d decision %d differs:\ncolumnar: %s\nmaterialize: %s",
+									w, i, col.decisions[i], mat.decisions[i])
 							}
 						}
 						if colDump == "" {

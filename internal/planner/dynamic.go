@@ -588,8 +588,18 @@ func allBound(rel *storage.Relation, cols []string) bool {
 	return true
 }
 
+// distinctOn counts the distinct projections of rel onto pos — the number
+// of parameter assignments at a decision point.
 func distinctOn(rel *storage.Relation, pos []int) int {
-	return rel.Index(pos).GroupCount()
+	seen := make(map[string]struct{})
+	var buf []byte
+	for _, t := range rel.Tuples() {
+		buf = t.AppendKeyOn(buf[:0], pos)
+		if _, dup := seen[string(buf)]; !dup {
+			seen[string(buf)] = struct{}{}
+		}
+	}
+	return len(seen)
 }
 
 // filterIntermediate applies a FILTER step to an intermediate binding
@@ -599,6 +609,9 @@ func distinctOn(rel *storage.Relation, pos []int) int {
 // worker knob: unlike GroupAndFilterWorkers it must keep every binding
 // row (not one row per group), and its input — an already filter-worthy
 // intermediate — is usually small enough that partitioning would not pay.
+// Every dynamic evaluation pays for this pass at its decision barriers,
+// so it computes one key per row into a reused buffer and remembers each
+// row's group instead of looking it up again.
 func filterIntermediate(cur *storage.Relation, paramPos []int, headCols []string, filter core.Filter) (*storage.Relation, error) {
 	headPos := make([]int, len(headCols))
 	for i, c := range headCols {
@@ -607,34 +620,44 @@ func filterIntermediate(cur *storage.Relation, paramPos []int, headCols []string
 	type group struct {
 		acc  core.GroupAcc
 		done bool
+		keep bool
 	}
+	tuples := cur.Tuples()
 	groups := make(map[string]*group)
+	rowGroup := make([]*group, len(tuples))
 	// The filter must see *distinct* head tuples per group (set
-	// semantics): dedupe (params, head) projections first.
+	// semantics): dedupe (params, head) projections first. The key
+	// encoding is prefix-free per value, so the group key followed by the
+	// head key is unambiguous.
 	seen := make(map[string]struct{})
-	for _, t := range cur.Tuples() {
-		gkey := t.KeyOn(paramPos)
-		hkey := gkey + "\x00" + t.KeyOn(headPos)
-		g, ok := groups[gkey]
+	var buf []byte
+	for i, t := range tuples {
+		buf = t.AppendKeyOn(buf[:0], paramPos)
+		g, ok := groups[string(buf)]
 		if !ok {
 			g = &group{acc: filter.NewGroup()}
-			groups[gkey] = g
+			groups[string(buf)] = g
 		}
+		rowGroup[i] = g
 		if g.done {
 			continue
 		}
-		if _, dup := seen[hkey]; dup {
+		buf = t.AppendKeyOn(buf, headPos)
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		seen[hkey] = struct{}{}
+		seen[string(buf)] = struct{}{}
 		g.acc.Add(t.Project(headPos))
 		if g.acc.Done() {
 			g.done = true
 		}
 	}
+	for _, g := range groups {
+		g.keep = g.acc.Passes()
+	}
 	out := storage.NewRelation(cur.Name()+"_f", cur.Columns()...)
-	for _, t := range cur.Tuples() {
-		if g := groups[t.KeyOn(paramPos)]; g != nil && g.acc.Passes() {
+	for i, t := range tuples {
+		if rowGroup[i].keep {
 			out.Insert(t)
 		}
 	}

@@ -57,13 +57,13 @@ func (e *Estimator) RuleRows(r *datalog.Rule) float64 {
 			col, ok := termCol(t)
 			if !ok {
 				// A constant argument is a selection on the column.
-				d := float64(rel.DistinctCount(rel.Columns()[i]))
+				d := float64(e.stats.Distinct(a.Pred, rel.Columns()[i]))
 				if d > 1 {
 					rows /= d
 				}
 				continue
 			}
-			d := float64(rel.DistinctCount(rel.Columns()[i]))
+			d := float64(e.stats.Distinct(a.Pred, rel.Columns()[i]))
 			if d < 1 {
 				d = 1
 			}
@@ -111,7 +111,7 @@ func (e *Estimator) ParamCombos(r *datalog.Rule, params []datalog.Param) float64
 			}
 			for i, t := range a.Args {
 				if q, ok := t.(datalog.Param); ok && q == p {
-					d := float64(rel.DistinctCount(rel.Columns()[i]))
+					d := float64(e.stats.Distinct(a.Pred, rel.Columns()[i]))
 					if d < best {
 						best = d
 					}

@@ -176,7 +176,7 @@ func (e *Estimator) ruleWorkWith(r *datalog.Rule, virt map[string]virtualRel) fl
 			}
 			relRows = float64(rel.Len())
 			colDistinct = func(i int) float64 {
-				return float64(rel.DistinctCount(rel.Columns()[i]))
+				return float64(e.stats.Distinct(a.Pred, rel.Columns()[i]))
 			}
 		}
 		rows *= relRows

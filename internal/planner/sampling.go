@@ -195,9 +195,9 @@ func (e *Estimator) sampledParamCombos(db *storage.Database, sub datalog.Union, 
 				}
 				for i, t := range a.Args {
 					if q, ok := t.(datalog.Param); ok && q == prm {
-						d := float64(rel.DistinctCount(rel.Columns()[i]))
-						if d < best {
-							best = d
+						d, err := rel.DistinctCount(rel.Columns()[i])
+						if err == nil && float64(d) < best {
+							best = float64(d)
 						}
 					}
 				}

@@ -2,18 +2,14 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // Database is a named collection of relation sources — the catalog
 // against which flock queries are evaluated. Lookup is by relation
-// (predicate) name. Every entry is a RelationSource; resident in-memory
-// relations additionally appear in rels so legacy consumers can reach
-// the concrete *Relation without a Pin.
+// (predicate) name. Every entry is a RelationSource.
 type Database struct {
-	rels  map[string]*Relation      // resident subset of srcs
 	srcs  map[string]RelationSource // every registered source
 	order []string                  // registration order, for deterministic listings
 	dict  *dictBox                  // shared value dictionary (see Dict)
@@ -31,14 +27,13 @@ type Database struct {
 // parallel executors clone scratch catalogs freely and must all intern
 // against one ID space.
 type dictBox struct {
-	once sync.Once
-	d    *Dict
+	mu sync.Mutex
+	d  *Dict
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
 	return &Database{
-		rels: make(map[string]*Relation),
 		srcs: make(map[string]RelationSource),
 		dict: &dictBox{},
 	}
@@ -47,34 +42,32 @@ func NewDatabase() *Database {
 // Dict returns the database's value dictionary, building it on first use
 // with order-preserving IDs over every value currently stored (see
 // BuildDict). The dictionary is shared with all Clones of the database,
-// before or after this call. Safe for concurrent use.
-func (db *Database) Dict() *Dict {
-	db.dict.once.Do(func() { db.dict.d = BuildDict(db) })
-	return db.dict.d
+// before or after this call. Safe for concurrent use. The build can fail
+// only over a disk source (a segment read error); nothing is cached then,
+// so a later call retries.
+func (db *Database) Dict() (*Dict, error) {
+	db.dict.mu.Lock()
+	defer db.dict.mu.Unlock()
+	if db.dict.d == nil {
+		d, err := BuildDict(db)
+		if err != nil {
+			return nil, err
+		}
+		db.dict.d = d
+	}
+	return db.dict.d, nil
 }
 
-// Add registers a resident relation under its own name, replacing any
+// Add registers an in-memory relation under its own name, replacing any
 // previous source with that name.
-func (db *Database) Add(r *Relation) {
-	if _, exists := db.srcs[r.Name()]; !exists {
-		db.order = append(db.order, r.Name())
-	}
-	db.rels[r.Name()] = r
-	db.srcs[r.Name()] = r
-}
+func (db *Database) Add(r *Relation) { db.AddSource(r) }
 
 // AddSource registers any relation source, replacing a previous source
-// with the same name. A resident source also lands in the fast *Relation
-// table.
+// with the same name.
 func (db *Database) AddSource(s RelationSource) {
-	if r, ok := s.Resident(); ok {
-		db.Add(r)
-		return
-	}
 	if _, exists := db.srcs[s.Name()]; !exists {
 		db.order = append(db.order, s.Name())
 	}
-	delete(db.rels, s.Name())
 	db.srcs[s.Name()] = s
 }
 
@@ -83,7 +76,6 @@ func (db *Database) Remove(name string) {
 	if _, ok := db.srcs[name]; !ok {
 		return
 	}
-	delete(db.rels, name)
 	delete(db.srcs, name)
 	for i, n := range db.order {
 		if n == name {
@@ -113,31 +105,15 @@ func (db *Database) MustSource(name string) RelationSource {
 	return s
 }
 
-// Relation returns the named relation, materializing a non-resident
-// source on first use (the source caches its pin), or an error naming it
-// if absent.
+// Relation returns the named relation as boxed in-memory tuples,
+// materializing a disk source on first use (the source caches its pin),
+// or an error naming it if absent.
 func (db *Database) Relation(name string) (*Relation, error) {
-	if r, ok := db.rels[name]; ok {
-		return r, nil
-	}
-	s, ok := db.srcs[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: no relation %q in database", name)
+	s, err := db.Source(name)
+	if err != nil {
+		return nil, err
 	}
 	return s.Pin()
-}
-
-// Resident reports whether every registered source is fully in memory.
-// The columnar executor requires a resident catalog (its interned caches
-// live on the concrete relations); non-resident databases run the
-// row-streaming path.
-func (db *Database) Resident() bool {
-	for _, n := range db.order {
-		if _, ok := db.rels[n]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // IO returns the catalog's disk I/O counters (nil for pure in-memory
@@ -149,11 +125,7 @@ func (db *Database) SetIO(s *IOStats) { db.io = s }
 
 // seedDict installs a pre-built dictionary (loaded from a data dir),
 // consuming the lazy-build slot.
-func (db *Database) seedDict(d *Dict) {
-	box := &dictBox{d: d}
-	box.once.Do(func() {})
-	db.dict = box
-}
+func (db *Database) seedDict(d *Dict) { db.dict = &dictBox{d: d} }
 
 // MustRelation is Relation but panics on a missing name; for use where the
 // name was already validated.
@@ -252,10 +224,28 @@ func (s *Stats) Distinct(name, col string) int {
 	if err != nil {
 		return 0
 	}
-	if src.ColumnIndex(col) < 0 {
+	n, err := src.DistinctCount(col)
+	if err != nil {
 		return 0
 	}
-	return src.DistinctCount(col)
+	return n
+}
+
+// groupSizes returns the ascending group-size multiset of rel.col and the
+// relation's row count; no sizes when the relation or column is absent,
+// the relation is empty, or a disk source cannot be read. Statistics only
+// steer plan choice: a read failure resurfaces as a typed error when the
+// chosen plan opens the same relation.
+func (s *Stats) groupSizes(name, col string) ([]int, int) {
+	src, err := s.db.Source(name)
+	if err != nil {
+		return nil, 0
+	}
+	sizes, err := src.GroupSizes(col)
+	if err != nil {
+		return nil, 0
+	}
+	return sizes, src.Len()
 }
 
 // SurvivorFraction returns the fraction of distinct values of rel.groupCol
@@ -268,21 +258,17 @@ func (s *Stats) SurvivorFraction(name, groupCol string, threshold int) float64 {
 	if v, ok := s.survivors[key]; ok {
 		return v
 	}
-	src, err := s.db.Source(name)
-	if err != nil {
+	sizes, _ := s.groupSizes(name, groupCol)
+	if len(sizes) == 0 {
 		return 0
 	}
-	if src.ColumnIndex(groupCol) < 0 || src.Len() == 0 {
-		return 0
-	}
-	total, pass := 0, 0
-	for _, sz := range src.GroupSizes(groupCol) {
-		total++
+	pass := 0
+	for _, sz := range sizes {
 		if sz >= threshold {
 			pass++
 		}
 	}
-	v := float64(pass) / float64(total)
+	v := float64(pass) / float64(len(sizes))
 	s.survivors[key] = v
 	return v
 }
@@ -293,35 +279,27 @@ func (s *Stats) SurvivorFraction(name, groupCol string, threshold int) float64 {
 // quantity Example 4.4 reasons about when deciding whether filtering
 // "reduces the size of the relation by half".
 func (s *Stats) TupleSurvivorFraction(name, groupCol string, threshold int) float64 {
-	src, err := s.db.Source(name)
-	if err != nil {
-		return 0
-	}
-	if src.ColumnIndex(groupCol) < 0 || src.Len() == 0 {
+	sizes, rows := s.groupSizes(name, groupCol)
+	if len(sizes) == 0 {
 		return 0
 	}
 	kept := 0
-	for _, sz := range src.GroupSizes(groupCol) {
+	for _, sz := range sizes {
 		if sz >= threshold {
 			kept += sz
 		}
 	}
-	return float64(kept) / float64(src.Len())
+	return float64(kept) / float64(rows)
 }
 
 // GroupSizeQuantiles returns the q-quantiles (q >= 1) of group sizes of
 // rel grouped by groupCol, e.g. q=4 returns the quartile boundaries. Used
 // in EXPERIMENTS reporting and by ablation benches of the cost model.
 func (s *Stats) GroupSizeQuantiles(name, groupCol string, q int) []int {
-	src, err := s.db.Source(name)
-	if err != nil || q < 1 {
+	sizes, _ := s.groupSizes(name, groupCol)
+	if len(sizes) == 0 || q < 1 {
 		return nil
 	}
-	if src.ColumnIndex(groupCol) < 0 || src.Len() == 0 {
-		return nil
-	}
-	sizes := append([]int(nil), src.GroupSizes(groupCol)...)
-	sort.Ints(sizes)
 	out := make([]int, q+1)
 	for i := 0; i <= q; i++ {
 		pos := i * (len(sizes) - 1) / q

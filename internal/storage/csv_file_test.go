@@ -108,14 +108,11 @@ func TestIndexOnMissingColumnPanics(t *testing.T) {
 	r.IndexOn("Nope")
 }
 
-func TestDistinctCountMissingColumnPanics(t *testing.T) {
+func TestDistinctCountMissingColumn(t *testing.T) {
 	r := NewRelation("r", "A")
-	defer func() {
-		if recover() == nil {
-			t.Error("DistinctCount missing column should panic")
-		}
-	}()
-	r.DistinctCount("Nope")
+	if _, err := r.DistinctCount("Nope"); err == nil {
+		t.Error("DistinctCount of a missing column should fail")
+	}
 }
 
 func TestRenameArityPanics(t *testing.T) {

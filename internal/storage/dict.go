@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,32 +57,24 @@ func NewDict() *Dict {
 // class with order-preserving IDs: null is 0 and the remaining classes
 // are numbered in Value.Compare order. This is the load-time bulk build;
 // later values append via Intern. Relations are read through their
-// source iterators, so the build streams even over the disk engine.
-func BuildDict(db *Database) *Dict {
+// source iterators, so the build streams even over the disk engine (which
+// only needs it when its data directory has no persisted DICT).
+func BuildDict(db *Database) (*Dict, error) {
 	classes := make(map[string]Value)
 	var buf []byte
 	for _, name := range db.Names() {
-		src := db.MustSource(name)
-		it := src.Scan()
-		for {
-			batch, err := it.Next(1024)
-			if err != nil {
-				it.Close()
-				panic(err)
-			}
-			if batch == nil {
-				break
-			}
-			for _, t := range batch {
-				for _, v := range t {
-					buf = v.AppendKey(buf[:0])
-					if _, ok := classes[string(buf)]; !ok {
-						classes[string(buf)] = v
-					}
+		err := ForEach(db.MustSource(name).Scan(), func(t Tuple) error {
+			for _, v := range t {
+				buf = v.AppendKey(buf[:0])
+				if _, ok := classes[string(buf)]; !ok {
+					classes[string(buf)] = v
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("storage: building the dictionary over %q: %w", name, err)
 		}
-		it.Close()
 	}
 	delete(classes, string(Null().AppendKey(nil)))
 	ordered := make([]Value, 0, len(classes))
@@ -99,7 +92,7 @@ func BuildDict(db *Database) *Dict {
 		d.ids[string(v.AppendKey(nil))] = uint32(i + 1)
 	}
 	d.sortedLen = uint32(len(d.vals))
-	return d
+	return d, nil
 }
 
 // newDictFromValues reconstructs a dictionary from a persisted snapshot:

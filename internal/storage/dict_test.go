@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+func mustBuildDict(t *testing.T, db *Database) *Dict {
+	t.Helper()
+	d, err := BuildDict(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func dictDB() *Database {
 	db := NewDatabase()
 	r := NewRelation("r", "A", "B")
@@ -16,7 +25,7 @@ func dictDB() *Database {
 }
 
 func TestBuildDictOrderPreserving(t *testing.T) {
-	d := BuildDict(dictDB())
+	d := mustBuildDict(t, dictDB())
 	// 6 distinct classes + null.
 	if d.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", d.Len())
@@ -44,7 +53,7 @@ func TestBuildDictOrderPreserving(t *testing.T) {
 }
 
 func TestDictCrossKindEquality(t *testing.T) {
-	d := BuildDict(dictDB())
+	d := mustBuildDict(t, dictDB())
 	// Int(1) and Float(1) are Equal, so they share one equality class.
 	iid, ok := d.Lookup(Int(1))
 	if !ok {
@@ -68,7 +77,7 @@ func TestDictCrossKindEquality(t *testing.T) {
 }
 
 func TestDictInternAppends(t *testing.T) {
-	d := BuildDict(dictDB())
+	d := mustBuildDict(t, dictDB())
 	n := d.Len()
 	id := d.Intern(Str("zzz"))
 	if int(id) != n {
@@ -97,7 +106,7 @@ func TestDictInternAppends(t *testing.T) {
 
 func TestDictRoundTrip(t *testing.T) {
 	db := dictDB()
-	d := BuildDict(db)
+	d := mustBuildDict(t, db)
 	for _, tp := range db.MustRelation("r").Tuples() {
 		ids := d.InternTuple(tp, nil)
 		for i, id := range ids {
@@ -161,7 +170,7 @@ func TestDictConcurrentIntern(t *testing.T) {
 func TestDatabaseDictSharedByClone(t *testing.T) {
 	db := dictDB()
 	clone := db.Clone()
-	if db.Dict() != clone.Dict() {
+	if mustDict(t, db) != mustDict(t, clone) {
 		t.Fatal("clone should share the database's dictionary")
 	}
 }

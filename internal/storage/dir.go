@@ -93,12 +93,16 @@ func CreateDir(dir string, db *Database) error {
 		if err := writeSegment(filepath.Join(dir, name+segExt), name, rel.Columns(), sorted); err != nil {
 			return err
 		}
-		if err := os.Remove(filepath.Join(dir, name + deltaExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := os.Remove(filepath.Join(dir, name+deltaExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 		hists := make(map[string][]histBucket, rel.Arity())
 		for _, col := range rel.Columns() {
-			hists[col] = bucketize(rel.GroupSizes(col))
+			sizes, err := rel.GroupSizes(col)
+			if err != nil {
+				return err
+			}
+			hists[col] = bucketize(sizes)
 		}
 		cat.Relations = append(cat.Relations, dirRelation{
 			Name:       name,
@@ -107,7 +111,11 @@ func CreateDir(dir string, db *Database) error {
 			Histograms: hists,
 		})
 	}
-	if err := writeDict(filepath.Join(dir, dictFile), db.Dict()); err != nil {
+	dict, err := db.Dict()
+	if err != nil {
+		return err
+	}
+	if err := writeDict(filepath.Join(dir, dictFile), dict); err != nil {
 		return err
 	}
 	raw, err := json.MarshalIndent(cat, "", "  ")
@@ -237,11 +245,12 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	}
 	db.SetVersion(version)
 
-	// The persisted dictionary matches the base segments exactly; with a
+	// The persisted dictionary matches the base segments exactly. The disk
+	// engine always starts from it (its column builds then intern base
+	// values as hits and append only what a delta introduced); with a
 	// delta present the memory engine rebuilds lazily instead so delta
-	// values intern order-preserved. The disk engine runs the row path
-	// (no dictionary) and skips the load either way.
-	if engine == EngineMemory && !anyDelta {
+	// values intern order-preserved.
+	if engine == EngineDisk || !anyDelta {
 		if d, err := readDictFile(filepath.Join(dir, dictFile)); err == nil && d != nil {
 			db.seedDict(d)
 		} else if err != nil {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,11 +8,13 @@ import (
 
 // DiskRelation is the on-disk RelationSource: a sorted base segment plus
 // an in-memory view of the append-only delta layer. Scans stream the base
-// from disk and append the delta rows; keyed lookups position through the
-// segment's sparse index. Like *Relation, a DiskRelation is immutable
-// once published — WithDelta returns a new view instead of mutating, so
-// the serving layer's copy-on-write snapshot discipline carries over
-// unchanged.
+// from disk and append the delta rows; the executor reads the relation
+// through its ID-space caches, which one streaming pass over the segment
+// builds on first use and which then stay resident (ID columns at 4 bytes
+// per cell plus the ID indexes and set asked for — never boxed base
+// tuples). Like *Relation, a DiskRelation is immutable once published —
+// WithDelta returns a new view instead of mutating, so the serving
+// layer's copy-on-write snapshot discipline carries over unchanged.
 type DiskRelation struct {
 	seg  *segmentReader
 	name string
@@ -29,10 +30,9 @@ type DiskRelation struct {
 	// only), valid while the delta is empty.
 	hist map[string][]int
 
-	mu      sync.Mutex
-	indexes map[string]*Index
-	groups  map[string][]int // col -> exact group sizes incl. delta
-	keys    map[string]struct{}
+	mu     sync.Mutex
+	groups map[string][]int // col -> exact group sizes incl. delta
+	ids    idCache          // lazy ID-space caches (see interned.go)
 
 	pinOnce sync.Once
 	pinned  *Relation
@@ -61,219 +61,208 @@ func (d *DiskRelation) ColumnIndex(col string) int {
 	return -1
 }
 
-// concatIterator streams its inputs in order. countDelta marks the tail
-// iterator's rows as delta-merge rows for the I/O counters.
+// SegmentError reports that a relation's base segment could not be read
+// back in full: a read or decode failure, or fewer rows than its header
+// declares (a file truncated on a row boundary ends cleanly).
+type SegmentError struct {
+	Relation string
+	Err      error
+}
+
+func (e *SegmentError) Error() string {
+	return fmt.Sprintf("storage: relation %q: %v", e.Relation, e.Err)
+}
+
+func (e *SegmentError) Unwrap() error { return e.Err }
+
+// concatIterator streams its inputs in order, counting the rows of the
+// delta tail for the I/O counters.
 type concatIterator struct {
-	its        []Iterator
-	countDelta []bool
-	io         *IOStats
-	pos        int
+	base, delta Iterator
+	io          *IOStats
+	baseDone    bool
 }
 
 func (c *concatIterator) Next(max int) ([]Tuple, error) {
-	for c.pos < len(c.its) {
-		batch, err := c.its[c.pos].Next(max)
-		if err != nil {
-			return nil, err
+	if !c.baseDone {
+		batch, err := c.base.Next(max)
+		if err != nil || batch != nil {
+			return batch, err
 		}
-		if batch != nil {
-			if c.countDelta[c.pos] {
-				c.io.addDeltaRows(len(batch))
-			}
-			return batch, nil
-		}
-		c.pos++
+		c.baseDone = true
 	}
-	return nil, nil
+	batch, err := c.delta.Next(max)
+	c.io.addDeltaRows(len(batch))
+	return batch, err
 }
 
 func (c *concatIterator) Close() error {
-	var err error
-	for _, it := range c.its {
-		if cerr := it.Close(); err == nil {
-			err = cerr
-		}
+	err := c.base.Close()
+	if cerr := c.delta.Close(); err == nil {
+		err = cerr
 	}
 	return err
-}
-
-func (d *DiskRelation) withDeltaTail(base Iterator, deltaRows []Tuple) Iterator {
-	if len(deltaRows) == 0 {
-		return base
-	}
-	return &concatIterator{
-		its:        []Iterator{base, NewSliceIterator(deltaRows)},
-		countDelta: []bool{false, true},
-		io:         d.io,
-	}
 }
 
 // Scan streams base rows in segment (sort) order, then delta rows in
 // append order — the same total order the memory engine materializes from
 // this data directory.
 func (d *DiskRelation) Scan() Iterator {
-	return d.withDeltaTail(d.seg.scan(), d.delta)
+	if len(d.delta) == 0 {
+		return d.seg.scan()
+	}
+	return &concatIterator{base: d.seg.scan(), delta: NewSliceIterator(d.delta), io: d.io}
 }
 
-// LookupPrefix streams the rows whose leading ncols columns sort-encode to
-// prefix: one positioned segment read plus a filter over the delta.
-func (d *DiskRelation) LookupPrefix(ncols int, prefix []byte) Iterator {
-	var tail []Tuple
-	if len(d.delta) > 0 {
-		var buf []byte
-		for _, t := range d.delta {
-			buf = t.AppendSortKeyOn(buf[:0], prefixCols(ncols))
-			if bytes.Equal(buf, prefix) {
-				tail = append(tail, t)
-			}
-		}
-	}
-	return d.withDeltaTail(d.seg.lookupPrefix(prefix), tail)
-}
-
-// ScanRange streams the rows whose full sort key lies in [lo, hi).
-func (d *DiskRelation) ScanRange(lo, hi []byte) Iterator {
-	var tail []Tuple
-	if len(d.delta) > 0 {
-		var buf []byte
-		for _, t := range d.delta {
-			buf = t.AppendSortKey(buf[:0])
-			if lo != nil && bytes.Compare(buf, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(buf, hi) >= 0 {
-				continue
-			}
-			tail = append(tail, t)
-		}
-	}
-	return d.withDeltaTail(d.seg.scanRange(lo, hi), tail)
-}
-
-// HashIndex builds (and caches) a hash index over the given columns by
-// streaming the source once. The build pins the index in memory — the
-// price of hash-join probes against a disk relation; bucket contents keep
-// scan order, matching the memory engine's insertion-order buckets.
-func (d *DiskRelation) HashIndex(cols []int, workers int) *Index {
-	key := indexKey(cols)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.indexes == nil {
-		d.indexes = make(map[string]*Index)
-	}
-	if ix, ok := d.indexes[key]; ok {
-		return ix
-	}
-	ix := &Index{
-		cols:   append([]int(nil), cols...),
-		shards: []map[string][]Tuple{make(map[string][]Tuple, d.Len())},
-	}
-	if err := d.forEach(func(t Tuple) {
-		k := t.KeyOn(cols)
-		ix.shards[0][k] = append(ix.shards[0][k], t)
-	}); err != nil {
-		panic(err) // corrupted segment mid-build; surfaced like an arity bug
-	}
-	d.indexes[key] = ix
-	return ix
-}
-
-// forEach streams every row through fn.
-func (d *DiskRelation) forEach(fn func(Tuple)) error {
-	it := d.Scan()
+// scanBase streams the base segment through fn, consulting check (when
+// non-nil) before each batch. Failures come back as a *SegmentError.
+func (d *DiskRelation) scanBase(check func() error, fn func(Tuple)) error {
+	it := d.seg.scan()
 	defer it.Close()
+	rows := 0
 	for {
-		batch, err := it.Next(1024)
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		batch, err := it.Next(internBatch)
 		if err != nil {
-			return err
+			return &SegmentError{Relation: d.name, Err: err}
 		}
 		if batch == nil {
-			return nil
+			break
 		}
+		rows += len(batch)
 		for _, t := range batch {
 			fn(t)
 		}
 	}
-}
-
-// Keys returns a membership prober over full-tuple equality keys. The key
-// set is built lazily with one streaming scan and then pinned (keys only,
-// not tuples); anti-joins and plan Checks probe it allocation-free.
-func (d *DiskRelation) Keys() KeyProber {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.keys == nil {
-		keys := make(map[string]struct{}, d.Len())
-		var buf []byte
-		if err := d.forEach(func(t Tuple) {
-			buf = t.AppendKey(buf[:0])
-			keys[string(buf)] = struct{}{}
-		}); err != nil {
-			panic(err)
-		}
-		d.keys = keys
+	if rows != d.seg.rows {
+		return &SegmentError{Relation: d.name,
+			Err: fmt.Errorf("segment %s holds %d of the %d rows its header declares", d.seg.path, rows, d.seg.rows)}
 	}
-	return keySet(d.keys)
+	return nil
 }
 
-type keySet map[string]struct{}
+// forEach streams every row (base, then delta) through fn.
+func (d *DiskRelation) forEach(fn func(Tuple)) error {
+	if err := d.scanBase(nil, fn); err != nil {
+		return err
+	}
+	for _, t := range d.delta {
+		fn(t)
+	}
+	d.io.addDeltaRows(len(d.delta))
+	return nil
+}
 
-func (s keySet) ContainsKey(key []byte) bool {
-	_, ok := s[string(key)]
-	return ok
+// internColumns is the disk column build: one streaming pass over the
+// segment, each value interned through dict (a hit for everything the
+// persisted DICT holds), then the delta rows on top.
+func (d *DiskRelation) internColumns(dict *Dict, check func() error) ([][]uint32, error) {
+	cols := make([][]uint32, len(d.cols))
+	for j := range cols {
+		cols[j] = make([]uint32, 0, d.Len())
+	}
+	intern := func(t Tuple) {
+		for j, v := range t {
+			cols[j] = append(cols[j], dict.Intern(v))
+		}
+	}
+	if err := d.scanBase(check, intern); err != nil {
+		return nil, err
+	}
+	for _, t := range d.delta {
+		intern(t)
+	}
+	d.io.addDeltaRows(len(d.delta))
+	return cols, nil
+}
+
+// InternedColumns implements RelationSource; see internColumns.
+func (d *DiskRelation) InternedColumns(dict *Dict, check func() error) ([][]uint32, error) {
+	return d.ids.columns(d, dict, check)
+}
+
+// IDSet implements RelationSource over the cached ID columns.
+func (d *DiskRelation) IDSet(dict *Dict, check func() error) (*IDSet, error) {
+	return d.ids.idSet(d, dict, check)
+}
+
+// IDIndex implements RelationSource over the cached ID columns; buckets
+// keep scan order, matching the memory engine's insertion-order buckets.
+func (d *DiskRelation) IDIndex(dict *Dict, cols []int, check func() error) (*IDIndex, error) {
+	return d.ids.idIndex(d, dict, cols, check)
 }
 
 // DistinctCount returns the exact number of distinct value classes in the
 // named column.
-func (d *DiskRelation) DistinctCount(col string) int { return len(d.GroupSizes(col)) }
+func (d *DiskRelation) DistinctCount(col string) (int, error) {
+	sizes, err := d.GroupSizes(col)
+	return len(sizes), err
+}
 
 // GroupSizes returns the exact group-size multiset of the named column,
 // sorted ascending. With an empty delta it is served from the persisted
-// catalog histogram (stored sorted); otherwise it is recomputed with one
-// streaming scan and cached. Exactness and order are a contract: the
-// planner's decisions must be engine-independent, and a map-ordered
-// multiset would leak nondeterminism into anything that indexes it.
-func (d *DiskRelation) GroupSizes(col string) []int {
+// catalog histogram (stored sorted); otherwise it is counted once per
+// view — over the cached ID columns when they are built, else with one
+// streaming scan. Exactness and order are a contract: the planner's
+// decisions must be engine-independent, and a map-ordered multiset would
+// leak nondeterminism into anything that indexes it.
+func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
 	p := d.ColumnIndex(col)
 	if p < 0 {
-		panic(fmt.Sprintf("storage: relation %q has no column %q", d.name, col))
+		return nil, fmt.Errorf("storage: relation %q has no column %q", d.name, col)
 	}
 	if len(d.delta) == 0 {
 		if sizes, ok := d.hist[col]; ok {
-			return sizes
+			return sizes, nil
 		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if sizes, ok := d.groups[col]; ok {
+		return sizes, nil
+	}
+	var sizes []int
+	if st := d.ids.cached(); st != nil {
+		counts := make(map[uint32]int)
+		for _, id := range st.cols[p] {
+			counts[id]++
+		}
+		sizes = sortedCounts(counts)
+	} else {
+		counts := make(map[string]int)
+		var buf []byte
+		if err := d.forEach(func(t Tuple) {
+			buf = t[p].AppendKey(buf[:0])
+			counts[string(buf)]++
+		}); err != nil {
+			return nil, err
+		}
+		sizes = sortedCounts(counts)
+	}
 	if d.groups == nil {
 		d.groups = make(map[string][]int)
 	}
-	if sizes, ok := d.groups[col]; ok {
-		return sizes
-	}
-	counts := make(map[string]int)
-	var buf []byte
-	if err := d.forEach(func(t Tuple) {
-		buf = t[p].AppendKey(buf[:0])
-		counts[string(buf)]++
-	}); err != nil {
-		panic(err)
-	}
+	d.groups[col] = sizes
+	return sizes, nil
+}
+
+// sortedCounts returns the counts of a value->occurrences map, ascending.
+func sortedCounts[K comparable](counts map[K]int) []int {
 	sizes := make([]int, 0, len(counts))
 	for _, n := range counts {
 		sizes = append(sizes, n)
 	}
 	sort.Ints(sizes)
-	d.groups[col] = sizes
 	return sizes
 }
 
-// Resident reports that a disk relation is not resident.
-func (d *DiskRelation) Resident() (*Relation, bool) { return nil, false }
-
-// Pin materializes the source into an in-memory Relation (cached). Legacy
-// consumers — the materializing oracle, the planner's sampling pass — use
-// this; the streaming executor never does.
+// Pin materializes the source into an in-memory Relation (cached), for
+// the consumers that need boxed tuples — the materializing oracle, the
+// planner's sampling pass; the streaming executor never does.
 func (d *DiskRelation) Pin() (*Relation, error) {
 	d.pinOnce.Do(func() {
 		rel := NewRelation(d.name, d.cols...)
@@ -298,7 +287,10 @@ func (d *DiskRelation) contains(t Tuple) (bool, error) {
 // WithDelta returns a new view with the given tuples appended to the
 // delta layer (duplicates of existing rows are dropped, preserving set
 // semantics) plus the list of rows actually added, in append order. The
-// base segment and its reader are shared; caches start fresh.
+// base segment and its reader are shared. So are built ID columns: the
+// new view extends them with the added rows' IDs (values the dictionary
+// has not seen are appended to it) instead of streaming the segment
+// again; its ID indexes and set rebuild from those columns on demand.
 func (d *DiskRelation) WithDelta(tuples []Tuple) (*DiskRelation, []Tuple, error) {
 	out := &DiskRelation{
 		seg:       d.seg,
@@ -328,8 +320,20 @@ func (d *DiskRelation) WithDelta(tuples []Tuple) (*DiskRelation, []Tuple, error)
 		out.deltaSeen[string(t.AppendKey(nil))] = struct{}{}
 		added = append(added, t)
 	}
-	// Copy-on-append: the shared prefix must not be mutated under views
-	// still serving the previous snapshot.
+	// Copy-on-append, for the delta and the ID columns alike: the shared
+	// prefix must not be mutated under views still serving the previous
+	// snapshot.
 	out.delta = append(d.delta[:len(d.delta):len(d.delta)], added...)
+	if st := d.ids.cached(); st != nil {
+		cols := make([][]uint32, len(st.cols))
+		for j, col := range st.cols {
+			cols[j] = col[:len(col):len(col)]
+			for _, t := range added {
+				cols[j] = append(cols[j], st.dict.Intern(t[j]))
+			}
+		}
+		out.ids.seed(st.dict, out.Len(), cols)
+		d.io.addDeltaRows(len(added))
+	}
 	return out, added, nil
 }

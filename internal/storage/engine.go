@@ -14,9 +14,10 @@ const (
 	// *Relation structures at open time — the default, and the only
 	// engine for plain CSV loading.
 	EngineMemory Engine = iota
-	// EngineDisk serves relations from sorted segment files on demand:
-	// scans, prefix lookups, and range scans stream from disk and only
-	// the delta layer and caches are resident.
+	// EngineDisk serves relations from sorted segment files: scans
+	// stream from disk, and what stays resident is the delta layer plus
+	// the lazily built ID-space caches (4 bytes per cell, no boxed
+	// tuples).
 	EngineDisk
 )
 
@@ -54,13 +55,6 @@ type Iterator interface {
 	Close() error
 }
 
-// KeyProber answers tuple-membership probes against a source using the
-// equality key encoding (Tuple.AppendKey). The zero-allocation contract of
-// Relation.ContainsKey carries over.
-type KeyProber interface {
-	ContainsKey(key []byte) bool
-}
-
 // RelationSource is the pluggable access-path interface every storage
 // engine provides per relation. The physical executor and the planner
 // consume only this interface for base relations; *Relation (memory) and
@@ -68,10 +62,9 @@ type KeyProber interface {
 //
 // Iteration order is part of the contract: Scan yields a fixed order (the
 // relation's insertion order; for disk sources, segment order followed by
-// delta-append order), and LookupPrefix/ScanRange yield subsequences of an
-// order consistent with the sort-key encoding. Bit-identical evaluation
-// across engines relies on both engines of one data directory agreeing on
-// Scan order.
+// delta-append order), and row i of the ID columns is the i-th tuple of
+// that order. Bit-identical evaluation across engines relies on both
+// engines of one data directory agreeing on it.
 type RelationSource interface {
 	Name() string
 	Columns() []string
@@ -81,30 +74,28 @@ type RelationSource interface {
 
 	// Scan streams every tuple.
 	Scan() Iterator
-	// LookupPrefix streams the tuples whose first ncols columns encode
-	// (via Tuple.AppendSortKey) to exactly prefix, in sort order.
-	LookupPrefix(ncols int, prefix []byte) Iterator
-	// ScanRange streams the tuples whose full sort key k satisfies
-	// lo <= k < hi (nil lo = from start, nil hi = to end), in sort order.
-	ScanRange(lo, hi []byte) Iterator
 
-	// HashIndex returns a hash index on the given column positions,
-	// building (and caching) it on first use. For non-resident sources
-	// this pins the index — callers that must stay out-of-core should
-	// stream via LookupPrefix instead.
-	HashIndex(cols []int, workers int) *Index
-	// Keys returns a membership prober over full-tuple equality keys.
-	Keys() KeyProber
+	// The ID-space access paths of the columnar executor: the relation as
+	// one dictionary-ID slice per column, a hash index from the IDs of a
+	// column subset to row numbers (rows in Scan order), and the
+	// full-tuple membership set. Each is built on first use and cached;
+	// the results are shared and must not be modified. check, when
+	// non-nil, is consulted once per batch of a column build (the only
+	// part that may read storage) and its error aborts the build, which
+	// then caches nothing.
+	InternedColumns(d *Dict, check func() error) ([][]uint32, error)
+	IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error)
+	IDSet(d *Dict, check func() error) (*IDSet, error)
 
 	// Statistics, exact by contract: the planner's decisions must not
-	// depend on which engine serves the data.
-	DistinctCount(col string) int
-	GroupSizes(col string) []int
+	// depend on which engine serves the data. GroupSizes is sorted
+	// ascending. A disk source may have to read its segment to answer.
+	DistinctCount(col string) (int, error)
+	GroupSizes(col string) ([]int, error)
 
-	// Resident returns the in-memory relation and true when the source
-	// is fully resident; Pin materializes a non-resident source (for
-	// legacy consumers: the materializing oracle, sampling).
-	Resident() (*Relation, bool)
+	// Pin materializes the source as an in-memory relation (itself, for
+	// one that already is) for the consumers that need boxed tuples: the
+	// materializing oracle and the planner's sampling pass.
 	Pin() (*Relation, error)
 }
 
@@ -159,120 +150,19 @@ func ForEach(it Iterator, fn func(Tuple) error) error {
 // Scan streams the relation's tuples in insertion order.
 func (r *Relation) Scan() Iterator { return &sliceIterator{tuples: r.tuples} }
 
-// LookupPrefix streams the tuples whose leading ncols columns sort-encode
-// to prefix. The in-memory relation has no sort order to exploit, so this
-// filters a full scan; it exists to satisfy the access-path interface with
-// identical results to the disk engine (order: insertion order, which for
-// dir-opened databases is sort order).
-func (r *Relation) LookupPrefix(ncols int, prefix []byte) Iterator {
-	return &filterIterator{it: r.Scan(), keep: func(t Tuple, buf []byte) ([]byte, bool) {
-		buf = t.AppendSortKeyOn(buf[:0], prefixCols(ncols))
-		return buf, bytes.Equal(buf, prefix)
-	}}
-}
-
-// ScanRange streams the tuples whose full sort key lies in [lo, hi). Like
-// LookupPrefix this filters a scan; dir-opened relations are already in
-// sort order so the result order matches the disk engine's.
-func (r *Relation) ScanRange(lo, hi []byte) Iterator {
-	return &filterIterator{it: r.Scan(), keep: func(t Tuple, buf []byte) ([]byte, bool) {
-		buf = t.AppendSortKey(buf[:0])
-		if lo != nil && bytes.Compare(buf, lo) < 0 {
-			return buf, false
-		}
-		if hi != nil && bytes.Compare(buf, hi) >= 0 {
-			return buf, false
-		}
-		return buf, true
-	}}
-}
-
-// HashIndex implements RelationSource via the cached lazy index build.
-func (r *Relation) HashIndex(cols []int, workers int) *Index {
-	return r.IndexParallel(cols, workers)
-}
-
-// Keys returns the relation itself: ContainsKey is already the prober.
-func (r *Relation) Keys() KeyProber { return r }
-
 // GroupSizes returns the group sizes of the named column, sorted
 // ascending (callers treat the result as a multiset; the order is
 // canonical so both engines present the same slice).
-func (r *Relation) GroupSizes(col string) []int {
+func (r *Relation) GroupSizes(col string) ([]int, error) {
 	p := r.ColumnIndex(col)
 	if p < 0 {
-		panic(fmt.Sprintf("storage: relation %q has no column %q", r.name, col))
+		return nil, fmt.Errorf("storage: relation %q has no column %q", r.name, col)
 	}
-	return r.Index([]int{p}).GroupSizes()
+	return r.Index([]int{p}).GroupSizes(), nil
 }
-
-// Resident reports that an in-memory relation is, indeed, resident.
-func (r *Relation) Resident() (*Relation, bool) { return r, true }
 
 // Pin returns the relation itself; it is already materialized.
 func (r *Relation) Pin() (*Relation, error) { return r, nil }
-
-// filterIterator applies a predicate over an underlying iterator, reusing
-// one key buffer across rows.
-type filterIterator struct {
-	it   Iterator
-	keep func(t Tuple, buf []byte) ([]byte, bool)
-	buf  []byte
-	out  []Tuple
-}
-
-func (f *filterIterator) Next(max int) ([]Tuple, error) {
-	if max <= 0 {
-		max = 1024
-	}
-	f.out = f.out[:0]
-	for len(f.out) < max {
-		batch, err := f.it.Next(max)
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			break
-		}
-		for _, t := range batch {
-			var ok bool
-			if f.buf, ok = f.keep(t, f.buf); ok {
-				f.out = append(f.out, t)
-			}
-		}
-	}
-	if len(f.out) == 0 {
-		return nil, nil
-	}
-	return f.out, nil
-}
-
-func (f *filterIterator) Close() error { return f.it.Close() }
-
-// prefixCols returns [0, 1, ..., n-1]; small n dominates, so a tiny cache
-// of shared slices avoids per-call allocation.
-var leadingCols = func() [][]int {
-	out := make([][]int, 9)
-	for n := range out {
-		cols := make([]int, n)
-		for i := range cols {
-			cols[i] = i
-		}
-		out[n] = cols
-	}
-	return out
-}()
-
-func prefixCols(n int) []int {
-	if n < len(leadingCols) {
-		return leadingCols[n]
-	}
-	cols := make([]int, n)
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
 
 // SortedBySortKey returns the relation's tuples ordered by their sort-key
 // encoding (ties impossible: set semantics means distinct classes). This

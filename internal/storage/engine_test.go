@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -78,11 +82,11 @@ func TestDirRoundTripBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mem.Resident() {
-		t.Fatal("memory engine database should be resident")
+	if _, ok := mem.MustSource("baskets").(*Relation); !ok {
+		t.Fatal("memory engine should serve in-memory relations")
 	}
-	if disk.Resident() {
-		t.Fatal("disk engine database should not be resident")
+	if _, ok := disk.MustSource("baskets").(*DiskRelation); !ok {
+		t.Fatal("disk engine should serve disk relations")
 	}
 	for _, name := range db.Names() {
 		orig := db.MustRelation(name)
@@ -109,59 +113,107 @@ func TestDirRoundTripBothEngines(t *testing.T) {
 		}
 		// Exact statistics parity across original, memory, and disk.
 		for _, col := range orig.Columns() {
-			if m, d := msrc.DistinctCount(col), dsrc.DistinctCount(col); m != orig.DistinctCount(col) || d != m {
-				t.Fatalf("%s.%s: distinct %d/%d, want %d", name, col, m, d, orig.DistinctCount(col))
+			want, _ := orig.DistinctCount(col)
+			m, merr := msrc.DistinctCount(col)
+			d, derr := dsrc.DistinctCount(col)
+			if merr != nil || derr != nil || m != want || d != want {
+				t.Fatalf("%s.%s: distinct %d/%d (%v/%v), want %d", name, col, m, d, merr, derr, want)
 			}
-			ms, ds := append([]int(nil), msrc.GroupSizes(col)...), append([]int(nil), dsrc.GroupSizes(col)...)
-			sort.Ints(ms)
-			sort.Ints(ds)
-			if !reflect.DeepEqual(ms, ds) {
+			ms, _ := msrc.GroupSizes(col)
+			ds, _ := dsrc.GroupSizes(col)
+			if !sort.IntsAreSorted(ms) || !reflect.DeepEqual(ms, ds) {
 				t.Fatalf("%s.%s: group sizes differ: %v vs %v", name, col, ms, ds)
 			}
 		}
 	}
 }
 
-func TestLookupPrefixBothEngines(t *testing.T) {
+// decodeRows turns ID columns back into tuples through the dictionary.
+func decodeRows(d *Dict, cols [][]uint32, n int) []Tuple {
+	out := make([]Tuple, n)
+	for i := range out {
+		out[i] = make(Tuple, len(cols))
+		for j := range cols {
+			out[i][j] = d.Value(cols[j][i])
+		}
+	}
+	return out
+}
+
+func mustDict(t *testing.T, db *Database) *Dict {
+	t.Helper()
+	d, err := db.Dict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestIDAccessPathsBothEngines checks the ID-space access paths the
+// executor reads base relations through: on both engines the columns
+// decode to the scan rows in scan order, the ID index enumerates the same
+// rows in the same order as a scan filter, and the ID set holds exactly
+// the stored tuples.
+func TestIDAccessPathsBothEngines(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
 	}
 	mem, disk := openBoth(t, dir)
-	for _, probe := range []Value{Int(3), Int(12), Int(9999), Float(3)} {
-		prefix := Tuple{probe}.AppendSortKey(nil)
-		m := drain(t, mem.MustSource("baskets").LookupPrefix(1, prefix))
-		d := drain(t, disk.MustSource("baskets").LookupPrefix(1, prefix))
-		if !reflect.DeepEqual(m, d) {
-			t.Fatalf("probe %v: prefix results differ\nmem:  %v\ndisk: %v", probe, m, d)
-		}
-		for _, row := range m {
-			if !row[0].Equal(probe) {
-				t.Fatalf("probe %v: got row %v", probe, row)
+	for _, d := range []*Database{mem, disk} {
+		dict := mustDict(t, d)
+		for _, name := range d.Names() {
+			src := d.MustSource(name)
+			rows := drain(t, src.Scan())
+			cols, err := src.InternedColumns(dict, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeRows(dict, cols, src.Len())
+			if len(got) != len(rows) {
+				t.Fatalf("%s: %d ID rows, %d scan rows", name, len(got), len(rows))
+			}
+			for i := range rows {
+				if !got[i].Equal(rows[i]) {
+					t.Fatalf("%s row %d: columns decode to %v, scan has %v", name, i, got[i], rows[i])
+				}
+			}
+			set, err := src.IDSet(dict, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]uint32, src.Arity())
+			for i := range rows {
+				for j := range cols {
+					ids[j] = cols[j][i]
+				}
+				if !set.Contains(ids) {
+					t.Fatalf("%s: ID set misses stored row %v", name, rows[i])
+				}
 			}
 		}
-		// Cross-check against a full-scan filter.
-		want := 0
-		for _, row := range drain(t, mem.MustSource("baskets").Scan()) {
-			if row[0].Equal(probe) {
-				want++
+		src := d.MustSource("baskets")
+		ix, err := src.IDIndex(dict, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := drain(t, src.Scan())
+		for _, item := range []Value{Str("beer"), Str("chips"), Str("nope")} {
+			var want []int32
+			for i, row := range rows {
+				if row[1].Equal(item) {
+					want = append(want, int32(i))
+				}
+			}
+			var got []int32
+			if id, ok := dict.Lookup(item); ok {
+				got = ix.Lookup([]uint32{id})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("index on item=%v: rows %v, want %v", item, got, want)
 			}
 		}
-		if len(m) != want {
-			t.Fatalf("probe %v: %d rows, want %d", probe, len(m), want)
-		}
-	}
-	// Range scan parity over a middle slice of the key space.
-	lo := Tuple{Int(10)}.AppendSortKey(nil)
-	hi := Tuple{Int(20)}.AppendSortKey(nil)
-	m := drain(t, mem.MustSource("baskets").ScanRange(lo, hi))
-	d := drain(t, disk.MustSource("baskets").ScanRange(lo, hi))
-	if !reflect.DeepEqual(m, d) {
-		t.Fatalf("range results differ\nmem:  %v\ndisk: %v", m, d)
-	}
-	if len(m) == 0 {
-		t.Fatal("range scan returned nothing")
 	}
 }
 
@@ -193,16 +245,23 @@ func TestDeltaAppendAndReopen(t *testing.T) {
 		if src.Len() != base+2 {
 			t.Fatalf("len %d, want %d", src.Len(), base+2)
 		}
-		if !src.Keys().ContainsKey(Tuple{Int(900), Str("anchovies")}.AppendKey(nil)) {
-			t.Fatal("delta row not visible through Keys()")
+		// Delta rows participate in membership, lookups and statistics,
+		// including "anchovies", which the persisted DICT has never seen.
+		dict := mustDict(t, d)
+		if !containsTuple(t, src, dict, Tuple{Int(900), Str("anchovies")}) {
+			t.Fatal("delta row not visible through the ID set")
 		}
-		// Delta rows participate in lookups and statistics.
-		rows := drain(t, src.LookupPrefix(1, Tuple{Int(900)}.AppendSortKey(nil)))
-		if len(rows) != 2 {
-			t.Fatalf("prefix lookup over delta: %d rows, want 2", len(rows))
+		ix, err := src.IDIndex(dict, []int{0}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := src.DistinctCount("basket"), db.MustRelation("baskets").DistinctCount("basket")+1; got != want {
-			t.Fatalf("distinct baskets %d, want %d", got, want)
+		id900, _ := dict.Lookup(Int(900))
+		if rows := ix.Lookup([]uint32{id900}); len(rows) != 2 {
+			t.Fatalf("index lookup over delta: %d rows, want 2", len(rows))
+		}
+		origDistinct, _ := db.MustRelation("baskets").DistinctCount("basket")
+		if got, err := src.DistinctCount("basket"); err != nil || got != origDistinct+1 {
+			t.Fatalf("distinct baskets %d (%v), want %d", got, err, origDistinct+1)
 		}
 	}
 	mrows := drain(t, mem.MustSource("baskets").Scan())
@@ -215,6 +274,25 @@ func TestDeltaAppendAndReopen(t *testing.T) {
 	}
 }
 
+// containsTuple probes a source's ID set for a boxed tuple; a value the
+// dictionary has never seen cannot be a member.
+func containsTuple(t *testing.T, src RelationSource, dict *Dict, tup Tuple) bool {
+	t.Helper()
+	set, err := src.IDSet(dict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint32, len(tup))
+	for i, v := range tup {
+		id, ok := dict.Lookup(v)
+		if !ok {
+			return false
+		}
+		ids[i] = id
+	}
+	return set.Contains(ids)
+}
+
 func TestWithDeltaCopyOnWrite(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
@@ -225,26 +303,129 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dict := mustDict(t, disk)
 	src := disk.MustSource("baskets").(*DiskRelation)
+	if _, err := src.InternedColumns(dict, nil); err != nil { // the one base-segment pass
+		t.Fatal(err)
+	}
 	next, added, err := src.WithDelta([]Tuple{
-		{Int(1), Str("beer")}, // duplicate of a base row: must be dropped
+		{Int(1), Str("beer")},   // duplicate of a base row: must be dropped
+		{Float(1), Str("beer")}, // the same row across kinds: still a duplicate
 		{Int(777), Str("beer")},
 		{Int(777), Str("beer")}, // duplicate within the batch
+		{Int(778), Str("kale")}, // a value the persisted DICT has never seen
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 1 || !added[0].Equal(Tuple{Int(777), Str("beer")}) {
-		t.Fatalf("added %v, want just (777, beer)", added)
+	if len(added) != 2 || !added[0].Equal(Tuple{Int(777), Str("beer")}) || !added[1].Equal(Tuple{Int(778), Str("kale")}) {
+		t.Fatalf("added %v, want (777, beer) and (778, kale)", added)
 	}
-	if src.Len()+1 != next.Len() {
+	if src.Len()+2 != next.Len() {
 		t.Fatalf("lens %d -> %d", src.Len(), next.Len())
 	}
-	if src.Keys().ContainsKey(Tuple{Int(777), Str("beer")}.AppendKey(nil)) {
-		t.Fatal("old view sees the new row")
+	// The new view extends the built columns instead of streaming the
+	// segment again; the old view is untouched.
+	before := disk.IO().BytesRead()
+	cols, err := next.InternedColumns(dict, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !next.Keys().ContainsKey(Tuple{Int(777), Str("beer")}.AppendKey(nil)) {
-		t.Fatal("new view misses the new row")
+	if got := disk.IO().BytesRead(); got != before {
+		t.Fatalf("the view after WithDelta re-read %d segment bytes", got-before)
+	}
+	if len(cols[0]) != next.Len() {
+		t.Fatalf("%d ID rows for %d tuples", len(cols[0]), next.Len())
+	}
+	rows := drain(t, next.Scan())
+	for i, row := range decodeRows(dict, cols, next.Len()) {
+		if !row.Equal(rows[i]) {
+			t.Fatalf("row %d: columns decode to %v, scan has %v", i, row, rows[i])
+		}
+	}
+	for _, tup := range added {
+		if containsTuple(t, src, dict, tup) {
+			t.Fatalf("old view sees the new row %v", tup)
+		}
+		if !containsTuple(t, next, dict, tup) {
+			t.Fatalf("new view misses the new row %v", tup)
+		}
+	}
+	// Statistics of the new view come from its columns, not the segment.
+	sizes, err := next.GroupSizes("item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := next.Pin() // reads the segment; after the byte check
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := pinned.GroupSizes("item"); !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("group sizes %v, want %v", sizes, want)
+	}
+}
+
+// TestColumnBuildFailureLeavesNoCache covers the two ways a first-touch
+// column build stops early — the caller's check cancels it, or the
+// segment turns out short — and that neither leaves a partial cache: the
+// next call builds from scratch.
+func TestColumnBuildFailureLeavesNoCache(t *testing.T) {
+	db := NewDatabase()
+	big := NewRelation("big", "a", "b")
+	for i := 0; i < 3*internBatch; i++ {
+		big.InsertValues(Int(int64(i)), Int(int64(i%7)))
+	}
+	db.Add(big)
+	dir := t.TempDir()
+	if err := CreateDir(dir, db); err != nil {
+		t.Fatal(err)
+	}
+	mem, disk := openBoth(t, dir)
+	stop := errors.New("stop")
+	for name, d := range map[string]*Database{"memory": mem, "disk": disk} {
+		dict := mustDict(t, d)
+		src := d.MustSource("big")
+		calls := 0
+		_, err := src.IDIndex(dict, []int{1}, func() error {
+			if calls++; calls > 2 {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) {
+			t.Fatalf("%s: cancelled build returned %v", name, err)
+		}
+		cols, err := src.InternedColumns(dict, nil)
+		if err != nil || len(cols[0]) != big.Len() {
+			t.Fatalf("%s: build after a cancelled one: %d rows, %v", name, len(cols[0]), err)
+		}
+	}
+
+	// Cut the segment under a freshly opened disk database: the build must
+	// fail with a typed error naming the relation, not panic.
+	disk2, _, err := OpenDir(dir, EngineDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "big"+segExt)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	src := disk2.MustSource("big")
+	_, err = src.InternedColumns(mustDict(t, disk2), nil)
+	var segErr *SegmentError
+	if !errors.As(err, &segErr) || segErr.Relation != "big" {
+		t.Fatalf("truncated segment: got %v, want a SegmentError naming big", err)
+	}
+	if _, err := src.GroupSizes("a"); err != nil {
+		t.Fatalf("delta-free statistics come from the catalog, got %v", err)
+	}
+	if _, err := src.Pin(); !errors.As(err, &segErr) {
+		t.Fatalf("pin over a truncated segment: got %v, want a SegmentError", err)
 	}
 }
 
@@ -270,41 +451,19 @@ func TestSegmentIOCounters(t *testing.T) {
 	if stats.BytesRead() <= before {
 		t.Fatal("scan did not count bytes read")
 	}
+	// The mutate path's duplicate check is one positioned read.
 	blocksBefore := stats.IndexBlocksRead()
-	drain(t, disk.MustSource("baskets").LookupPrefix(1, Tuple{Int(30)}.AppendSortKey(nil)))
+	if _, _, err := disk.MustSource("baskets").(*DiskRelation).WithDelta([]Tuple{{Int(30), Str("kale")}}); err != nil {
+		t.Fatal(err)
+	}
 	if stats.IndexBlocksRead() <= blocksBefore {
 		t.Fatal("positioned lookup did not count an index block read")
 	}
 }
 
-func TestHashIndexParityAcrossEngines(t *testing.T) {
-	db := testDB(t)
-	dir := t.TempDir()
-	if err := CreateDir(dir, db); err != nil {
-		t.Fatal(err)
-	}
-	mem, disk := openBoth(t, dir)
-	mix := mem.MustSource("baskets").HashIndex([]int{1}, 1)
-	dix := disk.MustSource("baskets").HashIndex([]int{1}, 4)
-	var buf []byte
-	for _, item := range []Value{Str("beer"), Str("chips"), Str("nope")} {
-		var mrows, drows []Tuple
-		mrows, buf = mix.Lookup(Tuple{item}, buf)
-		drows, _ = dix.Lookup(Tuple{item}, nil)
-		if len(mrows) != len(drows) {
-			t.Fatalf("%v: %d vs %d rows", item, len(mrows), len(drows))
-		}
-		for i := range mrows {
-			if !mrows[i].Equal(drows[i]) {
-				t.Fatalf("%v: bucket order differs at %d: %v vs %v", item, i, mrows[i], drows[i])
-			}
-		}
-	}
-}
-
 func TestDictPersistence(t *testing.T) {
 	db := testDB(t)
-	want := db.Dict()
+	want := mustDict(t, db)
 	dir := t.TempDir()
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
@@ -313,7 +472,7 @@ func TestDictPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mem.Dict()
+	got := mustDict(t, mem)
 	if got.Len() != want.Len() {
 		t.Fatalf("dict len %d, want %d", got.Len(), want.Len())
 	}
@@ -355,4 +514,61 @@ func TestIndexLookupAllocs(t *testing.T) {
 			t.Fatalf("LookupKey(workers=%d): %v allocs/op, want 0", workers, n)
 		}
 	}
+}
+
+// TestDiskIDCachesConcurrent hammers a cold disk relation from several
+// readers (each asking for columns, an index and the set) while a writer
+// derives delta views from it: every reader must see the one complete
+// build, and every view the base rows plus exactly its own delta.
+func TestDiskIDCachesConcurrent(t *testing.T) {
+	db := testDB(t)
+	dir := t.TempDir()
+	if err := CreateDir(dir, db); err != nil {
+		t.Fatal(err)
+	}
+	disk, _, err := OpenDir(dir, EngineDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := mustDict(t, disk)
+	src := disk.MustSource("baskets").(*DiskRelation)
+	want := src.Len()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cols, err := src.InternedColumns(dict, nil)
+			if err != nil || len(cols[0]) != want {
+				t.Errorf("reader %d: %d ID rows, %v; want %d", g, len(cols[0]), err, want)
+				return
+			}
+			if _, err := src.IDIndex(dict, []int{g % 2}, nil); err != nil {
+				t.Errorf("reader %d: %v", g, err)
+			}
+			if _, err := src.IDSet(dict, nil); err != nil {
+				t.Errorf("reader %d: %v", g, err)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		view := src
+		for i := 0; i < 20; i++ {
+			next, added, err := view.WithDelta([]Tuple{{Int(int64(5000 + i)), Str("kale")}})
+			if err != nil || len(added) != 1 {
+				t.Errorf("delta %d: added %v, %v", i, added, err)
+				return
+			}
+			cols, err := next.InternedColumns(dict, nil)
+			if err != nil || len(cols[0]) != want+i+1 {
+				t.Errorf("delta %d: %d ID rows, %v; want %d", i, len(cols[0]), err, want+i+1)
+				return
+			}
+			view = next
+		}
+	}()
+	wg.Wait()
 }

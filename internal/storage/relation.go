@@ -31,9 +31,9 @@ type Relation struct {
 	seen   map[string]struct{} // tuple Key -> present
 	keyBuf []byte              // reusable Insert key buffer (single-writer)
 
-	mu            sync.Mutex        // guards indexes and internedCache
-	indexes       map[string]*Index // key: joined column positions
-	internedCache *internedState    // lazy ID-space caches (see interned.go)
+	mu      sync.Mutex        // guards indexes
+	indexes map[string]*Index // key: joined column positions
+	ids     idCache           // lazy ID-space caches (see interned.go)
 }
 
 // NewRelation creates an empty relation with the given name and columns.
@@ -82,7 +82,13 @@ func (r *Relation) ColumnIndex(col string) int {
 // Insert adds a tuple if not already present and reports whether it was
 // added. The tuple is stored as-is; callers must not mutate it afterwards.
 // Inserting invalidates any indexes built so far.
-func (r *Relation) Insert(t Tuple) bool {
+func (r *Relation) Insert(t Tuple) bool { return r.insert(t, false) }
+
+// InsertCopy is Insert for a scratch tuple the caller goes on reusing: the
+// relation stores a clone, made only when the tuple is actually added.
+func (r *Relation) InsertCopy(t Tuple) bool { return r.insert(t, true) }
+
+func (r *Relation) insert(t Tuple, clone bool) bool {
 	if len(t) != len(r.cols) {
 		panic(fmt.Sprintf("storage: arity mismatch inserting %d-tuple into %q(%d cols)",
 			len(t), r.name, len(r.cols)))
@@ -94,6 +100,9 @@ func (r *Relation) Insert(t Tuple) bool {
 		return false
 	}
 	r.seen[string(r.keyBuf)] = struct{}{}
+	if clone {
+		t = t.Clone()
+	}
 	r.tuples = append(r.tuples, t)
 	r.dropIndexes()
 	return true
@@ -106,8 +115,8 @@ func (r *Relation) dropIndexes() {
 	if len(r.indexes) > 0 {
 		r.indexes = make(map[string]*Index)
 	}
-	r.internedCache = nil
 	r.mu.Unlock()
+	r.ids.reset()
 }
 
 // InsertValues is Insert with variadic values, for convenience in tests and
@@ -176,12 +185,12 @@ func (r *Relation) IndexOn(cols ...string) *Index {
 }
 
 // DistinctCount returns the number of distinct values in the named column.
-func (r *Relation) DistinctCount(col string) int {
+func (r *Relation) DistinctCount(col string) (int, error) {
 	p := r.ColumnIndex(col)
 	if p < 0 {
-		panic(fmt.Sprintf("storage: relation %q has no column %q", r.name, col))
+		return 0, fmt.Errorf("storage: relation %q has no column %q", r.name, col)
 	}
-	return r.Index([]int{p}).GroupCount()
+	return r.Index([]int{p}).GroupCount(), nil
 }
 
 // Clone returns a deep-enough copy: tuples are shared (they are immutable by

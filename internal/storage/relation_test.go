@@ -133,8 +133,8 @@ func TestRelationIndex(t *testing.T) {
 	if n := ix.GroupCount(); n != 2 {
 		t.Errorf("GroupCount = %d, want 2", n)
 	}
-	if r.DistinctCount("Item") != 2 {
-		t.Errorf("DistinctCount(Item) = %d, want 2", r.DistinctCount("Item"))
+	if n, err := r.DistinctCount("Item"); err != nil || n != 2 {
+		t.Errorf("DistinctCount(Item) = %d, %v, want 2", n, err)
 	}
 
 	// Index invalidation on insert.

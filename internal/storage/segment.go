@@ -27,11 +27,11 @@ import (
 // segIndexEvery rows; a keyed lookup binary-searches it in memory, seeks
 // to the block, and streams forward. Because the key encoding is
 // order-preserving and prefix-free per value, any bound-column prefix is
-// a contiguous key range, so one positioning read serves every
-// LookupPrefix regardless of which columns are bound.
+// a contiguous key range, so one positioning read answers a membership
+// probe (segmentReader.contains, the mutate path's duplicate check).
 const (
-	segMagic     = "QFSEG1\n"
-	segTail      = "QFSEGIX\n"
+	segMagic      = "QFSEG1\n"
+	segTail       = "QFSEGIX\n"
 	segIndexEvery = 256
 )
 
@@ -293,22 +293,6 @@ func (sr *segmentReader) lookupPrefix(prefix []byte) *segIterator {
 	return sr.iterate(sr.seekBlock(prefix),
 		func(key []byte) bool { return bytes.HasPrefix(key, prefix) },
 		func(key []byte) bool { return !bytes.HasPrefix(key, prefix) && bytes.Compare(key, prefix) > 0 })
-}
-
-// scanRange streams the rows whose sort key lies in [lo, hi).
-func (sr *segmentReader) scanRange(lo, hi []byte) *segIterator {
-	start := sr.dataStart
-	if lo != nil {
-		start = sr.seekBlock(lo)
-	}
-	var accept, stop func(key []byte) bool
-	if lo != nil {
-		accept = func(key []byte) bool { return bytes.Compare(key, lo) >= 0 }
-	}
-	if hi != nil {
-		stop = func(key []byte) bool { return bytes.Compare(key, hi) >= 0 }
-	}
-	return sr.iterate(start, accept, stop)
 }
 
 func (it *segIterator) Next(max int) ([]Tuple, error) {

@@ -108,19 +108,11 @@ func (t Tuple) AppendSortKey(dst []byte) []byte {
 	return dst
 }
 
-// AppendSortKeyOn appends the sort key of the projection of t onto cols.
-func (t Tuple) AppendSortKeyOn(dst []byte, cols []int) []byte {
-	for _, c := range cols {
-		dst = t[c].AppendSortKey(dst)
-	}
-	return dst
-}
-
 // Exact payload codec: the row representation stored beside the sort key
 // in segments and delta files. Unlike both key encodings it preserves the
 // stored value bit-exactly — kind included — so a relation read back from
-// disk is == -identical to the one written (dup checks and the columnar
-// representative rule are kind-sensitive).
+// disk is == -identical to the one written (the dictionary's
+// representative rule is kind-sensitive).
 
 // AppendPayload appends the exact binary form of v to dst.
 func (v Value) AppendPayload(dst []byte) []byte {

@@ -77,8 +77,8 @@ func TestBasketsShape(t *testing.T) {
 	if rel.Arity() != 2 {
 		t.Fatalf("arity = %d", rel.Arity())
 	}
-	if rel.DistinctCount("BID") != cfg.Baskets {
-		t.Errorf("baskets = %d, want %d", rel.DistinctCount("BID"), cfg.Baskets)
+	if n, err := rel.DistinctCount("BID"); err != nil || n != cfg.Baskets {
+		t.Errorf("baskets = %d, %v, want %d", n, err, cfg.Baskets)
 	}
 	// Popular item 0 should appear in far more baskets than item 50.
 	ix := rel.IndexOn("Item")
@@ -96,8 +96,8 @@ func TestWordsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.DistinctCount("BID") != 300 {
-		t.Errorf("docs = %d", rel.DistinctCount("BID"))
+	if n, err := rel.DistinctCount("BID"); err != nil || n != 300 {
+		t.Errorf("docs = %d, %v", n, err)
 	}
 }
 

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short race cover bench bench-pipeline fuzz lint lint-go experiments examples clean
+.PHONY: all build vet staticcheck test test-short race cover bench bench-check bench-pipeline fuzz lint lint-go experiments examples clean
 
 all: build vet staticcheck lint-go test race
 
@@ -40,6 +40,11 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench/ is its own module: vet it, run its unit tests and its ~15 s
+# smoke run (what CI's "bench check" step runs).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate BENCH_pipeline.json: the two-executor comparison (interned
 # columnar streaming vs materializing) on E1/E3/E6 at the canonical

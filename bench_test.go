@@ -228,10 +228,6 @@ func BenchmarkE4_Fig4_UnionFilter(b *testing.B) {
 	benchPlan(b, web(b), mustPlan(b, f, [][]datalog.Param{{"1"}, {"2"}}))
 }
 
-func BenchmarkE4_Fig4_ParallelBranches(b *testing.B) {
-	benchFlockDirect(b, web(b), paper.WebWords(20), &core.EvalOptions{Parallel: true})
-}
-
 // --- E5: Figs. 6–7 — cascade depth sweep ---------------------------------
 
 func benchCascade(b *testing.B, depth int) {
@@ -456,7 +452,7 @@ func BenchmarkAblation_NaiveReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.EvalNaive(db); err != nil {
+		if _, err := f.EvalNaive(db, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

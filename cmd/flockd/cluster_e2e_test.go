@@ -282,3 +282,20 @@ func TestClusterFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerArgsForwardBounds is the regression for spawned workers running
+// unbudgeted: the coordinator's -max-tuples must reach every worker's
+// command line beside -workers and -timeout, so shard work is bounded like
+// the coordinator's own.
+func TestWorkerArgsForwardBounds(t *testing.T) {
+	f := newFlagSet()
+	if err := f.fs.Parse([]string{"-data", "d", "-max-tuples", "1234", "-workers", "3", "-timeout", "7s"}); err != nil {
+		t.Fatal(err)
+	}
+	args := strings.Join(workerArgs(f, 1, 2), " ")
+	for _, want := range []string{"-max-tuples 1234", "-workers 3", "-timeout 7s", "-shard-index 1", "-shard-count 2"} {
+		if !strings.Contains(args, want) {
+			t.Errorf("worker args %q lack %q", args, want)
+		}
+	}
+}

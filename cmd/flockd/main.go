@@ -213,7 +213,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Dir:           dir,
 		Cluster:       coord,
 	})
-	srv.loadPrepared(out)
+	srv.pipe.Restore(func(format string, args ...any) {
+		fmt.Fprintf(out, "flockd: "+format+"\n", args...)
+	})
 
 	ln, err := net.Listen("tcp", *fs.addr)
 	if err != nil {
@@ -428,7 +430,9 @@ func spawnLocalWorkers(ctx context.Context, f *flockdFlags, n int, out io.Writer
 }
 
 // workerArgs derives one worker's command line from the coordinator's
-// flags: same data source, same shard map inputs, a free port.
+// flags: same data source, same shard map inputs, same per-evaluation
+// bounds (a shard's /partial work is budgeted like the coordinator's own),
+// a free port.
 func workerArgs(f *flockdFlags, idx, count int) []string {
 	args := []string{}
 	if *f.dataDir != "" {
@@ -445,6 +449,7 @@ func workerArgs(f *flockdFlags, idx, count int) []string {
 		"-shard-count", strconv.Itoa(count),
 		"-workers", strconv.Itoa(*f.workers),
 		"-timeout", (*f.timeout).String(),
+		"-max-tuples", strconv.Itoa(*f.maxTuples),
 	)
 }
 

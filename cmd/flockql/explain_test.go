@@ -8,26 +8,6 @@ import (
 	"testing"
 )
 
-func TestSplitExplain(t *testing.T) {
-	cases := []struct {
-		src, mode, rest string
-	}{
-		{"QUERY:\nanswer(B) :- r(B,$1)", modeNone, "QUERY:\nanswer(B) :- r(B,$1)"},
-		{"EXPLAIN\nQUERY:\nx", modeExplain, "\nQUERY:\nx"},
-		{"explain query:", modeExplain, " query:"},
-		{"  EXPLAIN ANALYZE\nQUERY:\nx", modeAnalyze, "\nQUERY:\nx"},
-		{"Explain Analyze QUERY:", modeAnalyze, " QUERY:"},
-		{"EXPLAINQUERY:", modeNone, "EXPLAINQUERY:"},
-		{"", modeNone, ""},
-	}
-	for _, c := range cases {
-		mode, rest := splitExplain(c.src)
-		if mode != c.mode || rest != c.rest {
-			t.Errorf("splitExplain(%q) = (%q, %q), want (%q, %q)", c.src, mode, rest, c.mode, c.rest)
-		}
-	}
-}
-
 // captureStdout runs f with os.Stdout redirected to a pipe and returns what
 // it wrote.
 func captureStdout(t *testing.T, f func() error) string {

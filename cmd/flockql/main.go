@@ -45,12 +45,19 @@
 // same obs.RunReport schema flockbench -json embeds) to stdout.
 //
 // -timeout bounds the evaluation's wall clock; a run that exceeds it
-// aborts promptly with a typed cancellation error (strategies other than
-// naive; see eval.Limits).
+// aborts promptly with a typed cancellation error.
+//
+// -i starts the interactive shell (see repl); the session begins from
+// -strategy, -depth, -plan, -workers, -timeout and -explain.
+//
+// Both modes are front-ends of the one request pipeline flockd serves
+// (internal/serve): compile (parse once, lint, construct, schema-check),
+// plan (the strategy table), execute, report.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,6 +70,7 @@ import (
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/eval"
 	"queryflocks/internal/planner"
+	"queryflocks/internal/serve"
 	"queryflocks/internal/sqlgen"
 	"queryflocks/internal/storage"
 )
@@ -72,6 +80,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flockql:", err)
 		os.Exit(1)
 	}
+}
+
+// session is what file mode and the REPL share: the request pipeline over
+// the loaded relations, and the evaluation settings the flags start (and
+// the REPL's backslash commands change).
+type session struct {
+	pipe    *serve.Pipeline
+	req     serve.Request // Strategy and Side; Trace is set per flock
+	explain bool
+	// File mode lists every answer row (unless quiet) and may append the
+	// operator report as JSON; the REPL shows the first 25.
+	quiet, metrics bool
+	maxRows        int
 }
 
 func run(args []string) error {
@@ -86,7 +107,7 @@ func run(args []string) error {
 		printSQL    = fs.Bool("sql", false, "print the SQL translation and exit")
 		explain     = fs.Bool("explain", false, "print subqueries, plans, and decisions")
 		quiet       = fs.Bool("quiet", false, "suppress the answer listing (timing only)")
-		interactive = fs.Bool("i", false, "interactive shell over the loaded relations")
+		interactive = fs.Bool("i", false, "interactive shell over the loaded relations; starts from -strategy, -workers, -timeout and -explain")
 		workers     = fs.Int("workers", 0, "join/group-by worker count (0 = one per CPU, 1 = sequential)")
 		metrics     = fs.String("metrics", "", `"json" prints the run's operator report (obs.RunReport) to stdout`)
 		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the evaluation (0 = none); exceeding runs abort with a typed error")
@@ -107,140 +128,126 @@ func run(args []string) error {
 	if *engine == "disk" && *segDir == "" {
 		return fmt.Errorf("-engine disk requires -data-dir (CSV loading is memory-only)")
 	}
-	loadDB := func() (*storage.Database, error) {
-		if *segDir != "" {
-			db, _, err := storage.OpenDir(*segDir, eng)
-			return db, err
-		}
-		return storage.LoadDir(*dataDir)
+	if !*interactive && fs.NArg() != 1 {
+		return fmt.Errorf("expected exactly one flock file, got %d args", fs.NArg())
 	}
-	if *interactive {
-		db, err := loadDB()
+
+	s := &session{
+		explain: *explain, quiet: *quiet, metrics: *metrics == "json", maxRows: -1,
+		req: serve.Request{Strategy: *strategy, Side: serve.Side{Depth: *depth}},
+	}
+	if *planFile != "" {
+		src, err := os.ReadFile(*planFile)
 		if err != nil {
 			return err
 		}
-		return repl(os.Stdin, os.Stdout, db)
+		if s.req.Side.Plan, err = datalog.ParsePlan(string(src)); err != nil {
+			return err
+		}
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("expected exactly one flock file, got %d args", fs.NArg())
+	// -sql translates without touching the data, so it compiles against
+	// no database (no schema check).
+	var db *storage.Database
+	if *interactive || !*printSQL {
+		if *segDir != "" {
+			db, _, err = storage.OpenDir(*segDir, eng)
+		} else {
+			db, err = storage.LoadDir(*dataDir)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	s.pipe = serve.New(db, serve.Config{Workers: *workers, Timeout: *timeout})
+	if *interactive {
+		s.maxRows = 25
+		return s.repl(os.Stdin, os.Stdout)
 	}
 
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-
-	// Lint on load: error-severity diagnostics abort before any evaluation
-	// (with positions, unlike the constructor's errors); warnings print to
-	// stderr and the run continues.
-	if ds := analysis.AnalyzeSource(string(src), analysis.Options{File: fs.Arg(0)}); len(ds) > 0 {
-		fmt.Fprint(os.Stderr, analysis.Render(ds))
-		if analysis.HasErrors(ds) {
-			return fmt.Errorf("%s has lint errors", fs.Arg(0))
-		}
+	prog, err := s.compile(os.Stderr, string(src), fs.Arg(0))
+	if errors.As(err, new(*serve.Rejected)) {
+		return fmt.Errorf("%s has lint errors", fs.Arg(0))
 	}
-
-	mode, text := splitExplain(string(src))
-	flock, err := core.Parse(text)
 	if err != nil {
 		return err
 	}
-
 	if *printSQL {
-		sql, err := sqlgen.FlockSQL(flock)
+		sql, err := sqlgen.FlockSQL(prog.Flock)
 		if err != nil {
 			return err
 		}
 		fmt.Println(sql + ";")
 		return nil
 	}
+	return s.eval(os.Stdout, os.Stderr, prog)
+}
 
-	db, err := loadDB()
+// compile runs the pipeline's compile stage on one flock source, so both
+// modes lint on load: error-severity diagnostics stop the flock before
+// any evaluation (the error is a *serve.Rejected), warnings do not. The
+// analyzer's findings are rendered to w either way.
+func (s *session) compile(w io.Writer, src, file string) (*serve.Program, error) {
+	prog, err := s.pipe.Compile(src, analysis.Options{File: file})
 	if err != nil {
-		return err
+		fmt.Fprint(w, analysis.Render(serve.Classify(err).Diagnostics))
+		return nil, err
 	}
-	if err := flock.CheckDatabase(db); err != nil {
-		return err
-	}
-	if *explain {
-		explainFlock(os.Stdout, flock)
-	}
-	if mode == modeExplain {
-		// EXPLAIN: show what would run — subqueries, join order, plan —
-		// without executing.
-		if !*explain {
-			explainFlock(os.Stdout, flock)
-		}
-		return explainStatic(os.Stdout, flock, db, *strategy, *depth)
-	}
+	fmt.Fprint(w, analysis.Render(prog.Warnings))
+	return prog, nil
+}
 
-	var tr *eval.Trace
-	if mode == modeAnalyze || *metrics == "json" {
-		tr = &eval.Trace{}
-		tr.Collector() // anchor the wall-clock/alloc baseline before evaluation
+// eval handles one compiled flock under the session's settings. EXPLAIN
+// shows what would run — subqueries, join order, plan — without executing;
+// otherwise the flock runs and out receives the answer listing (EXPLAIN
+// ANALYZE: the observed operator tree instead), foot the timing line.
+func (s *session) eval(out, foot io.Writer, prog *serve.Program) error {
+	if s.explain || prog.Mode == analysis.ExplainPlan {
+		explainFlock(out, prog.Flock)
 	}
-
+	if prog.Mode == analysis.ExplainPlan {
+		return s.explainStatic(out, prog.Flock)
+	}
+	req := s.req
+	req.Trace = prog.Mode == analysis.ExplainAnalyze || s.metrics
 	start := time.Now()
-	answer, err := evaluate(flock, db, *strategy, *planFile, *depth, *explain, *workers, *timeout, tr)
+	res, err := s.pipe.Run(prog, req)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-
-	if mode == modeAnalyze {
-		fmt.Println(tr.Report(*strategy, *workers, answer.Len()).Tree())
-	} else if !*quiet {
-		printAnswer(answer)
+	if s.explain {
+		if res.Plan != nil {
+			fmt.Fprintf(out, "executed %s plan:\n%s\nstep sizes: %s\n\n", res.Strategy, res.Plan, res.Steps)
+		}
+		for _, d := range res.Decisions {
+			fmt.Fprintf(out, "decision: %s\n", d)
+		}
 	}
-	if *metrics == "json" {
-		enc := json.NewEncoder(os.Stdout)
+	if prog.Mode == analysis.ExplainAnalyze {
+		fmt.Fprintln(out, res.Report.Tree())
+	} else if !s.quiet {
+		printAnswer(out, res.Answer, s.maxRows)
+	}
+	if s.metrics {
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(tr.Report(*strategy, *workers, answer.Len())); err != nil {
+		if err := enc.Encode(res.Report); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "%d answers in %v (%s strategy)\n", answer.Len(), elapsed.Round(time.Millisecond), *strategy)
+	fmt.Fprintf(foot, "%d answers in %v (%s strategy)\n", res.Answer.Len(), elapsed.Round(time.Millisecond), res.Strategy)
 	return nil
 }
 
-// Explain modes recognised as a source prefix on the flock text.
-const (
-	modeNone    = ""
-	modeExplain = "explain"
-	modeAnalyze = "analyze"
-)
-
-// splitExplain strips a leading EXPLAIN or EXPLAIN ANALYZE keyword off a
-// flock source, returning the mode and the remaining text. The keywords
-// are case-insensitive and must precede the QUERY: section.
-func splitExplain(src string) (string, string) {
-	rest := strings.TrimLeft(src, " \t\r\n")
-	word, tail := nextWord(rest)
-	if !strings.EqualFold(word, "EXPLAIN") {
-		return modeNone, src
-	}
-	word2, tail2 := nextWord(tail)
-	if strings.EqualFold(word2, "ANALYZE") {
-		return modeAnalyze, tail2
-	}
-	return modeExplain, tail
-}
-
-func nextWord(s string) (word, rest string) {
-	s = strings.TrimLeft(s, " \t\r\n")
-	i := strings.IndexFunc(s, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '\r' || r == '\n'
-	})
-	if i < 0 {
-		return s, ""
-	}
-	return s[:i], s[i:]
-}
-
 // explainStatic prints the plan-side view of a flock without executing it:
-// the greedy join order each rule would use and, for the plan-producing
-// strategies, the chosen FILTER-step plan.
-func explainStatic(w io.Writer, flock *core.Flock, db *storage.Database, strategy string, depth int) error {
+// the greedy join order each rule would use and, per strategy, the chosen
+// FILTER-step plan or the compiled physical plan.
+func (s *session) explainStatic(w io.Writer, flock *core.Flock) error {
+	db, strategy := s.pipe.Snapshot(), s.req.Strategy
 	// Views participate in join ordering by their materialized size, so
 	// materialize them first (cheap relative to the main query).
 	vdb, err := flock.MaterializeViews(db, nil)
@@ -262,148 +269,37 @@ func explainStatic(w io.Writer, flock *core.Flock, db *storage.Database, strateg
 	}
 	fmt.Fprintln(w)
 
-	var plan *core.Plan
-	switch strategy {
-	case "static":
-		plan, err = planner.PlanStatic(flock, planner.NewEstimator(db), nil)
-	case "exhaustive":
-		plan, err = planner.PlanExhaustive(flock, planner.NewEstimator(db), nil)
-	case "levelwise":
-		plan, err = planner.PlanLevelwise(flock, 0)
-	case "cascade":
-		plan, err = planner.PlanCascade(flock, depth)
-	case "direct":
+	plan, err := serve.Plan(strategy, flock, db, s.req.Side)
+	if err != nil {
+		return err
+	}
+	switch {
+	case plan != nil:
+		fmt.Fprintf(w, "chosen %s plan:\n%s\n", strategy, plan)
+		steps, err := plan.CompileSteps(vdb, nil)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "\nphysical plans per FILTER step (join orders re-resolve at run time against actual step sizes):")
+		for _, st := range steps {
+			fmt.Fprintf(w, "step %s:\n%s\n", st.Name, st.Plan.Explain())
+		}
+	case strategy == "direct":
 		phys, err := core.CompileDirect(vdb, flock, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "physical plan (direct):\n%s\n", phys.Explain())
-		return nil
-	case "dynamic":
+	case strategy == "dynamic":
 		phys, err := planner.CompileDynamic(vdb, flock, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "physical plan (dynamic; each materialize barrier decides at run time whether to FILTER):\n%s\n", phys.Explain())
-		return nil
 	default:
 		fmt.Fprintf(w, "strategy %q decides at run time; use EXPLAIN ANALYZE to observe it\n", strategy)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "chosen %s plan:\n%s\n", strategy, plan)
-	steps, err := plan.CompileSteps(vdb, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "\nphysical plans per FILTER step (join orders re-resolve at run time against actual step sizes):")
-	for _, st := range steps {
-		fmt.Fprintf(w, "step %s:\n%s\n", st.Name, st.Plan.Explain())
 	}
 	return nil
-}
-
-func evaluate(flock *core.Flock, db *storage.Database, strategy, planFile string, depth int, explain bool, workers int, timeout time.Duration, tr *eval.Trace) (*storage.Relation, error) {
-	limits := eval.Limits{Wall: timeout}
-	ev := &core.EvalOptions{Workers: workers, Trace: tr, Limits: limits}
-	switch strategy {
-	case "direct":
-		return flock.Eval(db, ev)
-	case "naive":
-		return flock.EvalNaive(db)
-	case "static":
-		plan, err := planner.PlanStatic(flock, planner.NewEstimator(db), nil)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			fmt.Printf("chosen static plan:\n%s\n\n", plan)
-		}
-		res, err := plan.Execute(db, ev)
-		if err != nil {
-			return nil, err
-		}
-		return res.Answer, nil
-	case "exhaustive":
-		plan, err := planner.PlanExhaustive(flock, planner.NewEstimator(db), nil)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			fmt.Printf("exhaustive-search plan:\n%s\n\n", plan)
-		}
-		res, err := plan.Execute(db, ev)
-		if err != nil {
-			return nil, err
-		}
-		return res.Answer, nil
-	case "levelwise":
-		plan, err := planner.PlanLevelwise(flock, 0)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			fmt.Printf("level-wise plan:\n%s\n\n", plan)
-		}
-		res, err := plan.Execute(db, ev)
-		if err != nil {
-			return nil, err
-		}
-		return res.Answer, nil
-	case "cascade":
-		plan, err := planner.PlanCascade(flock, depth)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			fmt.Printf("cascade plan:\n%s\n\n", plan)
-		}
-		res, err := plan.Execute(db, ev)
-		if err != nil {
-			return nil, err
-		}
-		return res.Answer, nil
-	case "dynamic":
-		res, err := planner.EvalDynamic(db, flock, &planner.DynamicOptions{Workers: workers, Trace: tr, Limits: limits})
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			for _, d := range res.Decisions {
-				fmt.Printf("decision: %s\n", d)
-			}
-			fmt.Println()
-		}
-		return res.Answer, nil
-	case "plan":
-		if planFile == "" {
-			return nil, fmt.Errorf("-strategy plan requires -plan FILE")
-		}
-		src, err := os.ReadFile(planFile)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := datalog.ParsePlan(string(src))
-		if err != nil {
-			return nil, err
-		}
-		plan, err := core.PlanFromSpec(flock, spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := plan.Execute(db, ev)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			fmt.Printf("executed plan:\n%s\nstep sizes: %s\n\n", plan, res)
-		}
-		return res.Answer, nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", strategy)
-	}
 }
 
 func explainFlock(w io.Writer, flock *core.Flock) {
@@ -420,23 +316,19 @@ func explainFlock(w io.Writer, flock *core.Flock) {
 	fmt.Fprintln(w)
 }
 
-func printAnswer(answer *storage.Relation) {
-	header := ""
-	for i, c := range answer.Columns() {
-		if i > 0 {
-			header += "\t"
+// printAnswer lists the answer as TSV, header first, in sorted order; a
+// non-negative limit truncates the listing with a "... (N more)" line.
+func printAnswer(w io.Writer, answer *storage.Relation, limit int) {
+	fmt.Fprintln(w, strings.Join(answer.Columns(), "\t"))
+	for i, t := range answer.Sorted() {
+		if i == limit {
+			fmt.Fprintf(w, "... (%d more)\n", answer.Len()-limit)
+			break
 		}
-		header += c
-	}
-	fmt.Println(header)
-	for _, t := range answer.Sorted() {
-		line := ""
-		for i, v := range t {
-			if i > 0 {
-				line += "\t"
-			}
-			line += v.String()
+		cells := make([]string, len(t))
+		for j, v := range t {
+			cells[j] = v.String()
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
 }

@@ -2,25 +2,25 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"queryflocks/internal/analysis"
 	"queryflocks/internal/core"
-	"queryflocks/internal/eval"
-	"queryflocks/internal/planner"
+	"queryflocks/internal/serve"
 	"queryflocks/internal/sqlgen"
-	"queryflocks/internal/storage"
 )
 
 // repl runs the interactive mode: flock definitions are accumulated until
-// a blank line after the FILTER: section, then evaluated with the current
-// strategy. A flock may begin with EXPLAIN (print subqueries, join order,
-// and plan without executing) or EXPLAIN ANALYZE (execute and render the
-// observed operator tree). Backslash commands control the session:
+// a blank line after the FILTER: section, then compiled — linted exactly
+// as file mode lints, so error-severity diagnostics stop the flock — and
+// evaluated with the session's strategy, workers, and timeout. A flock
+// may begin with EXPLAIN (print subqueries, join order, and plan without
+// executing) or EXPLAIN ANALYZE (execute and render the observed operator
+// tree). Backslash commands control the session:
 //
 //	\rels              list loaded relations
 //	\strategy NAME     switch evaluation strategy
@@ -30,13 +30,11 @@ import (
 //	\lint              diagnostics for the last flock (schema-checked)
 //	\help              this summary
 //	\quit              exit
-func repl(in io.Reader, out io.Writer, db *storage.Database) error {
+func (s *session) repl(in io.Reader, out io.Writer) error {
 	fmt.Fprintln(out, "queryflocks interactive shell — \\help for commands; finish a flock with a blank line")
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 
-	strategy := "direct"
-	explain := false
 	var lastFlock *core.Flock
 	var lastSrc string
 	var buf strings.Builder
@@ -50,35 +48,27 @@ func repl(in io.Reader, out io.Writer, db *storage.Database) error {
 		case strings.HasPrefix(trimmed, "\\"):
 			quit := false
 			guard(out, func() error {
-				quit = replCommand(out, trimmed, db, &strategy, &explain, lastFlock, lastSrc)
+				quit = s.command(out, trimmed, lastFlock, lastSrc)
 				return nil
 			})
 			if quit {
 				return nil
 			}
 		case trimmed == "" && strings.Contains(buf.String(), "FILTER:"):
-			src := buf.String()
+			lastSrc = buf.String() // \lint works even when the compile below fails
 			buf.Reset()
-			lastSrc = src // \lint works even when the parse below fails
-			mode, text := splitExplain(src)
-			flock, err := core.Parse(text)
-			if err != nil {
-				fmt.Fprintln(out, "parse error:", err)
-				break
-			}
-			lastFlock = flock
-			if mode == modeExplain {
-				guard(out, func() error {
-					if err := flock.CheckDatabase(db); err != nil {
-						return err
-					}
-					explainFlock(out, flock)
-					return explainStatic(out, flock, db, strategy, 2)
-				})
-				break
-			}
+			lastFlock = nil
 			guard(out, func() error {
-				return replEval(out, db, flock, strategy, explain, mode == modeAnalyze)
+				prog, err := s.compile(out, lastSrc, "")
+				var rej *serve.Rejected
+				if errors.As(err, &rej) && rej.Diagnostics[0].Code == "QF001" {
+					return fmt.Errorf("parse error: %w", err)
+				}
+				if err != nil {
+					return err
+				}
+				lastFlock = prog.Flock
+				return s.eval(out, out, prog)
 			})
 		case trimmed == "":
 			// blank line with no complete flock: keep accumulating
@@ -108,8 +98,9 @@ func guard(out io.Writer, f func() error) {
 	}
 }
 
-// replCommand executes one backslash command; reports whether to quit.
-func replCommand(out io.Writer, cmd string, db *storage.Database, strategy *string, explain *bool, last *core.Flock, lastSrc string) bool {
+// command executes one backslash command; reports whether to quit.
+func (s *session) command(out io.Writer, cmd string, last *core.Flock, lastSrc string) bool {
+	db := s.pipe.Snapshot()
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case "\\quit", "\\q", "\\exit":
@@ -118,7 +109,7 @@ func replCommand(out io.Writer, cmd string, db *storage.Database, strategy *stri
 	case "\\help":
 		fmt.Fprintln(out, `commands:
   \rels              list loaded relations
-  \strategy NAME     direct|naive|static|exhaustive|levelwise|dynamic (current: `+*strategy+`)
+  \strategy NAME     `+strings.Join(serve.Strategies(), "|")+` (current: `+s.req.Strategy+`)
   \explain on|off    toggle explanations
   \sql               SQL translation of the last flock
   \plan              chosen static plan for the last flock
@@ -140,16 +131,19 @@ operator tree (per-step cardinalities and wall time)`)
 			fmt.Fprintln(out, "usage: \\strategy NAME")
 			break
 		}
-		switch fields[1] {
-		case "direct", "naive", "static", "exhaustive", "levelwise", "dynamic":
-			*strategy = fields[1]
-			fmt.Fprintln(out, "strategy:", *strategy)
-		default:
-			fmt.Fprintln(out, "unknown strategy:", fields[1])
+		// Exactly the side-input-free strategies flockd accepts; cascade
+		// and plan need -depth / -plan and are chosen by flag.
+		for _, name := range serve.Strategies() {
+			if name == fields[1] {
+				s.req.Strategy = name
+				fmt.Fprintln(out, "strategy:", name)
+				return false
+			}
 		}
+		fmt.Fprintln(out, "unknown strategy:", fields[1])
 	case "\\explain":
-		*explain = len(fields) == 2 && fields[1] == "on"
-		fmt.Fprintln(out, "explain:", *explain)
+		s.explain = len(fields) == 2 && fields[1] == "on"
+		fmt.Fprintln(out, "explain:", s.explain)
 	case "\\sql":
 		if last == nil {
 			fmt.Fprintln(out, "no flock yet")
@@ -166,7 +160,7 @@ operator tree (per-step cardinalities and wall time)`)
 			fmt.Fprintln(out, "no flock yet")
 			break
 		}
-		plan, err := planner.PlanStatic(last, planner.NewEstimator(db), nil)
+		plan, err := serve.Plan("static", last, db, serve.Side{})
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			break
@@ -187,100 +181,4 @@ operator tree (per-step cardinalities and wall time)`)
 		fmt.Fprintln(out, "unknown command:", fields[0], "(try \\help)")
 	}
 	return false
-}
-
-// replEval runs one flock with the session strategy and prints the answer;
-// with analyze set it instead renders the observed operator tree.
-func replEval(out io.Writer, db *storage.Database, flock *core.Flock, strategy string, explain, analyze bool) error {
-	if err := flock.CheckDatabase(db); err != nil {
-		return err
-	}
-	var tr *eval.Trace
-	if analyze {
-		tr = &eval.Trace{}
-		tr.Collector() // anchor the wall-clock/alloc baseline before evaluation
-	}
-	ev := &core.EvalOptions{Trace: tr}
-	start := time.Now()
-	var answer *storage.Relation
-	var err error
-	switch strategy {
-	case "direct":
-		answer, err = flock.Eval(db, ev)
-	case "naive":
-		answer, err = flock.EvalNaive(db)
-	case "static":
-		var plan *core.Plan
-		plan, err = planner.PlanStatic(flock, planner.NewEstimator(db), nil)
-		if err == nil {
-			if explain {
-				fmt.Fprintf(out, "%s\n", plan)
-			}
-			var res *core.PlanResult
-			res, err = plan.Execute(db, ev)
-			if err == nil {
-				answer = res.Answer
-			}
-		}
-	case "exhaustive":
-		var plan *core.Plan
-		plan, err = planner.PlanExhaustive(flock, planner.NewEstimator(db), nil)
-		if err == nil {
-			if explain {
-				fmt.Fprintf(out, "%s\n", plan)
-			}
-			var res *core.PlanResult
-			res, err = plan.Execute(db, ev)
-			if err == nil {
-				answer = res.Answer
-			}
-		}
-	case "levelwise":
-		var plan *core.Plan
-		plan, err = planner.PlanLevelwise(flock, 0)
-		if err == nil {
-			var res *core.PlanResult
-			res, err = plan.Execute(db, ev)
-			if err == nil {
-				answer = res.Answer
-			}
-		}
-	case "dynamic":
-		var res *planner.DynamicResult
-		res, err = planner.EvalDynamic(db, flock, &planner.DynamicOptions{Trace: tr})
-		if err == nil {
-			if explain {
-				for _, d := range res.Decisions {
-					fmt.Fprintf(out, "decision: %s\n", d)
-				}
-			}
-			answer = res.Answer
-		}
-	default:
-		return fmt.Errorf("unknown strategy %q", strategy)
-	}
-	if err != nil {
-		return err
-	}
-
-	if analyze {
-		fmt.Fprintln(out, tr.Report(strategy, 0, answer.Len()).Tree())
-		return nil
-	}
-	header := strings.Join(answer.Columns(), "\t")
-	fmt.Fprintln(out, header)
-	const maxRows = 25
-	for i, t := range answer.Sorted() {
-		if i == maxRows {
-			fmt.Fprintf(out, "... (%d more)\n", answer.Len()-maxRows)
-			break
-		}
-		cells := make([]string, len(t))
-		for j, v := range t {
-			cells[j] = v.String()
-		}
-		fmt.Fprintln(out, strings.Join(cells, "\t"))
-	}
-	fmt.Fprintf(out, "%d answers in %v (%s)\n", answer.Len(), time.Since(start).Round(time.Millisecond), strategy)
-	return nil
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"queryflocks/internal/serve"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
@@ -17,11 +20,140 @@ func replDB(t *testing.T) *storage.Database {
 
 func runREPL(t *testing.T, db *storage.Database, script string) string {
 	t.Helper()
+	return runSession(t, &session{pipe: serve.New(db, serve.Config{}), req: serve.Request{Strategy: "direct"}}, script)
+}
+
+// runSession drives the REPL over a session set up the way run's flags
+// would set it up.
+func runSession(t *testing.T, s *session, script string) string {
+	t.Helper()
 	var out strings.Builder
-	if err := repl(strings.NewReader(script), &out, db); err != nil {
+	if err := s.repl(strings.NewReader(script), &out); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
+}
+
+const pairScript = `
+QUERY:
+answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2
+FILTER:
+COUNT(answer.B) >= 5
+
+\quit
+`
+
+// TestREPLStartsFromFlags is the regression for -i silently ignoring
+// -strategy, -workers, -timeout and -explain: each flag must reach the
+// session's evaluations.
+func TestREPLStartsFromFlags(t *testing.T) {
+	db := replDB(t)
+	base := runREPL(t, db, pairScript)
+
+	// -strategy (with -depth: cascade is flag-only, \strategy cannot pick it)
+	got := runSession(t, &session{
+		pipe: serve.New(db, serve.Config{}),
+		req:  serve.Request{Strategy: "cascade", Side: serve.Side{Depth: 2}},
+	}, pairScript)
+	if !strings.Contains(got, "(cascade strategy)") {
+		t.Errorf("-strategy cascade did not reach the session:\n%s", got)
+	}
+	// -explain
+	got = runSession(t, &session{
+		pipe: serve.New(db, serve.Config{}), req: serve.Request{Strategy: "dynamic"}, explain: true,
+	}, pairScript)
+	if !strings.Contains(got, "decision:") {
+		t.Errorf("-explain did not reach the session:\n%s", got)
+	}
+	// -timeout
+	got = runSession(t, &session{
+		pipe: serve.New(db, serve.Config{Timeout: time.Nanosecond}), req: serve.Request{Strategy: "direct"},
+	}, pairScript)
+	if !strings.Contains(got, "evaluation canceled") || strings.Contains(got, "answers in") {
+		t.Errorf("-timeout 1ns should abort the evaluation:\n%s", got)
+	}
+	// -workers: the observed operator tree reports the configured count,
+	// and the answer rows do not depend on it.
+	analyze := strings.Replace(pairScript, "\nQUERY:", "EXPLAIN ANALYZE\nQUERY:", 1)
+	for workers, label := range map[int]string{0: "(workers=per-CPU)", 3: "(workers=3)"} {
+		s := &session{pipe: serve.New(db, serve.Config{Workers: workers}), req: serve.Request{Strategy: "direct"}}
+		if got := runSession(t, s, analyze); !strings.Contains(got, label) {
+			t.Errorf("-workers %d did not reach the session:\n%s", workers, got)
+		}
+		if got := runSession(t, s, pairScript); rows(got) != rows(base) {
+			t.Errorf("-workers %d changed the answer rows", workers)
+		}
+	}
+}
+
+// rows strips the timing line, leaving the REPL's answer listing.
+func rows(replOutput string) string {
+	var keep []string
+	for _, line := range strings.Split(replOutput, "\n") {
+		if !strings.Contains(line, "answers in") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestREPLFlagsThroughRun drives run -i end to end so the flag-to-session
+// wiring itself is covered, not just the session.
+func TestREPLFlagsThroughRun(t *testing.T) {
+	dataDir, _ := setupData(t)
+	stdin, err := os.CreateTemp(t.TempDir(), "script")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdin.WriteString(pairScript); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdin.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdin
+	os.Stdin = stdin
+	defer func() { os.Stdin = old; stdin.Close() }()
+	out := captureStdout(t, func() error {
+		return run([]string{"-data", dataDir, "-i", "-strategy", "dynamic", "-explain", "-workers", "1", "-timeout", "1h"})
+	})
+	for _, want := range []string{"decision:", "(dynamic strategy)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -i output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestREPLLintStopsFlock: error-severity diagnostics stop a REPL flock the
+// way they stop a file, and warnings print without stopping it.
+func TestREPLLintStopsFlock(t *testing.T) {
+	unsafe := `
+QUERY:
+answer(X) :- baskets(B,$1) AND X > 5
+FILTER:
+COUNT(answer.X) >= 2
+
+\quit
+`
+	got := runREPL(t, replDB(t), unsafe)
+	if !strings.Contains(got, "[QF002]") || !strings.Contains(got, "rejected by static analysis") {
+		t.Errorf("unsafe flock should be stopped with its diagnostics:\n%s", got)
+	}
+	if strings.Contains(got, "answers in") {
+		t.Errorf("a rejected flock must not evaluate:\n%s", got)
+	}
+	warn := `
+QUERY:
+answer(B) :- baskets(B,$1) AND baskets(B,X)
+FILTER:
+COUNT(answer.B) >= 2
+
+\quit
+`
+	got = runREPL(t, replDB(t), warn)
+	if !strings.Contains(got, "[QF013]") || !strings.Contains(got, "answers in") {
+		t.Errorf("warnings must print and not stop the flock:\n%s", got)
+	}
 }
 
 func TestREPLEvaluatesFlock(t *testing.T) {

@@ -137,32 +137,43 @@ func asSyntaxError(err error) (*datalog.SyntaxError, bool) {
 	return nil, false
 }
 
-// StripExplain blanks a leading EXPLAIN or EXPLAIN ANALYZE prefix,
-// replacing the keywords with spaces so every later source position still
-// refers to the original text. Front-ends that accept the EXPLAIN forms
-// (flockql, flockd) lint the underlying program.
+// ExplainMode is the EXPLAIN prefix a flock source may carry.
+type ExplainMode string
+
+const (
+	ExplainNone    ExplainMode = ""        // no prefix: evaluate
+	ExplainPlan    ExplainMode = "explain" // EXPLAIN: show the plan, do not execute
+	ExplainAnalyze ExplainMode = "analyze" // EXPLAIN ANALYZE: execute, render the observed operator tree
+)
+
+// SplitExplain is the one EXPLAIN-prefix parser: it recognises a leading
+// EXPLAIN or EXPLAIN ANALYZE (case-insensitive, whitespace-delimited,
+// before the QUERY: section) and returns the mode plus the source with the
+// keywords replaced by spaces, so every later source position still refers
+// to the original text.
+func SplitExplain(src string) (ExplainMode, string) {
+	mode, pos := ExplainNone, 0
+	for _, kw := range []struct {
+		word string
+		mode ExplainMode
+	}{{"EXPLAIN", ExplainPlan}, {"ANALYZE", ExplainAnalyze}} {
+		start := len(src) - len(strings.TrimLeft(src[pos:], " \t\r\n"))
+		end := start + len(kw.word)
+		if end > len(src) || !strings.EqualFold(src[start:end], kw.word) {
+			break
+		}
+		if end < len(src) && !strings.ContainsRune(" \t\r\n", rune(src[end])) {
+			break
+		}
+		src = src[:start] + strings.Repeat(" ", len(kw.word)) + src[end:]
+		mode, pos = kw.mode, end
+	}
+	return mode, src
+}
+
+// StripExplain is SplitExplain for callers that lint or evaluate the
+// underlying program whatever its prefix.
 func StripExplain(src string) string {
-	trimmed := strings.TrimLeft(src, " \t\r\n")
-	offset := len(src) - len(trimmed)
-	blank := func(word string) bool {
-		if len(trimmed) < len(word) || !strings.EqualFold(trimmed[:len(word)], word) {
-			return false
-		}
-		rest := trimmed[len(word):]
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' && rest[0] != '\r' && rest[0] != '\n' {
-			return false
-		}
-		b := []byte(src)
-		for i := offset; i < offset+len(word); i++ {
-			b[i] = ' '
-		}
-		src = string(b)
-		trimmed = strings.TrimLeft(src[offset+len(word):], " \t\r\n")
-		offset = len(src) - len(trimmed)
-		return true
-	}
-	if blank("EXPLAIN") {
-		blank("ANALYZE")
-	}
-	return src
+	_, text := SplitExplain(src)
+	return text
 }

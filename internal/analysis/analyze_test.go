@@ -351,6 +351,32 @@ func TestStripExplainPreservesPositions(t *testing.T) {
 	}
 }
 
+// TestSplitExplain is the EXPLAIN-prefix table (formerly flockql's): the
+// mode, and the keywords blanked in place rather than cut away.
+func TestSplitExplain(t *testing.T) {
+	cases := []struct {
+		src  string
+		mode ExplainMode
+		rest string
+	}{
+		{"QUERY:\nanswer(B) :- r(B,$1)", ExplainNone, "QUERY:\nanswer(B) :- r(B,$1)"},
+		{"EXPLAIN\nQUERY:\nx", ExplainPlan, "       \nQUERY:\nx"},
+		{"explain query:", ExplainPlan, "        query:"},
+		{"  EXPLAIN ANALYZE\nQUERY:\nx", ExplainAnalyze, "                 \nQUERY:\nx"},
+		{"Explain Analyze QUERY:", ExplainAnalyze, "                QUERY:"},
+		{"EXPLAIN ANALYZEQUERY:", ExplainPlan, "        ANALYZEQUERY:"},
+		{"EXPLAINQUERY:", ExplainNone, "EXPLAINQUERY:"},
+		{"EXPLAIN", ExplainPlan, "       "},
+		{"", ExplainNone, ""},
+	}
+	for _, c := range cases {
+		mode, rest := SplitExplain(c.src)
+		if mode != c.mode || rest != c.rest {
+			t.Errorf("SplitExplain(%q) = (%q, %q), want (%q, %q)", c.src, mode, rest, c.mode, c.rest)
+		}
+	}
+}
+
 func TestDiagnosticJSONAndSort(t *testing.T) {
 	ds := []Diagnostic{
 		{Code: "QF013", Severity: SevWarning, Line: 9, Col: 1, Message: "w"},

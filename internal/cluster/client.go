@@ -147,7 +147,7 @@ func (c *Client) attempt(ctx context.Context, client *http.Client, addr string, 
 		return nil, serr, hresp.StatusCode >= 500 && ctx.Err() == nil
 	}
 	var out PartialResponse
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, maxPartialBody)).Decode(&out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(hresp.Body, MaxPartialBody)).Decode(&out); err != nil {
 		return nil, &ShardError{Shard: addr, Status: hresp.StatusCode, Err: fmt.Errorf("bad response body: %v", err)}, ctx.Err() == nil
 	}
 	return &out, nil, false
@@ -157,7 +157,9 @@ func (c *Client) attempt(ctx context.Context, client *http.Client, addr string, 
 // shard response, falling back to the raw body.
 func readShardError(r io.Reader) string {
 	raw, _ := io.ReadAll(io.LimitReader(r, 4096))
-	var pe partialError
+	var pe struct {
+		Error string `json:"error"`
+	}
 	if err := json.Unmarshal(raw, &pe); err == nil && pe.Error != "" {
 		return pe.Error
 	}

@@ -1,4 +1,7 @@
-package cluster
+// The tests live outside the package so they can stand up real workers:
+// /partial is served by the request pipeline (internal/serve), which
+// imports this package.
+package cluster_test
 
 import (
 	"errors"
@@ -9,11 +12,18 @@ import (
 	"testing"
 	"time"
 
+	. "queryflocks/internal/cluster"
 	"queryflocks/internal/core"
 	"queryflocks/internal/planner"
+	"queryflocks/internal/serve"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
+
+// PartialHandler serves /partial over db the way a worker flockd does.
+func PartialHandler(db *storage.Database) http.HandlerFunc {
+	return serve.New(db, serve.Config{Workers: 1, Timeout: 10 * time.Second}).PartialHandler()
+}
 
 const pairFlock = "QUERY:\n" +
 	"answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\n" +
@@ -34,7 +44,7 @@ func spawnWorkers(t *testing.T, db *storage.Database, m *Map) []string {
 		if err != nil {
 			t.Fatalf("Restrict(%d): %v", i, err)
 		}
-		srv := httptest.NewServer(PartialHandler(func() *storage.Database { return restricted }, 1, 10*time.Second))
+		srv := httptest.NewServer(PartialHandler(restricted))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}
@@ -423,7 +433,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restrict: %v", err)
 	}
-	inner := PartialHandler(func() *storage.Database { return restricted }, 1, 10*time.Second)
+	inner := PartialHandler(restricted)
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
@@ -464,7 +474,7 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 	stale := restricted.Clone()
 	stale.SetVersion(99)
 	var calls atomic.Int64
-	inner := PartialHandler(func() *storage.Database { return stale }, 1, 10*time.Second)
+	inner := PartialHandler(stale)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		inner(w, r)

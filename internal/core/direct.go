@@ -24,8 +24,6 @@ type EvalOptions struct {
 	Order eval.OrderStrategy
 	// Trace, when non-nil, records engine steps and group statistics.
 	Trace *eval.Trace
-	// Parallel evaluates union branches concurrently.
-	Parallel bool
 	// Workers is the worker count for the partitioned join, anti-join,
 	// and group-by operators: 0 (the default) means one worker per CPU,
 	// 1 forces the sequential paths, larger values are used as given.
@@ -77,7 +75,7 @@ func (o *EvalOptions) evalOpts() *eval.Options {
 	if o == nil {
 		return nil
 	}
-	return &eval.Options{Order: o.Order, Trace: o.Trace, Parallel: o.Parallel, Workers: o.Workers, Exec: o.Exec,
+	return &eval.Options{Order: o.Order, Trace: o.Trace, Workers: o.Workers, Exec: o.Exec,
 		Ctx: o.Ctx, Limits: o.Limits, Gate: o.Gate}
 }
 

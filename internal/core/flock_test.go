@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -240,46 +239,13 @@ func TestEvalNaiveMatchesDirectOnExamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s direct: %v", c.name, err)
 		}
-		naive, err := f.EvalNaive(c.db)
+		naive, err := f.EvalNaive(c.db, nil)
 		if err != nil {
 			t.Fatalf("%s naive: %v", c.name, err)
 		}
 		if !direct.Equal(naive) {
 			t.Errorf("%s: direct != naive\ndirect:\n%s\nnaive:\n%s", c.name, direct.Dump(), naive.Dump())
 		}
-	}
-}
-
-func TestEvalParallelUnion(t *testing.T) {
-	// Fig. 4's union evaluated with parallel branches must match the
-	// sequential result.
-	db := storage.NewDatabase()
-	inTitle := storage.NewRelation("inTitle", "D", "W")
-	inAnchor := storage.NewRelation("inAnchor", "A", "W")
-	link := storage.NewRelation("link", "A", "D1", "D2")
-	for i := 0; i < 200; i++ {
-		d := storage.Str(fmt.Sprintf("d%d", i%40))
-		w := storage.Str(fmt.Sprintf("w%d", i%23))
-		inTitle.Insert(storage.Tuple{d, w})
-		a := storage.Str(fmt.Sprintf("a%d", i%60))
-		inAnchor.Insert(storage.Tuple{a, storage.Str(fmt.Sprintf("w%d", (i+7)%23))})
-		link.Insert(storage.Tuple{a, d, storage.Str(fmt.Sprintf("d%d", (i+3)%40))})
-	}
-	db.Add(inTitle)
-	db.Add(inAnchor)
-	db.Add(link)
-
-	f := MustParse(fig4Src)
-	seq, err := f.Eval(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := f.Eval(db, &EvalOptions{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(seq) {
-		t.Fatalf("parallel union flock differs: %d vs %d", par.Len(), seq.Len())
 	}
 }
 
@@ -293,7 +259,7 @@ COUNT(answer.B) <= 5`
 	if _, err := f.Eval(basketsDB(), nil); err == nil {
 		t.Error("direct eval should reject filter passing on empty")
 	}
-	if _, err := f.EvalNaive(basketsDB()); err == nil {
+	if _, err := f.EvalNaive(basketsDB(), nil); err == nil {
 		t.Error("naive eval should reject filter passing on empty")
 	}
 }
@@ -315,7 +281,7 @@ COUNT(answer.B) >= 2`
 		}
 	}
 	db.Add(b)
-	if _, err := f.EvalNaive(db); err == nil || !strings.Contains(err.Error(), "assignments") {
+	if _, err := f.EvalNaive(db, nil); err == nil || !strings.Contains(err.Error(), "assignments") {
 		t.Errorf("expected NaiveLimit error, got %v", err)
 	}
 }

@@ -72,7 +72,7 @@ func TestExecuteFusedMatchesExecute(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db := c.db()
-			want, err := c.plan.Flock.EvalNaive(db)
+			want, err := c.plan.Flock.EvalNaive(db, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

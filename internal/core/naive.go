@@ -30,17 +30,14 @@ const NaiveLimit = 1_000_000
 // that set yields an empty query result, which cannot pass the filter
 // (PassesEmpty is rejected at construction of the evaluation), so the
 // enumeration is complete.
-func (f *Flock) EvalNaive(db *storage.Database) (*storage.Relation, error) {
-	return f.EvalNaiveOpts(db, nil)
-}
-
-// EvalNaiveOpts is EvalNaive under EvalOptions: the request context, wall
-// clock, and tuple/row budgets flow through the shared gate into every
+//
+// opts may be nil. Under EvalOptions the request context, wall clock, and
+// tuple/row budgets flow through the shared gate into every
 // per-assignment query evaluation, and the enumeration itself checks the
 // gate between assignments — so a served naive query can be canceled and
 // budgeted like every other strategy instead of running to completion.
-// Answers are identical to EvalNaive whenever no limit fires.
-func (f *Flock) EvalNaiveOpts(db *storage.Database, opts *EvalOptions) (*storage.Relation, error) {
+// Answers are identical whenever no limit fires.
+func (f *Flock) EvalNaive(db *storage.Database, opts *EvalOptions) (*storage.Relation, error) {
 	if f.Filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", f.Filter)
 	}

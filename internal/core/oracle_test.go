@@ -189,7 +189,7 @@ func TestDirectMatchesNaiveRandomized(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		db := randomFlockDB(rng)
 		f := randomFlock(rng)
-		naive, err := f.EvalNaive(db)
+		naive, err := f.EvalNaive(db, nil)
 		if err != nil {
 			t.Fatalf("trial %d naive: %v\n%s", trial, err, f)
 		}

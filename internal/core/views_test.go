@@ -79,7 +79,7 @@ func TestViewFlockMultiDisease(t *testing.T) {
 		t.Fatalf("got:\n%s", got.Dump())
 	}
 	// Naive oracle agrees.
-	naive, err := f.EvalNaive(db)
+	naive, err := f.EvalNaive(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ COUNT(answer.P) >= 2`
 		t.Fatalf("stratified views differ:\ngot:\n%s\nwant:\n%s", got.Dump(), want.Dump())
 	}
 	// Naive oracle agrees too.
-	naive, err := f.EvalNaive(db)
+	naive, err := f.EvalNaive(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

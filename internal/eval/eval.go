@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/physical"
@@ -69,12 +68,6 @@ type Options struct {
 	FixedOrder []int
 	// Trace, when non-nil, records every operator application.
 	Trace *Trace
-	// Parallel evaluates the branches of a union concurrently. Base
-	// relations are shared read-only (lazy index builds are locked);
-	// results merge deterministically. Only the materializing mode
-	// branches concurrently; the streaming executor interleaves branches
-	// in one pipeline (its joins still parallelize per batch).
-	Parallel bool
 	// Workers is the worker count for the partitioned hash-join and
 	// anti-join operators inside each rule: 0 (the default) means one
 	// worker per CPU, 1 forces the sequential paths, larger values are
@@ -216,10 +209,10 @@ func EvalUnion(db *storage.Database, u datalog.Union, outFor func(*datalog.Rule)
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	// Resolve the gate once so every branch — parallel or not — shares
-	// one wall clock and budget.
+	// Resolve the gate once so every branch shares one wall clock and
+	// budget.
 	o := opts.orDefault().withGate()
-	if o.Exec.Streaming() && !(o.Parallel && len(u) > 1) {
+	if o.Exec.Streaming() {
 		// Compile the whole union to one fused plan: per-branch pipelines
 		// (deduplicated projections) concatenated by a union operator into
 		// one sink. Branch order and per-branch emission order match the
@@ -247,35 +240,16 @@ func EvalUnion(db *storage.Database, u datalog.Union, outFor func(*datalog.Rule)
 		plan := physical.NewPlan(physical.NewMaterialize("answer", in, nil, "", nil))
 		return RunPlan(db, plan, &o)
 	}
-	parts := make([]*storage.Relation, len(u))
-	if o.Parallel && len(u) > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(u))
-		for i, r := range u {
-			wg.Add(1)
-			go func(i int, r *datalog.Rule) {
-				defer wg.Done()
-				parts[i], errs[i] = EvalRule(db, r, outFor(r), &o)
-			}(i, r)
+	var result *storage.Relation
+	for _, r := range u {
+		part, err := EvalRule(db, r, outFor(r), &o)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if result == nil {
+			result = part
+			continue
 		}
-	} else {
-		for i, r := range u {
-			part, err := EvalRule(db, r, outFor(r), &o)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = part
-		}
-	}
-
-	result := parts[0]
-	for _, part := range parts[1:] {
 		if result.Arity() != part.Arity() {
 			return nil, fmt.Errorf("eval: union branches project %d vs %d columns", result.Arity(), part.Arity())
 		}

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -9,47 +8,7 @@ import (
 	"queryflocks/internal/storage"
 )
 
-func TestParallelUnionMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	db := storage.NewDatabase()
-	r := storage.NewRelation("r", "A", "B")
-	s := storage.NewRelation("s", "A", "B")
-	for i := 0; i < 3_000; i++ {
-		r.InsertValues(storage.Int(int64(rng.Intn(300))), storage.Int(int64(rng.Intn(300))))
-		s.InsertValues(storage.Int(int64(rng.Intn(300))), storage.Int(int64(rng.Intn(300))))
-	}
-	db.Add(r)
-	db.Add(s)
-
-	u, err := datalog.ParseUnion(`
-		answer(A) :- r(A,$x) AND s($x,B)
-		answer(B) :- s(A,$x) AND r($x,B)
-		answer(A) :- r(A,$x) AND r($x,A)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outFor := func(rule *datalog.Rule) []datalog.Term {
-		return []datalog.Term{datalog.Param("x"), rule.Head.Args[0]}
-	}
-
-	seq, err := EvalUnion(db, u, outFor, &Options{Parallel: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &Trace{}
-	par, err := EvalUnion(db, u, outFor, &Options{Parallel: true, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(seq) {
-		t.Fatalf("parallel union differs: %d vs %d tuples", par.Len(), seq.Len())
-	}
-	if len(tr.Steps()) == 0 {
-		t.Error("trace should record steps from all branches")
-	}
-}
-
-func TestParallelUnionPropagatesErrors(t *testing.T) {
+func TestUnionPropagatesErrors(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add(storage.NewRelation("r", "A"))
 	u, err := datalog.ParseUnion(`
@@ -60,7 +19,7 @@ func TestParallelUnionPropagatesErrors(t *testing.T) {
 	}
 	_, err = EvalUnion(db, u, func(rule *datalog.Rule) []datalog.Term {
 		return rule.Head.Args
-	}, &Options{Parallel: true})
+	}, nil)
 	if err == nil {
 		t.Error("missing relation in one branch should fail the union")
 	}

@@ -1,27 +1,16 @@
 package eval
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"queryflocks/internal/obs"
 )
 
-// TraceStep is the legacy stringly view of one recorded operator: its
-// rendered description and output size. New code should read the typed
-// obs.Event list via Events instead.
-type TraceStep struct {
-	Desc string
-	Rows int
-}
-
 // Trace accumulates the intermediate-result observations of an evaluation.
 // It is a thin adapter over an obs.Collector: the engine records typed
-// obs.Events (operator kind, rows in/out, workers, wall time) and Trace
-// re-renders them through the historical string API. Recording is safe
-// from concurrent branches (parallel union evaluation); step order across
-// branches is then nondeterministic.
+// obs.Events (operator kind, rows in/out, workers, wall time), read back
+// through Events or aggregated by Report. Recording is safe from
+// concurrent operator workers.
 type Trace struct {
 	mu sync.Mutex
 	c  *obs.Collector
@@ -42,58 +31,11 @@ func (t *Trace) Collector() *obs.Collector {
 	return t.c
 }
 
-// Add records an externally performed step (e.g. a FILTER reduction done by
-// a planner between joins) as an untyped note event.
-func (t *Trace) Add(desc string, rows int) {
-	t.Collector().Record(obs.Event{Op: obs.OpNote, Desc: desc, RowsOut: rows})
-}
-
 // Events returns the typed events recorded so far.
 func (t *Trace) Events() []obs.Event { return t.Collector().Events() }
-
-// Steps renders the typed events through the legacy stringly view.
-func (t *Trace) Steps() []TraceStep {
-	events := t.Events()
-	out := make([]TraceStep, len(events))
-	for i, e := range events {
-		out[i] = TraceStep{Desc: e.Label(), Rows: e.RowsOut}
-	}
-	return out
-}
 
 // Report aggregates the trace into a machine-readable RunReport; see
 // obs.Collector.Report.
 func (t *Trace) Report(strategy string, workers, answerRows int) *obs.RunReport {
 	return t.Collector().Report(strategy, workers, answerRows)
-}
-
-// MaxRows returns the largest intermediate size seen — the usual proxy for
-// the memory high-water mark of a join pipeline.
-func (t *Trace) MaxRows() int {
-	max := 0
-	for _, e := range t.Events() {
-		if e.RowsOut > max {
-			max = e.RowsOut
-		}
-	}
-	return max
-}
-
-// TotalRows returns the sum of all intermediate sizes — the cost proxy the
-// planner's estimates are calibrated against.
-func (t *Trace) TotalRows() int {
-	total := 0
-	for _, e := range t.Events() {
-		total += e.RowsOut
-	}
-	return total
-}
-
-// String renders the trace one step per line.
-func (t *Trace) String() string {
-	var b strings.Builder
-	for i, e := range t.Events() {
-		fmt.Fprintf(&b, "%2d. %-40s %8d rows\n", i+1, e.Label(), e.RowsOut)
-	}
-	return strings.TrimRight(b.String(), "\n")
 }

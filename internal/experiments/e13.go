@@ -7,8 +7,7 @@ import (
 
 	"queryflocks/internal/cluster"
 	"queryflocks/internal/core"
-	"queryflocks/internal/planner"
-	"queryflocks/internal/storage"
+	"queryflocks/internal/serve"
 	"queryflocks/internal/workload"
 )
 
@@ -58,52 +57,36 @@ COUNT(answer.B) >= 8
 			if err != nil {
 				return nil, fmt.Errorf("E13 restrict %d: %w", i, err)
 			}
-			servers[i] = httptest.NewServer(cluster.PartialHandler(
-				func() *storage.Database { return wdb }, cfg.Workers, cfg.Timeout))
+			servers[i] = httptest.NewServer(
+				serve.New(wdb, serve.Config{Workers: cfg.Workers, Timeout: cfg.Timeout}).PartialHandler())
 			addrs[i] = servers[i].URL
 		}
 		co := cluster.New(m, &cluster.Client{
 			Shards: addrs, Timeout: 30 * time.Second, Retries: 1, Backoff: 10 * time.Millisecond,
 		}, db.Names())
 
+		// The coordinator is the same request pipeline flockd runs, with
+		// the cluster mounted.
+		pipe := serve.New(db, serve.Config{Workers: cfg.Workers, Timeout: cfg.Timeout, Cluster: co})
 		for _, strategy := range []string{"direct", "static"} {
-			sess := co.Session()
-			tr := cfg.Instrument()
-			opts := cfg.TracedOpts(tr)
-			opts.FilterEval = sess.FilterEval
-
-			var answer *storage.Relation
-			elapsed, err := timed(func() error {
-				switch strategy {
-				case "direct":
-					var err error
-					answer, err = f.Eval(db, opts)
-					return err
-				default:
-					plan, err := planner.PlanStatic(f, planner.NewEstimator(db), nil)
-					if err != nil {
-						return err
-					}
-					res, err := plan.Execute(db, opts)
-					if err != nil {
-						return err
-					}
-					answer = res.Answer
-					return nil
-				}
+			var out serve.Outcome
+			elapsed, err := timed(func() (err error) {
+				out, err = pipe.Run(&serve.Program{Flock: f}, serve.Request{Strategy: strategy, Trace: true})
+				return err
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E13 %d shards %s: %w", shards, strategy, err)
 			}
+			answer, stats := out.Answer, out.Report.Cluster
 			if !answer.Equal(oracle) {
 				return nil, fmt.Errorf("E13: %d shards (%s) disagrees with the single-node oracle", shards, strategy)
 			}
-			stats := sess.Stats()
 			if stats.Scattered == 0 && stats.Fallbacks == 0 {
 				return nil, fmt.Errorf("E13: %d shards (%s) neither scattered nor fell back", shards, strategy)
 			}
-			if tr != nil {
-				t.OpReports = append(t.OpReports, tr.Report(fmt.Sprintf("E13 %d-shard %s", shards, strategy), cfg.Workers, answer.Len()))
+			if cfg.Metrics {
+				out.Report.Strategy = fmt.Sprintf("E13 %d-shard %s", shards, strategy)
+				t.OpReports = append(t.OpReports, out.Report)
 			}
 			t.AddRow(fmt.Sprintf("%d", shards), strategy, ms(elapsed),
 				fmt.Sprintf("%d", answer.Len()),

@@ -178,8 +178,8 @@ func (e Event) cardinalities() string {
 }
 
 // Collector accumulates events. Recording is safe from concurrent
-// branches (parallel union evaluation); event order across branches is
-// then nondeterministic. All methods are nil-safe so producers can hold a
+// goroutines (partitioned operator workers, scattered shard calls); event
+// order across them is then nondeterministic. All methods are nil-safe so producers can hold a
 // possibly-nil *Collector and call it unconditionally on cold paths; hot
 // paths still guard with a nil check to skip argument construction.
 type Collector struct {

@@ -53,8 +53,7 @@ func (l Limits) Zero() bool { return l.Wall == 0 && l.MaxTuples == 0 && l.MaxRow
 // violation. Create one per query (NewGate) and share it across every
 // step, rule, and operator of that query. All methods are nil-safe —
 // a nil *Gate is a free, always-open checkpoint — and safe for
-// concurrent use (a parallel union shares one gate across branch
-// goroutines). A Gate value is a view: WithoutOutputCap derives views
+// concurrent use (partitioned operator workers share one gate). A Gate value is a view: WithoutOutputCap derives views
 // with different enforcement scope over the same shared clock and
 // budget state.
 type Gate struct {
@@ -68,7 +67,7 @@ type gateState struct {
 	deadline time.Time
 
 	// budgetErr latches the first tuple-budget violation (atomically:
-	// concurrent branches may breach simultaneously).
+	// concurrent workers may breach simultaneously).
 	budgetErr atomic.Pointer[error]
 }
 

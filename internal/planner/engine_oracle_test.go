@@ -117,7 +117,7 @@ func TestDiskEngineMatchesMemoryCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			naive, err := f.EvalNaive(base)
+			naive, err := f.EvalNaive(base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestDiskEngineAfterDelta(t *testing.T) {
 	}
 
 	for name, f := range flocks {
-		naive, err := f.EvalNaive(memDB)
+		naive, err := f.EvalNaive(memDB, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestAllStrategiesAgreeRandomized(t *testing.T) {
 		threshold := 1 + rng.Intn(5)
 		f := paper.MarketBasket(threshold)
 
-		want, err := f.EvalNaive(db)
+		want, err := f.EvalNaive(db, nil)
 		if err != nil {
 			t.Fatalf("trial %d naive: %v", trial, err)
 		}

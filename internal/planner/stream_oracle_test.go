@@ -96,7 +96,7 @@ func runOracleSweep(t *testing.T, ctx context.Context, limits eval.Limits) {
 		},
 	}
 
-	want, err := f.EvalNaive(db)
+	want, err := f.EvalNaive(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
-// Package serve holds flockd's serving-layer cache subsystems: a
-// count-bounded LRU plan cache keyed on canonical program text, a
-// byte-bounded LRU memo of candidate-subquery results (the
-// core.SubqueryMemo implementation), and the prepared-flock registry
-// behind POST /prepare. The structures are deliberately value-agnostic
-// (the plan cache and registry store `any`) so the package depends only
-// on storage and stays reusable by other front-ends.
+// Package serve is the one request pipeline behind every front-end —
+// flockd's /query, /prepare, /invoke and /partial, flockql's file mode and
+// REPL, the cluster experiment — as four stages: compile, plan, execute,
+// report (see Pipeline). It also holds the serving-layer cache subsystems
+// that hang off that path: a count-bounded LRU plan cache keyed on
+// canonical program text, a byte-bounded LRU memo of candidate-subquery
+// results (the core.SubqueryMemo implementation), and the prepared-flock
+// table behind Prepare.
 //
 // Invalidation is by key construction, not by scanning: every plan-cache
 // and memo key embeds the database's data-version counter
@@ -16,7 +17,6 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
 )
 
 // Handle derives the stable prepared-flock handle for a canonical program
@@ -25,48 +25,4 @@ import (
 func Handle(canon string) string {
 	sum := sha256.Sum256([]byte(canon))
 	return "f" + hex.EncodeToString(sum[:6])
-}
-
-// Registry is the prepared-flock table: canonical program text to an
-// opaque prepared entry, addressed by the content-derived Handle. Safe
-// for concurrent use. Registration is idempotent — re-preparing an
-// alpha-equivalent program returns the existing handle.
-type Registry struct {
-	mu       sync.RWMutex
-	byHandle map[string]any
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byHandle: make(map[string]any)}
-}
-
-// Register stores v under the handle derived from canon, unless that
-// handle is already registered. It returns the handle and whether an
-// entry already existed (the existing entry is kept; prepared flocks are
-// immutable once registered).
-func (r *Registry) Register(canon string, v any) (handle string, existed bool) {
-	handle = Handle(canon)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byHandle[handle]; ok {
-		return handle, true
-	}
-	r.byHandle[handle] = v
-	return handle, false
-}
-
-// Get returns the entry registered under handle, if any.
-func (r *Registry) Get(handle string) (any, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.byHandle[handle]
-	return v, ok
-}
-
-// Len returns the number of prepared flocks.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byHandle)
 }

@@ -56,6 +56,7 @@ bench-pipeline:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParseFlock -fuzztime=30s ./internal/datalog/
+	$(GO) test -fuzz=FuzzDecodePartial -fuzztime=10s ./internal/cluster/
 
 # Static analysis of the example flock corpus (zero errors required;
 # the warnings it prints are pinned by the golden tests under

@@ -292,7 +292,8 @@ func checkReport(r *obs.RunReport) error {
 
 // checkCluster enforces the coordinator's merged-report invariants: the
 // shard layout is well-formed, every computation either scattered or
-// fell back, and a degraded (partial) merge names the shards it lost —
+// fell back, bytes cross the wire exactly when something was scattered,
+// and a degraded (partial) merge names the shards it lost —
 // but never all of them, since an all-dead scatter must fail the query
 // instead of answering.
 func checkCluster(c *obs.ClusterStats) error {
@@ -310,6 +311,9 @@ func checkCluster(c *obs.ClusterStats) error {
 	}
 	if c.MergedGroups > 0 && c.Scattered == 0 {
 		return fmt.Errorf("merged_groups %d with scattered 0", c.MergedGroups)
+	}
+	if (c.PartialBytes > 0) != (c.Scattered > 0) {
+		return fmt.Errorf("partial_bytes %d with scattered %d: every scatter is answered in bytes, and nothing else is", c.PartialBytes, c.Scattered)
 	}
 	if c.Partial != (len(c.Failed) > 0) {
 		return fmt.Errorf("partial=%v disagrees with failed_shards %v", c.Partial, c.Failed)

@@ -251,7 +251,7 @@ func clusterInput(t *testing.T, c *obs.ClusterStats) string {
 }
 
 func TestBenchcheckCluster(t *testing.T) {
-	good := &obs.ClusterStats{Shards: 2, ShardRel: "baskets", Scattered: 1, MergedGroups: 8}
+	good := &obs.ClusterStats{Shards: 2, ShardRel: "baskets", Scattered: 1, MergedGroups: 8, PartialBytes: 96}
 	var out strings.Builder
 	if err := run(nil, strings.NewReader(clusterInput(t, good)), &out); err != nil {
 		t.Fatalf("valid cluster block rejected: %v", err)
@@ -260,8 +260,10 @@ func TestBenchcheckCluster(t *testing.T) {
 		"no shards":          {Shards: 0, ShardRel: "baskets"},
 		"missing rel":        {Shards: 2, Scattered: 1},
 		"merged w/o scatter": {Shards: 2, ShardRel: "baskets", MergedGroups: 3},
-		"partial mismatch":   {Shards: 2, ShardRel: "baskets", Scattered: 1, Partial: true},
-		"all shards dead":    {Shards: 2, ShardRel: "baskets", Scattered: 1, Partial: true, Failed: []string{"a", "b"}},
+		"partial mismatch":   {Shards: 2, ShardRel: "baskets", Scattered: 1, PartialBytes: 96, Partial: true},
+		"all shards dead":    {Shards: 2, ShardRel: "baskets", Scattered: 1, PartialBytes: 96, Partial: true, Failed: []string{"a", "b"}},
+		"scatter w/o bytes":  {Shards: 2, ShardRel: "baskets", Scattered: 1, MergedGroups: 8},
+		"bytes w/o scatter":  {Shards: 2, ShardRel: "baskets", Fallbacks: 1, PartialBytes: 96},
 	} {
 		if err := run(nil, strings.NewReader(clusterInput(t, bad)), &strings.Builder{}); err == nil {
 			t.Errorf("%s: invalid cluster block accepted", name)

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -54,6 +56,105 @@ func useHelperWorkers(t *testing.T) {
 		return os.Args[0], []string{"-test.run=^TestFlockdWorkerHelper$", "--"}, nil
 	}
 	t.Cleanup(func() { workerCommand = orig })
+}
+
+// TestSpawnRendezvousHelper is not a test: it is a stand-in worker for
+// TestSpawnLocalWorkersStartsAllBeforeAwaiting. Its first argument after
+// "--" is a scratch directory; it marks itself started there, then
+// announces a fake address derived from its -shard-index only once every
+// worker of the fleet is started — the later the index, the sooner — and
+// serves nothing until it is TERMed. A "fail" marker in the directory
+// makes worker 1 exit without announcing.
+func TestSpawnRendezvousHelper(t *testing.T) {
+	if os.Getenv("FLOCKD_WORKER_HELPER") != "1" {
+		t.Skip("not a worker helper invocation")
+	}
+	var dir string
+	idx, count := -1, -1
+	for i, a := range os.Args {
+		switch {
+		case a == "--" && i+1 < len(os.Args):
+			dir = os.Args[i+1]
+		case a == "-shard-index" && i+1 < len(os.Args):
+			idx, _ = strconv.Atoi(os.Args[i+1])
+		case a == "-shard-count" && i+1 < len(os.Args):
+			count, _ = strconv.Atoi(os.Args[i+1])
+		}
+	}
+	if dir == "" || idx < 0 || count < 1 {
+		fmt.Fprintln(os.Stderr, "rendezvous helper: bad args", os.Args)
+		os.Exit(2)
+	}
+	if err := os.WriteFile(fmt.Sprintf("%s/started-%d", dir, idx), []byte(strconv.Itoa(os.Getpid())), 0o644); err != nil {
+		os.Exit(2)
+	}
+	if _, err := os.Stat(dir + "/fail"); err == nil && idx == 1 {
+		os.Exit(3)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if started, _ := filepath.Glob(dir + "/started-*"); len(started) == count {
+			break
+		}
+		if time.Now().After(deadline) {
+			os.Exit(4) // the fleet was not started side by side
+		}
+	}
+	time.Sleep(time.Duration(count-1-idx) * 30 * time.Millisecond)
+	fmt.Fprintf(os.Stderr, "flockd: listening on 127.0.0.1:%d (fake)\n", 1000+idx)
+	term := make(chan os.Signal, 1)
+	signal.Notify(term, syscall.SIGTERM)
+	<-term
+	os.Exit(0)
+}
+
+// TestSpawnLocalWorkersStartsAllBeforeAwaiting is the regression for
+// -spawn-workers paying N serial data loads: every stand-in worker
+// refuses to announce until the whole fleet is running, so a spawner that
+// awaits worker i before exec'ing worker i+1 fails. Addresses must come
+// back in shard-index order whatever order the announcements arrive in,
+// and a failed start must leave no worker behind.
+func TestSpawnLocalWorkersStartsAllBeforeAwaiting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	orig := workerCommand
+	t.Cleanup(func() { workerCommand = orig })
+	f := newFlagSet()
+	if err := f.fs.Parse([]string{"-data", "unused"}); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	workerCommand = func() (string, []string, error) {
+		return os.Args[0], []string{"-test.run=^TestSpawnRendezvousHelper$", "--", dir}, nil
+	}
+	out := &syncWriter{}
+	addrs, cleanup, err := spawnLocalWorkers(context.Background(), f, 3, out)
+	if err != nil {
+		t.Fatalf("spawnLocalWorkers: %v\noutput: %s", err, out.String())
+	}
+	cleanup()
+	if want := []string{"127.0.0.1:1000", "127.0.0.1:1001", "127.0.0.1:1002"}; !reflect.DeepEqual(addrs, want) {
+		t.Errorf("addresses %v, want shard-index order %v", addrs, want)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(dir+"/fail", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := spawnLocalWorkers(context.Background(), f, 3, out); err == nil || !strings.Contains(err.Error(), "worker 1") {
+		t.Fatalf("a worker that dies before announcing must fail the spawn naming it, got %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		raw, err := os.ReadFile(fmt.Sprintf("%s/started-%d", dir, i))
+		if err != nil {
+			t.Fatalf("worker %d was never started: %v", i, err)
+		}
+		pid, _ := strconv.Atoi(string(raw))
+		if err := syscall.Kill(pid, 0); err != syscall.ESRCH {
+			t.Errorf("worker %d (pid %d) outlived the failed spawn: kill(0) = %v", i, pid, err)
+		}
+	}
 }
 
 // writeBasketsDir materializes the test workload as a CSV directory every

@@ -385,9 +385,11 @@ const workerAnnounceTimeout = 30 * time.Second
 
 // spawnLocalWorkers execs n worker flockds against the same data flags as
 // the coordinator, each on a free port, and returns their addresses in
-// shard-index order. Workers announce "flockd: listening on ADDR ..." on
-// stderr; the announcement is parsed and the rest of each worker's output
-// is forwarded to out. The cleanup function TERMs and reaps the fleet.
+// shard-index order. All workers are started before any is awaited, so
+// they load the data set side by side. Workers announce "flockd:
+// listening on ADDR ..." on stderr; the announcement is parsed and the
+// rest of each worker's output is forwarded to out. The cleanup function
+// TERMs and reaps the fleet; a failed start runs it before returning.
 func spawnLocalWorkers(ctx context.Context, f *flockdFlags, n int, out io.Writer) ([]string, func(), error) {
 	exe, baseArgs, err := workerCommand()
 	if err != nil {
@@ -404,8 +406,8 @@ func spawnLocalWorkers(ctx context.Context, f *flockdFlags, n int, out io.Writer
 			c.Wait()
 		}
 	}
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	stderrs := make([]io.Reader, n)
+	for i := range stderrs {
 		args := append(append([]string(nil), baseArgs...), workerArgs(f, i, n)...)
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(), "FLOCKD_WORKER_HELPER=1")
@@ -418,6 +420,10 @@ func spawnLocalWorkers(ctx context.Context, f *flockdFlags, n int, out io.Writer
 			return nil, nil, fmt.Errorf("spawning worker %d: %w", i, perr)
 		}
 		procs = append(procs, cmd)
+		stderrs[i] = stderr
+	}
+	addrs := make([]string, n)
+	for i, stderr := range stderrs {
 		addr, aerr := awaitAnnouncement(ctx, stderr, out)
 		if aerr != nil {
 			cleanup()

@@ -121,7 +121,10 @@ func (c *Client) callShard(ctx context.Context, addr string, body []byte) (*Part
 	return nil, last
 }
 
-// attempt performs one HTTP round-trip to a shard.
+// attempt performs one HTTP round-trip to a shard. Whatever the outcome,
+// the response body is read to its end before it is closed: net/http
+// returns a connection to the pool only then, and a scatter per FILTER
+// step should not pay a TCP handshake per shard.
 func (c *Client) attempt(ctx context.Context, client *http.Client, addr string, body []byte) (*PartialResponse, *ShardError, bool) {
 	actx := ctx
 	if c.Timeout > 0 {
@@ -140,17 +143,27 @@ func (c *Client) attempt(ctx context.Context, client *http.Client, addr string, 
 		// unless the scatter itself was canceled.
 		return nil, &ShardError{Shard: addr, Err: err}, ctx.Err() == nil
 	}
-	defer hresp.Body.Close()
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, MaxPartialBody)) // best effort: only reuse is at stake
+		hresp.Body.Close()
+	}()
 	if hresp.StatusCode != http.StatusOK {
 		msg := readShardError(hresp.Body)
 		serr := &ShardError{Shard: addr, Status: hresp.StatusCode, Err: fmt.Errorf("%s", msg)}
 		return nil, serr, hresp.StatusCode >= 500 && ctx.Err() == nil
 	}
-	var out PartialResponse
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, MaxPartialBody)).Decode(&out); err != nil {
+	raw, err := io.ReadAll(io.LimitReader(hresp.Body, MaxPartialBody+1))
+	if err == nil && len(raw) > MaxPartialBody {
+		err = fmt.Errorf("larger than %d bytes", MaxPartialBody)
+	}
+	var out *PartialResponse
+	if err == nil {
+		out, err = DecodePartial(raw)
+	}
+	if err != nil {
 		return nil, &ShardError{Shard: addr, Status: hresp.StatusCode, Err: fmt.Errorf("bad response body: %v", err)}, ctx.Err() == nil
 	}
-	return &out, nil, false
+	return out, nil, false
 }
 
 // readShardError extracts the structured error message from a failed

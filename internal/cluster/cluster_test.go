@@ -5,6 +5,7 @@ package cluster_test
 
 import (
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -493,5 +494,49 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("calls = %d, want 1 (4xx must not retry)", calls.Load())
+	}
+}
+
+// TestScatterReusesConnections is the regression for the scatter client
+// opening a TCP connection per shard per scatter: it closed response
+// bodies it had not read to the end — the group states after one decoded
+// value, an error body past its first 4 KiB — and net/http discards such
+// a connection instead of pooling it.
+func TestScatterReusesConnections(t *testing.T) {
+	db := workload.Baskets(workload.BasketConfig{Baskets: 400, Items: 120, MeanSize: 6, Skew: 0.6, Seed: 11})
+	fl := core.MustParse(pairFlock)
+	m, err := BuildMap(db, "baskets", 0, 1)
+	if err != nil {
+		t.Fatalf("BuildMap: %v", err)
+	}
+	bigError := func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		for i := 0; i < 64; i++ {
+			w.Write([]byte(strings.Repeat("x", 1024)))
+			w.(http.Flusher).Flush()
+		}
+	}
+	for name, handler := range map[string]http.HandlerFunc{"states": PartialHandler(db), "error": bigError} {
+		var opened atomic.Int64
+		srv := httptest.NewUnstartedServer(handler)
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		srv.Start()
+		transport := &http.Transport{}
+		co := New(m, &Client{Shards: []string{srv.URL}, Timeout: 10 * time.Second, HTTP: &http.Client{Transport: transport}}, db.Names())
+		for i := 0; i < 10; i++ {
+			_, err := fl.Eval(db, &core.EvalOptions{FilterEval: co.Session().FilterEval})
+			if (err != nil) != (name == "error") {
+				t.Fatalf("%s scatter %d: err = %v", name, i, err)
+			}
+		}
+		if n := opened.Load(); n != 1 {
+			t.Errorf("%s: 10 scatters opened %d connections, want 1", name, n)
+		}
+		transport.CloseIdleConnections()
+		srv.Close()
 	}
 }

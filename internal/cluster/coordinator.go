@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/obs"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
@@ -69,8 +71,8 @@ func (s *Session) Stats() *obs.ClusterStats {
 }
 
 // FilterEval is the core.FilterEvalFn the coordinator mounts: scatter the
-// computation to the shards, gather the serialized partial group states,
-// and merge them in shard order. Computations the map cannot legally
+// computation to the shards, gather their exported group states, and
+// merge them in shard order. Computations the map cannot legally
 // partition return handled=false and run locally.
 func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query datalog.Union,
 	filter core.Filter, name string, opts *core.EvalOptions) (*storage.Relation, bool, error) {
@@ -96,6 +98,18 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 	}
 	results := s.co.Client.Scatter(ctx, req)
 
+	// A well-formed answer to some other question is a failed shard too.
+	agg := filter.Aggregate()
+	want := agg.StateKind(req.Additive)
+	for i := range results {
+		r := &results[i]
+		if st := r.Resp; r.Err == nil && (st.States.Kind != want || len(st.States.Params) != len(params)) {
+			r.Err = &ShardError{Shard: r.Addr, Status: http.StatusOK, Err: fmt.Errorf(
+				"bad response body: state kind %d over %d params, asked for kind %d over %d",
+				st.States.Kind, len(st.States.Params), want, len(params))}
+		}
+	}
+
 	var failed []string
 	for _, res := range results {
 		if res.Err != nil {
@@ -112,18 +126,20 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 		}
 	}
 
-	parts := make([][]core.GroupState, 0, len(results))
+	parts := make([]*physical.GroupStates, 0, len(results))
+	partialBytes := 0
 	for _, res := range results {
 		if res.Err != nil {
 			continue // degraded: the dead shard's partition is absent
 		}
-		parts = append(parts, res.Resp.Groups)
+		parts = append(parts, res.Resp.States)
+		partialBytes += res.Resp.Bytes
 	}
 	paramCols := make([]string, len(params))
 	for i, p := range params {
 		paramCols[i] = "$" + string(p)
 	}
-	rel, merged, err := core.MergeGroupStates(filter, name, paramCols, parts)
+	rel, merged, err := physical.MergeGroupStates(agg, req.Additive, name, paramCols, parts)
 	if err != nil {
 		return nil, true, err
 	}
@@ -148,8 +164,9 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 				col.Record(obs.Event{Op: obs.OpShard, Desc: res.Addr + " FAILED", Wall: res.Wall})
 				continue
 			}
-			col.Record(obs.Event{Op: obs.OpShard, Desc: res.Addr, RowsOut: len(res.Resp.Groups), Wall: res.Wall})
-			groupsIn += len(res.Resp.Groups)
+			n := res.Resp.States.Len()
+			col.Record(obs.Event{Op: obs.OpShard, Desc: res.Addr, RowsOut: n, Groups: n, Bytes: res.Resp.Bytes, Wall: res.Wall})
+			groupsIn += n
 			if rep := res.Resp.Report; rep != nil {
 				col.ObserveStorage(rep.SegmentsOpened, rep.IndexBlocksRead, rep.DeltaRows, rep.StorageBytesRead)
 			}
@@ -167,6 +184,7 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 	s.mu.Lock()
 	s.stats.Scattered++
 	s.stats.MergedGroups += merged
+	s.stats.PartialBytes += partialBytes
 	if len(failed) > 0 {
 		s.stats.Partial = true
 		for _, f := range failed {
@@ -195,10 +213,11 @@ func (co *Coordinator) buildRequest(db *storage.Database, params []datalog.Param
 	filter core.Filter, name string) (*PartialRequest, error) {
 
 	req := &PartialRequest{
-		Query:   query.String(),
-		Filter:  filter.String(),
-		Name:    name,
-		Version: db.Version(),
+		Query:    query.String(),
+		Filter:   filter.String(),
+		Name:     name,
+		Version:  db.Version(),
+		Additive: additive(co.Map, query, filter),
 	}
 	req.Params = make([]string, len(params))
 	for i, p := range params {
@@ -286,25 +305,9 @@ func Shardable(m *Map, params []datalog.Param, query datalog.Union, filter core.
 				return false, fmt.Sprintf("rule %s negates the sharded relation %s, and a worker's smaller complement would admit tuples the full data rejects", r.Head, m.Rel)
 			}
 		}
-		var sharded []*datalog.Atom
-		for _, a := range r.PositiveAtoms() {
-			if a.Pred == m.Rel {
-				sharded = append(sharded, a)
-			}
-		}
-		if len(sharded) == 0 {
-			// rule 1
-			return false, fmt.Sprintf("rule %s has no positive subgoal of the sharded relation %s, so every shard would recompute it whole and duplicate its tuples in the merge", r.Head, m.Rel)
-		}
-		if m.Col >= len(sharded[0].Args) {
-			return false, fmt.Sprintf("shard column %d is out of range for %s/%d", m.Col, m.Rel, len(sharded[0].Args))
-		}
-		t := sharded[0].Args[m.Col]
-		for _, a := range sharded[1:] {
-			if m.Col >= len(a.Args) || a.Args[m.Col] != t {
-				// rule 3
-				return false, fmt.Sprintf("rule %s binds different terms at the shard column (%s column %d), so one joined tuple could live on two shards", r.Head, m.Rel, m.Col)
-			}
+		t, reason := shardTerm(m, r)
+		if reason != "" {
+			return false, reason
 		}
 		switch term := t.(type) {
 		case datalog.Const:
@@ -331,4 +334,52 @@ func Shardable(m *Map, params []datalog.Param, query datalog.Union, filter core.
 		}
 	}
 	return true, ""
+}
+
+// shardTerm returns the one term rule r's positive atoms of the sharded
+// relation bind at the shard column, or the reason rule 1 or 3 fails.
+func shardTerm(m *Map, r *datalog.Rule) (datalog.Term, string) {
+	var sharded []*datalog.Atom
+	for _, a := range r.PositiveAtoms() {
+		if a.Pred == m.Rel {
+			sharded = append(sharded, a)
+		}
+	}
+	if len(sharded) == 0 {
+		// rule 1
+		return nil, fmt.Sprintf("rule %s has no positive subgoal of the sharded relation %s, so every shard would recompute it whole and duplicate its tuples in the merge", r.Head, m.Rel)
+	}
+	if m.Col >= len(sharded[0].Args) {
+		return nil, fmt.Sprintf("shard column %d is out of range for %s/%d", m.Col, m.Rel, len(sharded[0].Args))
+	}
+	t := sharded[0].Args[m.Col]
+	for _, a := range sharded[1:] {
+		if m.Col >= len(a.Args) || a.Args[m.Col] != t {
+			// rule 3
+			return nil, fmt.Sprintf("rule %s binds different terms at the shard column (%s column %d), so one joined tuple could live on two shards", r.Head, m.Rel, m.Col)
+		}
+	}
+	return t, ""
+}
+
+// additive reports whether a COUNT-distinct filter's count over a legal
+// scatter is the sum of the shards' counts: in every rule the counted
+// head variable is the very term rule 3 finds at the shard column. Then a
+// value v counted on shard i comes from a joined tuple whose sharded atom
+// holds v at the shard column, so v lies in shard i's range; the ranges
+// are disjoint, so no two shards count the same value into a group, and
+// the size of the union of the shards' value sets is the sum of their
+// sizes. It is a property of the shard map and the query — never a
+// setting — and the coordinator states it in each request.
+func additive(m *Map, query datalog.Union, filter core.Filter) bool {
+	if filter.Aggregate().Kind != physical.AggCountDistinct {
+		return false
+	}
+	for _, r := range query {
+		t, _ := shardTerm(m, r)
+		if _, ok := t.(datalog.Var); !ok || r.Head.Args[filter.HeadPos()] != t {
+			return false
+		}
+	}
+	return true
 }

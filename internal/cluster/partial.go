@@ -5,12 +5,11 @@ import (
 
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
-	"queryflocks/internal/obs"
 	"queryflocks/internal/storage"
 )
 
 // MaxPartialBody bounds a /partial request or response body (the program
-// plus shipped auxiliary relations; the group states).
+// plus shipped auxiliary relations; the group states, see wire.go).
 const MaxPartialBody = 64 << 20
 
 // PartialRequest is one scattered FILTER computation, described exactly as
@@ -20,14 +19,17 @@ const MaxPartialBody = 64 << 20
 // — materialized views and earlier FILTER-step results — shipped inline as
 // literal rows. Version pins the coordinator's data version; a worker at a
 // different version refuses with 409 rather than silently answering over
-// other data.
+// other data. Additive tells the worker that the shards are disjoint on
+// the column a COUNT-distinct filter counts (see additive), so it answers
+// with one count per group instead of the group's value set.
 type PartialRequest struct {
-	Query   string   `json:"query"`
-	Params  []string `json:"params"`
-	Filter  string   `json:"filter"`
-	Name    string   `json:"name"`
-	Version uint64   `json:"version"`
-	Aux     []AuxRel `json:"aux,omitempty"`
+	Query    string   `json:"query"`
+	Params   []string `json:"params"`
+	Filter   string   `json:"filter"`
+	Name     string   `json:"name"`
+	Version  uint64   `json:"version"`
+	Additive bool     `json:"additive,omitempty"`
+	Aux      []AuxRel `json:"aux,omitempty"`
 }
 
 // AuxRel is one shipped auxiliary relation; rows carry storage literals
@@ -38,23 +40,16 @@ type AuxRel struct {
 	Rows    [][]string `json:"rows"`
 }
 
-// PartialResponse carries a shard's partial group states, sorted by
-// parameter literals (deterministic across runs), plus the shard's own
-// instrumented run report for the coordinator to merge.
-type PartialResponse struct {
-	Groups  []core.GroupState `json:"groups"`
-	Version uint64            `json:"version"`
-	Report  *obs.RunReport    `json:"report,omitempty"`
-}
-
 // Computation is a PartialRequest resolved against a worker's database:
 // the arguments core.EvalPartialGroups receives, with the shipped
 // auxiliary relations registered in a copy of the database.
 type Computation struct {
-	DB     *storage.Database
-	Params []datalog.Param
-	Query  datalog.Union
-	Filter core.Filter
+	DB       *storage.Database
+	Params   []datalog.Param
+	Query    datalog.Union
+	Filter   core.Filter
+	Name     string
+	Additive bool
 }
 
 // Bind resolves the wire request against db — the inverse of the
@@ -76,7 +71,8 @@ func (req *PartialRequest) Bind(db *storage.Database) (*Computation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad filter: %v", err)
 	}
-	c := &Computation{DB: db, Params: make([]datalog.Param, len(req.Params)), Query: query, Filter: filter}
+	c := &Computation{DB: db, Params: make([]datalog.Param, len(req.Params)), Query: query, Filter: filter,
+		Name: req.Name, Additive: req.Additive}
 	for i, p := range req.Params {
 		c.Params[i] = datalog.Param(p)
 	}

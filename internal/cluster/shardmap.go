@@ -2,9 +2,10 @@
 // contiguous range-sharding map over one base relation, an HTTP
 // scatter/gather client with per-shard timeout/retry, the worker-side
 // /partial handler, and a coordinator that takes over FILTER computations
-// (§4.1) via core.EvalOptions.FilterEval — evaluating each shard's
-// partition of the extended answer remotely and merging the serialized
-// partial group states with core.MergeGroupStates.
+// (§4.1) via core.EvalOptions.FilterEval — each worker aggregates its
+// shard's partition of the extended answer through the columnar group
+// operator and ships the per-group states in a dictionary-coded body
+// (wire.go), which physical.MergeGroupStates folds in shard order.
 //
 // The design inherits the engine's parallel-correctness contract: the
 // shard map partitions on sorted distinct values of one column (the same

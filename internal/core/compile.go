@@ -16,13 +16,6 @@ import (
 // direct strategy compiles the whole flock this way; the plan executor
 // compiles one such plan per FILTER step.
 
-// physGrouper adapts a core.Filter to the physical executor's Grouper:
-// every core.GroupAcc already satisfies the streaming subset
-// (Add/Passes/Done) of the physical.GroupAcc contract.
-type physGrouper struct{ f Filter }
-
-func (g physGrouper) NewGroup() physical.GroupAcc { return g.f.NewGroup() }
-
 // compileFiltered builds the physical plan of one FILTER computation.
 // register, when non-nil, is attached to the Materialize sink (step
 // plans use it to publish the step relation under its name).
@@ -76,7 +69,7 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 		}
 		in = un
 	}
-	return physical.NewGroup(name, len(params), physGrouper{filter}, filter.String(), in)
+	return physical.NewGroup(name, len(params), filter.Aggregate(), filter.String(), in)
 }
 
 // CompileDirect returns the physical plan the direct strategy executes

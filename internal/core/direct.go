@@ -56,7 +56,7 @@ type EvalOptions struct {
 	// FilterEval, when non-nil, may take over an entire FILTER computation
 	// (§4.1) before the local evaluator runs — the cluster coordinator
 	// mounts it to scatter the computation across worker shards and merge
-	// the serialized partial group states. Returning handled=false falls
+	// their exported group states. Returning handled=false falls
 	// back to the local path; a handled computation must return the same
 	// relation the local path would (the cluster oracle tests pin this).
 	// The hook sees every FILTER computation of the direct strategy and of
@@ -261,8 +261,8 @@ type filterGroup struct {
 // one filterGroup per distinct parameter prefix, fed the group's head
 // tuples. With workers > 1 the tuples are range-partitioned, each worker
 // aggregates a private map, and the partials fold together in worker
-// order via mergeFilterGroup — the same merge the cluster coordinator
-// applies to per-shard partial states.
+// order via mergeFilterGroup — the rule physical.MergeGroupStates applies
+// to per-shard states in ID space.
 func aggregateGroups(ext *storage.Relation, nParams int, filter Filter, workers int) (map[string]*filterGroup, int) {
 	paramPos := make([]int, nParams)
 	for i := range paramPos {

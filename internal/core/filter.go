@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"queryflocks/internal/datalog"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
@@ -89,6 +90,29 @@ func (f Filter) NewGroup() GroupAcc {
 	default:
 		panic(fmt.Sprintf("core: unknown aggregate %v", f.spec.Agg))
 	}
+}
+
+// Aggregate renders the condition for the physical group operator, which
+// evaluates it over value IDs; NewGroup's accumulators are the boxed
+// reference the materializing oracle and the memo path group with.
+func (f Filter) Aggregate() physical.Aggregate {
+	a := physical.Aggregate{Col: f.headPos, Monotone: f.Monotone(), Holds: f.compare}
+	switch f.spec.Agg {
+	case datalog.AggCount:
+		a.Kind = physical.AggCount
+		if f.headPos >= 0 {
+			a.Kind = physical.AggCountDistinct
+		}
+	case datalog.AggSum:
+		a.Kind = physical.AggSum
+	case datalog.AggMin:
+		a.Kind = physical.AggMin
+	case datalog.AggMax:
+		a.Kind = physical.AggMax
+	default:
+		panic(fmt.Sprintf("core: unknown aggregate %v", f.spec.Agg))
+	}
+	return a
 }
 
 // GroupAcc accumulates one group's head tuples and decides the filter.

@@ -1,183 +1,19 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"queryflocks/internal/datalog"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
-// testFilter builds a resolved filter over a head answer(B).
-func testFilter(t *testing.T, spec datalog.FilterSpec) Filter {
-	t.Helper()
-	head := &datalog.Atom{Pred: "answer", Args: []datalog.Term{datalog.Var("B")}}
-	f, err := NewFilter(spec, head)
-	if err != nil {
-		t.Fatalf("NewFilter: %v", err)
-	}
-	return f
-}
-
-// allAggFilters returns one filter per accumulator kind, each resolved
-// against a head answer(B) — the cluster merge path must handle all four.
-func allAggFilters(t *testing.T) map[string]Filter {
-	t.Helper()
-	return map[string]Filter{
-		"count-star":     testFilter(t, datalog.FilterSpec{Agg: datalog.AggCount, Op: datalog.Ge, Threshold: storage.Int(2)}),
-		"count-distinct": testFilter(t, datalog.FilterSpec{Agg: datalog.AggCount, Target: "B", Op: datalog.Ge, Threshold: storage.Int(2)}),
-		"sum":            testFilter(t, datalog.FilterSpec{Agg: datalog.AggSum, Target: "B", Op: datalog.Ge, Threshold: storage.Int(5)}),
-		"min":            testFilter(t, datalog.FilterSpec{Agg: datalog.AggMin, Target: "B", Op: datalog.Le, Threshold: storage.Int(3)}),
-		"max":            testFilter(t, datalog.FilterSpec{Agg: datalog.AggMax, Target: "B", Op: datalog.Ge, Threshold: storage.Int(3)}),
-	}
-}
-
-// feed builds a live group for filter and feeds it the given head values.
-func feedGroup(f Filter, vals ...int64) *filterGroup {
-	g := &filterGroup{params: storage.Tuple{storage.Str("p")}, acc: f.NewGroup()}
-	for _, v := range vals {
-		if g.done {
-			break
-		}
-		g.acc.Add(storage.Tuple{storage.Int(v)})
-		if g.acc.Done() {
-			g.done = true
-		}
-	}
-	return g
-}
-
-// TestMergeEmptyPartialIdentity is the S2 regression: merging the partial
-// state of a shard whose partition matched no tuples of a group — a wire
-// state with a zero aggregate — must leave the other side's verdict
-// untouched, in both merge directions, for every accumulator kind. The
-// empty partial travels through the GroupState round-trip exactly as a
-// skewed shard map would produce it.
-func TestMergeEmptyPartialIdentity(t *testing.T) {
-	for kind, f := range allAggFilters(t) {
-		t.Run(kind, func(t *testing.T) {
-			for _, vals := range [][]int64{{}, {1}, {2, 3}, {1, 2, 3, 4}} {
-				live := feedGroup(f, vals...)
-				want := live.done || live.acc.Passes()
-
-				// An "empty" partial: a GroupState carrying no aggregate
-				// content, as decoded from the wire.
-				empty := f.importGroupState(roundTrip(t, GroupState{Params: []string{`"p"`}}))
-
-				dst := map[string]*filterGroup{}
-				k := string(live.params.AppendKey(nil))
-				mergeFilterGroup(dst, k, feedGroup(f, vals...))
-				mergeFilterGroup(dst, k, empty)
-				if got := dst[k].done || dst[k].acc.Passes(); got != want {
-					t.Errorf("%s: live<-empty merge verdict = %v, want %v (vals %v)", kind, got, want, vals)
-				}
-
-				dst = map[string]*filterGroup{}
-				mergeFilterGroup(dst, k, f.importGroupState(roundTrip(t, GroupState{Params: []string{`"p"`}})))
-				mergeFilterGroup(dst, k, feedGroup(f, vals...))
-				if got := dst[k].done || dst[k].acc.Passes(); got != want {
-					t.Errorf("%s: empty<-live merge verdict = %v, want %v (vals %v)", kind, got, want, vals)
-				}
-			}
-		})
-	}
-}
-
-// roundTrip pushes a GroupState through its JSON wire form.
-func roundTrip(t *testing.T, s GroupState) GroupState {
-	t.Helper()
-	b, err := json.Marshal(s)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var out GroupState
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	return out
-}
-
-// TestImportGroupStateLiveMaps pins the nil-map hazard behind S2: an
-// imported COUNT-distinct state must carry a live set (not the decode-zero
-// nil map), so feeding it more tuples after a merge cannot panic.
-func TestImportGroupStateLiveMaps(t *testing.T) {
-	f := testFilter(t, datalog.FilterSpec{Agg: datalog.AggCount, Target: "B", Op: datalog.Ge, Threshold: storage.Int(3)})
-	g := f.importGroupState(roundTrip(t, GroupState{Params: []string{`"p"`}}))
-	g.acc.Add(storage.Tuple{storage.Int(7)}) // must not panic on a nil seen map
-	other := feedGroup(f, 1, 2)
-	g.acc.Merge(other.acc)
-	if !g.acc.Passes() {
-		t.Error("imported distinct state lost values across merge")
-	}
-}
-
-// TestGroupStateRoundTrip: export → JSON → import must preserve every
-// accumulator's verdict-relevant state exactly.
-func TestGroupStateRoundTrip(t *testing.T) {
-	for kind, f := range allAggFilters(t) {
-		for _, vals := range [][]int64{{1}, {2, 3}, {1, 2, 3, 4}} {
-			g := feedGroup(f, vals...)
-			got := f.importGroupState(roundTrip(t, exportGroupState(g)))
-			if got.done != g.done {
-				t.Errorf("%s %v: done = %v, want %v", kind, vals, got.done, g.done)
-				continue
-			}
-			if g.done {
-				continue // done states ship no aggregate; nothing more to compare
-			}
-			if gp, wp := got.acc.Passes(), g.acc.Passes(); gp != wp {
-				t.Errorf("%s %v: Passes = %v, want %v", kind, vals, gp, wp)
-			}
-			if !got.params.Equal(g.params) {
-				t.Errorf("%s %v: params = %v, want %v", kind, vals, got.params, g.params)
-			}
-		}
-	}
-}
-
-// TestMergeGroupStatesMatchesLocal is the sharding soundness core: for
-// every accumulator kind, splitting a group's tuples across 1..4 parts —
-// including empty parts — and merging the exported states must reproduce
-// the unsharded verdict.
-func TestMergeGroupStatesMatchesLocal(t *testing.T) {
-	vals := []int64{1, 2, 3, 4, 5}
-	splits := [][][]int64{
-		{vals},
-		{{1, 2}, {3, 4, 5}},
-		{{}, vals, {}},
-		{{1}, {}, {2, 3}, {4, 5}},
-	}
-	for kind, f := range allAggFilters(t) {
-		local := feedGroup(f, vals...)
-		want := local.done || local.acc.Passes()
-		for si, split := range splits {
-			parts := make([][]GroupState, len(split))
-			for i, chunk := range split {
-				if len(chunk) == 0 {
-					parts[i] = nil // an empty shard ships no groups at all
-					continue
-				}
-				parts[i] = []GroupState{roundTrip(t, exportGroupState(feedGroup(f, chunk...)))}
-			}
-			rel, groups, err := MergeGroupStates(f, "answer", []string{"$p"}, parts)
-			if err != nil {
-				t.Fatalf("%s split %d: %v", kind, si, err)
-			}
-			if got := rel.Len() == 1; got != want {
-				t.Errorf("%s split %d: merged verdict = %v, want %v", kind, si, got, want)
-			}
-			if want && groups != 1 {
-				t.Errorf("%s split %d: groups = %d, want 1", kind, si, groups)
-			}
-		}
-	}
-}
-
-// TestEvalPartialGroupsDeterministic: the worker half must return states
-// sorted by parameter literals, identically across repeated runs, and the
-// merged relation must match the local evalFiltered answer bit for bit.
+// TestEvalPartialGroupsDeterministic: the worker half must return the
+// same states, in the same order, across repeated runs and worker counts,
+// and the merged relation must match the local evalFiltered answer bit
+// for bit. (The merge itself is pinned per aggregate in internal/physical.)
 func TestEvalPartialGroupsDeterministic(t *testing.T) {
 	db := storage.NewDatabase()
 	r := storage.NewRelation("r", "b", "i")
@@ -194,9 +30,9 @@ func TestEvalPartialGroupsDeterministic(t *testing.T) {
 		t.Fatalf("Eval: %v", err)
 	}
 
-	var first []GroupState
+	var first *physical.GroupStates
 	for run := 0; run < 3; run++ {
-		states, err := EvalPartialGroups(db, fl.Params, fl.Query, fl.Filter, &EvalOptions{Workers: 1 + run})
+		states, err := EvalPartialGroups(db, fl.Params, fl.Query, fl.Filter, "flock", false, &EvalOptions{Workers: 1 + run})
 		if err != nil {
 			t.Fatalf("EvalPartialGroups: %v", err)
 		}
@@ -209,7 +45,7 @@ func TestEvalPartialGroupsDeterministic(t *testing.T) {
 		}
 	}
 
-	got, _, err := MergeGroupStates(fl.Filter, "flock", fl.ParamColumns(), [][]GroupState{first})
+	got, _, err := physical.MergeGroupStates(fl.Filter.Aggregate(), false, "flock", fl.ParamColumns(), []*physical.GroupStates{first})
 	if err != nil {
 		t.Fatalf("MergeGroupStates: %v", err)
 	}
@@ -223,7 +59,7 @@ func TestEvalPartialGroupsRejectsInfinite(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add(storage.NewRelation("r", "b", "i"))
 	fl := MustParse("QUERY:\nanswer(B) :- r(B,$1)\nFILTER:\nCOUNT(answer.B) >= 0\n")
-	if _, err := EvalPartialGroups(db, fl.Params, fl.Query, fl.Filter, nil); err == nil {
+	if _, err := EvalPartialGroups(db, fl.Params, fl.Query, fl.Filter, "flock", false, nil); err == nil {
 		t.Error("expected the infinite-answer guard to fire")
 	}
 }
@@ -250,7 +86,7 @@ func TestFilterEvalHookSeesDirectEval(t *testing.T) {
 	hook := func(hdb *storage.Database, params []datalog.Param, query datalog.Union,
 		filter Filter, name string, opts *EvalOptions) (*storage.Relation, bool, error) {
 		calls++
-		states, err := EvalPartialGroups(hdb, params, query, filter, opts)
+		states, err := EvalPartialGroups(hdb, params, query, filter, name, false, opts)
 		if err != nil {
 			return nil, true, err
 		}
@@ -258,7 +94,7 @@ func TestFilterEvalHookSeesDirectEval(t *testing.T) {
 		for i, p := range params {
 			cols[i] = "$" + string(p)
 		}
-		rel, _, err := MergeGroupStates(filter, name, cols, [][]GroupState{states})
+		rel, _, err := physical.MergeGroupStates(filter.Aggregate(), false, name, cols, []*physical.GroupStates{states})
 		return rel, true, err
 	}
 	got, err := fl.Eval(db, &EvalOptions{FilterEval: hook})

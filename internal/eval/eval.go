@@ -164,8 +164,17 @@ func ResolveOrder(db *storage.Database, r *datalog.Rule, opts *Options) ([]int, 
 // engine — under the options' worker knob, recording operator events into
 // the trace. A nil opts uses the defaults.
 func RunPlan(db *storage.Database, plan *physical.Plan, opts *Options) (*storage.Relation, error) {
-	o := opts.orDefault()
-	return plan.Run(&physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()})
+	return plan.Run(opts.orDefault().physCtx(db))
+}
+
+// ExportGroups is RunPlan for a plan rooted at a group operator: it
+// returns every parameter group's partial state (physical.Plan.ExportGroups).
+func ExportGroups(db *storage.Database, plan *physical.Plan, additive bool, opts *Options) (*physical.GroupStates, error) {
+	return plan.ExportGroups(opts.orDefault().physCtx(db), additive)
+}
+
+func (o Options) physCtx(db *storage.Database) *physical.Ctx {
+	return &physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()}
 }
 
 // evalRuleMaterialized is the legacy relation-at-a-time path (the

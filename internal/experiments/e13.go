@@ -15,7 +15,7 @@ import (
 // range-partitioned across in-process worker shards (each serving the
 // real /partial HTTP handler over its Restrict()-ed view), and a
 // coordinator scatters every FILTER computation, gathering and merging
-// the serialized partial group states in shard order. The cluster oracle
+// the shards' exported group states in shard order. The cluster oracle
 // is the contract under test: the merged answer must be bit-identical to
 // the single-node answer at every shard count, for both the direct
 // evaluator and an executed static plan.

@@ -97,6 +97,9 @@ type Event struct {
 	// served from the cross-request candidate-subquery memo instead of
 	// being recomputed.
 	Cached bool `json:"cached,omitempty"`
+	// Bytes is, on a shard event, the size of the shard's /partial
+	// response body.
+	Bytes int `json:"bytes,omitempty"`
 }
 
 // String renders the event one-line, prefix included.
@@ -170,6 +173,9 @@ func (e Event) cardinalities() string {
 	}
 	if e.Cached {
 		parts = append(parts, "memo")
+	}
+	if e.Bytes > 0 {
+		parts = append(parts, fmt.Sprintf("%d bytes", e.Bytes))
 	}
 	if e.Wall > 0 {
 		parts = append(parts, e.Wall.Round(time.Microsecond).String())
@@ -415,6 +421,9 @@ type ClusterStats struct {
 	// MergedGroups is the total number of distinct parameter groups merged
 	// across all scattered computations.
 	MergedGroups int `json:"merged_groups,omitempty"`
+	// PartialBytes is the total size of the /partial response bodies the
+	// shards answered the scattered computations with.
+	PartialBytes int `json:"partial_bytes,omitempty"`
 	// Partial reports a degraded answer: at least one shard failed and the
 	// request allowed serving without it. Failed names the dead shards.
 	Partial bool     `json:"partial,omitempty"`

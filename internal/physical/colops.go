@@ -944,12 +944,6 @@ func (o *colUnionOp) close(ctx *Ctx) {
 
 // --- group-filter ---
 
-type colGrp struct {
-	paramIDs []uint32
-	acc      GroupAcc
-	done     bool
-}
-
 type colGroupOp struct {
 	n     *GroupNode
 	id    int
@@ -957,12 +951,26 @@ type colGroupOp struct {
 
 	paramPos []int
 	headPos  []int
+	valPos   int // the aggregated column; unused by COUNT(*)
+	// counted, kept by a COUNT-distinct over a head of several columns,
+	// holds the (group, value ID) pairs counted so far; with a one-column
+	// head the distinct head tuples are the distinct values.
+	counted map[uint64]struct{}
 
-	built   bool
-	passing []*colGrp
-	emitPos int
+	// groups holds the build's result in first-seen order; group g's
+	// parameter IDs are params[g*len(paramPos):][:len(paramPos)].
+	groups []groupState
+	params []uint32
+	// sets, kept only by an export of a non-additive COUNT-distinct, is
+	// each group's distinct counted value IDs in arrival order.
+	sets     [][]uint32
+	keepSets bool
 
-	groupsN int
+	built     bool
+	exporting bool
+	passing   []int32
+	emitPos   int
+
 	rowsIn  int
 	rowsOut int
 	batches int
@@ -982,24 +990,29 @@ func (o *colGroupOp) open(ctx *Ctx) error {
 	for i := range o.headPos {
 		o.headPos[i] = o.n.NParams + i
 	}
+	o.valPos = o.n.NParams + o.n.Agg.Col
+	if o.n.Agg.Kind == AggCountDistinct && len(o.headPos) > 1 {
+		o.counted = make(map[uint64]struct{})
+	}
 	return nil
 }
 
-// build drains the input, aggregating incrementally: one accumulator per
+// build drains the input, aggregating incrementally: one state per
 // parameter group, fed the group's distinct head tuples in arrival order
 // (duplicates from the un-deduplicated upstream are dropped by full key,
 // exactly reproducing the materializing path's distinct extended
-// tuples). Group keys and full-row dedup keys are packed IDs; only the
-// distinct head tuples an accumulator actually consumes are decoded to
-// boxed Values. Once a monotone accumulator reports Done, its group stops
-// retaining keys — this is where streaming beats materializing: large
-// passing groups hold threshold-many entries instead of all their rows.
+// tuples). Groups, dedup keys and COUNT aggregates live on value IDs —
+// IDs are equality classes, so a distinct-ID count is the distinct-value
+// count; only SUM, MIN and MAX decode the one column they read. Once a
+// monotone aggregate passes, its group stops retaining keys — this is
+// where streaming beats materializing: large passing groups hold
+// threshold-many entries instead of all their rows.
 func (o *colGroupOp) build(ctx *Ctx) error {
-	groups := make(map[string]*colGrp)
-	var order []*colGrp
+	agg := o.n.Agg
+	index := make(map[string]int32)
 	seen := make(map[string]struct{})
 	var buf []byte
-	dec := newDecoder(ctx.dict)
+	value := newDecoder(ctx.dict).value
 	retained := 0
 	for {
 		batch, ok, err := o.input.next(ctx)
@@ -1017,17 +1030,20 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 			buf = batch.packRowOn(buf[:0], o.paramPos, i)
 			glen := len(buf)
 			buf = batch.packRowOn(buf, o.headPos, i)
-			g, ok := groups[string(buf[:glen])]
+			gi, ok := index[string(buf[:glen])]
 			if !ok {
-				params := make([]uint32, len(o.paramPos))
-				for j, p := range o.paramPos {
-					params[j] = batch.cols[p][i]
+				gi = int32(len(o.groups))
+				index[string(buf[:glen])] = gi
+				o.groups = append(o.groups, groupState{})
+				for _, p := range o.paramPos {
+					o.params = append(o.params, batch.cols[p][i])
 				}
-				g = &colGrp{paramIDs: params, acc: o.n.Grouper.NewGroup()}
-				groups[string(buf[:glen])] = g
-				order = append(order, g)
+				if o.keepSets {
+					o.sets = append(o.sets, nil)
+				}
 				ctx.track(1)
 			}
+			g := &o.groups[gi]
 			if g.done {
 				continue
 			}
@@ -1037,12 +1053,31 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 			seen[string(buf)] = struct{}{}
 			ctx.track(1)
 			retained++
-			head := make(storage.Tuple, len(o.headPos))
-			for j, p := range o.headPos {
-				head[j] = dec.value(batch.cols[p][i])
+			switch agg.Kind {
+			case AggCount:
+				g.n++
+			case AggCountDistinct:
+				id := batch.cols[o.valPos][i]
+				if o.counted != nil {
+					k := uint64(gi)<<32 | uint64(id)
+					if _, dup := o.counted[k]; dup {
+						break
+					}
+					o.counted[k] = struct{}{}
+				}
+				g.n++
+				if o.keepSets {
+					o.sets[gi] = append(o.sets[gi], id)
+				}
+			case AggSum:
+				g.sum += value(batch.cols[o.valPos][i]).AsFloat()
+				g.has = true
+			default:
+				if id := batch.cols[o.valPos][i]; !g.has || agg.better(value(id), value(g.cur)) {
+					g.cur, g.has = id, true
+				}
 			}
-			g.acc.Add(head)
-			if g.acc.Done() {
+			if agg.shortCircuits() && agg.passes(g, value) {
 				g.done = true
 			}
 		}
@@ -1056,16 +1091,20 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	for _, g := range order {
-		if g.done || g.acc.Passes() {
-			o.passing = append(o.passing, g)
+	if o.exporting {
+		o.rowsOut = len(o.groups)
+	} else {
+		for gi := range o.groups {
+			if g := &o.groups[gi]; g.done || agg.passes(g, value) {
+				o.passing = append(o.passing, int32(gi))
+			}
 		}
+		o.rowsOut = len(o.passing)
 	}
-	o.groupsN = len(order)
-	o.rowsOut = len(o.passing)
-	// The group state is released here; only the passing parameter
-	// tuples stream on.
-	ctx.track(-(len(order) + retained))
+	// The dedup keys are released here, and the group states with them
+	// as far as the budget is concerned: what streams on or is exported
+	// is the consumer's to account for.
+	ctx.track(-(len(o.groups) + retained))
 	if ctx.Col != nil {
 		o.wall += time.Since(start)
 	}
@@ -1086,10 +1125,11 @@ func (o *colGroupOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if end > len(o.passing) {
 		end = len(o.passing)
 	}
-	out := newColBatch(len(o.paramPos))
-	for _, g := range o.passing[o.emitPos:end] {
-		for j, id := range g.paramIDs {
-			out.cols[j] = append(out.cols[j], id)
+	np := len(o.paramPos)
+	out := newColBatch(np)
+	for _, gi := range o.passing[o.emitPos:end] {
+		for j := 0; j < np; j++ {
+			out.cols[j] = append(out.cols[j], o.params[int(gi)*np+j])
 		}
 		out.n++
 	}
@@ -1099,10 +1139,14 @@ func (o *colGroupOp) next(ctx *Ctx) (colBatch, bool, error) {
 
 func (o *colGroupOp) close(ctx *Ctx) {
 	o.input.close(ctx)
+	desc := o.n.Desc()
+	if o.exporting {
+		desc += " (export)"
+	}
 	record(ctx, obs.Event{
-		Op: obs.OpGroup, ID: o.id, Desc: o.n.Desc(),
+		Op: obs.OpGroup, ID: o.id, Desc: desc,
 		RowsIn: o.rowsIn, RowsOut: o.rowsOut,
-		Groups: o.groupsN, Workers: 1, Wall: o.wall,
+		Groups: len(o.groups), Workers: 1, Wall: o.wall,
 		IDBatches: o.batches,
 	})
 }

@@ -70,16 +70,55 @@ func (p *Plan) Run(ctx *Ctx) (*storage.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("physical: plan root is %s, want materialize", p.Root.Kind())
 	}
-	dict, err := ctx.DB.Dict()
-	if err != nil {
-		return nil, fmt.Errorf("physical: %w", err)
-	}
-	ctx.dict = dict
 	op := newColOp(p, root).(*colMaterializeOp)
 	op.sink = true // the answer relation: where the MaxRows budget applies
+	if err := p.drive(ctx, op, op.materialize); err != nil {
+		return nil, err
+	}
+	return op.rel, nil
+}
+
+// ExportGroups executes a plan whose root is the group operator of one
+// FILTER computation and returns every parameter group's partial state
+// instead of the verdicts — a cluster worker's half of a scattered
+// computation, which the coordinator folds with MergeGroupStates.
+// additive says the parts being exported are pairwise disjoint on the
+// column a COUNT-distinct counts, so a count can stand for the value set
+// (see StateCount).
+func (p *Plan) ExportGroups(ctx *Ctx, additive bool) (*GroupStates, error) {
+	root, ok := p.Root.(*GroupNode)
+	if !ok {
+		return nil, fmt.Errorf("physical: plan root is %s, want group", p.Root.Kind())
+	}
+	op := newColOp(p, root).(*colGroupOp)
+	op.exporting = true
+	op.keepSets = root.Agg.StateKind(additive) == StateSet
+	var states *GroupStates
+	err := p.drive(ctx, op, func(ctx *Ctx) error {
+		if err := op.build(ctx); err != nil {
+			return err
+		}
+		// The last batch may have breached the tuple budget.
+		if err := ctx.Gate.Check(); err != nil {
+			return err
+		}
+		states = op.export(ctx, additive)
+		return nil
+	})
+	return states, err
+}
+
+// drive opens the root operator, runs it to completion and closes it,
+// resolving the dictionary first and sampling the run's gauges after.
+func (p *Plan) drive(ctx *Ctx, op colOperator, run func(*Ctx) error) error {
+	dict, err := ctx.DB.Dict()
+	if err != nil {
+		return fmt.Errorf("physical: %w", err)
+	}
+	ctx.dict = dict
 	err = op.open(ctx)
 	if err == nil {
-		err = op.materialize(ctx)
+		err = run(ctx)
 	}
 	op.close(ctx)
 	if ctx.Col != nil {
@@ -91,8 +130,5 @@ func (p *Plan) Run(ctx *Ctx) (*storage.Relation, error) {
 				uint64(io.DeltaRows()), uint64(io.BytesRead()))
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return op.rel, nil
+	return err
 }

@@ -224,30 +224,33 @@ func (n *UnionNode) Columns() []string { return n.Branches[0].Columns() }
 func (n *UnionNode) Inputs() []Node    { return n.Branches }
 
 // GroupNode groups the extended-answer stream by its first NParams
-// columns, feeds each group's distinct head tuples to a fresh
-// accumulator (honoring the monotone Done short-circuit), and emits the
-// passing parameter tuples in first-seen group order. A pipeline
-// breaker, but it holds one accumulator per group — not the extended
-// result itself.
+// columns, aggregates each group's distinct head tuples (honoring the
+// monotone short-circuit), and emits the passing parameter tuples in
+// first-seen group order — or, as the root of an exporting plan (see
+// Plan.ExportGroups), every group's partial state. A pipeline breaker,
+// but it holds one state per group — not the extended result itself.
 type GroupNode struct {
 	Probe Node
 
 	Name       string
 	NParams    int
-	Grouper    Grouper
+	Agg        Aggregate
 	filterDesc string
 	cols       []string
 }
 
 // NewGroup builds the group-filter operator; filterDesc is the FILTER
 // condition rendering used in EXPLAIN output and events.
-func NewGroup(name string, nParams int, g Grouper, filterDesc string, in Node) (*GroupNode, error) {
+func NewGroup(name string, nParams int, agg Aggregate, filterDesc string, in Node) (*GroupNode, error) {
 	cols := in.Columns()
 	if nParams < 0 || nParams > len(cols) {
 		return nil, fmt.Errorf("physical: group by %d of %d columns", nParams, len(cols))
 	}
+	if agg.Kind != AggCount && (agg.Col < 0 || nParams+agg.Col >= len(cols)) {
+		return nil, fmt.Errorf("physical: aggregate over head column %d of %d", agg.Col, len(cols)-nParams)
+	}
 	return &GroupNode{
-		Probe: in, Name: name, NParams: nParams, Grouper: g,
+		Probe: in, Name: name, NParams: nParams, Agg: agg,
 		filterDesc: filterDesc, cols: append([]string(nil), cols[:nParams]...),
 	}, nil
 }

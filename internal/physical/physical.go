@@ -138,19 +138,3 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, prefix, childPrefix strin
 // §4.4 FILTER reduction): the same columns and a subsequence of the
 // input's tuples, in input order.
 type Hook func(*storage.Relation) (*storage.Relation, error)
-
-// GroupAcc accumulates one group's head tuples for a FILTER condition.
-// It is the streaming subset of core.GroupAcc (no Merge): the group
-// operator feeds each group's distinct head tuples in arrival order,
-// honoring the monotone short-circuit via Done.
-type GroupAcc interface {
-	Add(head storage.Tuple)
-	Passes() bool
-	Done() bool
-}
-
-// Grouper mints one accumulator per parameter group; core.Filter is
-// adapted to this by the core package.
-type Grouper interface {
-	NewGroup() GroupAcc
-}

@@ -182,17 +182,10 @@ func TestBarrierHook(t *testing.T) {
 	}
 }
 
-// countAcc counts distinct head tuples (the group operator dedups);
-// pass when count >= 2, short-circuiting as soon as the bound is hit.
-type countAcc struct{ n int }
-
-func (a *countAcc) Add(storage.Tuple) { a.n++ }
-func (a *countAcc) Passes() bool      { return a.n >= 2 }
-func (a *countAcc) Done() bool        { return a.n >= 2 }
-
-type countGrouper struct{}
-
-func (countGrouper) NewGroup() GroupAcc { return &countAcc{} }
+// countAtLeast2 counts distinct head tuples (the group operator dedups)
+// and passes at two, short-circuiting as soon as the bound is hit.
+var countAtLeast2 = Aggregate{Kind: AggCount, Col: -1, Monotone: true,
+	Holds: func(n storage.Value) bool { return n.AsInt() >= 2 }}
 
 func TestGroupOperator(t *testing.T) {
 	db := testDB()
@@ -202,7 +195,7 @@ func TestGroupOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp, err := NewGroup("grp", 1, countGrouper{}, "count >= 2", node)
+	grp, err := NewGroup("grp", 1, countAtLeast2, "count >= 2", node)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,12 +231,6 @@ func CompileDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (
 	return compileDynamic(db, f, &o, &DynamicResult{})
 }
 
-// filterGrouper adapts a core.Filter to the physical executor's Grouper
-// (every core.GroupAcc satisfies the streaming subset of the contract).
-type filterGrouper struct{ f core.Filter }
-
-func (g filterGrouper) NewGroup() physical.GroupAcc { return g.f.NewGroup() }
-
 // compileDynamic compiles the flock to one physical plan whose §4.4
 // "filter now?" decisions run as hooks on Materialize barriers: the
 // compiler places a barrier at every pipeline position where a FILTER
@@ -312,7 +306,7 @@ func compileDynamic(db *storage.Database, f *core.Flock, o *DynamicOptions, res 
 		}
 		in = un
 	}
-	group, err := physical.NewGroup("flock", len(f.Params), filterGrouper{f.Filter}, f.Filter.String(), in)
+	group, err := physical.NewGroup("flock", len(f.Params), f.Filter.Aggregate(), f.Filter.String(), in)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"queryflocks/internal/cluster"
@@ -34,7 +35,7 @@ func (p *Pipeline) bound(ctx context.Context, request time.Duration) (context.Co
 // run is the core of the execute stage: the only place a front-end's
 // workers, context, budgets, collector, memo and coordinator hook are
 // turned into engine options. It evaluates ent under st into out; the
-// partial pseudo-strategy (Partial) evaluates ent.part into out.groups.
+// partial pseudo-strategy (Partial) evaluates ent.part into out.states.
 // Engine panics are recovered into ErrPanic so a bad query cannot take the
 // process down.
 func (p *Pipeline) run(ctx context.Context, db *storage.Database, st strategy, ent *entry,
@@ -58,7 +59,7 @@ func (p *Pipeline) run(ctx context.Context, db *storage.Database, st strategy, e
 	}
 	switch {
 	case st.name == "partial":
-		out.groups, err = core.EvalPartialGroups(ent.part.DB, ent.part.Params, ent.part.Query, ent.part.Filter, ev)
+		out.states, err = core.EvalPartialGroups(ent.part.DB, ent.part.Params, ent.part.Query, ent.part.Filter, ent.part.Name, ent.part.Additive, ev)
 	case st.plans:
 		if out.Steps, err = ent.plan.Execute(db, ev); err == nil {
 			out.Answer = out.Steps.Answer
@@ -139,18 +140,19 @@ func (p *Pipeline) Partial(ctx context.Context, req *cluster.PartialRequest) (*c
 		return nil, err
 	}
 	return &cluster.PartialResponse{
-		Groups: out.groups, Version: db.Version(), Report: tr.Report("partial", p.cfg.Workers, len(out.groups)),
+		States: out.states, Version: db.Version(), Report: tr.Report("partial", p.cfg.Workers, out.states.Len()),
 	}, nil
 }
 
 // PartialHandler is Partial's HTTP glue. Every flockd mounts it, so any
-// instance can be enlisted as a worker shard. Failures answer with the
-// report stage's structured body and status: deterministic ones (4xx,
+// instance can be enlisted as a worker shard. A 200 carries the group
+// states in cluster's binary wire form; failures answer with the report
+// stage's structured JSON body and status: deterministic ones (4xx,
 // including an exceeded budget's 422) so the coordinator's client does
 // not retry them, a recovered panic as a 500 body rather than a dropped
 // connection.
 func (p *Pipeline) PartialHandler() http.HandlerFunc {
-	answer := func(w http.ResponseWriter, r *http.Request) (*cluster.PartialResponse, error) {
+	answer := func(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		if r.Method != http.MethodPost {
 			return nil, statusErrorf(http.StatusMethodNotAllowed, "POST only")
 		}
@@ -158,17 +160,23 @@ func (p *Pipeline) PartialHandler() http.HandlerFunc {
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxPartialBody)).Decode(&req); err != nil {
 			return nil, fmt.Errorf("bad request body: %v", err)
 		}
-		return p.Partial(r.Context(), &req)
+		resp, err := p.Partial(r.Context(), &req)
+		if err != nil {
+			return nil, err
+		}
+		return cluster.EncodePartial(resp)
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		resp, err := answer(w, r)
-		w.Header().Set("Content-Type", "application/json")
+		body, err := answer(w, r)
 		if err != nil {
 			f := Classify(err)
+			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(f.Status)
 			_ = json.NewEncoder(w).Encode(f) // best effort once the status is written
 			return
 		}
-		_ = json.NewEncoder(w).Encode(resp) // the status line is gone; nothing more to do
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body) // the status line is gone; nothing more to do
 	}
 }

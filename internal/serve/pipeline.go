@@ -13,6 +13,7 @@ import (
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/obs"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/planner"
 	"queryflocks/internal/storage"
 )
@@ -164,7 +165,7 @@ type Outcome struct {
 	Wall      time.Duration         // execution and report assembly
 	Report    *obs.RunReport
 
-	groups []core.GroupState // the partial pseudo-strategy's result
+	states *physical.GroupStates // the partial pseudo-strategy's result
 }
 
 // entry is one unit of work for the execute stage, and the plan-cache

@@ -11,6 +11,8 @@ package queryflocks_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -357,6 +359,37 @@ func BenchmarkParallelDynamic(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDynamicBarrier prices the §4.4 decision barriers: the two
+// flocks whose dynamic evaluation buffers and reduces the full item-pair
+// intermediate (examples/flocks fig2 and fig10), on the database shape of
+// bench/'s batch.corpus workload at its seed, sequential. The direct
+// sub-benchmark of the same flock is the floor the barriers are judged
+// against: dynamic does direct's work plus its decisions.
+func BenchmarkDynamicBarrier(b *testing.B) {
+	db := workload.Baskets(workload.BasketConfig{Baskets: 2000, Items: 1000, MeanSize: 8, Skew: 1.0, Seed: 1998})
+	if err := workload.AttachWeights(db, 10, 1999); err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"fig2-baskets", "fig10-weighted"} {
+		src, err := os.ReadFile(filepath.Join("examples", "flocks", name+".flock"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := core.MustParse(string(src))
+		b.Run(name+"/dynamic", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := planner.EvalDynamic(db, f, &planner.DynamicOptions{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/direct", func(b *testing.B) {
+			benchFlockDirect(b, db, f, &core.EvalOptions{Workers: 1})
 		})
 	}
 }

@@ -2,8 +2,10 @@
 // the table array must parse, and every embedded op_report must satisfy
 // the metrics schema invariants (a strategy name, positive wall time, a
 // non-empty step list, max_rows <= total_rows, non-negative
-// cardinalities, and — when the report carries flockd's "caches" block —
-// bounded cache gauges). It is the CI smoke check that keeps the
+// cardinalities, — when the report carries flockd's "caches" block —
+// bounded cache gauges, and — when it carries timed §4.4 decisions — a
+// decision no longer than its barrier and operator times that add up to
+// the run). It is the CI smoke check that keeps the
 // observability layer's JSON contract honest.
 //
 // Usage:
@@ -287,7 +289,57 @@ func checkReport(r *obs.RunReport) error {
 			return fmt.Errorf("%s cluster: %w", r.Strategy, err)
 		}
 	}
+	if err := checkDecisions(r); err != nil {
+		return fmt.Errorf("%s: %w", r.Strategy, err)
+	}
 	return checkStorage(r)
+}
+
+// operatorOps are the physical operators: between them their wall times
+// account for an evaluation (the strategy-level events — step, decision,
+// view, shard — time spans that contain operators).
+var operatorOps = map[obs.Op]bool{
+	obs.OpScan: true, obs.OpBuild: true, obs.OpJoin: true, obs.OpSymJoin: true,
+	obs.OpAntiJoin: true, obs.OpSelect: true, obs.OpProject: true, obs.OpUnion: true,
+	obs.OpGroup: true, obs.OpMaterialize: true,
+}
+
+// checkDecisions enforces the attribution invariants of a dynamic run
+// whose §4.4 decisions were put by barrier operators (they carry a wall
+// time and the barrier's node id): a decision happens inside its
+// barrier, so it cannot outlast the barrier's materialize event, and
+// since the decision work is the barrier's, the operator walls must cover
+// the run — under 90% means time is again spent where no operator
+// reports it.
+func checkDecisions(r *obs.RunReport) error {
+	barrierWall := map[int]int64{}
+	var operators int64
+	for _, s := range r.Steps {
+		if operatorOps[s.Op] {
+			operators += s.Wall.Nanoseconds()
+		}
+		if s.Op == obs.OpMaterialize {
+			barrierWall[s.ID] = s.Wall.Nanoseconds()
+		}
+	}
+	timed := false
+	for _, s := range r.Steps {
+		if s.Op != obs.OpDecision || s.Wall <= 0 {
+			continue
+		}
+		timed = true
+		wall, ok := barrierWall[s.ID]
+		if !ok {
+			return fmt.Errorf("decision %q names node %d, which has no materialize event", s.Desc, s.ID)
+		}
+		if s.Wall.Nanoseconds() > wall {
+			return fmt.Errorf("decision %q took %dns, longer than its barrier materialize#%d (%dns)", s.Desc, s.Wall.Nanoseconds(), s.ID, wall)
+		}
+	}
+	if timed && operators*10 < r.WallNs*9 {
+		return fmt.Errorf("operator wall times sum to %dns of a %dns run, want at least 90%%", operators, r.WallNs)
+	}
+	return nil
 }
 
 // checkCluster enforces the coordinator's merged-report invariants: the

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"queryflocks/internal/obs"
 )
@@ -60,6 +61,45 @@ func TestBenchcheckAcceptsPhysicalOps(t *testing.T) {
 	if err := run([]string{"-require-ops", "scan,build,join,symjoin,project,union,materialize"},
 		strings.NewReader(string(b)), &out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBenchcheckDecisionAttribution drives the dynamic-run invariants: a
+// timed decision must sit inside its barrier's materialize event, and the
+// operator walls must cover the run.
+func TestBenchcheckDecisionAttribution(t *testing.T) {
+	report := func(decision, barrier, scan time.Duration) *obs.RunReport {
+		r := &obs.RunReport{Strategy: "dynamic", WallNs: int64(10 * time.Millisecond), AnswerRows: 1, Steps: []obs.Event{
+			{Op: obs.OpDecision, ID: 4, Desc: "after r(A,B) on [$1]", RowsIn: 9, RowsOut: 3, Wall: decision},
+			{Op: obs.OpScan, ID: 5, Desc: "r(A,B)", RowsOut: 9, Wall: scan},
+			{Op: obs.OpMaterialize, ID: 4, Desc: "bind1", RowsIn: 9, RowsOut: 3, Wall: barrier},
+		}}
+		for _, e := range r.Steps {
+			r.TotalRows += e.RowsOut
+			r.MaxRows = max(r.MaxRows, e.RowsOut)
+		}
+		return r
+	}
+	ms := time.Millisecond
+	for _, c := range []struct {
+		name    string
+		r       *obs.RunReport
+		wantErr string
+	}{
+		{"attributed", report(2*ms, 6*ms, 3500*time.Microsecond), ""},
+		{"untimed decisions are the materializing executor's", report(0, 0, ms), ""},
+		{"decision outlasts its barrier", report(7*ms, 6*ms, 4*ms), "longer than its barrier"},
+		{"time outside every operator", report(2*ms, 5*ms, 3*ms), "want at least 90%"},
+	} {
+		err := checkReport(c.r)
+		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: got %v, want error containing %q", c.name, err, c.wantErr)
+		}
+	}
+	orphan := report(2*ms, 6*ms, 4*ms)
+	orphan.Steps[0].ID = 7
+	if err := checkReport(orphan); err == nil || !strings.Contains(err.Error(), "no materialize event") {
+		t.Errorf("decision naming a missing node: got %v", err)
 	}
 }
 

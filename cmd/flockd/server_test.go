@@ -370,7 +370,9 @@ func TestRequestTimeoutTightensOnly(t *testing.T) {
 }
 
 func TestGracefulShutdownDrains(t *testing.T) {
-	srv := newServer(explosiveDB(t, 6, 48), serverConfig{})
+	// 6 x 96^3 extended tuples: several times what the engine gets through
+	// before the request's own 200ms deadline, whatever the machine.
+	srv := newServer(explosiveDB(t, 6, 96), serverConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +382,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	var drainLog strings.Builder
 	go func() { served <- serveHTTP(ctx, ln, srv.handler(), 30*time.Second, &drainLog) }()
 
-	// Start a query that runs ~200ms, then request shutdown while it is
-	// in flight; the drain must let it finish and deliver its response.
+	// Start a query its 200ms deadline will end, then request shutdown
+	// while it is in flight; the drain must let it finish and deliver its
+	// response.
 	url := fmt.Sprintf("http://%s/query?timeout=200ms", ln.Addr())
 	reqDone := make(chan int, 1)
 	go func() {

@@ -26,7 +26,7 @@ func compileFiltered(db *storage.Database, params []datalog.Param, query datalog
 	if err != nil {
 		return nil, err
 	}
-	return physical.NewPlan(physical.NewMaterialize(name, group, nil, "", register)), nil
+	return physical.NewPlan(physical.NewMaterialize(name, group, register)), nil
 }
 
 // compileFilteredNode builds the FILTER computation's pipeline up to and

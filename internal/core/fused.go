@@ -61,7 +61,7 @@ func (p *Plan) ExecuteFused(db *storage.Database, opts *EvalOptions) (*storage.R
 			scratch.Add(rel)
 			return nil
 		}
-		plan := physical.NewPlan(physical.NewMaterialize(step.Name, node, nil, "", register))
+		plan := physical.NewPlan(physical.NewMaterialize(step.Name, node, register))
 		rel, err := eval.RunPlan(scratch, plan, stepOpts.evalOpts())
 		if err != nil {
 			return nil, fmt.Errorf("core: executing fused step %q: %w", step.Name, err)

@@ -137,7 +137,7 @@ func EvalRule(db *storage.Database, r *datalog.Rule, out []datalog.Term, opts *O
 	if err != nil {
 		return nil, err
 	}
-	plan := physical.NewPlan(physical.NewMaterialize("answer", node, nil, "", nil))
+	plan := physical.NewPlan(physical.NewMaterialize("answer", node, nil))
 	return RunPlan(db, plan, &o)
 }
 
@@ -246,7 +246,7 @@ func EvalUnion(db *storage.Database, u datalog.Union, outFor func(*datalog.Rule)
 			}
 			in = un
 		}
-		plan := physical.NewPlan(physical.NewMaterialize("answer", in, nil, "", nil))
+		plan := physical.NewPlan(physical.NewMaterialize("answer", in, nil))
 		return RunPlan(db, plan, &o)
 	}
 	var result *storage.Relation

@@ -98,3 +98,48 @@ func (o *unitOp) next(c *ctx) ([]int, bool, error) {
 	o.done = true
 	return []int{1}, true, nil
 }
+
+// reduceOp is the decision-barrier shape: after draining its input it
+// makes a second pass over what it buffered, a loop that pulls from
+// nobody — so that pass consults the gate itself, once per batch-sized
+// chunk: must not fire.
+type reduceOp struct {
+	input operator
+	rows  []int
+	kept  []int
+	done  bool
+}
+
+func (o *reduceOp) reduce(c *ctx) error {
+	for lo := 0; lo < len(o.rows); lo += 1024 {
+		if err := c.Gate.Check(); err != nil {
+			return err
+		}
+		for _, r := range o.rows[lo:min(lo+1024, len(o.rows))] {
+			if r%2 == 0 {
+				o.kept = append(o.kept, r)
+			}
+		}
+	}
+	return nil
+}
+
+func (o *reduceOp) next(c *ctx) ([]int, bool, error) {
+	if !o.done {
+		for {
+			batch, ok, err := o.input.next(c)
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				break
+			}
+			o.rows = append(o.rows, batch...)
+		}
+		if err := o.reduce(c); err != nil {
+			return nil, false, err
+		}
+		o.done = true
+	}
+	return o.kept, false, nil
+}

@@ -34,10 +34,26 @@ func newColBatch(width int) colBatch {
 	return colBatch{cols: make([][]uint32, width)}
 }
 
+// reset empties b, keeping its columns' capacity for the next fill.
+func (b *colBatch) reset() {
+	b.n = 0
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
+	}
+}
+
 // appendRow copies row i of src onto the end of b (same width).
 func (b *colBatch) appendRow(src colBatch, i int) {
 	for c := range src.cols {
 		b.cols[c] = append(b.cols[c], src.cols[c][i])
+	}
+	b.n++
+}
+
+// appendIDs appends one row given as its IDs in column order.
+func (b *colBatch) appendIDs(row []uint32) {
+	for c, id := range row {
+		b.cols[c] = append(b.cols[c], id)
 	}
 	b.n++
 }
@@ -61,7 +77,8 @@ func (b colBatch) packRowOn(dst []byte, cols []int, i int) []byte {
 
 // decoder decodes IDs through a lock-free DictView snapshot, refreshing
 // the snapshot only when it meets an ID interned after it was taken
-// (mid-run interning happens only at materialize barriers).
+// (mid-run interning happens only when an operator opens over a relation
+// no earlier scan interned).
 type decoder struct {
 	d    *storage.Dict
 	view storage.DictView
@@ -226,9 +243,11 @@ func sameIDs(baseCols [][]uint32, dup [][2]int, i int) bool {
 
 // colOperator is one node's runtime state: a pull iterator over ID
 // batches. next returns ok=false at end-of-stream; a returned batch may
-// be empty while the stream is still live. close releases state and
-// records the operator's event (children first, so events arrive in
-// leaf-to-root pipeline order).
+// be empty while the stream is still live, and is the consumer's only
+// until it calls next again: scans, joins and barriers refill the columns
+// they returned last, so a consumer copies the rows it keeps. close
+// releases state and records the operator's event (children first, so
+// events arrive in leaf-to-root pipeline order).
 type colOperator interface {
 	open(ctx *Ctx) error
 	next(ctx *Ctx) (batch colBatch, ok bool, err error)
@@ -258,6 +277,8 @@ func newColOp(p *Plan, n Node) colOperator {
 		return &colUnionOp{n: x, id: p.ids[x], branches: ops}
 	case *GroupNode:
 		return &colGroupOp{n: x, id: p.ids[x], input: newColOp(p, x.Probe)}
+	case *BarrierNode:
+		return &colBarrierOp{n: x, id: p.ids[x], input: newColOp(p, x.Probe)}
 	case *MaterializeNode:
 		return &colMaterializeOp{n: x, id: p.ids[x], input: newColOp(p, x.Probe)}
 	case *SymJoinNode:
@@ -278,7 +299,8 @@ type colScanOp struct {
 	pos      int
 	checks   []colCheck
 	constIDs []uint32
-	live     bool // false when a constant is absent from the dictionary
+	live     bool     // false when a constant is absent from the dictionary
+	out      colBatch // the one batch next refills and returns
 
 	rowsOut int
 	batches int
@@ -289,6 +311,12 @@ func (o *colScanOp) open(ctx *Ctx) error {
 	src, err := openSource(ctx, o.n.Pred, o.n.atom, o.n.arity)
 	if err != nil {
 		return err
+	}
+	if ctx.Col != nil {
+		// The first scan of a relation interns it, and the first use of a
+		// check builds its ID set: that time is this operator's.
+		start := time.Now()
+		defer func() { o.wall += time.Since(start) }()
 	}
 	bound, err := bindChecks(ctx, o.n.checks)
 	if err != nil {
@@ -314,7 +342,11 @@ func (o *colScanOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	out := newColBatch(len(o.n.newPos))
+	if o.out.cols == nil {
+		o.out = newColBatch(len(o.n.newPos))
+	}
+	out := &o.out
+	out.reset()
 scan:
 	for o.pos < o.rows && out.n < batchSize {
 		i := o.pos
@@ -342,7 +374,7 @@ scan:
 	if ctx.Col != nil {
 		o.wall += time.Since(start)
 	}
-	return out, true, nil
+	return *out, true, nil
 }
 
 func (o *colScanOp) close(ctx *Ctx) {
@@ -391,6 +423,11 @@ type colJoinOp struct {
 	bound     []boundCheck
 	checks    []colCheck
 	pending   colBatch
+	// outCols and sel are the sequential probe's output columns and row
+	// pairs, emptied and reused for every input batch: a consumer that
+	// asks for the next batch is done with the chunks of the last one.
+	outCols [][]uint32
+	sel     joinSel
 
 	buildWall time.Duration
 	rowsIn    int
@@ -408,13 +445,13 @@ func (o *colJoinOp) open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	if o.bound, err = bindChecks(ctx, o.n.checks); err != nil {
-		return err
-	}
 	o.used = 1
 	var start time.Time
 	if ctx.Col != nil {
 		start = time.Now()
+	}
+	if o.bound, err = bindChecks(ctx, o.n.checks); err != nil {
+		return err
 	}
 	if o.baseCols, err = src.InternedColumns(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
@@ -428,14 +465,22 @@ func (o *colJoinOp) open(ctx *Ctx) error {
 	}
 	o.checks = instantiateAll(o.bound, ctx.dict, o.baseCols)
 	o.constIDs, o.live = lookupConsts(ctx.dict, o.n.consts)
+	o.outCols = make([][]uint32, len(o.n.cols))
 	return nil
 }
 
+// joinSel is one probe's surviving (binding row, base row) pairs in
+// emission order, before their columns are gathered.
+type joinSel struct{ cur, base []int32 }
+
 // probe scans binding rows [lo, hi) against the ID index and emits
-// surviving joined rows. Callers supply private checks; all other state
-// is read-only, so concurrent probes never share mutable state. Output
-// order: binding rows in order, matches in base insertion order.
-func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
+// surviving joined rows: first the surviving row pairs into sel, then the
+// output one column at a time over out's columns, whose capacity it
+// reuses and whose contents it overwrites. Callers supply private checks,
+// sel and out; all other state is read-only, so concurrent probes never
+// share mutable state. Output order: binding rows in order, matches in
+// base insertion order.
+func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck, sel *joinSel, out colBatch) colBatch {
 	n := o.n
 	ids := make([]uint32, len(o.constIDs)+len(n.probeCur))
 	copy(ids, o.constIDs)
@@ -443,8 +488,7 @@ func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
 	if len(cks) > 0 {
 		cur = make([]uint32, len(batch.cols))
 	}
-	out := newColBatch(len(n.cols))
-	width := len(batch.cols)
+	selCur, selBase := sel.cur[:0], sel.base[:0]
 	for i := lo; i < hi; i++ {
 		for k, p := range n.probeCur {
 			ids[len(o.constIDs)+k] = batch.cols[p][i]
@@ -466,14 +510,31 @@ func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck) colBatch {
 					continue match
 				}
 			}
-			for c := 0; c < width; c++ {
-				out.cols[c] = append(out.cols[c], batch.cols[c][i])
-			}
-			for j, p := range n.newPos {
-				out.cols[width+j] = append(out.cols[width+j], o.baseCols[p][r])
-			}
-			out.n++
+			selCur = append(selCur, int32(i))
+			selBase = append(selBase, r)
 		}
+	}
+	sel.cur, sel.base = selCur, selBase
+	out.n = len(selCur)
+	width := len(batch.cols)
+	for c := range out.cols {
+		col := out.cols[c]
+		if cap(col) < out.n {
+			col = make([]uint32, out.n)
+		}
+		col = col[:out.n]
+		if c < width {
+			src := batch.cols[c]
+			for k, i := range selCur {
+				col[k] = src[i]
+			}
+		} else {
+			src := o.baseCols[n.newPos[c-width]]
+			for k, r := range selBase {
+				col[k] = src[r]
+			}
+		}
+		out.cols[c] = col
 	}
 	return out
 }
@@ -506,13 +567,16 @@ func (o *colJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 			w = 1
 		}
 		if w <= 1 {
-			out = o.probe(batch, 0, batch.n, o.checks)
+			out = o.probe(batch, 0, batch.n, o.checks, &o.sel, colBatch{cols: o.outCols})
+			// The pending batch gets column headers of its own: emitChunk
+			// advances them, and outCols must keep the columns whole.
+			out.cols = append([][]uint32(nil), out.cols...)
 		} else {
 			// Range-partitioned probe: per-worker outputs concatenated in
 			// worker order reproduce the sequential emission order exactly.
 			outs := make([]colBatch, par.Chunks(batch.n, w))
 			par.Run(batch.n, w, func(wi, lo, hi int) {
-				outs[wi] = o.probe(batch, lo, hi, instantiateAll(o.bound, ctx.dict, o.baseCols))
+				outs[wi] = o.probe(batch, lo, hi, instantiateAll(o.bound, ctx.dict, o.baseCols), new(joinSel), newColBatch(len(o.n.cols)))
 			})
 			total := 0
 			for _, part := range outs {
@@ -599,8 +663,15 @@ func (o *colAntiJoinOp) open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	var start time.Time
+	if ctx.Col != nil {
+		start = time.Now()
+	}
 	if o.set, err = src.IDSet(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
+	}
+	if ctx.Col != nil {
+		o.wall = time.Since(start)
 	}
 	o.used = 1
 	o.live = true
@@ -760,73 +831,12 @@ func (o *colSelectOp) close(ctx *Ctx) {
 
 // --- project ---
 
-// idSeen is an incremental ID-tuple seen-set: the dedup state.
-// One and two columns key on the IDs directly; wider tuples on the
-// packed encoding.
-type idSeen struct {
-	arity int
-	m1    map[uint32]struct{}
-	m2    map[uint64]struct{}
-	mn    map[string]struct{}
-	buf   []byte
-}
-
-func newIDSeen(arity int) *idSeen {
-	s := &idSeen{arity: arity}
-	switch arity {
-	case 1:
-		s.m1 = make(map[uint32]struct{})
-	case 2:
-		s.m2 = make(map[uint64]struct{})
-	default:
-		s.mn = make(map[string]struct{})
-	}
-	return s
-}
-
-// add records the projection of batch row i onto pos, reporting whether
-// it was new.
-func (s *idSeen) add(batch colBatch, pos []int, i int) bool {
-	switch s.arity {
-	case 1:
-		k := batch.cols[pos[0]][i]
-		if _, dup := s.m1[k]; dup {
-			return false
-		}
-		s.m1[k] = struct{}{}
-	case 2:
-		k := uint64(batch.cols[pos[0]][i])<<32 | uint64(batch.cols[pos[1]][i])
-		if _, dup := s.m2[k]; dup {
-			return false
-		}
-		s.m2[k] = struct{}{}
-	default:
-		s.buf = batch.packRowOn(s.buf[:0], pos, i)
-		if _, dup := s.mn[string(s.buf)]; dup {
-			return false
-		}
-		s.mn[string(s.buf)] = struct{}{}
-	}
-	return true
-}
-
-func (s *idSeen) len() int {
-	switch s.arity {
-	case 1:
-		return len(s.m1)
-	case 2:
-		return len(s.m2)
-	default:
-		return len(s.mn)
-	}
-}
-
 type colProjectOp struct {
 	n     *ProjectNode
 	id    int
 	input colOperator
 
-	seen     *idSeen
+	seen     *idTable // the dedup state: the distinct projected rows so far
 	released bool
 
 	rowsIn  int
@@ -837,7 +847,7 @@ type colProjectOp struct {
 
 func (o *colProjectOp) open(ctx *Ctx) error {
 	if o.n.Dedup {
-		o.seen = newIDSeen(len(o.n.pos))
+		o.seen = newIDTable(len(o.n.pos))
 	}
 	return o.input.open(ctx)
 }
@@ -867,7 +877,7 @@ func (o *colProjectOp) next(ctx *Ctx) (colBatch, bool, error) {
 	} else {
 		out = newColBatch(len(o.n.pos))
 		for i := 0; i < batch.n; i++ {
-			if !o.seen.add(batch, o.n.pos, i) {
+			if _, fresh := o.seen.insertRow(batch, o.n.pos, i); !fresh {
 				continue
 			}
 			ctx.track(1)
@@ -949,22 +959,10 @@ type colGroupOp struct {
 	id    int
 	input colOperator
 
-	paramPos []int
-	headPos  []int
-	valPos   int // the aggregated column; unused by COUNT(*)
-	// counted, kept by a COUNT-distinct over a head of several columns,
-	// holds the (group, value ID) pairs counted so far; with a one-column
-	// head the distinct head tuples are the distinct values.
-	counted map[uint64]struct{}
-
-	// groups holds the build's result in first-seen order; group g's
-	// parameter IDs are params[g*len(paramPos):][:len(paramPos)].
-	groups []groupState
-	params []uint32
-	// sets, kept only by an export of a non-additive COUNT-distinct, is
-	// each group's distinct counted value IDs in arrival order.
-	sets     [][]uint32
-	keepSets bool
+	// agg holds the build's result: the groups in first-seen order, each
+	// with its aggregate.
+	agg      *aggregator
+	keepSets bool // an export of a non-additive COUNT-distinct: see aggregator.sets
 
 	built     bool
 	exporting bool
@@ -982,38 +980,23 @@ func (o *colGroupOp) open(ctx *Ctx) error {
 		return err
 	}
 	arity := len(o.n.Probe.Columns())
-	o.paramPos = make([]int, o.n.NParams)
-	for i := range o.paramPos {
-		o.paramPos[i] = i
+	paramPos := make([]int, o.n.NParams)
+	for i := range paramPos {
+		paramPos[i] = i
 	}
-	o.headPos = make([]int, arity-o.n.NParams)
-	for i := range o.headPos {
-		o.headPos[i] = o.n.NParams + i
+	headPos := make([]int, arity-o.n.NParams)
+	for i := range headPos {
+		headPos[i] = o.n.NParams + i
 	}
-	o.valPos = o.n.NParams + o.n.Agg.Col
-	if o.n.Agg.Kind == AggCountDistinct && len(o.headPos) > 1 {
-		o.counted = make(map[uint64]struct{})
-	}
+	// The upstream projection does not deduplicate, so the aggregator does.
+	o.agg = newAggregator(o.n.Agg, paramPos, headPos, ctx.dict, false)
+	o.agg.acct, o.agg.keepSets = ctx, o.keepSets
 	return nil
 }
 
-// build drains the input, aggregating incrementally: one state per
-// parameter group, fed the group's distinct head tuples in arrival order
-// (duplicates from the un-deduplicated upstream are dropped by full key,
-// exactly reproducing the materializing path's distinct extended
-// tuples). Groups, dedup keys and COUNT aggregates live on value IDs —
-// IDs are equality classes, so a distinct-ID count is the distinct-value
-// count; only SUM, MIN and MAX decode the one column they read. Once a
-// monotone aggregate passes, its group stops retaining keys — this is
-// where streaming beats materializing: large passing groups hold
-// threshold-many entries instead of all their rows.
+// build drains the input through the aggregator: one state per parameter
+// group, fed the group's distinct head tuples in arrival order.
 func (o *colGroupOp) build(ctx *Ctx) error {
-	agg := o.n.Agg
-	index := make(map[string]int32)
-	seen := make(map[string]struct{})
-	var buf []byte
-	value := newDecoder(ctx.dict).value
-	retained := 0
 	for {
 		batch, ok, err := o.input.next(ctx)
 		if err != nil {
@@ -1026,61 +1009,7 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 		if ctx.Col != nil {
 			start = time.Now()
 		}
-		for i := 0; i < batch.n; i++ {
-			buf = batch.packRowOn(buf[:0], o.paramPos, i)
-			glen := len(buf)
-			buf = batch.packRowOn(buf, o.headPos, i)
-			gi, ok := index[string(buf[:glen])]
-			if !ok {
-				gi = int32(len(o.groups))
-				index[string(buf[:glen])] = gi
-				o.groups = append(o.groups, groupState{})
-				for _, p := range o.paramPos {
-					o.params = append(o.params, batch.cols[p][i])
-				}
-				if o.keepSets {
-					o.sets = append(o.sets, nil)
-				}
-				ctx.track(1)
-			}
-			g := &o.groups[gi]
-			if g.done {
-				continue
-			}
-			if _, dup := seen[string(buf)]; dup {
-				continue
-			}
-			seen[string(buf)] = struct{}{}
-			ctx.track(1)
-			retained++
-			switch agg.Kind {
-			case AggCount:
-				g.n++
-			case AggCountDistinct:
-				id := batch.cols[o.valPos][i]
-				if o.counted != nil {
-					k := uint64(gi)<<32 | uint64(id)
-					if _, dup := o.counted[k]; dup {
-						break
-					}
-					o.counted[k] = struct{}{}
-				}
-				g.n++
-				if o.keepSets {
-					o.sets[gi] = append(o.sets[gi], id)
-				}
-			case AggSum:
-				g.sum += value(batch.cols[o.valPos][i]).AsFloat()
-				g.has = true
-			default:
-				if id := batch.cols[o.valPos][i]; !g.has || agg.better(value(id), value(g.cur)) {
-					g.cur, g.has = id, true
-				}
-			}
-			if agg.shortCircuits() && agg.passes(g, value) {
-				g.done = true
-			}
-		}
+		o.agg.add(batch)
 		o.rowsIn += batch.n
 		o.batches++
 		if ctx.Col != nil {
@@ -1091,12 +1020,13 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
+	groups := o.agg.groups.len()
 	if o.exporting {
-		o.rowsOut = len(o.groups)
+		o.rowsOut = groups
 	} else {
-		for gi := range o.groups {
-			if g := &o.groups[gi]; g.done || agg.passes(g, value) {
-				o.passing = append(o.passing, int32(gi))
+		for g := 0; g < groups; g++ {
+			if o.agg.passing(g) {
+				o.passing = append(o.passing, int32(g))
 			}
 		}
 		o.rowsOut = len(o.passing)
@@ -1104,7 +1034,7 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	// The dedup keys are released here, and the group states with them
 	// as far as the budget is concerned: what streams on or is exported
 	// is the consumer's to account for.
-	ctx.track(-(len(o.groups) + retained))
+	ctx.track(-(groups + o.agg.retained))
 	if ctx.Col != nil {
 		o.wall += time.Since(start)
 	}
@@ -1125,13 +1055,9 @@ func (o *colGroupOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if end > len(o.passing) {
 		end = len(o.passing)
 	}
-	np := len(o.paramPos)
-	out := newColBatch(np)
-	for _, gi := range o.passing[o.emitPos:end] {
-		for j := 0; j < np; j++ {
-			out.cols[j] = append(out.cols[j], o.params[int(gi)*np+j])
-		}
-		out.n++
+	out := newColBatch(o.n.NParams)
+	for _, g := range o.passing[o.emitPos:end] {
+		out.appendIDs(o.agg.groups.row(int(g)))
 	}
 	o.emitPos = end
 	return out, true, nil
@@ -1143,30 +1069,207 @@ func (o *colGroupOp) close(ctx *Ctx) {
 	if o.exporting {
 		desc += " (export)"
 	}
+	groups := 0
+	if o.agg != nil {
+		groups = o.agg.groups.len()
+	}
 	record(ctx, obs.Event{
 		Op: obs.OpGroup, ID: o.id, Desc: desc,
 		RowsIn: o.rowsIn, RowsOut: o.rowsOut,
-		Groups: len(o.groups), Workers: 1, Wall: o.wall,
+		Groups: groups, Workers: 1, Wall: o.wall,
+		IDBatches: o.batches,
+	})
+}
+
+// --- decision barrier ---
+
+// colBarrierOp is the §4.4 decision barrier in ID space. It buffers and
+// de-duplicates its input as ID rows — IDs are Equal-classes, so the row
+// set is the intermediate relation's tuple set — numbering each row's
+// parameter assignment as it goes, asks the policy whether to filter,
+// and when told to runs the aggregator over the buffer and re-emits only
+// the rows of passing assignments. No value is decoded except the one
+// column a SUM, MIN or MAX reads.
+type colBarrierOp struct {
+	n     *BarrierNode
+	id    int
+	input colOperator
+
+	rows     *idTable    // the distinct input rows, arrival order
+	agg      *aggregator // its groups are the rows' parameter assignments
+	rowGroup []int32     // row e's group
+	keep     []bool      // per group, once a filter ran: its rows survive
+	kept     int         // rows the barrier re-emits
+	done     bool
+	emitPos  int
+	emit     colBatch // the one batch next refills and returns
+	released bool
+
+	rowsIn  int
+	batches int
+	wall    time.Duration
+}
+
+func (o *colBarrierOp) open(ctx *Ctx) error { return o.input.open(ctx) }
+
+// buffer drains the input into the row table and then decides.
+func (o *colBarrierOp) buffer(ctx *Ctx) error {
+	b := o.n.Spec
+	width := len(o.n.cols)
+	row := make([]uint32, width)
+	// Rows distinct on every column are distinct head tuples of their
+	// groups when parameters and head cover the columns — the common
+	// case: only an existential variable is neither.
+	covered := make(map[int]bool, width)
+	for _, p := range b.ParamPos {
+		covered[p] = true
+	}
+	for _, p := range b.HeadPos {
+		covered[p] = true
+	}
+	o.rows = newIDTable(width)
+	o.agg = newAggregator(b.Agg, b.ParamPos, b.HeadPos, ctx.dict, len(covered) == width)
+	for {
+		batch, ok, err := o.input.next(ctx)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		var start time.Time
+		if ctx.Col != nil {
+			start = time.Now()
+		}
+		for i := 0; i < batch.n; i++ {
+			batch.gatherRow(i, row)
+			if _, fresh := o.rows.insert(row); !fresh {
+				continue
+			}
+			ctx.track(1)
+			o.rowGroup = append(o.rowGroup, o.agg.group(batch, i))
+		}
+		o.rowsIn += batch.n
+		o.batches++
+		if ctx.Col != nil {
+			o.wall += time.Since(start)
+		}
+	}
+	o.done = true
+	return o.decide(ctx)
+}
+
+// decide puts the buffered cardinalities to the policy and, on a filter
+// verdict, reduces the buffer to the rows of passing assignments.
+func (o *colBarrierOp) decide(ctx *Ctx) error {
+	// A decision barrier is a boundary between pipeline phases; observe
+	// cancellation before the (possibly expensive) reduction.
+	if err := ctx.Gate.Check(); err != nil {
+		return err
+	}
+	var start time.Time
+	if ctx.Col != nil {
+		start = time.Now()
+		defer func() { o.wall += time.Since(start) }()
+	}
+	b := o.n.Spec
+	rows, assigns := o.rows.len(), o.agg.groups.len()
+	out := BarrierOutcome{ID: o.id, Rows: rows, Assigns: assigns, RowsAfter: rows, AssignsAfter: assigns}
+	o.kept = rows
+	if b.Decide(rows, assigns) {
+		chunk := newColBatch(len(o.n.cols))
+		for lo := 0; lo < rows; lo += batchSize {
+			if err := ctx.Gate.Check(); err != nil {
+				return err
+			}
+			hi := o.chunk(&chunk, lo)
+			o.agg.fold(chunk, o.rowGroup[lo:hi])
+		}
+		o.keep = make([]bool, assigns)
+		out.Filtered, out.AssignsAfter = true, 0
+		for g := range o.keep {
+			if o.agg.passing(g) {
+				o.keep[g] = true
+				out.AssignsAfter++
+			}
+		}
+		o.kept = 0
+		for _, g := range o.rowGroup {
+			if o.keep[g] {
+				o.kept++
+			}
+		}
+		out.RowsAfter = o.kept
+		ctx.track(o.kept - rows)
+	}
+	if ctx.Col != nil {
+		out.Wall = time.Since(start)
+	}
+	b.Record(out)
+	return nil
+}
+
+// chunk refills dst, in columnar form, with the buffered rows from lo on
+// that the barrier still holds — all of them until a reduction sets keep
+// — stopping at a full batch. It returns the first row not consumed.
+func (o *colBarrierOp) chunk(dst *colBatch, lo int) int {
+	dst.reset()
+	e := lo
+	for ; e < o.rows.len() && dst.n < batchSize; e++ {
+		if o.keep == nil || o.keep[o.rowGroup[e]] {
+			dst.appendIDs(o.rows.row(e))
+		}
+	}
+	return e
+}
+
+func (o *colBarrierOp) next(ctx *Ctx) (colBatch, bool, error) {
+	if !o.done {
+		if err := o.buffer(ctx); err != nil {
+			return colBatch{}, false, err
+		}
+	}
+	if o.emitPos >= o.rows.len() {
+		// The buffered relation is no longer referenced once re-streamed.
+		if !o.released {
+			ctx.track(-o.kept)
+			o.released = true
+		}
+		return colBatch{}, false, nil
+	}
+	var start time.Time
+	if ctx.Col != nil {
+		start = time.Now()
+	}
+	if o.emit.cols == nil {
+		o.emit = newColBatch(len(o.n.cols))
+	}
+	o.emitPos = o.chunk(&o.emit, o.emitPos)
+	if ctx.Col != nil {
+		o.wall += time.Since(start)
+	}
+	return o.emit, true, nil
+}
+
+func (o *colBarrierOp) close(ctx *Ctx) {
+	o.input.close(ctx)
+	record(ctx, obs.Event{
+		Op: obs.OpMaterialize, ID: o.id, Desc: o.n.Desc(),
+		RowsIn: o.rowsIn, RowsOut: o.kept, Wall: o.wall,
 		IDBatches: o.batches,
 	})
 }
 
 // --- materialize ---
 
+// colMaterializeOp is the plan's sink: the answer relation, or a FILTER
+// step's result published through Register.
 type colMaterializeOp struct {
 	n     *MaterializeNode
 	id    int
 	input colOperator
 
 	rel *storage.Relation
-	// ids holds rel's rows in ID form, row i beside rel.Tuples()[i]: what
-	// a barrier re-emits and what seeds a registered relation's ID cache.
-	// The answer sink of an unregistered plan has no use for it.
-	ids      colBatch
-	sink     bool // plan root: the answer relation, where MaxRows applies
-	done     bool
-	emitPos  int
-	released bool
 
 	rowsIn  int
 	batches int
@@ -1176,16 +1279,18 @@ type colMaterializeOp struct {
 func (o *colMaterializeOp) open(ctx *Ctx) error { return o.input.open(ctx) }
 
 // materialize drains the input into a fresh relation, decoding each row
-// back to boxed Values — the one place the pipeline re-boxes — and
-// inserting in arrival order (set semantics; identical to the
-// materializing executor's insertion order), then runs the Hook (§4.4
-// decision) and Register callbacks. Rows are decoded into a scratch tuple,
-// so a duplicate allocates nothing.
+// back to boxed Values — the pipeline re-boxes only here, for the answer
+// and for a registered step relation — and inserting in arrival order
+// (set semantics; identical to the materializing executor's insertion
+// order), then runs the Register callback. Rows are decoded into a scratch
+// tuple, so a duplicate allocates nothing.
 func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 	rel := storage.NewRelation(o.n.Name, o.n.cols...)
 	dec := newDecoder(ctx.dict)
 	width := len(o.n.cols)
-	keepIDs := !o.sink || o.n.Register != nil
+	// A registered relation is scanned by the next step: keep its rows in
+	// ID form to seed its ID cache with.
+	keepIDs := o.n.Register != nil
 	ids := newColBatch(width)
 	scratch := make(storage.Tuple, width)
 	for {
@@ -1214,91 +1319,30 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 		}
 		o.rowsIn += batch.n
 		o.batches++
-		if o.sink {
-			if err := ctx.Gate.CheckOutput(rel.Len()); err != nil {
-				return err
-			}
+		// MaxRows bounds the user-facing answer; a step's gate carries no
+		// output cap (Gate.WithoutOutputCap).
+		if err := ctx.Gate.CheckOutput(rel.Len()); err != nil {
+			return err
 		}
 		if ctx.Col != nil {
 			o.wall += time.Since(start)
 		}
 	}
-	if o.n.Hook != nil {
-		// A decision barrier is a boundary between pipeline phases; observe
-		// cancellation before running the (possibly expensive) hook.
-		if err := ctx.Gate.Check(); err != nil {
-			return err
-		}
-		reduced, err := o.n.Hook(rel)
-		if err != nil {
-			return err
-		}
-		if reduced != rel {
-			if keepIDs {
-				if ids, err = keptRows(ids, rel, reduced); err != nil {
-					return err
-				}
-			}
-			ctx.track(reduced.Len() - rel.Len())
-			rel = reduced
-		}
-	}
 	if o.n.Register != nil {
-		// The next step scans the registered relation: hand it the IDs
-		// instead of letting that scan intern every cell again.
+		// Hand the next step's scan the IDs instead of letting it intern
+		// every cell again.
 		rel.SeedInternedColumns(ctx.dict, ids.cols)
 		if err := o.n.Register(rel); err != nil {
 			return err
 		}
 	}
-	o.rel, o.ids = rel, ids
-	o.done = true
+	o.rel = rel
 	return nil
 }
 
-// keptRows returns the rows of ids — row i beside full's i-th tuple —
-// that a Hook's reduced relation kept. A Hook returns a subsequence of
-// its input, so one merge pass pairs them up.
-func keptRows(ids colBatch, full, reduced *storage.Relation) (colBatch, error) {
-	kept := reduced.Tuples()
-	out := newColBatch(len(ids.cols))
-	for i, t := range full.Tuples() {
-		if out.n < len(kept) && t.Equal(kept[out.n]) {
-			out.appendRow(ids, i)
-		}
-	}
-	if out.n != len(kept) {
-		return colBatch{}, fmt.Errorf("physical: barrier hook returned %d rows, %d of them not a subsequence of its input",
-			len(kept), len(kept)-out.n)
-	}
-	return out, nil
-}
-
-func (o *colMaterializeOp) next(ctx *Ctx) (colBatch, bool, error) {
-	if !o.done {
-		if err := o.materialize(ctx); err != nil {
-			return colBatch{}, false, err
-		}
-	}
-	if o.emitPos >= o.ids.n {
-		// Mid-pipeline barrier: the buffered relation is no longer
-		// referenced once fully re-streamed.
-		if !o.released {
-			ctx.track(-o.ids.n)
-			o.released = true
-		}
-		return colBatch{}, false, nil
-	}
-	end := o.emitPos + batchSize
-	if end > o.ids.n {
-		end = o.ids.n
-	}
-	out := colBatch{n: end - o.emitPos, cols: make([][]uint32, len(o.ids.cols))}
-	for c, col := range o.ids.cols {
-		out.cols[c] = col[o.emitPos:end:end]
-	}
-	o.emitPos = end
-	return out, true, nil
+// next is never reached: a sink is a plan's root, driven by Plan.Run.
+func (o *colMaterializeOp) next(*Ctx) (colBatch, bool, error) {
+	return colBatch{}, false, fmt.Errorf("physical: materialize %s is a sink, not a stream", o.n.Name)
 }
 
 func (o *colMaterializeOp) close(ctx *Ctx) {

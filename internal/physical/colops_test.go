@@ -102,7 +102,7 @@ func streamRun(t *testing.T, db *storage.Database, rule string, order []int, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
+	plan := NewPlan(NewMaterialize("answer", node, nil))
 	rel, err := plan.Run(&Ctx{DB: db, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSymJoinExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
+	plan := NewPlan(NewMaterialize("answer", node, nil))
 	if explain := plan.Explain(); !containsLine(explain, "symjoin") {
 		t.Fatalf("EXPLAIN missing symjoin node:\n%s", explain)
 	}

@@ -29,13 +29,12 @@ func termCol(t datalog.Term) (string, bool) {
 	}
 }
 
-// BarrierFactory decides, per joined atom, whether to insert a
-// Materialize barrier after it: the dynamic strategy (§4.4) returns a
-// non-nil Hook at pipeline positions where a FILTER decision is legal
-// (parameters bound, head columns bound), along with a display label.
-// atomIdx is the positive-atom index just joined; cols are the columns
-// bound at that point.
-type BarrierFactory func(atomIdx int, atom string, cols []string) (Hook, string)
+// BarrierFactory decides, per joined atom, whether to insert a decision
+// barrier after it: the dynamic strategy (§4.4) returns a non-nil spec at
+// pipeline positions where a FILTER decision is legal (parameters bound,
+// head columns bound). atomIdx is the positive-atom index just joined;
+// cols are the columns bound at that point.
+type BarrierFactory func(atomIdx int, atom string, cols []string) *Barrier
 
 // RuleOpts configures rule compilation.
 type RuleOpts struct {
@@ -47,7 +46,7 @@ type RuleOpts struct {
 	// Dedup deduplicates the projected output (set semantics).
 	Dedup bool
 	// Barrier, when non-nil, is consulted after each joined atom (and its
-	// pushed-down selections/negations) for a Materialize barrier.
+	// pushed-down selections/negations) for a decision barrier.
 	Barrier BarrierFactory
 	// Streams maps predicate names to pipelines that produce the
 	// predicate's tuples instead of a stored relation (fused step
@@ -115,8 +114,8 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 			return nil, err
 		}
 		if opts.Barrier != nil {
-			if hook, desc := opts.Barrier(i, atoms[i].String(), c.cols); hook != nil {
-				c.node = NewMaterialize(fmt.Sprintf("bind%d", c.steps), c.node, hook, desc, nil)
+			if spec := opts.Barrier(i, atoms[i].String(), c.cols); spec != nil {
+				c.node = NewBarrier(fmt.Sprintf("bind%d", c.steps), c.node, spec)
 			}
 		}
 	}

@@ -71,7 +71,6 @@ func (p *Plan) Run(ctx *Ctx) (*storage.Relation, error) {
 		return nil, fmt.Errorf("physical: plan root is %s, want materialize", p.Root.Kind())
 	}
 	op := newColOp(p, root).(*colMaterializeOp)
-	op.sink = true // the answer relation: where the MaxRows budget applies
 	if err := p.drive(ctx, op, op.materialize); err != nil {
 		return nil, err
 	}

@@ -85,6 +85,155 @@ func (a Aggregate) better(v, w storage.Value) bool {
 	return a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0
 }
 
+// aggregator is the one aggregation loop of a FILTER condition over ID
+// rows: it numbers the parameter assignments of its input in first-seen
+// order and folds each assignment's distinct head tuples into a
+// groupState. The group operator builds with it, and a §4.4 decision
+// barrier that decides to filter reduces with it, so the two cannot
+// disagree on which assignments pass. Groups, dedup keys and COUNT
+// aggregates live on value IDs — IDs are equality classes, so a
+// distinct-ID count is the distinct-value count; only SUM, MIN and MAX
+// decode the one column they read.
+type aggregator struct {
+	agg      Aggregate
+	paramPos []int
+	// keyPos, paramPos followed by the head positions, is what makes a row
+	// a distinct head tuple of its group.
+	keyPos []int
+	valPos int // the aggregated column; unused by COUNT(*)
+	value  func(uint32) storage.Value
+	// acct, when non-nil, is charged one buffered tuple per group and per
+	// retained dedup key (the group operator's pipeline-breaker state).
+	acct *Ctx
+
+	// groups numbers the parameter assignments; states[g] aggregates
+	// group g.
+	groups *idTable
+	states []groupState
+	// seen is the dedup set of (params, head) rows; nil when the caller
+	// feeds rows already distinct on keyPos.
+	seen     *idTable
+	retained int
+	// counted, kept by a COUNT-distinct over a head of several columns,
+	// holds the (group, value ID) pairs counted so far; with a one-column
+	// head the distinct head tuples are the distinct values.
+	counted map[uint64]struct{}
+	// sets, kept only for an export of a non-additive COUNT-distinct, is
+	// each group's distinct counted value IDs in arrival order.
+	sets     [][]uint32
+	keepSets bool
+
+	gids []int32 // add's per-batch group numbers
+}
+
+// newAggregator prepares the loop over rows whose parameters sit at
+// paramPos and head columns at headPos. distinct vouches that no two
+// input rows agree on all of those columns, which spares the dedup set.
+func newAggregator(agg Aggregate, paramPos, headPos []int, dict *storage.Dict, distinct bool) *aggregator {
+	a := &aggregator{
+		agg:      agg,
+		paramPos: paramPos,
+		keyPos:   append(append([]int(nil), paramPos...), headPos...),
+		value:    newDecoder(dict).value,
+		groups:   newIDTable(len(paramPos)),
+	}
+	if agg.Kind != AggCount {
+		a.valPos = headPos[agg.Col]
+	}
+	if !distinct {
+		a.seen = newIDTable(len(a.keyPos))
+	}
+	if agg.Kind == AggCountDistinct && len(headPos) > 1 {
+		a.counted = make(map[uint64]struct{})
+	}
+	return a
+}
+
+// group returns the group of batch row i, opening it when the row's
+// parameter assignment is new.
+func (a *aggregator) group(batch colBatch, i int) int32 {
+	g, fresh := a.groups.insertRow(batch, a.paramPos, i)
+	if fresh {
+		a.states = append(a.states, groupState{})
+		if a.keepSets {
+			a.sets = append(a.sets, nil)
+		}
+		if a.acct != nil {
+			a.acct.track(1)
+		}
+	}
+	return g
+}
+
+// fold feeds the rows of batch, row i belonging to group gids[i], to
+// their groups' aggregates in row order. Duplicates on keyPos are
+// dropped, so each group sees its distinct head tuples in arrival order —
+// exactly the materializing path's distinct extended tuples. Once a
+// monotone aggregate passes, its group stops retaining keys — this is
+// where streaming beats materializing: large passing groups hold
+// threshold-many entries instead of all their rows.
+func (a *aggregator) fold(batch colBatch, gids []int32) {
+	agg := a.agg
+	for i, gi := range gids {
+		g := &a.states[gi]
+		if g.done {
+			continue
+		}
+		if a.seen != nil {
+			if _, fresh := a.seen.insertRow(batch, a.keyPos, i); !fresh {
+				continue
+			}
+			a.retained++
+			if a.acct != nil {
+				a.acct.track(1)
+			}
+		}
+		switch agg.Kind {
+		case AggCount:
+			g.n++
+		case AggCountDistinct:
+			id := batch.cols[a.valPos][i]
+			if a.counted != nil {
+				k := uint64(gi)<<32 | uint64(id)
+				if _, dup := a.counted[k]; dup {
+					break
+				}
+				a.counted[k] = struct{}{}
+			}
+			g.n++
+			if a.keepSets {
+				a.sets[gi] = append(a.sets[gi], id)
+			}
+		case AggSum:
+			g.sum += a.value(batch.cols[a.valPos][i]).AsFloat()
+			g.has = true
+		default:
+			if id := batch.cols[a.valPos][i]; !g.has || agg.better(a.value(id), a.value(g.cur)) {
+				g.cur, g.has = id, true
+			}
+		}
+		if agg.shortCircuits() && agg.passes(g, a.value) {
+			g.done = true
+		}
+	}
+}
+
+// add feeds every row of batch to the group its parameters name.
+func (a *aggregator) add(batch colBatch) {
+	a.gids = a.gids[:0]
+	for i := 0; i < batch.n; i++ {
+		a.gids = append(a.gids, a.group(batch, i))
+	}
+	a.fold(batch, a.gids)
+}
+
+// passing reports whether group g's condition holds on what fold has fed
+// it so far.
+func (a *aggregator) passing(g int) bool {
+	s := &a.states[g]
+	return s.done || a.agg.passes(s, a.value)
+}
+
 // StateKind names what an exported group carries per group.
 type StateKind uint8
 
@@ -179,32 +328,33 @@ func (o *colGroupOp) export(ctx *Ctx, additive bool) *GroupStates {
 		start := time.Now()
 		defer func() { o.wall += time.Since(start) }()
 	}
-	agg, np, n := o.n.Agg, len(o.paramPos), len(o.groups)
+	groups, sets := o.agg.states, o.agg.sets
+	np, n := o.n.NParams, len(groups)
 	tab := &exportTable{dec: newDecoder(ctx.dict), index: make([]uint32, ctx.dict.Len())}
-	st := &GroupStates{Kind: agg.StateKind(additive), Params: make([][]uint32, np), Done: make([]bool, n)}
+	st := &GroupStates{Kind: o.n.Agg.StateKind(additive), Params: make([][]uint32, np), Done: make([]bool, n)}
 	for j := range st.Params {
 		col := make([]uint32, n)
 		for g := range col {
-			col[g] = tab.of(o.params[g*np+j])
+			col[g] = tab.of(o.agg.groups.row(g)[j])
 		}
 		st.Params[j] = col
 	}
-	for g := range o.groups {
-		st.Done[g] = o.groups[g].done
+	for g := range groups {
+		st.Done[g] = groups[g].done
 	}
 	switch st.Kind {
 	case StateCount:
 		st.Count = make([]int64, n)
-		for g, s := range o.groups {
+		for g, s := range groups {
 			if !s.done {
 				st.Count[g] = s.n
 			}
 		}
 	case StateSet:
 		st.SetEnd = make([]uint32, n)
-		for g, s := range o.groups {
+		for g, s := range groups {
 			if !s.done {
-				for _, id := range o.sets[g] {
+				for _, id := range sets[g] {
 					st.SetVals = append(st.SetVals, tab.of(id))
 				}
 			}
@@ -212,14 +362,14 @@ func (o *colGroupOp) export(ctx *Ctx, additive bool) *GroupStates {
 		}
 	case StateSum:
 		st.Sum, st.Has = make([]float64, n), make([]bool, n)
-		for g, s := range o.groups {
+		for g, s := range groups {
 			if !s.done {
 				st.Sum[g], st.Has[g] = s.sum, s.has
 			}
 		}
 	case StateMinMax:
 		st.Cur, st.Has = make([]uint32, n), make([]bool, n)
-		for g, s := range o.groups {
+		for g, s := range groups {
 			if !s.done && s.has {
 				st.Cur[g], st.Has[g] = tab.of(s.cur), true
 			}
@@ -268,14 +418,12 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 	want, np := agg.StateKind(additive), len(cols)
 	tab := &mergeTable{ids: make(map[string]uint32)}
 	value := func(id uint32) storage.Value { return tab.lits[id] }
-	index := make(map[string]int32)
+	index := newIDTable(np) // the merged groups, first-seen order
 	var (
 		groups []groupState
-		params []uint32
-		seen   map[uint64]struct{} // StateSet: (group, value) pairs counted so far
-		key    []byte
-		row    []uint32 // one group's parameters as merged IDs
-		xlat   []uint32 // the current part's literal index → merged ID
+		seen   map[uint64]struct{}  // StateSet: (group, value) pairs counted so far
+		row    = make([]uint32, np) // one group's parameters as merged IDs
+		xlat   []uint32             // the current part's literal index → merged ID
 	)
 	if want == StateSet {
 		seen = make(map[uint64]struct{})
@@ -290,18 +438,12 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 			xlat = append(xlat, tab.of(v))
 		}
 		for g := 0; g < part.Len(); g++ {
-			row, key = row[:0], key[:0]
-			for _, col := range part.Params {
-				id := xlat[col[g]]
-				row = append(row, id)
-				key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+			for j, col := range part.Params {
+				row[j] = xlat[col[g]]
 			}
-			gi, ok := index[string(key)]
-			if !ok {
-				gi = int32(len(groups))
-				index[string(key)] = gi
+			gi, fresh := index.insert(row)
+			if fresh {
 				groups = append(groups, groupState{})
-				params = append(params, row...)
 			}
 			m := &groups[gi]
 			if m.done {
@@ -344,8 +486,8 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 			continue
 		}
 		t := make(storage.Tuple, np)
-		for j := range t {
-			t[j] = value(params[gi*np+j])
+		for j, id := range index.row(gi) {
+			t[j] = value(id)
 		}
 		out.Insert(t)
 	}

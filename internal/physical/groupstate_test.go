@@ -60,7 +60,7 @@ func groupPlan(t *testing.T, db *storage.Database, agg Aggregate) *GroupNode {
 func verdicts(t *testing.T, rows []row, agg Aggregate) *storage.Relation {
 	t.Helper()
 	db := rowsDB(rows)
-	rel, err := NewPlan(NewMaterialize("g", groupPlan(t, db, agg), nil, "", nil)).Run(&Ctx{DB: db, Workers: 1})
+	rel, err := NewPlan(NewMaterialize("g", groupPlan(t, db, agg), nil)).Run(&Ctx{DB: db, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

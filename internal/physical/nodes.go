@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
@@ -260,38 +261,88 @@ func (n *GroupNode) Desc() string      { return fmt.Sprintf("%s [%s]", n.Name, n
 func (n *GroupNode) Columns() []string { return n.cols }
 func (n *GroupNode) Inputs() []Node    { return []Node{n.Probe} }
 
-// MaterializeNode collects the stream into a storage.Relation (set
-// semantics, arrival order). As the plan root it is the sink whose
-// relation Plan.Run returns; mid-pipeline it is a barrier that runs its
-// Hook on the materialized relation (the §4.4 decision site) and
-// re-streams the — possibly reduced — result. Register, when set,
-// publishes the relation (FILTER-step plans add it to the scratch
-// database under the step's name).
+// MaterializeNode is the plan's sink: it collects the stream into a
+// storage.Relation (set semantics, arrival order), the relation Plan.Run
+// returns. Register, when set, publishes the relation (FILTER-step plans
+// add it to the scratch database under the step's name).
 type MaterializeNode struct {
 	Probe Node
 
 	Name     string
-	Hook     Hook
-	HookDesc string
 	Register func(*storage.Relation) error
 	cols     []string
 }
 
-// NewMaterialize builds a materialize sink/barrier over in. hookDesc
-// annotates the barrier in EXPLAIN output when hook is non-nil.
-func NewMaterialize(name string, in Node, hook Hook, hookDesc string, register func(*storage.Relation) error) *MaterializeNode {
-	return &MaterializeNode{
-		Probe: in, Name: name, Hook: hook, HookDesc: hookDesc,
-		Register: register, cols: in.Columns(),
-	}
+// NewMaterialize builds the materialize sink over in.
+func NewMaterialize(name string, in Node, register func(*storage.Relation) error) *MaterializeNode {
+	return &MaterializeNode{Probe: in, Name: name, Register: register, cols: in.Columns()}
 }
 
 func (n *MaterializeNode) Kind() Kind        { return KindMaterialize }
+func (n *MaterializeNode) Desc() string      { return n.Name }
 func (n *MaterializeNode) Columns() []string { return n.cols }
 func (n *MaterializeNode) Inputs() []Node    { return []Node{n.Probe} }
-func (n *MaterializeNode) Desc() string {
-	if n.Hook != nil && n.HookDesc != "" {
-		return fmt.Sprintf("%s [%s]", n.Name, n.HookDesc)
+
+// Barrier specifies one §4.4 decision barrier. The mechanism is the
+// operator's: it buffers the intermediate relation, counts its rows and
+// distinct parameter assignments, and can reduce it to the assignments
+// that pass Agg — all on value IDs, which never leave this package. The
+// policy is the caller's two callbacks.
+type Barrier struct {
+	// Desc annotates the barrier in EXPLAIN output.
+	Desc string
+	// ParamPos and HeadPos locate the bound parameters and the rule's head
+	// columns among the barrier's columns; the subquery joined so far,
+	// with that head, is the FILTER step a reduction applies (§3.1).
+	ParamPos, HeadPos []int
+	// Agg is the flock's FILTER condition.
+	Agg Aggregate
+	// Decide is asked once, when the input is buffered: the relation has
+	// rows tuples over assigns parameter assignments — filter it?
+	Decide func(rows, assigns int) bool
+	// Record is told what came of it, after any reduction.
+	Record func(BarrierOutcome)
+}
+
+// BarrierOutcome is what one decision barrier observed and did.
+type BarrierOutcome struct {
+	// ID is the barrier's plan-node ID.
+	ID int
+	// Rows and Assigns are the buffered relation's tuple count and
+	// distinct parameter assignments — what Decide was asked about.
+	Rows, Assigns int
+	// Filtered reports that the reduction ran; RowsAfter and AssignsAfter
+	// describe what the barrier re-emits (the input's figures otherwise).
+	Filtered                bool
+	RowsAfter, AssignsAfter int
+	// Wall is the time from the end of buffering to here — counting,
+	// deciding, reducing; zero when the run collects no events.
+	Wall time.Duration
+}
+
+// BarrierNode is a mid-pipeline pipeline breaker of the dynamic strategy:
+// it buffers its input as a set, puts its Spec's decision, and re-streams
+// the — possibly reduced — rows in arrival order. To EXPLAIN and the
+// metrics schema it is a materialize operator.
+type BarrierNode struct {
+	Probe Node
+
+	Name string
+	Spec *Barrier
+	cols []string
+}
+
+// NewBarrier builds a decision barrier over in.
+func NewBarrier(name string, in Node, spec *Barrier) *BarrierNode {
+	return &BarrierNode{Probe: in, Name: name, Spec: spec, cols: in.Columns()}
+}
+
+func (n *BarrierNode) Kind() Kind        { return KindMaterialize }
+func (n *BarrierNode) Columns() []string { return n.cols }
+func (n *BarrierNode) Inputs() []Node    { return []Node{n.Probe} }
+func (n *BarrierNode) Desc() string {
+	if n.Spec.Desc != "" {
+		return fmt.Sprintf("%s [%s]", n.Name, n.Spec.Desc)
 	}
 	return n.Name
 }

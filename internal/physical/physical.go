@@ -5,9 +5,9 @@
 // the §4.4 dynamic strategy — *compiles* to this IR and runs on the one
 // executor, so joins stream probe-side through the pipeline instead of
 // materializing each intermediate relation. Pipeline breakers exist only
-// at hash builds, dedup points, group-by, and explicit Materialize
-// barriers (which is where the dynamic strategy's "filter now?" hooks
-// observe cardinalities).
+// at hash builds, dedup points, group-by, the Materialize sink, and the
+// dynamic strategy's decision barriers (where its "filter now?" policy
+// observes cardinalities).
 //
 // The compiled plans reproduce the eval.Executor semantics exactly:
 // identical answers (including tuple order at the materialization
@@ -17,8 +17,6 @@ package physical
 import (
 	"fmt"
 	"strings"
-
-	"queryflocks/internal/storage"
 )
 
 // Kind names a physical operator. The values double as the obs.Op
@@ -52,8 +50,9 @@ const (
 	// KindGroup groups by the parameter prefix and applies the FILTER
 	// condition per group (§4.1) — a pipeline breaker.
 	KindGroup Kind = "group"
-	// KindMaterialize collects the stream into a storage.Relation — the
-	// plan sink, a FILTER-step result, or a dynamic decision barrier.
+	// KindMaterialize collects the stream: into a storage.Relation at the
+	// plan sink (the answer, a FILTER-step result), into a set of ID rows
+	// at a dynamic decision barrier.
 	KindMaterialize Kind = "materialize"
 )
 
@@ -132,9 +131,3 @@ func (p *Plan) explainNode(b *strings.Builder, n Node, prefix, childPrefix strin
 		}
 	}
 }
-
-// Hook is a dynamic-strategy callback run on a Materialize barrier's
-// relation; it returns the input unchanged or a reduced replacement (the
-// §4.4 FILTER reduction): the same columns and a subsequence of the
-// input's tuples, in input order.
-type Hook func(*storage.Relation) (*storage.Relation, error)

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func compileRun(t *testing.T, db *storage.Database, r *datalog.Rule, order []int
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
+	plan := NewPlan(NewMaterialize("answer", node, nil))
 	rel, err := plan.Run(&Ctx{DB: db, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -134,51 +135,115 @@ func TestCompileRuleErrors(t *testing.T) {
 	}
 }
 
-// TestBarrierHook checks the dynamic-strategy surface: a Materialize
-// barrier sees the exact intermediate relation and its replacement flows
-// into downstream operators.
-func TestBarrierHook(t *testing.T) {
+// barrierAfterFirst is a BarrierFactory placing one barrier after the
+// first joined atom: column 0 the parameter, column 1 the head, the
+// policy's verdict fixed, the outcome captured.
+func barrierAfterFirst(agg Aggregate, filter bool, got *BarrierOutcome) BarrierFactory {
+	return func(atomIdx int, atom string, cols []string) *Barrier {
+		if atomIdx != 0 {
+			return nil
+		}
+		return &Barrier{
+			Desc: "per src", ParamPos: []int{0}, HeadPos: []int{1}, Agg: agg,
+			Decide: func(rows, assigns int) bool { return filter },
+			Record: func(o BarrierOutcome) { *got = o },
+		}
+	}
+}
+
+// TestBarrier checks the dynamic-strategy surface: a decision barrier
+// reports the exact intermediate relation's cardinalities to the policy,
+// and on a filter verdict only the rows of passing assignments flow into
+// downstream operators.
+func TestBarrier(t *testing.T) {
 	db := testDB()
 	r := mustRule(t, "answer(X,Z) :- e(X,Y) AND e(Y,Z)")
-	var sawRows int
-	barrier := func(atomIdx int, atom string, cols []string) (Hook, string) {
-		if atomIdx != 0 {
-			return nil, ""
+	run := func(filter bool) (*storage.Relation, BarrierOutcome, *obs.RunReport) {
+		var out BarrierOutcome
+		node, err := CompileRule(db, r, RuleOpts{Order: []int{0, 1}, Out: r.Head.Args, Dedup: true,
+			Barrier: barrierAfterFirst(countAtLeast2, filter, &out)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		hook := func(rel *storage.Relation) (*storage.Relation, error) {
-			sawRows = rel.Len()
-			// Keep only edges out of node 1.
-			out := storage.NewRelation(rel.Name(), rel.Columns()...)
-			for _, t := range rel.Tuples() {
-				if t[0].Equal(storage.Int(1)) {
-					out.Insert(t)
-				}
-			}
-			return out, nil
+		plan := NewPlan(NewMaterialize("answer", node, nil))
+		if !strings.Contains(plan.Explain(), "materialize#5 bind1 [per src]") {
+			t.Errorf("explain missing the barrier:\n%s", plan.Explain())
 		}
-		return hook, "keep src=1"
+		col := obs.NewCollector()
+		rel, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel, out, col.Report("test", 1, rel.Len())
 	}
-	node, err := CompileRule(db, r, RuleOpts{Order: []int{0, 1}, Out: r.Head.Args, Dedup: true, Barrier: barrier})
-	if err != nil {
-		t.Fatal(err)
+
+	// Sources 1 and 2 have two targets each, 3 and 4 one: the reduction
+	// keeps four of the six edges.
+	got, out, rep := run(true)
+	if out.Wall <= 0 {
+		t.Errorf("outcome of a collected run carries no wall time: %+v", out)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
-	if !strings.Contains(plan.Explain(), "keep src=1") {
-		t.Errorf("explain missing barrier desc:\n%s", plan.Explain())
-	}
-	got, err := plan.Run(&Ctx{DB: db, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawRows != 6 {
-		t.Errorf("barrier saw %d rows, want all 6 edges", sawRows)
+	out.Wall = 0
+	if want := (BarrierOutcome{ID: 5, Rows: 6, Assigns: 4, Filtered: true, RowsAfter: 4, AssignsAfter: 2}); out != want {
+		t.Errorf("outcome %+v, want %+v", out, want)
 	}
 	want := storage.NewRelation("answer", "X", "Z")
-	for _, p := range [][2]int64{{1, 3}, {1, 4}} {
+	for _, p := range [][2]int64{{1, 3}, {1, 4}, {2, 4}, {2, 1}} {
 		want.InsertValues(storage.Int(p[0]), storage.Int(p[1]))
 	}
 	if !got.Equal(want) {
-		t.Fatalf("answer after barrier:\n%s\nwant:\n%s", got.Dump(), want.Dump())
+		t.Fatalf("answer after the reduction:\n%s\nwant:\n%s", got.Dump(), want.Dump())
+	}
+	for _, e := range rep.Steps {
+		if e.Op == obs.OpMaterialize && e.ID == 5 && (e.RowsIn != 6 || e.RowsOut != 4) {
+			t.Errorf("barrier event %d -> %d rows, want 6 -> 4", e.RowsIn, e.RowsOut)
+		}
+	}
+
+	got, out, _ = run(false)
+	if out.Filtered || out.RowsAfter != 6 || out.AssignsAfter != 4 {
+		t.Errorf("skip outcome %+v, want the input's 6 rows over 4 assignments", out)
+	}
+	if plain := compileRun(t, db, r, []int{0, 1}, 1); got.Dump() != plain.Dump() {
+		t.Fatalf("a barrier that skips changed the answer:\n%s\nwant:\n%s", got.Dump(), plain.Dump())
+	}
+}
+
+// TestBarrierDeduplicatesInput feeds a barrier a stream with repeated rows
+// (no rule pipeline produces one; a non-deduplicating projection does):
+// the buffered relation is a set, so the policy hears of distinct rows
+// and a repeated head tuple counts once towards its assignment.
+func TestBarrierDeduplicatesInput(t *testing.T) {
+	db := storage.NewDatabase()
+	rel := storage.NewRelation("t", "P", "H", "Z")
+	for _, r := range [][3]string{{"1", "a", "x"}, {"1", "a", "y"}, {"1", "b", "x"}, {"2", "a", "x"}, {"2", "a", "y"}} {
+		rel.InsertValues(storage.Str(r[0]), storage.Str(r[1]), storage.Str(r[2]))
+	}
+	db.Add(rel)
+	scan := &ScanNode{Pred: "t", atom: "t(P,H,Z)", arity: 3, newPos: []int{0, 1, 2}, cols: []string{"P", "H", "Z"}}
+	proj := &ProjectNode{Probe: scan, pos: []int{0, 1}, cols: []string{"P", "H"}}
+	var out BarrierOutcome
+	barrier := NewBarrier("b", proj, &Barrier{
+		ParamPos: []int{0}, HeadPos: []int{1}, Agg: countAtLeast2,
+		Decide: func(rows, assigns int) bool { return true },
+		Record: func(o BarrierOutcome) { out = o },
+	})
+	col := obs.NewCollector()
+	got, err := NewPlan(NewMaterialize("answer", barrier, nil)).Run(&Ctx{DB: db, Workers: 1, Col: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (1,a) (1,b) (2,a): P=1 has two head tuples, P=2 one, seen twice.
+	if out.Rows != 3 || out.Assigns != 2 || out.RowsAfter != 2 || out.AssignsAfter != 1 {
+		t.Errorf("outcome %+v, want 3 rows over 2 assignments reduced to 2 over 1", out)
+	}
+	if s := fmt.Sprint(got.Tuples()); s != "[(1, a) (1, b)]" {
+		t.Errorf("answer %s, want [(1, a) (1, b)]", s)
+	}
+	for _, e := range col.Events() {
+		if e.Op == obs.OpMaterialize && e.Desc == "b" && (e.RowsIn != 5 || e.RowsOut != 2) {
+			t.Errorf("barrier event %d -> %d rows, want 5 -> 2", e.RowsIn, e.RowsOut)
+		}
 	}
 }
 
@@ -199,7 +264,7 @@ func TestGroupOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("grp", grp, nil, "", nil))
+	plan := NewPlan(NewMaterialize("grp", grp, nil))
 	col := obs.NewCollector()
 	got, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col})
 	if err != nil {
@@ -228,7 +293,7 @@ func TestSelectAndAntiJoinOperators(t *testing.T) {
 	anti := &AntiJoinNode{Probe: sel, Pred: "blocked", atom: "NOT blocked(Y)", arity: 1,
 		srcPos: []int{1}, constVal: make([]storage.Value, 1), cols: sel.cols}
 	for _, w := range []int{1, 4} {
-		plan := NewPlan(NewMaterialize("answer", anti, nil, "", nil))
+		plan := NewPlan(NewMaterialize("answer", anti, nil))
 		got, err := plan.Run(&Ctx{DB: db, Workers: w})
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +315,7 @@ func TestExplainTreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
+	plan := NewPlan(NewMaterialize("answer", node, nil))
 	out := plan.Explain()
 	for _, want := range []string{"materialize#1 answer", "project#", "join#", "build#", "scan#", "absorbed"} {
 		if !strings.Contains(out, want) {
@@ -277,7 +342,7 @@ func TestOperatorEventsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(NewMaterialize("answer", node, nil, "", nil))
+	plan := NewPlan(NewMaterialize("answer", node, nil))
 	col := obs.NewCollector()
 	if _, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col}); err != nil {
 		t.Fatal(err)

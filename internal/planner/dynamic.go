@@ -53,7 +53,7 @@ type DynamicOptions struct {
 	// Answers and Decisions are identical for every worker count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default), where
-	// decisions run as hooks on Materialize barriers, or the legacy
+	// decisions are put by ID-space barrier operators, or the legacy
 	// step-by-step executor (eval.ExecMaterialize). Answers and Decisions
 	// are identical.
 	Exec eval.ExecMode
@@ -216,10 +216,10 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 }
 
 // CompileDynamic returns the physical plan EvalDynamic would execute —
-// the EXPLAIN rendering path. Decision barriers appear as Materialize
+// the EXPLAIN rendering path. Decision barriers appear as materialize
 // nodes at every legal filter point; whether each one filters is decided
-// at run time by its hook. Views must already be materialized into db;
-// the plan is single-use (its hooks share decision state).
+// at run time by the policy. Views must already be materialized into db;
+// the plan is single-use (its barriers share decision state).
 func CompileDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*physical.Plan, error) {
 	o := opts.orDefault()
 	if !f.Filter.Monotone() {
@@ -232,60 +232,46 @@ func CompileDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (
 }
 
 // compileDynamic compiles the flock to one physical plan whose §4.4
-// "filter now?" decisions run as hooks on Materialize barriers: the
-// compiler places a barrier at every pipeline position where a FILTER
-// step is legal (some parameters bound, all head columns bound), and the
-// hook — executed when the barrier materializes — observes the actual
-// intermediate relation, applies the avg-tuples-per-assignment rules,
-// and swaps in the reduced relation when it decides to filter.
-// Decisions append to res in pipeline order, exactly as the
-// materializing path records them. Multi-rule flocks compile without
-// barriers (per-rule pruning is unsound; see EvalDynamic).
+// "filter now?" decisions are put by barrier operators: the compiler
+// places a barrier at every pipeline position where a FILTER step is
+// legal (some parameters bound, all head columns bound). The barrier —
+// physical.Barrier, the mechanism — buffers the actual intermediate
+// relation in ID space, reports its cardinalities to the policy below
+// and, when told to filter, reduces it to the assignments that pass the
+// flock's condition. Decisions append to res in pipeline order, exactly
+// as the materializing path records them. Multi-rule flocks compile
+// without barriers (per-rule pruning is unsound; see EvalDynamic).
 func compileDynamic(db *storage.Database, f *core.Flock, o *DynamicOptions, res *DynamicResult) (*physical.Plan, error) {
-	paramCols := make(map[string]datalog.Param, len(f.Params))
-	for _, p := range f.Params {
-		paramCols["$"+string(p)] = p
-	}
-	threshold := thresholdOf(f)
-	allowFiltering := len(f.Query) == 1
-
+	paramCols := paramColsOf(f)
 	branches := make([]physical.Node, len(f.Query))
 	for bi, r := range f.Query {
-		order := o.FixedOrder
-		if order == nil {
-			var err error
-			order, err = eval.JoinOrder(db, r, o.Order)
-			if err != nil {
-				return nil, err
-			}
-		} else if len(order) != len(r.PositiveAtoms()) {
-			return nil, fmt.Errorf("planner: fixed order covers %d of %d atoms", len(order), len(r.PositiveAtoms()))
-		}
-		headCols := make([]string, 0, len(r.Head.Args))
-		for _, t := range r.Head.Args {
-			col, ok := termCol(t)
-			if !ok {
-				return nil, fmt.Errorf("planner: constant head argument %s", t)
-			}
-			headCols = append(headCols, col)
+		order, headCols, err := orderAndHead(db, r, o)
+		if err != nil {
+			return nil, err
 		}
 		var barrier physical.BarrierFactory
-		if allowFiltering {
-			bestAvg := make(map[string]float64) // param-set key -> best avg seen
-			barrier = func(_ int, atom string, cols []string) (physical.Hook, string) {
+		if len(f.Query) == 1 {
+			pol := newPolicy(f, o, res)
+			barrier = func(_ int, atom string, cols []string) *physical.Barrier {
 				boundParams, paramPos := boundParamsOfCols(cols, paramCols)
 				if len(boundParams) == 0 {
-					return nil, ""
+					return nil
 				}
-				if !allIn(cols, headCols) {
+				headPos, bound := positionsOf(cols, headCols)
+				if !bound {
 					// The subquery-so-far is unsafe as a FILTER query (its
 					// head would be unbound); no legal filter step here.
-					return nil, ""
+					return nil
 				}
-				hook := func(cur *storage.Relation) (*storage.Relation, error) {
-					return decideFilter(cur, f, o, res, atom, boundParams, paramPos, headCols, threshold, bestAvg)
+				site := pol.at(atom, boundParams)
+				return &physical.Barrier{
+					Desc:     fmt.Sprintf("decide on %v", boundParams),
+					ParamPos: paramPos,
+					HeadPos:  headPos,
+					Agg:      f.Filter.Aggregate(),
+					Decide:   site.decide,
+					Record:   site.record,
 				}
-				return hook, fmt.Sprintf("decide on %v", boundParams)
 			}
 		}
 		node, err := physical.CompileRule(db, r, physical.RuleOpts{
@@ -310,77 +296,132 @@ func compileDynamic(db *storage.Database, f *core.Flock, o *DynamicOptions, res 
 	if err != nil {
 		return nil, err
 	}
-	return physical.NewPlan(physical.NewMaterialize("flock", group, nil, "", nil)), nil
+	return physical.NewPlan(physical.NewMaterialize("flock", group, nil)), nil
 }
 
-// decideFilter is the runtime body of one decision barrier: the §4.4
-// rules of evalRuleDynamic, observing the materialized intermediate.
-func decideFilter(cur *storage.Relation, f *core.Flock, o *DynamicOptions, res *DynamicResult,
-	atom string, boundParams []datalog.Param, paramPos []int, headCols []string,
-	threshold int, bestAvg map[string]float64) (*storage.Relation, error) {
+// policy is the §4.4 decision rule of one rule's evaluation — when an
+// intermediate relation is worth a FILTER step — together with the state
+// the rule reads (the best average seen per parameter set) and the log it
+// writes. Both executors consult it; what differs between them is only
+// the mechanism that counts and reduces.
+type policy struct {
+	o         *DynamicOptions
+	res       *DynamicResult
+	threshold int
+	bestAvg   map[string]float64 // param-set key -> best avg seen
+}
 
-	rows := cur.Len()
-	assigns := distinctOn(cur, paramPos)
-	avg := 0.0
-	if assigns > 0 {
-		avg = float64(rows) / float64(assigns)
+func newPolicy(f *core.Flock, o *DynamicOptions, res *DynamicResult) *policy {
+	return &policy{o: o, res: res, threshold: thresholdOf(f), bestAvg: make(map[string]float64)}
+}
+
+// decisionSite is the policy at one decision point: after one joined
+// atom, with one set of parameters bound.
+type decisionSite struct {
+	*policy
+	atom   string
+	params []datalog.Param
+	key    string
+}
+
+func (p *policy) at(atom string, boundParams []datalog.Param) *decisionSite {
+	return &decisionSite{policy: p, atom: atom, params: boundParams, key: paramSetKey(boundParams)}
+}
+
+// avgGroup is the §4.4 measure: tuples per parameter assignment.
+func avgGroup(rows, assigns int) float64 {
+	if assigns == 0 {
+		return 0
 	}
-	key := paramSetKey(boundParams)
-	prev, seen := bestAvg[key]
-	shouldFilter := false
+	return float64(rows) / float64(assigns)
+}
+
+// decide applies the §4.4 rules to an intermediate relation of rows
+// tuples over assigns parameter assignments.
+func (s *decisionSite) decide(rows, assigns int) bool {
+	avg := avgGroup(rows, assigns)
+	prev, seen := s.bestAvg[s.key]
 	switch {
 	case rows == 0:
-		// Nothing to prune.
+		return false // nothing to prune
 	case !seen:
 		// Fresh parameter set: compare against the threshold (§4.4's
 		// "important special case").
-		shouldFilter = avg < o.FilterRatio*float64(threshold)
+		return avg < s.o.FilterRatio*float64(s.threshold)
 	default:
-		shouldFilter = avg < o.RefilterRatio*prev
+		return avg < s.o.RefilterRatio*prev
 	}
-	d := Decision{
-		After:      atom,
-		Params:     boundParams,
-		AvgGroup:   avg,
-		RowsBefore: rows,
-		RowsAfter:  rows,
-	}
-	out := cur
-	if shouldFilter {
-		reduced, err := filterIntermediate(cur, paramPos, headCols, f.Filter)
-		if err != nil {
-			return nil, err
-		}
-		d.Filtered = true
-		d.RowsAfter = reduced.Len()
-		// The pipeline continues from the reduced relation, so the §4.4
-		// "as it was at any previous step" baseline for this parameter
-		// set is the post-filter average (see evalRuleDynamic).
-		avg = 0
-		if n := distinctOn(reduced, paramPos); n > 0 {
-			avg = float64(reduced.Len()) / float64(n)
-		}
-		out = reduced
-	}
-	if !seen || avg < prev {
-		bestAvg[key] = avg
-	}
-	if o.Trace != nil {
-		o.Trace.Collector().Record(obs.Event{
-			Op:       obs.OpDecision,
-			Desc:     fmt.Sprintf("after %s on %v", atom, boundParams),
-			RowsIn:   d.RowsBefore,
-			RowsOut:  d.RowsAfter,
-			Groups:   assigns,
-			Filtered: d.Filtered,
-		})
-	}
-	res.Decisions = append(res.Decisions, d)
-	return out, nil
 }
 
-// evalRuleDynamic runs one rule through the executor, interleaving filter
-// decisions, and returns the rule's extended answer (params + head).
+// record logs one decision and updates the parameter set's baseline. The
+// pipeline continues from the reduced relation, so the §4.4 "as it was at
+// any previous step" baseline is the post-filter average. Remembering the
+// pre-filter average would compare later steps against a state that no
+// longer exists and refilter too eagerly.
+func (s *decisionSite) record(out physical.BarrierOutcome) {
+	avg := avgGroup(out.RowsAfter, out.AssignsAfter)
+	if prev, seen := s.bestAvg[s.key]; !seen || avg < prev {
+		s.bestAvg[s.key] = avg
+	}
+	if s.o.Trace != nil {
+		s.o.Trace.Collector().Record(obs.Event{
+			Op:       obs.OpDecision,
+			ID:       out.ID,
+			Desc:     fmt.Sprintf("after %s on %v", s.atom, s.params),
+			RowsIn:   out.Rows,
+			RowsOut:  out.RowsAfter,
+			Groups:   out.Assigns,
+			Filtered: out.Filtered,
+			Wall:     out.Wall,
+		})
+	}
+	s.res.Decisions = append(s.res.Decisions, Decision{
+		After:      s.atom,
+		Params:     s.params,
+		AvgGroup:   avgGroup(out.Rows, out.Assigns),
+		Filtered:   out.Filtered,
+		RowsBefore: out.Rows,
+		RowsAfter:  out.RowsAfter,
+	})
+}
+
+// orderAndHead resolves the rule's join order under the options and its
+// head as binding-relation column names.
+func orderAndHead(db *storage.Database, r *datalog.Rule, o *DynamicOptions) (order []int, headCols []string, err error) {
+	order = o.FixedOrder
+	if order == nil {
+		if order, err = eval.JoinOrder(db, r, o.Order); err != nil {
+			return nil, nil, err
+		}
+	} else if len(order) != len(r.PositiveAtoms()) {
+		return nil, nil, fmt.Errorf("planner: fixed order covers %d of %d atoms", len(order), len(r.PositiveAtoms()))
+	}
+	headCols = make([]string, 0, len(r.Head.Args))
+	for _, t := range r.Head.Args {
+		col, ok := termCol(t)
+		if !ok {
+			return nil, nil, fmt.Errorf("planner: constant head argument %s", t)
+		}
+		headCols = append(headCols, col)
+	}
+	return order, headCols, nil
+}
+
+// paramColsOf maps binding-relation column names to the flock's
+// parameters.
+func paramColsOf(f *core.Flock) map[string]datalog.Param {
+	paramCols := make(map[string]datalog.Param, len(f.Params))
+	for _, p := range f.Params {
+		paramCols["$"+string(p)] = p
+	}
+	return paramCols
+}
+
+// evalRuleDynamic runs one rule through the materializing executor,
+// interleaving filter decisions, and returns the rule's extended answer
+// (params + head). It is the oracle of the barrier operator: the same
+// policy over an independent, boxed mechanism (distinctOn,
+// filterIntermediate).
 func evalRuleDynamic(db *storage.Database, f *core.Flock, r *datalog.Rule,
 	o *DynamicOptions, res *DynamicResult, allowFiltering bool) (*storage.Relation, error) {
 
@@ -390,31 +431,12 @@ func evalRuleDynamic(db *storage.Database, f *core.Flock, r *datalog.Rule,
 	}
 	ex.SetWorkers(o.Workers)
 	ex.SetGate(o.Gate)
-	order := o.FixedOrder
-	if order == nil {
-		var err error
-		order, err = eval.JoinOrder(db, r, o.Order)
-		if err != nil {
-			return nil, err
-		}
-	} else if len(order) != len(r.PositiveAtoms()) {
-		return nil, fmt.Errorf("planner: fixed order covers %d of %d atoms", len(order), len(r.PositiveAtoms()))
+	order, headCols, err := orderAndHead(db, r, o)
+	if err != nil {
+		return nil, err
 	}
-
-	headCols := make([]string, 0, len(r.Head.Args))
-	for _, t := range r.Head.Args {
-		col, ok := termCol(t)
-		if !ok {
-			return nil, fmt.Errorf("planner: constant head argument %s", t)
-		}
-		headCols = append(headCols, col)
-	}
-	paramCols := make(map[string]datalog.Param, len(f.Params))
-	for _, p := range f.Params {
-		paramCols["$"+string(p)] = p
-	}
-	threshold := thresholdOf(f)
-	bestAvg := make(map[string]float64) // param-set key -> best avg seen
+	paramCols := paramColsOf(f)
+	pol := newPolicy(f, o, res)
 
 	atoms := r.PositiveAtoms()
 	for _, i := range order {
@@ -428,75 +450,28 @@ func evalRuleDynamic(db *storage.Database, f *core.Flock, r *datalog.Rule,
 			continue
 		}
 		cur := ex.Current()
-		boundParams, paramPos := boundParamsOf(cur, paramCols)
+		boundParams, paramPos := boundParamsOfCols(cur.Columns(), paramCols)
 		if len(boundParams) == 0 {
 			continue
 		}
-		if !allBound(cur, headCols) {
+		headPos, bound := positionsOf(cur.Columns(), headCols)
+		if !bound {
 			// The subquery-so-far is unsafe as a FILTER query (its head
 			// would be unbound); no legal filter step exists here.
 			continue
 		}
-		rows := cur.Len()
-		assigns := distinctOn(cur, paramPos)
-		avg := 0.0
-		if assigns > 0 {
-			avg = float64(rows) / float64(assigns)
-		}
-		key := paramSetKey(boundParams)
-		prev, seen := bestAvg[key]
-		shouldFilter := false
-		switch {
-		case rows == 0:
-			// Nothing to prune.
-		case !seen:
-			// Fresh parameter set: compare against the threshold (§4.4's
-			// "important special case").
-			shouldFilter = avg < o.FilterRatio*float64(threshold)
-		default:
-			shouldFilter = avg < o.RefilterRatio*prev
-		}
-		d := Decision{
-			After:      atoms[i].String(),
-			Params:     boundParams,
-			AvgGroup:   avg,
-			RowsBefore: rows,
-			RowsAfter:  rows,
-		}
-		if shouldFilter {
-			reduced, err := filterIntermediate(cur, paramPos, headCols, f.Filter)
-			if err != nil {
-				return nil, err
-			}
+		site := pol.at(atoms[i].String(), boundParams)
+		rows, assigns := cur.Len(), distinctOn(cur, paramPos)
+		out := physical.BarrierOutcome{Rows: rows, Assigns: assigns, RowsAfter: rows, AssignsAfter: assigns}
+		if site.decide(rows, assigns) {
+			reduced := filterIntermediate(cur, paramPos, headPos, f.Filter)
 			if err := ex.ReplaceCurrent(reduced); err != nil {
 				return nil, err
 			}
-			d.Filtered = true
-			d.RowsAfter = reduced.Len()
-			// The pipeline continues from the reduced relation, so the §4.4
-			// "as it was at any previous step" baseline for this parameter
-			// set is the post-filter average. Remembering the pre-filter
-			// average would compare later steps against a state that no
-			// longer exists and refilter too eagerly.
-			avg = 0
-			if n := distinctOn(reduced, paramPos); n > 0 {
-				avg = float64(reduced.Len()) / float64(n)
-			}
+			out.Filtered = true
+			out.RowsAfter, out.AssignsAfter = reduced.Len(), distinctOn(reduced, paramPos)
 		}
-		if !seen || avg < prev {
-			bestAvg[key] = avg
-		}
-		if o.Trace != nil {
-			o.Trace.Collector().Record(obs.Event{
-				Op:       obs.OpDecision,
-				Desc:     fmt.Sprintf("after %s on %v", atoms[i], boundParams),
-				RowsIn:   d.RowsBefore,
-				RowsOut:  d.RowsAfter,
-				Groups:   assigns,
-				Filtered: d.Filtered,
-			})
-		}
-		res.Decisions = append(res.Decisions, d)
+		site.record(out)
 	}
 	return ex.Finish(extendedTerms(f.Params, r))
 }
@@ -510,31 +485,8 @@ func extendedTerms(params []datalog.Param, r *datalog.Rule) []datalog.Term {
 	return append(out, r.Head.Args...)
 }
 
-// boundParamsOf returns the flock parameters bound in the relation's
-// columns (sorted) and their column positions (in the same order).
-func boundParamsOf(rel *storage.Relation, paramCols map[string]datalog.Param) ([]datalog.Param, []int) {
-	type bp struct {
-		p   datalog.Param
-		pos int
-	}
-	var found []bp
-	for i, c := range rel.Columns() {
-		if p, ok := paramCols[c]; ok {
-			found = append(found, bp{p, i})
-		}
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i].p < found[j].p })
-	params := make([]datalog.Param, len(found))
-	pos := make([]int, len(found))
-	for i, f := range found {
-		params[i] = f.p
-		pos[i] = f.pos
-	}
-	return params, pos
-}
-
-// boundParamsOfCols is boundParamsOf over a plain column list (the
-// compile-time shape the barrier factory sees).
+// boundParamsOfCols returns the flock parameters bound among cols
+// (sorted) and their column positions (in the same order).
 func boundParamsOfCols(cols []string, paramCols map[string]datalog.Param) ([]datalog.Param, []int) {
 	type bp struct {
 		p   datalog.Param
@@ -556,30 +508,23 @@ func boundParamsOfCols(cols []string, paramCols map[string]datalog.Param) ([]dat
 	return params, pos
 }
 
-// allIn reports whether every want column appears in cols.
-func allIn(cols, want []string) bool {
-	for _, w := range want {
-		ok := false
-		for _, c := range cols {
+// positionsOf returns where each want column sits in cols; ok is false
+// when one is missing.
+func positionsOf(cols, want []string) (pos []int, ok bool) {
+	pos = make([]int, len(want))
+	for i, w := range want {
+		pos[i] = -1
+		for j, c := range cols {
 			if c == w {
-				ok = true
+				pos[i] = j
 				break
 			}
 		}
-		if !ok {
-			return false
+		if pos[i] < 0 {
+			return nil, false
 		}
 	}
-	return true
-}
-
-func allBound(rel *storage.Relation, cols []string) bool {
-	for _, c := range cols {
-		if rel.ColumnIndex(c) < 0 {
-			return false
-		}
-	}
-	return true
+	return pos, true
 }
 
 // distinctOn counts the distinct projections of rel onto pos — the number
@@ -589,9 +534,7 @@ func distinctOn(rel *storage.Relation, pos []int) int {
 	var buf []byte
 	for _, t := range rel.Tuples() {
 		buf = t.AppendKeyOn(buf[:0], pos)
-		if _, dup := seen[string(buf)]; !dup {
-			seen[string(buf)] = struct{}{}
-		}
+		seen[string(buf)] = struct{}{}
 	}
 	return len(seen)
 }
@@ -603,14 +546,10 @@ func distinctOn(rel *storage.Relation, pos []int) int {
 // worker knob: unlike GroupAndFilterWorkers it must keep every binding
 // row (not one row per group), and its input — an already filter-worthy
 // intermediate — is usually small enough that partitioning would not pay.
-// Every dynamic evaluation pays for this pass at its decision barriers,
-// so it computes one key per row into a reused buffer and remembers each
-// row's group instead of looking it up again.
-func filterIntermediate(cur *storage.Relation, paramPos []int, headCols []string, filter core.Filter) (*storage.Relation, error) {
-	headPos := make([]int, len(headCols))
-	for i, c := range headCols {
-		headPos[i] = cur.ColumnIndex(c)
-	}
+// Only the materializing oracle runs it — the streaming executor's
+// barriers reduce in ID space (physical.Barrier) — and it deliberately
+// shares nothing with them.
+func filterIntermediate(cur *storage.Relation, paramPos, headPos []int, filter core.Filter) *storage.Relation {
 	type group struct {
 		acc  core.GroupAcc
 		done bool
@@ -655,5 +594,5 @@ func filterIntermediate(cur *storage.Relation, paramPos []int, headCols []string
 			out.Insert(t)
 		}
 	}
-	return out, nil
+	return out
 }

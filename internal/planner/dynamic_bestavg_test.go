@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"queryflocks/internal/core"
-	"queryflocks/internal/storage"
 )
 
 // TestDynamicRecordsPostFilterAverage is the regression for the §4.4
@@ -27,33 +26,7 @@ import (
 // 1.0 < 0.5*3.6 and the third step re-filters. With the buggy pre-filter
 // baseline 1.6, 1.0 >= 0.5*1.6 and the third step skips.
 func TestDynamicRecordsPostFilterAverage(t *testing.T) {
-	r := storage.NewRelation("r", "M", "B")
-	for m := 1; m <= 8; m++ {
-		for j := 1; j <= 3; j++ {
-			r.InsertValues(storage.Int(int64(m)), storage.Int(int64(m*10+j)))
-		}
-	}
-	for m := 9; m <= 10; m++ {
-		for j := 1; j <= 6; j++ {
-			r.InsertValues(storage.Int(int64(m)), storage.Int(int64(m*10+j)))
-		}
-	}
-	s := storage.NewRelation("s", "B", "C")
-	for m := 1; m <= 8; m++ {
-		s.InsertValues(storage.Int(int64(m*10+1)), storage.Int(int64(m*10+1)))
-	}
-	for m := 9; m <= 10; m++ {
-		for j := 1; j <= 4; j++ {
-			s.InsertValues(storage.Int(int64(m*10+j)), storage.Int(int64(m*10+j)))
-		}
-	}
-	u := storage.NewRelation("u", "C", "D")
-	u.InsertValues(storage.Int(91), storage.Int(1))
-	u.InsertValues(storage.Int(101), storage.Int(1))
-	db := storage.NewDatabase()
-	db.Add(r)
-	db.Add(s)
-	db.Add(u)
+	db := refilterDB()
 
 	f := core.MustParse(`
 QUERY:

@@ -276,6 +276,16 @@ func TestStatusTable(t *testing.T) {
 		{"admission", query(full, pairFlock), http.StatusServiceUnavailable, nil},
 		{"deadline", query(New(explosiveDB(6, 48), Config{Timeout: time.Nanosecond}), explosiveFlock),
 			http.StatusGatewayTimeout, nil},
+		// The dynamic strategy's first legal barrier follows the third join:
+		// it is the operator holding the tuples when either bound trips.
+		{"tuple budget at a decision barrier", func() error {
+			_, err := New(explosiveDB(4, 30), Config{MaxTuples: 1000}).Query(explosiveFlock, Request{Strategy: "dynamic"})
+			return err
+		}, http.StatusUnprocessableEntity, nil},
+		{"deadline inside a dynamic evaluation", func() error {
+			_, err := New(explosiveDB(6, 48), Config{Timeout: 20 * time.Millisecond}).Query(explosiveFlock, Request{Strategy: "dynamic"})
+			return err
+		}, http.StatusGatewayTimeout, nil},
 		{"bad segment", query(New(badSegmentDB(t), Config{}), pairFlock),
 			http.StatusInternalServerError, func(f Failure) bool { return f.Relation == "baskets" }},
 		{"dead shard", query(New(db, Config{Cluster: dead}), pairFlock),

@@ -18,7 +18,7 @@ import (
 // the domain, built at CSV load/ingest) are order-preserving: for values
 // known at build time, id(v) < id(w) iff v.Compare(w) < 0, so ID order
 // can stand in for Value order as well as equality. Values first seen
-// after the build (query constants, hook-produced tuples) are appended
+// after the build (query constants, rows a later mutation adds) are appended
 // and keep only the equality guarantee.
 //
 // A Dict is safe for concurrent use: lookups take a read lock, misses

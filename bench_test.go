@@ -11,8 +11,10 @@ package queryflocks_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,6 +24,7 @@ import (
 	"queryflocks/internal/eval"
 	"queryflocks/internal/paper"
 	"queryflocks/internal/planner"
+	"queryflocks/internal/serve"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
@@ -392,6 +395,73 @@ func BenchmarkDynamicBarrier(b *testing.B) {
 			benchFlockDirect(b, db, f, &core.EvalOptions{Workers: 1})
 		})
 	}
+}
+
+// BenchmarkMemoColdAfterMutate prices the serving memo's two FILTER-
+// computation paths on examples/flocks fig3 over the medical relations of
+// bench/'s database shape at its seed, disk engine, sequential. cold: a
+// 5-row mutation of exhibits (outside the timer) retires the memo, then an
+// invoke recomputes and captures the extended answer; memo-B/entry is then
+// the memo's byte estimate per entry (one extended answer, one survivor
+// set). ext-hit: an invoke under a threshold no earlier run used replays
+// the memoized extended answer.
+func BenchmarkMemoColdAfterMutate(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("examples", "flocks", "fig3-medical.flock"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := storage.CreateDir(dir, workload.Medical(workload.DefaultMedical(5000, 2000))); err != nil {
+		b.Fatal(err)
+	}
+	setup := func(b *testing.B) (*serve.Pipeline, string) {
+		db, _, err := storage.OpenDir(dir, storage.EngineDisk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipe := serve.New(db, serve.Config{Workers: 1, PlanCacheSize: 64, MemoMaxBytes: 64 << 20})
+		handle, _, _, err := pipe.Prepare(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pipe.Invoke(handle, storage.Null(), serve.Request{}); err != nil {
+			b.Fatal(err)
+		}
+		return pipe, handle
+	}
+	b.Run("cold", func(b *testing.B) {
+		pipe, handle := setup(b)
+		rng := rand.New(rand.NewSource(1998))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var rows strings.Builder
+			for j := 0; j < 5; j++ {
+				fmt.Fprintf(&rows, "%d,s%d\n", rng.Intn(5000), rng.Intn(200))
+			}
+			if _, err := pipe.Mutate("exhibits", rows.String()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := pipe.Invoke(handle, storage.Null(), serve.Request{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		cs := pipe.CacheStats(pipe.Snapshot())
+		b.ReportMetric(float64(cs.MemoBytes)/float64(cs.MemoEntries), "memo-B/entry")
+	})
+	b.Run("ext-hit", func(b *testing.B) {
+		pipe, handle := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pipe.Invoke(handle, storage.Int(int64(21+i)), serve.Request{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Ablations ------------------------------------------------------------

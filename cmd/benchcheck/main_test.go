@@ -103,6 +103,39 @@ func TestBenchcheckDecisionAttribution(t *testing.T) {
 	}
 }
 
+// TestBenchcheckMemoAttribution: a report that replayed a memoized
+// extended answer (a cached scan) is held to the same rule — its operator
+// walls must cover the run — while a survivor-plane hit, which runs no
+// operator plan, is not.
+func TestBenchcheckMemoAttribution(t *testing.T) {
+	report := func(steps ...obs.Event) *obs.RunReport {
+		r := &obs.RunReport{Strategy: "direct", WallNs: int64(10 * time.Millisecond), AnswerRows: 2, Steps: steps}
+		for _, e := range steps {
+			r.TotalRows += e.RowsOut
+			r.MaxRows = max(r.MaxRows, e.RowsOut)
+		}
+		return r
+	}
+	ms := time.Millisecond
+	replay := func(group time.Duration) *obs.RunReport {
+		return report(
+			obs.Event{Op: obs.OpScan, ID: 3, Desc: "memo", RowsIn: 50, RowsOut: 50, Wall: ms / 10, Cached: true},
+			obs.Event{Op: obs.OpGroup, ID: 2, Desc: "flock [COUNT(answer.B) >= 3]", RowsIn: 50, RowsOut: 2, Groups: 9, Wall: group},
+			obs.Event{Op: obs.OpMaterialize, ID: 1, Desc: "flock", RowsIn: 2, RowsOut: 2, Wall: ms / 10},
+		)
+	}
+	if err := checkReport(replay(9 * ms)); err != nil {
+		t.Errorf("attributed replay: %v", err)
+	}
+	if err := checkReport(replay(5 * ms)); err == nil || !strings.Contains(err.Error(), "want at least 90%") {
+		t.Errorf("replay with time outside every operator: got %v", err)
+	}
+	survivors := report(obs.Event{Op: obs.OpGroup, Desc: "flock [COUNT(answer.B) >= 3]", RowsOut: 2, Wall: ms / 100, Cached: true})
+	if err := checkReport(survivors); err != nil {
+		t.Errorf("survivor-plane hit: %v", err)
+	}
+}
+
 // pipelineInput builds a flockbench -json document carrying one valid
 // pipeline metric alongside a valid op_report.
 func pipelineInput(t *testing.T, alloc int64) string {

@@ -41,6 +41,20 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 	if filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", filter)
 	}
+	in, err := compileExtended(db, params, query, opts, streams)
+	if err != nil {
+		return nil, err
+	}
+	return physical.NewGroup(name, len(params), filter.Aggregate(), filter.String(), in)
+}
+
+// compileExtended builds the pipelines producing a FILTER computation's
+// extended answer (params..., head...): one per query rule, concatenated
+// by a union operator. The rows are not deduplicated; the group operator
+// does that.
+func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union,
+	opts *EvalOptions, streams map[string]physical.Node) (physical.Node, error) {
+
 	if err := query.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,15 +75,14 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 		}
 		branches[i] = node
 	}
-	in := branches[0]
-	if len(branches) > 1 {
-		un, err := physical.NewUnion(branches)
-		if err != nil {
-			return nil, err
-		}
-		in = un
+	if len(branches) == 1 {
+		return branches[0], nil
 	}
-	return physical.NewGroup(name, len(params), filter.Aggregate(), filter.String(), in)
+	un, err := physical.NewUnion(branches)
+	if err != nil {
+		return nil, err
+	}
+	return un, nil
 }
 
 // CompileDirect returns the physical plan the direct strategy executes

@@ -139,35 +139,43 @@ func (f *Flock) Eval(db *storage.Database, opts *EvalOptions) (*storage.Relation
 	if err != nil {
 		return nil, err
 	}
-	return evalFiltered(mat, f.Params, f.Query, f.Filter, "flock", opts)
+	return evalFiltered(mat, f.Params, f.Query, f.Filter, "flock", opts, nil)
 }
 
 // evalFiltered evaluates one FILTER computation (§4.1): the set of
 // param-tuples whose query result passes the filter. It is shared by the
 // direct evaluator (whole flock) and the plan executor (each step).
+// register, when non-nil, publishes the result before it is returned (plan
+// steps add it to the scratch database under its name).
 func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string, opts *EvalOptions) (*storage.Relation, error) {
+	filter Filter, name string, opts *EvalOptions, register func(*storage.Relation) error) (*storage.Relation, error) {
 
 	if filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", filter)
 	}
 	if opts != nil && opts.FilterEval != nil {
-		if rel, handled, err := opts.FilterEval(db, params, query, filter, name, opts); handled || err != nil {
-			return rel, err
+		rel, handled, err := opts.FilterEval(db, params, query, filter, name, opts)
+		if err != nil {
+			return nil, err
+		}
+		if handled {
+			return publish(rel, register)
 		}
 	}
-	if opts != nil && opts.Memo != nil {
-		return evalFilteredMemo(db, params, query, filter, name, opts)
-	}
 	if opts.execMode().Streaming() {
-		plan, err := compileFiltered(db, params, query, filter, name, opts, nil)
+		if opts != nil && opts.Memo != nil {
+			return evalFilteredMemo(db, params, query, filter, name, opts, register)
+		}
+		plan, err := compileFiltered(db, params, query, filter, name, opts, register)
 		if err != nil {
 			return nil, err
 		}
 		return eval.RunPlan(db, plan, opts.evalOpts())
 	}
-	// The extended answer is an intermediate (the streaming analogue is
-	// a mid-pipeline projection, not the sink): no answer-row cap.
+	// The materializing executor is the boxed baseline the streaming plan
+	// is checked against; it never consults the memo. The extended answer
+	// is an intermediate (the streaming analogue is a mid-pipeline
+	// projection, not the sink): no answer-row cap.
 	ext, err := eval.EvalUnion(db, query, func(r *datalog.Rule) []datalog.Term {
 		return extendedOut(params, r)
 	}, opts.subquery().evalOpts())
@@ -204,7 +212,17 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 		// that through the shared peak gauge for streaming comparisons.
 		opts.Trace.Collector().ObservePeak(ext.Len() + groups + res.Len())
 	}
-	return res, nil
+	return publish(res, register)
+}
+
+// publish hands rel to register, when there is one, and returns it.
+func publish(rel *storage.Relation, register func(*storage.Relation) error) (*storage.Relation, error) {
+	if register != nil {
+		if err := register(rel); err != nil {
+			return nil, err
+		}
+	}
+	return rel, nil
 }
 
 // minParallelGroupRows is the extended-result size below which the group-by

@@ -10,6 +10,7 @@ import (
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/eval"
 	"queryflocks/internal/obs"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
@@ -19,10 +20,10 @@ import (
 // candidate subquery), factors into two memoizable pieces:
 //
 //   - the *extended answer*: the distinct (params..., head...) tuples of the
-//     parametrized query. It does not depend on the filter at all, so a
-//     flock re-posted with a tightened support threshold — the interactive
-//     mining session pattern — reuses the already-mined candidate tuples and
-//     pays only a re-grouping;
+//     parametrized query, kept as dictionary-ID rows. It does not depend on
+//     the filter at all, so a flock re-posted with a tightened support
+//     threshold — the interactive mining session pattern — replays the
+//     already-mined candidate tuples and pays only a re-grouping;
 //   - the *survivor set*: the parameter tuples whose group passes the
 //     filter. It is the step's full result, keyed on query and filter both.
 //
@@ -36,15 +37,17 @@ import (
 
 // SubqueryMemo is a cache of FILTER-computation results shared across
 // evaluations. Implementations must be safe for concurrent use and must
-// treat stored relations as immutable (the engine hands out the same
-// *storage.Relation to every hit). internal/serve provides the byte-bounded
-// LRU implementation flockd mounts.
+// treat stored values as immutable (the engine hands the same value to
+// every hit). internal/serve provides the byte-bounded LRU implementation
+// flockd mounts.
 type SubqueryMemo interface {
-	// Extended returns the memoized extended answer for key, if present.
-	Extended(key string) (*storage.Relation, bool)
-	// PutExtended stores an extended answer. Implementations may decline
-	// (e.g. an entry larger than the cache); Put is advisory.
-	PutExtended(key string, rel *storage.Relation)
+	// Extended returns the memoized extended answer for key, if present and
+	// interned in dict: ID rows of another dictionary mean nothing here.
+	Extended(key string, dict *storage.Dict) (*physical.IDRows, bool)
+	// PutExtended stores an extended answer, as the distinct ID rows a
+	// capturing group operator kept. Implementations may decline (e.g. an
+	// entry larger than the cache); Put is advisory.
+	PutExtended(key string, rows *physical.IDRows)
 	// Survivors returns the memoized survivor set for key, if present.
 	Survivors(key string) (*storage.Relation, bool)
 	// PutSurvivors stores a survivor set.
@@ -110,14 +113,17 @@ func chainSalt(salt string, step FilterStep, filter Filter) string {
 		datalog.CanonicalUnion(step.Query), filter.CanonicalString())
 }
 
-// evalFilteredMemo is evalFiltered with the memo planes consulted: a
-// survivor hit skips the computation entirely; an extended hit skips the
-// query evaluation and pays only the group-by. Either way the answer is
-// the same relation evalFiltered would have produced — the memo only
-// short-circuits work, never changes results — and resource gates still
-// see the output so budget errors stay deterministic.
+// evalFilteredMemo is evalFiltered's streaming path with the memo planes
+// consulted. A survivor hit skips the computation entirely. Otherwise the
+// computation runs as one columnar plan — pipelines, union, group
+// operator, sink — whose group input is the compiled rule pipelines on an
+// extended-plane miss, and a replay of the memoized ID rows on a hit. A
+// miss runs the group operator in capture mode and memoizes the distinct
+// rows it deduplicated: the extended answer, whatever the filter. Either
+// way the answer is the relation the memo-free plan would produce, in the
+// same order — the memo only short-circuits work, never changes results.
 func evalFilteredMemo(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string, opts *EvalOptions) (*storage.Relation, error) {
+	filter Filter, name string, opts *EvalOptions, register func(*storage.Relation) error) (*storage.Relation, error) {
 
 	memo := opts.Memo
 	extKey := extendedKey(opts.MemoSalt, params, query)
@@ -143,41 +149,48 @@ func evalFilteredMemo(db *storage.Database, params []datalog.Param, query datalo
 				Wall:    time.Since(start),
 			})
 		}
-		return res, nil
+		return publish(res, register)
 	}
 
-	ext, extHit := memo.Extended(extKey)
-	if !extHit {
-		var err error
-		ext, err = eval.EvalUnion(db, query, func(r *datalog.Rule) []datalog.Term {
-			return extendedOut(params, r)
-		}, opts.subquery().evalOpts())
-		if err != nil {
-			return nil, err
-		}
-		memo.PutExtended(extKey, ext)
+	dict, err := db.Dict()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	res, groups, used := groupAndFilter(ext, len(params), filter, name, opts.workers())
-	opts.gate().NoteLive(ext.Len() + groups + res.Len())
-	if err := opts.gate().CheckOutput(res.Len()); err != nil {
+	ext, hit := memo.Extended(extKey, dict)
+	var in physical.Node
+	if hit {
+		cols := make([]string, 0, len(ext.Cols))
+		for _, t := range extendedOut(params, query[0]) {
+			cols = append(cols, t.String())
+		}
+		in, err = physical.NewReplay(ext, cols)
+	} else {
+		in, err = compileExtended(db, params, query, opts, nil)
+	}
+	if err != nil {
 		return nil, err
 	}
+	group, err := physical.NewGroup(name, len(params), filter.Aggregate(), filter.String(), in)
+	if err != nil {
+		return nil, err
+	}
+	plan := physical.NewPlan(physical.NewMaterialize(name, group, register))
+	var res *storage.Relation
+	if hit {
+		res, err = eval.RunPlan(db, plan, opts.evalOpts())
+	} else {
+		res, ext, err = eval.RunCapture(db, plan, opts.evalOpts())
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The last batch may have breached the tuple budget.
 	if err := opts.gate().Check(); err != nil {
 		return nil, err
 	}
-	memo.PutSurvivors(survKey, res)
-	if opts.Trace != nil {
-		opts.Trace.Collector().Record(obs.Event{
-			Op:      obs.OpGroup,
-			Desc:    fmt.Sprintf("%s [%s]", name, filter),
-			RowsIn:  ext.Len(),
-			RowsOut: res.Len(),
-			Groups:  groups,
-			Workers: used,
-			Cached:  extHit,
-			Wall:    time.Since(start),
-		})
-		opts.Trace.Collector().ObservePeak(ext.Len() + groups + res.Len())
+	if !hit {
+		memo.PutExtended(extKey, ext)
 	}
+	memo.PutSurvivors(survKey, res)
 	return res, nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"queryflocks/internal/datalog"
+	"queryflocks/internal/eval"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
@@ -12,24 +14,25 @@ import (
 // with traffic counters, so tests can assert which plane served a run
 // without depending on the serving-layer LRU.
 type mapMemo struct {
-	ext, surv                            map[string]*storage.Relation
+	ext                                  map[string]*physical.IDRows
+	surv                                 map[string]*storage.Relation
 	extHits, extMiss, survHits, survMiss int
 }
 
 func newMapMemo() *mapMemo {
-	return &mapMemo{ext: map[string]*storage.Relation{}, surv: map[string]*storage.Relation{}}
+	return &mapMemo{ext: map[string]*physical.IDRows{}, surv: map[string]*storage.Relation{}}
 }
 
-func (m *mapMemo) Extended(key string) (*storage.Relation, bool) {
-	rel, ok := m.ext[key]
-	if ok {
+func (m *mapMemo) Extended(key string, dict *storage.Dict) (*physical.IDRows, bool) {
+	rows, ok := m.ext[key]
+	if ok && rows.Dict == dict {
 		m.extHits++
-	} else {
-		m.extMiss++
+		return rows, true
 	}
-	return rel, ok
+	m.extMiss++
+	return nil, false
 }
-func (m *mapMemo) PutExtended(key string, rel *storage.Relation) { m.ext[key] = rel }
+func (m *mapMemo) PutExtended(key string, rows *physical.IDRows) { m.ext[key] = rows }
 func (m *mapMemo) Survivors(key string) (*storage.Relation, bool) {
 	rel, ok := m.surv[key]
 	if ok {
@@ -41,29 +44,47 @@ func (m *mapMemo) Survivors(key string) (*storage.Relation, bool) {
 }
 func (m *mapMemo) PutSurvivors(key string, rel *storage.Relation) { m.surv[key] = rel }
 
+// rebind returns f with its filter replaced, over the same query: the
+// variant shares f's extended key.
+func rebind(t *testing.T, f *Flock, agg datalog.AggKind, target string, op datalog.CmpOp, threshold storage.Value) *Flock {
+	t.Helper()
+	g, err := New(f.Query, datalog.FilterSpec{Agg: agg, Target: target, Op: op, Threshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestMemoMatchesDirectRandomized is the memo-route oracle: on random
-// instances, direct evaluation and plan execution must return the same
-// answer with the memo cold, with the memo hot, and without a memo —
-// and the hot direct run must be served from the survivor plane.
+// instances, direct evaluation and plan execution must agree with the
+// naive oracle with the memo cold, with the memo hot, and after a filter
+// rebind served from the extended plane (tighter and looser thresholds, a
+// MAX and a MIN over the same query) — at worker counts 1, 2 and 8 — and
+// the hot direct run must be served from the survivor plane.
 func TestMemoMatchesDirectRandomized(t *testing.T) {
 	const trials = 150
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < trials; trial++ {
 		db := randomFlockDB(rng)
 		f := randomFlock(rng)
-		want, err := f.Eval(db, nil)
-		if err != nil {
-			t.Fatalf("trial %d plain: %v", trial, err)
+		workers := []int{1, 2, 8}[trial%3]
+		oracle := func(f *Flock) *storage.Relation {
+			want, err := f.EvalNaive(db, nil)
+			if err != nil {
+				t.Fatalf("trial %d naive: %v", trial, err)
+			}
+			return want
 		}
+		want := oracle(f)
 
 		memo := newMapMemo()
-		opts := &EvalOptions{Memo: memo, MemoSalt: MemoContext(db, f)}
+		opts := &EvalOptions{Memo: memo, MemoSalt: MemoContext(db, f), Workers: workers}
 		cold, err := f.Eval(db, opts)
 		if err != nil {
 			t.Fatalf("trial %d cold: %v", trial, err)
 		}
 		if !cold.Equal(want) {
-			t.Fatalf("trial %d: cold memo != plain\nflock:\n%s\ncold:\n%s\nwant:\n%s",
+			t.Fatalf("trial %d: cold memo != naive\nflock:\n%s\ncold:\n%s\nwant:\n%s",
 				trial, f, cold.Dump(), want.Dump())
 		}
 		before := memo.survHits
@@ -72,10 +93,29 @@ func TestMemoMatchesDirectRandomized(t *testing.T) {
 			t.Fatalf("trial %d hot: %v", trial, err)
 		}
 		if !hot.Equal(want) {
-			t.Fatalf("trial %d: hot memo != plain\nflock:\n%s", trial, f)
+			t.Fatalf("trial %d: hot memo != naive\nflock:\n%s", trial, f)
 		}
 		if memo.survHits <= before {
 			t.Fatalf("trial %d: hot run did not hit the survivor plane", trial)
+		}
+		for _, g := range []*Flock{
+			rebind(t, f, datalog.AggCount, "", datalog.Ge, storage.Int(4)),
+			rebind(t, f, datalog.AggCount, "", datalog.Gt, storage.Int(0)),
+			rebind(t, f, datalog.AggMax, "X", datalog.Ge, storage.Int(1)),
+			rebind(t, f, datalog.AggMin, "X", datalog.Le, storage.Int(1)),
+		} {
+			hits := memo.extHits
+			got, err := g.Eval(db, opts)
+			if err != nil {
+				t.Fatalf("trial %d rebind %s: %v", trial, g.Filter, err)
+			}
+			if wantG := oracle(g); !got.Equal(wantG) {
+				t.Fatalf("trial %d: rebind %s from the extended plane != naive\nflock:\n%s\ngot:\n%s\nwant:\n%s",
+					trial, g.Filter, f, got.Dump(), wantG.Dump())
+			}
+			if memo.extHits <= hits {
+				t.Fatalf("trial %d: rebind %s did not replay the extended answer", trial, g.Filter)
+			}
 		}
 
 		plan, err := randomLegalPlan(f, rng)
@@ -83,14 +123,14 @@ func TestMemoMatchesDirectRandomized(t *testing.T) {
 			t.Fatalf("trial %d plan build: %v", trial, err)
 		}
 		pmemo := newMapMemo()
-		popts := &EvalOptions{Memo: pmemo, MemoSalt: MemoContext(db, f)}
+		popts := &EvalOptions{Memo: pmemo, MemoSalt: MemoContext(db, f), Workers: workers}
 		for pass := 0; pass < 2; pass++ {
 			res, err := plan.Execute(db, popts)
 			if err != nil {
 				t.Fatalf("trial %d plan pass %d: %v\nplan:\n%s", trial, pass, err, plan)
 			}
 			if !res.Answer.Equal(want) {
-				t.Fatalf("trial %d plan pass %d: plan+memo != plain\nflock:\n%s\nplan:\n%s\ngot:\n%s\nwant:\n%s",
+				t.Fatalf("trial %d plan pass %d: plan+memo != naive\nflock:\n%s\nplan:\n%s\ngot:\n%s\nwant:\n%s",
 					trial, pass, f, plan, res.Answer.Dump(), want.Dump())
 			}
 		}
@@ -162,6 +202,106 @@ func TestMemoThresholdTighteningReusesExtended(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("memoized tight answer differs from plain:\n%s\nvs\n%s", got.Dump(), want.Dump())
+	}
+}
+
+// groupsOfSizes holds r(A,B) where group B=k has sizes[k] members.
+func groupsOfSizes(sizes ...int) *storage.Database {
+	db := storage.NewDatabase()
+	r := storage.NewRelation("r", "A", "B")
+	for p, n := range sizes {
+		for x := 0; x < n; x++ {
+			r.InsertValues(storage.Int(int64(x)), storage.Int(int64(p)))
+		}
+	}
+	db.Add(r)
+	return db
+}
+
+// TestMemoCapturesShortCircuitedGroups: a cold run whose groups
+// short-circuit must still memoize every row of them — the extended answer
+// is filter-independent — so a rebind that reads more of a group than the
+// first filter did (a higher threshold, a MAX) answers like the naive
+// oracle. The memo path holds no more tuples than the boxed memo path
+// charged (extended rows + groups + survivors): a budget of exactly that
+// admits the capturing run and every replay.
+func TestMemoCapturesShortCircuitedGroups(t *testing.T) {
+	sizes := []int{3, 8, 25, 40}
+	db := groupsOfSizes(sizes...)
+	extRows := 3 + 8 + 25 + 40
+	base := countFlock(t, 20)
+	variants := []*Flock{
+		countFlock(t, 20), countFlock(t, 5), countFlock(t, 40), countFlock(t, 41),
+		rebind(t, base, datalog.AggMax, "X", datalog.Ge, storage.Int(30)),
+		rebind(t, base, datalog.AggSum, "X", datalog.Ge, storage.Int(300)),
+		rebind(t, base, datalog.AggCount, "X", datalog.Ge, storage.Int(9)),
+	}
+	for _, first := range []int{0, 1} {
+		memo := newMapMemo()
+		order := append([]*Flock{variants[first]}, variants...)
+		for i, f := range order {
+			want, err := f.EvalNaive(db, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &eval.Trace{}
+			budget := extRows + len(sizes) + want.Len()
+			got, err := f.Eval(db, &EvalOptions{
+				Memo: memo, MemoSalt: MemoContext(db, f), Workers: 1,
+				Trace: tr, Limits: eval.Limits{MaxTuples: budget},
+			})
+			if err != nil {
+				t.Fatalf("first %s, run %d %s: %v", order[0].Filter, i, f.Filter, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("first %s, run %d %s:\n%s\nwant:\n%s", order[0].Filter, i, f.Filter, got.Dump(), want.Dump())
+			}
+			if peak := tr.Report("direct", 1, got.Len()).PeakTuples; peak > budget {
+				t.Errorf("run %d %s: peak %d tuples, over the boxed memo path's %d", i, f.Filter, peak, budget)
+			}
+		}
+		for _, rows := range memo.ext {
+			if rows.N != extRows {
+				t.Errorf("first %s: memoized %d extended rows, want all %d", order[0].Filter, rows.N, extRows)
+			}
+		}
+		if memo.extHits != len(variants)-1 || memo.survHits != 1 {
+			t.Errorf("first %s: %d extended hits, %d survivor hits; want %d and 1",
+				order[0].Filter, memo.extHits, memo.survHits, len(variants)-1)
+		}
+	}
+}
+
+// TestMemoCrossKindParams: Int 1 and Float 1.0 are one parameter value
+// (one dictionary ID), on the cold, replayed and survivor paths alike.
+func TestMemoCrossKindParams(t *testing.T) {
+	db := storage.NewDatabase()
+	r := storage.NewRelation("r", "A", "B")
+	for _, row := range [][2]storage.Value{
+		{storage.Int(1), storage.Int(1)}, {storage.Int(2), storage.Float(1)},
+		{storage.Int(3), storage.Int(2)}, {storage.Int(3), storage.Float(2.5)},
+		{storage.Int(4), storage.Float(2.5)},
+	} {
+		r.InsertValues(row[0], row[1])
+	}
+	db.Add(r)
+	memo := newMapMemo()
+	for _, threshold := range []int64{2, 1, 2} {
+		f := countFlock(t, threshold)
+		want, err := f.EvalNaive(db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Eval(db, &EvalOptions{Memo: memo, MemoSalt: MemoContext(db, f)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("COUNT >= %d:\n%s\nwant:\n%s", threshold, got.Dump(), want.Dump())
+		}
+	}
+	if memo.extHits != 1 || memo.survHits != 1 {
+		t.Errorf("want one extended and one survivor hit: %+v", memo)
 	}
 }
 

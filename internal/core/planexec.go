@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"queryflocks/internal/eval"
 	"queryflocks/internal/obs"
 	"queryflocks/internal/storage"
 )
@@ -101,53 +100,15 @@ func (p *Plan) Execute(db *storage.Database, opts *EvalOptions) (*PlanResult, er
 	return res, nil
 }
 
-// executeStep runs one FILTER step against the scratch database. In
-// streaming mode the step compiles to a physical plan whose Materialize
-// sink registers the step relation in scratch (later steps reference
-// it); the materializing mode evaluates and registers explicitly. The
-// step is compiled at execution time so the join order sees the actual
-// sizes of earlier step relations.
+// executeStep runs one FILTER step against the scratch database,
+// registering the step relation in scratch (later steps reference it).
+// The step is compiled at execution time so the join order sees the
+// actual sizes of earlier step relations.
 func executeStep(scratch *storage.Database, p *Plan, step FilterStep, opts *EvalOptions) (*storage.Relation, error) {
-	if opts != nil && opts.Memo != nil {
-		// The memo route materializes (a hit returns a stored relation);
-		// register the result like the materializing branch does.
-		rel, err := evalFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts)
-		if err != nil {
-			return nil, err
-		}
+	return evalFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts, func(rel *storage.Relation) error {
 		scratch.Add(rel)
-		return rel, nil
-	}
-	if opts.execMode().Streaming() {
-		// The streaming branch compiles directly, bypassing evalFiltered —
-		// consult the cluster hook here so a coordinator sees every FILTER
-		// step of an executed plan exactly once.
-		if opts != nil && opts.FilterEval != nil {
-			rel, handled, err := opts.FilterEval(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				scratch.Add(rel)
-				return rel, nil
-			}
-		}
-		register := func(rel *storage.Relation) error {
-			scratch.Add(rel)
-			return nil
-		}
-		plan, err := compileFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts, register)
-		if err != nil {
-			return nil, err
-		}
-		return eval.RunPlan(scratch, plan, opts.evalOpts())
-	}
-	rel, err := evalFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts)
-	if err != nil {
-		return nil, err
-	}
-	scratch.Add(rel)
-	return rel, nil
+		return nil
+	})
 }
 
 // reorderToFlockParams projects the final step's relation onto the flock's

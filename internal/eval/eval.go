@@ -167,6 +167,13 @@ func RunPlan(db *storage.Database, plan *physical.Plan, opts *Options) (*storage
 	return plan.Run(opts.orDefault().physCtx(db))
 }
 
+// RunCapture is RunPlan with the group operator under the sink in capture
+// mode: it also returns the group's distinct input rows
+// (physical.Plan.RunCapture).
+func RunCapture(db *storage.Database, plan *physical.Plan, opts *Options) (*storage.Relation, *physical.IDRows, error) {
+	return plan.RunCapture(opts.orDefault().physCtx(db))
+}
+
 // ExportGroups is RunPlan for a plan rooted at a group operator: it
 // returns every parameter group's partial state (physical.Plan.ExportGroups).
 func ExportGroups(db *storage.Database, plan *physical.Plan, additive bool, opts *Options) (*physical.GroupStates, error) {
@@ -221,34 +228,6 @@ func EvalUnion(db *storage.Database, u datalog.Union, outFor func(*datalog.Rule)
 	// Resolve the gate once so every branch shares one wall clock and
 	// budget.
 	o := opts.orDefault().withGate()
-	if o.Exec.Streaming() {
-		// Compile the whole union to one fused plan: per-branch pipelines
-		// (deduplicated projections) concatenated by a union operator into
-		// one sink. Branch order and per-branch emission order match the
-		// materializing merge exactly.
-		branches := make([]physical.Node, len(u))
-		for i, r := range u {
-			order, err := ResolveOrder(db, r, &o)
-			if err != nil {
-				return nil, err
-			}
-			node, err := physical.CompileRule(db, r, physical.RuleOpts{Order: order, Out: outFor(r), Dedup: true})
-			if err != nil {
-				return nil, err
-			}
-			branches[i] = node
-		}
-		in := branches[0]
-		if len(branches) > 1 {
-			un, err := physical.NewUnion(branches)
-			if err != nil {
-				return nil, err
-			}
-			in = un
-		}
-		plan := physical.NewPlan(physical.NewMaterialize("answer", in, nil))
-		return RunPlan(db, plan, &o)
-	}
 	var result *storage.Relation
 	for _, r := range u {
 		part, err := EvalRule(db, r, outFor(r), &o)

@@ -154,7 +154,7 @@ func TestEvalUnionFig4Shape(t *testing.T) {
 	outFor := func(r *datalog.Rule) []datalog.Term {
 		return []datalog.Term{datalog.Param("1"), datalog.Param("2"), r.Head.Args[0]}
 	}
-	got, err := EvalUnion(db, u, outFor, nil)
+	got, err := EvalUnion(db, u, outFor, &Options{Exec: ExecMaterialize})
 	if err != nil {
 		t.Fatal(err)
 	}

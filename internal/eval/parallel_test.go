@@ -19,7 +19,7 @@ func TestUnionPropagatesErrors(t *testing.T) {
 	}
 	_, err = EvalUnion(db, u, func(rule *datalog.Rule) []datalog.Term {
 		return rule.Head.Args
-	}, nil)
+	}, &Options{Exec: ExecMaterialize})
 	if err == nil {
 		t.Error("missing relation in one branch should fail the union")
 	}

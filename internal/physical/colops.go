@@ -261,6 +261,8 @@ func newColOp(p *Plan, n Node) colOperator {
 		return &colScanOp{n: x, id: p.ids[x]}
 	case *UnitNode:
 		return &colUnitOp{id: p.ids[x]}
+	case *ReplayNode:
+		return &colReplayOp{n: x, id: p.ids[x]}
 	case *JoinNode:
 		return &colJoinOp{n: x, id: p.ids[x], buildID: p.ids[x.Input], input: newColOp(p, x.Probe)}
 	case *AntiJoinNode:
@@ -963,6 +965,10 @@ type colGroupOp struct {
 	// with its aggregate.
 	agg      *aggregator
 	keepSets bool // an export of a non-additive COUNT-distinct: see aggregator.sets
+	// capture, set by Plan.RunCapture, keeps every distinct input row;
+	// the build leaves them in captured.
+	capture  bool
+	captured *IDRows
 
 	built     bool
 	exporting bool
@@ -988,9 +994,12 @@ func (o *colGroupOp) open(ctx *Ctx) error {
 	for i := range headPos {
 		headPos[i] = o.n.NParams + i
 	}
-	// The upstream projection does not deduplicate, so the aggregator does.
-	o.agg = newAggregator(o.n.Agg, paramPos, headPos, ctx.dict, false)
-	o.agg.acct, o.agg.keepSets = ctx, o.keepSets
+	// The upstream projection does not deduplicate, so the aggregator does;
+	// a replay's rows are distinct already. Capture keeps the dedup set:
+	// it is what capture returns.
+	_, replayed := o.n.Probe.(*ReplayNode)
+	o.agg = newAggregator(o.n.Agg, paramPos, headPos, ctx.dict, replayed && !o.capture)
+	o.agg.acct, o.agg.keepSets, o.agg.capture = ctx, o.keepSets, o.capture
 	return nil
 }
 
@@ -1030,6 +1039,9 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 			}
 		}
 		o.rowsOut = len(o.passing)
+	}
+	if o.capture {
+		o.captured = &IDRows{Dict: ctx.dict, N: o.agg.seen.len(), Cols: o.agg.seen.columns()}
 	}
 	// The dedup keys are released here, and the group states with them
 	// as far as the budget is concerned: what streams on or is exported

@@ -114,6 +114,9 @@ type aggregator struct {
 	// feeds rows already distinct on keyPos.
 	seen     *idTable
 	retained int
+	// capture keeps inserting the rows of short-circuited groups into seen,
+	// so seen ends as every distinct input row (see Plan.RunCapture).
+	capture bool
 	// counted, kept by a COUNT-distinct over a head of several columns,
 	// holds the (group, value ID) pairs counted so far; with a one-column
 	// head the distinct head tuples are the distinct values.
@@ -171,22 +174,20 @@ func (a *aggregator) group(batch colBatch, i int) int32 {
 // exactly the materializing path's distinct extended tuples. Once a
 // monotone aggregate passes, its group stops retaining keys — this is
 // where streaming beats materializing: large passing groups hold
-// threshold-many entries instead of all their rows.
+// threshold-many entries instead of all their rows — unless the
+// aggregator captures, which retains every row for a later replay.
 func (a *aggregator) fold(batch colBatch, gids []int32) {
 	agg := a.agg
 	for i, gi := range gids {
 		g := &a.states[gi]
 		if g.done {
+			if a.capture {
+				a.retain(batch, i)
+			}
 			continue
 		}
-		if a.seen != nil {
-			if _, fresh := a.seen.insertRow(batch, a.keyPos, i); !fresh {
-				continue
-			}
-			a.retained++
-			if a.acct != nil {
-				a.acct.track(1)
-			}
+		if a.seen != nil && !a.retain(batch, i) {
+			continue
 		}
 		switch agg.Kind {
 		case AggCount:
@@ -216,6 +217,19 @@ func (a *aggregator) fold(batch colBatch, gids []int32) {
 			g.done = true
 		}
 	}
+}
+
+// retain adds batch row i to the dedup set, charging a new key as one
+// buffered tuple, and reports whether the row was new.
+func (a *aggregator) retain(batch colBatch, i int) bool {
+	if _, fresh := a.seen.insertRow(batch, a.keyPos, i); !fresh {
+		return false
+	}
+	a.retained++
+	if a.acct != nil {
+		a.acct.track(1)
+	}
+	return true
 }
 
 // add feeds every row of batch to the group its parameters name.

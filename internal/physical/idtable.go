@@ -98,6 +98,24 @@ probe:
 	}
 }
 
+// columns copies the stored rows out in column-major form, entry order.
+func (t *idTable) columns() [][]uint32 {
+	cols := make([][]uint32, t.width)
+	for c := range cols {
+		cols[c] = make([]uint32, t.n)
+	}
+	e := 0
+	for _, chunk := range t.rows {
+		for i := 0; i < len(chunk); i += t.width {
+			for c, col := range cols {
+				col[e] = chunk[i+c]
+			}
+			e++
+		}
+	}
+	return cols
+}
+
 // insertRow inserts the projection of batch row i onto pos.
 func (t *idTable) insertRow(batch colBatch, pos []int, i int) (entry int32, fresh bool) {
 	for c, p := range pos {

@@ -27,7 +27,8 @@ type Kind string
 const (
 	// KindScan reads a base relation as the pipeline source, applying
 	// constant selections, repeated-variable checks, and absorbed
-	// semi-join/negation/comparison checks in one pass.
+	// semi-join/negation/comparison checks in one pass — or replays a
+	// memoized extended answer (ReplayNode).
 	KindScan Kind = "scan"
 	// KindBuild is the hash-index build on a join's base relation — a
 	// pipeline breaker on the build side only.

@@ -50,7 +50,7 @@ func (p *Pipeline) run(ctx context.Context, db *storage.Database, st strategy, e
 	ev := &core.EvalOptions{Workers: p.cfg.Workers, Trace: tr, Ctx: ctx, Limits: limits}
 	if st.memo {
 		if useMemo && p.memo != nil {
-			ev.Memo = p.memo
+			ev.Memo = p.memo.At(db.Version())
 			ev.MemoSalt = core.MemoContext(db, ent.flock)
 		}
 		if sess != nil {

@@ -23,7 +23,8 @@ type Mutation struct {
 // in its delta layer) is registered in a cloned catalog, the data-version
 // counter is bumped, and the new database is published atomically —
 // in-flight requests keep evaluating their snapshot, and every cache
-// entry keyed on the old version becomes unreachable.
+// entry keyed on the old version becomes unreachable. The memo drops its
+// old-version entries at once; the plan cache's age out of its LRU.
 func (p *Pipeline) Mutate(name, body string) (*Mutation, error) {
 	if p.cfg.Cluster != nil {
 		return nil, statusErrorf(http.StatusNotImplemented,
@@ -92,5 +93,6 @@ func (p *Pipeline) Mutate(name, body string) (*Mutation, error) {
 	}
 	db.SetVersion(newVersion)
 	p.db = db
+	p.memo.Purge(newVersion)
 	return &Mutation{Relation: name, Inserted: len(added), Rows: totalLen, Version: newVersion}, nil
 }

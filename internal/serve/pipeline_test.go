@@ -69,8 +69,10 @@ func rows(rel *storage.Relation) string {
 // TestFrontEndParity is the one front-end parity table: every program of
 // examples/flocks × every strategy of the table × every entry point
 // (library Run, Query, Prepare + Invoke with and without a threshold
-// rebind) × caches on (cold, then hot) and bypassed must agree with the
-// naive oracle row for row.
+// rebind, the threshold also spelled as a Float) × caches on (cold, then
+// hot) and bypassed must agree with the naive oracle row for row.
+// TestMemoDifferential adds engines, worker counts and mutations for the
+// memoizing strategies.
 func TestFrontEndParity(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "flocks")
 	files, err := filepath.Glob(filepath.Join(dir, "*.flock"))
@@ -153,6 +155,10 @@ func TestFrontEndParity(t *testing.T) {
 					check("Invoke", want, out, err)
 					out, err = pipe.Invoke(handle, tighter, req)
 					check("Invoke+threshold", wantTighter, out, err)
+					// The original threshold spelled as a Float: another
+					// survivor key over the same extended answer.
+					out, err = pipe.Invoke(handle, storage.Float(prog.Source.Filter.Threshold.AsFloat()), req)
+					check("Invoke+float threshold", want, out, err)
 				}
 			}
 			if cs := pipe.CacheStats(db); cs.PlanHits == 0 || cs.MemoExtHits == 0 || cs.PreparedFlocks != 1 {

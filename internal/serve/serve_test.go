@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
@@ -68,37 +69,41 @@ func TestPlanCacheNilIsDisabled(t *testing.T) {
 	}
 }
 
+// idRows returns n one-column ID rows interned in dict.
+func idRows(dict *storage.Dict, n int) *physical.IDRows {
+	return &physical.IDRows{Dict: dict, N: n, Cols: [][]uint32{make([]uint32, n)}}
+}
+
 func TestMemoByteBoundEvicts(t *testing.T) {
 	// Each 10-row unary relation estimates to 10*(48+24)+256 = 976 bytes.
 	// The quarter-bound rule means at least four same-size entries always
-	// fit, so bound the memo to exactly four and insert a fifth.
+	// fit, so bound the memo to exactly four and add a fifth entry: 100
+	// one-column ID rows, 100*4+24+256 = 680 bytes.
 	m := NewMemo(4 * 976)
+	v := m.At(0)
 	for _, k := range []string{"k1", "k2", "k3", "k4"} {
-		m.PutExtended(k, rel(k, 10))
+		v.PutSurvivors(k, rel(k, 10))
 	}
-	if _, ok := m.Extended("k1"); !ok {
+	if _, ok := v.Survivors("k1"); !ok {
 		t.Fatal("k1 should fit")
 	}
-	m.PutSurvivors("k5", rel("k5", 10)) // evicts k2 (k1 was just touched)
-	if _, ok := m.Extended("k2"); ok {
+	v.PutExtended("k5", idRows(nil, 100)) // evicts k2 (k1 was just touched)
+	if _, ok := v.Survivors("k2"); ok {
 		t.Fatal("k2 should have been evicted as least recently used")
 	}
-	if _, ok := m.Survivors("k5"); !ok {
+	if _, ok := v.Extended("k5", nil); !ok {
 		t.Fatal("k5 should be present")
 	}
 	st := m.Stats()
-	if st.Evictions != 1 || st.Entries != 4 {
+	if st.Evictions != 1 || st.Entries != 4 || st.Bytes != 3*976+680 {
 		t.Fatalf("stats: %+v", st)
-	}
-	if st.Bytes <= 0 || st.Bytes > st.MaxBytes {
-		t.Fatalf("bytes gauge out of range: %+v", st)
 	}
 }
 
 func TestMemoRejectsOversizedEntry(t *testing.T) {
-	m := NewMemo(4000) // quarter bound = 1000 bytes; a 100-row relation exceeds it
-	m.PutExtended("big", rel("r", 100))
-	if _, ok := m.Extended("big"); ok {
+	m := NewMemo(4000) // quarter bound = 1000 bytes; 200 ID rows estimate to 1080
+	m.At(0).PutExtended("big", idRows(nil, 200))
+	if _, ok := m.At(0).Extended("big", nil); ok {
 		t.Fatal("an entry above a quarter of the bound must not be cached")
 	}
 	if st := m.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -108,8 +113,8 @@ func TestMemoRejectsOversizedEntry(t *testing.T) {
 
 func TestMemoPlanesAreDistinct(t *testing.T) {
 	m := NewMemo(1 << 20)
-	m.PutExtended("k", rel("ext", 3))
-	if _, ok := m.Survivors("k"); ok {
+	m.At(0).PutExtended("k", idRows(nil, 3))
+	if _, ok := m.At(0).Survivors("k"); ok {
 		t.Fatal("extended and survivor planes must not alias on the same key")
 	}
 	st := m.Stats()
@@ -118,15 +123,57 @@ func TestMemoPlanesAreDistinct(t *testing.T) {
 	}
 }
 
+// TestMemoExtendedNeedsItsDict: ID rows mean nothing under another
+// dictionary, so a lookup under one is a miss.
+func TestMemoExtendedNeedsItsDict(t *testing.T) {
+	m := NewMemo(1 << 20)
+	d := storage.NewDict()
+	m.At(0).PutExtended("k", idRows(d, 3))
+	if _, ok := m.At(0).Extended("k", storage.NewDict()); ok {
+		t.Fatal("a hit under a different dictionary must be a miss")
+	}
+	if rows, ok := m.At(0).Extended("k", d); !ok || rows.N != 3 {
+		t.Fatal("the entry's own dictionary must hit")
+	}
+	if st := m.Stats(); st.ExtHits != 1 || st.ExtMisses != 1 {
+		t.Fatalf("counters: %+v", st)
+	}
+}
+
+// TestMemoPurge: Purge drops the entries of older versions as evictions,
+// leaves the traffic counters alone, and declines later puts for them.
+func TestMemoPurge(t *testing.T) {
+	m := NewMemo(1 << 20)
+	old, cur := m.At(3), m.At(4)
+	old.PutExtended("a", idRows(nil, 3))
+	old.PutSurvivors("a", rel("a", 2))
+	cur.PutSurvivors("b", rel("b", 2))
+	old.Survivors("a")
+	before := m.Stats()
+	m.Purge(4)
+	st := m.Stats()
+	if st.Entries != 1 || st.Evictions != before.Evictions+2 || st.Bytes != relBytes(rel("b", 2)) {
+		t.Fatalf("after purge: %+v", st)
+	}
+	if st.SurvHits != before.SurvHits || st.SurvMiss != before.SurvMiss || st.ExtHits != before.ExtHits || st.ExtMisses != before.ExtMisses {
+		t.Fatalf("purge moved the traffic counters: %+v -> %+v", before, st)
+	}
+	old.PutSurvivors("c", rel("c", 1))
+	if _, ok := cur.Survivors("b"); !ok || m.Stats().Entries != 1 {
+		t.Fatalf("a retired version's put was kept, or the current entry lost: %+v", m.Stats())
+	}
+}
+
 func TestMemoNilIsDisabled(t *testing.T) {
 	var m *Memo
 	if m = NewMemo(0); m != nil {
 		t.Fatal("bound 0 should disable the memo")
 	}
-	m.PutExtended("k", rel("r", 1))
-	if _, ok := m.Extended("k"); ok {
+	m.At(0).PutExtended("k", idRows(nil, 1))
+	if _, ok := m.At(0).Extended("k", nil); ok {
 		t.Fatal("nil memo must always miss")
 	}
+	m.Purge(1)
 }
 
 func TestHandleContentDerived(t *testing.T) {
@@ -147,10 +194,14 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%16)
-				m.PutExtended(k, rel("r", i%20))
-				m.Extended(k)
-				m.PutSurvivors(k, rel("s", i%5))
-				m.Survivors(k)
+				v := m.At(uint64(i / 50))
+				v.PutExtended(k, idRows(nil, i%20))
+				v.Extended(k, nil)
+				v.PutSurvivors(k, rel("s", i%5))
+				v.Survivors(k)
+				if i%50 == 0 {
+					m.Purge(uint64(i / 50))
+				}
 				c.Put(k, i)
 				c.Get(k)
 				m.Stats()

@@ -12,6 +12,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # staticcheck is optional locally (the image is stdlib-only); CI installs
 # it. The target degrades to a notice when the binary is absent.

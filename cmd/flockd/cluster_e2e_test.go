@@ -365,13 +365,13 @@ func TestCoordinatorAllowPartialFlag(t *testing.T) {
 func TestClusterFlagValidation(t *testing.T) {
 	ctx := context.Background()
 	for _, args := range [][]string{
-		{"-coordinator"},                                        // needs -shards or -spawn-workers
+		{"-coordinator"}, // needs -shards or -spawn-workers
 		{"-coordinator", "-shards", "a:1", "-spawn-workers", "2"}, // not both
-		{"-shards", "a:1"},                                      // needs -coordinator
-		{"-spawn-workers", "2"},                                 // needs -coordinator
-		{"-shard-index", "0"},                                   // needs -shard-count
-		{"-shard-count", "2"},                                   // index out of range (default -1)
-		{"-shard-count", "2", "-shard-index", "2"},              // index out of range
+		{"-shards", "a:1"},                         // needs -coordinator
+		{"-spawn-workers", "2"},                    // needs -coordinator
+		{"-shard-index", "0"},                      // needs -shard-count
+		{"-shard-count", "2"},                      // index out of range (default -1)
+		{"-shard-count", "2", "-shard-index", "2"}, // index out of range
 		{"-shard-count", "2", "-shard-index", "0", "-coordinator", "-shards", "a:1"}, // worker xor coordinator
 		{"-shard-by", "rel:notanumber"},
 		{"-shard-by", ":1"},

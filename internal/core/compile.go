@@ -22,7 +22,7 @@ import (
 func compileFiltered(db *storage.Database, params []datalog.Param, query datalog.Union,
 	filter Filter, name string, opts *EvalOptions, register func(*storage.Relation) error) (*physical.Plan, error) {
 
-	group, err := compileFilteredNode(db, params, query, filter, name, opts, nil)
+	group, err := compileFilteredNode(db, params, query, filter, name, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -30,18 +30,14 @@ func compileFiltered(db *storage.Database, params []datalog.Param, query datalog
 }
 
 // compileFilteredNode builds the FILTER computation's pipeline up to and
-// including the group operator, without the Materialize sink — the fused
-// plan executor feeds this node straight into a consuming step's
-// symmetric hash join. streams, when non-nil, maps predicate names to
-// producer pipelines replacing stored relations (see
-// physical.RuleOpts.Streams).
+// including the group operator, without the Materialize sink.
 func compileFilteredNode(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string, opts *EvalOptions, streams map[string]physical.Node) (physical.Node, error) {
+	filter Filter, name string, opts *EvalOptions) (physical.Node, error) {
 
 	if filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", filter)
 	}
-	in, err := compileExtended(db, params, query, opts, streams)
+	in, err := compileExtended(db, params, query, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +49,7 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 // by a union operator. The rows are not deduplicated; the group operator
 // does that.
 func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union,
-	opts *EvalOptions, streams map[string]physical.Node) (physical.Node, error) {
+	opts *EvalOptions) (physical.Node, error) {
 
 	if err := query.Validate(); err != nil {
 		return nil, err
@@ -66,9 +62,8 @@ func compileExtended(db *storage.Database, params []datalog.Param, query datalog
 			return nil, err
 		}
 		node, err := physical.CompileRule(db, r, physical.RuleOpts{
-			Order:   order,
-			Out:     extendedOut(params, r),
-			Streams: streams,
+			Order: order,
+			Out:   extendedOut(params, r),
 		})
 		if err != nil {
 			return nil, err

@@ -165,7 +165,7 @@ func evalFilteredMemo(db *storage.Database, params []datalog.Param, query datalo
 		}
 		in, err = physical.NewReplay(ext, cols)
 	} else {
-		in, err = compileExtended(db, params, query, opts, nil)
+		in, err = compileExtended(db, params, query, opts)
 	}
 	if err != nil {
 		return nil, err

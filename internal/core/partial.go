@@ -22,7 +22,7 @@ func EvalPartialGroups(db *storage.Database, params []datalog.Param, query datal
 	filter Filter, name string, additive bool, opts *EvalOptions) (*physical.GroupStates, error) {
 
 	opts = opts.withGate()
-	group, err := compileFilteredNode(db, params, query, filter, name, opts, nil)
+	group, err := compileFilteredNode(db, params, query, filter, name, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package datalog
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // This file implements the safety conditions of §3.2–§3.3. A safe query is
 // one whose result is finite on every database, and only safe subqueries
@@ -86,29 +83,3 @@ func CheckSafety(r *Rule) []SafetyViolation {
 
 // IsSafe reports whether the rule satisfies all three safety conditions.
 func IsSafe(r *Rule) bool { return len(CheckSafety(r)) == 0 }
-
-// IsSafeUnion reports whether every rule of the union is safe; per §3.4 a
-// union bounds the original only if each member subquery is safe.
-func IsSafeUnion(u Union) bool {
-	for _, r := range u {
-		if !IsSafe(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// ExplainSafety renders a human-readable safety report for a rule, used by
-// the CLI's explain mode.
-func ExplainSafety(r *Rule) string {
-	vs := CheckSafety(r)
-	if len(vs) == 0 {
-		return fmt.Sprintf("%s\n  safe", r)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r)
-	for _, v := range vs {
-		fmt.Fprintf(&b, "  UNSAFE: %s\n", v.Error())
-	}
-	return strings.TrimRight(b.String(), "\n")
-}

@@ -158,35 +158,6 @@ func bruteForceSafe(r *Rule) bool {
 	return true
 }
 
-func TestIsSafeUnion(t *testing.T) {
-	u, err := ParseUnion(webUnion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsSafeUnion(u) {
-		t.Error("Fig. 4 union should be safe")
-	}
-	bad := append(Union{}, u...)
-	bad = append(bad, mustRule(t, "answer(Z) :- inTitle(D,$1)"))
-	if IsSafeUnion(bad) {
-		t.Error("union with unsafe member should be unsafe")
-	}
-}
-
-func TestExplainSafety(t *testing.T) {
-	safe := ExplainSafety(mustRule(t, "answer(B) :- baskets(B,$1)"))
-	if !strings.Contains(safe, "safe") {
-		t.Errorf("ExplainSafety(safe) = %q", safe)
-	}
-	unsafe := ExplainSafety(mustRule(t, "answer(P) :- NOT causes(D,$s)"))
-	if !strings.Contains(unsafe, "UNSAFE") {
-		t.Errorf("ExplainSafety(unsafe) = %q", unsafe)
-	}
-	if !strings.Contains(unsafe, "condition (1)") {
-		t.Errorf("want condition (1) mention: %q", unsafe)
-	}
-}
-
 func TestSafetyViolationError(t *testing.T) {
 	v := SafetyViolation{Condition: 2, Term: "$s", Subgoal: "NOT causes(D,$s)"}
 	msg := v.Error()

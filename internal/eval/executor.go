@@ -158,9 +158,6 @@ func (e *Executor) Joined(i int) bool { return e.joined[i] }
 // Done reports whether every positive atom has been joined.
 func (e *Executor) Done() bool { return len(e.Remaining()) == 0 }
 
-// PositiveAtom returns the i-th positive atom of the rule.
-func (e *Executor) PositiveAtom(i int) *datalog.Atom { return e.rule.PositiveAtoms()[i] }
-
 // JoinNext joins the i-th positive atom into the current bindings. Pending
 // subgoals that become decidable during the scan — comparisons, negations,
 // and positive atoms acting as semi-join reducers (every term constant,

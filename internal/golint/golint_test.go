@@ -109,12 +109,12 @@ func checkFixture(t *testing.T, name string) []Finding {
 	return findings
 }
 
-func TestDL001MapOrder(t *testing.T)       { checkFixture(t, "dl001") }
-func TestDL002GateCoverage(t *testing.T)   { checkFixture(t, "dl002") }
-func TestDL003MergeOrder(t *testing.T)     { checkFixture(t, "dl003") }
-func TestDL004FsyncPublish(t *testing.T)   { checkFixture(t, "dl004") }
-func TestDL005RawValueEq(t *testing.T)     { checkFixture(t, "dl005") }
-func TestDL006ClockAndRand(t *testing.T)   { checkFixture(t, "dl006") }
+func TestDL001MapOrder(t *testing.T)     { checkFixture(t, "dl001") }
+func TestDL002GateCoverage(t *testing.T) { checkFixture(t, "dl002") }
+func TestDL003MergeOrder(t *testing.T)   { checkFixture(t, "dl003") }
+func TestDL004FsyncPublish(t *testing.T) { checkFixture(t, "dl004") }
+func TestDL005RawValueEq(t *testing.T)   { checkFixture(t, "dl005") }
+func TestDL006ClockAndRand(t *testing.T) { checkFixture(t, "dl006") }
 
 // TestFindingsDeterministic reruns a fixture and requires identical
 // output — the analyzer itself must honor the invariant it enforces.

@@ -51,13 +51,13 @@ func TestSuppressions(t *testing.T) {
 	want := map[string]Severity{
 		// WrongCode: the DL005 survives (wrong code suppressed) and the
 		// DL001 suppression is unused.
-		fmt.Sprintf("%d:DL005", lineOf("wrong code on purpose")+1):        SevError,
-		fmt.Sprintf("%d:DL000", lineOf("wrong code on purpose")):          SevWarning,
+		fmt.Sprintf("%d:DL005", lineOf("wrong code on purpose")+1): SevError,
+		fmt.Sprintf("%d:DL000", lineOf("wrong code on purpose")):   SevWarning,
 		// OneLineOnly: the violation two lines below the comment survives.
-		fmt.Sprintf("%d:DL005", lineOf("covers only the next line")+2):    SevError,
-		fmt.Sprintf("%d:DL000", lineOf("covers only the next line")):      SevWarning,
+		fmt.Sprintf("%d:DL005", lineOf("covers only the next line")+2): SevError,
+		fmt.Sprintf("%d:DL000", lineOf("covers only the next line")):   SevWarning,
 		// Unused: reported.
-		fmt.Sprintf("%d:DL000", lineOf("nothing to silence here")):        SevWarning,
+		fmt.Sprintf("%d:DL000", lineOf("nothing to silence here")): SevWarning,
 		// Malformed: reported, and the finding below it survives.
 		fmt.Sprintf("%d:DL000", malformedLine):   SevWarning,
 		fmt.Sprintf("%d:DL005", malformedLine+1): SevError,

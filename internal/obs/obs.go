@@ -46,8 +46,10 @@ const (
 	// OpMaterialize collects a stream into a relation: the plan sink, a
 	// FILTER-step result, or a dynamic decision barrier.
 	OpMaterialize Op = "materialize"
-	// OpSymJoin is a symmetric hash join of two streaming inputs (no
-	// Build barrier; both sides insert-then-probe).
+	// OpSymJoin named the symmetric hash join of the removed fused plan
+	// executor. No operator emits it any more; the name stays in the
+	// closed set so reports and benchmark readers that list it still
+	// validate.
 	OpSymJoin Op = "symjoin"
 	// OpStep is one completed FILTER step of a query plan (§4.2).
 	OpStep Op = "step"
@@ -132,8 +134,6 @@ func (e Event) Label() string {
 			return fmt.Sprintf("join %s (+%d absorbed)", e.Desc, e.Absorbed)
 		}
 		return "join " + e.Desc
-	case OpSymJoin:
-		return "symjoin " + e.Desc
 	case OpAntiJoin:
 		return "antijoin " + e.Desc
 	case OpSelect:
@@ -513,7 +513,7 @@ func (r *RunReport) Tree() string {
 			depth++
 		case OpBuild:
 			writeTreeLine(&b, depth, e)
-		case OpJoin, OpSymJoin, OpAntiJoin, OpSelect, OpProject:
+		case OpJoin, OpAntiJoin, OpSelect, OpProject:
 			writeTreeLine(&b, depth, e)
 			depth++
 		case OpDecision:

@@ -65,16 +65,6 @@ func (b colBatch) gatherRow(i int, dst []uint32) {
 	}
 }
 
-// packRowOn appends the packed 4-byte-LE encoding of row i's IDs at the
-// given column positions to dst — the columnar analogue of AppendKeyOn.
-func (b colBatch) packRowOn(dst []byte, cols []int, i int) []byte {
-	for _, c := range cols {
-		id := b.cols[c][i]
-		dst = append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return dst
-}
-
 // decoder decodes IDs through a lock-free DictView snapshot, refreshing
 // the snapshot only when it meets an ID interned after it was taken
 // (mid-run interning happens only when an operator opens over a relation
@@ -283,8 +273,6 @@ func newColOp(p *Plan, n Node) colOperator {
 		return &colBarrierOp{n: x, id: p.ids[x], input: newColOp(p, x.Probe)}
 	case *MaterializeNode:
 		return &colMaterializeOp{n: x, id: p.ids[x], input: newColOp(p, x.Probe)}
-	case *SymJoinNode:
-		return &colSymJoinOp{n: x, id: p.ids[x], left: newColOp(p, x.Left), right: newColOp(p, x.Right)}
 	default:
 		panic(fmt.Sprintf("physical: no operator for %T", n))
 	}

@@ -92,111 +92,3 @@ func TestCrossKindDup(t *testing.T) {
 		t.Fatalf("want the Int(1)/Float(1) and Int(2) rows, got %s", s)
 	}
 }
-
-// streamRun compiles a rule with one atom streamed from a producer
-// pipeline and runs it.
-func streamRun(t *testing.T, db *storage.Database, rule string, order []int, streams map[string]Node, workers int) *storage.Relation {
-	t.Helper()
-	r := mustRule(t, rule)
-	node, err := CompileRule(db, r, RuleOpts{Order: order, Out: r.Head.Args, Dedup: true, Streams: streams})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewPlan(NewMaterialize("answer", node, nil))
-	rel, err := plan.Run(&Ctx{DB: db, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel
-}
-
-// producerNode compiles "hop(X,Z) :- e(X,Y) AND e(Y,Z)" as a stream
-// pipeline (deduplicated two-step paths).
-func producerNode(t *testing.T, db *storage.Database) Node {
-	t.Helper()
-	r := mustRule(t, "hop(X,Z) :- e(X,Y) AND e(Y,Z)")
-	node, err := CompileRule(db, r, RuleOpts{Order: []int{0, 1}, Out: r.Head.Args, Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node
-}
-
-// TestSymJoinMatchesStoredJoin checks the symmetric hash join against
-// the oracle of materializing the streamed predicate first: same answer
-// set at every worker count and in both join orders, with a stable
-// emission order.
-func TestSymJoinMatchesStoredJoin(t *testing.T) {
-	db := testDB()
-	// Oracle: materialize hop, then join as a stored relation.
-	hopAnswer := compileRun(t, db, mustRule(t, "hop(X,Z) :- e(X,Y) AND e(Y,Z)"), []int{0, 1}, 1)
-	hop := storage.NewRelation("hop", "X", "Z")
-	for _, tp := range hopAnswer.Tuples() {
-		hop.Insert(tp)
-	}
-	oracleDB := db.Clone()
-	oracleDB.Add(hop)
-	oracle := compileRun(t, oracleDB, mustRule(t, "answer(A,B,L) :- hop(A,B) AND l(B,L)"), []int{0, 1}, 1)
-
-	// The rule consumes hop as a stream. Order {1, 0} binds l first, so
-	// the streamed atom joins symmetrically (not as pipeline source).
-	const rule = "answer(A,B,L) :- hop(A,B) AND l(B,L)"
-	db.Add(storage.NewRelation("hop", "A", "B")) // stand-in for order resolution
-	for _, order := range [][]int{{1, 0}, {0, 1}} {
-		var base string
-		for _, w := range []int{1, 2, 8} {
-			got := streamRun(t, db, rule, order, map[string]Node{"hop": producerNode(t, db)}, w)
-			if !got.Equal(oracle) {
-				t.Fatalf("order=%v workers=%d fused answer differs from stored-join oracle\ngot:\n%s\nwant:\n%s",
-					order, w, got.Dump(), oracle.Dump())
-			}
-			if base == "" {
-				base = fmt.Sprint(got.Tuples())
-			} else if s := fmt.Sprint(got.Tuples()); s != base {
-				t.Fatalf("order=%v workers=%d symjoin emission order changed: %s vs %s", order, w, s, base)
-			}
-		}
-	}
-}
-
-// TestSymJoinExplain checks the fused plan renders the symjoin node.
-func TestSymJoinExplain(t *testing.T) {
-	db := testDB()
-	db.Add(storage.NewRelation("hop", "A", "B"))
-	r := mustRule(t, "answer(A,B,L) :- hop(A,B) AND l(B,L)")
-	node, err := CompileRule(db, r, RuleOpts{Order: []int{1, 0}, Out: r.Head.Args, Dedup: true,
-		Streams: map[string]Node{"hop": producerNode(t, db)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewPlan(NewMaterialize("answer", node, nil))
-	if explain := plan.Explain(); !containsLine(explain, "symjoin") {
-		t.Fatalf("EXPLAIN missing symjoin node:\n%s", explain)
-	}
-}
-
-func containsLine(s, substr string) bool {
-	for i := 0; i+len(substr) <= len(s); i++ {
-		if s[i:i+len(substr)] == substr {
-			return true
-		}
-	}
-	return false
-}
-
-// TestStreamedAtomRejectsConstants pins joinStream's argument rules.
-func TestStreamedAtomRejectsConstants(t *testing.T) {
-	db := testDB()
-	db.Add(storage.NewRelation("hop", "A", "B"))
-	for _, bad := range []string{
-		"answer(B) :- hop(1,B)", // constant argument
-		"answer(A) :- hop(A,A)", // repeated variable
-	} {
-		r := mustRule(t, bad)
-		_, err := CompileRule(db, r, RuleOpts{Order: []int{0}, Out: r.Head.Args,
-			Streams: map[string]Node{"hop": producerNode(t, db)}})
-		if err == nil {
-			t.Fatalf("%s: streamed atom should be rejected", bad)
-		}
-	}
-}

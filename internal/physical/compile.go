@@ -48,13 +48,6 @@ type RuleOpts struct {
 	// Barrier, when non-nil, is consulted after each joined atom (and its
 	// pushed-down selections/negations) for a decision barrier.
 	Barrier BarrierFactory
-	// Streams maps predicate names to pipelines that produce the
-	// predicate's tuples instead of a stored relation (fused step
-	// execution). A streamed atom compiles to a symmetric hash join with
-	// the bindings built so far (or becomes the pipeline source when it
-	// is first in the order); its arguments must be distinct variables
-	// or parameters, and it is never absorbed as a semi-join reducer.
-	Streams map[string]Node
 }
 
 // CompileRule compiles one safe rule to an operator pipeline ending in a
@@ -68,13 +61,6 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 	for _, sg := range r.Body {
 		a, ok := sg.(*datalog.Atom)
 		if !ok {
-			continue
-		}
-		if s, streamed := opts.Streams[a.Pred]; streamed {
-			if len(s.Columns()) != len(a.Args) {
-				return nil, fmt.Errorf("physical: atom %s has %d arguments but its stream has %d columns",
-					a, len(a.Args), len(s.Columns()))
-			}
 			continue
 		}
 		src, err := db.Source(a.Pred)
@@ -94,7 +80,6 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 		joined:     make([]bool, len(atoms)),
 		pendingCmp: r.Comparisons(),
 		pendingNeg: r.NegatedAtoms(),
-		streams:    opts.Streams,
 	}
 	for _, i := range opts.Order {
 		if i < 0 || i >= len(atoms) {
@@ -103,11 +88,7 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 		if c.joined[i] { // absorbed into an earlier scan as a semi-join
 			continue
 		}
-		if stream, ok := opts.Streams[atoms[i].Pred]; ok {
-			if err := c.joinStream(i, stream); err != nil {
-				return nil, err
-			}
-		} else if err := c.joinAtom(i); err != nil {
+		if err := c.joinAtom(i); err != nil {
 			return nil, err
 		}
 		if err := c.applyPending(); err != nil {
@@ -158,7 +139,6 @@ type ruleCompiler struct {
 	joined     []bool
 	pendingCmp []*datalog.Comparison
 	pendingNeg []*datalog.Atom
-	streams    map[string]Node
 	steps      int
 }
 
@@ -248,11 +228,6 @@ func (c *ruleCompiler) absorb(atom *datalog.Atom) ([]*Check, error) {
 		if c.joined[j] || a == atom {
 			continue
 		}
-		if _, streamed := c.streams[a.Pred]; streamed {
-			// Streamed atoms have no stored relation to probe; they join
-			// symmetrically in their own order slot.
-			continue
-		}
 		refs, ok := c.argRefsOf(a.Args, atomPos)
 		if !ok {
 			continue
@@ -338,50 +313,6 @@ func (c *ruleCompiler) joinAtom(i int) error {
 			consts: consts, probeCur: probeCur, probeRel: probeRel,
 			dup: dup, checks: checks, newPos: newPos, cols: outCols,
 		}
-	}
-	c.setCols(c.node.Columns())
-	c.joined[i] = true
-	return nil
-}
-
-// joinStream joins the i-th positive atom from a producing pipeline
-// instead of a stored relation. The stream's columns are renamed to the
-// atom's terms by an identity projection; the result either becomes the
-// pipeline source (first atom in the order) or joins the bindings so
-// far through a symmetric hash join keyed on the shared column names.
-func (c *ruleCompiler) joinStream(i int, stream Node) error {
-	atom := c.atoms[i]
-	names := make([]string, len(atom.Args))
-	seen := make(map[string]bool, len(atom.Args))
-	for p, t := range atom.Args {
-		col, ok := termCol(t)
-		if !ok {
-			return fmt.Errorf("physical: streamed atom %s has a constant argument", atom)
-		}
-		if seen[col] {
-			return fmt.Errorf("physical: streamed atom %s repeats %s", atom, col)
-		}
-		seen[col] = true
-		names[p] = col
-	}
-	if len(stream.Columns()) != len(atom.Args) {
-		return fmt.Errorf("physical: atom %s has %d arguments but its stream has %d columns",
-			atom, len(atom.Args), len(stream.Columns()))
-	}
-	pos := make([]int, len(names))
-	for p := range pos {
-		pos[p] = p
-	}
-	renamed := Node(&ProjectNode{Probe: stream, pos: pos, cols: names})
-	c.steps++
-	if c.node == nil {
-		c.node = renamed
-	} else {
-		sj, err := NewSymJoin(c.node, renamed)
-		if err != nil {
-			return err
-		}
-		c.node = sj
 	}
 	c.setCols(c.node.Columns())
 	c.joined[i] = true

@@ -51,9 +51,6 @@ func (c *Ctx) track(delta int) {
 	}
 }
 
-// Peak returns the high-water count of buffered tuples observed so far.
-func (c *Ctx) Peak() int { return c.peak }
-
 // record sends one event if collection is on.
 func record(ctx *Ctx, e obs.Event) {
 	if ctx.Col != nil {

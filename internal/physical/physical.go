@@ -35,10 +35,6 @@ const (
 	KindBuild Kind = "build"
 	// KindJoin hash-joins the streamed bindings with a base relation.
 	KindJoin Kind = "join"
-	// KindSymJoin is a symmetric hash join of two streams: both sides
-	// insert into their own table and probe the other's as rows arrive,
-	// so neither needs a build barrier. Used for fused step pipelines.
-	KindSymJoin Kind = "symjoin"
 	// KindAntiJoin drops bindings matching a negated atom.
 	KindAntiJoin Kind = "antijoin"
 	// KindSelect applies a fully bound arithmetic comparison.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"queryflocks/internal/physical"
@@ -23,25 +22,11 @@ import (
 // memo, but callers should then leave EvalOptions.Memo nil entirely so the
 // engine skips the memo route.
 type Memo struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
-	// floor is the oldest data version a request can still be evaluating
-	// against and have its results kept: Purge raises it.
-	floor uint64
+	mu    sync.Mutex
+	items lru // values are *physical.IDRows or *storage.Relation
 
 	extHits, extMisses   uint64
 	survHits, survMisses uint64
-	evictions            uint64
-}
-
-type memoElem struct {
-	key     string
-	version uint64
-	val     any // *physical.IDRows or *storage.Relation
-	size    int64
 }
 
 // NewMemo returns a memo bounded to maxBytes of estimated payload;
@@ -50,7 +35,7 @@ func NewMemo(maxBytes int64) *Memo {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &Memo{maxBytes: maxBytes, ll: list.New(), entries: make(map[string]*list.Element)}
+	return &Memo{items: newLRU(maxBytes)}
 }
 
 // entryBytes is the fixed charge of every entry (list element, map slot,
@@ -88,7 +73,8 @@ func (v MemoView) Extended(key string, dict *storage.Dict) (*physical.IDRows, bo
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rows, ok := m.lookup("e|" + key).(*physical.IDRows)
+	val, _ := m.items.get("e|" + key)
+	rows, ok := val.(*physical.IDRows)
 	if !ok || rows.Dict != dict {
 		m.extMisses++
 		return nil, false
@@ -110,7 +96,8 @@ func (v MemoView) Survivors(key string) (*storage.Relation, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rel, ok := m.lookup("s|" + key).(*storage.Relation)
+	val, _ := m.items.get("s|" + key)
+	rel, ok := val.(*storage.Relation)
 	if !ok {
 		m.survMisses++
 		return nil, false
@@ -124,73 +111,28 @@ func (v MemoView) PutSurvivors(key string, rel *storage.Relation) {
 	v.m.put("s|"+key, v.version, rel, relBytes(rel))
 }
 
-// lookup returns key's value, marking it most recently used; nil when
-// absent. Callers hold mu.
-func (m *Memo) lookup(key string) any {
-	el, ok := m.entries[key]
-	if !ok {
-		return nil
-	}
-	m.ll.MoveToFront(el)
-	return el.Value.(*memoElem).val
-}
-
-// put stores val under key, evicting least-recently-used entries past the
-// byte bound. An entry bigger than a quarter of the bound is not cached
-// at all — one oversized result must not flush the whole memo — and
-// neither is one computed against a version Purge has retired.
+// put stores val under key. An entry bigger than a quarter of the bound
+// is not cached at all — one oversized result must not flush the whole
+// memo — and neither is one computed against a version Purge has retired.
 func (m *Memo) put(key string, version uint64, val any, size int64) {
-	if m == nil || size > m.maxBytes/4 {
+	if m == nil || size > m.items.bound/4 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if version < m.floor {
-		return
-	}
-	if el, ok := m.entries[key]; ok {
-		e := el.Value.(*memoElem)
-		m.bytes += size - e.size
-		e.val, e.version, e.size = val, version, size
-		m.ll.MoveToFront(el)
-	} else {
-		m.entries[key] = m.ll.PushFront(&memoElem{key: key, version: version, val: val, size: size})
-		m.bytes += size
-	}
-	for m.bytes > m.maxBytes && m.ll.Len() > 1 {
-		m.evict(m.ll.Back())
-	}
+	m.items.put(key, version, val, size)
 }
 
 // Purge drops every entry computed against a data version older than
-// version and declines later puts for those versions. Once a mutation has
-// published version, no new request derives an older key (every key is
-// salted with its version), so those entries would only hold space until
-// the LRU reached them; a request still evaluating an older snapshot
-// misses and recomputes. Purged entries count as evictions.
+// version, counting each as an eviction, and declines later puts for
+// those versions.
 func (m *Memo) Purge(version uint64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.floor = version
-	for el := m.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*memoElem).version < version {
-			m.evict(el)
-		}
-		el = next
-	}
-}
-
-// evict removes one entry. Callers hold mu.
-func (m *Memo) evict(el *list.Element) {
-	e := el.Value.(*memoElem)
-	m.ll.Remove(el)
-	delete(m.entries, e.key)
-	m.bytes -= e.size
-	m.evictions++
+	m.items.purge(version)
 }
 
 // MemoStats is a snapshot of the memo's occupancy and cumulative
@@ -216,9 +158,9 @@ func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemoStats{
-		Entries: m.ll.Len(), Bytes: m.bytes, MaxBytes: m.maxBytes,
+		Entries: m.items.ll.Len(), Bytes: m.items.size, MaxBytes: m.items.bound,
 		ExtHits: m.extHits, ExtMisses: m.extMisses,
 		SurvHits: m.survHits, SurvMiss: m.survMisses,
-		Evictions: m.evictions,
+		Evictions: m.items.evictions,
 	}
 }

@@ -234,6 +234,63 @@ func TestMutatePurgesStaleMemo(t *testing.T) {
 	}
 }
 
+// TestMutatePurgesStalePlans: a mutation drops the plan-cache entries of
+// the version it retires — as evictions — so after mutate → query the
+// cache holds only entries of the new version, and a request that began
+// on the old snapshot and plans after the purge does not put its plan back.
+func TestMutatePurgesStalePlans(t *testing.T) {
+	pipe := New(basketsDB(), Config{PlanCacheSize: 8})
+	for _, strategy := range []string{"direct", "static"} {
+		if _, err := pipe.Query(pairFlock, Request{Strategy: strategy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := pipe.Snapshot()
+	before := pipe.plans.Stats()
+	if before.Entries != 2 {
+		t.Fatalf("before the mutation: %+v", before)
+	}
+	if _, err := pipe.Mutate("baskets", "900001,1\n900001,2\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Query(pairFlock, Request{Strategy: "static"}); err != nil {
+		t.Fatal(err)
+	}
+	after := pipe.plans.Stats()
+	if after.Entries != 1 || after.Evictions != before.Evictions+2 {
+		t.Fatalf("after mutate -> query the cache should hold that query's entry only: %+v", after)
+	}
+	versions := func() (vs []uint64) {
+		pipe.plans.mu.Lock()
+		defer pipe.plans.mu.Unlock()
+		for el := pipe.plans.items.ll.Front(); el != nil; el = el.Next() {
+			vs = append(vs, el.Value.(*lruEntry).version)
+		}
+		return vs
+	}
+	if vs, cur := versions(), pipe.Snapshot().Version(); len(vs) != 1 || vs[0] != cur {
+		t.Fatalf("cached plan versions %v, want only the current %d", vs, cur)
+	}
+
+	// A static request that began on the old snapshot plans and puts after
+	// the purge: it answers, but its plan is declined.
+	st, err := lookupStrategy("static", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, prog, _, err := pipe.Prepare(pairFlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := planKey("late", st.name, old.Version())
+	if _, err := pipe.finish(old, st, key, &entry{flock: prog.Flock}, Request{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pipe.plans.Get(key); ok || pipe.plans.Stats().Entries != 1 {
+		t.Fatalf("a retired version's plan was kept: %+v", pipe.plans.Stats())
+	}
+}
+
 // TestInvokeReportShowsMemoTree: a memoized evaluation reports the
 // operators that ran. A cold invoke shows the compiled scan/join/group
 // tree; a threshold-rebound invoke shows the group over a replay of the

@@ -224,7 +224,7 @@ func (p *Pipeline) finish(db *storage.Database, st strategy, key string, ent *en
 		ent.plan = plan
 	}
 	if key != "" {
-		p.plans.Put(key, ent)
+		p.plans.PutAt(key, db.Version(), ent)
 	}
 	return p.execute(db, st, ent, req)
 }

@@ -1,28 +1,19 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // PlanCache is a count-bounded LRU of prepared evaluation entries, keyed
 // on (canonical program text, strategy, database version) — the caller
 // composes the key string. A hit skips analysis, flock construction, and
 // planning for ad-hoc /query traffic; alpha-equivalent programs share an
-// entry because the canonical text is the key's first component. Safe for
-// concurrent use; a nil *PlanCache is a valid always-miss cache.
+// entry because the canonical text is the key's first component. Entries
+// are tagged with their data version, so a mutation drops the ones it
+// retires (Purge). Safe for concurrent use; a nil *PlanCache is a valid
+// always-miss cache.
 type PlanCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
-
-	hits, misses, evictions uint64
-}
-
-type planElem struct {
-	key string
-	val any
+	mu           sync.Mutex
+	items        lru
+	hits, misses uint64
 }
 
 // NewPlanCache returns a cache bounded to capacity entries; a capacity
@@ -31,7 +22,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PlanCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
+	return &PlanCache{items: newLRU(int64(capacity))}
 }
 
 // Get returns the cached entry for key and marks it most recently used.
@@ -41,36 +32,39 @@ func (c *PlanCache) Get(key string) (any, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	v, ok := c.items.get(key)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*planElem).val, true
+	return v, true
 }
 
-// Put stores an entry, evicting from the LRU tail past the capacity.
-// Storing an existing key replaces its value.
-func (c *PlanCache) Put(key string, v any) {
+// Put stores an entry of data version 0 (see PutAt).
+func (c *PlanCache) Put(key string, v any) { c.PutAt(key, 0, v) }
+
+// PutAt stores an entry computed against data version, evicting from the
+// LRU tail past the capacity. Storing an existing key replaces its value;
+// a put for a version Purge has retired is declined.
+func (c *PlanCache) PutAt(key string, version uint64, v any) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*planElem).val = v
-		c.ll.MoveToFront(el)
+	c.items.put(key, version, v, 1)
+}
+
+// Purge drops every entry of a data version older than version, counting
+// each as an eviction, and declines later puts for those versions.
+func (c *PlanCache) Purge(version uint64) {
+	if c == nil {
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&planElem{key: key, val: v})
-	for c.ll.Len() > c.cap {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.entries, tail.Value.(*planElem).key)
-		c.evictions++
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.items.purge(version)
 }
 
 // PlanStats is a snapshot of the cache's occupancy and cumulative
@@ -90,5 +84,5 @@ func (c *PlanCache) Stats() PlanStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return PlanStats{Entries: c.ll.Len(), Capacity: c.cap, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	return PlanStats{Entries: c.items.ll.Len(), Capacity: int(c.items.bound), Hits: c.hits, Misses: c.misses, Evictions: c.items.evictions}
 }

@@ -1,11 +1,9 @@
-// Package sqlgen renders query flocks and their FILTER-step plans as SQL,
-// the direction §1.3 and §2.1 sketch ("each of the advantages mentioned
-// above can be translated to SQL terms"). The output targets a generic
-// SQL dialect: a flock becomes a grouped HAVING query over a derived
-// extended-answer table (Fig. 1's shape, generalized to unions, negation
-// and arithmetic), and a plan becomes a WITH chain whose final SELECT
-// joins the pre-filter CTEs — the rewrite that produced the paper's 20×
-// speedup when applied by hand.
+// Package sqlgen renders query flocks as SQL, the direction §1.3 and §2.1
+// sketch ("each of the advantages mentioned above can be translated to SQL
+// terms"). The output targets a generic SQL dialect: a flock becomes a
+// grouped HAVING query over a derived extended-answer table (Fig. 1's
+// shape, generalized to unions, negation and arithmetic), with its views
+// as a leading WITH chain.
 //
 // The translation is illustrative: it is rendered and tested as text, and
 // executed semantics live in internal/eval.
@@ -75,47 +73,13 @@ func viewCTEs(f *core.Flock, viewCols map[string][]string) ([]string, error) {
 	return ctes, nil
 }
 
-// PlanSQL renders a FILTER-step plan as a WITH chain ending in the final
-// step's grouped SELECT. View CTEs, if the flock has views, come first.
-func PlanSQL(p *core.Plan) (string, error) {
-	stepCols := make(map[string][]string, len(p.Steps))
-	ctes, err := viewCTEs(p.Flock, stepCols)
-	if err != nil {
-		return "", err
-	}
-	for i, step := range p.Steps {
-		inner, err := extendedSelect(step.Query, step.Params, stepCols)
-		if err != nil {
-			return "", fmt.Errorf("sqlgen: step %q: %w", step.Name, err)
-		}
-		body := groupedSelectFor(p.Flock, inner, step.Params)
-		cols := make([]string, len(step.Params))
-		for j := range step.Params {
-			cols[j] = fmt.Sprintf("p%d", j+1)
-		}
-		stepCols[step.Name] = cols
-		if i == len(p.Steps)-1 {
-			var out strings.Builder
-			if len(ctes) > 0 {
-				out.WriteString("WITH ")
-				out.WriteString(strings.Join(ctes, ",\n"))
-				out.WriteString("\n")
-			}
-			out.WriteString(body)
-			return out.String(), nil
-		}
-		ctes = append(ctes, fmt.Sprintf("%s AS (\n%s\n)", step.Name, indent(body, "  ")))
-	}
-	return "", fmt.Errorf("sqlgen: plan has no steps")
-}
-
 // extendedSelect renders the union's extended answer (params then head
-// columns) as a SELECT or UNION of SELECTs. stepCols maps plan-step
-// relation names to their column names (nil outside plans).
-func extendedSelect(u datalog.Union, params []datalog.Param, stepCols map[string][]string) (string, error) {
+// columns) as a SELECT or UNION of SELECTs. viewCols maps view predicate
+// names to their CTE column names.
+func extendedSelect(u datalog.Union, params []datalog.Param, viewCols map[string][]string) (string, error) {
 	var parts []string
 	for _, r := range u {
-		s, err := ruleSelect(r, params, stepCols)
+		s, err := ruleSelect(r, params, viewCols)
 		if err != nil {
 			return "", err
 		}
@@ -125,12 +89,12 @@ func extendedSelect(u datalog.Union, params []datalog.Param, stepCols map[string
 }
 
 // ruleSelect renders one rule's extended answer as SELECT DISTINCT.
-func ruleSelect(r *datalog.Rule, params []datalog.Param, stepCols map[string][]string) (string, error) {
+func ruleSelect(r *datalog.Rule, params []datalog.Param, viewCols map[string][]string) (string, error) {
 	exprs := make(map[string]string) // term column -> SQL expression
 	var where []string
 
 	colName := func(pred string, i int) string {
-		if cols, ok := stepCols[pred]; ok && i < len(cols) {
+		if cols, ok := viewCols[pred]; ok && i < len(cols) {
 			return cols[i]
 		}
 		return fmt.Sprintf("c%d", i+1)
@@ -231,10 +195,6 @@ func ruleSelect(r *datalog.Rule, params []datalog.Param, stepCols map[string][]s
 // groupedSelect wraps the extended answer in the GROUP BY / HAVING of the
 // flock's filter, projecting the flock's parameters.
 func groupedSelect(f *core.Flock, inner string, params []datalog.Param) string {
-	return groupedSelectFor(f, inner, params)
-}
-
-func groupedSelectFor(f *core.Flock, inner string, params []datalog.Param) string {
 	var cols []string
 	for i := range params {
 		cols = append(cols, fmt.Sprintf("p%d", i+1))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"queryflocks/internal/core"
-	"queryflocks/internal/datalog"
 	"queryflocks/internal/paper"
 )
 
@@ -92,32 +91,6 @@ COUNT(answer.B) >= 20`)
 	}
 }
 
-func TestPlanSQLWithChain(t *testing.T) {
-	f := paper.Medical(20)
-	okS, _ := core.MinimalSubqueryForParams(f.Query[0], []datalog.Param{"s"})
-	okM, _ := core.MinimalSubqueryForParams(f.Query[0], []datalog.Param{"m"})
-	stepS := core.FilterStep{Name: "okS", Params: []datalog.Param{"s"}, Query: datalog.Union{okS.Rule}}
-	stepM := core.FilterStep{Name: "okM", Params: []datalog.Param{"m"}, Query: datalog.Union{okM.Rule}}
-	plan, err := core.NewPlan(f, []core.FilterStep{stepS, stepM, core.FinalStep(f, "ok", stepS, stepM)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sql, err := PlanSQL(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"WITH okS AS (",
-		"okM AS (",
-		"FROM okS t0, okM t1", // step refs joined in the final query
-		"HAVING COUNT(DISTINCT h1) >= 20",
-	} {
-		if !strings.Contains(sql, want) {
-			t.Errorf("plan SQL missing %q:\n%s", want, sql)
-		}
-	}
-}
-
 func TestFlockSQLWithViews(t *testing.T) {
 	f := core.MustParse(`
 VIEWS:
@@ -160,50 +133,5 @@ COUNT(answer.P) >= 2`)
 	}
 	if !strings.Contains(sql, "senior AS (") {
 		t.Errorf("missing senior CTE:\n%s", sql)
-	}
-}
-
-func TestPlanSQLSymmetricRefs(t *testing.T) {
-	// The shared item filter referenced for both parameters renders as two
-	// FROM entries over the same CTE.
-	f := paper.MarketBasket(20)
-	sub, ok := core.MinimalSubqueryForParams(f.Query[0], []datalog.Param{"1"})
-	if !ok {
-		t.Fatal("no $1 subquery")
-	}
-	step := core.FilterStep{Name: "okitem", Params: []datalog.Param{"1"}, Query: datalog.Union{sub.Rule}}
-	final := core.FinalStepRefs(f, "ok",
-		core.StepRef{Step: step, Args: []datalog.Param{"1"}},
-		core.StepRef{Step: step, Args: []datalog.Param{"2"}},
-	)
-	plan, err := core.NewPlan(f, []core.FilterStep{step, final})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sql, err := PlanSQL(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sql, "FROM okitem t0, okitem t1") {
-		t.Errorf("symmetric refs should join the CTE twice:\n%s", sql)
-	}
-}
-
-func TestPlanSQLTrivial(t *testing.T) {
-	f := paper.MarketBasket(20)
-	plan := core.TrivialPlan(f)
-	sql, err := PlanSQL(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sql, "WITH") {
-		t.Errorf("trivial plan should have no CTEs:\n%s", sql)
-	}
-	direct, err := FlockSQL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sql != direct {
-		t.Errorf("trivial plan SQL should equal flock SQL\nplan:\n%s\nflock:\n%s", sql, direct)
 	}
 }

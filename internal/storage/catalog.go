@@ -272,38 +272,3 @@ func (s *Stats) SurvivorFraction(name, groupCol string, threshold int) float64 {
 	s.survivors[key] = v
 	return v
 }
-
-// TupleSurvivorFraction returns the fraction of *tuples* of rel that lie in
-// a group (by groupCol) of size >= threshold — i.e. how much of the
-// relation remains after semi-joining with the survivor set. This is the
-// quantity Example 4.4 reasons about when deciding whether filtering
-// "reduces the size of the relation by half".
-func (s *Stats) TupleSurvivorFraction(name, groupCol string, threshold int) float64 {
-	sizes, rows := s.groupSizes(name, groupCol)
-	if len(sizes) == 0 {
-		return 0
-	}
-	kept := 0
-	for _, sz := range sizes {
-		if sz >= threshold {
-			kept += sz
-		}
-	}
-	return float64(kept) / float64(rows)
-}
-
-// GroupSizeQuantiles returns the q-quantiles (q >= 1) of group sizes of
-// rel grouped by groupCol, e.g. q=4 returns the quartile boundaries. Used
-// in EXPERIMENTS reporting and by ablation benches of the cost model.
-func (s *Stats) GroupSizeQuantiles(name, groupCol string, q int) []int {
-	sizes, _ := s.groupSizes(name, groupCol)
-	if len(sizes) == 0 || q < 1 {
-		return nil
-	}
-	out := make([]int, q+1)
-	for i := 0; i <= q; i++ {
-		pos := i * (len(sizes) - 1) / q
-		out[i] = sizes[pos]
-	}
-	return out
-}

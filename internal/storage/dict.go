@@ -222,11 +222,3 @@ func (v DictView) Value(id uint32) Value { return v.vals[id] }
 
 // Kind returns the representative kind of an ID covered by the view.
 func (v DictView) Kind(id uint32) Kind { return v.kinds[id] }
-
-// InternTuple interns every value of t, appending the IDs to dst.
-func (d *Dict) InternTuple(t Tuple, dst []uint32) []uint32 {
-	for _, v := range t {
-		dst = append(dst, d.Intern(v))
-	}
-	return dst
-}

@@ -108,10 +108,10 @@ func TestDictRoundTrip(t *testing.T) {
 	db := dictDB()
 	d := mustBuildDict(t, db)
 	for _, tp := range db.MustRelation("r").Tuples() {
-		ids := d.InternTuple(tp, nil)
-		for i, id := range ids {
-			if got := d.Value(id); got != tp[i] {
-				t.Fatalf("round-trip %v -> %d -> %v", tp[i], id, got)
+		for _, v := range tp {
+			id := d.Intern(v)
+			if got := d.Value(id); got != v {
+				t.Fatalf("round-trip %v -> %d -> %v", v, id, got)
 			}
 		}
 	}

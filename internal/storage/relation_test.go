@@ -237,19 +237,12 @@ func TestStats(t *testing.T) {
 	if got := st.SurvivorFraction("exhibits", "S", 2); got != 0.5 {
 		t.Errorf("SurvivorFraction = %g, want 0.5", got)
 	}
-	if got := st.TupleSurvivorFraction("exhibits", "S", 2); got != 0.75 {
-		t.Errorf("TupleSurvivorFraction = %g, want 0.75", got)
-	}
 	// cached path returns the same
 	if got := st.SurvivorFraction("exhibits", "S", 2); got != 0.5 {
 		t.Errorf("cached SurvivorFraction = %g", got)
 	}
 	if st.Rows("absent") != 0 || st.Distinct("absent", "X") != 0 {
 		t.Error("absent relation stats should be 0")
-	}
-	q := st.GroupSizeQuantiles("exhibits", "S", 2)
-	if len(q) != 3 || q[0] != 1 || q[2] != 3 {
-		t.Errorf("quantiles = %v", q)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package queryflocks_test holds the benchmark harness of the
 // reproduction: one benchmark group per paper figure/claim (E1–E8, see
 // DESIGN.md §4 and EXPERIMENTS.md), plus ablations of the design choices
-// DESIGN.md calls out (join-order strategy, dynamic filter ratio,
-// group-size statistics). cmd/flockbench runs the same experiments at
-// full scale with wall-clock tables; these benches give stable,
-// allocation-aware numbers at a reduced scale.
+// DESIGN.md calls out (dynamic filter ratio, group-size statistics).
+// cmd/flockbench runs the same experiments at full scale with wall-clock
+// tables; these benches give stable, allocation-aware numbers at a
+// reduced scale.
 //
 // Run with: go test -bench=. -benchmem
 package queryflocks_test
@@ -466,16 +466,6 @@ func BenchmarkMemoColdAfterMutate(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// Join-order strategy: greedy vs body order vs exhaustive on the medical
-// flock (DESIGN.md §5 calls out the join-order choice).
-func benchJoinOrder(b *testing.B, order eval.OrderStrategy) {
-	benchFlockDirect(b, medical(b), paper.Medical(20), &core.EvalOptions{Order: order})
-}
-
-func BenchmarkAblation_JoinOrderGreedy(b *testing.B)     { benchJoinOrder(b, eval.OrderGreedy) }
-func BenchmarkAblation_JoinOrderBodyOrder(b *testing.B)  { benchJoinOrder(b, eval.OrderBodyOrder) }
-func BenchmarkAblation_JoinOrderExhaustive(b *testing.B) { benchJoinOrder(b, eval.OrderExhaustive) }
-
 // Dynamic filter-ratio sensitivity (§4.4's filter/don't-filter threshold).
 func benchDynamicRatio(b *testing.B, ratio float64) {
 	db := medical(b)
@@ -535,7 +525,7 @@ func BenchmarkAblation_PlanExhaustiveEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est := planner.NewEstimator(db)
-		plan, err := planner.PlanExhaustive(f, est, nil)
+		plan, err := planner.PlanExhaustive(f, est)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,7 @@
 // I/O (segments_opened > 0), the gate the CI disk-engine step uses.
 // Reports carrying storage counters are checked for internal consistency
 // (index blocks and delta rows imply opened segments, opened segments
-// imply bytes read). Embedded "pipeline" entries (the three-executor comparison) are
+// imply bytes read). Embedded "pipeline" entries (the two-executor comparison) are
 // validated too, and -pipeline-baseline FILE additionally fails the check
 // when any (experiment, workload) pair allocates more than 1.1x its
 // committed alloc_stream_bytes — the CI columnar-regression gate.
@@ -131,7 +131,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("%d op_reports, want at least %d (run an instrumented experiment with -json)", reports, *minReports)
 	}
 	if *requireStorage && storageReports == 0 {
-		return fmt.Errorf("no report carries storage-engine I/O (segments_opened > 0); run a data-directory experiment (e.g. E12)")
+		return fmt.Errorf("no report carries storage-engine I/O (segments_opened > 0); check a flockd -engine disk report")
 	}
 	for _, op := range splitOps(*requireOps) {
 		if !seenOps[op] {

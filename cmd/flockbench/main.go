@@ -7,11 +7,10 @@
 //
 //	flockbench [-exp E1,E3] [-scale 1.0] [-seed 1998] [-workers 0] [-json] [-pprof addr] [-timeout 30s]
 //
-// Without -exp, the whole suite (E1–E12) runs in order; -exp selects a
-// comma-separated subset; -json emits the tables as a JSON array. E11 sweeps the parallel worker knob and, under
-// -json, reports machine-readable ns/op plus the speedup over workers=1
-// in each table's "metrics" field; -workers sets the worker count the
-// other experiments evaluate with (0 = one per CPU, 1 = sequential).
+// Without -exp, the whole suite (E1–E10) runs in order; -exp selects a
+// comma-separated subset; -json emits the tables as a JSON array.
+// -workers sets the worker count every experiment evaluates with (0 = one
+// per CPU, 1 = sequential).
 //
 // -json additionally turns on per-operator observability: instrumented
 // experiments attach one "op_reports" entry per strategy run (joins,
@@ -58,7 +57,6 @@ func run(args []string, out io.Writer) error {
 		pprof   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit per strategy evaluation (0 = none); exceeding runs abort with a typed error")
 		pipeOut = fs.String("pipeline-out", "", "write the executor pipeline comparison (BENCH_pipeline.json schema) to this file; implies metrics collection")
-		dataDir = fs.String("data-dir", "", "persistent storage data directory for the engine experiments (E12); empty uses a temp dir")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,8 +77,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers,
-		Metrics: *asJSON || *pprof != "" || *pipeOut != "", Timeout: *timeout,
-		DataDir: *dataDir}
+		Metrics: *asJSON || *pprof != "" || *pipeOut != "", Timeout: *timeout}
 	suite := experiments.Suite()
 	if *exp != "" {
 		suite = suite[:0:0]
@@ -161,10 +158,11 @@ func writePipeline(path string, cfg experiments.Config, exp string, tables []*ex
 	if path == "" {
 		return nil
 	}
-	gen := "go run ./cmd/flockbench -json"
+	gen := "go run ./cmd/flockbench"
 	if exp != "" {
-		gen = fmt.Sprintf("go run ./cmd/flockbench -exp %s -scale %g -json", exp, cfg.Scale)
+		gen += " -exp " + exp
 	}
+	gen += fmt.Sprintf(" -scale %g -seed %d -json", cfg.Scale, cfg.Seed)
 	if cfg.Workers != 0 {
 		gen += fmt.Sprintf(" -workers %d", cfg.Workers)
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"queryflocks/internal/experiments"
 )
 
 func TestRunSingleExperimentTinyScale(t *testing.T) {
@@ -160,6 +162,34 @@ func TestRunPipelineOut(t *testing.T) {
 	// empty comparison.
 	if err := run([]string{"-exp", "E8", "-scale", "0.05", "-pipeline-out", t.TempDir() + "/x.json"}, &out); err == nil {
 		t.Error("E8 records no pipeline metrics; -pipeline-out should error")
+	}
+}
+
+// TestWritePipelineGeneratorRegenerates checks the recorded generator
+// names every knob the numbers depend on, so running it reproduces the
+// file: the seed always, and the scale also when no -exp subset is given.
+func TestWritePipelineGeneratorRegenerates(t *testing.T) {
+	tables := []*experiments.Table{{ID: "E1", Pipeline: []experiments.PipelineMetric{{Name: "w"}}}}
+	for _, exp := range []string{"", "E1"} {
+		path := t.TempDir() + "/pipeline.json"
+		if err := writePipeline(path, experiments.Config{Scale: 0.05, Seed: 7}, exp, tables); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pf struct {
+			Generator string `json:"generator"`
+		}
+		if err := json.Unmarshal(raw, &pf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"-scale 0.05", "-seed 7"} {
+			if !strings.Contains(pf.Generator, want) {
+				t.Errorf("-exp %q: generator %q lacks %q", exp, pf.Generator, want)
+			}
+		}
 	}
 }
 

@@ -256,7 +256,7 @@ func (s *session) explainStatic(w io.Writer, flock *core.Flock) error {
 	}
 	fmt.Fprintln(w, "join order (greedy, smallest relation first):")
 	for ri, r := range flock.Query {
-		order, err := eval.JoinOrder(vdb, r, eval.OrderGreedy)
+		order, err := eval.JoinOrder(vdb, r)
 		if err != nil {
 			return err
 		}
@@ -276,7 +276,7 @@ func (s *session) explainStatic(w io.Writer, flock *core.Flock) error {
 	switch {
 	case plan != nil:
 		fmt.Fprintf(w, "chosen %s plan:\n%s\n", strategy, plan)
-		steps, err := plan.CompileSteps(vdb, nil)
+		steps, err := plan.CompileSteps(vdb)
 		if err != nil {
 			return err
 		}
@@ -285,7 +285,7 @@ func (s *session) explainStatic(w io.Writer, flock *core.Flock) error {
 			fmt.Fprintf(w, "step %s:\n%s\n", st.Name, st.Plan.Explain())
 		}
 	case strategy == "direct":
-		phys, err := core.CompileDirect(vdb, flock, nil)
+		phys, err := core.CompileDirect(vdb, flock)
 		if err != nil {
 			return err
 		}

@@ -199,7 +199,7 @@ func FuzzDecodePartial(f *testing.F) {
 var benchSink *storage.Relation
 
 // BenchmarkScatterRoundTrip is one scattered FILTER computation without
-// the network, on E13's data over two shards: each shard's group export,
+// the network, on 2,000 baskets over two shards: each shard's group export,
 // its wire encoding, the coordinator's decoding, and the shard-order
 // merge. "counts" is the additive form the pair flock gets under
 // baskets:0, "sets" the same computation shipping its value sets.

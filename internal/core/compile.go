@@ -20,9 +20,9 @@ import (
 // register, when non-nil, is attached to the Materialize sink (step
 // plans use it to publish the step relation under its name).
 func compileFiltered(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string, opts *EvalOptions, register func(*storage.Relation) error) (*physical.Plan, error) {
+	filter Filter, name string, register func(*storage.Relation) error) (*physical.Plan, error) {
 
-	group, err := compileFilteredNode(db, params, query, filter, name, opts)
+	group, err := compileFilteredNode(db, params, query, filter, name)
 	if err != nil {
 		return nil, err
 	}
@@ -32,12 +32,12 @@ func compileFiltered(db *storage.Database, params []datalog.Param, query datalog
 // compileFilteredNode builds the FILTER computation's pipeline up to and
 // including the group operator, without the Materialize sink.
 func compileFilteredNode(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string, opts *EvalOptions) (physical.Node, error) {
+	filter Filter, name string) (physical.Node, error) {
 
 	if filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", filter)
 	}
-	in, err := compileExtended(db, params, query, opts)
+	in, err := compileExtended(db, params, query)
 	if err != nil {
 		return nil, err
 	}
@@ -48,16 +48,13 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 // extended answer (params..., head...): one per query rule, concatenated
 // by a union operator. The rows are not deduplicated; the group operator
 // does that.
-func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union,
-	opts *EvalOptions) (physical.Node, error) {
-
+func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union) (physical.Node, error) {
 	if err := query.Validate(); err != nil {
 		return nil, err
 	}
-	eo := opts.evalOpts()
 	branches := make([]physical.Node, len(query))
 	for i, r := range query {
-		order, err := eval.ResolveOrder(db, r, eo)
+		order, err := eval.JoinOrder(db, r)
 		if err != nil {
 			return nil, err
 		}
@@ -83,8 +80,8 @@ func compileExtended(db *storage.Database, params []datalog.Param, query datalog
 // CompileDirect returns the physical plan the direct strategy executes
 // for f — the EXPLAIN rendering path. Views must already be materialized
 // into db (see MaterializeViews); the plan is not run.
-func CompileDirect(db *storage.Database, f *Flock, opts *EvalOptions) (*physical.Plan, error) {
-	return compileFiltered(db, f.Params, f.Query, f.Filter, "flock", opts, nil)
+func CompileDirect(db *storage.Database, f *Flock) (*physical.Plan, error) {
+	return compileFiltered(db, f.Params, f.Query, f.Filter, "flock", nil)
 }
 
 // CompiledStep pairs one FILTER step with its compiled physical plan.
@@ -99,11 +96,11 @@ type CompiledStep struct {
 // plans (execution compiles each step against the real step results,
 // whose sizes drive the join order). Views must already be materialized
 // into db.
-func (p *Plan) CompileSteps(db *storage.Database, opts *EvalOptions) ([]CompiledStep, error) {
+func (p *Plan) CompileSteps(db *storage.Database) ([]CompiledStep, error) {
 	scratch := db.Clone()
 	out := make([]CompiledStep, 0, len(p.Steps))
 	for _, step := range p.Steps {
-		pl, err := compileFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, opts, nil)
+		pl, err := compileFiltered(scratch, step.Params, step.Query, p.Flock.Filter, step.Name, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling step %q: %w", step.Name, err)
 		}

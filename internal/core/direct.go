@@ -20,8 +20,6 @@ import (
 
 // EvalOptions configures flock evaluation.
 type EvalOptions struct {
-	// Order is the join-order strategy for the underlying engine.
-	Order eval.OrderStrategy
 	// Trace, when non-nil, records engine steps and group statistics.
 	Trace *eval.Trace
 	// Workers is the worker count for the partitioned join, anti-join,
@@ -75,7 +73,7 @@ func (o *EvalOptions) evalOpts() *eval.Options {
 	if o == nil {
 		return nil
 	}
-	return &eval.Options{Order: o.Order, Trace: o.Trace, Workers: o.Workers, Exec: o.Exec,
+	return &eval.Options{Trace: o.Trace, Workers: o.Workers, Exec: o.Exec,
 		Ctx: o.Ctx, Limits: o.Limits, Gate: o.Gate}
 }
 
@@ -166,7 +164,7 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 		if opts != nil && opts.Memo != nil {
 			return evalFilteredMemo(db, params, query, filter, name, opts, register)
 		}
-		plan, err := compileFiltered(db, params, query, filter, name, opts, register)
+		plan, err := compileFiltered(db, params, query, filter, name, register)
 		if err != nil {
 			return nil, err
 		}

@@ -60,14 +60,6 @@ func BenchmarkJoinWithComparison(b *testing.B) {
 	benchEval(b, "answer(A,C) :- r(A,B) AND s(B,C) AND A < C", nil)
 }
 
-func BenchmarkJoinBodyOrderVsGreedy(b *testing.B) {
-	for _, s := range []OrderStrategy{OrderGreedy, OrderBodyOrder} {
-		b.Run(s.String(), func(b *testing.B) {
-			benchEval(b, "answer(A,C) :- r(A,B) AND s(B,C) AND t(A)", &Options{Order: s})
-		})
-	}
-}
-
 func BenchmarkJoinOrderPlanning(b *testing.B) {
 	db := benchDB(20_000)
 	var body []datalog.Subgoal
@@ -75,20 +67,10 @@ func BenchmarkJoinOrderPlanning(b *testing.B) {
 		body = append(body, datalog.NewAtom("r", datalog.Var(fmt.Sprintf("A%d", i)), datalog.Var(fmt.Sprintf("A%d", i+1))))
 	}
 	rule := datalog.NewRule(datalog.NewAtom("answer", datalog.Var("A0")), body...)
-	b.Run("greedy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := JoinOrder(db, rule, OrderGreedy); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := JoinOrder(db, rule); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := JoinOrder(db, rule, OrderExhaustive); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -61,11 +61,6 @@ func (m ExecMode) Streaming() bool { return m == ExecStream }
 
 // Options configures rule evaluation.
 type Options struct {
-	// Order selects the join-order strategy; zero value is OrderGreedy.
-	Order OrderStrategy
-	// FixedOrder, when non-nil, overrides Order with an explicit sequence
-	// of positive-atom indices.
-	FixedOrder []int
 	// Trace, when non-nil, records every operator application.
 	Trace *Trace
 	// Workers is the worker count for the partitioned hash-join and
@@ -129,7 +124,7 @@ func EvalRule(db *storage.Database, r *datalog.Rule, out []datalog.Term, opts *O
 	if o.Exec == ExecMaterialize {
 		return evalRuleMaterialized(db, r, out, &o)
 	}
-	order, err := ResolveOrder(db, r, &o)
+	order, err := JoinOrder(db, r)
 	if err != nil {
 		return nil, err
 	}
@@ -139,25 +134,6 @@ func EvalRule(db *storage.Database, r *datalog.Rule, out []datalog.Term, opts *O
 	}
 	plan := physical.NewPlan(physical.NewMaterialize("answer", node, nil))
 	return RunPlan(db, plan, &o)
-}
-
-// ResolveOrder returns the join order the options imply for r: the
-// FixedOrder when set (it must cover every positive atom), the Order
-// strategy's choice otherwise. A nil opts uses the defaults.
-func ResolveOrder(db *storage.Database, r *datalog.Rule, opts *Options) ([]int, error) {
-	o := opts.orDefault()
-	order := o.FixedOrder
-	if order == nil {
-		var err error
-		order, err = JoinOrder(db, r, o.Order)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(order) != len(r.PositiveAtoms()) {
-		return nil, fmt.Errorf("eval: join order covers %d of %d atoms", len(order), len(r.PositiveAtoms()))
-	}
-	return order, nil
 }
 
 // RunPlan executes a compiled physical plan against db — either storage
@@ -194,7 +170,7 @@ func evalRuleMaterialized(db *storage.Database, r *datalog.Rule, out []datalog.T
 	}
 	ex.SetWorkers(o.Workers)
 	ex.SetGate(o.gate())
-	order, err := ResolveOrder(db, r, o)
+	order, err := JoinOrder(db, r)
 	if err != nil {
 		return nil, err
 	}

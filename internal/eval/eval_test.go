@@ -259,48 +259,19 @@ func TestEvalConstOnlyComparison(t *testing.T) {
 	}
 }
 
-func TestJoinOrderStrategies(t *testing.T) {
+func TestJoinOrderSmallFirst(t *testing.T) {
 	db := basketsDB()
 	small := storage.NewRelation("small", "Item")
 	small.InsertValues(storage.Str("beer"))
 	db.Add(small)
 	r := mustRule(t, "answer(B) :- baskets(B,I) AND small(I)")
 
-	bodyOrder, err := JoinOrder(db, r, OrderBodyOrder)
+	order, err := JoinOrder(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bodyOrder[0] != 0 || bodyOrder[1] != 1 {
-		t.Errorf("body order = %v", bodyOrder)
-	}
-	greedy, err := JoinOrder(db, r, OrderGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if greedy[0] != 1 { // small relation first
-		t.Errorf("greedy order = %v, want small first", greedy)
-	}
-	exh, err := JoinOrder(db, r, OrderExhaustive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exh) != 2 {
-		t.Errorf("exhaustive order = %v", exh)
-	}
-
-	// All strategies yield the same result set.
-	var results []*storage.Relation
-	for _, s := range []OrderStrategy{OrderGreedy, OrderBodyOrder, OrderExhaustive} {
-		res, err := EvalRule(db, r, nil, &Options{Order: s})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		if !results[0].Equal(results[i]) {
-			t.Errorf("strategy %d result differs", i)
-		}
+	if len(order) != 2 || order[0] != 1 {
+		t.Errorf("order = %v, want small first", order)
 	}
 }
 
@@ -317,32 +288,12 @@ func TestGreedyOrderDisconnected(t *testing.T) {
 		db.Add(rel)
 	}
 	r := mustRule(t, "answer(Xbig,Xtiny,Xmid) :- big(Xbig) AND tiny(Xtiny) AND mid(Xmid)")
-	order, err := JoinOrder(db, r, OrderGreedy)
+	order, err := JoinOrder(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if order[0] != 1 {
 		t.Errorf("greedy should start with tiny; got %v", order)
-	}
-}
-
-func TestFixedOrder(t *testing.T) {
-	db := basketsDB()
-	r := mustRule(t, "answer(B) :- baskets(B,$1) AND baskets(B,$2)")
-	out := []datalog.Term{datalog.Param("1"), datalog.Param("2"), datalog.Var("B")}
-	res1, err := EvalRule(db, r, out, &Options{FixedOrder: []int{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := EvalRule(db, r, out, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res1.Equal(res2) {
-		t.Error("fixed order changed the result")
-	}
-	if _, err := EvalRule(db, r, out, &Options{FixedOrder: []int{0}}); err == nil {
-		t.Error("short fixed order should error")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // Experiment is one entry of the reproduction suite.
 type Experiment struct {
-	// ID is the experiment identifier ("E1".."E8").
+	// ID is the experiment identifier ("E1".."E10").
 	ID string
 	// Artifact names the paper figure/claim reproduced.
 	Artifact string
@@ -28,9 +28,6 @@ func Suite() []Experiment {
 		{"E8", "Ex. 3.2 enumeration", E8},
 		{"E9", "footnote 2 itemset sequence", E9},
 		{"E10", "§4.4 statistics accuracy", E10},
-		{"E11", "parallel worker-sweep scaling", E11},
-		{"E12", "storage engines: memory vs disk-streamed segments", E12},
-		{"E13", "sharded flockd cluster: scatter/gather shard-sweep", E13},
 	}
 }
 

@@ -30,9 +30,6 @@ type Table struct {
 	Rows [][]string `json:"rows"`
 	// Notes carries the claim being checked and the observed verdict.
 	Notes []string `json:"notes,omitempty"`
-	// Metrics carries machine-readable measurements (flockbench -json);
-	// the parallel-scaling experiment fills one entry per worker count.
-	Metrics []Metric `json:"metrics,omitempty"`
 	// OpReports carries per-operator observability reports, one per
 	// instrumented strategy run, when the configuration enables metrics
 	// collection (flockbench -json).
@@ -63,16 +60,6 @@ type PipelineMetric struct {
 	DictSize     int    `json:"dict_size"`
 	InternHits   uint64 `json:"intern_hits"`
 	InternMisses uint64 `json:"intern_misses"`
-}
-
-// Metric is one machine-readable measurement of a named workload at a
-// worker count: absolute time per evaluation plus the speedup over the
-// same workload at workers=1.
-type Metric struct {
-	Name    string  `json:"name"`
-	Workers int     `json:"workers"`
-	NsPerOp int64   `json:"ns_per_op"`
-	Speedup float64 `json:"speedup"`
 }
 
 // AddRow appends a row of already-formatted cells.
@@ -143,7 +130,7 @@ type Config struct {
 	Seed int64
 	// Workers is the join/group-by worker count for every strategy under
 	// test (0 = one per CPU, 1 = sequential). Answers are identical for
-	// every worker count; E11 sweeps this knob explicitly.
+	// every worker count.
 	Workers int
 	// Metrics enables per-operator observability collection: instrumented
 	// experiments attach one obs.RunReport per strategy run to the table
@@ -153,11 +140,6 @@ type Config struct {
 	// clock (flockbench -timeout): a run that exceeds it aborts with
 	// eval.ErrCanceled instead of holding the suite hostage.
 	Timeout time.Duration
-	// DataDir, when set, is a persistent storage data directory for the
-	// engine experiments (E12) to ingest into and reopen; empty means a
-	// temp directory that is removed when the experiment ends
-	// (flockbench -data-dir).
-	DataDir string
 }
 
 // DefaultConfig is the reference configuration used for EXPERIMENTS.md.

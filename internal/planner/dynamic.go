@@ -39,11 +39,10 @@ type DynamicOptions struct {
 	// set when the average group size has dropped below RefilterRatio ×
 	// its previous best. Default 0.5 ("significantly lower").
 	RefilterRatio float64
-	// Order picks the join order fixed before execution begins.
-	Order eval.OrderStrategy
 	// FixedOrder, when non-nil, pins the join order (positive-atom
-	// indices), overriding Order. Example 4.4 fixes the Fig. 8 tree this
-	// way. Only meaningful for single-rule flocks.
+	// indices), overriding eval.JoinOrder's greedy choice. Example 4.4
+	// fixes the Fig. 8 tree this way. Only meaningful for single-rule
+	// flocks.
 	FixedOrder []int
 	// Trace, when non-nil, records engine steps.
 	Trace *eval.Trace
@@ -71,7 +70,7 @@ type DynamicOptions struct {
 }
 
 func (o *DynamicOptions) orDefault() DynamicOptions {
-	out := DynamicOptions{FilterRatio: 1.0, RefilterRatio: 0.5, Order: eval.OrderGreedy}
+	out := DynamicOptions{FilterRatio: 1.0, RefilterRatio: 0.5}
 	if o == nil {
 		return out
 	}
@@ -81,7 +80,6 @@ func (o *DynamicOptions) orDefault() DynamicOptions {
 	if o.RefilterRatio > 0 {
 		out.RefilterRatio = o.RefilterRatio
 	}
-	out.Order = o.Order
 	out.FixedOrder = o.FixedOrder
 	out.Trace = o.Trace
 	out.Workers = o.Workers
@@ -166,7 +164,7 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 		// one wall clock and budget.
 		o.Gate = eval.NewGate(o.Ctx, o.Limits)
 	}
-	db, err := f.MaterializeViews(db, &core.EvalOptions{Order: o.Order, Trace: o.Trace, Workers: o.Workers, Gate: o.Gate})
+	db, err := f.MaterializeViews(db, &core.EvalOptions{Trace: o.Trace, Workers: o.Workers, Gate: o.Gate})
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +388,7 @@ func (s *decisionSite) record(out physical.BarrierOutcome) {
 func orderAndHead(db *storage.Database, r *datalog.Rule, o *DynamicOptions) (order []int, headCols []string, err error) {
 	order = o.FixedOrder
 	if order == nil {
-		if order, err = eval.JoinOrder(db, r, o.Order); err != nil {
+		if order, err = eval.JoinOrder(db, r); err != nil {
 			return nil, nil, err
 		}
 	} else if len(order) != len(r.PositiveAtoms()) {

@@ -8,6 +8,7 @@ import (
 	"queryflocks/internal/core"
 	"queryflocks/internal/eval"
 	"queryflocks/internal/storage"
+	"queryflocks/internal/workload"
 )
 
 // engineVariants runs a flock under the three strategies the engine
@@ -277,5 +278,38 @@ func TestDiskEngineAfterDelta(t *testing.T) {
 	if got, err := flocks["repeated-var"].Eval(mutated, nil); err != nil ||
 		!got.Contains(storage.Tuple{storage.Str("fresh")}) {
 		t.Fatalf("r(X,X,$c) after the delta should admit $c=fresh (8.0/8, 9/9, 2/2): %v, %v", got, err)
+	}
+}
+
+// TestDiskEnginePeakBelowBase checks that the disk engine streams a
+// scan+group flock (frequent single items, the first a-priori pass)
+// rather than buffering it: the per-group COUNT accumulators stop
+// retaining tuples once the threshold is reached, so the peak buffered
+// tuples stay on the order of items x threshold, far below the base
+// cardinality the scan streams past.
+func TestDiskEnginePeakBelowBase(t *testing.T) {
+	base := workload.Baskets(workload.BasketConfig{Baskets: 4000, Items: 100, MeanSize: 8, Skew: 1.0, Seed: 7})
+	baseRows := base.MustRelation("baskets").Len()
+	dir := t.TempDir()
+	if err := storage.CreateDir(dir, base); err != nil {
+		t.Fatal(err)
+	}
+	f := core.MustParse("QUERY:\nanswer(B) :- baskets(B,$1)\nFILTER:\nCOUNT(answer.B) >= 20\n")
+	for _, w := range []int{1, 8} {
+		diskDB, _, err := storage.OpenDir(dir, storage.EngineDisk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &eval.Trace{}
+		answer, err := f.Eval(diskDB, &core.EvalOptions{Workers: w, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answer.Len() == 0 {
+			t.Fatal("empty answer proves nothing")
+		}
+		if rep := tr.Report("disk", w, answer.Len()); rep.PeakTuples*4 > baseRows {
+			t.Errorf("workers=%d: disk peak %d tuples is not << base %d rows", w, rep.PeakTuples, baseRows)
+		}
 	}
 }

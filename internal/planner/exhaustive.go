@@ -214,38 +214,19 @@ func (e *Estimator) ruleWorkWith(r *datalog.Rule, virt map[string]virtualRel) fl
 	return work + rows
 }
 
-// ExhaustiveOptions configures the exhaustive search.
-type ExhaustiveOptions struct {
-	// MaxSetSize bounds candidate parameter-set sizes (default 2).
-	MaxSetSize int
-	// MaxCandidates caps the number of candidate sets considered (the
-	// search is 2^candidates); default 12.
-	MaxCandidates int
-}
+// maxCandidates caps the candidate parameter sets the exhaustive search
+// considers; the search is 2^candidates plans.
+const maxCandidates = 12
 
-func (o *ExhaustiveOptions) orDefault() ExhaustiveOptions {
-	out := ExhaustiveOptions{MaxSetSize: 2, MaxCandidates: 12}
-	if o == nil {
-		return out
-	}
-	if o.MaxSetSize > 0 {
-		out.MaxSetSize = o.MaxSetSize
-	}
-	if o.MaxCandidates > 0 {
-		out.MaxCandidates = o.MaxCandidates
-	}
-	return out
-}
-
-// PlanExhaustive searches every subset of the candidate parameter sets,
+// PlanExhaustive searches every subset of the candidate parameter sets
+// (up to maxSetSize parameters, at most maxCandidates of them),
 // costs each induced plan with EstimatePlanCost, and returns the cheapest.
 // The trivial plan (no pre-filters) participates, so the result is never
 // worse than no filtering under the model.
-func PlanExhaustive(f *core.Flock, est *Estimator, opts *ExhaustiveOptions) (*core.Plan, error) {
-	o := opts.orDefault()
-	candidates := candidateSets(f, o.MaxSetSize)
-	if len(candidates) > o.MaxCandidates {
-		candidates = candidates[:o.MaxCandidates]
+func PlanExhaustive(f *core.Flock, est *Estimator) (*core.Plan, error) {
+	candidates := candidateSets(f, maxSetSize)
+	if len(candidates) > maxCandidates {
+		candidates = candidates[:maxCandidates]
 	}
 	var best *core.Plan
 	bestCost := math.Inf(1)

@@ -44,7 +44,7 @@ func TestPlanExhaustiveMedical(t *testing.T) {
 	db := workload.Medical(example44Config())
 	est := NewEstimator(db)
 	f := paper.Medical(20)
-	plan, err := PlanExhaustive(f, est, nil)
+	plan, err := PlanExhaustive(f, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPlanExhaustiveNeverWorseThanTrivialUnderModel(t *testing.T) {
 	db := medicalDB()
 	est := NewEstimator(db)
 	f := paper.Medical(5)
-	plan, err := PlanExhaustive(f, est, nil)
+	plan, err := PlanExhaustive(f, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPlanExhaustiveUnionFlock(t *testing.T) {
 	db := workload.Web(workload.DefaultWeb(200, 3))
 	est := NewEstimator(db)
 	f := paper.WebWords(3)
-	plan, err := PlanExhaustive(f, est, nil)
+	plan, err := PlanExhaustive(f, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +100,5 @@ func TestPlanExhaustiveUnionFlock(t *testing.T) {
 	direct, _ := f.Eval(db, nil)
 	if !res.Answer.Equal(direct) {
 		t.Error("exhaustive union plan differs from direct")
-	}
-}
-
-func TestExhaustiveOptionsCaps(t *testing.T) {
-	db := medicalDB()
-	est := NewEstimator(db)
-	f := paper.Medical(5)
-	plan, err := PlanExhaustive(f, est, &ExhaustiveOptions{MaxSetSize: 1, MaxCandidates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With one candidate there are two plans (with/without); both legal.
-	if len(plan.Steps) > 2 {
-		t.Errorf("capped search produced %d steps", len(plan.Steps))
 	}
 }

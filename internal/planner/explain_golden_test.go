@@ -54,7 +54,7 @@ const goldenDirect = `materialize#1 flock
 // pipeline per rule into the flock's group-filter and sink, with the
 // $1 < $2 comparison absorbed into the second join.
 func TestGoldenExplainDirect(t *testing.T) {
-	plan, err := core.CompileDirect(goldenDB(t), goldenFlock(t), nil)
+	plan, err := core.CompileDirect(goldenDB(t), goldenFlock(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestGoldenExplainStaticPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := plan.CompileSteps(goldenDB(t), nil)
+	steps, err := plan.CompileSteps(goldenDB(t))
 	if err != nil {
 		t.Fatal(err)
 	}

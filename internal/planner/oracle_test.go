@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"queryflocks/internal/datalog"
-	"queryflocks/internal/eval"
 	"queryflocks/internal/paper"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
@@ -63,7 +62,7 @@ func TestAllStrategiesAgreeRandomized(t *testing.T) {
 		check("levelwise", lwRes.Answer, err)
 
 		for _, ratio := range []float64{0.2, 1.0, 5.0} {
-			res, err := EvalDynamic(db, f, &DynamicOptions{FilterRatio: ratio, Order: eval.OrderGreedy})
+			res, err := EvalDynamic(db, f, &DynamicOptions{FilterRatio: ratio})
 			if err != nil {
 				t.Fatalf("trial %d dynamic(%g): %v", trial, ratio, err)
 			}

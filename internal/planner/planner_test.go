@@ -148,11 +148,9 @@ func TestPlanStaticChoosesUsefulFilters(t *testing.T) {
 	}
 }
 
-func TestPlanStaticForceSets(t *testing.T) {
+func TestPlanWithParamSetsOneStep(t *testing.T) {
 	f := paper.Medical(5)
-	db := medicalDB()
-	est := NewEstimator(db)
-	plan, err := PlanStatic(f, est, &StaticOptions{ForceSets: [][]datalog.Param{{"m"}}})
+	plan, err := PlanWithParamSets(f, [][]datalog.Param{{"m"}})
 	if err != nil {
 		t.Fatal(err)
 	}

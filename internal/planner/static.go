@@ -16,17 +16,15 @@ import (
 // parameters S; finally, at the last step, use the original query together
 // with all the subgoals formed from the relations R_S."
 
+// maxSetSize bounds the parameter-set sizes the static and exhaustive
+// planners consider: singletons and pairs, matching the paper's examples.
+const maxSetSize = 2
+
 // StaticOptions configures the static planner.
 type StaticOptions struct {
 	// SurvivorCutoff: include a filter step only if its estimated fraction
 	// of surviving parameter assignments is below this value. Default 0.5.
 	SurvivorCutoff float64
-	// MaxSetSize bounds the parameter-set sizes considered (default 2:
-	// singletons and pairs, matching the paper's examples).
-	MaxSetSize int
-	// ForceSets, when non-nil, bypasses the cost model and builds exactly
-	// these filter steps (used by benches to compare specific plans).
-	ForceSets [][]datalog.Param
 	// Sampling, when non-nil, estimates survivor fractions by evaluating
 	// each candidate subquery on a sampled database (§4.4's "substantial
 	// gathering of statistics") instead of the closed-form model —
@@ -35,17 +33,13 @@ type StaticOptions struct {
 }
 
 func (o *StaticOptions) orDefault() StaticOptions {
-	out := StaticOptions{SurvivorCutoff: 0.5, MaxSetSize: 2}
+	out := StaticOptions{SurvivorCutoff: 0.5}
 	if o == nil {
 		return out
 	}
 	if o.SurvivorCutoff > 0 {
 		out.SurvivorCutoff = o.SurvivorCutoff
 	}
-	if o.MaxSetSize > 0 {
-		out.MaxSetSize = o.MaxSetSize
-	}
-	out.ForceSets = o.ForceSets
 	out.Sampling = o.Sampling
 	return out
 }
@@ -105,17 +99,14 @@ func PlanSharedFilter(f *core.Flock, canonical datalog.Param) (*core.Plan, error
 
 // PlanStatic chooses filter steps by cost estimation and builds the plan.
 // Candidate sets are the parameter sets admitting safe subqueries, up to
-// MaxSetSize, considered smallest-first (so pair steps can reuse singleton
+// maxSetSize, considered smallest-first (so pair steps can reuse singleton
 // steps, as in the a-priori construction). A set is selected when its
 // estimated survivor fraction is below SurvivorCutoff.
 func PlanStatic(f *core.Flock, est *Estimator, opts *StaticOptions) (*core.Plan, error) {
 	o := opts.orDefault()
-	if o.ForceSets != nil {
-		return PlanWithParamSets(f, o.ForceSets)
-	}
 	threshold := thresholdOf(f)
 	var chosen [][]datalog.Param
-	for _, set := range candidateSets(f, o.MaxSetSize) {
+	for _, set := range candidateSets(f, maxSetSize) {
 		b, err := est.EstimateFilter(f, set, threshold)
 		if err != nil {
 			continue // no safe subquery for this set in some rule

@@ -1,17 +1,18 @@
 // Package serve is the one request pipeline behind every front-end —
 // flockd's /query, /prepare, /invoke and /partial, flockql's file mode and
-// REPL, the cluster experiment — as four stages: compile, plan, execute,
+// REPL — as four stages: compile, plan, execute,
 // report (see Pipeline). It also holds the serving-layer cache subsystems
 // that hang off that path: a count-bounded LRU plan cache keyed on
 // canonical program text, a byte-bounded LRU memo of candidate-subquery
 // results (the core.SubqueryMemo implementation), and the prepared-flock
 // table behind Prepare.
 //
-// Invalidation is by key construction, not by scanning: every plan-cache
-// and memo key embeds the database's data-version counter
-// (storage.Database.Version), so a mutation that publishes a bumped copy
-// strands all prior entries — they age out through normal LRU pressure
-// and can never answer a request against the new data.
+// Correctness does not depend on invalidation: every plan-cache and memo
+// key embeds the database's data-version counter
+// (storage.Database.Version), so an entry can never answer a request
+// against other data. Pipeline.Mutate publishes a bumped copy and then
+// purges both caches of every entry computed against an older version
+// (counted as evictions), so stale entries do not hold space.
 package serve
 
 import (

@@ -82,7 +82,7 @@ func Plan(name string, f *core.Flock, db *storage.Database, side Side) (*core.Pl
 	case "static":
 		return planner.PlanStatic(f, planner.NewEstimator(db), nil)
 	case "exhaustive":
-		return planner.PlanExhaustive(f, planner.NewEstimator(db), nil)
+		return planner.PlanExhaustive(f, planner.NewEstimator(db))
 	case "levelwise":
 		return planner.PlanLevelwise(f, 0)
 	case "cascade":

@@ -147,8 +147,7 @@ func TestDecodePartialRejectsHostileBodies(t *testing.T) {
 
 // mergeAgg is an aggregate whose exported states have the given kind.
 func mergeAgg(kind physical.StateKind) physical.Aggregate {
-	agg := physical.Aggregate{Monotone: true,
-		Holds: func(v storage.Value) bool { return datalog.Ge.Eval(v, storage.Int(2)) }}
+	agg := physical.Aggregate{Monotone: true, Op: datalog.Ge, Threshold: storage.Int(2)}
 	switch kind {
 	case physical.StateCount:
 		agg.Kind = physical.AggCount

@@ -96,7 +96,7 @@ func (f Filter) NewGroup() GroupAcc {
 // evaluates it over value IDs; NewGroup's accumulators are the boxed
 // reference the materializing oracle and the memo path group with.
 func (f Filter) Aggregate() physical.Aggregate {
-	a := physical.Aggregate{Col: f.headPos, Monotone: f.Monotone(), Holds: f.compare}
+	a := physical.Aggregate{Col: f.headPos, Monotone: f.Monotone(), Op: f.spec.Op, Threshold: f.spec.Threshold}
 	switch f.spec.Agg {
 	case datalog.AggCount:
 		a.Kind = physical.AggCount

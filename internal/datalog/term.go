@@ -131,8 +131,13 @@ func (op CmpOp) Flip() CmpOp {
 }
 
 // Eval applies the operator to two values using the storage total order.
-func (op CmpOp) Eval(a, b storage.Value) bool {
-	c := a.Compare(b)
+func (op CmpOp) Eval(a, b storage.Value) bool { return op.Accepts(a.Compare(b)) }
+
+// Accepts reports whether the operator holds for a three-way comparison
+// result c (negative, zero or positive, as Value.Compare returns), so a
+// caller that compares without boxing — dictionary IDs, a group's count —
+// reaches the verdict Eval would.
+func (op CmpOp) Accepts(c int) bool {
 	switch op {
 	case Lt:
 		return c < 0

@@ -1,9 +1,11 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/obs"
 	"queryflocks/internal/par"
 	"queryflocks/internal/storage"
@@ -89,14 +91,40 @@ func (dc *decoder) value(id uint32) storage.Value {
 // base columns decode their ID (the representative is Equal to the
 // stored value, so Compare-based verdicts are unchanged).
 func (a argRef) colValue(dec *decoder, cur []uint32, baseCols [][]uint32, bt int) storage.Value {
-	switch a.src {
-	case srcConst:
+	if a.src == srcConst {
 		return a.val
-	case srcCur:
-		return dec.value(cur[a.pos])
-	default:
-		return dec.value(baseCols[a.pos][bt])
 	}
+	return dec.value(a.colID(cur, baseCols, bt))
+}
+
+// colID resolves a binding or base column argument to its ID.
+func (a argRef) colID(cur []uint32, baseCols [][]uint32, bt int) uint32 {
+	if a.src == srcCur {
+		return cur[a.pos]
+	}
+	return baseCols[a.pos][bt]
+}
+
+// idCompare decides a comparison between two column operands on their
+// IDs. Below the dictionary's order-exact length, read once when the
+// operator opens, ID order is Value.Compare order and the verdict is an
+// integer comparison; an ID interned after the build (a mutation's row,
+// a value the build never saw) is decoded and compared by value.
+type idCompare struct {
+	op    datalog.CmpOp
+	exact uint32
+	dec   *decoder
+}
+
+func newIDCompare(op datalog.CmpOp, dict *storage.Dict) idCompare {
+	return idCompare{op: op, exact: dict.OrderExactLen(), dec: newDecoder(dict)}
+}
+
+func (c idCompare) holds(a, b uint32) bool {
+	if a >= c.exact || b >= c.exact {
+		return c.op.Eval(c.dec.value(a), c.dec.value(b))
+	}
+	return c.op.Accepts(cmp.Compare(a, b))
 }
 
 // colCheck is one absorbed check in executable form: cur is the current
@@ -153,8 +181,14 @@ func bindChecks(ctx *Ctx, checks []*Check) ([]boundCheck, error) {
 // never share mutable state.
 func (c *boundCheck) instantiate(dict *storage.Dict, baseCols [][]uint32) colCheck {
 	if c.kind == checkCmp {
-		op, l, r := c.op, c.left, c.right
-		dec := newDecoder(dict)
+		l, r := c.left, c.right
+		if l.src != srcConst && r.src != srcConst {
+			ck := newIDCompare(c.op, dict)
+			return func(cur []uint32, bt int) bool {
+				return ck.holds(l.colID(cur, baseCols, bt), r.colID(cur, baseCols, bt))
+			}
+		}
+		op, dec := c.op, newDecoder(dict)
 		return func(cur []uint32, bt int) bool {
 			return op.Eval(l.colValue(dec, cur, baseCols, bt), r.colValue(dec, cur, baseCols, bt))
 		}
@@ -762,7 +796,9 @@ type colSelectOp struct {
 	id    int
 	input colOperator
 
-	dec *decoder
+	// cmp decides a select between two binding columns on their IDs; its
+	// decoder serves a select against a constant.
+	cmp idCompare
 
 	rowsIn  int
 	rowsOut int
@@ -771,7 +807,7 @@ type colSelectOp struct {
 }
 
 func (o *colSelectOp) open(ctx *Ctx) error {
-	o.dec = newDecoder(ctx.dict)
+	o.cmp = newIDCompare(o.n.op, ctx.dict)
 	return o.input.open(ctx)
 }
 
@@ -782,7 +818,7 @@ func (o *colSelectOp) argValue(a argRef, batch colBatch, i int) storage.Value {
 	if a.src == srcConst {
 		return a.val
 	}
-	return o.dec.value(batch.cols[a.pos][i])
+	return o.cmp.dec.value(batch.cols[a.pos][i])
 }
 
 func (o *colSelectOp) next(ctx *Ctx) (colBatch, bool, error) {
@@ -796,9 +832,18 @@ func (o *colSelectOp) next(ctx *Ctx) (colBatch, bool, error) {
 	}
 	n := o.n
 	out := newColBatch(len(batch.cols))
-	for i := 0; i < batch.n; i++ {
-		if n.op.Eval(o.argValue(n.left, batch, i), o.argValue(n.right, batch, i)) {
-			out.appendRow(batch, i)
+	if n.left.src == srcCur && n.right.src == srcCur {
+		l, r := batch.cols[n.left.pos], batch.cols[n.right.pos]
+		for i := 0; i < batch.n; i++ {
+			if o.cmp.holds(l[i], r[i]) {
+				out.appendRow(batch, i)
+			}
+		}
+	} else {
+		for i := 0; i < batch.n; i++ {
+			if n.op.Eval(o.argValue(n.left, batch, i), o.argValue(n.right, batch, i)) {
+				out.appendRow(batch, i)
+			}
 		}
 	}
 	o.rowsIn += batch.n

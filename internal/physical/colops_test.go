@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
 )
 
@@ -90,5 +91,68 @@ func TestCrossKindDup(t *testing.T) {
 	got := compileRun(t, db, mustRule(t, "answer(X) :- e(X,X)"), []int{0}, 1)
 	if s := fmt.Sprint(got.Tuples()); s != "[(1) (2)]" {
 		t.Fatalf("want the Int(1)/Float(1) and Int(2) rows, got %s", s)
+	}
+}
+
+// TestIDCompareAcrossOrderedBoundary checks the comparison between two ID
+// columns on both sides of the dictionary's order-exact prefix: IDs from
+// the build compare as integers, IDs interned after it decode, and every
+// verdict equals CmpOp.Eval on the values. A select between two binding
+// columns over a relation holding both kinds keeps exactly the rows the
+// boxed comparison keeps.
+func TestIDCompareAcrossOrderedBoundary(t *testing.T) {
+	built := []storage.Value{storage.Null(), storage.Int(-3), storage.Float(-0.5), storage.Int(2),
+		storage.Float(2.5), storage.Str("a"), storage.Str("c")}
+	late := []storage.Value{storage.Str("b"), storage.Float(1.5), storage.Int(-10),
+		storage.Float(2), storage.Int(100), storage.Str("")}
+	db := storage.NewDatabase()
+	v := storage.NewRelation("v", "X")
+	for _, x := range built {
+		v.InsertValues(x)
+	}
+	db.Add(v)
+	dict, err := db.Dict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range late {
+		dict.Intern(x)
+	}
+	if got, want := int(dict.OrderExactLen()), len(built); got != want || dict.Len() <= want {
+		t.Fatalf("OrderExactLen = %d of %d IDs, want %d and later IDs past it", got, dict.Len(), want)
+	}
+	p := storage.NewRelation("p", "X", "Y")
+	for _, x := range append(built, late...) {
+		for _, y := range append(built, late...) {
+			p.InsertValues(x, y)
+		}
+	}
+	withP := db.Clone()
+	withP.Add(p)
+	for op := datalog.Lt; op <= datalog.Ne; op++ {
+		cmp := newIDCompare(op, dict)
+		for a := uint32(0); int(a) < dict.Len(); a++ {
+			for b := uint32(0); int(b) < dict.Len(); b++ {
+				if got, want := cmp.holds(a, b), op.Eval(dict.Value(a), dict.Value(b)); got != want {
+					t.Fatalf("IDs %d %s %d = %v, values %v %s %v = %v", a, op, b, got, dict.Value(a), op, dict.Value(b), want)
+				}
+			}
+		}
+		scan := &ScanNode{Pred: "p", atom: "p(X,Y)", arity: 2, newPos: []int{0, 1}, cols: []string{"X", "Y"}}
+		sel := &SelectNode{Probe: scan, desc: "X " + op.String() + " Y", op: op,
+			left: argRef{src: srcCur, pos: 0}, right: argRef{src: srcCur, pos: 1}, cols: scan.cols}
+		got, err := NewPlan(NewMaterialize("answer", sel, nil)).Run(&Ctx{DB: withP, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := storage.NewRelation("answer", "X", "Y")
+		for _, tp := range p.Tuples() {
+			if op.Eval(tp[0], tp[1]) {
+				want.Insert(tp)
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("select X %s Y kept %d rows, the boxed comparison %d", op, got.Len(), want.Len())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
 )
 
@@ -39,15 +40,17 @@ type Aggregate struct {
 	// Col is the head-tuple position the aggregate reads; AggCount, which
 	// ranges over whole head tuples, ignores it.
 	Col int
-	// Monotone reports that once Holds is true of a group's aggregate no
-	// further head tuple can make it false (§5), so the group may stop
-	// accumulating. SUM never short-circuits even when monotone: a
+	// Monotone reports that once the condition holds of a group's
+	// aggregate no further head tuple can make it false (§5), so the group
+	// may stop accumulating. SUM never short-circuits even when monotone: a
 	// negative weight arriving later — or sitting in another worker's or
 	// shard's part of the group — can drag the sum back under the
 	// threshold, which would make the verdict depend on arrival order.
 	Monotone bool
-	// Holds compares an aggregate value against the threshold.
-	Holds func(agg storage.Value) bool
+	// Op and Threshold are the comparison: a group passes when
+	// Op.Eval(aggregate, Threshold) holds.
+	Op        datalog.CmpOp
+	Threshold storage.Value
 }
 
 // shortCircuits reports whether a passing group may stop accumulating.
@@ -67,15 +70,16 @@ type groupState struct {
 
 // passes decides the condition on a group's current aggregate. value
 // decodes an ID of the table s.cur indexes. SUM, MIN and MAX over no
-// value are undefined, not zero, and do not pass.
+// value are undefined, not zero, and do not pass. A count compares as the
+// Int and a sum as the Float it stands for, without boxing either.
 func (a Aggregate) passes(s *groupState, value func(uint32) storage.Value) bool {
 	switch a.Kind {
 	case AggCount, AggCountDistinct:
-		return a.Holds(storage.Int(s.n))
+		return a.Op.Accepts(storage.CompareInt(s.n, a.Threshold))
 	case AggSum:
-		return s.has && a.Holds(storage.Float(s.sum))
+		return s.has && a.Op.Accepts(storage.CompareFloat(s.sum, a.Threshold))
 	default:
-		return s.has && a.Holds(value(s.cur))
+		return s.has && a.Op.Eval(value(s.cur), a.Threshold)
 	}
 }
 

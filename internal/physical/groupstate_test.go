@@ -12,16 +12,13 @@ import (
 // answer(V,W) :- r(P,V,W), thresholds chosen so that 1..5 passes each and
 // small subsets do not.
 func testAggs() map[string]Aggregate {
-	cmp := func(op datalog.CmpOp, th int64) func(storage.Value) bool {
-		return func(v storage.Value) bool { return op.Eval(v, storage.Int(th)) }
-	}
 	return map[string]Aggregate{
-		"count-star":     {Kind: AggCount, Col: -1, Monotone: true, Holds: cmp(datalog.Ge, 3)},
-		"count-distinct": {Kind: AggCountDistinct, Monotone: true, Holds: cmp(datalog.Ge, 3)},
-		"sum":            {Kind: AggSum, Monotone: true, Holds: cmp(datalog.Ge, 9)},
-		"min":            {Kind: AggMin, Monotone: true, Holds: cmp(datalog.Le, 1)},
-		"max":            {Kind: AggMax, Monotone: true, Holds: cmp(datalog.Ge, 5)},
-		"count-eq":       {Kind: AggCountDistinct, Holds: cmp(datalog.Eq, 5)}, // not monotone
+		"count-star":     {Kind: AggCount, Col: -1, Monotone: true, Op: datalog.Ge, Threshold: storage.Int(3)},
+		"count-distinct": {Kind: AggCountDistinct, Monotone: true, Op: datalog.Ge, Threshold: storage.Int(3)},
+		"sum":            {Kind: AggSum, Monotone: true, Op: datalog.Ge, Threshold: storage.Int(9)},
+		"min":            {Kind: AggMin, Monotone: true, Op: datalog.Le, Threshold: storage.Int(1)},
+		"max":            {Kind: AggMax, Monotone: true, Op: datalog.Ge, Threshold: storage.Int(5)},
+		"count-eq":       {Kind: AggCountDistinct, Op: datalog.Eq, Threshold: storage.Int(5)}, // not monotone
 	}
 }
 
@@ -174,5 +171,37 @@ func TestMergeNormalizesAcrossParts(t *testing.T) {
 	b.SetEnd, b.SetVals = []uint32{1}, []uint32{0}
 	if got, _, _ = MergeGroupStates(agg, false, "g", []string{"P"}, []*GroupStates{a, b}); got.Len() != 0 {
 		t.Errorf("8 and 8.0 were counted apart: %s", got.Dump())
+	}
+}
+
+// TestUnboxedVerdictTable checks the COUNT and SUM verdicts, which compare
+// the group's count or sum against the threshold without boxing it,
+// against the boxed comparison core.Filter makes, Op.Eval(Int(n) or
+// Float(sum), Threshold), for every operator and Int and Float
+// thresholds on both sides of the aggregates.
+func TestUnboxedVerdictTable(t *testing.T) {
+	thresholds := []storage.Value{storage.Int(0), storage.Int(20), storage.Int(-3),
+		storage.Float(19.5), storage.Float(20.0), storage.Float(-0.5)}
+	sums := []float64{-20.5, -3, -0.5, -0.25, 0, 0.25, 0.5, 19.5, 19.75, 20, 20.5, 1e18}
+	for op := datalog.Lt; op <= datalog.Ne; op++ {
+		for _, th := range thresholds {
+			for _, kind := range []AggKind{AggCount, AggCountDistinct} {
+				agg := Aggregate{Kind: kind, Op: op, Threshold: th}
+				for n := int64(0); n <= 64; n++ {
+					if got, want := agg.passes(&groupState{n: n}, nil), op.Eval(storage.Int(n), th); got != want {
+						t.Fatalf("kind %d: count %d %s %v = %v, boxed %v", kind, n, op, th, got, want)
+					}
+				}
+			}
+			agg := Aggregate{Kind: AggSum, Op: op, Threshold: th}
+			for _, sum := range sums {
+				if got, want := agg.passes(&groupState{sum: sum, has: true}, nil), op.Eval(storage.Float(sum), th); got != want {
+					t.Fatalf("sum %v %s %v = %v, boxed %v", sum, op, th, got, want)
+				}
+			}
+			if agg.passes(&groupState{}, nil) {
+				t.Fatalf("SUM over no value passed %s %v", op, th)
+			}
+		}
 	}
 }

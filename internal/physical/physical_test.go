@@ -250,7 +250,7 @@ func TestBarrierDeduplicatesInput(t *testing.T) {
 // countAtLeast2 counts distinct head tuples (the group operator dedups)
 // and passes at two, short-circuiting as soon as the bound is hit.
 var countAtLeast2 = Aggregate{Kind: AggCount, Col: -1, Monotone: true,
-	Holds: func(n storage.Value) bool { return n.AsInt() >= 2 }}
+	Op: datalog.Ge, Threshold: storage.Int(2)}
 
 func TestGroupOperator(t *testing.T) {
 	db := testDB()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,12 +15,13 @@ import (
 // exactly when the values they stand for are Equal; the boxed Value is
 // recovered only at pipeline sinks.
 //
-// ID 0 is always the null value. IDs assigned by BuildDict (the bulk of
-// the domain, built at CSV load/ingest) are order-preserving: for values
-// known at build time, id(v) < id(w) iff v.Compare(w) < 0, so ID order
-// can stand in for Value order as well as equality. Values first seen
-// after the build (query constants, rows a later mutation adds) are appended
-// and keep only the equality guarantee.
+// ID 0 is always the null value. BuildDict (the bulk of the domain, built
+// at CSV load/ingest) numbers the classes in Value.Compare order, and the
+// IDs below OrderExactLen are order-exact: for two of them,
+// id(v) < id(w) iff v.Compare(w) < 0, so comparing the IDs as integers
+// decides what comparing the values would. Values first seen after the
+// build (query constants, rows a later mutation adds) are appended past
+// that prefix and keep only the equality guarantee.
 //
 // A Dict is safe for concurrent use: lookups take a read lock, misses
 // append under the write lock, and decode-heavy operators snapshot an
@@ -30,9 +32,9 @@ type Dict struct {
 	vals  []Value           // ID -> first-interned representative
 	kinds []Kind            // ID -> representative's kind (cache-friendly sidecar)
 
-	// sortedLen is the number of IDs assigned by the order-preserving
-	// build; IDs below it compare like their values.
-	sortedLen uint32
+	// exactLen is the order-exact prefix length (see orderExactLen),
+	// fixed when the dictionary is built or loaded.
+	exactLen uint32
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -49,16 +51,19 @@ func NewDict() *Dict {
 		kinds: []Kind{KindNull},
 	}
 	d.ids[string(Null().AppendKey(nil))] = NullID
-	d.sortedLen = 1
+	d.exactLen = 1
 	return d
 }
 
 // BuildDict scans every relation of db and interns each distinct value
 // class with order-preserving IDs: null is 0 and the remaining classes
-// are numbered in Value.Compare order. This is the load-time bulk build;
-// later values append via Intern. Relations are read through their
-// source iterators, so the build streams even over the disk engine (which
-// only needs it when its data directory has no persisted DICT).
+// are numbered in Value.Compare order. The whole build is order-exact
+// unless the domain holds a value on which Compare is not a total order
+// of the classes (see orderExactLen); then only null is. This is the
+// load-time bulk build; later values append via Intern. Relations are
+// read through their source iterators, so the build streams even over
+// the disk engine (which only needs it when its data directory has no
+// persisted DICT).
 func BuildDict(db *Database) (*Dict, error) {
 	classes := make(map[string]Value)
 	var buf []byte
@@ -91,14 +96,39 @@ func BuildDict(db *Database) (*Dict, error) {
 	for i, v := range ordered {
 		d.ids[string(v.AppendKey(nil))] = uint32(i + 1)
 	}
-	d.sortedLen = uint32(len(d.vals))
+	d.exactLen = orderExactLen(d.vals)
 	return d, nil
+}
+
+// orderExactLen returns how many leading IDs of vals (ID order, vals[0]
+// the null value) are order-exact. Integer order on those IDs equals
+// Value.Compare order only if Compare is a strict total order on their
+// classes, which fails for two kinds of value: a NaN compares equal to
+// every number, and an Int beyond ±2^53 compares against floats after
+// rounding, so Int(2^53+1) and Float(2^53) compare equal yet are
+// distinct classes. If vals holds either, only null is order-exact.
+// Otherwise the prefix runs while the values strictly increase, which
+// covers a whole bulk build and stops at the first value a later Intern
+// appended out of order.
+func orderExactLen(vals []Value) uint32 {
+	const maxExact = 1 << 53 // every int64 of at most this magnitude is a float64
+	for _, v := range vals {
+		if v.kind == KindFloat && math.IsNaN(v.f) || v.kind == KindInt && (v.i > maxExact || v.i < -maxExact) {
+			return 1
+		}
+	}
+	n := 1
+	for n < len(vals) && vals[n-1].Compare(vals[n]) < 0 {
+		n++
+	}
+	return uint32(n)
 }
 
 // newDictFromValues reconstructs a dictionary from a persisted snapshot:
 // vals holds every class representative in ID order (index 0 must be the
-// null value) and sortedLen is the order-preserved prefix length.
-func newDictFromValues(vals []Value, sortedLen uint32) *Dict {
+// null value). The order-exact prefix is re-derived from the values, not
+// taken from the file.
+func newDictFromValues(vals []Value) *Dict {
 	d := &Dict{
 		ids:   make(map[string]uint32, len(vals)),
 		vals:  vals,
@@ -108,19 +138,16 @@ func newDictFromValues(vals []Value, sortedLen uint32) *Dict {
 		d.kinds[i] = v.Kind()
 		d.ids[string(v.AppendKey(nil))] = uint32(i)
 	}
-	if sortedLen > uint32(len(vals)) {
-		sortedLen = uint32(len(vals))
-	}
-	d.sortedLen = sortedLen
+	d.exactLen = orderExactLen(vals)
 	return d
 }
 
 // snapshotValues returns a copy of the representative values in ID order
-// plus the order-preserved prefix length, for persistence.
+// plus the order-exact prefix length, for persistence.
 func (d *Dict) snapshotValues() ([]Value, uint32) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]Value(nil), d.vals...), d.sortedLen
+	return append([]Value(nil), d.vals...), d.exactLen
 }
 
 // Len returns the number of interned value classes (including null).
@@ -183,19 +210,11 @@ func (d *Dict) Value(id uint32) Value {
 	return d.vals[id]
 }
 
-// OrderPreserved reports whether both IDs were assigned by the
-// order-preserving bulk build, in which case integer ID order equals
-// Value.Compare order.
-func (d *Dict) OrderPreserved(a, b uint32) bool {
-	s := d.sorted()
-	return a < s && b < s
-}
-
-func (d *Dict) sorted() uint32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sortedLen
-}
+// OrderExactLen returns the length of the order-exact ID prefix: two IDs
+// below it compare as integers exactly as their values compare under
+// Value.Compare. It never changes after the build or load, so an operator
+// reads it once; IDs at or past it must be decoded to compare.
+func (d *Dict) OrderExactLen() uint32 { return d.exactLen }
 
 // View returns a decode snapshot. The dictionary only ever appends, so a
 // view taken after an ID was assigned can decode that ID lock-free;

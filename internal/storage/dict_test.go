@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -43,7 +45,7 @@ func TestBuildDictOrderPreserving(t *testing.T) {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("IDs not in Compare order: %v -> %v", vals, ids)
 		}
-		if !d.OrderPreserved(ids[i-1], ids[i]) {
+		if ids[i] >= d.OrderExactLen() {
 			t.Fatalf("built IDs %d,%d should be order-preserved", ids[i-1], ids[i])
 		}
 	}
@@ -99,7 +101,7 @@ func TestDictInternAppends(t *testing.T) {
 		t.Fatal("Lookup of unseen value should miss")
 	}
 	// Appended IDs keep only the equality guarantee.
-	if d.OrderPreserved(1, id) {
+	if id < d.OrderExactLen() {
 		t.Fatal("appended ID should not claim order preservation")
 	}
 }
@@ -217,4 +219,83 @@ func FuzzDictCrossKind(f *testing.F) {
 			t.Fatalf("round-trip broke: %v / %v", d.Value(iid), d.Value(fid))
 		}
 	})
+}
+
+// TestOrderExactLen pins the order-exact prefix rule: the prefix runs
+// while the values strictly increase under Compare, and a NaN or an Int
+// beyond ±2^53 anywhere leaves only null order-exact.
+func TestOrderExactLen(t *testing.T) {
+	const big = 1 << 53
+	for _, tc := range []struct {
+		name string
+		vals []Value
+		want uint32
+	}{
+		{"null only", []Value{Null()}, 1},
+		{"bulk build", []Value{Null(), Int(-3), Float(-0.5), Int(2), Float(2.5), Str("a"), Str("b")}, 7},
+		{"appended out of order", []Value{Null(), Int(1), Int(3), Int(2), Int(4)}, 3},
+		{"appended in order", []Value{Null(), Int(1), Int(3), Str("z")}, 4},
+		{"ints at ±2^53", []Value{Null(), Int(-big), Float(0.5), Int(big)}, 4},
+		{"int past 2^53", []Value{Null(), Float(big), Int(big + 1)}, 1},
+		{"int past -2^53", []Value{Null(), Int(-big - 1), Str("a")}, 1},
+		{"nan", []Value{Null(), Int(1), Float(math.NaN()), Int(2)}, 1},
+		{"late nan", []Value{Null(), Int(1), Int(2), Str("a"), Float(math.NaN())}, 1},
+	} {
+		if got := orderExactLen(tc.vals); got != tc.want {
+			t.Errorf("%s: orderExactLen = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestBuildDictOrderExactness is the regression for the dictionary's
+// order claim: a domain where Compare is not a total order on the classes
+// (an Int past 2^53 next to the Float it rounds to, or a NaN) must not
+// claim any ID but null as order-exact, and an ordinary domain claims all.
+func TestBuildDictOrderExactness(t *testing.T) {
+	const big = 1 << 53
+	for _, tc := range []struct {
+		name  string
+		vals  []Value
+		exact bool
+	}{
+		{"ordinary", []Value{Int(3), Float(2.5), Str("a"), Int(-1)}, true},
+		{"2^53", []Value{Int(big + 1), Float(big), Int(big)}, false},
+		{"nan", []Value{Int(1), Float(math.NaN()), Int(2)}, false},
+	} {
+		db := NewDatabase()
+		r := NewRelation("r", "K", "V")
+		for i, v := range tc.vals {
+			r.Insert(Tuple{Int(int64(i % 2)), v})
+		}
+		db.Add(r)
+		d := mustBuildDict(t, db)
+		want := uint32(1)
+		if tc.exact {
+			want = uint32(d.Len())
+		}
+		if got := d.OrderExactLen(); got != want {
+			t.Errorf("%s: OrderExactLen = %d of %d IDs, want %d", tc.name, got, d.Len(), want)
+		}
+	}
+}
+
+// TestReadDictRederivesOrderExactLen checks that a persisted DICT's
+// order-exact length is re-derived from its values: a file claiming an
+// out-of-order appended ID as order-exact loads with the true prefix.
+func TestReadDictRederivesOrderExactLen(t *testing.T) {
+	d := NewDict()
+	d.Intern(Int(3))
+	d.Intern(Int(1))
+	d.exactLen = 3 // the file will claim Int(1), appended after Int(3), is ordered
+	path := filepath.Join(t.TempDir(), "DICT")
+	if err := writeDict(path, d); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readDictFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OrderExactLen() != 2 {
+		t.Fatalf("reloaded OrderExactLen = %d, want 2 (null and Int(3))", got.OrderExactLen())
+	}
 }

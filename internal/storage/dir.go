@@ -417,9 +417,10 @@ func readDelta(path string, arity int) ([]Tuple, uint64, error) {
 }
 
 // writeDict persists the dictionary: values in ID order (null implied at
-// 0) plus the order-preserved length.
+// 0) plus the order-exact prefix length, which readDictFile does not
+// trust but re-derives from the values.
 func writeDict(path string, d *Dict) error {
-	vals, sortedLen := d.snapshotValues()
+	vals, exactLen := d.snapshotValues()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -434,7 +435,7 @@ func writeDict(path string, d *Dict) error {
 		f.Close()
 		return err
 	}
-	if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(sortedLen))]); err != nil {
+	if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(exactLen))]); err != nil {
 		f.Close()
 		return err
 	}
@@ -476,8 +477,7 @@ func readDictFile(path string) (*Dict, error) {
 		return nil, fmt.Errorf("storage: dict %s: truncated", path)
 	}
 	b = b[n:]
-	sortedLen, n := binary.Uvarint(b)
-	if n <= 0 {
+	if _, n = binary.Uvarint(b); n <= 0 { // the persisted order-exact length
 		return nil, fmt.Errorf("storage: dict %s: truncated", path)
 	}
 	b = b[n:]
@@ -493,5 +493,5 @@ func readDictFile(path string) (*Dict, error) {
 	if len(b) != 0 {
 		return nil, fmt.Errorf("storage: dict %s: %d trailing bytes", path, len(b))
 	}
-	return newDictFromValues(vals, uint32(sortedLen)), nil
+	return newDictFromValues(vals), nil
 }

@@ -482,7 +482,7 @@ func TestDictPersistence(t *testing.T) {
 			t.Fatalf("dict id %d: %#v vs %#v", id, gv, wv)
 		}
 	}
-	if !got.OrderPreserved(1, uint32(want.Len()-1)) {
+	if got.OrderExactLen() != want.OrderExactLen() || int(got.OrderExactLen()) != want.Len() {
 		t.Fatal("persisted dictionary lost its order-preserved range")
 	}
 }

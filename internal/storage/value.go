@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -139,52 +140,55 @@ func (v Value) Literal() string {
 // numerics compare by numeric value regardless of int/float kind; strings
 // compare lexicographically. It returns -1, 0, or +1.
 func (v Value) Compare(w Value) int {
-	vr, wr := v.rank(), w.rank()
-	if vr != wr {
-		if vr < wr {
-			return -1
-		}
-		return 1
-	}
-	switch vr {
-	case 0: // both null
-		return 0
-	case 1: // both numeric
-		a, b := v.AsFloat(), w.AsFloat()
-		// Exact path for int-int comparisons to avoid float rounding on
-		// large int64s.
-		if v.kind == KindInt && w.kind == KindInt {
-			switch {
-			case v.i < w.i:
-				return -1
-			case v.i > w.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
+	switch v.kind {
+	case KindNull:
+		if w.kind == KindNull {
 			return 0
 		}
-	default: // both strings
+		return -1
+	case KindInt:
+		return CompareInt(v.i, w)
+	case KindFloat:
+		return CompareFloat(v.f, w)
+	default: // string
+		if w.kind != KindString {
+			return 1
+		}
 		return strings.Compare(v.s, w.s)
 	}
 }
 
-// rank buckets kinds for cross-kind ordering.
-func (v Value) rank() int {
-	switch v.kind {
+// CompareInt returns Int(i).Compare(w) without boxing i. Two ints compare
+// exactly, so large int64s do not round; against a float, i widens to
+// float64.
+func CompareInt(i int64, w Value) int {
+	if w.kind != KindInt {
+		return CompareFloat(float64(i), w)
+	}
+	return cmp.Compare(i, w.i)
+}
+
+// CompareFloat returns Float(f).Compare(w) without boxing f: numerics
+// compare as float64, NULL sorts below and strings above.
+func CompareFloat(f float64, w Value) int {
+	var g float64
+	switch w.kind {
 	case KindNull:
-		return 0
-	case KindInt, KindFloat:
+		return 1
+	case KindInt:
+		g = float64(w.i)
+	case KindFloat:
+		g = w.f
+	default:
+		return -1
+	}
+	switch {
+	case f < g:
+		return -1
+	case f > g:
 		return 1
 	default:
-		return 2
+		return 0
 	}
 }
 

@@ -30,7 +30,7 @@ func diskServer(t *testing.T, db *storage.Database) (*httptest.Server, string) {
 	return ts, dir
 }
 
-// TestDiskBadSegmentIs500 cuts a segment file under a running disk
+// TestDiskBadSegmentIs500 cuts a column file under a running disk
 // server: the first touch of the relation must answer a structured 500
 // naming it — an error returned through operator open, not a recovered
 // panic — and the server keeps answering for the relations it can read.
@@ -43,7 +43,7 @@ func TestDiskBadSegmentIs500(t *testing.T) {
 	db.Add(other)
 	ts, dir := diskServer(t, db)
 
-	seg := filepath.Join(dir, "baskets.seg")
+	seg := filepath.Join(dir, "baskets.cols")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)

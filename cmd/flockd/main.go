@@ -13,9 +13,9 @@
 //	flockd -data-dir DIR [-engine memory|disk] [...]
 //
 // With -data-dir the server opens a data directory created by flockgen
-// -data-dir (segments + dictionary + catalog) under the chosen storage
-// engine; -engine disk streams relations from the sorted segment files
-// instead of materializing them. Mutations then append durably to the
+// -data-dir (column files + dictionary + catalog) under the chosen
+// storage engine; -engine disk reads each relation's column file at its
+// first touch instead of materializing it at open. Mutations then append durably to the
 // directory's delta layer and prepared flocks are persisted in it, so
 // both survive restarts.
 //
@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	)
 	if *fs.dataDir != "" {
 		// A data directory created by flockgen -data-dir (or
-		// storage.CreateDir): segments, dictionary, catalog, and deltas,
+		// storage.CreateDir): column files, dictionary, catalog, and deltas,
 		// served by the chosen engine. Mutations append to the delta layer
 		// and survive restarts, as do prepared-flock registrations.
 		engine, perr := storage.ParseEngine(*fs.engine)
@@ -284,7 +284,7 @@ func newFlagSet() *flockdFlags {
 	f := &flockdFlags{fs: fs}
 	f.data = fs.String("data", ".", "directory of CSV relations (header row = column names)")
 	f.dataDir = fs.String("data-dir", "", "data directory created by flockgen -data-dir; overrides -data and makes /mutate and /prepare durable")
-	f.engine = fs.String("engine", "memory", "storage engine for -data-dir: memory (materialize at open) or disk (stream from segments)")
+	f.engine = fs.String("engine", "memory", "storage engine for -data-dir: memory (materialize at open) or disk (read column files at first touch)")
 	f.addr = fs.String("addr", "localhost:8080", "listen address (port 0 picks a free port)")
 	f.timeout = fs.Duration("timeout", 30*time.Second, "per-query wall-clock limit (0 = none); ?timeout= may tighten it")
 	f.drain = fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight queries")

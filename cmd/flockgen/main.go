@@ -9,7 +9,7 @@
 //
 // -n scales the primary size (baskets, documents, patients, or nodes).
 // -data-dir additionally ingests the dataset into a storage data
-// directory (sorted segments + dictionary + catalog) that flockd,
+// directory (column files + dictionary + catalog) that flockd,
 // flockql, and flockbench can open with either the memory or the disk
 // engine.
 package main
@@ -40,7 +40,7 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 1, "generator seed")
 		weights = fs.Bool("weights", false, "also write importance(BID,W) (baskets/words only)")
 		flock   = fs.Bool("flock", false, "also write a matching sample .flock file")
-		dataDir = fs.String("data-dir", "", "also ingest into a segment data directory for -engine disk serving")
+		dataDir = fs.String("data-dir", "", "also ingest into a data directory for -engine disk serving")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -6,9 +6,9 @@
 //
 // DIR holds one CSV file per relation (header row = column names; the
 // file's base name is the relation name). Alternatively -data-dir opens a
-// segment data directory created by flockgen -data-dir, with -engine
-// choosing between materializing it (memory) and streaming tuples from
-// the sorted segment files (disk). FLOCK_FILE holds a flock in the
+// data directory created by flockgen -data-dir, with -engine choosing
+// between materializing it (memory) and reading each relation's column
+// file at its first touch (disk). FLOCK_FILE holds a flock in the
 // paper's notation:
 //
 //	QUERY:
@@ -99,8 +99,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("flockql", flag.ContinueOnError)
 	var (
 		dataDir     = fs.String("data", ".", "directory of CSV relations")
-		segDir      = fs.String("data-dir", "", "segment data directory created by flockgen -data-dir; overrides -data")
-		engine      = fs.String("engine", "memory", "storage engine for -data-dir: memory (materialize at open) or disk (stream from segments)")
+		segDir      = fs.String("data-dir", "", "data directory created by flockgen -data-dir; overrides -data")
+		engine      = fs.String("engine", "memory", "storage engine for -data-dir: memory (materialize at open) or disk (read column files at first touch)")
 		strategy    = fs.String("strategy", "direct", "direct|naive|static|exhaustive|levelwise|cascade|dynamic|plan")
 		planFile    = fs.String("plan", "", "plan file (for -strategy plan)")
 		depth       = fs.Int("depth", 2, "cascade depth (for -strategy cascade)")

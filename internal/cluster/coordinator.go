@@ -168,7 +168,7 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 			col.Record(obs.Event{Op: obs.OpShard, Desc: res.Addr, RowsOut: n, Groups: n, Bytes: res.Resp.Bytes, Wall: res.Wall})
 			groupsIn += n
 			if rep := res.Resp.Report; rep != nil {
-				col.ObserveStorage(rep.SegmentsOpened, rep.IndexBlocksRead, rep.DeltaRows, rep.StorageBytesRead)
+				col.ObserveStorage(rep.SegmentsOpened, rep.DeltaRows, rep.StorageBytesRead)
 			}
 		}
 		col.Record(obs.Event{

@@ -197,10 +197,9 @@ type Collector struct {
 	internHits   uint64
 	internMisses uint64
 
-	segmentsOpened  uint64
-	indexBlocksRead uint64
-	deltaRows       uint64
-	storageBytes    uint64
+	segmentsOpened uint64
+	deltaRows      uint64
+	storageBytes   uint64
 
 	start       time.Time
 	startAllocs uint64
@@ -263,20 +262,17 @@ func (c *Collector) ObserveDict(size int, hits, misses uint64) {
 }
 
 // ObserveStorage records the disk engine's cumulative I/O counters after
-// a run: segments opened, sparse-index blocks consulted, delta-layer rows
-// merged, and bytes read from segment files. Like ObserveDict, the
-// counters are monotone process-wide, so observations max-merge. Nil-safe
-// (and a no-op for in-memory runs, which pass all zeros).
-func (c *Collector) ObserveStorage(segments, blocks, deltaRows, bytes uint64) {
+// a run: column files opened, delta-layer rows merged, and bytes read
+// from column files. Like ObserveDict, the counters are monotone
+// process-wide, so observations max-merge. Nil-safe (and a no-op for
+// in-memory runs, which pass all zeros).
+func (c *Collector) ObserveStorage(segments, deltaRows, bytes uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	if segments > c.segmentsOpened {
 		c.segmentsOpened = segments
-	}
-	if blocks > c.indexBlocksRead {
-		c.indexBlocksRead = blocks
 	}
 	if deltaRows > c.deltaRows {
 		c.deltaRows = deltaRows
@@ -326,7 +322,6 @@ func (c *Collector) Report(strategy string, workers, answerRows int) *RunReport 
 	r.InternHits = c.internHits
 	r.InternMisses = c.internMisses
 	r.SegmentsOpened = c.segmentsOpened
-	r.IndexBlocksRead = c.indexBlocksRead
 	r.DeltaRows = c.deltaRows
 	r.StorageBytesRead = c.storageBytes
 	c.mu.Unlock()
@@ -382,11 +377,12 @@ type RunReport struct {
 	// fresh ID.
 	InternHits   uint64 `json:"intern_hits,omitempty"`
 	InternMisses uint64 `json:"intern_misses,omitempty"`
-	// SegmentsOpened, IndexBlocksRead, DeltaRows, and StorageBytesRead are
-	// the disk engine's cumulative I/O counters sampled after the run:
-	// segment files opened, sparse-index blocks consulted to position
-	// prefix/range reads, delta-layer rows merged over base segments, and
-	// bytes read from segment files. All zero for in-memory runs.
+	// SegmentsOpened, DeltaRows, and StorageBytesRead are the data
+	// directory's cumulative I/O counters sampled after the run: column
+	// files opened, delta-layer rows merged over base columns, and bytes
+	// read from column files. All zero for runs over plain in-memory data.
+	// IndexBlocksRead is always 0: column files have no index to seek
+	// through. It stays for readers of older reports.
 	SegmentsOpened   uint64 `json:"segments_opened,omitempty"`
 	IndexBlocksRead  uint64 `json:"index_blocks_read,omitempty"`
 	DeltaRows        uint64 `json:"delta_rows,omitempty"`
@@ -494,9 +490,6 @@ func (r *RunReport) Tree() string {
 	}
 	if r.SegmentsOpened > 0 || r.StorageBytesRead > 0 {
 		fmt.Fprintf(&b, "  io=%s/%d segs", byteSize(r.StorageBytesRead), r.SegmentsOpened)
-		if r.IndexBlocksRead > 0 {
-			fmt.Fprintf(&b, " (%d index blocks)", r.IndexBlocksRead)
-		}
 		if r.DeltaRows > 0 {
 			fmt.Fprintf(&b, " (+%d delta rows)", r.DeltaRows)
 		}

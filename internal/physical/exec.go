@@ -122,8 +122,7 @@ func (p *Plan) drive(ctx *Ctx, op colOperator, run func(*Ctx) error) error {
 		ctx.Col.ObserveDict(dict.Len(), dict.Hits(), dict.Misses())
 		if io := ctx.DB.IO(); io != nil {
 			// Cumulative counters: the collector max-merges the samples.
-			ctx.Col.ObserveStorage(uint64(io.SegmentsOpened()), uint64(io.IndexBlocksRead()),
-				uint64(io.DeltaRows()), uint64(io.BytesRead()))
+			ctx.Col.ObserveStorage(uint64(io.SegmentsOpened()), uint64(io.DeltaRows()), uint64(io.BytesRead()))
 		}
 	}
 	return err

@@ -221,7 +221,7 @@ func tagsDB() *storage.Database {
 
 const panicFlock = "QUERY:\nanswer(T) :- tags($1,T)\nFILTER:\nSUM(answer.T) >= 1\n"
 
-// badSegmentDB opens a disk database whose baskets segment is truncated.
+// badSegmentDB opens a disk database whose baskets column file is truncated.
 func badSegmentDB(t *testing.T) *storage.Database {
 	t.Helper()
 	dir := t.TempDir()
@@ -232,7 +232,7 @@ func badSegmentDB(t *testing.T) *storage.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "baskets.seg")
+	seg := filepath.Join(dir, "baskets.cols")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func statusErrorf(status int, format string, args ...any) *statusError {
 // Failure is the structured form of a pipeline error — the payload of
 // every non-200 flockd outcome. Lint rejections carry the analyzer's
 // diagnostics alongside the one-line error; shard failures name the dead
-// shard; an unreadable segment names its relation.
+// shard; an unreadable column file names its relation.
 type Failure struct {
 	// Status is the HTTP status class; command-line front-ends exit 1 on
 	// any Failure and print Error (after rendering Diagnostics).
@@ -55,7 +55,7 @@ type Failure struct {
 // statuses. A rejected program is a bad request carrying diagnostics, a
 // dead worker shard is a bad gateway, deadline and cancellation are the
 // gateway-timeout family, an exceeded resource budget is the client's
-// query being too expensive, an unreadable segment and panics are 500s,
+// query being too expensive, an unreadable column file and panics are 500s,
 // and anything untyped (unknown strategy, plan errors, schema mismatch)
 // is a bad request.
 func Classify(err error) Failure {

@@ -43,7 +43,7 @@ func NewDatabase() *Database {
 // with order-preserving IDs over every value currently stored (see
 // BuildDict). The dictionary is shared with all Clones of the database,
 // before or after this call. Safe for concurrent use. The build can fail
-// only over a disk source (a segment read error); nothing is cached then,
+// only over a disk source (a column-file read error); nothing is cached then,
 // so a later call retries.
 func (db *Database) Dict() (*Dict, error) {
 	db.dict.mu.Lock()

@@ -61,9 +61,8 @@ func NewDict() *Dict {
 // unless the domain holds a value on which Compare is not a total order
 // of the classes (see orderExactLen); then only null is. This is the
 // load-time bulk build; later values append via Intern. Relations are
-// read through their source iterators, so the build streams even over
-// the disk engine (which only needs it when its data directory has no
-// persisted DICT).
+// read through their source iterators (a data directory's engines start
+// from its persisted DICT instead).
 func BuildDict(db *Database) (*Dict, error) {
 	classes := make(map[string]Value)
 	var buf []byte
@@ -142,12 +141,12 @@ func newDictFromValues(vals []Value) *Dict {
 	return d
 }
 
-// snapshotValues returns a copy of the representative values in ID order
-// plus the order-exact prefix length, for persistence.
-func (d *Dict) snapshotValues() ([]Value, uint32) {
+// snapshotValues returns a copy of the representative values in ID
+// order, for persistence.
+func (d *Dict) snapshotValues() []Value {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return append([]Value(nil), d.vals...), d.exactLen
+	return append([]Value(nil), d.vals...)
 }
 
 // Len returns the number of interned value classes (including null).

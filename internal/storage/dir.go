@@ -1,12 +1,11 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,25 +15,32 @@ import (
 // Data-directory layout — the canonical persistent format both engines
 // open:
 //
-//	CATALOG.json   relation schemas, row counts, per-column group-size
-//	               histograms, and the data version at ingest
-//	DICT           the interned value dictionary, in ID order
-//	<name>.seg     one sorted segment per relation (see segment.go)
-//	<name>.delta   append-only post-ingest batches (see below), optional
+//	CATALOG.json   format 2: relation schemas, row counts, per-column
+//	               group-size histograms, and the data version at ingest
+//	DICT           the interned value dictionary, in ID order, CRC-32C
+//	               trailer
+//	<name>.cols    the relation's base rows as ID columns against DICT,
+//	               in ID-tuple order (see colfile.go)
+//	<name>.delta   append-only post-ingest batches, each with a CRC-32C
+//	               trailer (see AppendDelta), optional
 //
-// The memory engine materializes segments + deltas into *Relation at open
-// (in segment order, then delta order); the disk engine serves them via
-// DiskRelation. Because both read the same files in the same order, the
-// two engines present identical iteration order — the property the
+// Every byte a reader trusts is covered by a CRC: a corrupt file is an
+// error, never a different row set. A base value reads back as its
+// dictionary class's representative (Dict.Value), which is what every
+// executor answer decodes to anyway; delta rows keep their exact values.
+// The memory engine decodes column files + deltas into *Relation at open;
+// the disk engine serves them via DiskRelation. Both present base rows in
+// column-file order, then delta rows in append order — the order the
 // bit-identical evaluation oracle rests on.
 const (
 	catalogFile = "CATALOG.json"
 	dictFile    = "DICT"
-	segExt      = ".seg"
+	colExt      = ".cols"
 	deltaExt    = ".delta"
+	dirFormat   = 2
 
-	dictMagic  = "QFDICT1\n"
-	deltaMagic = "QFDELTA\n"
+	dictMagic  = "QFDICT2\n"
+	deltaMagic = "QFDELT2\n"
 )
 
 type histBucket struct {
@@ -57,12 +63,19 @@ type dirCatalog struct {
 
 // Dir is the handle to an opened (or created) data directory: the mutate
 // path appends delta batches through it, and the serving layer stores
-// sidecar state (prepared flocks) under Path.
+// sidecar state (prepared flocks) under Path. A directory has one writer:
+// the handle remembers where each delta file's last good batch ends.
 type Dir struct {
 	path   string
 	engine Engine
 	io     *IOStats
-	arity  map[string]int
+	rels   map[string]*dirRel
+}
+
+// dirRel is what a Dir knows of one catalog relation.
+type dirRel struct {
+	arity    int
+	deltaEnd int64 // end of the last good delta batch; 0 when there is none
 }
 
 // Path returns the directory path.
@@ -74,23 +87,30 @@ func (d *Dir) Engine() Engine { return d.engine }
 // IO returns the directory's I/O counters (never nil).
 func (d *Dir) IO() *IOStats { return d.io }
 
-// CreateDir ingests db into a fresh data directory: one sorted segment
-// per relation, exact per-column group-size histograms in the catalog,
-// and the interned dictionary. Existing segment/catalog files are
-// overwritten; delta files are removed (the ingested state is the new
-// base).
+// CreateDir ingests db into a fresh data directory: the dictionary, one
+// column file per relation in ID-tuple order, and exact per-column
+// group-size histograms in the catalog. Existing files are overwritten;
+// delta files are removed (the ingested state is the new base). This is
+// also the one-way migration from older formats.
 func CreateDir(dir string, db *Database) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cat := dirCatalog{Format: 1, Version: db.Version()}
+	dict, err := db.Dict()
+	if err != nil {
+		return err
+	}
+	cat := dirCatalog{Format: dirFormat, Version: db.Version()}
 	for _, name := range db.Names() {
 		rel, err := db.Relation(name)
 		if err != nil {
 			return err
 		}
-		sorted := sortedBySortKey(rel.Tuples())
-		if err := writeSegment(filepath.Join(dir, name+segExt), name, rel.Columns(), sorted); err != nil {
+		cols, err := sortedIDColumns(rel, dict)
+		if err != nil {
+			return err
+		}
+		if err := syncFile(filepath.Join(dir, name+colExt), appendColumnFile(nil, rel.Len(), cols), 0o644); err != nil {
 			return err
 		}
 		if err := os.Remove(filepath.Join(dir, name+deltaExt)); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -111,10 +131,8 @@ func CreateDir(dir string, db *Database) error {
 			Histograms: hists,
 		})
 	}
-	dict, err := db.Dict()
-	if err != nil {
-		return err
-	}
+	// Written after the column builds, which intern any value the
+	// dictionary had not yet seen.
 	if err := writeDict(filepath.Join(dir, dictFile), dict); err != nil {
 		return err
 	}
@@ -123,10 +141,10 @@ func CreateDir(dir string, db *Database) error {
 		return err
 	}
 	// The catalog is the publish point of the whole ingest: it, the
-	// segments and dictionary it references (synced by their writers),
-	// and all the fresh directory entries must be durable before
-	// CreateDir acknowledges. WriteFileSync fsyncs the file and then the
-	// directory, which persists every entry created above.
+	// column files and dictionary it references (synced by their
+	// writers), and all the fresh directory entries must be durable
+	// before CreateDir acknowledges. WriteFileSync fsyncs the file and
+	// then the directory, which persists every entry created above.
 	return WriteFileSync(filepath.Join(dir, catalogFile), append(raw, '\n'), 0o644)
 }
 
@@ -161,7 +179,9 @@ func unbucketize(buckets []histBucket) []int {
 }
 
 // OpenDir opens a data directory with the given engine and returns the
-// database plus the directory handle for subsequent delta appends.
+// database plus the directory handle for subsequent delta appends. The
+// disk engine validates each column file's header here and reads its
+// columns at first touch; the memory engine decodes everything now.
 func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
@@ -171,35 +191,43 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	if err := json.Unmarshal(raw, &cat); err != nil {
 		return nil, nil, fmt.Errorf("storage: bad catalog in %s: %w", dir, err)
 	}
+	if cat.Format != dirFormat {
+		return nil, nil, fmt.Errorf("storage: data dir %s has format %d, this build reads format %d: "+
+			"re-create it from the source data with flockgen -data-dir or storage.CreateDir", dir, cat.Format, dirFormat)
+	}
+	dict, err := readDictFile(filepath.Join(dir, dictFile))
+	if err != nil {
+		return nil, nil, err
+	}
 	stats := &IOStats{}
 	db := NewDatabase()
 	db.SetIO(stats)
 	version := cat.Version
+	handle := &Dir{path: dir, engine: engine, io: stats, rels: make(map[string]*dirRel)}
 	anyDelta := false
-	handle := &Dir{path: dir, engine: engine, io: stats, arity: make(map[string]int)}
 
 	for _, rc := range cat.Relations {
-		handle.arity[rc.Name] = len(rc.Columns)
-		deltaRows, deltaVersion, err := readDelta(filepath.Join(dir, rc.Name+deltaExt), len(rc.Columns))
+		arity := len(rc.Columns)
+		deltaRows, deltaVersion, deltaEnd, err := readDelta(filepath.Join(dir, rc.Name+deltaExt), arity)
 		if err != nil {
 			return nil, nil, err
 		}
-		if deltaVersion > version {
-			version = deltaVersion
-		}
-		if len(deltaRows) > 0 {
-			anyDelta = true
-		}
+		handle.rels[rc.Name] = &dirRel{arity: arity, deltaEnd: deltaEnd}
+		version = max(version, deltaVersion)
+		anyDelta = anyDelta || len(deltaRows) > 0
+		path := filepath.Join(dir, rc.Name+colExt)
+		stats.addSegmentOpened()
 		switch engine {
 		case EngineDisk:
-			sr, err := openSegment(filepath.Join(dir, rc.Name+segExt), stats)
-			if err != nil {
+			if err := openColumnFile(path, rc.Name, rc.Rows, arity); err != nil {
 				return nil, nil, err
 			}
 			drel := &DiskRelation{
-				seg:       sr,
+				path:      path,
 				name:      rc.Name,
 				cols:      rc.Columns,
+				rows:      rc.Rows,
+				dict:      dict,
 				io:        stats,
 				delta:     deltaRows,
 				deltaSeen: make(map[string]struct{}, len(deltaRows)),
@@ -215,68 +243,67 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 			}
 			db.AddSource(drel)
 		default:
-			rel := NewRelation(rc.Name, rc.Columns...)
-			sr, err := openSegment(filepath.Join(dir, rc.Name+segExt), stats)
+			cols, err := loadColumnFile(path, rc.Name, rc.Rows, arity, dict.Len(), nil, stats)
 			if err != nil {
 				return nil, nil, err
 			}
-			it := sr.scan()
-			for {
-				batch, err := it.Next(1024)
-				if err != nil {
-					sr.close()
-					return nil, nil, err
+			rel := NewRelation(rc.Name, rc.Columns...)
+			view := dict.View()
+			for i := 0; i < rc.Rows; i++ {
+				t := make(Tuple, arity)
+				for j, col := range cols {
+					t[j] = view.Value(col[i])
 				}
-				if batch == nil {
-					break
-				}
-				for _, t := range batch {
-					rel.Insert(t)
-				}
-			}
-			if err := sr.close(); err != nil {
-				return nil, nil, err
+				rel.Insert(t)
 			}
 			for _, t := range deltaRows {
 				rel.Insert(t)
+			}
+			if len(deltaRows) == 0 {
+				rel.SeedInternedColumns(dict, cols) // the column file is its ID image
 			}
 			db.Add(rel)
 		}
 	}
 	db.SetVersion(version)
 
-	// The persisted dictionary matches the base segments exactly. The disk
-	// engine always starts from it (its column builds then intern base
-	// values as hits and append only what a delta introduced); with a
-	// delta present the memory engine rebuilds lazily instead so delta
-	// values intern order-preserved.
+	// The disk engine always starts from the persisted dictionary (delta
+	// values intern on top of it). With a delta present the memory engine
+	// rebuilds it lazily instead, so delta values intern order-preserved.
 	if engine == EngineDisk || !anyDelta {
-		if d, err := readDictFile(filepath.Join(dir, dictFile)); err == nil && d != nil {
-			db.seedDict(d)
-		} else if err != nil {
-			return nil, nil, err
-		}
+		db.seedDict(dict)
 	}
 	return db, handle, nil
 }
 
+// Delta file format: deltaMagic, then one batch per AppendDelta call:
+//
+//	version u64 | count u32 | count × (uvarint length, Tuple.AppendPayload)
+//	| n u32 | CRC-32C u32
+//
+// n is the batch's byte length before it and the CRC covers the batch up
+// to and including n, so the last batch of a file can be found and
+// verified from its end.
+
 // AppendDelta durably appends one mutation batch for the named relation:
 // the rows land in <name>.delta stamped with the post-mutation data
 // version, and are merged back at the next OpenDir (either engine) or by
-// the DiskRelation views already holding them.
+// the DiskRelation views already holding them. A torn tail left by an
+// append that never returned is cut off first.
 func (d *Dir) AppendDelta(rel string, rows []Tuple, version uint64) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	if arity, ok := d.arity[rel]; ok {
-		for _, t := range rows {
-			if len(t) != arity {
-				return fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)", len(t), rel, arity)
-			}
+	dr, ok := d.rels[rel]
+	if !ok {
+		return fmt.Errorf("storage: no relation %q in data dir %s", rel, d.path)
+	}
+	for _, t := range rows {
+		if len(t) != dr.arity {
+			return fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)", len(t), rel, dr.arity)
 		}
 	}
-	path := filepath.Join(d.path, rel+deltaExt)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(d.path, rel+deltaExt), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -285,41 +312,43 @@ func (d *Dir) AppendDelta(rel string, rows []Tuple, version uint64) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if fi.Size() == 0 {
-		if _, err := w.WriteString(deltaMagic); err != nil {
+	if fi.Size() != dr.deltaEnd {
+		if err := f.Truncate(dr.deltaEnd); err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
 			return err
 		}
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(rows)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	var b []byte
+	if dr.deltaEnd == 0 {
+		b = append(b, deltaMagic...)
 	}
-	var scratch [binary.MaxVarintLen64]byte
+	start := len(b)
+	b = binary.LittleEndian.AppendUint64(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	var payload []byte
 	for _, t := range rows {
 		payload = t.AppendPayload(payload[:0])
-		if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(payload)))]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		b = append(b, payload...)
 	}
-	if err := w.Flush(); err != nil {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(b)-start))
+	b = appendCRC(b, start)
+	if _, err := f.WriteAt(b, dr.deltaEnd); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		return err
 	}
+	fresh := dr.deltaEnd == 0
+	dr.deltaEnd += int64(len(b))
 	// A freshly created delta file is only durable once its directory
 	// entry is: fsync(file) persists the bytes, but a crash before the
 	// directory itself reaches disk loses the *name*, and with it the
 	// whole acknowledged batch. Existing files skip this — their entry
 	// already survived an earlier sync.
-	if fi.Size() == 0 {
+	if fresh {
 		return fsyncDir(d.path)
 	}
 	return nil
@@ -347,6 +376,14 @@ func SyncDir(path string) error { return fsyncDir(path) }
 // nor the entry can be lost to a crash once the call returns. Publish
 // points (the ingest catalog, serving-layer sidecars) go through this.
 func WriteFileSync(path string, data []byte, perm os.FileMode) error {
+	if err := syncFile(path, data, perm); err != nil {
+		return err
+	}
+	return fsyncDir(filepath.Dir(path))
+}
+
+// syncFile writes data to path and fsyncs it before close.
+func syncFile(path string, data []byte, perm os.FileMode) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
@@ -359,126 +396,120 @@ func WriteFileSync(path string, data []byte, perm os.FileMode) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsyncDir(filepath.Dir(path))
-}
-
-// readDelta loads every batch of a delta file; a missing file is an empty
-// delta. Returns the rows in append order and the highest batch version.
-func readDelta(path string, arity int) ([]Tuple, uint64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-	}
-	if string(magic) != deltaMagic {
-		return nil, 0, fmt.Errorf("storage: delta %s: bad magic %q", path, magic)
-	}
-	var rows []Tuple
-	var version uint64
-	var hdr [12]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
-			return rows, version, nil
-		} else if err != nil {
-			return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-		}
-		if v := binary.LittleEndian.Uint64(hdr[:8]); v > version {
-			version = v
-		}
-		count := binary.LittleEndian.Uint32(hdr[8:])
-		var payload []byte
-		for i := uint32(0); i < count; i++ {
-			n, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-			}
-			payload = readInto(payload, int(n))
-			if _, err := io.ReadFull(r, payload); err != nil {
-				return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-			}
-			t, err := DecodePayloadTuple(payload, arity)
-			if err != nil {
-				return nil, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-			}
-			rows = append(rows, t)
-		}
-	}
-}
-
-// writeDict persists the dictionary: values in ID order (null implied at
-// 0) plus the order-exact prefix length, which readDictFile does not
-// trust but re-derives from the values.
-func writeDict(path string, d *Dict) error {
-	vals, exactLen := d.snapshotValues()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(dictMagic); err != nil {
-		f.Close()
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(vals)))]); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(exactLen))]); err != nil {
-		f.Close()
-		return err
-	}
-	var payload []byte
-	for _, v := range vals[1:] { // skip the implied null at ID 0
-		payload = v.AppendPayload(payload[:0])
-		if _, err := w.Write(payload); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
 	return f.Close()
 }
 
-// readDictFile loads a persisted dictionary; a missing file yields
-// (nil, nil) so callers fall back to the lazy build.
-func readDictFile(path string) (*Dict, error) {
+// readDelta loads every batch of a delta file; a missing file is an empty
+// delta. It returns the rows in append order, the highest batch version,
+// and the offset where the last good batch ends. A final batch that is
+// short or fails its CRC was never acknowledged (AppendDelta returns only
+// after the fsync) and is dropped; a bad batch with an intact one after
+// it is an error naming the file.
+func readDelta(path string, arity int) ([]Tuple, uint64, int64, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil, 0, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	if len(raw) < len(dictMagic) || string(raw[:len(dictMagic)]) != dictMagic {
+	if len(raw) < len(deltaMagic) && string(raw) == deltaMagic[:len(raw)] {
+		return nil, 0, 0, nil // torn while the file was created
+	}
+	if len(raw) < len(deltaMagic) || string(raw[:len(deltaMagic)]) != deltaMagic {
+		return nil, 0, 0, fmt.Errorf("storage: delta %s: bad magic", path)
+	}
+	var rows []Tuple
+	var version uint64
+	off := len(deltaMagic)
+	for off < len(raw) {
+		end, ok := deltaBatchEnd(raw, off)
+		if !ok {
+			if last, ok := lastDeltaBatch(raw); ok && last > off {
+				return nil, 0, 0, fmt.Errorf("storage: delta %s: the batch at byte %d fails its checksum", path, off)
+			}
+			break
+		}
+		version = max(version, binary.LittleEndian.Uint64(raw[off:]))
+		p := off + 12
+		for i := binary.LittleEndian.Uint32(raw[off+8:]); i > 0; i-- {
+			n, sz := binary.Uvarint(raw[p:])
+			t, err := DecodePayloadTuple(raw[p+sz:p+sz+int(n)], arity)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("storage: delta %s: %w", path, err)
+			}
+			rows = append(rows, t)
+			p += sz + int(n)
+		}
+		off = end
+	}
+	return rows, version, int64(off), nil
+}
+
+// deltaBatchEnd frames the delta batch at off and verifies its length and
+// CRC, returning where it ends.
+func deltaBatchEnd(raw []byte, off int) (int, bool) {
+	p := off + 12
+	if p > len(raw) {
+		return 0, false
+	}
+	for i := binary.LittleEndian.Uint32(raw[off+8:]); i > 0; i-- {
+		n, sz := binary.Uvarint(raw[p:])
+		if sz <= 0 || n > uint64(len(raw)-p-sz) {
+			return 0, false
+		}
+		p += sz + int(n)
+	}
+	if p+8 > len(raw) || int(binary.LittleEndian.Uint32(raw[p:])) != p-off ||
+		crc32.Checksum(raw[off:p+4], castagnoli) != binary.LittleEndian.Uint32(raw[p+4:]) {
+		return 0, false
+	}
+	return p + 8, true
+}
+
+// lastDeltaBatch finds the file's last batch from its end: the offset it
+// starts at, if its trailer's length and CRC check out.
+func lastDeltaBatch(raw []byte) (int, bool) {
+	p := len(raw) - 8
+	if p < len(deltaMagic) {
+		return 0, false
+	}
+	start := p - int(binary.LittleEndian.Uint32(raw[p:]))
+	if start < len(deltaMagic) || crc32.Checksum(raw[start:p+4], castagnoli) != binary.LittleEndian.Uint32(raw[p+4:]) {
+		return 0, false
+	}
+	return start, true
+}
+
+// writeDict persists the dictionary: its values in ID order (null implied
+// at 0), then a CRC-32C of everything before it. The order-exact prefix
+// is not stored; readDictFile re-derives it from the values.
+func writeDict(path string, d *Dict) error {
+	vals := d.snapshotValues()
+	b := append([]byte(dictMagic), binary.AppendUvarint(nil, uint64(len(vals)))...)
+	for _, v := range vals[1:] { // skip the implied null at ID 0
+		b = v.AppendPayload(b)
+	}
+	return syncFile(path, appendCRC(b, 0), 0o644)
+}
+
+// readDictFile loads and verifies a persisted dictionary.
+func readDictFile(path string) (*Dict, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("storage: dict: %w", err)
+	}
+	if len(raw) < len(dictMagic)+4 || string(raw[:len(dictMagic)]) != dictMagic {
 		return nil, fmt.Errorf("storage: dict %s: bad magic", path)
 	}
-	b := raw[len(dictMagic):]
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("storage: dict %s: truncated", path)
+	body := raw[:len(raw)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(raw[len(body):]) {
+		return nil, fmt.Errorf("storage: dict %s fails its checksum", path)
 	}
-	b = b[n:]
-	if _, n = binary.Uvarint(b); n <= 0 { // the persisted order-exact length
-		return nil, fmt.Errorf("storage: dict %s: truncated", path)
+	b := body[len(dictMagic):]
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count == 0 || count > uint64(len(b)) {
+		return nil, fmt.Errorf("storage: dict %s: bad value count", path)
 	}
 	b = b[n:]
 	vals := make([]Value, 1, count)

@@ -1,6 +1,11 @@
 package storage
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -136,3 +141,235 @@ var errSyncFailed = errTest("directory sync failed")
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// scanAll drains every relation of db through Scan, in name order; a
+// failed read is returned as the error.
+func scanAll(db *Database) (map[string][]Tuple, error) {
+	out := make(map[string][]Tuple)
+	for _, name := range db.Names() {
+		var rows []Tuple
+		if err := ForEach(db.MustSource(name).Scan(), func(t Tuple) error {
+			rows = append(rows, t.Clone())
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		out[name] = rows
+	}
+	return out, nil
+}
+
+// openScan opens dir with the engine and reads every relation back.
+func openScan(dir string, engine Engine) (map[string][]Tuple, uint64, error) {
+	db, _, err := OpenDir(dir, engine)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows, err := scanAll(db)
+	return rows, db.Version(), err
+}
+
+// TestCorruptDataDirNeverServed flips one bit at every byte of every
+// column file and of DICT: on both engines each flip must end as an
+// OpenDir error or a *SegmentError at first touch, never as a row set
+// that differs from the original.
+func TestCorruptDataDirNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	if err := CreateDir(dir, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	engines := []Engine{EngineMemory, EngineDisk}
+	want := make(map[Engine]map[string][]Tuple)
+	for _, e := range engines {
+		rows, _, err := openScan(dir, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e] = rows
+	}
+	files := []string{dictFile, "baskets" + colExt, "weights" + colExt}
+	for _, name := range files {
+		path := filepath.Join(dir, name)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := range orig {
+			flipped := append([]byte(nil), orig...)
+			flipped[off] ^= 1 << (off % 8)
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range engines {
+				db, _, err := OpenDir(dir, e)
+				if err != nil {
+					continue
+				}
+				got, err := scanAll(db)
+				var segErr *SegmentError
+				if err != nil && !errors.As(err, &segErr) {
+					t.Fatalf("%s byte %d, %v engine: first touch failed with %v, want a SegmentError", name, off, e, err)
+				}
+				if err == nil && !reflect.DeepEqual(got, want[e]) {
+					t.Fatalf("%s byte %d, %v engine: a corrupt file was served as a different row set", name, off, e)
+				}
+			}
+		}
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTornDeltaBatchIsUnacknowledged cuts the last delta batch at every
+// byte and flips every byte of it: since AppendDelta acknowledges only
+// after its fsync, such a batch was never acknowledged, and OpenDir must
+// yield the state before it on both engines. The next append cuts the
+// torn tail off, so a reopen then sees the earlier rows plus the new
+// ones. A bad batch followed by an intact one is an error naming the file.
+func TestTornDeltaBatchIsUnacknowledged(t *testing.T) {
+	dir := t.TempDir()
+	if err := CreateDir(dir, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	_, handle, err := OpenDir(dir, EngineDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "baskets"+deltaExt)
+	if err := handle.AppendDelta("baskets", []Tuple{{Int(900), Str("beer")}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	engines := []Engine{EngineMemory, EngineDisk}
+	before := make(map[Engine]map[string][]Tuple)
+	for _, e := range engines {
+		if before[e], _, err = openScan(dir, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := handle.AppendDelta("baskets", []Tuple{{Int(901), Str("kale")}, {Int(902), Float(2.5)}}, 3); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var torn [][]byte
+	for n := len(pre); n < len(full); n++ {
+		torn = append(torn, full[:n])
+	}
+	for off := len(pre); off < len(full); off++ {
+		flipped := append([]byte(nil), full...)
+		flipped[off] ^= 1 << (off % 8)
+		torn = append(torn, flipped)
+	}
+	next := Tuple{Int(903), Str("salsa")}
+	appendNext := func(engine Engine) int64 {
+		t.Helper()
+		_, h, err := OpenDir(dir, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AppendDelta("baskets", []Tuple{next}, 3); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if err := os.WriteFile(path, pre, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := appendNext(EngineDisk) // the file an append to the untorn state leaves
+	for i, b := range torn {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range engines {
+			rows, version, err := openScan(dir, e)
+			if err != nil {
+				t.Fatalf("case %d, %v engine: %v", i, e, err)
+			}
+			if version != 2 || !reflect.DeepEqual(rows, before[e]) {
+				t.Fatalf("case %d, %v engine: version %d, rows differ from the state before the torn batch", i, e, version)
+			}
+		}
+		if size := appendNext(engines[i%2]); size != clean {
+			t.Fatalf("case %d: the append left a %d-byte delta file, want %d (the torn tail cut off)", i, size, clean)
+		}
+		for _, e := range engines {
+			rows, version, err := openScan(dir, e)
+			if err != nil {
+				t.Fatalf("case %d, %v engine after the next append: %v", i, e, err)
+			}
+			got := rows["baskets"]
+			want := append(append([]Tuple(nil), before[e]["baskets"]...), next)
+			if version != 3 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d, %v engine after the next append: version %d, %d rows, want the %d before plus %v",
+					i, e, version, len(got), len(before[e]["baskets"]), next)
+			}
+		}
+	}
+
+	corrupt := append([]byte(nil), full...)
+	corrupt[len(deltaMagic)+13] ^= 1 // inside the first, non-final batch
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range engines {
+		if _, _, err := OpenDir(dir, e); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%v engine: a corrupt non-final batch gave %v, want an error naming %s", e, err, path)
+		}
+	}
+}
+
+// TestOpenDirRejectsOtherFormats: a directory written in another format
+// is refused with the migration named, not misread.
+func TestOpenDirRejectsOtherFormats(t *testing.T) {
+	dir := t.TempDir()
+	if err := CreateDir(dir, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, catalogFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(raw), `"format": 2`, `"format": 1`, 1)
+	if old == string(raw) {
+		t.Fatal("catalog does not record format 2")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Engine{EngineMemory, EngineDisk} {
+		_, _, err := OpenDir(dir, e)
+		if err == nil || !strings.Contains(err.Error(), "flockgen -data-dir") || !strings.Contains(err.Error(), "storage.CreateDir") {
+			t.Fatalf("%v engine: format 1 gave %v, want an error naming the migration", e, err)
+		}
+	}
+}
+
+// TestOpenDirRequiresDict: the column files are IDs into DICT, so a
+// directory without it cannot be read.
+func TestOpenDirRequiresDict(t *testing.T) {
+	dir := t.TempDir()
+	if err := CreateDir(dir, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, dictFile)); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Engine{EngineMemory, EngineDisk} {
+		if _, _, err := OpenDir(dir, e); err == nil {
+			t.Fatalf("%v engine: opened a data directory without DICT", e)
+		}
+	}
+}

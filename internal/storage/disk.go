@@ -6,22 +6,25 @@ import (
 	"sync"
 )
 
-// DiskRelation is the on-disk RelationSource: a sorted base segment plus
-// an in-memory view of the append-only delta layer. Scans stream the base
-// from disk and append the delta rows; the executor reads the relation
-// through its ID-space caches, which one streaming pass over the segment
-// builds on first use and which then stay resident (ID columns at 4 bytes
-// per cell plus the ID indexes and set asked for — never boxed base
-// tuples). Like *Relation, a DiskRelation is immutable once published —
-// WithDelta returns a new view instead of mutating, so the serving
-// layer's copy-on-write snapshot discipline carries over unchanged.
+// DiskRelation is the on-disk RelationSource: a base column file plus an
+// in-memory view of the append-only delta layer. The executor reads the
+// relation through its ID-space caches; the first use reads the column
+// file once, verifies its CRCs and takes its IDs as they are (they are
+// already IDs of the persisted DICT), interns the delta rows on top, and
+// keeps the result resident (4 bytes per cell plus the ID indexes and set
+// asked for — never boxed base tuples). Like *Relation, a DiskRelation is
+// immutable once published — WithDelta returns a new view instead of
+// mutating, so the serving layer's copy-on-write snapshot discipline
+// carries over unchanged.
 type DiskRelation struct {
-	seg  *segmentReader
+	path string // the column file
 	name string
 	cols []string
+	rows int   // base rows, from the catalog
+	dict *Dict // the persisted DICT the column file's IDs index
 	io   *IOStats
 
-	// delta holds the rows appended after the segment was written, in
+	// delta holds the rows appended after the column file was written, in
 	// append order; deltaSeen is their equality-key membership set.
 	delta     []Tuple
 	deltaSeen map[string]struct{}
@@ -48,8 +51,8 @@ func (d *DiskRelation) Columns() []string { return d.cols }
 // Arity returns the column count.
 func (d *DiskRelation) Arity() int { return len(d.cols) }
 
-// Len returns the total row count (base segment plus delta).
-func (d *DiskRelation) Len() int { return d.seg.rows + len(d.delta) }
+// Len returns the total row count (base rows plus delta).
+func (d *DiskRelation) Len() int { return d.rows + len(d.delta) }
 
 // ColumnIndex returns the position of the named column, or -1.
 func (d *DiskRelation) ColumnIndex(col string) int {
@@ -61,9 +64,9 @@ func (d *DiskRelation) ColumnIndex(col string) int {
 	return -1
 }
 
-// SegmentError reports that a relation's base segment could not be read
-// back in full: a read or decode failure, or fewer rows than its header
-// declares (a file truncated on a row boundary ends cleanly).
+// SegmentError reports that a relation's base column file could not be
+// read back in full: a read failure, a short file, or a CRC, ID-range or
+// row-order check that failed.
 type SegmentError struct {
 	Relation string
 	Err      error
@@ -75,106 +78,77 @@ func (e *SegmentError) Error() string {
 
 func (e *SegmentError) Unwrap() error { return e.Err }
 
-// concatIterator streams its inputs in order, counting the rows of the
-// delta tail for the I/O counters.
-type concatIterator struct {
-	base, delta Iterator
-	io          *IOStats
-	baseDone    bool
+// columnIterator streams base rows decoded from the ID columns, then the
+// delta rows as appended, counting the delta tail for the I/O counters.
+type columnIterator struct {
+	cols  [][]uint32
+	view  DictView
+	base  int
+	delta []Tuple
+	io    *IOStats
+	pos   int
+	out   []Tuple
+	err   error
 }
 
-func (c *concatIterator) Next(max int) ([]Tuple, error) {
-	if !c.baseDone {
-		batch, err := c.base.Next(max)
-		if err != nil || batch != nil {
-			return batch, err
+func (it *columnIterator) Next(max int) ([]Tuple, error) {
+	if it.err != nil {
+		return nil, it.err
+	}
+	if max <= 0 {
+		max = internBatch
+	}
+	if it.pos >= it.base {
+		lo := it.pos - it.base
+		hi := min(lo+max, len(it.delta))
+		if lo >= hi {
+			return nil, nil
 		}
-		c.baseDone = true
+		it.pos += hi - lo
+		it.io.addDeltaRows(hi - lo)
+		return it.delta[lo:hi], nil
 	}
-	batch, err := c.delta.Next(max)
-	c.io.addDeltaRows(len(batch))
-	return batch, err
+	hi := min(it.pos+max, it.base)
+	it.out = it.out[:0]
+	for ; it.pos < hi; it.pos++ {
+		t := make(Tuple, len(it.cols))
+		for j, c := range it.cols {
+			t[j] = it.view.Value(c[it.pos])
+		}
+		it.out = append(it.out, t)
+	}
+	return it.out, nil
 }
 
-func (c *concatIterator) Close() error {
-	err := c.base.Close()
-	if cerr := c.delta.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (it *columnIterator) Close() error { return nil }
 
-// Scan streams base rows in segment (sort) order, then delta rows in
-// append order — the same total order the memory engine materializes from
-// this data directory.
+// Scan streams base rows in column-file (ID-tuple) order, each value its
+// dictionary class's representative, then delta rows in append order —
+// the same total order the memory engine materializes from this data
+// directory. A column file that fails to load surfaces from Next.
 func (d *DiskRelation) Scan() Iterator {
-	if len(d.delta) == 0 {
-		return d.seg.scan()
-	}
-	return &concatIterator{base: d.seg.scan(), delta: NewSliceIterator(d.delta), io: d.io}
+	cols, err := d.InternedColumns(d.dict, nil)
+	return &columnIterator{cols: cols, view: d.dict.View(), base: d.rows, delta: d.delta, io: d.io, err: err}
 }
 
-// scanBase streams the base segment through fn, consulting check (when
-// non-nil) before each batch. Failures come back as a *SegmentError.
-func (d *DiskRelation) scanBase(check func() error, fn func(Tuple)) error {
-	it := d.seg.scan()
-	defer it.Close()
-	rows := 0
-	for {
-		if check != nil {
-			if err := check(); err != nil {
-				return err
-			}
-		}
-		batch, err := it.Next(internBatch)
-		if err != nil {
-			return &SegmentError{Relation: d.name, Err: err}
-		}
-		if batch == nil {
-			break
-		}
-		rows += len(batch)
-		for _, t := range batch {
-			fn(t)
-		}
-	}
-	if rows != d.seg.rows {
-		return &SegmentError{Relation: d.name,
-			Err: fmt.Errorf("segment %s holds %d of the %d rows its header declares", d.seg.path, rows, d.seg.rows)}
-	}
-	return nil
-}
-
-// forEach streams every row (base, then delta) through fn.
-func (d *DiskRelation) forEach(fn func(Tuple)) error {
-	if err := d.scanBase(nil, fn); err != nil {
-		return err
-	}
-	for _, t := range d.delta {
-		fn(t)
-	}
-	d.io.addDeltaRows(len(d.delta))
-	return nil
-}
-
-// internColumns is the disk column build: one streaming pass over the
-// segment, each value interned through dict (a hit for everything the
-// persisted DICT holds), then the delta rows on top.
+// internColumns is the disk column build: the column file read and
+// verified (its IDs are the persisted DICT's, so nothing is decoded or
+// re-interned), then the delta rows interned on top.
 func (d *DiskRelation) internColumns(dict *Dict, check func() error) ([][]uint32, error) {
-	cols := make([][]uint32, len(d.cols))
-	for j := range cols {
-		cols[j] = make([]uint32, 0, d.Len())
-	}
-	intern := func(t Tuple) {
-		for j, v := range t {
-			cols[j] = append(cols[j], dict.Intern(v))
-		}
-	}
-	if err := d.scanBase(check, intern); err != nil {
+	cols, err := loadColumnFile(d.path, d.name, d.rows, len(d.cols), d.dict.Len(), check, d.io)
+	if err != nil {
 		return nil, err
 	}
-	for _, t := range d.delta {
-		intern(t)
+	view := d.dict.View()
+	for j, col := range cols {
+		if dict != d.dict { // another database's dictionary (a shard's): translate
+			for i, id := range col {
+				col[i] = dict.Intern(view.Value(id))
+			}
+		}
+		for _, t := range d.delta {
+			cols[j] = append(cols[j], dict.Intern(t[j]))
+		}
 	}
 	d.io.addDeltaRows(len(d.delta))
 	return cols, nil
@@ -206,10 +180,9 @@ func (d *DiskRelation) DistinctCount(col string) (int, error) {
 // GroupSizes returns the exact group-size multiset of the named column,
 // sorted ascending. With an empty delta it is served from the persisted
 // catalog histogram (stored sorted); otherwise it is counted once per
-// view — over the cached ID columns when they are built, else with one
-// streaming scan. Exactness and order are a contract: the planner's
-// decisions must be engine-independent, and a map-ordered multiset would
-// leak nondeterminism into anything that indexes it.
+// view over the ID columns. Exactness and order are a contract: the
+// planner's decisions must be engine-independent, and a map-ordered
+// multiset would leak nondeterminism into anything that indexes it.
 func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
 	p := d.ColumnIndex(col)
 	if p < 0 {
@@ -225,24 +198,15 @@ func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
 	if sizes, ok := d.groups[col]; ok {
 		return sizes, nil
 	}
-	var sizes []int
-	if st := d.ids.cached(); st != nil {
-		counts := make(map[uint32]int)
-		for _, id := range st.cols[p] {
-			counts[id]++
-		}
-		sizes = sortedCounts(counts)
-	} else {
-		counts := make(map[string]int)
-		var buf []byte
-		if err := d.forEach(func(t Tuple) {
-			buf = t[p].AppendKey(buf[:0])
-			counts[string(buf)]++
-		}); err != nil {
-			return nil, err
-		}
-		sizes = sortedCounts(counts)
+	cols, err := d.InternedColumns(d.dict, nil)
+	if err != nil {
+		return nil, err
 	}
+	counts := make(map[uint32]int)
+	for _, id := range cols[p] {
+		counts[id]++
+	}
+	sizes := sortedCounts(counts)
 	if d.groups == nil {
 		d.groups = make(map[string][]int)
 	}
@@ -250,8 +214,8 @@ func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
 	return sizes, nil
 }
 
-// sortedCounts returns the counts of a value->occurrences map, ascending.
-func sortedCounts[K comparable](counts map[K]int) []int {
+// sortedCounts returns the counts of an ID->occurrences map, ascending.
+func sortedCounts(counts map[uint32]int) []int {
 	sizes := make([]int, 0, len(counts))
 	for _, n := range counts {
 		sizes = append(sizes, n)
@@ -261,12 +225,15 @@ func sortedCounts[K comparable](counts map[K]int) []int {
 }
 
 // Pin materializes the source into an in-memory Relation (cached), for
-// the consumers that need boxed tuples — the materializing oracle, the
-// planner's sampling pass; the streaming executor never does.
+// the consumers that need boxed tuples — the naive oracle, the planner's
+// sampling pass; the executor never does. Rows come from Scan.
 func (d *DiskRelation) Pin() (*Relation, error) {
 	d.pinOnce.Do(func() {
 		rel := NewRelation(d.name, d.cols...)
-		d.pinErr = d.forEach(func(t Tuple) { rel.Insert(t) })
+		d.pinErr = ForEach(d.Scan(), func(t Tuple) error {
+			rel.Insert(t)
+			return nil
+		})
 		if d.pinErr == nil {
 			d.pinned = rel
 		}
@@ -274,30 +241,27 @@ func (d *DiskRelation) Pin() (*Relation, error) {
 	return d.pinned, d.pinErr
 }
 
-// contains reports whether the source already holds the tuple.
-func (d *DiskRelation) contains(t Tuple) (bool, error) {
-	var arr [64]byte
-	eq := t.AppendKey(arr[:0])
-	if _, ok := d.deltaSeen[string(eq)]; ok {
-		return true, nil
-	}
-	return d.seg.contains(t.AppendSortKey(arr[:0]))
-}
-
 // WithDelta returns a new view with the given tuples appended to the
 // delta layer (duplicates of existing rows are dropped, preserving set
 // semantics) plus the list of rows actually added, in append order. The
-// base segment and its reader are shared. So are built ID columns: the
-// new view extends them with the added rows' IDs (values the dictionary
-// has not seen are appended to it) instead of streaming the segment
-// again; its ID indexes and set rebuild from those columns on demand.
+// duplicate probe binary-searches the ID-sorted base columns (a value the
+// dictionary lacks cannot be in the base) and consults deltaSeen for the
+// delta rows. The new view extends this view's ID columns with the added
+// rows' IDs (values the dictionary has not seen are appended to it)
+// instead of reading the column file again; its ID indexes and set
+// rebuild from those columns on demand.
 func (d *DiskRelation) WithDelta(tuples []Tuple) (*DiskRelation, []Tuple, error) {
+	cols, err := d.InternedColumns(d.dict, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	out := &DiskRelation{
-		seg:       d.seg,
+		path:      d.path,
 		name:      d.name,
 		cols:      d.cols,
+		rows:      d.rows,
+		dict:      d.dict,
 		io:        d.io,
-		delta:     d.delta,
 		deltaSeen: make(map[string]struct{}, len(d.deltaSeen)+len(tuples)),
 		hist:      d.hist,
 	}
@@ -305,35 +269,45 @@ func (d *DiskRelation) WithDelta(tuples []Tuple) (*DiskRelation, []Tuple, error)
 		out.deltaSeen[k] = struct{}{}
 	}
 	var added []Tuple
+	ids := make([]uint32, len(d.cols))
 	for _, t := range tuples {
 		if len(t) != len(d.cols) {
 			return nil, nil, fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)",
 				len(t), d.name, len(d.cols))
 		}
-		dup, err := out.contains(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		if dup {
+		key := string(t.AppendKey(nil))
+		if _, dup := out.deltaSeen[key]; dup || d.inBase(cols, t, ids) {
 			continue
 		}
-		out.deltaSeen[string(t.AppendKey(nil))] = struct{}{}
+		out.deltaSeen[key] = struct{}{}
 		added = append(added, t)
 	}
 	// Copy-on-append, for the delta and the ID columns alike: the shared
 	// prefix must not be mutated under views still serving the previous
 	// snapshot.
 	out.delta = append(d.delta[:len(d.delta):len(d.delta)], added...)
-	if st := d.ids.cached(); st != nil {
-		cols := make([][]uint32, len(st.cols))
-		for j, col := range st.cols {
-			cols[j] = col[:len(col):len(col)]
-			for _, t := range added {
-				cols[j] = append(cols[j], st.dict.Intern(t[j]))
-			}
+	next := make([][]uint32, len(cols))
+	for j, col := range cols {
+		next[j] = col[:len(col):len(col)]
+		for _, t := range added {
+			next[j] = append(next[j], d.dict.Intern(t[j]))
 		}
-		out.ids.seed(st.dict, out.Len(), cols)
-		d.io.addDeltaRows(len(added))
 	}
+	out.ids.seed(d.dict, out.Len(), next)
+	d.io.addDeltaRows(len(added))
 	return out, added, nil
+}
+
+// inBase reports whether the base rows (the first d.rows of cols, in
+// ID-tuple order) hold t; ids is a buffer of the relation's arity.
+func (d *DiskRelation) inBase(cols [][]uint32, t Tuple, ids []uint32) bool {
+	for j, v := range t {
+		id, ok := d.dict.Lookup(v)
+		if !ok {
+			return false
+		}
+		ids[j] = id
+	}
+	i := sort.Search(d.rows, func(i int) bool { return cmpIDRow(cols, i, ids) >= 0 })
+	return i < d.rows && cmpIDRow(cols, i, ids) == 0
 }

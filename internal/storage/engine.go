@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Engine selects a storage backend for a data directory (see OpenDir).
 type Engine int
@@ -14,10 +10,10 @@ const (
 	// *Relation structures at open time — the default, and the only
 	// engine for plain CSV loading.
 	EngineMemory Engine = iota
-	// EngineDisk serves relations from sorted segment files: scans
-	// stream from disk, and what stays resident is the delta layer plus
-	// the lazily built ID-space caches (4 bytes per cell, no boxed
-	// tuples).
+	// EngineDisk serves relations from their column files: a relation's
+	// file is read and verified at first touch, and what stays resident
+	// is the delta layer plus the ID-space caches (4 bytes per cell, no
+	// boxed tuples).
 	EngineDisk
 )
 
@@ -48,7 +44,7 @@ func ParseEngine(s string) (Engine, error) {
 // Iterator is a pull cursor over tuples. Next returns up to max tuples and
 // nil at end of stream; the returned batch is only valid until the next
 // call (in-memory sources hand out windows of their backing array, disk
-// sources reuse decode state). Close releases any underlying resources and
+// sources reuse their batch slice). Close releases any underlying resources and
 // is required even after an error.
 type Iterator interface {
 	Next(max int) ([]Tuple, error)
@@ -58,11 +54,11 @@ type Iterator interface {
 // RelationSource is the pluggable access-path interface every storage
 // engine provides per relation. The physical executor and the planner
 // consume only this interface for base relations; *Relation (memory) and
-// *DiskRelation (segment files + delta) are the two implementations.
+// *DiskRelation (column file + delta) are the two implementations.
 //
 // Iteration order is part of the contract: Scan yields a fixed order (the
-// relation's insertion order; for disk sources, segment order followed by
-// delta-append order), and row i of the ID columns is the i-th tuple of
+// relation's insertion order; for disk sources, column-file order followed
+// by delta-append order), and row i of the ID columns is the i-th tuple of
 // that order. Bit-identical evaluation across engines relies on both
 // engines of one data directory agreeing on it.
 type RelationSource interface {
@@ -89,7 +85,7 @@ type RelationSource interface {
 
 	// Statistics, exact by contract: the planner's decisions must not
 	// depend on which engine serves the data. GroupSizes is sorted
-	// ascending. A disk source may have to read its segment to answer.
+	// ascending. A disk source may have to read its column file to answer.
 	DistinctCount(col string) (int, error)
 	GroupSizes(col string) ([]int, error)
 
@@ -120,10 +116,6 @@ func (it *sliceIterator) Next(max int) ([]Tuple, error) {
 }
 
 func (it *sliceIterator) Close() error { return nil }
-
-// NewSliceIterator returns an Iterator over an in-memory tuple slice (used
-// by tests and by the delta layer).
-func NewSliceIterator(tuples []Tuple) Iterator { return &sliceIterator{tuples: tuples} }
 
 // ForEach drains the iterator, calling fn for every tuple, and closes it.
 // The tuple is only valid for the duration of the call (see Iterator).
@@ -163,23 +155,3 @@ func (r *Relation) GroupSizes(col string) ([]int, error) {
 
 // Pin returns the relation itself; it is already materialized.
 func (r *Relation) Pin() (*Relation, error) { return r, nil }
-
-// SortedBySortKey returns the relation's tuples ordered by their sort-key
-// encoding (ties impossible: set semantics means distinct classes). This
-// is the segment write order.
-func sortedBySortKey(tuples []Tuple) []Tuple {
-	type keyed struct {
-		key []byte
-		t   Tuple
-	}
-	ks := make([]keyed, len(tuples))
-	for i, t := range tuples {
-		ks[i] = keyed{key: t.AppendSortKey(nil), t: t}
-	}
-	sort.Slice(ks, func(i, j int) bool { return bytes.Compare(ks[i].key, ks[j].key) < 0 })
-	out := make([]Tuple, len(ks))
-	for i, k := range ks {
-		out[i] = k.t
-	}
-	return out
-}

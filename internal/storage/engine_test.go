@@ -98,7 +98,7 @@ func TestDirRoundTripBothEngines(t *testing.T) {
 		if !reflect.DeepEqual(mrows, drows) {
 			t.Fatalf("%s: scan order differs between engines\nmem:  %v\ndisk: %v", name, mrows, drows)
 		}
-		// Scan must be sorted (segment order) and equal the original set.
+		// Scan must be sorted (column-file order) and equal the original set.
 		for i := 1; i < len(drows); i++ {
 			if drows[i-1].Compare(drows[i]) >= 0 {
 				t.Fatalf("%s: disk scan not in sorted order at %d: %v >= %v", name, i, drows[i-1], drows[i])
@@ -161,7 +161,17 @@ func TestIDAccessPathsBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem, disk := openBoth(t, dir)
-	for _, d := range []*Database{mem, disk} {
+	// A database of its own over the disk sources (as a shard builds)
+	// has its own dictionary, here shifted by a smaller value: the column
+	// files' IDs must be translated.
+	shard := NewDatabase()
+	for _, name := range disk.Names() {
+		shard.AddSource(disk.MustSource(name))
+	}
+	extra := NewRelation("extra", "x")
+	extra.InsertValues(Int(-5))
+	shard.Add(extra)
+	for _, d := range []*Database{mem, disk, shard} {
 		dict := mustDict(t, d)
 		for _, name := range d.Names() {
 			src := d.MustSource(name)
@@ -305,7 +315,7 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 	}
 	dict := mustDict(t, disk)
 	src := disk.MustSource("baskets").(*DiskRelation)
-	if _, err := src.InternedColumns(dict, nil); err != nil { // the one base-segment pass
+	if _, err := src.InternedColumns(dict, nil); err != nil { // the one column-file read
 		t.Fatal(err)
 	}
 	next, added, err := src.WithDelta([]Tuple{
@@ -325,14 +335,14 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 		t.Fatalf("lens %d -> %d", src.Len(), next.Len())
 	}
 	// The new view extends the built columns instead of streaming the
-	// segment again; the old view is untouched.
+	// column file again; the old view is untouched.
 	before := disk.IO().BytesRead()
 	cols, err := next.InternedColumns(dict, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := disk.IO().BytesRead(); got != before {
-		t.Fatalf("the view after WithDelta re-read %d segment bytes", got-before)
+		t.Fatalf("the view after WithDelta re-read %d column-file bytes", got-before)
 	}
 	if len(cols[0]) != next.Len() {
 		t.Fatalf("%d ID rows for %d tuples", len(cols[0]), next.Len())
@@ -351,12 +361,12 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 			t.Fatalf("new view misses the new row %v", tup)
 		}
 	}
-	// Statistics of the new view come from its columns, not the segment.
+	// Statistics of the new view come from its columns, not the column file.
 	sizes, err := next.GroupSizes("item")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := next.Pin() // reads the segment; after the byte check
+	pinned, err := next.Pin() // decodes the built columns
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 
 // TestColumnBuildFailureLeavesNoCache covers the two ways a first-touch
 // column build stops early — the caller's check cancels it, or the
-// segment turns out short — and that neither leaves a partial cache: the
+// column file turns out short — and that neither leaves a partial cache: the
 // next call builds from scratch.
 func TestColumnBuildFailureLeavesNoCache(t *testing.T) {
 	db := NewDatabase()
@@ -382,7 +392,15 @@ func TestColumnBuildFailureLeavesNoCache(t *testing.T) {
 	}
 	mem, disk := openBoth(t, dir)
 	stop := errors.New("stop")
-	for name, d := range map[string]*Database{"memory": mem, "disk": disk} {
+	// The memory engine's ID image is the column file itself: nothing is
+	// built, so a check that would fail is never consulted. Cancellation
+	// of an in-memory build is covered on a relation built from tuples.
+	if _, err := mem.MustSource("big").IDIndex(mustDict(t, mem), []int{1}, func() error { return stop }); err != nil {
+		t.Fatalf("memory engine built the ID image the column file seeds: %v", err)
+	}
+	tuples := NewDatabase()
+	tuples.Add(big.Clone())
+	for name, d := range map[string]*Database{"memory": tuples, "disk": disk} {
 		dict := mustDict(t, d)
 		src := d.MustSource("big")
 		calls := 0
@@ -401,13 +419,13 @@ func TestColumnBuildFailureLeavesNoCache(t *testing.T) {
 		}
 	}
 
-	// Cut the segment under a freshly opened disk database: the build must
-	// fail with a typed error naming the relation, not panic.
+	// Cut the column file under a freshly opened disk database: the build
+	// must fail with a typed error naming the relation, not panic.
 	disk2, _, err := OpenDir(dir, EngineDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "big"+segExt)
+	seg := filepath.Join(dir, "big"+colExt)
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -419,13 +437,13 @@ func TestColumnBuildFailureLeavesNoCache(t *testing.T) {
 	_, err = src.InternedColumns(mustDict(t, disk2), nil)
 	var segErr *SegmentError
 	if !errors.As(err, &segErr) || segErr.Relation != "big" {
-		t.Fatalf("truncated segment: got %v, want a SegmentError naming big", err)
+		t.Fatalf("truncated column file: got %v, want a SegmentError naming big", err)
 	}
 	if _, err := src.GroupSizes("a"); err != nil {
 		t.Fatalf("delta-free statistics come from the catalog, got %v", err)
 	}
 	if _, err := src.Pin(); !errors.As(err, &segErr) {
-		t.Fatalf("pin over a truncated segment: got %v, want a SegmentError", err)
+		t.Fatalf("pin over a truncated column file: got %v, want a SegmentError", err)
 	}
 }
 
@@ -451,13 +469,23 @@ func TestSegmentIOCounters(t *testing.T) {
 	if stats.BytesRead() <= before {
 		t.Fatal("scan did not count bytes read")
 	}
-	// The mutate path's duplicate check is one positioned read.
-	blocksBefore := stats.IndexBlocksRead()
-	if _, _, err := disk.MustSource("baskets").(*DiskRelation).WithDelta([]Tuple{{Int(30), Str("kale")}}); err != nil {
+	// The mutate path's duplicate check searches the column file read
+	// once: a cold relation reads it, later probes read nothing.
+	weights := disk.MustSource("weights").(*DiskRelation)
+	before = stats.BytesRead()
+	next, _, err := weights.WithDelta([]Tuple{{Str("kale"), Int(3)}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.IndexBlocksRead() <= blocksBefore {
-		t.Fatal("positioned lookup did not count an index block read")
+	if stats.BytesRead() <= before {
+		t.Fatal("the duplicate probe on a cold relation did not count its column-file read")
+	}
+	before = stats.BytesRead()
+	if _, _, err := next.WithDelta([]Tuple{{Str("beer"), Float(1.5)}}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.BytesRead() != before {
+		t.Fatal("a duplicate probe on a built relation read the column file again")
 	}
 }
 

@@ -28,7 +28,7 @@ type internedState struct {
 
 // columnBuilder is what an idCache needs of the relation embedding it: the
 // row count and the engine's column build (from boxed tuples in memory,
-// by streaming the segment on disk).
+// from the column file on disk).
 type columnBuilder interface {
 	Len() int
 	internColumns(d *Dict, check func() error) ([][]uint32, error)
@@ -94,10 +94,6 @@ func (c *idCache) idIndex(src columnBuilder, d *Dict, cols []int, check func() e
 	}
 	return ix, nil
 }
-
-// cached returns the published state, or nil when nothing is built. Only
-// its dict, n and cols may be read without c.mu.
-func (c *idCache) cached() *internedState { return c.st.Load() }
 
 // seed publishes pre-computed columns, sparing the build.
 func (c *idCache) seed(d *Dict, n int, cols [][]uint32) *internedState {

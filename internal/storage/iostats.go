@@ -8,21 +8,14 @@ import "sync/atomic"
 // samples into RunReport. All fields are safe for concurrent use, and a
 // nil *IOStats is a no-op sink so the in-memory engine pays nothing.
 type IOStats struct {
-	segmentsOpened  atomic.Int64
-	indexBlocksRead atomic.Int64
-	deltaRows       atomic.Int64
-	bytesRead       atomic.Int64
+	segmentsOpened atomic.Int64
+	deltaRows      atomic.Int64
+	bytesRead      atomic.Int64
 }
 
 func (s *IOStats) addSegmentOpened() {
 	if s != nil {
 		s.segmentsOpened.Add(1)
-	}
-}
-
-func (s *IOStats) addIndexBlockRead() {
-	if s != nil {
-		s.indexBlocksRead.Add(1)
 	}
 }
 
@@ -38,21 +31,13 @@ func (s *IOStats) addBytesRead(n int) {
 	}
 }
 
-// SegmentsOpened returns the number of segment files opened.
+// SegmentsOpened returns the number of column files opened (one per
+// relation at OpenDir).
 func (s *IOStats) SegmentsOpened() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.segmentsOpened.Load()
-}
-
-// IndexBlocksRead returns the number of sparse-index positioning reads
-// (one per keyed lookup or range seek that consulted a segment index).
-func (s *IOStats) IndexBlocksRead() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.indexBlocksRead.Load()
 }
 
 // DeltaRows returns the number of delta-layer rows merged into iterator
@@ -64,7 +49,8 @@ func (s *IOStats) DeltaRows() int64 {
 	return s.deltaRows.Load()
 }
 
-// BytesRead returns the number of segment bytes decoded.
+// BytesRead returns the number of column-file bytes read (each file once,
+// when its relation is first touched; at open for the memory engine).
 func (s *IOStats) BytesRead() int64 {
 	if s == nil {
 		return 0

@@ -5,11 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// sortKeyConsistent reports whether both values lie in the domain where
+// sortKeyConsistent reports whether a value lies in the domain where
 // Value.Compare is itself a consistent total order: everything except
 // NaNs and numerics of magnitude > 2^53 (where Compare's float images
 // alias distinct ints and transitivity already fails).
@@ -39,25 +40,45 @@ func sign(n int) int {
 	}
 }
 
+// checkSortKeyPair checks the sort key a data directory stores rows
+// under — the ID tuple against the persisted DICT — on the pair v, w:
+// the two share an ID exactly when they share an AppendKey class, ID
+// order agrees with Value.Compare on the domain where Compare is
+// consistent, and the column file of the relation {(v,w), (w,v), (v,v)}
+// holds its rows in strictly increasing ID order and reads back as the
+// same ID rows.
 func checkSortKeyPair(t *testing.T, v, w Value) {
 	t.Helper()
-	vk, wk := v.AppendSortKey(nil), w.AppendSortKey(nil)
-	veq, weq := v.AppendKey(nil), w.AppendKey(nil)
-	// Equality classes must be exactly AppendKey's.
-	if bytes.Equal(vk, wk) != bytes.Equal(veq, weq) {
-		t.Fatalf("sort-key equality disagrees with AppendKey classes: %v vs %v (sort %x/%x, eq %x/%x)",
-			v, w, vk, wk, veq, weq)
+	db := NewDatabase()
+	rel := NewRelation("r", "a", "b")
+	rel.Insert(Tuple{v, w})
+	rel.Insert(Tuple{w, v})
+	rel.Insert(Tuple{v, v})
+	db.Add(rel)
+	d, err := BuildDict(db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Byte order must agree with Compare on the consistent domain.
+	iv, _ := d.Lookup(v)
+	iw, _ := d.Lookup(w)
+	if (iv == iw) != bytes.Equal(v.AppendKey(nil), w.AppendKey(nil)) {
+		t.Fatalf("ID equality disagrees with AppendKey classes: %v -> %d, %v -> %d", v, iv, w, iw)
+	}
 	if sortKeyConsistent(v) && sortKeyConsistent(w) {
-		if got, want := sign(bytes.Compare(vk, wk)), sign(v.Compare(w)); got != want {
-			t.Fatalf("bytes.Compare(sortKey(%v), sortKey(%v)) = %d, Value.Compare = %d", v, w, got, want)
+		if got, want := sign(int(iv)-int(iw)), sign(v.Compare(w)); got != want {
+			t.Fatalf("ID order of %v (%d) and %v (%d) is %d, Value.Compare %d", v, iv, w, iw, got, want)
 		}
 	}
-	// Prefix-freeness: one value's key is never a proper prefix of
-	// another's (required for bound-column-prefix matching on tuples).
-	if !bytes.Equal(vk, wk) && (bytes.HasPrefix(vk, wk) || bytes.HasPrefix(wk, vk)) {
-		t.Fatalf("sort keys not prefix-free: %v -> %x, %v -> %x", v, vk, w, wk)
+	cols, err := sortedIDColumns(rel, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, back, err := readColumnFile("r", appendColumnFile(nil, rel.Len(), cols), d.Len(), nil)
+	if err != nil {
+		t.Fatalf("column file of %v: %v", rel.Tuples(), err)
+	}
+	if rows != rel.Len() || !reflect.DeepEqual(back, cols) {
+		t.Fatalf("column file of %v read back as %d rows %v, want %v", rel.Tuples(), rows, back, cols)
 	}
 }
 
@@ -99,34 +120,9 @@ func TestSortKeyProperties(t *testing.T) {
 	}
 }
 
-// TestTuplePrefixMatching pins the bound-column-prefix contract: a row's
-// sort key starts with a k-column prefix key exactly when the leading k
-// columns are class-equal.
-func TestTuplePrefixMatching(t *testing.T) {
-	rows := []Tuple{
-		{Str("a"), Int(1)},
-		{Str("a"), Int(2)},
-		{Str("a\x00x"), Int(1)},
-		{Str("ab"), Int(1)},
-		{Int(1), Str("a")},
-		{Float(1), Str("b")}, // class-equal first column with the row above
-		{Null(), Null()},
-	}
-	for _, probe := range rows {
-		prefix := probe[:1].AppendSortKey(nil)
-		for _, row := range rows {
-			got := bytes.HasPrefix(row.AppendSortKey(nil), prefix)
-			want := row[0].Equal(probe[0])
-			if got != want {
-				t.Fatalf("prefix match of %v against row %v: got %v, want %v", probe[0], row, got, want)
-			}
-		}
-	}
-}
-
-// FuzzSortKey is the satellite fuzz target: round-trip exactness of the
-// payload codec plus sort-key order/equality agreement with
-// Value.Compare/AppendKey across mixed kinds. Seeds include every token
+// FuzzSortKey fuzzes round-trip exactness of the payload codec plus the
+// ID-tuple sort key of column files (see checkSortKeyPair) across mixed
+// kinds. Seeds include every token
 // of the examples corpus so the fuzzer starts from realistic values.
 func FuzzSortKey(f *testing.F) {
 	seed := func(s string) { f.Add(s, s, int64(len(s)), float64(len(s)), uint8(3), uint8(3)) }
@@ -167,8 +163,7 @@ func FuzzSortKey(f *testing.F) {
 		checkPayloadRoundTrip(t, w)
 		checkSortKeyPair(t, v, w)
 
-		// Tuple-level: payload codec round-trips the pair exactly, and
-		// the concatenated sort key preserves the prefix property.
+		// Tuple-level: payload codec round-trips the pair exactly.
 		tup := Tuple{v, w}
 		back, err := DecodePayloadTuple(tup.AppendPayload(nil), 2)
 		if err != nil {
@@ -178,10 +173,6 @@ func FuzzSortKey(f *testing.F) {
 			if math.Float64bits(floatOf(back[i])) != math.Float64bits(floatOf(tup[i])) || back[i].Kind() != tup[i].Kind() {
 				t.Fatalf("tuple payload round trip of %#v gave %#v", tup, back)
 			}
-		}
-		prefix := tup[:1].AppendSortKey(nil)
-		if !bytes.HasPrefix(tup.AppendSortKey(nil), prefix) {
-			t.Fatalf("tuple sort key does not extend its own prefix: %#v", tup)
 		}
 	})
 }

@@ -47,9 +47,9 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Regenerate BENCH_pipeline.json: the two-executor comparison (interned
-# columnar streaming vs materializing) on E1/E3/E6 at the canonical
-# scale and seed. Commit the refreshed file with any executor
+# Regenerate BENCH_pipeline.json: the streaming executor's peak buffered
+# tuples, allocation and dictionary statistics on E1/E3/E6 at the
+# canonical scale and seed. Commit the refreshed file with any executor
 # change; CI gates allocation regressions against it via benchcheck.
 bench-pipeline:
 	$(GO) run ./cmd/flockbench -exp E1,E3,E6 -scale 0.25 -seed 1998 -json \

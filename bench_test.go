@@ -21,7 +21,6 @@ import (
 	"queryflocks/internal/apriori"
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
-	"queryflocks/internal/eval"
 	"queryflocks/internal/paper"
 	"queryflocks/internal/planner"
 	"queryflocks/internal/serve"
@@ -316,34 +315,6 @@ func BenchmarkParallelJoin(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			benchFlockDirect(b, db, f, &core.EvalOptions{Workers: w})
-		})
-	}
-}
-
-// BenchmarkParallelGroupBy isolates the partitioned group-by: the extended
-// answer is materialized once outside the timer, so each iteration measures
-// only GroupAndFilterWorkers (partition, partial aggregation, merge).
-func BenchmarkParallelGroupBy(b *testing.B) {
-	db := words(b)
-	f := paper.MarketBasket(20)
-	r := f.Query[0]
-	ext, err := eval.EvalUnion(db, f.Query, func(*datalog.Rule) []datalog.Term {
-		out := make([]datalog.Term, 0, len(f.Params)+len(r.Head.Args))
-		for _, p := range f.Params {
-			out = append(out, p)
-		}
-		return append(out, r.Head.Args...)
-	}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.GroupAndFilterWorkers(ext, len(f.Params), f.Filter, "bench", w)
-			}
 		})
 	}
 }

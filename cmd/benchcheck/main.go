@@ -17,8 +17,8 @@
 // total; -require-storage demands at least one report with storage-engine
 // I/O (segments_opened > 0), the gate the CI disk-engine step uses.
 // Reports carrying storage counters are checked for internal consistency
-// (index blocks and delta rows imply opened segments, opened segments
-// imply bytes read). Embedded "pipeline" entries (the two-executor comparison) are
+// (delta rows imply opened column files, opened column files imply bytes
+// read). Embedded "pipeline" entries (the streaming run's footprint) are
 // validated too, and -pipeline-baseline FILE additionally fails the check
 // when any (experiment, workload) pair allocates more than 1.1x its
 // committed alloc_stream_bytes — the CI columnar-regression gate.
@@ -52,17 +52,15 @@ type table struct {
 	Pipeline  []pipelineMetric `json:"pipeline"`
 }
 
-// pipelineMetric mirrors experiments.PipelineMetric: the two-executor
-// comparison plus the columnar run's dictionary statistics.
+// pipelineMetric mirrors experiments.PipelineMetric: the streaming run's
+// footprint and dictionary statistics.
 type pipelineMetric struct {
-	Name             string `json:"name"`
-	PeakStream       int    `json:"peak_stream_tuples"`
-	PeakMaterialize  int    `json:"peak_materialize_tuples"`
-	AllocStream      int64  `json:"alloc_stream_bytes"`
-	AllocMaterialize int64  `json:"alloc_materialize_bytes"`
-	DictSize         int    `json:"dict_size"`
-	InternHits       uint64 `json:"intern_hits"`
-	InternMisses     uint64 `json:"intern_misses"`
+	Name         string `json:"name"`
+	PeakStream   int    `json:"peak_stream_tuples"`
+	AllocStream  int64  `json:"alloc_stream_bytes"`
+	DictSize     int    `json:"dict_size"`
+	InternHits   uint64 `json:"intern_hits"`
+	InternMisses uint64 `json:"intern_misses"`
 }
 
 // baselineFile is the BENCH_pipeline.json schema -pipeline-baseline reads.
@@ -153,10 +151,8 @@ func checkPipeline(p pipelineMetric) error {
 		return fmt.Errorf("missing workload name")
 	}
 	for field, v := range map[string]int64{
-		"peak_stream_tuples":      int64(p.PeakStream),
-		"peak_materialize_tuples": int64(p.PeakMaterialize),
-		"alloc_stream_bytes":      p.AllocStream,
-		"alloc_materialize_bytes": p.AllocMaterialize,
+		"peak_stream_tuples": int64(p.PeakStream),
+		"alloc_stream_bytes": p.AllocStream,
 	} {
 		if v < 0 {
 			return fmt.Errorf("%s: negative %s", p.Name, field)
@@ -383,14 +379,10 @@ func checkCluster(c *obs.ClusterStats) error {
 }
 
 // checkStorage enforces the storage-engine counter invariants: reading
-// an index block or a delta row means a segment file was opened, and an
-// opened segment always reads at least its header bytes. A violation
-// means the I/O accounting in storage.IOStats and the report plumbing
-// have drifted.
+// a delta row means a column file was opened, and an opened column file
+// always reads at least its header bytes. A violation means the I/O
+// accounting in storage.IOStats and the report plumbing have drifted.
 func checkStorage(r *obs.RunReport) error {
-	if r.IndexBlocksRead > 0 && r.SegmentsOpened == 0 {
-		return fmt.Errorf("%s: index_blocks_read %d with segments_opened 0", r.Strategy, r.IndexBlocksRead)
-	}
 	if r.DeltaRows > 0 && r.SegmentsOpened == 0 {
 		return fmt.Errorf("%s: delta_rows %d with segments_opened 0", r.Strategy, r.DeltaRows)
 	}

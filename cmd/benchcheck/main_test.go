@@ -141,8 +141,7 @@ func TestBenchcheckMemoAttribution(t *testing.T) {
 func pipelineInput(t *testing.T, alloc int64) string {
 	t.Helper()
 	p := pipelineMetric{
-		Name: "direct support=20", PeakStream: 100, PeakMaterialize: 200,
-		AllocStream: alloc, AllocMaterialize: 2000,
+		Name: "direct support=20", PeakStream: 100, AllocStream: alloc,
 		DictSize: 7, InternHits: 5, InternMisses: 1,
 	}
 	var doc []map[string]any

@@ -19,11 +19,10 @@
 // live profiling of long runs; the last completed experiment's reports are
 // published under the expvar key "flock_last_report".
 //
-// -pipeline-out FILE extracts the executor pipeline comparison (interned
-// columnar streaming vs materializing: peak buffered tuples, allocation,
-// dictionary statistics) into FILE using the
-// BENCH_pipeline.json schema; it implies metrics collection and composes
-// with both output modes.
+// -pipeline-out FILE extracts the streaming executor's pipeline metrics
+// (peak buffered tuples, allocation, dictionary statistics) into FILE
+// using the BENCH_pipeline.json schema; it implies metrics collection and
+// composes with both output modes.
 package main
 
 import (
@@ -56,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		asJSON  = fs.Bool("json", false, "emit results as a JSON array (with per-operator op_reports) instead of tables")
 		pprof   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit per strategy evaluation (0 = none); exceeding runs abort with a typed error")
-		pipeOut = fs.String("pipeline-out", "", "write the executor pipeline comparison (BENCH_pipeline.json schema) to this file; implies metrics collection")
+		pipeOut = fs.String("pipeline-out", "", "write the streaming executor's pipeline metrics (BENCH_pipeline.json schema) to this file; implies metrics collection")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,8 +134,8 @@ func run(args []string, out io.Writer) error {
 }
 
 // pipelineFile is the BENCH_pipeline.json schema: the command line that
-// regenerates the numbers, the workload knobs, and each experiment's
-// executor comparison.
+// regenerates the file, the workload knobs, and each experiment's
+// pipeline metrics.
 type pipelineFile struct {
 	Generator   string               `json:"generator"`
 	Scale       float64              `json:"scale"`
@@ -150,8 +149,8 @@ type pipelineExperiment struct {
 	Pipeline []experiments.PipelineMetric `json:"pipeline"`
 }
 
-// writePipeline writes the pipeline comparison of every table that
-// recorded one. A table with no pipeline metrics (the experiment does
+// writePipeline writes the pipeline metrics of every table that
+// recorded them. A table with no pipeline metrics (the experiment does
 // not call AddPipeline) is skipped, not an error; an empty path is a
 // no-op.
 func writePipeline(path string, cfg experiments.Config, exp string, tables []*experiments.Table) error {
@@ -166,6 +165,7 @@ func writePipeline(path string, cfg experiments.Config, exp string, tables []*ex
 	if cfg.Workers != 0 {
 		gen += fmt.Sprintf(" -workers %d", cfg.Workers)
 	}
+	gen += " -pipeline-out " + path
 	pf := pipelineFile{Generator: gen, Scale: cfg.Scale, Seed: cfg.Seed}
 	for _, t := range tables {
 		if len(t.Pipeline) == 0 {

@@ -120,7 +120,7 @@ func TestRunE1TinyScaleClampsSupports(t *testing.T) {
 }
 
 // TestRunPipelineOut checks -pipeline-out writes the BENCH_pipeline.json
-// schema with the two-executor comparison and dictionary statistics.
+// schema with the streaming run's footprint and dictionary statistics.
 func TestRunPipelineOut(t *testing.T) {
 	path := t.TempDir() + "/pipeline.json"
 	var out strings.Builder
@@ -138,10 +138,9 @@ func TestRunPipelineOut(t *testing.T) {
 		Experiments []struct {
 			ID       string `json:"id"`
 			Pipeline []struct {
-				Name             string `json:"name"`
-				AllocStream      int64  `json:"alloc_stream_bytes"`
-				AllocMaterialize int64  `json:"alloc_materialize_bytes"`
-				DictSize         int    `json:"dict_size"`
+				Name        string `json:"name"`
+				AllocStream int64  `json:"alloc_stream_bytes"`
+				DictSize    int    `json:"dict_size"`
 			} `json:"pipeline"`
 		} `json:"experiments"`
 	}
@@ -155,7 +154,7 @@ func TestRunPipelineOut(t *testing.T) {
 		t.Fatalf("experiments = %+v", pf.Experiments)
 	}
 	p := pf.Experiments[0].Pipeline[0]
-	if p.Name == "" || p.AllocStream <= 0 || p.AllocMaterialize <= 0 || p.DictSize < 1 {
+	if p.Name == "" || p.AllocStream <= 0 || p.DictSize < 1 {
 		t.Errorf("pipeline metric = %+v", p)
 	}
 	// An experiment with no pipeline metrics must refuse to write an
@@ -166,8 +165,9 @@ func TestRunPipelineOut(t *testing.T) {
 }
 
 // TestWritePipelineGeneratorRegenerates checks the recorded generator
-// names every knob the numbers depend on, so running it reproduces the
-// file: the seed always, and the scale also when no -exp subset is given.
+// names every knob the numbers depend on and the output path, so running
+// it rewrites the file: the seed always, and the scale also when no -exp
+// subset is given.
 func TestWritePipelineGeneratorRegenerates(t *testing.T) {
 	tables := []*experiments.Table{{ID: "E1", Pipeline: []experiments.PipelineMetric{{Name: "w"}}}}
 	for _, exp := range []string{"", "E1"} {
@@ -185,7 +185,7 @@ func TestWritePipelineGeneratorRegenerates(t *testing.T) {
 		if err := json.Unmarshal(raw, &pf); err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{"-scale 0.05", "-seed 7"} {
+		for _, want := range []string{"-scale 0.05", "-seed 7", "-pipeline-out " + path} {
 			if !strings.Contains(pf.Generator, want) {
 				t.Errorf("-exp %q: generator %q lacks %q", exp, pf.Generator, want)
 			}

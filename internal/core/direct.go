@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/eval"
-	"queryflocks/internal/obs"
-	"queryflocks/internal/par"
 	"queryflocks/internal/storage"
 )
 
@@ -20,16 +17,18 @@ import (
 
 // EvalOptions configures flock evaluation.
 type EvalOptions struct {
-	// Trace, when non-nil, records engine steps and group statistics.
+	// Trace, when non-nil, records the streaming executor's engine steps
+	// and group statistics.
 	Trace *eval.Trace
-	// Workers is the worker count for the partitioned join, anti-join,
-	// and group-by operators: 0 (the default) means one worker per CPU,
-	// 1 forces the sequential paths, larger values are used as given.
-	// Results are identical for every worker count.
+	// Workers is the streaming executor's worker count for its
+	// partitioned join and anti-join operators: 0 (the default) means one
+	// worker per CPU, 1 forces the sequential paths, larger values are
+	// used as given. Results are identical for every worker count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default) or the
-	// legacy materializing executor (eval.ExecMaterialize). Answers are
-	// identical; only intermediate buffering differs.
+	// materializing reference (eval.ExecMaterialize). The reference always
+	// runs sequentially and records no trace events, whatever Workers and
+	// Trace say; answers are identical.
 	Exec eval.ExecMode
 	// Ctx, when non-nil, cancels the evaluation cooperatively; both
 	// executors abort with eval.ErrCanceled at their next checkpoint.
@@ -118,15 +117,6 @@ func (o *EvalOptions) execMode() eval.ExecMode {
 	return o.Exec
 }
 
-// workers returns the configured worker knob (0 when opts is nil, meaning
-// one worker per CPU).
-func (o *EvalOptions) workers() int {
-	if o == nil {
-		return 0
-	}
-	return o.Workers
-}
-
 // Eval computes the flock's answer over db using the direct group-by
 // strategy. The result has one column per parameter (see ParamColumns) and
 // one tuple per accepted assignment. Views, if any, are materialized
@@ -170,7 +160,7 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 		}
 		return eval.RunPlan(db, plan, opts.evalOpts())
 	}
-	// The materializing executor is the boxed baseline the streaming plan
+	// The materializing executor is the boxed reference the streaming plan
 	// is checked against; it never consults the memo. The extended answer
 	// is an intermediate (the streaming analogue is a mid-pipeline
 	// projection, not the sink): no answer-row cap.
@@ -180,11 +170,7 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 	if err != nil {
 		return nil, err
 	}
-	var start time.Time
-	if opts != nil && opts.Trace != nil {
-		start = time.Now()
-	}
-	res, groups, used := groupAndFilter(ext, len(params), filter, name, opts.workers())
+	res, groups := groupAndFilter(ext, len(params), filter, name)
 	// The group-by holds the extended relation, the group accumulators,
 	// and the passing tuples live at once; feed that into the tuple
 	// budget, and cap the answer like the streaming sink does.
@@ -194,21 +180,6 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 	}
 	if err := opts.gate().Check(); err != nil {
 		return nil, err
-	}
-	if opts != nil && opts.Trace != nil {
-		opts.Trace.Collector().Record(obs.Event{
-			Op:      obs.OpGroup,
-			Desc:    fmt.Sprintf("%s [%s]", name, filter),
-			RowsIn:  ext.Len(),
-			RowsOut: res.Len(),
-			Groups:  groups,
-			Workers: used,
-			Wall:    time.Since(start),
-		})
-		// The materializing group-by holds the full extended relation, one
-		// accumulator per group, and the passing tuples at once; record
-		// that through the shared peak gauge for streaming comparisons.
-		opts.Trace.Collector().ObservePeak(ext.Len() + groups + res.Len())
 	}
 	return publish(res, register)
 }
@@ -223,44 +194,52 @@ func publish(rel *storage.Relation, register func(*storage.Relation) error) (*st
 	return rel, nil
 }
 
-// minParallelGroupRows is the extended-result size below which the group-by
-// stays sequential even when more workers are available: small inputs are
-// dominated by goroutine startup and per-worker map state.
-const minParallelGroupRows = 256
-
 // GroupAndFilter groups an extended-answer relation by its first nParams
 // columns, applies the filter to each group's head tuples, and returns the
 // passing parameter tuples. Monotone filters short-circuit per group.
 func GroupAndFilter(ext *storage.Relation, nParams int, filter Filter, name string) *storage.Relation {
-	return GroupAndFilterWorkers(ext, nParams, filter, name, 1)
-}
-
-// GroupAndFilterWorkers is GroupAndFilter with a partitioned parallel path:
-// with workers > 1 (see par.Resolve for the knob convention) the extended
-// result is range-partitioned, each worker aggregates its chunk into a
-// private group map (keeping the per-group monotone short-circuit), and the
-// partial accumulators are folded together with GroupAcc.Merge. A merged
-// group passes when any partial short-circuited Done — monotone conditions
-// cannot un-pass — or the combined aggregate passes; both decisions equal
-// the sequential ones, so the answer is identical for every worker count.
-func GroupAndFilterWorkers(ext *storage.Relation, nParams int, filter Filter, name string, workers int) *storage.Relation {
-	rel, _, _ := groupAndFilter(ext, nParams, filter, name, workers)
+	rel, _ := groupAndFilter(ext, nParams, filter, name)
 	return rel
 }
 
-// groupAndFilter is the shared implementation behind GroupAndFilterWorkers;
-// alongside the passing parameter tuples it reports the number of distinct
-// parameter groups observed and the worker count actually used, which the
-// observability layer records per operator.
-func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name string, workers int) (*storage.Relation, int, int) {
+// groupAndFilter is GroupAndFilter that also reports the number of
+// distinct parameter groups, which the tuple budget counts as live.
+func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name string) (*storage.Relation, int) {
+	paramPos := make([]int, nParams)
+	for i := range paramPos {
+		paramPos[i] = i
+	}
+	headPos := make([]int, ext.Arity()-nParams)
+	for i := range headPos {
+		headPos[i] = nParams + i
+	}
+	// One filterGroup per distinct parameter prefix, fed the group's head
+	// tuples; one key buffer is reused, so only new groups allocate a key
+	// string.
+	groups := make(map[string]*filterGroup)
+	var buf []byte
+	for _, t := range ext.Tuples() {
+		buf = t.AppendKeyOn(buf[:0], paramPos)
+		g, ok := groups[string(buf)]
+		if !ok {
+			g = &filterGroup{params: t.Project(paramPos), acc: filter.NewGroup()}
+			groups[string(buf)] = g
+		}
+		if g.done {
+			continue
+		}
+		g.acc.Add(t.Project(headPos))
+		if g.acc.Done() {
+			g.done = true
+		}
+	}
 	out := storage.NewRelation(name, ext.Columns()[:nParams]...)
-	groups, used := aggregateGroups(ext, nParams, filter, workers)
 	for _, g := range groups {
 		if g.done || g.acc.Passes() {
 			out.Insert(g.params)
 		}
 	}
-	return out, len(groups), used
+	return out, len(groups)
 }
 
 // filterGroup is one parameter group's in-flight aggregation state: the
@@ -271,88 +250,4 @@ type filterGroup struct {
 	params storage.Tuple
 	acc    GroupAcc
 	done   bool
-}
-
-// aggregateGroups builds the group map of an extended-answer relation:
-// one filterGroup per distinct parameter prefix, fed the group's head
-// tuples. With workers > 1 the tuples are range-partitioned, each worker
-// aggregates a private map, and the partials fold together in worker
-// order via mergeFilterGroup — the rule physical.MergeGroupStates applies
-// to per-shard states in ID space.
-func aggregateGroups(ext *storage.Relation, nParams int, filter Filter, workers int) (map[string]*filterGroup, int) {
-	paramPos := make([]int, nParams)
-	for i := range paramPos {
-		paramPos[i] = i
-	}
-	headPos := make([]int, ext.Arity()-nParams)
-	for i := range headPos {
-		headPos[i] = nParams + i
-	}
-	tuples := ext.Tuples()
-
-	// aggregate builds the group map for one range of extended tuples,
-	// reusing one key buffer so only new groups allocate a key string.
-	aggregate := func(lo, hi int) map[string]*filterGroup {
-		groups := make(map[string]*filterGroup)
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			t := tuples[i]
-			buf = t.AppendKeyOn(buf[:0], paramPos)
-			g, ok := groups[string(buf)]
-			if !ok {
-				g = &filterGroup{params: t.Project(paramPos), acc: filter.NewGroup()}
-				groups[string(buf)] = g
-			}
-			if g.done {
-				continue
-			}
-			g.acc.Add(t.Project(headPos))
-			if g.acc.Done() {
-				g.done = true
-			}
-		}
-		return groups
-	}
-
-	w := par.Resolve(workers)
-	if len(tuples) < minParallelGroupRows {
-		w = 1
-	}
-	if w <= 1 {
-		return aggregate(0, len(tuples)), 1
-	}
-
-	parts := make([]map[string]*filterGroup, par.Chunks(len(tuples), w))
-	par.Run(len(tuples), w, func(wi, lo, hi int) { parts[wi] = aggregate(lo, hi) })
-	merged := parts[0]
-	for _, part := range parts[1:] {
-		for k, g := range part {
-			mergeFilterGroup(merged, k, g)
-		}
-	}
-	return merged, w
-}
-
-// mergeFilterGroup folds one group's partial state into the merged map
-// under its key. The partial aggregates combine exactly when the two
-// sides saw disjoint head tuples (GroupAcc.Merge's precondition); a
-// group passes once either side short-circuited Done — monotone
-// conditions cannot un-pass — or the combined aggregate passes.
-func mergeFilterGroup(dst map[string]*filterGroup, k string, g *filterGroup) {
-	m, ok := dst[k]
-	if !ok {
-		dst[k] = g
-		return
-	}
-	if m.done {
-		return
-	}
-	if g.done {
-		m.done = true
-		return
-	}
-	m.acc.Merge(g.acc)
-	if m.acc.Done() {
-		m.done = true
-	}
 }

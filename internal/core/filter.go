@@ -124,15 +124,6 @@ type GroupAcc interface {
 	// Done reports that further Adds cannot change Passes (monotone
 	// short-circuit); always false for non-monotone conditions.
 	Done() bool
-	// Merge folds another accumulator of the same filter into this one.
-	// The partial aggregates combine exactly when the two accumulators saw
-	// disjoint sets of head tuples — which the parallel group-by
-	// guarantees: the extended result is a set, so within one group
-	// (fixed parameter prefix) every row projects to a different head
-	// tuple, and range partitions therefore feed disjoint head tuples. A
-	// merged group passes when either part short-circuited Done (monotone:
-	// more tuples cannot un-pass it) or the combined aggregate passes.
-	Merge(other GroupAcc)
 }
 
 func (f Filter) compare(agg storage.Value) bool {
@@ -148,9 +139,6 @@ type countAcc struct {
 func (a *countAcc) Add(storage.Tuple) { a.n++ }
 func (a *countAcc) Passes() bool      { return a.filter.compare(storage.Int(a.n)) }
 func (a *countAcc) Done() bool        { return a.filter.Monotone() && a.Passes() }
-func (a *countAcc) Merge(other GroupAcc) {
-	a.n += other.(*countAcc).n
-}
 
 // countDistinctAcc implements COUNT(answer.Col): distinct values of one
 // head column. Values are normalized before keying so the count respects
@@ -169,34 +157,22 @@ func (a *countDistinctAcc) Passes() bool {
 	return a.filter.compare(storage.Int(int64(len(a.seen))))
 }
 func (a *countDistinctAcc) Done() bool { return a.filter.Monotone() && a.Passes() }
-func (a *countDistinctAcc) Merge(other GroupAcc) {
-	for v := range other.(*countDistinctAcc).seen {
-		a.seen[v] = struct{}{}
-	}
-}
 
 // sumAcc implements SUM(answer.Col) over the distinct head tuples. The §5
 // monotonicity argument assumes non-negative weights. Done never fires for
 // SUM: a short-circuit decision taken mid-stream is unsound because a
-// negative weight arriving later — or sitting in another worker's partition
-// of the same group — can drag the sum back below the threshold, making the
-// verdict depend on tuple order and worker count. (COUNT/MIN/MAX do not
-// have this failure mode: their aggregates move in one direction no matter
-// what arrives next.)
+// negative weight arriving later can drag the sum back below the
+// threshold, making the verdict depend on tuple order. (COUNT/MIN/MAX do
+// not have this failure mode: their aggregates move in one direction no
+// matter what arrives next.)
 type sumAcc struct {
 	filter   Filter
 	sum      float64
-	sawNeg   bool
 	sawValue bool
 }
 
 func (a *sumAcc) Add(head storage.Tuple) {
-	v := head[a.filter.headPos]
-	f := v.AsFloat()
-	if f < 0 {
-		a.sawNeg = true
-	}
-	a.sum += f
+	a.sum += head[a.filter.headPos].AsFloat()
 	a.sawValue = true
 }
 func (a *sumAcc) Passes() bool {
@@ -206,12 +182,6 @@ func (a *sumAcc) Passes() bool {
 	return a.filter.compare(storage.Float(a.sum))
 }
 func (a *sumAcc) Done() bool { return false }
-func (a *sumAcc) Merge(other GroupAcc) {
-	o := other.(*sumAcc)
-	a.sum += o.sum
-	a.sawNeg = a.sawNeg || o.sawNeg
-	a.sawValue = a.sawValue || o.sawValue
-}
 
 // minMaxAcc implements MIN/MAX(answer.Col).
 type minMaxAcc struct {
@@ -239,17 +209,3 @@ func (a *minMaxAcc) Passes() bool {
 	return a.filter.compare(a.cur)
 }
 func (a *minMaxAcc) Done() bool { return a.filter.Monotone() && a.Passes() }
-func (a *minMaxAcc) Merge(other GroupAcc) {
-	o := other.(*minMaxAcc)
-	if !o.has {
-		return
-	}
-	if !a.has {
-		a.cur, a.has = o.cur, true
-		return
-	}
-	c := o.cur.Compare(a.cur)
-	if a.min && c < 0 || !a.min && c > 0 {
-		a.cur = o.cur
-	}
-}

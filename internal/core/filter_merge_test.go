@@ -1,19 +1,20 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"queryflocks/internal/datalog"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
 
-// Tests for GroupAcc.Merge: the parallel group-by splits each group's head
-// tuples across workers, aggregates partials independently (with the
-// monotone Done short-circuit live in every partial), and folds them with
-// Merge. Merged accumulators must decide exactly like one accumulator fed
-// the whole stream, for every aggregate kind.
+// Tests for the merge of partial group states: the cluster splits each
+// group's head tuples across shards, each shard aggregates its part
+// independently (with the monotone Done short-circuit live in every
+// part), and the coordinator folds the parts with
+// physical.MergeGroupStates. Merged states must decide exactly like one
+// GroupAcc — the boxed reference's accumulator — fed the whole stream,
+// for every aggregate kind.
 
 // mergeFilter builds a Filter over head answer(P, V); the target column V
 // sits at head position 1.
@@ -27,40 +28,34 @@ func mergeFilter(t *testing.T, agg datalog.AggKind, target string, op datalog.Cm
 	return f
 }
 
-// splitAndMerge feeds heads through nParts accumulators (round-robin, with
-// per-partial Done short-circuiting exactly as the parallel group-by does)
-// and folds them with Merge, mirroring the merge loop in groupAndFilter.
-func splitAndMerge(f Filter, heads []storage.Tuple, nParts int) (passes, done bool) {
-	accs := make([]GroupAcc, nParts)
-	dones := make([]bool, nParts)
-	for i := range accs {
-		accs[i] = f.NewGroup()
+// splitAndMerge deals heads round-robin over nParts shards of r(G,P,V),
+// all in the one group G = "g", exports each shard's partial state with
+// EvalPartialGroups over answer(P,V) :- r($g,P,V), folds the parts with
+// physical.MergeGroupStates, and reports whether the merged group passes.
+func splitAndMerge(t *testing.T, f Filter, heads []storage.Tuple, nParts int) bool {
+	t.Helper()
+	rule, err := datalog.ParseRule("answer(P,V) :- r($g,P,V)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, h := range heads {
-		p := i % nParts
-		if dones[p] {
-			continue
+	g := storage.Str("g")
+	parts := make([]*physical.GroupStates, nParts)
+	for i := range parts {
+		r := storage.NewRelation("r", "G", "P", "V")
+		for j := i; j < len(heads); j += nParts {
+			r.Insert(storage.Tuple{g, heads[j][0], heads[j][1]})
 		}
-		accs[p].Add(h)
-		if accs[p].Done() {
-			dones[p] = true
-		}
-	}
-	acc, accDone := accs[0], dones[0]
-	for p := 1; p < nParts; p++ {
-		if accDone {
-			break
-		}
-		if dones[p] {
-			accDone = true
-			break
-		}
-		acc.Merge(accs[p])
-		if acc.Done() {
-			accDone = true
+		db := storage.NewDatabase()
+		db.Add(r)
+		if parts[i], err = EvalPartialGroups(db, []datalog.Param{"g"}, datalog.Union{rule}, f, "flock", false, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return accDone || acc.Passes(), accDone
+	merged, _, err := physical.MergeGroupStates(f.Aggregate(), false, "flock", []string{"$g"}, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged.Contains(storage.Tuple{g})
 }
 
 // sequential feeds all heads through one accumulator with the same
@@ -93,7 +88,7 @@ func TestMergeMatchesSequentialPerAggregate(t *testing.T) {
 			[]storage.Tuple{head("a", 1), head("b", 2)}, false},
 		{"count distinct dedups across partials", mergeFilter(t, datalog.AggCount, "V", datalog.Ge, storage.Int(3)),
 			// Five tuples but only two distinct V values: partials that each
-			// see both values must not double-count after Merge.
+			// see both values must not double-count after the merge.
 			[]storage.Tuple{head("a", 1), head("b", 2), head("c", 1), head("d", 2), head("e", 1)}, false},
 		{"count distinct pass", mergeFilter(t, datalog.AggCount, "V", datalog.Ge, storage.Int(3)),
 			[]storage.Tuple{head("a", 1), head("b", 2), head("c", 3), head("d", 1)}, true},
@@ -118,9 +113,8 @@ func TestMergeMatchesSequentialPerAggregate(t *testing.T) {
 			if seqPass != tc.want {
 				t.Fatalf("sequential: passes=%v, want %v", seqPass, tc.want)
 			}
-			for parts := 2; parts <= 4; parts++ {
-				mergedPass, _ := splitAndMerge(tc.filter, tc.heads, parts)
-				if mergedPass != tc.want {
+			for parts := 1; parts <= 4; parts++ {
+				if mergedPass := splitAndMerge(t, tc.filter, tc.heads, parts); mergedPass != tc.want {
 					t.Errorf("%d partials: passes=%v, want %v", parts, mergedPass, tc.want)
 				}
 			}
@@ -130,8 +124,8 @@ func TestMergeMatchesSequentialPerAggregate(t *testing.T) {
 
 // TestMergeDoneShortCircuit pins the Done interaction: once any partial
 // short-circuits on a monotone condition, the merged group passes without
-// consulting the other partials (more tuples cannot un-pass it), and Merge
-// into a Done accumulator is never required to be meaningful.
+// consulting the other partials (more tuples cannot un-pass it); SUM never
+// short-circuits.
 func TestMergeDoneShortCircuit(t *testing.T) {
 	f := mergeFilter(t, datalog.AggCount, "", datalog.Ge, storage.Int(2))
 	heads := []storage.Tuple{head("a", 1), head("b", 2), head("c", 3), head("d", 4)}
@@ -141,16 +135,15 @@ func TestMergeDoneShortCircuit(t *testing.T) {
 		t.Fatalf("sequential: passes=%v done=%v, want both true", seqPass, seqDone)
 	}
 	for parts := 2; parts <= 4; parts++ {
-		pass, done := splitAndMerge(f, heads, parts)
-		if !pass || !done {
-			t.Errorf("%d partials: passes=%v done=%v, want both true", parts, pass, done)
+		if !splitAndMerge(t, f, heads, parts) {
+			t.Errorf("%d partials: merged group fails, want it to pass", parts)
 		}
 	}
 
 	// SUM must never short-circuit: a negative weight later in the stream
-	// (or in another worker's partition) can drag the sum back below the
+	// (or in another shard's part) can drag the sum back below the
 	// threshold, so a mid-stream Done verdict would depend on tuple order
-	// and worker count.
+	// and the partition.
 	sum := mergeFilter(t, datalog.AggSum, "V", datalog.Ge, storage.Int(5))
 	acc := sum.NewGroup()
 	acc.Add(head("a", 10))
@@ -163,18 +156,16 @@ func TestMergeDoneShortCircuit(t *testing.T) {
 	if acc2.Done() {
 		t.Error("SUM with a negative weight must not report Done")
 	}
-	acc2.Merge(acc)
-	if !acc2.Passes() {
+	if !splitAndMerge(t, sum, []storage.Tuple{head("b", -1), head("c", 20), head("a", 10)}, 2) {
 		t.Error("merged sum 29 >= 5 should pass")
 	}
 }
 
 // TestSumOrderAndWorkerInvariance is the regression for the unsound SUM
 // short-circuit: a group whose early tuples pass the threshold but whose
-// full sum fails must be rejected regardless of tuple order or worker
-// count. Before the fix, sequential evaluation short-circuited on the
-// early +12 and accepted the group, and with the negative weight ordered
-// first, 2-worker evaluation disagreed with sequential.
+// full sum fails must be rejected regardless of tuple order. Before the
+// fix, sequential evaluation short-circuited on the early +12 and
+// accepted the group.
 func TestSumOrderAndWorkerInvariance(t *testing.T) {
 	f := mergeFilter(t, datalog.AggSum, "V", datalog.Ge, storage.Int(10))
 	orders := [][]storage.Tuple{
@@ -183,9 +174,8 @@ func TestSumOrderAndWorkerInvariance(t *testing.T) {
 		{head("c", 1), head("a", 12), head("b", -100)},
 	}
 	for oi, heads := range orders {
-		// Interleave filler groups (each passing on its own) so the relation
-		// crosses minParallelGroupRows and group "g"'s tuples land in
-		// different worker partitions.
+		// Interleave filler groups, each passing on its own, between
+		// group "g"'s tuples.
 		ext := storage.NewRelation("ext", "P", "HP", "V")
 		for i, h := range heads {
 			for j := 0; j < 200; j++ {
@@ -194,54 +184,12 @@ func TestSumOrderAndWorkerInvariance(t *testing.T) {
 			}
 			ext.Insert(storage.Tuple{storage.Str("g"), h[0], h[1]})
 		}
-		for _, w := range []int{1, 2, 3} {
-			got := GroupAndFilterWorkers(ext, 1, f, "out", w)
-			if got.Contains(storage.Tuple{storage.Str("g")}) {
-				t.Errorf("order %d workers=%d: group with true sum -87 accepted", oi, w)
-			}
-			if got.Len() != 600 {
-				t.Errorf("order %d workers=%d: %d filler groups pass, want 600", oi, w, got.Len())
-			}
+		got := GroupAndFilter(ext, 1, f, "out")
+		if got.Contains(storage.Tuple{storage.Str("g")}) {
+			t.Errorf("order %d: group with true sum -87 accepted", oi)
+		}
+		if got.Len() != 600 {
+			t.Errorf("order %d: %d filler groups pass, want 600", oi, got.Len())
 		}
 	}
 }
-
-// TestGroupAndFilterWorkersMergeEquivalence drives the full parallel
-// group-by on randomized extended results, for all four aggregates, and
-// checks every worker count agrees with sequential — the end-to-end
-// property the Merge contract exists to serve. The extended relation has
-// shape (P | P V): one parameter column, then the two head columns of
-// answer(P, V).
-func TestGroupAndFilterWorkersMergeEquivalence(t *testing.T) {
-	filters := []Filter{
-		mergeFilter(t, datalog.AggCount, "", datalog.Ge, storage.Int(4)),
-		mergeFilter(t, datalog.AggCount, "V", datalog.Ge, storage.Int(3)),
-		mergeFilter(t, datalog.AggSum, "V", datalog.Ge, storage.Int(40)),
-		mergeFilter(t, datalog.AggMin, "V", datalog.Le, storage.Int(2)),
-		mergeFilter(t, datalog.AggMax, "V", datalog.Ge, storage.Int(18)),
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ext := storage.NewRelation("ext", "P", "HP", "V")
-		for i := 0; i < 3_000; i++ {
-			p := storage.Int(int64(rng.Intn(50)))
-			v := int64(rng.Intn(20))
-			if rng.Intn(40) == 0 {
-				v = -v // occasional negative weights exercise the SUM taint
-			}
-			ext.Insert(storage.Tuple{p, p, storage.Int(v)})
-		}
-		for fi, f := range filters {
-			want := GroupAndFilterWorkers(ext, 1, f, "out", 1)
-			for _, w := range []int{2, 3, 8} {
-				got := GroupAndFilterWorkers(ext, 1, f, "out", w)
-				if !got.Equal(want) {
-					t.Fatalf("seed %d filter %d [%s] workers=%d: %d groups pass, want %d",
-						seed, fi, f, w, got.Len(), want.Len())
-				}
-			}
-		}
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt available for debugging edits

@@ -248,4 +248,8 @@ func TestGroupAndFilterDirectly(t *testing.T) {
 	if got.Name() != "out" || got.Columns()[0] != "$1" {
 		t.Errorf("relation shape: %s", got)
 	}
+	empty := storage.NewRelation("ext", "$1", "B")
+	if got := GroupAndFilter(empty, 1, f, "out"); got.Len() != 0 {
+		t.Fatalf("empty input produced %d groups", got.Len())
+	}
 }

@@ -40,10 +40,10 @@ const (
 	// breakers, and boxed Values appear only at sinks and inside
 	// comparison/aggregate arithmetic.
 	ExecStream ExecMode = iota
-	// ExecMaterialize runs the legacy relation-at-a-time executor, which
-	// materializes every intermediate binding relation. Kept as the
-	// streaming executor's bit-identical differential oracle and for
-	// peak-memory comparisons.
+	// ExecMaterialize runs the relation-at-a-time reference executor,
+	// which materializes every intermediate binding relation as boxed
+	// tuples. It always runs sequentially and records no trace events;
+	// it is kept as the streaming executor's differential oracle.
 	ExecMaterialize
 )
 
@@ -56,20 +56,23 @@ func (m ExecMode) String() string {
 }
 
 // Streaming reports whether the mode runs compiled physical plans rather
-// than the legacy materializing executor.
+// than the materializing reference.
 func (m ExecMode) Streaming() bool { return m == ExecStream }
 
 // Options configures rule evaluation.
 type Options struct {
-	// Trace, when non-nil, records every operator application.
+	// Trace, when non-nil, records every operator application of the
+	// streaming executor.
 	Trace *Trace
-	// Workers is the worker count for the partitioned hash-join and
-	// anti-join operators inside each rule: 0 (the default) means one
+	// Workers is the streaming executor's worker count for its
+	// partitioned join and anti-join operators: 0 (the default) means one
 	// worker per CPU, 1 forces the sequential paths, larger values are
 	// used as given. Results are identical for every worker count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default) or the
-	// legacy materializing executor. Answers are identical.
+	// materializing reference (ExecMaterialize), which always runs
+	// sequentially and untraced, whatever Workers and Trace say. Answers
+	// are identical.
 	Exec ExecMode
 	// Ctx, when non-nil, cancels the evaluation cooperatively: both
 	// executors observe it at batch/relation boundaries and abort with
@@ -160,15 +163,14 @@ func (o Options) physCtx(db *storage.Database) *physical.Ctx {
 	return &physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()}
 }
 
-// evalRuleMaterialized is the legacy relation-at-a-time path (the
-// ExecMaterialize baseline): every join step materializes its binding
-// relation via the step Executor.
+// evalRuleMaterialized is the relation-at-a-time reference path
+// (ExecMaterialize): every join step materializes its binding relation
+// via the step Executor.
 func evalRuleMaterialized(db *storage.Database, r *datalog.Rule, out []datalog.Term, o *Options) (*storage.Relation, error) {
-	ex, err := NewExecutor(db, r, o.Trace)
+	ex, err := NewExecutor(db, r)
 	if err != nil {
 		return nil, err
 	}
-	ex.SetWorkers(o.Workers)
 	ex.SetGate(o.gate())
 	order, err := JoinOrder(db, r)
 	if err != nil {

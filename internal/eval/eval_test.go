@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -323,7 +324,7 @@ func TestTrace(t *testing.T) {
 func TestExecutorStepwise(t *testing.T) {
 	db := basketsDB()
 	r := mustRule(t, "answer(B) :- baskets(B,$1) AND baskets(B,$2)")
-	ex, err := NewExecutor(db, r, nil)
+	ex, err := NewExecutor(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +382,101 @@ func TestExecutorStepwise(t *testing.T) {
 func TestFinishBeforeDone(t *testing.T) {
 	db := basketsDB()
 	r := mustRule(t, "answer(B) :- baskets(B,$1) AND baskets(B,$2)")
-	ex, err := NewExecutor(db, r, nil)
+	ex, err := NewExecutor(db, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ex.Finish(nil); err == nil {
 		t.Error("Finish before all joins should error")
+	}
+}
+
+// TestAntiJoinDirect drives the anti-join operator directly (in rule
+// evaluation negations are usually absorbed into scans, so this is the
+// only way to reach it on a large binding relation) and checks it keeps
+// exactly the bindings the negated relation lacks, in binding order.
+func TestAntiJoinDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := storage.NewDatabase()
+	ban := storage.NewRelation("ban", "A", "B")
+	for i := 0; i < 900; i++ {
+		ban.InsertValues(storage.Int(int64(rng.Intn(60))), storage.Int(int64(rng.Intn(60))))
+	}
+	db.Add(ban)
+
+	cur := storage.NewRelation("cur", "A", "B")
+	for i := 0; i < 3_000; i++ {
+		cur.InsertValues(storage.Int(int64(rng.Intn(60))), storage.Int(int64(rng.Intn(60))))
+	}
+	atom := &datalog.Atom{Pred: "ban", Args: []datalog.Term{datalog.Var("A"), datalog.Var("B")}}
+
+	got, err := antiJoin(db, cur, atom, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []storage.Tuple
+	for _, ct := range cur.Tuples() {
+		if !ban.Contains(ct) {
+			want = append(want, ct)
+		}
+	}
+	if len(want) == 0 || len(want) == cur.Len() {
+		t.Fatalf("degenerate anti-join: %d of %d survive", len(want), cur.Len())
+	}
+	if got.Len() != len(want) {
+		t.Fatalf("%d tuples, want %d", got.Len(), len(want))
+	}
+	for i, tu := range got.Tuples() {
+		if !tu.Equal(want[i]) {
+			t.Fatalf("tuple %d is %v, want %v", i, tu, want[i])
+		}
+	}
+}
+
+// TestJoinAtomConstantAndRepeatedVar drives joinAtom directly with a
+// constant argument and a repeated variable, the classification branches
+// the EvalRule rules above don't reach, and checks it against a nested
+// loop.
+func TestJoinAtomConstantAndRepeatedVar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := storage.NewDatabase()
+	s := storage.NewRelation("s", "B", "C", "D")
+	for i := 0; i < 2_000; i++ {
+		b := storage.Int(int64(rng.Intn(40)))
+		c := storage.Int(int64(rng.Intn(6)))
+		d := storage.Int(int64(rng.Intn(40)))
+		if rng.Intn(3) == 0 {
+			d = b // feed the repeated-variable dup check
+		}
+		s.Insert(storage.Tuple{b, c, d})
+	}
+	db.Add(s)
+
+	cur := storage.NewRelation("cur", "B")
+	for i := 0; i < 1_000; i++ {
+		cur.InsertValues(storage.Int(int64(rng.Intn(40))))
+	}
+	// s(B, 3, B): probe on bound B, constant 3, and D forced equal to B.
+	atom := &datalog.Atom{Pred: "s", Args: []datalog.Term{
+		datalog.Var("B"), datalog.Const{Val: storage.Int(3)}, datalog.Var("B"),
+	}}
+
+	got, err := joinAtom(db, cur, atom, "out", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storage.NewRelation("want", "B")
+	for _, ct := range cur.Tuples() {
+		for _, st := range s.Tuples() {
+			if st[0].Equal(ct[0]) && st[1].Equal(storage.Int(3)) && st[2].Equal(ct[0]) {
+				want.Insert(ct)
+			}
+		}
+	}
+	if want.Len() == 0 {
+		t.Fatal("degenerate join: no matches")
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%d tuples, want %d", got.Len(), want.Len())
 	}
 }

@@ -4,28 +4,22 @@
 // eager application of arithmetic comparisons.
 //
 // The package exposes two levels. EvalRule/EvalUnion evaluate a whole query
-// under a join-order strategy. Executor exposes the individual join steps,
-// which the dynamic strategy of §4.4 needs: it interleaves joins with
-// "should we filter now?" decisions based on the sizes of intermediate
-// relations, so it must see each intermediate result as it is produced.
+// under a join-order strategy; by default they compile it to an
+// internal/physical plan, which takes the Workers knob. Executor is the
+// step API of the materializing reference (ExecMaterialize): it joins one
+// atom at a time into a boxed binding relation, always sequentially and
+// untraced. The reference path of the dynamic strategy (§4.4) drives it
+// directly, interleaving joins with "should we filter now?" decisions on
+// each intermediate result.
 package eval
 
 import (
 	"fmt"
-	"time"
 
 	"queryflocks/internal/datalog"
-	"queryflocks/internal/obs"
-	"queryflocks/internal/par"
 	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 )
-
-// minParallelRows is the binding-relation size below which join operators
-// stay sequential even when more workers are available: under a few
-// hundred probe rows, goroutine startup and per-worker state dominate any
-// scan overlap.
-const minParallelRows = 256
 
 // termColumn returns the intermediate-relation column name for a term.
 // Variables map to their own name; parameters are prefixed with '$', which
@@ -55,17 +49,9 @@ type Executor struct {
 	pendingCmp []*datalog.Comparison
 	pendingNeg []*datalog.Atom
 
-	workers int            // join/anti-join worker count; see SetWorkers
-	col     *obs.Collector // typed event sink; nil when not tracing
-	gate    *physical.Gate // cancellation/budget checkpoint; nil when unlimited
-	steps   int
+	gate  *physical.Gate // cancellation/budget checkpoint; nil when unlimited
+	steps int
 }
-
-// SetWorkers sets the worker count for the partitioned hash-join and
-// anti-join operators: 0 (the default) means one worker per CPU, 1 forces
-// the sequential paths, larger values are used as given. Results are
-// identical for every worker count; only the wall-clock changes.
-func (e *Executor) SetWorkers(n int) { e.workers = n }
 
 // SetGate installs the evaluation's cancellation and budget checkpoint.
 // The executor consults it at relation boundaries — before each join
@@ -77,7 +63,7 @@ func (e *Executor) SetGate(g *physical.Gate) { e.gate = g }
 // NewExecutor prepares evaluation of r's body against db. The rule must be
 // safe (§3.3) — unsafe rules denote infinite results. Any relation named by
 // a body atom must exist in db with matching arity.
-func NewExecutor(db *storage.Database, r *datalog.Rule, trace *Trace) (*Executor, error) {
+func NewExecutor(db *storage.Database, r *datalog.Rule) (*Executor, error) {
 	if vs := datalog.CheckSafety(r); len(vs) > 0 {
 		return nil, fmt.Errorf("eval: rule %s is unsafe: %v", r.Head, vs[0])
 	}
@@ -102,7 +88,6 @@ func NewExecutor(db *storage.Database, r *datalog.Rule, trace *Trace) (*Executor
 		joined:     make([]bool, len(r.PositiveAtoms())),
 		pendingCmp: r.Comparisons(),
 		pendingNeg: r.NegatedAtoms(),
-		col:        trace.Collector(),
 	}
 	// Constant-only comparisons (and any already-applicable subgoals)
 	// resolve immediately.
@@ -177,16 +162,12 @@ func (e *Executor) JoinNext(i int) error {
 	if err := e.gate.Check(); err != nil {
 		return err
 	}
-	checks, absorbed, err := e.absorbChecks(atoms[i])
+	checks, err := e.absorbChecks(atoms[i])
 	if err != nil {
 		return err
 	}
 	prevLen := e.cur.Len()
-	var start time.Time
-	if e.col != nil { // skip timing work entirely when not tracing
-		start = time.Now()
-	}
-	next, used, err := joinAtom(e.db, e.cur, atoms[i], e.stepName(), checks, e.workers)
+	next, err := joinAtom(e.db, e.cur, atoms[i], e.stepName(), checks)
 	if err != nil {
 		return err
 	}
@@ -194,49 +175,18 @@ func (e *Executor) JoinNext(i int) error {
 	e.cur = next
 	// Relation-at-a-time evaluation keeps the probe-side bindings and the
 	// joined result fully materialized at once; that simultaneously-live
-	// count feeds both the peak gauge and the tuple budget, mirroring the
-	// streaming executor's buffered-tuple gauge.
+	// count feeds the tuple budget.
 	e.gate.NoteLive(prevLen + next.Len())
-	if e.col != nil {
-		e.col.Record(obs.Event{
-			Op:       obs.OpJoin,
-			Desc:     atoms[i].String(),
-			RowsIn:   prevLen,
-			RowsOut:  next.Len(),
-			Absorbed: absorbed,
-			Workers:  used,
-			Wall:     time.Since(start),
-		})
-		e.col.ObservePeak(prevLen + next.Len())
-	}
 	return e.applyPending()
 }
 
 // rowCheck decides one (binding, candidate) row pair during a join scan.
 type rowCheck func(ct, bt storage.Tuple) bool
 
-// rowCheckFactory instantiates a rowCheck. Factories exist because some
-// checks carry reusable probe buffers: each worker of a partitioned scan
-// instantiates its own copies so no mutable state is shared across
-// goroutines. Stateless checks return the same closure every time.
-type rowCheckFactory func() rowCheck
-
-// instantiateChecks materializes one worker's private check set.
-func instantiateChecks(fs []rowCheckFactory) []rowCheck {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]rowCheck, len(fs))
-	for i, f := range fs {
-		out[i] = f()
-	}
-	return out
-}
-
 // absorbChecks builds per-row checks for every pending subgoal decidable
 // during the scan of atom, removing the absorbed subgoals from the pending
 // lists and marking absorbed positive atoms as joined.
-func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheckFactory, int, error) {
+func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheck, error) {
 	curCols := make(map[string]int, e.cur.Arity())
 	for i, c := range e.cur.Columns() {
 		curCols[c] = i
@@ -277,7 +227,7 @@ func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheckFactory, int, err
 		return out, true
 	}
 
-	var checks []rowCheckFactory
+	var checks []rowCheck
 
 	var keepCmp []*datalog.Comparison
 	for _, c := range e.pendingCmp {
@@ -287,11 +237,9 @@ func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheckFactory, int, err
 			continue
 		}
 		op := c.Op
-		// Comparison checks are stateless; every worker shares one closure.
-		cmp := func(ct, bt storage.Tuple) bool {
+		checks = append(checks, func(ct, bt storage.Tuple) bool {
 			return op.Eval(gs[0](ct, bt), gs[1](ct, bt))
-		}
-		checks = append(checks, func() rowCheck { return cmp })
+		})
 	}
 	e.pendingCmp = keepCmp
 
@@ -304,10 +252,10 @@ func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheckFactory, int, err
 		}
 		rel, err := e.db.Relation(a.Pred)
 		if err != nil {
-			return nil, 0, fmt.Errorf("eval: %w", err)
+			return nil, fmt.Errorf("eval: %w", err)
 		}
 		if rel.Arity() != len(a.Args) {
-			return nil, 0, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", a, len(a.Args), rel.Arity())
+			return nil, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", a, len(a.Args), rel.Arity())
 		}
 		checks = append(checks, membershipCheck(rel, gs, false))
 	}
@@ -325,33 +273,30 @@ func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheckFactory, int, err
 		}
 		rel, err := e.db.Relation(a.Pred)
 		if err != nil {
-			return nil, 0, fmt.Errorf("eval: %w", err)
+			return nil, fmt.Errorf("eval: %w", err)
 		}
 		if rel.Arity() != len(a.Args) {
-			return nil, 0, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", a, len(a.Args), rel.Arity())
+			return nil, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", a, len(a.Args), rel.Arity())
 		}
 		checks = append(checks, membershipCheck(rel, gs, true))
 		e.joined[j] = true
 	}
-	return checks, len(checks), nil
+	return checks, nil
 }
 
-// membershipCheck builds a rowCheck factory testing (non-)membership of
-// the resolved tuple in rel. Each instantiation owns a private probe tuple
-// and key buffer, so workers never contend, and the membership test
-// encodes into the reused buffer instead of allocating a key string per
-// probed row.
-func membershipCheck(rel *storage.Relation, gs []func(ct, bt storage.Tuple) storage.Value, want bool) rowCheckFactory {
-	return func() rowCheck {
-		probe := make(storage.Tuple, len(gs))
-		var buf []byte
-		return func(ct, bt storage.Tuple) bool {
-			for i, g := range gs {
-				probe[i] = g(ct, bt)
-			}
-			buf = probe.AppendKey(buf[:0])
-			return rel.ContainsKey(buf) == want
+// membershipCheck builds a rowCheck testing (non-)membership of the
+// resolved tuple in rel. It owns a probe tuple and key buffer, so the
+// membership test encodes into the reused buffer instead of allocating a
+// key string per probed row.
+func membershipCheck(rel *storage.Relation, gs []func(ct, bt storage.Tuple) storage.Value, want bool) rowCheck {
+	probe := make(storage.Tuple, len(gs))
+	var buf []byte
+	return func(ct, bt storage.Tuple) bool {
+		for i, g := range gs {
+			probe[i] = g(ct, bt)
 		}
+		buf = probe.AppendKey(buf[:0])
+		return rel.ContainsKey(buf) == want
 	}
 }
 
@@ -385,21 +330,8 @@ func (e *Executor) applyPending() error {
 			return err
 		}
 		prevLen := e.cur.Len()
-		var start time.Time
-		if e.col != nil { // skip timing work entirely when not tracing
-			start = time.Now()
-		}
 		e.cur = applyComparison(e.cur, c, e.stepName())
 		e.gate.NoteLive(prevLen + e.cur.Len())
-		if e.col != nil {
-			e.col.Record(obs.Event{
-				Op:      obs.OpSelect,
-				Desc:    c.String(),
-				RowsIn:  prevLen,
-				RowsOut: e.cur.Len(),
-				Wall:    time.Since(start),
-			})
-		}
 	}
 	e.pendingCmp = keepCmp
 
@@ -420,26 +352,12 @@ func (e *Executor) applyPending() error {
 			return err
 		}
 		prevLen := e.cur.Len()
-		var start time.Time
-		if e.col != nil {
-			start = time.Now()
-		}
-		next, used, err := antiJoin(e.db, e.cur, a, e.stepName(), e.workers)
+		next, err := antiJoin(e.db, e.cur, a, e.stepName())
 		if err != nil {
 			return err
 		}
 		e.cur = next
 		e.gate.NoteLive(prevLen + e.cur.Len())
-		if e.col != nil {
-			e.col.Record(obs.Event{
-				Op:      obs.OpAntiJoin,
-				Desc:    a.String(),
-				RowsIn:  prevLen,
-				RowsOut: e.cur.Len(),
-				Workers: used,
-				Wall:    time.Since(start),
-			})
-		}
 	}
 	e.pendingNeg = keepNeg
 	return nil
@@ -464,9 +382,6 @@ func (e *Executor) Finish(out []datalog.Term) (*storage.Relation, error) {
 	if err == nil {
 		// The final binding relation and its projection are live together.
 		e.gate.NoteLive(e.cur.Len() + res.Len())
-		if e.col != nil {
-			e.col.ObservePeak(e.cur.Len() + res.Len())
-		}
 		if berr := e.gate.Check(); berr != nil {
 			return nil, berr
 		}
@@ -501,22 +416,13 @@ func ProjectTerms(rel *storage.Relation, out []datalog.Term, name string) (*stor
 // joinAtom hash-joins the current bindings with the atom's base relation.
 // Each surviving (binding, candidate) pair must additionally pass every
 // rowCheck (absorbed subgoals) before the joined row materializes.
-//
-// With workers > 1 (and enough binding rows), the probe side is range-
-// partitioned: each worker probes its contiguous chunk of cur into its own
-// storage.Builder with its own instantiated checks and probe-key buffer,
-// and the builders are merged in worker order afterwards. Because every
-// output row embeds its distinct binding tuple, two workers can never
-// produce the same row, and the worker-order merge reproduces exactly the
-// sequential insertion order.
-// It additionally reports the worker count the scan actually ran with.
-func joinAtom(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, name string, checks []rowCheckFactory, workers int) (*storage.Relation, int, error) {
+func joinAtom(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, name string, checks []rowCheck) (*storage.Relation, error) {
 	base, err := db.Relation(atom.Pred)
 	if err != nil {
-		return nil, 0, fmt.Errorf("eval: %w", err)
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 	if base.Arity() != len(atom.Args) {
-		return nil, 0, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", atom, len(atom.Args), base.Arity())
+		return nil, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", atom, len(atom.Args), base.Arity())
 	}
 
 	curCols := make(map[string]int, cur.Arity())
@@ -558,11 +464,6 @@ func joinAtom(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 		newPos = append(newPos, i)
 	}
 
-	workers = par.Resolve(workers)
-	if cur.Len() < minParallelRows {
-		workers = 1
-	}
-
 	// The index covers constants first (fixed key prefix) then probed
 	// positions.
 	idxCols := make([]int, 0, len(consts)+len(probeRel))
@@ -570,7 +471,7 @@ func joinAtom(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 		idxCols = append(idxCols, c.pos)
 	}
 	idxCols = append(idxCols, probeRel...)
-	idx := base.IndexParallel(idxCols, workers)
+	idx := base.Index(idxCols)
 
 	outCols := append(append([]string(nil), cur.Columns()...), newCols...)
 	out := storage.NewRelation(name, outCols...)
@@ -580,72 +481,43 @@ func joinAtom(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 	for _, c := range consts {
 		prefix = c.val.AppendKey(prefix)
 	}
-	curTuples := cur.Tuples()
-
-	// scan probes the binding tuples in [lo, hi) and emits surviving rows.
-	// Each caller supplies private checks and receives a private key buffer,
-	// so concurrent scans share only read-only state.
-	scan := func(lo, hi int, cks []rowCheck, emit func(storage.Tuple)) {
-		buf := append([]byte(nil), prefix...)
-		for i := lo; i < hi; i++ {
-			ct := curTuples[i]
-			buf = buf[:len(prefix)]
-			for _, p := range probeCur {
-				buf = ct[p].AppendKey(buf)
+	buf := append([]byte(nil), prefix...)
+	for _, ct := range cur.Tuples() {
+		buf = buf[:len(prefix)]
+		for _, p := range probeCur {
+			buf = ct[p].AppendKey(buf)
+		}
+	match:
+		for _, bt := range idx.LookupBytes(buf) {
+			for _, d := range dupCheck {
+				if !bt[d[0]].Equal(bt[d[1]]) {
+					continue match
+				}
 			}
-			matches := idx.LookupBytes(buf)
-		match:
-			for _, bt := range matches {
-				for _, d := range dupCheck {
-					if !bt[d[0]].Equal(bt[d[1]]) {
-						continue match
-					}
+			for _, check := range checks {
+				if !check(ct, bt) {
+					continue match
 				}
-				for _, check := range cks {
-					if !check(ct, bt) {
-						continue match
-					}
-				}
-				row := make(storage.Tuple, 0, len(outCols))
-				row = append(row, ct...)
-				for _, p := range newPos {
-					row = append(row, bt[p])
-				}
-				emit(row)
 			}
+			row := make(storage.Tuple, 0, len(outCols))
+			row = append(row, ct...)
+			for _, p := range newPos {
+				row = append(row, bt[p])
+			}
+			out.Insert(row)
 		}
 	}
-
-	if workers <= 1 {
-		scan(0, len(curTuples), instantiateChecks(checks), func(row storage.Tuple) { out.Insert(row) })
-		return out, 1, nil
-	}
-
-	builders := make([]*storage.Builder, par.Chunks(len(curTuples), workers))
-	par.Run(len(curTuples), workers, func(w, lo, hi int) {
-		b := storage.NewBuilder(hi - lo)
-		scan(lo, hi, instantiateChecks(checks), func(row storage.Tuple) { b.Add(row) })
-		builders[w] = b
-	})
-	for _, b := range builders {
-		out.AbsorbBuilder(b)
-	}
-	return out, workers, nil
+	return out, nil
 }
 
 // antiJoin removes bindings for which the (fully bound) negated atom holds.
-// Like joinAtom, with workers > 1 the binding relation is range-partitioned
-// into per-worker Builders merged in worker order; surviving rows are the
-// (distinct) binding tuples themselves, so partitions cannot collide and
-// the merged order equals the sequential one. It additionally reports the
-// worker count the scan actually ran with.
-func antiJoin(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, name string, workers int) (*storage.Relation, int, error) {
+func antiJoin(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, name string) (*storage.Relation, error) {
 	base, err := db.Relation(atom.Pred)
 	if err != nil {
-		return nil, 0, fmt.Errorf("eval: %w", err)
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 	if base.Arity() != len(atom.Args) {
-		return nil, 0, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", atom, len(atom.Args), base.Arity())
+		return nil, fmt.Errorf("eval: atom %s arity %d vs relation arity %d", atom, len(atom.Args), base.Arity())
 	}
 	curCols := make(map[string]int, cur.Arity())
 	for i, c := range cur.Columns() {
@@ -665,51 +537,27 @@ func antiJoin(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 		col, _ := termColumn(t)
 		p, bound := curCols[col]
 		if !bound {
-			return nil, 0, fmt.Errorf("eval: negated atom %s has unbound term %s", atom, t)
+			return nil, fmt.Errorf("eval: negated atom %s has unbound term %s", atom, t)
 		}
 		srcPos[i] = p
 	}
 
-	workers = par.Resolve(workers)
-	if cur.Len() < minParallelRows {
-		workers = 1
-	}
-
 	out := storage.NewRelation(name, cur.Columns()...)
-	curTuples := cur.Tuples()
-	scan := func(lo, hi int, emit func(storage.Tuple)) {
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			ct := curTuples[i]
-			buf = buf[:0]
-			for j, p := range srcPos {
-				if p < 0 {
-					buf = constVal[j].AppendKey(buf)
-				} else {
-					buf = ct[p].AppendKey(buf)
-				}
-			}
-			if !base.ContainsKey(buf) {
-				emit(ct)
+	var buf []byte
+	for _, ct := range cur.Tuples() {
+		buf = buf[:0]
+		for j, p := range srcPos {
+			if p < 0 {
+				buf = constVal[j].AppendKey(buf)
+			} else {
+				buf = ct[p].AppendKey(buf)
 			}
 		}
+		if !base.ContainsKey(buf) {
+			out.Insert(ct)
+		}
 	}
-
-	if workers <= 1 {
-		scan(0, len(curTuples), func(ct storage.Tuple) { out.Insert(ct) })
-		return out, 1, nil
-	}
-
-	builders := make([]*storage.Builder, par.Chunks(len(curTuples), workers))
-	par.Run(len(curTuples), workers, func(w, lo, hi int) {
-		b := storage.NewBuilder(hi - lo)
-		scan(lo, hi, func(ct storage.Tuple) { b.Add(ct) })
-		builders[w] = b
-	})
-	for _, b := range builders {
-		out.AbsorbBuilder(b)
-	}
-	return out, workers, nil
+	return out, nil
 }
 
 // applyComparison filters bindings by a fully bound comparison.

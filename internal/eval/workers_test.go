@@ -11,12 +11,13 @@ import (
 
 // workerSweep is the worker-count matrix every parallel-operator property
 // test runs: sequential, a couple of awkward splits, and more workers than
-// this container has cores.
+// most hosts have cores.
 var workerSweep = []int{1, 2, 3, 8}
 
-// randomJoinDB builds a database large enough (well past minParallelRows)
-// to exercise the partitioned join paths, with enough key collisions that
-// joins fan out and negations actually remove rows.
+// randomJoinDB builds a database large enough (well past the streaming
+// executor's minParallelRows) to exercise its partitioned join paths, with
+// enough key collisions that joins fan out and negations actually remove
+// rows.
 func randomJoinDB(rng *rand.Rand) *storage.Database {
 	db := storage.NewDatabase()
 	r := storage.NewRelation("r", "A", "B")
@@ -37,8 +38,9 @@ func randomJoinDB(rng *rand.Rand) *storage.Database {
 // worker count on randomized instances, for rule shapes covering plain
 // joins, absorbed comparisons, negated atoms (both absorbed into scans and
 // applied as anti-joins), and semi-join absorption. Equality is checked on
-// tuple order, not just set membership: the worker-order Builder merge is
-// specified to reproduce sequential insertion order exactly.
+// tuple order, not just set membership: the streaming executor's
+// partitioned operators are specified to reproduce sequential insertion
+// order exactly.
 func TestParallelJoinMatchesSequential(t *testing.T) {
 	rules := []string{
 		`answer(A,C) :- r(A,B) AND s(B,C)`,
@@ -74,93 +76,6 @@ func TestParallelJoinMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestParallelAntiJoinDirect drives the anti-join operator directly (in
-// rule evaluation negations are usually absorbed into scans, so this is
-// the only way to exercise its partitioned path on a large binding
-// relation).
-func TestParallelAntiJoinDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := storage.NewDatabase()
-	ban := storage.NewRelation("ban", "A", "B")
-	for i := 0; i < 900; i++ {
-		ban.InsertValues(storage.Int(int64(rng.Intn(60))), storage.Int(int64(rng.Intn(60))))
-	}
-	db.Add(ban)
-
-	cur := storage.NewRelation("cur", "A", "B")
-	for i := 0; i < 3_000; i++ {
-		cur.InsertValues(storage.Int(int64(rng.Intn(60))), storage.Int(int64(rng.Intn(60))))
-	}
-	atom := &datalog.Atom{Pred: "ban", Args: []datalog.Term{datalog.Var("A"), datalog.Var("B")}}
-
-	want, _, err := antiJoin(db, cur, atom, "out", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 || want.Len() == cur.Len() {
-		t.Fatalf("degenerate anti-join: %d of %d survive", want.Len(), cur.Len())
-	}
-	for _, w := range workerSweep[1:] {
-		got, _, err := antiJoin(db, cur, atom, "out", w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d: %d tuples, want %d", w, got.Len(), want.Len())
-		}
-		for i, tu := range got.Tuples() {
-			if !tu.Equal(want.Tuples()[i]) {
-				t.Fatalf("workers=%d: tuple order diverges at %d", w, i)
-			}
-		}
-	}
-}
-
-// TestJoinAtomDirectWorkers drives joinAtom directly with a constant
-// argument and a repeated variable, the classification branches EvalRule
-// rules above don't reach, across the worker sweep.
-func TestJoinAtomDirectWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := storage.NewDatabase()
-	s := storage.NewRelation("s", "B", "C", "D")
-	for i := 0; i < 2_000; i++ {
-		b := storage.Int(int64(rng.Intn(40)))
-		c := storage.Int(int64(rng.Intn(6)))
-		d := storage.Int(int64(rng.Intn(40)))
-		if rng.Intn(3) == 0 {
-			d = b // feed the repeated-variable dup check
-		}
-		s.Insert(storage.Tuple{b, c, d})
-	}
-	db.Add(s)
-
-	cur := storage.NewRelation("cur", "B")
-	for i := 0; i < 1_000; i++ {
-		cur.InsertValues(storage.Int(int64(rng.Intn(40))))
-	}
-	// s(B, 3, B): probe on bound B, constant 3, and D forced equal to B.
-	atom := &datalog.Atom{Pred: "s", Args: []datalog.Term{
-		datalog.Var("B"), datalog.Const{Val: storage.Int(3)}, datalog.Var("B"),
-	}}
-
-	want, _, err := joinAtom(db, cur, atom, "out", nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("degenerate join: no matches")
-	}
-	for _, w := range workerSweep[1:] {
-		got, _, err := joinAtom(db, cur, atom, "out", nil, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d: %d tuples, want %d", w, got.Len(), want.Len())
 		}
 	}
 }

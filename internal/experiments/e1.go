@@ -80,9 +80,9 @@ func E1(cfg Config) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", support), ms(directTime), ms(rewriteTime),
 			speedup(directTime, rewriteTime), fmt.Sprintf("%d", direct.Len()))
 	}
-	if err := t.AddPipeline(cfg, "direct support=20", func(exec eval.ExecMode, tr *eval.Trace) (*storage.Relation, error) {
+	if err := t.AddPipeline(cfg, "direct support=20", func(tr *eval.Trace) (*storage.Relation, error) {
 		f := paper.MarketBasket(20)
-		return f.Eval(db, &core.EvalOptions{Workers: cfg.Workers, Trace: tr, Exec: exec})
+		return f.Eval(db, &core.EvalOptions{Workers: cfg.Workers, Trace: tr})
 	}); err != nil {
 		return nil, fmt.Errorf("E1: %w", err)
 	}

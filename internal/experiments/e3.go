@@ -106,12 +106,12 @@ func E3(cfg Config) (*Table, error) {
 			fig5Time = ms(d)
 		}
 	}
-	if err := t.AddPipeline(cfg, "no pre-filter", func(exec eval.ExecMode, tr *eval.Trace) (*storage.Relation, error) {
+	if err := t.AddPipeline(cfg, "no pre-filter", func(tr *eval.Trace) (*storage.Relation, error) {
 		plan, err := planner.PlanWithParamSets(f, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := plan.Execute(db, &core.EvalOptions{Workers: cfg.Workers, Trace: tr, Exec: exec})
+		res, err := plan.Execute(db, &core.EvalOptions{Workers: cfg.Workers, Trace: tr})
 		if err != nil {
 			return nil, err
 		}

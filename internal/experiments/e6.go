@@ -100,9 +100,9 @@ func E6(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("E6: dynamic changed the answer")
 	}
 
-	if err := t.AddPipeline(cfg, "dynamic (Fig. 8 order)", func(exec eval.ExecMode, tr *eval.Trace) (*storage.Relation, error) {
+	if err := t.AddPipeline(cfg, "dynamic (Fig. 8 order)", func(tr *eval.Trace) (*storage.Relation, error) {
 		r, err := planner.EvalDynamic(db, f, &planner.DynamicOptions{
-			FixedOrder: []int{0, 1, 2}, Workers: cfg.Workers, Trace: tr, Exec: exec, Limits: eval.Limits{Wall: cfg.Timeout},
+			FixedOrder: []int{0, 1, 2}, Workers: cfg.Workers, Trace: tr, Limits: eval.Limits{Wall: cfg.Timeout},
 		})
 		if err != nil {
 			return nil, err

@@ -34,27 +34,19 @@ type Table struct {
 	// instrumented strategy run, when the configuration enables metrics
 	// collection (flockbench -json).
 	OpReports []*obs.RunReport `json:"op_reports,omitempty"`
-	// Pipeline compares the streaming executor against the materializing
-	// baseline (peak buffered tuples, allocation) per workload, when
-	// metrics collection is enabled.
+	// Pipeline records the streaming executor's peak buffered tuples and
+	// allocation per workload, when metrics collection is enabled.
 	Pipeline []PipelineMetric `json:"pipeline,omitempty"`
 }
 
-// PipelineMetric is one streaming-vs-materializing comparison: the
-// streaming executor's peak buffered-tuples gauge against the
-// materializing baseline's peak live intermediate tuples, plus the
-// total bytes each mode allocated for the same evaluation. Both modes
-// report through the same obs gauge: the streaming executor tracks
-// retained operator state (group accumulators, dedup sets, sink
-// inserts), the materializing baseline tracks the relations a
-// relation-at-a-time operator holds live simultaneously (probe bindings
-// plus join output; extended relation plus group map plus answer).
+// PipelineMetric is one workload's footprint under the streaming
+// executor: its peak buffered-tuples gauge (retained operator state:
+// group accumulators, dedup sets, sink inserts) and the total bytes the
+// evaluation allocated.
 type PipelineMetric struct {
-	Name             string `json:"name"`
-	PeakStream       int    `json:"peak_stream_tuples"`
-	PeakMaterialize  int    `json:"peak_materialize_tuples"`
-	AllocStream      int64  `json:"alloc_stream_bytes"`
-	AllocMaterialize int64  `json:"alloc_materialize_bytes"`
+	Name        string `json:"name"`
+	PeakStream  int    `json:"peak_stream_tuples"`
+	AllocStream int64  `json:"alloc_stream_bytes"`
 	// Dictionary statistics of the columnar run: distinct equality
 	// classes (incl. the null sentinel) and the intern hit/miss split.
 	DictSize     int    `json:"dict_size"`
@@ -128,7 +120,7 @@ type Config struct {
 	Scale float64
 	// Seed drives every generator.
 	Seed int64
-	// Workers is the join/group-by worker count for every strategy under
+	// Workers is the join/anti-join worker count for every strategy under
 	// test (0 = one per CPU, 1 = sequential). Answers are identical for
 	// every worker count.
 	Workers int
@@ -177,75 +169,39 @@ func (c Config) scaled(n int) int {
 	return s
 }
 
-// AddPipeline runs one workload under the two executors — interned
-// columnar streaming (the default) and the legacy materializing
-// baseline — and records the peak intermediate buffering and allocation
-// of each, plus the columnar run's dictionary statistics. The answers
-// must be equal (the executor-oracle contract); a mismatch is returned
-// as an error. A disabled-metrics configuration
-// skips the comparison entirely.
-func (t *Table) AddPipeline(cfg Config, name string,
-	run func(exec eval.ExecMode, tr *eval.Trace) (*storage.Relation, error)) error {
-
+// AddPipeline runs one workload under the streaming executor and records
+// its peak intermediate buffering and allocation, plus the run's
+// dictionary statistics. A disabled-metrics configuration skips it
+// entirely.
+func (t *Table) AddPipeline(cfg Config, name string, run func(tr *eval.Trace) (*storage.Relation, error)) error {
 	if !cfg.Metrics {
 		return nil
-	}
-	measure := func(exec eval.ExecMode) (*storage.Relation, *obs.RunReport, int64, error) {
-		tr := &eval.Trace{}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		rel, err := run(exec, tr)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return rel, tr.Report(name+" ["+exec.String()+"]", cfg.Workers, rel.Len()),
-			int64(after.TotalAlloc - before.TotalAlloc), nil
 	}
 	// Untimed warm-up: the first columnar run pays the one-time lazy
 	// dictionary build, which amortizes across a service's lifetime and
 	// would otherwise bill the measured run's allocation.
-	if _, err := run(eval.ExecStream, nil); err != nil {
+	if _, err := run(nil); err != nil {
 		return fmt.Errorf("pipeline %s (warm-up): %w", name, err)
 	}
-	streamRel, streamRep, streamAlloc, err := measure(eval.ExecStream)
+	tr := &eval.Trace{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rel, err := run(tr)
+	runtime.ReadMemStats(&after)
 	if err != nil {
-		return fmt.Errorf("pipeline %s (stream): %w", name, err)
+		return fmt.Errorf("pipeline %s: %w", name, err)
 	}
-	matRel, matRep, matAlloc, err := measure(eval.ExecMaterialize)
-	if err != nil {
-		return fmt.Errorf("pipeline %s (materialize): %w", name, err)
-	}
-	if !streamRel.Equal(matRel) {
-		return fmt.Errorf("pipeline %s: the two executors disagree", name)
-	}
+	rep := tr.Report(name+" [stream]", cfg.Workers, rel.Len())
 	t.Pipeline = append(t.Pipeline, PipelineMetric{
-		Name:             name,
-		PeakStream:       streamRep.PeakTuples,
-		PeakMaterialize:  materializedPeak(matRep),
-		AllocStream:      streamAlloc,
-		AllocMaterialize: matAlloc,
-		DictSize:         streamRep.DictSize,
-		InternHits:       streamRep.InternHits,
-		InternMisses:     streamRep.InternMisses,
+		Name:         name,
+		PeakStream:   rep.PeakTuples,
+		AllocStream:  int64(after.TotalAlloc - before.TotalAlloc),
+		DictSize:     rep.DictSize,
+		InternHits:   rep.InternHits,
+		InternMisses: rep.InternMisses,
 	})
 	return nil
-}
-
-// materializedPeak reads the materializing baseline's peak live
-// intermediate tuples. The legacy operators feed the same gauge the
-// streaming executor uses (see Executor.JoinNext, Finish, and the
-// group-by call sites); the event-derived max(rows_in + rows_out) is a
-// floor for traces from operators that predate the gauge.
-func materializedPeak(r *obs.RunReport) int {
-	peak := r.PeakTuples
-	for _, s := range r.Steps {
-		if n := s.RowsIn + s.RowsOut; n > peak {
-			peak = n
-		}
-	}
-	return peak
 }
 
 // timed measures one evaluation and returns its duration. A garbage

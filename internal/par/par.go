@@ -1,14 +1,17 @@
 // Package par holds the tiny worker-pool primitives the parallel execution
-// layer is built from. Operators (hash join, anti-join, group-by, index
-// build) are coarse-grained — one call processes thousands of tuples — so
-// the pool spawns fresh goroutines per operation rather than keeping
-// long-lived workers; at the row counts where parallelism is engaged the
-// spawn cost is noise.
+// layer is built from. Its one user is the streaming executor
+// (internal/physical), whose join and anti-join operators partition each
+// probe batch. Those operators are coarse-grained — one call processes
+// up to a batch of ID rows — so the pool spawns fresh goroutines per
+// operation rather than keeping long-lived workers; at the row counts
+// where parallelism is engaged the spawn cost is noise. The materializing
+// reference (eval.ExecMaterialize) always runs sequentially.
 //
 // The Workers knob convention, shared by every layer that exposes one
-// (eval.Options, core.EvalOptions, planner.DynamicOptions, the -workers
-// command flags): 0 means one worker per available CPU (GOMAXPROCS), 1
-// forces the sequential code path, and any larger value is used as given.
+// (physical.Ctx, eval.Options, core.EvalOptions, planner.DynamicOptions,
+// the -workers command flags): 0 means one worker per available CPU
+// (GOMAXPROCS), 1 forces the sequential code path, and any larger value
+// is used as given.
 package par
 
 import (

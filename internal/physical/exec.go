@@ -12,8 +12,8 @@ import (
 // workers useful chunks, small enough that in-flight batches stay cheap.
 const batchSize = 1024
 
-// minParallelRows mirrors the eval package's knob: probe batches below
-// this size stay sequential, where goroutine startup dominates.
+// minParallelRows is the probe-batch size below which the partitioned
+// operators stay sequential, where goroutine startup dominates.
 const minParallelRows = 256
 
 // Ctx carries one execution's environment and its high-water gauge of

@@ -12,7 +12,7 @@ import (
 // shared by both executors. A query carries a context.Context plus a
 // Limits value; the pair resolves (once per query, so multi-step plans
 // share one clock) into a Gate, the checkpoint that streaming operators
-// consult at batch boundaries and the legacy materializing executor at
+// consult at batch boundaries and the materializing reference at
 // relation boundaries. Nothing here preempts a running scan: the engine
 // stays single-purpose between checkpoints and aborts at the next one,
 // which bounds the reaction latency to one batch (streaming) or one

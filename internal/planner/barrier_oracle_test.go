@@ -12,6 +12,7 @@ import (
 	"queryflocks/internal/eval"
 	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
+	"queryflocks/internal/workload"
 )
 
 // barrierDB is a small three-relation instance for the decision-barrier
@@ -68,10 +69,10 @@ func crossKindDB() *storage.Database {
 // TestBarrierMatchesMaterializeOracle extends the columnar-vs-
 // ExecMaterialize decision-sequence sweep with the barrier shapes the
 // examples/flocks corpus lacks. For each case the ID-space barriers
-// (ExecStream) must log exactly the decisions the boxed oracle logs —
-// same sites, same averages, same verdicts, same cardinalities — and
-// return its answer, at workers 1/2/8 on the memory engine and on the
-// disk engine, and both must equal direct evaluation.
+// (ExecStream) must log exactly the decisions the boxed oracle (run once,
+// sequentially) logs — same sites, same averages, same verdicts, same
+// cardinalities — and return its answer, at workers 1/2/8 on the memory
+// engine and on the disk engine, and both must equal direct evaluation.
 func TestBarrierMatchesMaterializeOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -184,6 +185,22 @@ COUNT(answer.C) >= 5`,
 				}
 			},
 		},
+		{
+			// E6's pipeline workload: Example 4.4's medical flock pinned to
+			// the Fig. 8 join order, on data of E6's shape.
+			name: "medical flock in the Fig. 8 order",
+			db:   fig8MedicalDB(),
+			flock: `QUERY:
+answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND diagnoses(P,D) AND NOT causes(D,$s)
+FILTER:
+COUNT(answer.P) >= 20`,
+			opts: DynamicOptions{FixedOrder: []int{0, 1, 2}},
+			check: func(t *testing.T, ds []Decision) {
+				if len(ds[0].Params) != 1 || ds[0].Params[0] != "s" || !ds[0].Filtered {
+					t.Errorf("first barrier should filter $s after exhibits, got %s", ds[0])
+				}
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -209,17 +226,15 @@ COUNT(answer.C) >= 5`,
 				}
 				return res
 			}
+			oracle := run(c.db, 1, eval.ExecMaterialize)
+			if len(oracle.Decisions) == 0 {
+				t.Fatal("the case has no decision barrier")
+			}
+			if c.check != nil {
+				c.check(t, oracle.Decisions)
+			}
+			t.Logf("oracle:\n%s", oracle)
 			for _, w := range []int{1, 2, 8} {
-				oracle := run(c.db, w, eval.ExecMaterialize)
-				if len(oracle.Decisions) == 0 {
-					t.Fatal("the case has no decision barrier")
-				}
-				if c.check != nil {
-					c.check(t, oracle.Decisions)
-				}
-				if w == 1 {
-					t.Logf("oracle:\n%s", oracle)
-				}
 				for engine, db := range map[string]*storage.Database{"memory": c.db, "disk": diskDB} {
 					got := run(db, w, eval.ExecStream)
 					what := fmt.Sprintf("workers=%d engine=%s", w, engine)
@@ -242,6 +257,25 @@ COUNT(answer.C) >= 5`,
 			}
 		})
 	}
+}
+
+// fig8MedicalDB is E6's medical workload (rare symptoms, popular
+// medicines, one planted side effect) at a fortieth of its reference
+// scale.
+func fig8MedicalDB() *storage.Database {
+	return workload.Medical(workload.MedicalConfig{
+		Patients:            500,
+		Diseases:            20,
+		Symptoms:            200,
+		Medicines:           6,
+		SymptomsPerDisease:  4,
+		MedicinesPerDisease: 1,
+		ExhibitRate:         0.5,
+		ExtraMedicines:      1.5,
+		NoiseRate:           2.5,
+		SideEffects:         []workload.SideEffect{{Medicine: 1, Symptom: 17, Rate: 0.4}},
+		Seed:                1998,
+	})
 }
 
 // refilterDB is the instance of TestDynamicRecordsPostFilterAverage (see

@@ -46,15 +46,16 @@ type DynamicOptions struct {
 	FixedOrder []int
 	// Trace, when non-nil, records engine steps.
 	Trace *eval.Trace
-	// Workers is the worker count for the partitioned join, anti-join,
-	// and group-by operators: 0 (the default) means one worker per CPU,
-	// 1 forces the sequential paths, larger values are used as given.
-	// Answers and Decisions are identical for every worker count.
+	// Workers is the streaming executor's worker count for its
+	// partitioned join and anti-join operators: 0 (the default) means one
+	// worker per CPU, 1 forces the sequential paths, larger values are
+	// used as given. Answers and Decisions are identical for every worker
+	// count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default), where
-	// decisions are put by ID-space barrier operators, or the legacy
-	// step-by-step executor (eval.ExecMaterialize). Answers and Decisions
-	// are identical.
+	// decisions are put by ID-space barrier operators, or the step-by-step
+	// materializing reference (eval.ExecMaterialize), which always runs
+	// sequentially. Answers and Decisions are identical.
 	Exec eval.ExecMode
 	// Ctx, when non-nil, cancels the evaluation cooperatively; both modes
 	// observe it between joins and decision points and abort with
@@ -185,19 +186,13 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 				}
 			}
 		}
-		res.Answer = core.GroupAndFilterWorkers(ext, len(f.Params), f.Filter, "flock", o.Workers)
+		res.Answer = core.GroupAndFilter(ext, len(f.Params), f.Filter, "flock")
 		o.Gate.NoteLive(ext.Len() + res.Answer.Len())
 		if err := o.Gate.CheckOutput(res.Answer.Len()); err != nil {
 			return nil, err
 		}
 		if err := o.Gate.Check(); err != nil {
 			return nil, err
-		}
-		if o.Trace != nil {
-			// The final group-by holds the merged extended relation and the
-			// answer live at once; record that through the shared peak gauge
-			// so streaming comparisons see the baseline's true footprint.
-			o.Trace.Collector().ObservePeak(ext.Len() + res.Answer.Len())
 		}
 		return res, nil
 	}
@@ -423,11 +418,10 @@ func paramColsOf(f *core.Flock) map[string]datalog.Param {
 func evalRuleDynamic(db *storage.Database, f *core.Flock, r *datalog.Rule,
 	o *DynamicOptions, res *DynamicResult, allowFiltering bool) (*storage.Relation, error) {
 
-	ex, err := eval.NewExecutor(db, r, o.Trace)
+	ex, err := eval.NewExecutor(db, r)
 	if err != nil {
 		return nil, err
 	}
-	ex.SetWorkers(o.Workers)
 	ex.SetGate(o.Gate)
 	order, headCols, err := orderAndHead(db, r, o)
 	if err != nil {
@@ -540,13 +534,10 @@ func distinctOn(rel *storage.Relation, pos []int) int {
 // filterIntermediate applies a FILTER step to an intermediate binding
 // relation: group by the bound parameters, count the (distinct) head
 // tuples per group via the flock's filter, and keep only rows whose
-// parameter assignment passes. It stays sequential regardless of the
-// worker knob: unlike GroupAndFilterWorkers it must keep every binding
-// row (not one row per group), and its input — an already filter-worthy
-// intermediate — is usually small enough that partitioning would not pay.
-// Only the materializing oracle runs it — the streaming executor's
-// barriers reduce in ID space (physical.Barrier) — and it deliberately
-// shares nothing with them.
+// parameter assignment passes. Unlike core.GroupAndFilter it keeps every
+// binding row, not one row per group. Only the materializing oracle runs
+// it — the streaming executor's barriers reduce in ID space
+// (physical.Barrier) — and it deliberately shares nothing with them.
 func filterIntermediate(cur *storage.Relation, paramPos, headPos []int, filter core.Filter) *storage.Relation {
 	type group struct {
 		acc  core.GroupAcc

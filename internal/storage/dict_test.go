@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"hash/fnv"
 	"math"
 	"path/filepath"
 	"sync"
@@ -177,24 +178,15 @@ func TestDatabaseDictSharedByClone(t *testing.T) {
 	}
 }
 
-// TestHashEquivalence pins the three FNV-1a entry points together: the
-// byte and string forms must agree (shard routing builds keys as bytes
-// but can look them up as strings), and hashIDs must equal hashing the
-// packed-ID encoding (the row and columnar paths partition identically).
+// TestHashEquivalence pins HashIDs to 64-bit FNV-1a over the packed-ID
+// encoding, computed here by the standard library's hash/fnv.
 func TestHashEquivalence(t *testing.T) {
-	keys := [][]byte{nil, {}, {0}, {0xff, 0x00, 0x7f}, []byte("query flocks")}
-	for _, k := range keys {
-		if hashKey(k) != fnv1a(string(k)) {
-			t.Fatalf("hashKey(%x) != fnv1a of the same bytes as a string", k)
-		}
-	}
 	idTuples := [][]uint32{{}, {0}, {1, 2, 3}, {0xdeadbeef, 0, 0xffffffff}}
 	for _, ids := range idTuples {
-		if hashIDs(ids) != hashKey(packIDs(nil, ids)) {
-			t.Fatalf("hashIDs(%v) != fnv1a(packIDs(%v))", ids, ids)
-		}
-		if HashIDs(ids) != hashIDs(ids) {
-			t.Fatal("exported HashIDs drifted from hashIDs")
+		h := fnv.New64a()
+		h.Write(packIDs(nil, ids))
+		if HashIDs(ids) != h.Sum64() {
+			t.Fatalf("HashIDs(%v) != FNV-1a of packIDs(%v)", ids, ids)
 		}
 	}
 }

@@ -515,32 +515,29 @@ func TestDictPersistence(t *testing.T) {
 	}
 }
 
-// TestIndexLookupAllocs pins the satellite-3 consolidation: the shared
-// keyed-lookup core must keep the byte-key probe at 0 allocs/op on both
-// single- and multi-shard indexes.
+// TestIndexLookupAllocs pins the byte-key and string-key probes at 0
+// allocs/op.
 func TestIndexLookupAllocs(t *testing.T) {
 	rel := NewRelation("r", "a", "b")
 	for i := 0; i < 4096; i++ {
 		rel.InsertValues(Int(int64(i%97)), Int(int64(i)))
 	}
-	for _, workers := range []int{1, 4} {
-		ix := rel.IndexParallel([]int{0}, workers)
-		buf := Tuple{Int(13)}.AppendKey(nil)
-		key := Tuple{Int(13)}.KeyOn([]int{0})
-		if n := testing.AllocsPerRun(200, func() {
-			if len(ix.LookupBytes(buf)) == 0 {
-				t.Fatal("probe missed")
-			}
-		}); n != 0 {
-			t.Fatalf("LookupBytes(workers=%d): %v allocs/op, want 0", workers, n)
+	ix := rel.Index([]int{0})
+	buf := Tuple{Int(13)}.AppendKey(nil)
+	key := Tuple{Int(13)}.KeyOn([]int{0})
+	if n := testing.AllocsPerRun(200, func() {
+		if len(ix.LookupBytes(buf)) == 0 {
+			t.Fatal("probe missed")
 		}
-		if n := testing.AllocsPerRun(200, func() {
-			if len(ix.LookupKey(key)) == 0 {
-				t.Fatal("probe missed")
-			}
-		}); n != 0 {
-			t.Fatalf("LookupKey(workers=%d): %v allocs/op, want 0", workers, n)
+	}); n != 0 {
+		t.Fatalf("LookupBytes: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if len(ix.LookupKey(key)) == 0 {
+			t.Fatal("probe missed")
 		}
+	}); n != 0 {
+		t.Fatalf("LookupKey: %v allocs/op, want 0", n)
 	}
 }
 

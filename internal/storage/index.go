@@ -1,50 +1,26 @@
 package storage
 
-import (
-	"sort"
-
-	"queryflocks/internal/par"
-)
+import "sort"
 
 // Index is a hash index mapping the key of a column-subset projection to
 // the tuples holding that projection. Indexes are built lazily by
-// Relation.Index and discarded when the relation changes.
-//
-// The bucket map is split into one or more shards by key hash. A
-// single-shard index is the sequential layout; multi-shard indexes exist so
-// the build can proceed with one worker per shard, each writing only its
-// own map. Lookups are identical either way: within a bucket, tuples keep
-// relation insertion order, so results do not depend on the shard count.
+// Relation.Index and discarded when the relation changes. Within a
+// bucket, tuples keep relation insertion order.
 type Index struct {
-	cols   []int
-	shards []map[string][]Tuple
+	cols    []int
+	buckets map[string][]Tuple
 }
 
-// FNV-1a, the hash that routes a key to its shard. Keys are already
-// injective encodings (Tuple.Key), so a simple byte hash suffices.
+// FNV-1a, the hash HashIDs computes.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fnv1a hashes a byte sequence with 64-bit FNV-1a. It is generic over
-// []byte and string so the two entry points can never drift: fnv1a(b) ==
-// fnv1a(string(b)) by construction.
-func fnv1a[T ~[]byte | ~string](s T) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func hashKey(b []byte) uint64 { return fnv1a(b) }
-
-// hashIDs hashes a dictionary-ID tuple byte-compatibly with fnv1a over
-// its packIDs encoding, without materializing the bytes. Used by the
-// columnar probe path wherever the row path hashes AppendKey bytes.
-func hashIDs(ids []uint32) uint64 {
+// HashIDs hashes a dictionary-ID tuple with 64-bit FNV-1a over its
+// packIDs encoding, without materializing the bytes. The columnar
+// executor's ID tables key their slots by it.
+func HashIDs(ids []uint32) uint64 {
 	h := uint64(fnvOffset64)
 	for _, id := range ids {
 		h ^= uint64(byte(id))
@@ -59,82 +35,21 @@ func hashIDs(ids []uint32) uint64 {
 	return h
 }
 
-// HashIDs is hashIDs for callers outside the package (the columnar
-// executor partitions probe work by this hash).
-func HashIDs(ids []uint32) uint64 { return hashIDs(ids) }
-
-// buildIndex builds a single-shard index sequentially.
+// buildIndex builds the index of r on cols.
 func buildIndex(r *Relation, cols []int) *Index {
 	ix := &Index{
-		cols:   append([]int(nil), cols...),
-		shards: []map[string][]Tuple{make(map[string][]Tuple, len(r.tuples))},
+		cols:    append([]int(nil), cols...),
+		buckets: make(map[string][]Tuple, len(r.tuples)),
 	}
 	for _, t := range r.tuples {
 		k := t.KeyOn(cols)
-		ix.shards[0][k] = append(ix.shards[0][k], t)
+		ix.buckets[k] = append(ix.buckets[k], t)
 	}
-	return ix
-}
-
-// buildIndexParallel builds a hash-partitioned index with one shard per
-// worker. Phase one computes every tuple's key and shard hash in parallel
-// over disjoint ranges; phase two gives each worker one shard to fill, so
-// no map is ever written by two goroutines. Within each bucket, tuples
-// appear in relation order (phase two scans tuples in order), matching the
-// sequential build exactly.
-func buildIndexParallel(r *Relation, cols []int, workers int) *Index {
-	n := len(r.tuples)
-	shardCount := par.Chunks(n, workers)
-	if shardCount <= 1 {
-		return buildIndex(r, cols)
-	}
-	keys := make([]string, n)
-	hashes := make([]uint64, n)
-	par.Run(n, workers, func(_, lo, hi int) {
-		buf := make([]byte, 0, 16*len(cols))
-		for i := lo; i < hi; i++ {
-			buf = r.tuples[i].AppendKeyOn(buf[:0], cols)
-			keys[i] = string(buf)
-			hashes[i] = hashKey(buf)
-		}
-	})
-	ix := &Index{
-		cols:   append([]int(nil), cols...),
-		shards: make([]map[string][]Tuple, shardCount),
-	}
-	// One worker per shard; each scans the (cheap) hash array and claims
-	// its own keys. Work is duplicated S times on the scan but the heavy
-	// part — key encoding — happened once above.
-	par.Run(shardCount, shardCount, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			shard := make(map[string][]Tuple, n/shardCount+1)
-			for i := 0; i < n; i++ {
-				if hashes[i]%uint64(shardCount) == uint64(s) {
-					shard[keys[i]] = append(shard[keys[i]], r.tuples[i])
-				}
-			}
-			ix.shards[s] = shard
-		}
-	})
 	return ix
 }
 
 // Columns returns the indexed column positions.
 func (ix *Index) Columns() []int { return ix.cols }
-
-// lookupIn is the single keyed-lookup core behind Lookup, LookupBytes,
-// and LookupKey: pick the shard (hashing only when there is more than
-// one), then one map access. It is generic over []byte and string for
-// the same reason fnv1a is — the two entry points cannot drift — and the
-// compiler's map-access-by-converted-[]byte optimization keeps the byte
-// path allocation-free (pinned by BenchmarkIndexLookup's 0 allocs/op
-// assertion).
-func lookupIn[T ~[]byte | ~string](shards []map[string][]Tuple, key T) []Tuple {
-	if len(shards) == 1 {
-		return shards[0][string(key)]
-	}
-	return shards[fnv1a(key)%uint64(len(shards))][string(key)]
-}
 
 // Lookup returns the tuples whose indexed columns equal the given key
 // values (in index-column order), plus the (possibly grown) key buffer
@@ -143,37 +58,31 @@ func lookupIn[T ~[]byte | ~string](shards []map[string][]Tuple, key T) []Tuple {
 // slice must not be mutated.
 func (ix *Index) Lookup(key Tuple, buf []byte) ([]Tuple, []byte) {
 	buf = key.AppendKey(buf[:0])
-	return lookupIn(ix.shards, buf), buf
+	return ix.buckets[string(buf)], buf
 }
 
 // LookupBytes returns the tuples for a key encoding built with
-// Tuple.AppendKey/AppendKeyOn. It performs no allocation, so probe loops
-// can reuse one buffer per worker. Safe for concurrent readers.
-func (ix *Index) LookupBytes(key []byte) []Tuple { return lookupIn(ix.shards, key) }
+// Tuple.AppendKey/AppendKeyOn. The compiler's map-access-by-converted-
+// []byte optimization keeps it allocation-free (pinned by
+// TestIndexLookupAllocs), so probe loops can reuse one buffer. Safe for
+// concurrent readers.
+func (ix *Index) LookupBytes(key []byte) []Tuple { return ix.buckets[string(key)] }
 
 // LookupKey returns the tuples for a precomputed key string (see
 // Tuple.KeyOn). This avoids re-encoding in tight join loops.
-func (ix *Index) LookupKey(key string) []Tuple { return lookupIn(ix.shards, key) }
+func (ix *Index) LookupKey(key string) []Tuple { return ix.buckets[key] }
 
 // GroupCount returns the number of distinct key groups in the index.
-func (ix *Index) GroupCount() int {
-	n := 0
-	for _, shard := range ix.shards {
-		n += len(shard)
-	}
-	return n
-}
+func (ix *Index) GroupCount() int { return len(ix.buckets) }
 
 // GroupSizes returns the size of each key group, sorted ascending so the
-// multiset has one canonical form regardless of shard/map layout. The
+// multiset has one canonical form regardless of map order. The
 // planner uses this to build group-size histograms for support-
 // selectivity estimation.
 func (ix *Index) GroupSizes() []int {
 	out := make([]int, 0, ix.GroupCount())
-	for _, shard := range ix.shards {
-		for _, ts := range shard {
-			out = append(out, len(ts))
-		}
+	for _, ts := range ix.buckets {
+		out = append(out, len(ts))
 	}
 	sort.Ints(out)
 	return out

@@ -5,24 +5,19 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"queryflocks/internal/par"
 )
 
 // Relation is a named, set-semantics collection of tuples over a fixed list
 // of columns. Duplicate inserts are ignored, preserving the set semantics
 // the paper's optimization claims depend on (§2.3).
 //
-// Thread-safety contract: a Relation is single-writer. Insert,
-// InsertValues, and AbsorbBuilder mutate tuples, seen, and an internal key
-// buffer without locking, so no mutation may run concurrently with any
-// other access (the internal mutex guards only the lazy index cache, not
-// the data). Once mutation stops, any number of goroutines may read
-// concurrently — Tuples, Contains, ContainsKey, Len, and Index/IndexParallel
-// (which build lazily under the internal lock) are all read-safe. Parallel
-// operators therefore never share an output Relation across workers: each
-// worker accumulates into its own lock-free Builder and one thread merges
-// them with AbsorbBuilder afterwards.
+// Thread-safety contract: a Relation is single-writer. Insert and
+// InsertValues mutate tuples, seen, and an internal key buffer without
+// locking, so no mutation may run concurrently with any other access (the
+// internal mutex guards only the lazy index cache, not the data). Once
+// mutation stops, any number of goroutines may read concurrently —
+// Tuples, Contains, ContainsKey, Len, and Index (which builds lazily under
+// the internal lock) are all read-safe.
 type Relation struct {
 	name string
 	cols []string
@@ -145,28 +140,13 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 // positions. The index is dropped automatically on the next Insert.
 // Index is safe to call from concurrent readers.
 func (r *Relation) Index(cols []int) *Index {
-	return r.IndexParallel(cols, 1)
-}
-
-// IndexParallel is Index with a hash-partitioned parallel build: the
-// bucket map is split into up to `workers` shards and each shard is filled
-// by its own goroutine (see par.Resolve for the knob convention). The
-// resulting index answers lookups identically to a sequential build, and
-// either form is cached and served for later requests on the same columns
-// regardless of the worker count asked for.
-func (r *Relation) IndexParallel(cols []int, workers int) *Index {
 	key := indexKey(cols)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ix, ok := r.indexes[key]; ok {
 		return ix
 	}
-	var ix *Index
-	if w := par.Resolve(workers); w > 1 {
-		ix = buildIndexParallel(r, cols, w)
-	} else {
-		ix = buildIndex(r, cols)
-	}
+	ix := buildIndex(r, cols)
 	r.indexes[key] = ix
 	return ix
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -186,7 +187,9 @@ func floatOf(v Value) float64 {
 	case KindFloat:
 		return v.AsFloat()
 	case KindString:
-		return float64(fnv1a(v.AsString()))
+		h := fnv.New64a()
+		h.Write([]byte(v.AsString()))
+		return float64(h.Sum64())
 	default:
 		return 0
 	}

@@ -150,7 +150,7 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 			return publish(rel, register)
 		}
 	}
-	if opts.execMode().Streaming() {
+	if opts.execMode() == eval.ExecStream {
 		if opts != nil && opts.Memo != nil {
 			return evalFilteredMemo(db, params, query, filter, name, opts, register)
 		}
@@ -194,16 +194,11 @@ func publish(rel *storage.Relation, register func(*storage.Relation) error) (*st
 	return rel, nil
 }
 
-// GroupAndFilter groups an extended-answer relation by its first nParams
+// groupAndFilter groups an extended-answer relation by its first nParams
 // columns, applies the filter to each group's head tuples, and returns the
-// passing parameter tuples. Monotone filters short-circuit per group.
-func GroupAndFilter(ext *storage.Relation, nParams int, filter Filter, name string) *storage.Relation {
-	rel, _ := groupAndFilter(ext, nParams, filter, name)
-	return rel
-}
-
-// groupAndFilter is GroupAndFilter that also reports the number of
-// distinct parameter groups, which the tuple budget counts as live.
+// passing parameter tuples in the order their groups were first seen,
+// together with the number of distinct parameter groups, which the tuple
+// budget counts as live. Monotone filters short-circuit per group.
 func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name string) (*storage.Relation, int) {
 	paramPos := make([]int, nParams)
 	for i := range paramPos {
@@ -215,8 +210,10 @@ func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name stri
 	}
 	// One filterGroup per distinct parameter prefix, fed the group's head
 	// tuples; one key buffer is reused, so only new groups allocate a key
-	// string.
+	// string. order keeps the groups first-seen, so the answer's order is
+	// the extended answer's, not the map's.
 	groups := make(map[string]*filterGroup)
+	var order []*filterGroup
 	var buf []byte
 	for _, t := range ext.Tuples() {
 		buf = t.AppendKeyOn(buf[:0], paramPos)
@@ -224,6 +221,7 @@ func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name stri
 		if !ok {
 			g = &filterGroup{params: t.Project(paramPos), acc: filter.NewGroup()}
 			groups[string(buf)] = g
+			order = append(order, g)
 		}
 		if g.done {
 			continue
@@ -234,7 +232,7 @@ func groupAndFilter(ext *storage.Relation, nParams int, filter Filter, name stri
 		}
 	}
 	out := storage.NewRelation(name, ext.Columns()[:nParams]...)
-	for _, g := range groups {
+	for _, g := range order {
 		if g.done || g.acc.Passes() {
 			out.Insert(g.params)
 		}

@@ -184,7 +184,7 @@ func TestSumOrderAndWorkerInvariance(t *testing.T) {
 			}
 			ext.Insert(storage.Tuple{storage.Str("g"), h[0], h[1]})
 		}
-		got := GroupAndFilter(ext, 1, f, "out")
+		got, _ := groupAndFilter(ext, 1, f, "out")
 		if got.Contains(storage.Tuple{storage.Str("g")}) {
 			t.Errorf("order %d: group with true sum -87 accepted", oi)
 		}

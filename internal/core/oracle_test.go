@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"queryflocks/internal/datalog"
+	"queryflocks/internal/eval"
 	"queryflocks/internal/storage"
+	"queryflocks/internal/workload"
 )
 
 // This file property-tests the paper's central equivalence claims on
@@ -229,6 +231,29 @@ func TestRandomLegalPlansMatchDirect(t *testing.T) {
 	}
 }
 
+// TestBoxedReferenceOrderIsDeterministic: the boxed reference returns its
+// answer tuples in one order on every call, unsorted, through Flock.Eval
+// and through Plan.Execute.
+func TestBoxedReferenceOrderIsDeterministic(t *testing.T) {
+	db := workload.Baskets(workload.BasketConfig{Baskets: 300, Items: 30, MeanSize: 5, Skew: 0.8, Seed: 35})
+	f, opts := MustParse(fig2Src), &EvalOptions{Exec: eval.ExecMaterialize}
+	var first [2]string
+	for i := 0; i < 10; i++ {
+		direct, err := f.Eval(db, opts)
+		res, perr := TrivialPlan(f).Execute(db, opts)
+		if err != nil || perr != nil {
+			t.Fatal(err, perr)
+		}
+		for j, rel := range []*storage.Relation{direct, res.Answer} {
+			if got := fmt.Sprint(rel.Tuples()); i == 0 {
+				first[j] = got
+			} else if got != first[j] {
+				t.Fatalf("call %d, path %d: answer order changed\ngot:  %s\nwant: %s", i, j, got, first[j])
+			}
+		}
+	}
+}
+
 func TestGroupAndFilterDirectly(t *testing.T) {
 	// Extended answer: ($1, B) pairs.
 	ext := storage.NewRelation("ext", "$1", "B")
@@ -236,7 +261,7 @@ func TestGroupAndFilterDirectly(t *testing.T) {
 		ext.InsertValues(storage.Int(row[0]), storage.Int(row[1]))
 	}
 	f := mkFilter(t, "COUNT(answer.B) >= 2", "answer(B) :- r(B)")
-	got := GroupAndFilter(ext, 1, f, "out")
+	got, _ := groupAndFilter(ext, 1, f, "out")
 	if got.Len() != 2 {
 		t.Fatalf("got:\n%s", got.Dump())
 	}
@@ -249,7 +274,7 @@ func TestGroupAndFilterDirectly(t *testing.T) {
 		t.Errorf("relation shape: %s", got)
 	}
 	empty := storage.NewRelation("ext", "$1", "B")
-	if got := GroupAndFilter(empty, 1, f, "out"); got.Len() != 0 {
+	if got, _ := groupAndFilter(empty, 1, f, "out"); got.Len() != 0 {
 		t.Fatalf("empty input produced %d groups", got.Len())
 	}
 }

@@ -91,16 +91,16 @@ func TestCrossKindRepeatedVariable(t *testing.T) {
 		for _, mode := range []ExecMode{ExecStream, ExecMaterialize} {
 			got, err := EvalRule(db, rule, nil, &Options{Exec: mode})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", shape, mode, err)
+				t.Fatalf("%s/%s: %v", shape, modeNames[mode], err)
 			}
 			for _, want := range []string{"cross", "same"} {
 				if !got.Contains(storage.Tuple{storage.Str(want)}) {
-					t.Errorf("%s/%v: r(X,X,C) dropped %q; repeated variables must use Equal, not ==:\n%v",
-						shape, mode, want, got.Tuples())
+					t.Errorf("%s/%s: r(X,X,C) dropped %q; repeated variables must use Equal, not ==:\n%v",
+						shape, modeNames[mode], want, got.Tuples())
 				}
 			}
 			if got.Contains(storage.Tuple{storage.Str("diff")}) {
-				t.Errorf("%s/%v: r(X,X,C) admitted a row whose columns differ", shape, mode)
+				t.Errorf("%s/%s: r(X,X,C) admitted a row whose columns differ", shape, modeNames[mode])
 			}
 		}
 	}

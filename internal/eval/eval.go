@@ -47,18 +47,6 @@ const (
 	ExecMaterialize
 )
 
-// String names the mode ("stream" / "materialize").
-func (m ExecMode) String() string {
-	if m == ExecMaterialize {
-		return "materialize"
-	}
-	return "stream"
-}
-
-// Streaming reports whether the mode runs compiled physical plans rather
-// than the materializing reference.
-func (m ExecMode) Streaming() bool { return m == ExecStream }
-
 // Options configures rule evaluation.
 type Options struct {
 	// Trace, when non-nil, records every operator application of the
@@ -165,26 +153,25 @@ func (o Options) physCtx(db *storage.Database) *physical.Ctx {
 
 // evalRuleMaterialized is the relation-at-a-time reference path
 // (ExecMaterialize): every join step materializes its binding relation
-// via the step Executor.
+// via the step executor.
 func evalRuleMaterialized(db *storage.Database, r *datalog.Rule, out []datalog.Term, o *Options) (*storage.Relation, error) {
-	ex, err := NewExecutor(db, r)
+	ex, err := newExecutor(db, r, o.gate())
 	if err != nil {
 		return nil, err
 	}
-	ex.SetGate(o.gate())
 	order, err := JoinOrder(db, r)
 	if err != nil {
 		return nil, err
 	}
 	for _, i := range order {
-		if ex.Joined(i) { // absorbed into an earlier scan as a semi-join
+		if ex.joined[i] { // absorbed into an earlier scan as a semi-join
 			continue
 		}
-		if err := ex.JoinNext(i); err != nil {
+		if err := ex.joinNext(i); err != nil {
 			return nil, err
 		}
 	}
-	res, err := ex.Finish(out)
+	res, err := ex.finish(out)
 	if err != nil {
 		return nil, err
 	}

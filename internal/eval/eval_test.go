@@ -324,70 +324,36 @@ func TestTrace(t *testing.T) {
 func TestExecutorStepwise(t *testing.T) {
 	db := basketsDB()
 	r := mustRule(t, "answer(B) :- baskets(B,$1) AND baskets(B,$2)")
-	ex, err := NewExecutor(db, r)
+	ex, err := newExecutor(db, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Done() {
-		t.Fatal("fresh executor should not be done")
-	}
-	if got := ex.Remaining(); len(got) != 2 {
-		t.Fatalf("remaining = %v", got)
-	}
-	if err := ex.JoinNext(0); err != nil {
+	if err := ex.joinNext(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.JoinNext(0); err == nil {
+	if err := ex.joinNext(0); err == nil {
 		t.Error("double join should error")
 	}
-	if err := ex.JoinNext(5); err == nil {
+	if err := ex.joinNext(5); err == nil {
 		t.Error("out-of-range join should error")
 	}
-	// Mid-evaluation reduction: keep only beer as $1.
-	cur := ex.Current()
-	reduced := storage.NewRelation("reduced", cur.Columns()...)
-	p := cur.ColumnIndex("$1")
-	for _, tp := range cur.Tuples() {
-		if tp[p] == storage.Str("beer") {
-			reduced.Insert(tp)
-		}
-	}
-	if err := ex.ReplaceCurrent(reduced); err != nil {
+	if err := ex.joinNext(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.JoinNext(1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Finish([]datalog.Term{datalog.Param("1"), datalog.Param("2")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// $1 restricted to beer.
-	for _, tp := range res.Tuples() {
-		if tp[0] != storage.Str("beer") {
-			t.Errorf("leaked $1 = %v", tp[0])
-		}
-	}
-
-	// ReplaceCurrent validation.
-	bad := storage.NewRelation("bad", "Z")
-	if err := ex.ReplaceCurrent(bad); err == nil {
-		t.Error("mismatched ReplaceCurrent should error")
-	}
-	if _, err := ex.Finish([]datalog.Term{datalog.Param("1")}); err != nil {
-		t.Errorf("Finish after completion: %v", err)
+	if _, err := ex.finish([]datalog.Term{datalog.Param("1"), datalog.Param("2")}); err != nil {
+		t.Errorf("finish after completion: %v", err)
 	}
 }
 
 func TestFinishBeforeDone(t *testing.T) {
 	db := basketsDB()
 	r := mustRule(t, "answer(B) :- baskets(B,$1) AND baskets(B,$2)")
-	ex, err := NewExecutor(db, r)
+	ex, err := newExecutor(db, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Finish(nil); err == nil {
-		t.Error("Finish before all joins should error")
+	if _, err := ex.finish(nil); err == nil {
+		t.Error("finish before all joins should error")
 	}
 }
 

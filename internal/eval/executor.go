@@ -3,14 +3,11 @@
 // storage.Database using hash joins, anti-joins for negated subgoals, and
 // eager application of arithmetic comparisons.
 //
-// The package exposes two levels. EvalRule/EvalUnion evaluate a whole query
-// under a join-order strategy; by default they compile it to an
-// internal/physical plan, which takes the Workers knob. Executor is the
-// step API of the materializing reference (ExecMaterialize): it joins one
-// atom at a time into a boxed binding relation, always sequentially and
-// untraced. The reference path of the dynamic strategy (§4.4) drives it
-// directly, interleaving joins with "should we filter now?" decisions on
-// each intermediate result.
+// EvalRule/EvalUnion evaluate a whole query under a join-order strategy;
+// by default they compile it to an internal/physical plan, which takes
+// the Workers knob. The executor in this file is the materializing
+// reference (ExecMaterialize): it joins one atom at a time into a boxed
+// binding relation, always sequentially and untraced.
 package eval
 
 import (
@@ -35,12 +32,12 @@ func termColumn(t datalog.Term) (string, bool) {
 	}
 }
 
-// Executor evaluates one rule's body subgoal-by-subgoal. The current state
+// executor evaluates one rule's body subgoal-by-subgoal. The current state
 // is a binding relation whose columns are the variables and parameters
 // bound so far. Negated subgoals and comparisons are applied automatically
 // as soon as all their terms are bound ("pushed down"); rule safety
 // guarantees they all apply by the time every positive atom is joined.
-type Executor struct {
+type executor struct {
 	db   *storage.Database
 	rule *datalog.Rule
 
@@ -49,21 +46,17 @@ type Executor struct {
 	pendingCmp []*datalog.Comparison
 	pendingNeg []*datalog.Atom
 
-	gate  *physical.Gate // cancellation/budget checkpoint; nil when unlimited
+	// gate is the cancellation and budget checkpoint, consulted before
+	// each join step and each pushed-down subgoal application and fed the
+	// simultaneously-live tuple counts; nil is unlimited.
+	gate  *physical.Gate
 	steps int
 }
 
-// SetGate installs the evaluation's cancellation and budget checkpoint.
-// The executor consults it at relation boundaries — before each join
-// step and each pushed-down subgoal application — and feeds the
-// simultaneously-live tuple counts into its tuple budget, mirroring the
-// streaming executor's batch-boundary checks. A nil gate is unlimited.
-func (e *Executor) SetGate(g *physical.Gate) { e.gate = g }
-
-// NewExecutor prepares evaluation of r's body against db. The rule must be
+// newExecutor prepares evaluation of r's body against db. The rule must be
 // safe (§3.3) — unsafe rules denote infinite results. Any relation named by
 // a body atom must exist in db with matching arity.
-func NewExecutor(db *storage.Database, r *datalog.Rule) (*Executor, error) {
+func newExecutor(db *storage.Database, r *datalog.Rule, gate *physical.Gate) (*executor, error) {
 	if vs := datalog.CheckSafety(r); len(vs) > 0 {
 		return nil, fmt.Errorf("eval: rule %s is unsafe: %v", r.Head, vs[0])
 	}
@@ -81,13 +74,16 @@ func NewExecutor(db *storage.Database, r *datalog.Rule) (*Executor, error) {
 				a, len(a.Args), a.Pred, rel.Arity())
 		}
 	}
-	e := &Executor{
+	unit := storage.NewRelation("unit") // the identity for join
+	unit.Insert(storage.Tuple{})
+	e := &executor{
 		db:         db,
 		rule:       r,
-		cur:        unitRelation(),
+		cur:        unit,
 		joined:     make([]bool, len(r.PositiveAtoms())),
 		pendingCmp: r.Comparisons(),
 		pendingNeg: r.NegatedAtoms(),
+		gate:       gate,
 	}
 	// Constant-only comparisons (and any already-applicable subgoals)
 	// resolve immediately.
@@ -97,53 +93,7 @@ func NewExecutor(db *storage.Database, r *datalog.Rule) (*Executor, error) {
 	return e, nil
 }
 
-// unitRelation is the zero-column relation holding the single empty tuple —
-// the identity for join.
-func unitRelation() *storage.Relation {
-	r := storage.NewRelation("unit")
-	r.Insert(storage.Tuple{})
-	return r
-}
-
-// Current returns the current binding relation. Callers must not mutate it.
-func (e *Executor) Current() *storage.Relation { return e.cur }
-
-// ReplaceCurrent substitutes a reduced binding relation (same columns) for
-// the current one. The dynamic strategy uses this after a FILTER reduction.
-func (e *Executor) ReplaceCurrent(rel *storage.Relation) error {
-	if got, want := rel.Columns(), e.cur.Columns(); len(got) != len(want) {
-		return fmt.Errorf("eval: ReplaceCurrent with %d columns, want %d", len(got), len(want))
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("eval: ReplaceCurrent column %d is %q, want %q", i, got[i], want[i])
-			}
-		}
-	}
-	e.cur = rel
-	return nil
-}
-
-// Remaining returns the indices of positive atoms not yet joined, in body
-// order of the positive-atom list.
-func (e *Executor) Remaining() []int {
-	var out []int
-	for i, done := range e.joined {
-		if !done {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Joined reports whether the i-th positive atom has been joined (directly
-// or by absorption into another atom's scan).
-func (e *Executor) Joined(i int) bool { return e.joined[i] }
-
-// Done reports whether every positive atom has been joined.
-func (e *Executor) Done() bool { return len(e.Remaining()) == 0 }
-
-// JoinNext joins the i-th positive atom into the current bindings. Pending
+// joinNext joins the i-th positive atom into the current bindings. Pending
 // subgoals that become decidable during the scan — comparisons, negations,
 // and positive atoms acting as semi-join reducers (every term constant,
 // already bound, or bound by this atom) — are absorbed into the scan
@@ -151,7 +101,7 @@ func (e *Executor) Done() bool { return len(e.Remaining()) == 0 }
 // This is the shape of the paper's Fig. 9 plan, where the reducer
 // "templ($s) JOIN exhibits(P,$s)" runs as one operation. Any remaining
 // pending subgoal that became fully bound is applied afterwards.
-func (e *Executor) JoinNext(i int) error {
+func (e *executor) joinNext(i int) error {
 	atoms := e.rule.PositiveAtoms()
 	if i < 0 || i >= len(atoms) {
 		return fmt.Errorf("eval: positive-atom index %d out of range", i)
@@ -186,7 +136,7 @@ type rowCheck func(ct, bt storage.Tuple) bool
 // absorbChecks builds per-row checks for every pending subgoal decidable
 // during the scan of atom, removing the absorbed subgoals from the pending
 // lists and marking absorbed positive atoms as joined.
-func (e *Executor) absorbChecks(atom *datalog.Atom) ([]rowCheck, error) {
+func (e *executor) absorbChecks(atom *datalog.Atom) ([]rowCheck, error) {
 	curCols := make(map[string]int, e.cur.Arity())
 	for i, c := range e.cur.Columns() {
 		curCols[c] = i
@@ -300,13 +250,13 @@ func membershipCheck(rel *storage.Relation, gs []func(ct, bt storage.Tuple) stor
 	}
 }
 
-func (e *Executor) stepName() string {
+func (e *executor) stepName() string {
 	e.steps++
 	return fmt.Sprintf("bind%d", e.steps)
 }
 
 // applyPending applies comparisons and negations whose terms are all bound.
-func (e *Executor) applyPending() error {
+func (e *executor) applyPending() error {
 	bound := make(map[string]int, e.cur.Arity())
 	for i, c := range e.cur.Columns() {
 		bound[c] = i
@@ -363,12 +313,14 @@ func (e *Executor) applyPending() error {
 	return nil
 }
 
-// Finish verifies every subgoal was applied and projects the final binding
+// finish verifies every subgoal was applied and projects the final binding
 // relation onto the given output terms. Output columns are named after the
 // terms (see termColumn); constant terms are not allowed here.
-func (e *Executor) Finish(out []datalog.Term) (*storage.Relation, error) {
-	if !e.Done() {
-		return nil, fmt.Errorf("eval: %d positive atoms not yet joined", len(e.Remaining()))
+func (e *executor) finish(out []datalog.Term) (*storage.Relation, error) {
+	for i, done := range e.joined {
+		if !done {
+			return nil, fmt.Errorf("eval: positive atom %d not yet joined", i)
+		}
 	}
 	if len(e.pendingCmp) > 0 || len(e.pendingNeg) > 0 {
 		// Unreachable for safe rules; guard for internal consistency.
@@ -378,7 +330,7 @@ func (e *Executor) Finish(out []datalog.Term) (*storage.Relation, error) {
 	if err := e.gate.Check(); err != nil {
 		return nil, err
 	}
-	res, err := ProjectTerms(e.cur, out, "answer")
+	res, err := projectTerms(e.cur, out, "answer")
 	if err == nil {
 		// The final binding relation and its projection are live together.
 		e.gate.NoteLive(e.cur.Len() + res.Len())
@@ -389,9 +341,9 @@ func (e *Executor) Finish(out []datalog.Term) (*storage.Relation, error) {
 	return res, err
 }
 
-// ProjectTerms projects a binding relation onto the given variable or
+// projectTerms projects a binding relation onto the given variable or
 // parameter terms, deduplicating. Column names follow termColumn.
-func ProjectTerms(rel *storage.Relation, out []datalog.Term, name string) (*storage.Relation, error) {
+func projectTerms(rel *storage.Relation, out []datalog.Term, name string) (*storage.Relation, error) {
 	cols := make([]string, len(out))
 	pos := make([]int, len(out))
 	for i, t := range out {

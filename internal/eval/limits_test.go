@@ -32,10 +32,13 @@ func explosiveRule(t *testing.T) *datalog.Rule {
 	return mustRule(t, "answer(G,X,Y,Z) :- pairs(G,X) AND pairs(G,Y) AND pairs(G,Z)")
 }
 
+// modeNames names both executors, for subtests and messages.
+var modeNames = []string{ExecStream: "stream", ExecMaterialize: "materialize"}
+
 func bothModes(t *testing.T, f func(t *testing.T, mode ExecMode)) {
 	t.Helper()
 	for _, mode := range []ExecMode{ExecStream, ExecMaterialize} {
-		t.Run(mode.String(), func(t *testing.T) { f(t, mode) })
+		t.Run(modeNames[mode], func(t *testing.T) { f(t, mode) })
 	}
 }
 
@@ -124,7 +127,7 @@ func TestGenerousLimitsPreserveAnswers(t *testing.T) {
 	generous := Limits{Wall: time.Hour, MaxTuples: 1 << 30, MaxRows: 1 << 30}
 	for _, mode := range []ExecMode{ExecStream, ExecMaterialize} {
 		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%s/w%d", mode, workers)
+			name := fmt.Sprintf("%s/w%d", modeNames[mode], workers)
 			got, err := EvalRule(db, r, nil, &Options{
 				Exec: mode, Workers: workers, Ctx: context.Background(), Limits: generous,
 			})

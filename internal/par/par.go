@@ -5,7 +5,8 @@
 // up to a batch of ID rows — so the pool spawns fresh goroutines per
 // operation rather than keeping long-lived workers; at the row counts
 // where parallelism is engaged the spawn cost is noise. The materializing
-// reference (eval.ExecMaterialize) always runs sequentially.
+// reference of the direct and plan paths (eval.ExecMaterialize) always
+// runs sequentially.
 //
 // The Workers knob convention, shared by every layer that exposes one
 // (physical.Ctx, eval.Options, core.EvalOptions, planner.DynamicOptions,

@@ -7,8 +7,8 @@ import (
 	"queryflocks/internal/storage"
 )
 
-// This file is the rule compiler: it statically replays the
-// eval.Executor's bottom-up decisions — which pending subgoals are
+// This file is the rule compiler: it statically replays the bottom-up
+// decisions of eval's materializing executor — which pending subgoals are
 // absorbed into each scan, which become Select/AntiJoin operators once
 // bound, how each atom's argument positions classify into constants,
 // probe keys, new columns, and repeated-variable checks — and emits the

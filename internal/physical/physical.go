@@ -9,7 +9,7 @@
 // dynamic strategy's decision barriers (where its "filter now?" policy
 // observes cardinalities).
 //
-// The compiled plans reproduce the eval.Executor semantics exactly:
+// The compiled plans reproduce eval's materializing executor exactly:
 // identical answers (including tuple order at the materialization
 // points) at every worker count.
 package physical

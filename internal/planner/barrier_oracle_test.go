@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"queryflocks/internal/core"
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/eval"
 	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
@@ -66,13 +68,13 @@ func crossKindDB() *storage.Database {
 	return db
 }
 
-// TestBarrierMatchesMaterializeOracle extends the columnar-vs-
-// ExecMaterialize decision-sequence sweep with the barrier shapes the
-// examples/flocks corpus lacks. For each case the ID-space barriers
-// (ExecStream) must log exactly the decisions the boxed oracle (run once,
-// sequentially) logs — same sites, same averages, same verdicts, same
-// cardinalities — and return its answer, at workers 1/2/8 on the memory
-// engine and on the disk engine, and both must equal direct evaluation.
+// TestBarrierMatchesMaterializeOracle extends the dynamic variants of the
+// oracle sweeps with the barrier shapes the examples/flocks corpus lacks.
+// For each case the ID-space barriers must log exactly the decisions
+// expectDecisions derives from the rule and the materializing executor's
+// relations — same sites, same averages, same verdicts, same
+// cardinalities — and return the boxed direct answer, at workers 1/2/8 on
+// the memory engine and on the disk engine.
 func TestBarrierMatchesMaterializeOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -213,45 +215,31 @@ COUNT(answer.P) >= 20`,
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := f.Eval(c.db, nil)
+			direct, err := f.Eval(c.db, &core.EvalOptions{Exec: eval.ExecMaterialize})
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(db *storage.Database, w int, exec eval.ExecMode) *DynamicResult {
-				o := c.opts
-				o.Workers, o.Exec = w, exec
-				res, err := EvalDynamic(db, f, &o)
-				if err != nil {
-					t.Fatalf("workers=%d exec=%v: %v", w, exec, err)
-				}
-				return res
-			}
-			oracle := run(c.db, 1, eval.ExecMaterialize)
-			if len(oracle.Decisions) == 0 {
+			want := expectDecisions(t, c.db, f, c.opts)
+			if len(want) == 0 {
 				t.Fatal("the case has no decision barrier")
 			}
 			if c.check != nil {
-				c.check(t, oracle.Decisions)
+				c.check(t, want)
 			}
-			t.Logf("oracle:\n%s", oracle)
 			for _, w := range []int{1, 2, 8} {
 				for engine, db := range map[string]*storage.Database{"memory": c.db, "disk": diskDB} {
-					got := run(db, w, eval.ExecStream)
+					o := c.opts
+					o.Workers = w
+					got, err := EvalDynamic(db, f, &o)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", w, err)
+					}
 					what := fmt.Sprintf("workers=%d engine=%s", w, engine)
-					if len(got.Decisions) != len(oracle.Decisions) {
-						t.Fatalf("%s: %d decisions, the oracle has %d:\n%s\noracle:\n%s", what, len(got.Decisions), len(oracle.Decisions), got, oracle)
-					}
-					for i, d := range got.Decisions {
-						// String covers the site, verdict and cardinalities;
-						// the average must agree to the last bit too.
-						if want := oracle.Decisions[i]; d.String() != want.String() || d.AvgGroup != want.AvgGroup {
-							t.Fatalf("%s decision %d:\n got %s\nwant %s", what, i, d, want)
-						}
-					}
+					checkDecisions(t, what, got.Decisions, want)
 					// Equal, not Dump: where a value has two spellings the
 					// executors may return different members of its class.
-					if !got.Answer.Equal(oracle.Answer) || !got.Answer.Equal(direct) {
-						t.Fatalf("%s: answer differs\ncolumnar:\n%s\noracle:\n%s\ndirect:\n%s", what, got.Answer.Dump(), oracle.Answer.Dump(), direct.Dump())
+					if !got.Answer.Equal(direct) {
+						t.Fatalf("%s: answer differs\ndynamic:\n%s\ndirect:\n%s", what, got.Answer.Dump(), direct.Dump())
 					}
 				}
 			}
@@ -278,9 +266,18 @@ func fig8MedicalDB() *storage.Database {
 	})
 }
 
-// refilterDB is the instance of TestDynamicRecordsPostFilterAverage (see
-// its comment for the cardinalities): the third barrier re-filters a
-// parameter set the second already filtered.
+// refilterDB is the instance of the §4.4 baseline regression (the
+// "refilter" barrier case): after a FILTER step the pipeline continues
+// from the reduced relation, so the remembered average for that
+// parameter set must be the post-filter one. Under
+// answer(B) :- r($m,B) AND s(B,C) AND u(C,D), COUNT >= 3:
+//
+//	after r($m,B):  36 rows / 10 assignments, avg 3.6 >= 3    -> skip
+//	after s(B,C):   16 rows / 10 assignments, avg 1.6 < 1.8   -> FILTER
+//	                reduced to 8 rows / 2 assignments, avg 4.0
+//	after u(C,D):    2 rows /  2 assignments, avg 1.0 < 0.5*3.6 -> FILTER
+//
+// A pre-filter baseline (1.6) would make the third barrier skip.
 func refilterDB() *storage.Database {
 	r := storage.NewRelation("r", "M", "B")
 	s := storage.NewRelation("s", "B", "C")
@@ -307,11 +304,10 @@ func refilterDB() *storage.Database {
 }
 
 // TestBarrierBudgetAndCancellation pins the barrier's limits behaviour.
-// MaxTuples trips at the barrier that buffers one row too many, reporting
-// the same live count the boxed barrier did (every buffered row is one
-// live tuple; the reduction's transient state is not budgeted), and a
-// cancellation that lands after buffering stops the evaluation inside
-// the barrier instead of after it.
+// MaxTuples trips at the barrier that buffers one row too many (every
+// buffered row is one live tuple; the reduction's transient state is not
+// budgeted), and a cancellation that lands after buffering stops the
+// evaluation inside the barrier instead of after it.
 func TestBarrierBudgetAndCancellation(t *testing.T) {
 	db := refilterDB()
 	f := core.MustParse(`QUERY:
@@ -321,9 +317,8 @@ COUNT(answer.B) >= 3`)
 	opts := func() *DynamicOptions { return &DynamicOptions{FixedOrder: []int{0, 1, 2}, Workers: 1} }
 
 	// The first barrier buffers r's 36 rows and skips, so it still holds
-	// them while the second buffers its 16: the figures below are the
-	// boxed barrier's, to the tuple. A budget of 35 dies in the first
-	// barrier, one of 51 in the second at its 16th row, 52 is enough.
+	// them while the second buffers its 16. A budget of 35 dies in the
+	// first barrier, one of 51 in the second at its 16th row, 52 is enough.
 	for _, c := range []struct {
 		limit int
 		want  string
@@ -372,9 +367,9 @@ COUNT(answer.B) >= 3`)
 	}
 }
 
-// evalDynamicObserved is EvalDynamic's streaming path with onDecide
-// called whenever a barrier consults the policy. The result is returned
-// beside the error: its decision log says how far the evaluation got.
+// evalDynamicObserved is EvalDynamic with onDecide called whenever a
+// barrier consults the policy. The result is returned beside the error:
+// its decision log says how far the evaluation got.
 func evalDynamicObserved(db *storage.Database, f *core.Flock, opts *DynamicOptions, onDecide func()) (*DynamicResult, error) {
 	o := opts.orDefault()
 	res := &DynamicResult{}
@@ -393,4 +388,139 @@ func evalDynamicObserved(db *storage.Database, f *core.Flock, opts *DynamicOptio
 	}
 	res.Answer, err = eval.RunPlan(db, plan, &eval.Options{Workers: o.Workers, Ctx: o.Ctx, Limits: o.Limits})
 	return res, err
+}
+
+// expectDecisions derives the decision log EvalDynamic must write for f
+// under opts from the rule alone — no second dynamic executor. Walking
+// the join order (absorbed atoms skipped), a barrier follows each joined
+// atom once parameters P are bound, the head is bound and f has one rule.
+// Its relation is the materializing executor's binding relation over the
+// bound terms V for the subquery of every subgoal over V, semi-joined
+// with the survivors of the earlier filtering barriers. The survivors of
+// a barrier are the boxed direct answer of the subquery flock: exact,
+// because P only grows along the pipeline and, by §3.1, an assignment
+// removed earlier fails every later subquery.
+func expectDecisions(t *testing.T, db *storage.Database, f *core.Flock, opts DynamicOptions) []Decision {
+	t.Helper()
+	o, boxed := opts.orDefault(), &core.EvalOptions{Exec: eval.ExecMaterialize}
+	db, err := f.MaterializeViews(db, boxed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Query) != 1 {
+		return nil
+	}
+	r, order := f.Query[0], o.FixedOrder
+	if order == nil {
+		if order, err = eval.JoinOrder(db, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := map[string]bool{}
+	over := func(ts ...datalog.Term) bool {
+		for _, tm := range ts {
+			if col, ok := termCol(tm); ok && !bound[col] {
+				return false
+			}
+		}
+		return true
+	}
+	var filtered []*storage.Relation // survivors of the filtering barriers
+	// count returns how many rows of rel pass every filtered barrier and
+	// their average per distinct projection onto cols (0 for no rows).
+	count := func(rel *storage.Relation, cols []string) (rows int, avg float64) {
+		assigns := storage.NewRelation("assigns", cols...)
+	next:
+		for _, tp := range rel.Tuples() {
+			for _, surv := range filtered {
+				if !surv.Contains(project(rel, tp, surv.Columns())) {
+					continue next
+				}
+			}
+			rows++
+			assigns.Insert(project(rel, tp, cols))
+		}
+		return rows, float64(rows) / math.Max(1, float64(assigns.Len()))
+	}
+	atoms, joined := r.PositiveAtoms(), make([]bool, len(r.PositiveAtoms()))
+	best := map[string]float64{} // §4.4's baseline per parameter set
+	var out []Decision
+	var terms []datalog.Term // V
+	for _, i := range order {
+		if joined[i] {
+			continue
+		}
+		for _, tm := range atoms[i].Args {
+			if col, ok := termCol(tm); ok && !bound[col] {
+				bound[col], terms = true, append(terms, tm)
+			}
+		}
+		for j, a := range atoms {
+			joined[j] = joined[j] || over(a.Args...)
+		}
+		sub := datalog.NewRule(r.Head)
+		for _, sg := range r.Body {
+			a, isAtom := sg.(*datalog.Atom)
+			if c, isCmp := sg.(*datalog.Comparison); isAtom && over(a.Args...) || isCmp && over(c.Left, c.Right) {
+				sub.Body = append(sub.Body, sg)
+			}
+		}
+		var params []datalog.Param
+		for _, p := range f.Params {
+			if over(p) {
+				params = append(params, p)
+			}
+		}
+		if len(params) == 0 || !over(r.Head.Args...) {
+			continue
+		}
+		rel, err := eval.EvalRule(db, sub, terms, &eval.Options{Exec: eval.ExecMaterialize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subFlock := &core.Flock{Params: params, Query: datalog.Union{sub}, Filter: f.Filter}
+		rows, avg := count(rel, subFlock.ParamColumns())
+		prev, seen := best[fmt.Sprint(params)]
+		d := Decision{After: atoms[i].String(), Params: params, AvgGroup: avg, RowsBefore: rows, RowsAfter: rows,
+			Filtered: rows > 0 && (!seen && avg < o.FilterRatio*float64(thresholdOf(f)) || seen && avg < o.RefilterRatio*prev)}
+		if d.Filtered {
+			surv, err := subFlock.Eval(db, boxed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filtered = append(filtered, surv)
+			d.RowsAfter, avg = count(rel, subFlock.ParamColumns())
+		}
+		if !seen || avg < prev {
+			best[fmt.Sprint(params)] = avg // the post-filter average
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// project returns tp's values in rel's columns cols.
+func project(rel *storage.Relation, tp storage.Tuple, cols []string) storage.Tuple {
+	out := make(storage.Tuple, len(cols))
+	for i, c := range cols {
+		out[i] = tp[rel.ColumnIndex(c)]
+	}
+	return out
+}
+
+// checkDecisions fails unless got is want, field for field, to the last
+// bit of every average.
+func checkDecisions(t *testing.T, what string, got, want []Decision) {
+	t.Helper()
+	type fields Decision // %+v prints every field, not Decision.String
+	var g, w strings.Builder
+	for _, d := range got {
+		fmt.Fprintf(&g, "\n  %+v", fields(d))
+	}
+	for _, d := range want {
+		fmt.Fprintf(&w, "\n  %+v", fields(d))
+	}
+	if g.String() != w.String() {
+		t.Fatalf("%s: decisions differ from the oracle's\ngot:%s\nwant:%s", what, g.String(), w.String())
+	}
 }

@@ -52,14 +52,9 @@ type DynamicOptions struct {
 	// used as given. Answers and Decisions are identical for every worker
 	// count.
 	Workers int
-	// Exec selects the streaming physical-plan executor (default), where
-	// decisions are put by ID-space barrier operators, or the step-by-step
-	// materializing reference (eval.ExecMaterialize), which always runs
-	// sequentially. Answers and Decisions are identical.
-	Exec eval.ExecMode
-	// Ctx, when non-nil, cancels the evaluation cooperatively; both modes
-	// observe it between joins and decision points and abort with
-	// eval.ErrCanceled.
+	// Ctx, when non-nil, cancels the evaluation cooperatively; the
+	// operators observe it at batch boundaries, barriers included, and
+	// abort with eval.ErrCanceled.
 	Ctx context.Context
 	// Limits bounds the evaluation (see eval.Limits); zero is unlimited,
 	// and unhit limits never change answers or decisions.
@@ -71,23 +66,16 @@ type DynamicOptions struct {
 }
 
 func (o *DynamicOptions) orDefault() DynamicOptions {
-	out := DynamicOptions{FilterRatio: 1.0, RefilterRatio: 0.5}
-	if o == nil {
-		return out
+	var out DynamicOptions
+	if o != nil {
+		out = *o
 	}
-	if o.FilterRatio > 0 {
-		out.FilterRatio = o.FilterRatio
+	if out.FilterRatio <= 0 {
+		out.FilterRatio = 1.0
 	}
-	if o.RefilterRatio > 0 {
-		out.RefilterRatio = o.RefilterRatio
+	if out.RefilterRatio <= 0 {
+		out.RefilterRatio = 0.5
 	}
-	out.FixedOrder = o.FixedOrder
-	out.Trace = o.Trace
-	out.Workers = o.Workers
-	out.Exec = o.Exec
-	out.Ctx = o.Ctx
-	out.Limits = o.Limits
-	out.Gate = o.Gate
 	return out
 }
 
@@ -171,36 +159,11 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 	}
 
 	res := &DynamicResult{}
-	if o.Exec == eval.ExecMaterialize {
-		var ext *storage.Relation
-		for _, r := range f.Query {
-			part, err := evalRuleDynamic(db, f, r, &o, res, len(f.Query) == 1)
-			if err != nil {
-				return nil, err
-			}
-			if ext == nil {
-				ext = part
-			} else {
-				for _, t := range part.Tuples() {
-					ext.Insert(t)
-				}
-			}
-		}
-		res.Answer = core.GroupAndFilter(ext, len(f.Params), f.Filter, "flock")
-		o.Gate.NoteLive(ext.Len() + res.Answer.Len())
-		if err := o.Gate.CheckOutput(res.Answer.Len()); err != nil {
-			return nil, err
-		}
-		if err := o.Gate.Check(); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	plan, err := compileDynamic(db, f, &o, res)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := eval.RunPlan(db, plan, &eval.Options{Trace: o.Trace, Workers: o.Workers, Exec: o.Exec, Gate: o.Gate})
+	ans, err := eval.RunPlan(db, plan, &eval.Options{Trace: o.Trace, Workers: o.Workers, Gate: o.Gate})
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +194,9 @@ func CompileDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (
 // physical.Barrier, the mechanism — buffers the actual intermediate
 // relation in ID space, reports its cardinalities to the policy below
 // and, when told to filter, reduces it to the assignments that pass the
-// flock's condition. Decisions append to res in pipeline order, exactly
-// as the materializing path records them. Multi-rule flocks compile
-// without barriers (per-rule pruning is unsound; see EvalDynamic).
+// flock's condition. Decisions append to res in pipeline order.
+// Multi-rule flocks compile without barriers (per-rule pruning is
+// unsound; see EvalDynamic).
 func compileDynamic(db *storage.Database, f *core.Flock, o *DynamicOptions, res *DynamicResult) (*physical.Plan, error) {
 	paramCols := paramColsOf(f)
 	branches := make([]physical.Node, len(f.Query))
@@ -295,8 +258,7 @@ func compileDynamic(db *storage.Database, f *core.Flock, o *DynamicOptions, res 
 // policy is the §4.4 decision rule of one rule's evaluation — when an
 // intermediate relation is worth a FILTER step — together with the state
 // the rule reads (the best average seen per parameter set) and the log it
-// writes. Both executors consult it; what differs between them is only
-// the mechanism that counts and reduces.
+// writes. The barrier operator is the mechanism that counts and reduces.
 type policy struct {
 	o         *DynamicOptions
 	res       *DynamicResult
@@ -410,64 +372,6 @@ func paramColsOf(f *core.Flock) map[string]datalog.Param {
 	return paramCols
 }
 
-// evalRuleDynamic runs one rule through the materializing executor,
-// interleaving filter decisions, and returns the rule's extended answer
-// (params + head). It is the oracle of the barrier operator: the same
-// policy over an independent, boxed mechanism (distinctOn,
-// filterIntermediate).
-func evalRuleDynamic(db *storage.Database, f *core.Flock, r *datalog.Rule,
-	o *DynamicOptions, res *DynamicResult, allowFiltering bool) (*storage.Relation, error) {
-
-	ex, err := eval.NewExecutor(db, r)
-	if err != nil {
-		return nil, err
-	}
-	ex.SetGate(o.Gate)
-	order, headCols, err := orderAndHead(db, r, o)
-	if err != nil {
-		return nil, err
-	}
-	paramCols := paramColsOf(f)
-	pol := newPolicy(f, o, res)
-
-	atoms := r.PositiveAtoms()
-	for _, i := range order {
-		if ex.Joined(i) { // absorbed into an earlier scan as a semi-join
-			continue
-		}
-		if err := ex.JoinNext(i); err != nil {
-			return nil, err
-		}
-		if !allowFiltering {
-			continue
-		}
-		cur := ex.Current()
-		boundParams, paramPos := boundParamsOfCols(cur.Columns(), paramCols)
-		if len(boundParams) == 0 {
-			continue
-		}
-		headPos, bound := positionsOf(cur.Columns(), headCols)
-		if !bound {
-			// The subquery-so-far is unsafe as a FILTER query (its head
-			// would be unbound); no legal filter step exists here.
-			continue
-		}
-		site := pol.at(atoms[i].String(), boundParams)
-		rows, assigns := cur.Len(), distinctOn(cur, paramPos)
-		out := physical.BarrierOutcome{Rows: rows, Assigns: assigns, RowsAfter: rows, AssignsAfter: assigns}
-		if site.decide(rows, assigns) {
-			reduced := filterIntermediate(cur, paramPos, headPos, f.Filter)
-			if err := ex.ReplaceCurrent(reduced); err != nil {
-				return nil, err
-			}
-			out.Filtered = true
-			out.RowsAfter, out.AssignsAfter = reduced.Len(), distinctOn(reduced, paramPos)
-		}
-		site.record(out)
-	}
-	return ex.Finish(extendedTerms(f.Params, r))
-}
-
 // extendedTerms builds the (params..., head args...) projection list.
 func extendedTerms(params []datalog.Param, r *datalog.Rule) []datalog.Term {
 	out := make([]datalog.Term, 0, len(params)+len(r.Head.Args))
@@ -517,71 +421,4 @@ func positionsOf(cols, want []string) (pos []int, ok bool) {
 		}
 	}
 	return pos, true
-}
-
-// distinctOn counts the distinct projections of rel onto pos — the number
-// of parameter assignments at a decision point.
-func distinctOn(rel *storage.Relation, pos []int) int {
-	seen := make(map[string]struct{})
-	var buf []byte
-	for _, t := range rel.Tuples() {
-		buf = t.AppendKeyOn(buf[:0], pos)
-		seen[string(buf)] = struct{}{}
-	}
-	return len(seen)
-}
-
-// filterIntermediate applies a FILTER step to an intermediate binding
-// relation: group by the bound parameters, count the (distinct) head
-// tuples per group via the flock's filter, and keep only rows whose
-// parameter assignment passes. Unlike core.GroupAndFilter it keeps every
-// binding row, not one row per group. Only the materializing oracle runs
-// it — the streaming executor's barriers reduce in ID space
-// (physical.Barrier) — and it deliberately shares nothing with them.
-func filterIntermediate(cur *storage.Relation, paramPos, headPos []int, filter core.Filter) *storage.Relation {
-	type group struct {
-		acc  core.GroupAcc
-		done bool
-		keep bool
-	}
-	tuples := cur.Tuples()
-	groups := make(map[string]*group)
-	rowGroup := make([]*group, len(tuples))
-	// The filter must see *distinct* head tuples per group (set
-	// semantics): dedupe (params, head) projections first. The key
-	// encoding is prefix-free per value, so the group key followed by the
-	// head key is unambiguous.
-	seen := make(map[string]struct{})
-	var buf []byte
-	for i, t := range tuples {
-		buf = t.AppendKeyOn(buf[:0], paramPos)
-		g, ok := groups[string(buf)]
-		if !ok {
-			g = &group{acc: filter.NewGroup()}
-			groups[string(buf)] = g
-		}
-		rowGroup[i] = g
-		if g.done {
-			continue
-		}
-		buf = t.AppendKeyOn(buf, headPos)
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		g.acc.Add(t.Project(headPos))
-		if g.acc.Done() {
-			g.done = true
-		}
-	}
-	for _, g := range groups {
-		g.keep = g.acc.Passes()
-	}
-	out := storage.NewRelation(cur.Name()+"_f", cur.Columns()...)
-	for i, t := range tuples {
-		if rowGroup[i].keep {
-			out.Insert(t)
-		}
-	}
-	return out
 }

@@ -74,7 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortKey$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDictCrossKind$$' -fuzztime 10s ./internal/storage/ \
 		|| rm -rf internal/storage/testdata/fuzz/FuzzDictCrossKind
-	$(GO) test -run '^$$' -fuzz '^FuzzIDTable$$' -fuzztime 10s ./internal/physical/
+	$(GO) test -run '^$$' -fuzz '^FuzzIDTable$$' -fuzztime 10s ./internal/storage/
 
 # Static analysis of the example flock corpus (zero errors required;
 # the warnings it prints are pinned by the golden tests under

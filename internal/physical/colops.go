@@ -138,7 +138,7 @@ type colCheck func(cur []uint32, bt int) bool
 // plan run concurrently against different database snapshots.
 type boundCheck struct {
 	*Check
-	set      *storage.IDSet
+	set      *storage.IDTable
 	constIDs []uint32
 	absent   bool // a constant argument is in no stored relation: never a member
 }
@@ -210,7 +210,7 @@ func (c *boundCheck) instantiate(dict *storage.Dict, baseCols [][]uint32) colChe
 				probe[i] = baseCols[a.pos][bt]
 			}
 		}
-		return set.Contains(probe) == want
+		return (set.Find(probe) >= 0) == want
 	}
 }
 
@@ -668,7 +668,7 @@ type colAntiJoinOp struct {
 	id    int
 	input colOperator
 
-	set      *storage.IDSet
+	set      *storage.IDTable
 	constIDs []uint32
 	live     bool // false when a constant is absent: nothing ever matches
 
@@ -727,7 +727,7 @@ func (o *colAntiJoinOp) filter(batch colBatch, lo, hi int, ids []uint32) colBatc
 					ids[j] = batch.cols[p][i]
 				}
 			}
-			if o.set.Contains(ids) {
+			if o.set.Find(ids) >= 0 {
 				continue
 			}
 		}
@@ -871,7 +871,7 @@ type colProjectOp struct {
 	id    int
 	input colOperator
 
-	seen     *idTable // the dedup state: the distinct projected rows so far
+	seen     *storage.IDTable // the dedup state: the distinct projected rows so far
 	released bool
 
 	rowsIn  int
@@ -882,7 +882,7 @@ type colProjectOp struct {
 
 func (o *colProjectOp) open(ctx *Ctx) error {
 	if o.n.Dedup {
-		o.seen = newIDTable(len(o.n.pos))
+		o.seen = storage.NewIDTable(len(o.n.pos))
 	}
 	return o.input.open(ctx)
 }
@@ -893,7 +893,7 @@ func (o *colProjectOp) next(ctx *Ctx) (colBatch, bool, error) {
 		// The dedup seen-set dies with the stream; release it from the
 		// buffered-tuples gauge.
 		if o.seen != nil && !o.released {
-			ctx.track(-o.seen.len())
+			ctx.track(-o.seen.Len())
 			o.released = true
 		}
 		return colBatch{}, false, err
@@ -912,7 +912,7 @@ func (o *colProjectOp) next(ctx *Ctx) (colBatch, bool, error) {
 	} else {
 		out = newColBatch(len(o.n.pos))
 		for i := 0; i < batch.n; i++ {
-			if _, fresh := o.seen.insertRow(batch, o.n.pos, i); !fresh {
+			if _, fresh := o.seen.InsertAt(batch.cols, o.n.pos, i); !fresh {
 				continue
 			}
 			ctx.track(1)
@@ -1062,7 +1062,7 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	groups := o.agg.groups.len()
+	groups := o.agg.groups.Len()
 	if o.exporting {
 		o.rowsOut = groups
 	} else {
@@ -1074,7 +1074,7 @@ func (o *colGroupOp) build(ctx *Ctx) error {
 		o.rowsOut = len(o.passing)
 	}
 	if o.capture {
-		o.captured = &IDRows{Dict: ctx.dict, N: o.agg.seen.len(), Cols: o.agg.seen.columns()}
+		o.captured = &IDRows{Dict: ctx.dict, N: o.agg.seen.Len(), Cols: o.agg.seen.Columns()}
 	}
 	// The dedup keys are released here, and the group states with them
 	// as far as the budget is concerned: what streams on or is exported
@@ -1102,7 +1102,7 @@ func (o *colGroupOp) next(ctx *Ctx) (colBatch, bool, error) {
 	}
 	out := newColBatch(o.n.NParams)
 	for _, g := range o.passing[o.emitPos:end] {
-		out.appendIDs(o.agg.groups.row(int(g)))
+		out.appendIDs(o.agg.groups.Row(int(g)))
 	}
 	o.emitPos = end
 	return out, true, nil
@@ -1116,7 +1116,7 @@ func (o *colGroupOp) close(ctx *Ctx) {
 	}
 	groups := 0
 	if o.agg != nil {
-		groups = o.agg.groups.len()
+		groups = o.agg.groups.Len()
 	}
 	record(ctx, obs.Event{
 		Op: obs.OpGroup, ID: o.id, Desc: desc,
@@ -1140,11 +1140,11 @@ type colBarrierOp struct {
 	id    int
 	input colOperator
 
-	rows     *idTable    // the distinct input rows, arrival order
-	agg      *aggregator // its groups are the rows' parameter assignments
-	rowGroup []int32     // row e's group
-	keep     []bool      // per group, once a filter ran: its rows survive
-	kept     int         // rows the barrier re-emits
+	rows     *storage.IDTable // the distinct input rows, arrival order
+	agg      *aggregator      // its groups are the rows' parameter assignments
+	rowGroup []int32          // row e's group
+	keep     []bool           // per group, once a filter ran: its rows survive
+	kept     int              // rows the barrier re-emits
 	done     bool
 	emitPos  int
 	emit     colBatch // the one batch next refills and returns
@@ -1172,7 +1172,7 @@ func (o *colBarrierOp) buffer(ctx *Ctx) error {
 	for _, p := range b.HeadPos {
 		covered[p] = true
 	}
-	o.rows = newIDTable(width)
+	o.rows = storage.NewIDTable(width)
 	o.agg = newAggregator(b.Agg, b.ParamPos, b.HeadPos, ctx.dict, len(covered) == width)
 	for {
 		batch, ok, err := o.input.next(ctx)
@@ -1188,7 +1188,7 @@ func (o *colBarrierOp) buffer(ctx *Ctx) error {
 		}
 		for i := 0; i < batch.n; i++ {
 			batch.gatherRow(i, row)
-			if _, fresh := o.rows.insert(row); !fresh {
+			if _, fresh := o.rows.Insert(row); !fresh {
 				continue
 			}
 			ctx.track(1)
@@ -1218,7 +1218,7 @@ func (o *colBarrierOp) decide(ctx *Ctx) error {
 		defer func() { o.wall += time.Since(start) }()
 	}
 	b := o.n.Spec
-	rows, assigns := o.rows.len(), o.agg.groups.len()
+	rows, assigns := o.rows.Len(), o.agg.groups.Len()
 	out := BarrierOutcome{ID: o.id, Rows: rows, Assigns: assigns, RowsAfter: rows, AssignsAfter: assigns}
 	o.kept = rows
 	if b.Decide(rows, assigns) {
@@ -1260,9 +1260,9 @@ func (o *colBarrierOp) decide(ctx *Ctx) error {
 func (o *colBarrierOp) chunk(dst *colBatch, lo int) int {
 	dst.reset()
 	e := lo
-	for ; e < o.rows.len() && dst.n < batchSize; e++ {
+	for ; e < o.rows.Len() && dst.n < batchSize; e++ {
 		if o.keep == nil || o.keep[o.rowGroup[e]] {
-			dst.appendIDs(o.rows.row(e))
+			dst.appendIDs(o.rows.Row(e))
 		}
 	}
 	return e
@@ -1274,7 +1274,7 @@ func (o *colBarrierOp) next(ctx *Ctx) (colBatch, bool, error) {
 			return colBatch{}, false, err
 		}
 	}
-	if o.emitPos >= o.rows.len() {
+	if o.emitPos >= o.rows.Len() {
 		// The buffered relation is no longer referenced once re-streamed.
 		if !o.released {
 			ctx.track(-o.kept)

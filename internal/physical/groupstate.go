@@ -112,11 +112,11 @@ type aggregator struct {
 
 	// groups numbers the parameter assignments; states[g] aggregates
 	// group g.
-	groups *idTable
+	groups *storage.IDTable
 	states []groupState
 	// seen is the dedup set of (params, head) rows; nil when the caller
 	// feeds rows already distinct on keyPos.
-	seen     *idTable
+	seen     *storage.IDTable
 	retained int
 	// capture keeps inserting the rows of short-circuited groups into seen,
 	// so seen ends as every distinct input row (see Plan.RunCapture).
@@ -124,7 +124,8 @@ type aggregator struct {
 	// counted, kept by a COUNT-distinct over a head of several columns,
 	// holds the (group, value ID) pairs counted so far; with a one-column
 	// head the distinct head tuples are the distinct values.
-	counted map[uint64]struct{}
+	counted *storage.IDTable
+	pair    []uint32 // counted's probe buffer
 	// sets, kept only for an export of a non-additive COUNT-distinct, is
 	// each group's distinct counted value IDs in arrival order.
 	sets     [][]uint32
@@ -142,16 +143,16 @@ func newAggregator(agg Aggregate, paramPos, headPos []int, dict *storage.Dict, d
 		paramPos: paramPos,
 		keyPos:   append(append([]int(nil), paramPos...), headPos...),
 		value:    newDecoder(dict).value,
-		groups:   newIDTable(len(paramPos)),
+		groups:   storage.NewIDTable(len(paramPos)),
 	}
 	if agg.Kind != AggCount {
 		a.valPos = headPos[agg.Col]
 	}
 	if !distinct {
-		a.seen = newIDTable(len(a.keyPos))
+		a.seen = storage.NewIDTable(len(a.keyPos))
 	}
 	if agg.Kind == AggCountDistinct && len(headPos) > 1 {
-		a.counted = make(map[uint64]struct{})
+		a.counted, a.pair = storage.NewIDTable(2), make([]uint32, 2)
 	}
 	return a
 }
@@ -159,7 +160,7 @@ func newAggregator(agg Aggregate, paramPos, headPos []int, dict *storage.Dict, d
 // group returns the group of batch row i, opening it when the row's
 // parameter assignment is new.
 func (a *aggregator) group(batch colBatch, i int) int32 {
-	g, fresh := a.groups.insertRow(batch, a.paramPos, i)
+	g, fresh := a.groups.InsertAt(batch.cols, a.paramPos, i)
 	if fresh {
 		a.states = append(a.states, groupState{})
 		if a.keepSets {
@@ -199,11 +200,10 @@ func (a *aggregator) fold(batch colBatch, gids []int32) {
 		case AggCountDistinct:
 			id := batch.cols[a.valPos][i]
 			if a.counted != nil {
-				k := uint64(gi)<<32 | uint64(id)
-				if _, dup := a.counted[k]; dup {
+				a.pair[0], a.pair[1] = uint32(gi), id
+				if _, fresh := a.counted.Insert(a.pair); !fresh {
 					break
 				}
-				a.counted[k] = struct{}{}
 			}
 			g.n++
 			if a.keepSets {
@@ -226,7 +226,7 @@ func (a *aggregator) fold(batch colBatch, gids []int32) {
 // retain adds batch row i to the dedup set, charging a new key as one
 // buffered tuple, and reports whether the row was new.
 func (a *aggregator) retain(batch colBatch, i int) bool {
-	if _, fresh := a.seen.insertRow(batch, a.keyPos, i); !fresh {
+	if _, fresh := a.seen.InsertAt(batch.cols, a.keyPos, i); !fresh {
 		return false
 	}
 	a.retained++
@@ -353,7 +353,7 @@ func (o *colGroupOp) export(ctx *Ctx, additive bool) *GroupStates {
 	for j := range st.Params {
 		col := make([]uint32, n)
 		for g := range col {
-			col[g] = tab.of(o.agg.groups.row(g)[j])
+			col[g] = tab.of(o.agg.groups.Row(g)[j])
 		}
 		st.Params[j] = col
 	}
@@ -436,16 +436,14 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 	want, np := agg.StateKind(additive), len(cols)
 	tab := &mergeTable{ids: make(map[string]uint32)}
 	value := func(id uint32) storage.Value { return tab.lits[id] }
-	index := newIDTable(np) // the merged groups, first-seen order
+	index := storage.NewIDTable(np) // the merged groups, first-seen order
 	var (
 		groups []groupState
-		seen   map[uint64]struct{}  // StateSet: (group, value) pairs counted so far
-		row    = make([]uint32, np) // one group's parameters as merged IDs
-		xlat   []uint32             // the current part's literal index → merged ID
+		seen   = storage.NewIDTable(2) // StateSet: (group, value) pairs counted so far
+		pair   = make([]uint32, 2)     // seen's probe buffer
+		row    = make([]uint32, np)    // one group's parameters as merged IDs
+		xlat   []uint32                // the current part's literal index → merged ID
 	)
-	if want == StateSet {
-		seen = make(map[uint64]struct{})
-	}
 	for pi, part := range parts {
 		if part.Kind != want || len(part.Params) != np {
 			return nil, 0, fmt.Errorf("physical: part %d carries state kind %d over %d params, want kind %d over %d",
@@ -459,7 +457,7 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 			for j, col := range part.Params {
 				row[j] = xlat[col[g]]
 			}
-			gi, fresh := index.insert(row)
+			gi, fresh := index.Insert(row)
 			if fresh {
 				groups = append(groups, groupState{})
 			}
@@ -476,9 +474,8 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 				m.n += part.Count[g]
 			case StateSet:
 				for _, lit := range part.set(g) {
-					k := uint64(gi)<<32 | uint64(xlat[lit])
-					if _, dup := seen[k]; !dup {
-						seen[k] = struct{}{}
+					pair[0], pair[1] = uint32(gi), xlat[lit]
+					if _, fresh := seen.Insert(pair); fresh {
 						m.n++
 					}
 				}
@@ -504,7 +501,7 @@ func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, 
 			continue
 		}
 		t := make(storage.Tuple, np)
-		for j, id := range index.row(gi) {
+		for j, id := range index.Row(gi) {
 			t[j] = value(id)
 		}
 		out.Insert(t)

@@ -70,7 +70,7 @@ func TestAccessorsSmoke(t *testing.T) {
 	if len(r.Tuples()) != 1 {
 		t.Error("Tuples")
 	}
-	ix := r.IndexOn("A")
+	ix := r.Index([]int{r.ColumnIndex("A")})
 	if len(ix.Columns()) != 1 || ix.Columns()[0] != 0 {
 		t.Errorf("Index.Columns = %v", ix.Columns())
 	}
@@ -96,16 +96,6 @@ func TestAccessorsSmoke(t *testing.T) {
 	if Value(Int(3)).String() != "3" || Null().String() != "NULL" {
 		t.Error("Value.String")
 	}
-}
-
-func TestIndexOnMissingColumnPanics(t *testing.T) {
-	r := NewRelation("r", "A")
-	defer func() {
-		if recover() == nil {
-			t.Error("IndexOn missing column should panic")
-		}
-	}()
-	r.IndexOn("Nope")
 }
 
 func TestDistinctCountMissingColumn(t *testing.T) {

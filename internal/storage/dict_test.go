@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"hash/fnv"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -178,15 +178,48 @@ func TestDatabaseDictSharedByClone(t *testing.T) {
 	}
 }
 
-// TestHashEquivalence pins HashIDs to 64-bit FNV-1a over the packed-ID
-// encoding, computed here by the standard library's hash/fnv.
+// TestHashEquivalence pins what the ID table relies on in HashIDs: on
+// one-ID tuples hash equality is ID equality (a one-column table compares
+// hashes only), checked as distinct hashes over a dense ID range and by
+// inverting the hash of random IDs; and dense IDs, alone and in pairs,
+// spread over a half-full table's slots.
 func TestHashEquivalence(t *testing.T) {
-	idTuples := [][]uint32{{}, {0}, {1, 2, 3}, {0xdeadbeef, 0, 0xffffffff}}
-	for _, ids := range idTuples {
-		h := fnv.New64a()
-		h.Write(packIDs(nil, ids))
-		if HashIDs(ids) != h.Sum64() {
-			t.Fatalf("HashIDs(%v) != FNV-1a of packIDs(%v)", ids, ids)
+	const dense = 1 << 20
+	seen := make(map[uint32]uint32, dense)
+	for id := uint32(0); id < dense; id++ {
+		h := HashIDs([]uint32{id})
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("IDs %d and %d share hash %#x", prev, id, h)
+		}
+		seen[h] = id
+	}
+	// The inverse of one step: undo the fold, the multiply (by hashMul's
+	// inverse mod 2^32) and the xor.
+	inv := uint32(1)
+	for i := 0; i < 5; i++ { // Newton: each round doubles the correct bits
+		inv *= 2 - hashMul*inv
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100_000; i++ {
+		id := rng.Uint32()
+		h := HashIDs([]uint32{id})
+		h ^= h >> 16
+		if got := (h * inv) ^ hashSeed; got != id {
+			t.Fatalf("hash of ID %d inverts to %d", id, got)
+		}
+	}
+	for _, width := range []int{1, 2} {
+		const n, mask = 1 << 15, 1<<16 - 1
+		used := make(map[uint32]bool, n)
+		key := make([]uint32, width)
+		for i := uint32(0); i < n; i++ {
+			key[0], key[width-1] = i/256, i
+			used[HashIDs(key)&mask] = true
+		}
+		// Uniform hashing would fill 2(1-e^(-1/2)) ≈ 79% as many slots as
+		// there are keys.
+		if len(used) < n*7/10 {
+			t.Fatalf("width %d: %d dense keys fill only %d distinct slots of %d", width, n, len(used), mask+1)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func (d *DiskRelation) InternedColumns(dict *Dict, check func() error) ([][]uint
 }
 
 // IDSet implements RelationSource over the cached ID columns.
-func (d *DiskRelation) IDSet(dict *Dict, check func() error) (*IDSet, error) {
+func (d *DiskRelation) IDSet(dict *Dict, check func() error) (*IDTable, error) {
 	return d.ids.idSet(d, dict, check)
 }
 
@@ -202,26 +202,23 @@ func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[uint32]int)
+	// IDs are dense in [0, Len()), and every ID of the columns is below it.
+	counts := make([]int, d.dict.Len())
 	for _, id := range cols[p] {
 		counts[id]++
 	}
-	sizes := sortedCounts(counts)
+	var sizes []int
+	for _, n := range counts {
+		if n > 0 {
+			sizes = append(sizes, n)
+		}
+	}
+	sort.Ints(sizes)
 	if d.groups == nil {
 		d.groups = make(map[string][]int)
 	}
 	d.groups[col] = sizes
 	return sizes, nil
-}
-
-// sortedCounts returns the counts of an ID->occurrences map, ascending.
-func sortedCounts(counts map[uint32]int) []int {
-	sizes := make([]int, 0, len(counts))
-	for _, n := range counts {
-		sizes = append(sizes, n)
-	}
-	sort.Ints(sizes)
-	return sizes
 }
 
 // Pin materializes the source into an in-memory Relation (cached), for

@@ -74,14 +74,16 @@ type RelationSource interface {
 	// The ID-space access paths of the columnar executor: the relation as
 	// one dictionary-ID slice per column, a hash index from the IDs of a
 	// column subset to row numbers (rows in Scan order), and the
-	// full-tuple membership set. Each is built on first use and cached;
-	// the results are shared and must not be modified. check, when
+	// full-tuple membership set, an IDTable of the rows (a tuple is a
+	// member when Find returns an entry; a nullary relation's set holds
+	// the empty tuple when it has a row). Each is built on first use and
+	// cached; the results are shared and must not be modified. check, when
 	// non-nil, is consulted once per batch of a column build (the only
 	// part that may read storage) and its error aborts the build, which
 	// then caches nothing.
 	InternedColumns(d *Dict, check func() error) ([][]uint32, error)
 	IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error)
-	IDSet(d *Dict, check func() error) (*IDSet, error)
+	IDSet(d *Dict, check func() error) (*IDTable, error)
 
 	// Statistics, exact by contract: the planner's decisions must not
 	// depend on which engine serves the data. GroupSizes is sorted

@@ -151,11 +151,18 @@ func mustDict(t *testing.T, db *Database) *Dict {
 
 // TestIDAccessPathsBothEngines checks the ID-space access paths the
 // executor reads base relations through: on both engines the columns
-// decode to the scan rows in scan order, the ID index enumerates the same
-// rows in the same order as a scan filter, and the ID set holds exactly
-// the stored tuples.
+// decode to the scan rows in scan order; the ID index, at key widths 0, 1,
+// 2 and full arity, enumerates the same rows in the same order as a scan
+// filter, and nothing for a key the relation lacks; and the ID set holds
+// exactly the stored tuples — a nullary relation's the empty tuple when
+// it has a row.
 func TestIDAccessPathsBothEngines(t *testing.T) {
 	db := testDB(t)
+	triples := NewRelation("triples", "a", "b", "c")
+	for i := 0; i < 30; i++ {
+		triples.InsertValues(Int(int64(i%4)), Str([]string{"x", "y", "z"}[i%3]), Float(float64(i%5)/2))
+	}
+	db.Add(triples)
 	dir := t.TempDir()
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
@@ -171,6 +178,10 @@ func TestIDAccessPathsBothEngines(t *testing.T) {
 	extra := NewRelation("extra", "x")
 	extra.InsertValues(Int(-5))
 	shard.Add(extra)
+	unit := NewRelation("unit")
+	unit.InsertValues()
+	shard.Add(unit)
+	shard.Add(NewRelation("none"))
 	for _, d := range []*Database{mem, disk, shard} {
 		dict := mustDict(t, d)
 		for _, name := range d.Names() {
@@ -189,40 +200,103 @@ func TestIDAccessPathsBothEngines(t *testing.T) {
 					t.Fatalf("%s row %d: columns decode to %v, scan has %v", name, i, got[i], rows[i])
 				}
 			}
-			set, err := src.IDSet(dict, nil)
-			if err != nil {
-				t.Fatal(err)
+			checkIDSet(t, src, dict, cols, rows)
+			arity := src.Arity()
+			widths := [][]int{{}, {0}, {0, 1}, make([]int, arity)}
+			for j := range widths[3] {
+				widths[3][j] = arity - 1 - j // full arity, reversed
 			}
-			ids := make([]uint32, src.Arity())
-			for i := range rows {
-				for j := range cols {
-					ids[j] = cols[j][i]
-				}
-				if !set.Contains(ids) {
-					t.Fatalf("%s: ID set misses stored row %v", name, rows[i])
+			for _, on := range widths {
+				if len(on) <= arity {
+					checkIDIndex(t, src, dict, cols, rows, on)
 				}
 			}
 		}
-		src := d.MustSource("baskets")
-		ix, err := src.IDIndex(dict, []int{1}, nil)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// probeKeys returns ID keys over the columns on: every row's projection,
+// every row's with its first component taken from the next row (pairs
+// that may not co-occur), and one holding an ID no value has.
+func probeKeys(dict *Dict, cols [][]uint32, n int, on []int) [][]uint32 {
+	var keys [][]uint32
+	for i := 0; i < n; i++ {
+		k := make([]uint32, len(on))
+		for j, p := range on {
+			k[j] = cols[p][i]
 		}
-		rows := drain(t, src.Scan())
-		for _, item := range []Value{Str("beer"), Str("chips"), Str("nope")} {
-			var want []int32
-			for i, row := range rows {
-				if row[1].Equal(item) {
-					want = append(want, int32(i))
-				}
+		keys = append(keys, k)
+		if len(on) > 0 {
+			mixed := append([]uint32(nil), k...)
+			mixed[0] = cols[on[0]][(i+1)%n]
+			keys = append(keys, mixed)
+		}
+	}
+	if len(on) > 0 {
+		unknown := make([]uint32, len(on))
+		for j := range unknown {
+			unknown[j] = uint32(dict.Len())
+		}
+		keys = append(keys, unknown)
+	}
+	return keys
+}
+
+// scanMatches returns the scan rows whose columns on equal the key's
+// values; an ID the dictionary never issued matches nothing.
+func scanMatches(dict *Dict, rows []Tuple, on []int, key []uint32) []int32 {
+	var out []int32
+next:
+	for i, row := range rows {
+		for j, p := range on {
+			if int(key[j]) >= dict.Len() || !row[p].Equal(dict.Value(key[j])) {
+				continue next
 			}
-			var got []int32
-			if id, ok := dict.Lookup(item); ok {
-				got = ix.Lookup([]uint32{id})
-			}
+		}
+		out = append(out, int32(i))
+	}
+	return out
+}
+
+func checkIDIndex(t *testing.T, src RelationSource, dict *Dict, cols [][]uint32, rows []Tuple, on []int) {
+	t.Helper()
+	ix, err := src.IDIndex(dict, on, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range probeKeys(dict, cols, len(rows), on) {
+		want := scanMatches(dict, rows, on, key)
+		if got := ix.Lookup(key); len(got) != 0 || len(want) != 0 {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("index on item=%v: rows %v, want %v", item, got, want)
+				t.Fatalf("%s: index on %v, key %v: rows %v, want %v", src.Name(), on, key, got, want)
 			}
+		}
+	}
+	if len(on) == 0 {
+		if got := ix.Lookup(nil); len(got) != len(rows) {
+			t.Fatalf("%s: keyless index holds %d rows, want all %d", src.Name(), len(got), len(rows))
+		}
+	}
+}
+
+func checkIDSet(t *testing.T, src RelationSource, dict *Dict, cols [][]uint32, rows []Tuple) {
+	t.Helper()
+	set, err := src.IDSet(dict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, src.Arity())
+	for j := range all {
+		all[j] = j
+	}
+	keys := probeKeys(dict, cols, len(rows), all)
+	if len(all) == 0 {
+		keys = [][]uint32{{}}
+	}
+	for _, key := range keys {
+		want := len(scanMatches(dict, rows, all, key)) > 0
+		if got := set.Find(key) >= 0; got != want {
+			t.Fatalf("%s: ID set has %v = %v, want %v", src.Name(), key, got, want)
 		}
 	}
 }
@@ -300,7 +374,7 @@ func containsTuple(t *testing.T, src RelationSource, dict *Dict, tup Tuple) bool
 		}
 		ids[i] = id
 	}
-	return set.Contains(ids)
+	return set.Find(ids) >= 0
 }
 
 func TestWithDeltaCopyOnWrite(t *testing.T) {
@@ -515,8 +589,9 @@ func TestDictPersistence(t *testing.T) {
 	}
 }
 
-// TestIndexLookupAllocs pins the byte-key and string-key probes at 0
-// allocs/op.
+// TestIndexLookupAllocs pins the byte-key and string-key probes, and the
+// ID set's membership probe and the ID index's lookup at key widths 1–3,
+// at 0 allocs/op.
 func TestIndexLookupAllocs(t *testing.T) {
 	rel := NewRelation("r", "a", "b")
 	for i := 0; i < 4096; i++ {
@@ -538,6 +613,54 @@ func TestIndexLookupAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("LookupKey: %v allocs/op, want 0", n)
+	}
+
+	for width := 1; width <= 3; width++ {
+		cols := make([]string, width)
+		on := make([]int, width)
+		for j := range cols {
+			cols[j] = string(rune('a' + j))
+			on[j] = j
+		}
+		rel := NewRelation("r", cols...)
+		for i := 0; i < 4096; i++ {
+			tup := make(Tuple, width)
+			for j := range tup {
+				tup[j] = Int(int64(i % (97 + j)))
+			}
+			rel.Insert(tup)
+		}
+		dict := NewDict()
+		set, err := rel.IDSet(dict, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := rel.IDIndex(dict, on, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := rel.InternedColumns(dict, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := make([]uint32, width)
+		for j := range key {
+			key[j] = ids[j][13]
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if set.Find(key) < 0 {
+				t.Fatal("member missed")
+			}
+		}); n != 0 {
+			t.Fatalf("IDSet Find, width %d: %v allocs/op, want 0", width, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if len(idx.Lookup(key)) == 0 {
+				t.Fatal("probe missed")
+			}
+		}); n != 0 {
+			t.Fatalf("IDIndex Lookup, width %d: %v allocs/op, want 0", width, n)
+		}
 	}
 }
 

@@ -11,30 +11,6 @@ type Index struct {
 	buckets map[string][]Tuple
 }
 
-// FNV-1a, the hash HashIDs computes.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// HashIDs hashes a dictionary-ID tuple with 64-bit FNV-1a over its
-// packIDs encoding, without materializing the bytes. The columnar
-// executor's ID tables key their slots by it.
-func HashIDs(ids []uint32) uint64 {
-	h := uint64(fnvOffset64)
-	for _, id := range ids {
-		h ^= uint64(byte(id))
-		h *= fnvPrime64
-		h ^= uint64(byte(id >> 8))
-		h *= fnvPrime64
-		h ^= uint64(byte(id >> 16))
-		h *= fnvPrime64
-		h ^= uint64(byte(id >> 24))
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // buildIndex builds the index of r on cols.
 func buildIndex(r *Relation, cols []int) *Index {
 	ix := &Index{

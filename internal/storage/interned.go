@@ -6,13 +6,13 @@ import (
 )
 
 // This file holds the relation-side caches of the columnar interned
-// executor: the column-major ID image of a relation, an ID-keyed
-// membership set (the columnar ContainsKey), and ID-keyed hash indexes
-// (the columnar Index). All three are lazy, cached per relation under
-// the same mutex as the byte-keyed indexes, and dropped together on any
-// mutation. Keys are the dictionary IDs of internal/storage.Dict, so key
-// equality is exactly Value.Equal — the same classes the byte AppendKey
-// encoding produces.
+// executor: the column-major ID image of a relation, its membership set
+// (an IDTable of its rows, the columnar ContainsKey), and its ID indexes
+// (an IDTable of keys plus row lists, the columnar Index; idtable.go). All
+// three are lazy, cached per relation and built under one mutex, and
+// dropped together on any mutation. Keys are the dictionary IDs of
+// internal/storage.Dict, so key equality is exactly Value.Equal — the
+// same classes the byte AppendKey encoding produces.
 
 // internedState is the ID-space image of one relation for one dictionary:
 // the column-major IDs plus the membership set and hash indexes derived
@@ -22,7 +22,7 @@ type internedState struct {
 	dict *Dict
 	n    int                 // row count (explicit: a relation may have zero columns)
 	cols [][]uint32          // column-major IDs
-	set  *IDSet              // full-tuple membership; nil until built
+	set  *IDTable            // full-tuple membership; nil until built
 	idx  map[string]*IDIndex // indexKey(cols) -> index
 }
 
@@ -66,7 +66,7 @@ func (c *idCache) columns(src columnBuilder, d *Dict, check func() error) ([][]u
 	return st.cols, nil
 }
 
-func (c *idCache) idSet(src columnBuilder, d *Dict, check func() error) (*IDSet, error) {
+func (c *idCache) idSet(src columnBuilder, d *Dict, check func() error) (*IDTable, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, err := c.state(src, d, check)
@@ -170,8 +170,9 @@ func (r *Relation) SeedInternedColumns(d *Dict, cols [][]uint32) {
 
 // IDSet returns (building and caching on first use) the membership set
 // of the relation's tuples in ID space — the columnar twin of
-// ContainsKey. Safe for concurrent readers once built.
-func (r *Relation) IDSet(d *Dict, check func() error) (*IDSet, error) {
+// ContainsKey: a tuple is a member when Find returns an entry. Safe for
+// concurrent readers once built.
+func (r *Relation) IDSet(d *Dict, check func() error) (*IDTable, error) {
 	return r.ids.idSet(r, d, check)
 }
 
@@ -181,143 +182,4 @@ func (r *Relation) IDSet(d *Dict, check func() error) (*IDSet, error) {
 // readers once built.
 func (r *Relation) IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error) {
 	return r.ids.idIndex(r, d, cols, check)
-}
-
-// packIDs appends the little-endian 4-byte encoding of each ID to dst —
-// the generic map key of the >2-column ID paths.
-func packIDs(dst []byte, ids []uint32) []byte {
-	for _, id := range ids {
-		dst = append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return dst
-}
-
-// IDSet is a membership set over ID tuples. One and two column sets key
-// on the IDs directly (no bytes, no hashing beyond the map's); wider
-// tuples key on the packed 4-byte-per-ID encoding.
-type IDSet struct {
-	arity int
-	m1    map[uint32]struct{}
-	m2    map[uint64]struct{}
-	mn    map[string]struct{}
-}
-
-func newIDSet(cols [][]uint32, n int) *IDSet {
-	s := &IDSet{arity: len(cols)}
-	switch len(cols) {
-	case 1:
-		s.m1 = make(map[uint32]struct{}, n)
-		for _, id := range cols[0] {
-			s.m1[id] = struct{}{}
-		}
-	case 2:
-		s.m2 = make(map[uint64]struct{}, n)
-		for i := 0; i < n; i++ {
-			s.m2[key2(cols[0][i], cols[1][i])] = struct{}{}
-		}
-	default:
-		s.mn = make(map[string]struct{}, n)
-		buf := make([]byte, 0, 4*len(cols))
-		row := make([]uint32, len(cols))
-		for i := 0; i < n; i++ {
-			for j := range cols {
-				row[j] = cols[j][i]
-			}
-			buf = packIDs(buf[:0], row)
-			if _, ok := s.mn[string(buf)]; !ok {
-				s.mn[string(buf)] = struct{}{}
-			}
-		}
-	}
-	return s
-}
-
-// key2 packs two IDs into one uint64 map key.
-func key2(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
-
-// Contains reports membership of the ID tuple (len(ids) must equal the
-// set's arity). Allocation-free for any arity up to 16 columns.
-func (s *IDSet) Contains(ids []uint32) bool {
-	switch s.arity {
-	case 1:
-		_, ok := s.m1[ids[0]]
-		return ok
-	case 2:
-		_, ok := s.m2[key2(ids[0], ids[1])]
-		return ok
-	default:
-		var arr [64]byte
-		key := packIDs(arr[:0], ids)
-		_, ok := s.mn[string(key)]
-		return ok
-	}
-}
-
-// IDIndex maps the IDs of a column subset to the row numbers holding
-// them, rows in insertion order — lookups therefore enumerate matches
-// exactly like the byte-keyed Index's buckets.
-type IDIndex struct {
-	nkeys int
-	m1    map[uint32][]int32
-	m2    map[uint64][]int32
-	mn    map[string][]int32
-}
-
-func buildIDIndex(idCols [][]uint32, cols []int, n int) *IDIndex {
-	ix := &IDIndex{nkeys: len(cols)}
-	switch len(cols) {
-	case 1:
-		ix.m1 = make(map[uint32][]int32, n)
-		c := idCols[cols[0]]
-		for i := 0; i < n; i++ {
-			ix.m1[c[i]] = append(ix.m1[c[i]], int32(i))
-		}
-	case 2:
-		ix.m2 = make(map[uint64][]int32, n)
-		a, b := idCols[cols[0]], idCols[cols[1]]
-		for i := 0; i < n; i++ {
-			k := key2(a[i], b[i])
-			ix.m2[k] = append(ix.m2[k], int32(i))
-		}
-	default:
-		ix.mn = make(map[string][]int32, n)
-		buf := make([]byte, 0, 4*len(cols))
-		row := make([]uint32, len(cols))
-		for i := 0; i < n; i++ {
-			for j, c := range cols {
-				row[j] = idCols[c][i]
-			}
-			buf = packIDs(buf[:0], row)
-			ix.mn[string(buf)] = append(ix.mn[string(buf)], int32(i))
-		}
-	}
-	return ix
-}
-
-// Lookup returns the row numbers whose indexed columns equal the given
-// key IDs (in index-column order). The returned slice must not be
-// mutated. Allocation-free for keys up to 16 columns.
-func (ix *IDIndex) Lookup(ids []uint32) []int32 {
-	switch ix.nkeys {
-	case 1:
-		return ix.m1[ids[0]]
-	case 2:
-		return ix.m2[key2(ids[0], ids[1])]
-	default:
-		var arr [64]byte
-		key := packIDs(arr[:0], ids)
-		return ix.mn[string(key)]
-	}
-}
-
-// GroupCount returns the number of distinct keys in the index.
-func (ix *IDIndex) GroupCount() int {
-	switch ix.nkeys {
-	case 1:
-		return len(ix.m1)
-	case 2:
-		return len(ix.m2)
-	default:
-		return len(ix.mn)
-	}
 }

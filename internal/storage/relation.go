@@ -151,19 +151,6 @@ func (r *Relation) Index(cols []int) *Index {
 	return ix
 }
 
-// IndexOn is Index keyed by column names.
-func (r *Relation) IndexOn(cols ...string) *Index {
-	pos := make([]int, len(cols))
-	for i, c := range cols {
-		p := r.ColumnIndex(c)
-		if p < 0 {
-			panic(fmt.Sprintf("storage: relation %q has no column %q", r.name, c))
-		}
-		pos[i] = p
-	}
-	return r.Index(pos)
-}
-
 // DistinctCount returns the number of distinct values in the named column.
 func (r *Relation) DistinctCount(col string) (int, error) {
 	p := r.ColumnIndex(col)

@@ -125,7 +125,7 @@ func TestRelationIndex(t *testing.T) {
 	r.InsertValues(Int(1), Str("diapers"))
 	r.InsertValues(Int(2), Str("beer"))
 
-	ix := r.IndexOn("BID")
+	ix := r.Index([]int{r.ColumnIndex("BID")})
 	got, _ := ix.Lookup(Tuple{Int(1)}, nil)
 	if len(got) != 2 {
 		t.Errorf("Lookup(BID=1) returned %d tuples, want 2", len(got))
@@ -139,7 +139,7 @@ func TestRelationIndex(t *testing.T) {
 
 	// Index invalidation on insert.
 	r.InsertValues(Int(3), Str("relish"))
-	ix2 := r.IndexOn("BID")
+	ix2 := r.Index([]int{r.ColumnIndex("BID")})
 	if ix2.GroupCount() != 3 {
 		t.Errorf("post-insert GroupCount = %d, want 3", ix2.GroupCount())
 	}

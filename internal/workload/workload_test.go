@@ -81,7 +81,7 @@ func TestBasketsShape(t *testing.T) {
 		t.Errorf("baskets = %d, %v, want %d", n, err, cfg.Baskets)
 	}
 	// Popular item 0 should appear in far more baskets than item 50.
-	ix := rel.IndexOn("Item")
+	ix := rel.Index([]int{rel.ColumnIndex("Item")})
 	m0, _ := ix.Lookup(storage.Tuple{storage.Int(0)}, nil)
 	m50, _ := ix.Lookup(storage.Tuple{storage.Int(50)}, nil)
 	n0, n50 := len(m0), len(m50)
@@ -147,7 +147,7 @@ func TestMedicalShape(t *testing.T) {
 	// The planted side-effect symptom must appear well above noise among
 	// takers of the planted medicine.
 	ex := db.MustRelation("exhibits")
-	ixSym := ex.IndexOn("Symptom")
+	ixSym := ex.Index([]int{ex.ColumnIndex("Symptom")})
 	sym190, _ := ixSym.Lookup(storage.Tuple{storage.Str("s190")}, nil)
 	s190 := len(sym190)
 	if s190 < 20 {
@@ -202,7 +202,7 @@ func TestGraphShape(t *testing.T) {
 		t.Fatal("empty graph")
 	}
 	// Hubs have high out-degree.
-	ix := arc.IndexOn("From")
+	ix := arc.Index([]int{arc.ColumnIndex("From")})
 	hubArcs, _ := ix.Lookup(storage.Tuple{storage.Int(0)}, nil)
 	hubDeg := len(hubArcs)
 	if hubDeg < cfg.HubDegree/2 {

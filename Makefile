@@ -29,13 +29,14 @@ test: vet
 test-short:
 	$(GO) test -short ./...
 
-# The full race pass covers every package: the partitioned join and
-# anti-join operators (the only users of internal/par; group-by runs
-# sequentially) are exercised with workers > cores by the *_test.go
-# worker sweeps, so any shared mutable state surfaces here.
+# The full race pass covers every package: the partitioned FILTER path
+# (in-process parts of one computation run side by side over one
+# database's dictionary and relation caches, then merge bucket by bucket)
+# is exercised with workers > cores by the *_test.go worker sweeps, so any
+# shared mutable state surfaces here.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/eval/ ./internal/storage/ ./internal/core/ ./internal/planner/
+	$(GO) test -race ./internal/eval/ ./internal/storage/ ./internal/core/ ./internal/planner/ ./internal/cluster/ ./internal/physical/
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...
@@ -50,10 +51,12 @@ bench-check:
 
 # Regenerate BENCH_pipeline.json: the streaming executor's peak buffered
 # tuples, allocation and dictionary statistics on E1/E3/E6 at the
-# canonical scale and seed. Commit the refreshed file with any executor
-# change; CI gates allocation regressions against it via benchcheck.
+# canonical scale and seed, sequential (the default worker count is the
+# host's CPU count, which would make the file depend on the host). Commit
+# the refreshed file with any executor change; CI gates allocation
+# regressions against it via benchcheck.
 bench-pipeline:
-	$(GO) run ./cmd/flockbench -exp E1,E3,E6 -scale 0.25 -seed 1998 -json \
+	$(GO) run ./cmd/flockbench -exp E1,E3,E6 -scale 0.25 -seed 1998 -workers 1 -json \
 		-pipeline-out BENCH_pipeline.json >/dev/null
 
 # Every Fuzz* target in the tree, one short coverage-guided run each; CI's

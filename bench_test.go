@@ -304,35 +304,20 @@ func BenchmarkE8_SafetyCheck(b *testing.B) {
 
 // --- Parallel execution layer ---------------------------------------------
 
-// BenchmarkParallelJoin sweeps the worker knob over the join-dominated
-// Fig. 1 word-pair flock. Workers=1 is the sequential baseline; on a
-// single-core host the other counts should sit within noise of it, and on
-// multi-core hosts they track the core count until the group-by merge and
-// index build start to bound the speedup.
+// BenchmarkParallelJoin sweeps the worker knob over the join- and
+// group-dominated Fig. 1 word-pair flock, direct strategy. Workers=1 is
+// the sequential baseline; at w > 1 the computation runs as w in-process
+// parts of the baskets relation (partitioned on the basket column), each
+// joined and grouped on its own goroutine, and their group states merge
+// bucket by bucket. The merge and the per-part restriction are the
+// sequential overhead a speed-up at w=2 has to beat; on a one-core host
+// every count sits at or above the baseline.
 func BenchmarkParallelJoin(b *testing.B) {
 	db := words(b)
 	f := paper.MarketBasket(20)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			benchFlockDirect(b, db, f, &core.EvalOptions{Workers: w})
-		})
-	}
-}
-
-// BenchmarkParallelDynamic sweeps the worker knob through the §4.4 dynamic
-// strategy end to end (joins, intermediate filters, final group-by).
-func BenchmarkParallelDynamic(b *testing.B) {
-	db := medical(b)
-	f := paper.Medical(20)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := planner.EvalDynamic(db, f, &planner.DynamicOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

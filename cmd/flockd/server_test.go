@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"queryflocks/internal/cluster"
+	"queryflocks/internal/core"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
@@ -516,7 +517,7 @@ func (w *syncWriter) String() string {
 // programs, and never fires on a single-node server.
 func TestQueryLintShardability(t *testing.T) {
 	db := basketsDB(t)
-	m, err := cluster.BuildMap(db, "baskets", 0, 2)
+	m, err := core.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}

@@ -37,7 +37,7 @@ func basketsDB(t *testing.T) *storage.Database {
 
 // spawnWorkers serves each shard's restriction of db over httptest and
 // returns the shard addresses in index order.
-func spawnWorkers(t *testing.T, db *storage.Database, m *Map) []string {
+func spawnWorkers(t *testing.T, db *storage.Database, m *core.Map) []string {
 	t.Helper()
 	addrs := make([]string, m.Shards)
 	for i := 0; i < m.Shards; i++ {
@@ -54,7 +54,7 @@ func spawnWorkers(t *testing.T, db *storage.Database, m *Map) []string {
 
 func newTestCoordinator(t *testing.T, db *storage.Database, shards int) (*Coordinator, []string) {
 	t.Helper()
-	m, err := BuildMap(db, "", 0, shards)
+	m, err := core.BuildMap(db, "", 0, shards)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -79,15 +79,15 @@ func TestParseShardBy(t *testing.T) {
 		{"baskets:x", "", 0, true},
 	}
 	for _, c := range cases {
-		rel, col, err := ParseShardBy(c.in)
+		rel, col, err := core.ParseShardBy(c.in)
 		if c.fail {
 			if err == nil {
-				t.Errorf("ParseShardBy(%q): expected error", c.in)
+				t.Errorf("core.ParseShardBy(%q): expected error", c.in)
 			}
 			continue
 		}
 		if err != nil || rel != c.rel || col != c.col {
-			t.Errorf("ParseShardBy(%q) = %q,%d,%v; want %q,%d", c.in, rel, col, err, c.rel, c.col)
+			t.Errorf("core.ParseShardBy(%q) = %q,%d,%v; want %q,%d", c.in, rel, col, err, c.rel, c.col)
 		}
 	}
 }
@@ -100,9 +100,9 @@ func TestShardMapRestrictPartitions(t *testing.T) {
 	full := db.MustRelation("baskets")
 
 	for _, shards := range []int{1, 2, 3, 4} {
-		m, err := BuildMap(db, "baskets", 0, shards)
+		m, err := core.BuildMap(db, "baskets", 0, shards)
 		if err != nil {
-			t.Fatalf("BuildMap(%d): %v", shards, err)
+			t.Fatalf("core.BuildMap(%d): %v", shards, err)
 		}
 		total := 0
 		union := storage.NewRelation("baskets", full.Columns()...)
@@ -136,15 +136,15 @@ func TestShardMapRestrictPartitions(t *testing.T) {
 
 func TestShardMapDeterministic(t *testing.T) {
 	db := basketsDB(t)
-	a, _ := BuildMap(db, "baskets", 0, 3)
-	b, _ := BuildMap(db, "baskets", 0, 3)
+	a, _ := core.BuildMap(db, "baskets", 0, 3)
+	b, _ := core.BuildMap(db, "baskets", 0, 3)
 	for v := int64(-5); v < 200; v++ {
 		if a.ShardOf(storage.Int(v)) != b.ShardOf(storage.Int(v)) {
 			t.Fatalf("ShardOf(%d) differs between identically built maps", v)
 		}
 	}
 	// Default relation selection picks the largest.
-	m, err := BuildMap(db, "", 0, 2)
+	m, err := core.BuildMap(db, "", 0, 2)
 	if err != nil || m.Rel != "baskets" {
 		t.Errorf("default shard relation = %q (%v), want baskets", m.Rel, err)
 	}
@@ -238,7 +238,7 @@ func TestIllegalShardingFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := BuildMap(db, "baskets", 1, 2)
+	m, err := core.BuildMap(db, "baskets", 1, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -312,11 +312,11 @@ func TestShardableReasons(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fl := core.MustParse(tc.flock)
-			m, err := BuildMap(db, tc.rel, tc.col, 2)
+			m, err := core.BuildMap(db, tc.rel, tc.col, 2)
 			if err != nil {
 				t.Fatalf("BuildMap: %v", err)
 			}
-			ok, reason := Shardable(m, fl.Params, fl.Query, fl.Filter)
+			ok, reason := core.Shardable(m, fl.Params, fl.Query, fl.Filter)
 			if ok != tc.ok {
 				t.Fatalf("Shardable = %v (%q), want %v", ok, reason, tc.ok)
 			}
@@ -335,7 +335,7 @@ func TestShardableReasons(t *testing.T) {
 func TestDeadShardStructuredError(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := BuildMap(db, "baskets", 0, 2)
+	m, err := core.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -367,7 +367,7 @@ func TestAllowPartialDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := BuildMap(db, "baskets", 0, 2)
+	m, err := core.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -400,7 +400,7 @@ func TestAllowPartialDegraded(t *testing.T) {
 func TestAllShardsDeadFailsEvenWhenPartialAllowed(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := BuildMap(db, "baskets", 0, 2)
+	m, err := core.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -426,7 +426,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := BuildMap(db, "baskets", 0, 1)
+	m, err := core.BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -464,7 +464,7 @@ func TestRetryThenSucceed(t *testing.T) {
 func TestVersionMismatchFailsFast(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := BuildMap(db, "baskets", 0, 1)
+	m, err := core.BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -505,7 +505,7 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 func TestScatterReusesConnections(t *testing.T) {
 	db := workload.Baskets(workload.BasketConfig{Baskets: 400, Items: 120, MeanSize: 6, Skew: 0.6, Seed: 11})
 	fl := core.MustParse(pairFlock)
-	m, err := BuildMap(db, "baskets", 0, 1)
+	m, err := core.BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}

@@ -20,10 +20,12 @@ type EvalOptions struct {
 	// Trace, when non-nil, records the streaming executor's engine steps
 	// and group statistics.
 	Trace *eval.Trace
-	// Workers is the streaming executor's worker count for its
-	// partitioned join and anti-join operators: 0 (the default) means one
-	// worker per CPU, 1 forces the sequential paths, larger values are
-	// used as given. Results are identical for every worker count.
+	// Workers is the number of in-process parts a FILTER computation
+	// runs as when the partition rule accepts it (see evalPartitioned):
+	// 0 (the default) means one per CPU, 1 (or less) sequential. The memo
+	// path, the materializing reference, disk sources and computations
+	// the rule rejects run sequentially at every count. Answers are the
+	// same set at every count, in an order fixed by the count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default) or the
 	// materializing reference (eval.ExecMaterialize). The reference always
@@ -72,8 +74,7 @@ func (o *EvalOptions) evalOpts() *eval.Options {
 	if o == nil {
 		return nil
 	}
-	return &eval.Options{Trace: o.Trace, Workers: o.Workers, Exec: o.Exec,
-		Ctx: o.Ctx, Limits: o.Limits, Gate: o.Gate}
+	return &eval.Options{Trace: o.Trace, Exec: o.Exec, Ctx: o.Ctx, Limits: o.Limits, Gate: o.Gate}
 }
 
 // gate returns the options' checkpoint (nil-safe; may itself be nil).
@@ -153,6 +154,15 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 	if opts.execMode() == eval.ExecStream {
 		if opts != nil && opts.Memo != nil {
 			return evalFilteredMemo(db, params, query, filter, name, opts, register)
+		}
+		if w := opts.partitions(); w > 1 {
+			rel, handled, err := evalPartitioned(db, params, query, filter, name, w, opts)
+			if err != nil {
+				return nil, err
+			}
+			if handled {
+				return publish(rel, register)
+			}
 		}
 		plan, err := compileFiltered(db, params, query, filter, name, register)
 		if err != nil {

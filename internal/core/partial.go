@@ -11,11 +11,11 @@ import (
 // through — the filter verdict: the same scan → join → project → group
 // pipeline the direct strategy runs, whose group operator exports every
 // parameter group's partial state instead of deciding it. This is the
-// worker half of the cluster's scatter/gather; the coordinator folds the
-// shards' states back together with physical.MergeGroupStates. The
-// contract mirrors the worker-count invariant: merging the states of a
-// disjoint partition of the input, in any grouping of parts, yields
-// exactly the single-node answer. additive says the partition is also
+// part half of every partitioned computation — an in-process part of
+// evalPartitioned, or a cluster worker shard — whose states MergeParts
+// folds back together. The contract: merging the states of a disjoint
+// partition of the input, in any grouping of parts, yields exactly the
+// single-node answer set. additive says the partition is also
 // disjoint on the column a COUNT-distinct counts (see
 // physical.StateCount).
 func EvalPartialGroups(db *storage.Database, params []datalog.Param, query datalog.Union,

@@ -39,9 +39,9 @@ func (r *PlanResult) String() string {
 // result is registered (under the step's name) in a scratch copy of the
 // database so later steps can reference it; the final step's result is the
 // flock's answer. The plan must be valid (NewPlan validates; hand-built
-// plans should call Validate first). opts.Workers flows into every step:
-// each step's joins, anti-joins, and group-by run on the configured
-// partitioned operators, with identical results for any worker count.
+// plans should call Validate first). opts.Workers applies to every step:
+// a step the partition rule accepts runs as that many in-process parts
+// (see evalPartitioned), with the same step relation for any count.
 func (p *Plan) Execute(db *storage.Database, opts *EvalOptions) (*PlanResult, error) {
 	if err := p.Flock.CheckDatabase(db); err != nil {
 		return nil, err

@@ -52,15 +52,9 @@ type Options struct {
 	// Trace, when non-nil, records every operator application of the
 	// streaming executor.
 	Trace *Trace
-	// Workers is the streaming executor's worker count for its
-	// partitioned join and anti-join operators: 0 (the default) means one
-	// worker per CPU, 1 forces the sequential paths, larger values are
-	// used as given. Results are identical for every worker count.
-	Workers int
 	// Exec selects the streaming physical-plan executor (default) or the
-	// materializing reference (ExecMaterialize), which always runs
-	// sequentially and untraced, whatever Workers and Trace say. Answers
-	// are identical.
+	// materializing reference (ExecMaterialize), which runs untraced,
+	// whatever Trace says. Answers are identical.
 	Exec ExecMode
 	// Ctx, when non-nil, cancels the evaluation cooperatively: both
 	// executors observe it at batch/relation boundaries and abort with
@@ -128,8 +122,8 @@ func EvalRule(db *storage.Database, r *datalog.Rule, out []datalog.Term, opts *O
 }
 
 // RunPlan executes a compiled physical plan against db — either storage
-// engine — under the options' worker knob, recording operator events into
-// the trace. A nil opts uses the defaults.
+// engine — recording operator events into the trace. A nil opts uses the
+// defaults.
 func RunPlan(db *storage.Database, plan *physical.Plan, opts *Options) (*storage.Relation, error) {
 	return plan.Run(opts.orDefault().physCtx(db))
 }
@@ -148,7 +142,7 @@ func ExportGroups(db *storage.Database, plan *physical.Plan, additive bool, opts
 }
 
 func (o Options) physCtx(db *storage.Database) *physical.Ctx {
-	return &physical.Ctx{DB: db, Workers: o.Workers, Col: o.Trace.Collector(), Gate: o.gate()}
+	return &physical.Ctx{DB: db, Col: o.Trace.Collector(), Gate: o.gate()}
 }
 
 // evalRuleMaterialized is the relation-at-a-time reference path

@@ -4,10 +4,10 @@
 // eager application of arithmetic comparisons.
 //
 // EvalRule/EvalUnion evaluate a whole query under a join-order strategy;
-// by default they compile it to an internal/physical plan, which takes
-// the Workers knob. The executor in this file is the materializing
-// reference (ExecMaterialize): it joins one atom at a time into a boxed
-// binding relation, always sequentially and untraced.
+// by default they compile it to an internal/physical plan and stream it.
+// The executor in this file is the materializing reference
+// (ExecMaterialize): it joins one atom at a time into a boxed binding
+// relation, untraced.
 package eval
 
 import (

@@ -10,7 +10,7 @@ import (
 // It is a thin adapter over an obs.Collector: the engine records typed
 // obs.Events (operator kind, rows in/out, workers, wall time), read back
 // through Events or aggregated by Report. Recording is safe from
-// concurrent operator workers.
+// concurrent goroutines.
 type Trace struct {
 	mu sync.Mutex
 	c  *obs.Collector

@@ -61,7 +61,7 @@ func E10(cfg Config) (*Table, error) {
 		}
 		model := est.SurvivorFraction(c.sub, c.params, support)
 		sampled, err := est.SampledSurvivorFraction(c.sub, c.params, support,
-			&planner.SampleOptions{Fraction: 0.3, Seed: cfg.Seed, Workers: cfg.Workers})
+			&planner.SampleOptions{Fraction: 0.3, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("E10 %s: %w", c.name, err)
 		}

@@ -120,9 +120,10 @@ type Config struct {
 	Scale float64
 	// Seed drives every generator.
 	Seed int64
-	// Workers is the join/anti-join worker count for every strategy under
-	// test (0 = one per CPU, 1 = sequential). Answers are identical for
-	// every worker count.
+	// Workers is core.EvalOptions.Workers for every strategy under test:
+	// the in-process parts of each partitionable FILTER computation (0 =
+	// one per CPU, 1 = sequential). Answers are the same set at every
+	// count.
 	Workers int
 	// Metrics enables per-operator observability collection: instrumented
 	// experiments attach one obs.RunReport per strategy run to the table

@@ -46,9 +46,9 @@ func ruleMapOrder(a *analyzer) {
 
 // DL003 — fan-in merge order. Collecting goroutine results by draining a
 // channel appends in arrival order, which varies with scheduling; merged
-// answers must instead be placed by worker/shard index (par.Run bodies,
-// cluster.Scatter results) so per-chunk results concatenate in a
-// deterministic order. Exempt when the gathered slice is sorted
+// answers must instead be placed by part/shard index (the goroutines of
+// core's partitioned FILTER path, cluster.Scatter results) so per-part
+// results merge in a deterministic order. Exempt when the gathered slice is sorted
 // afterwards in the same function.
 func ruleMergeOrder(a *analyzer) {
 	if !matchPkg(a.cfg.DeterministicPkgs, a.pkg.Path) {

@@ -83,7 +83,9 @@ type Event struct {
 	Groups int `json:"groups,omitempty"`
 	// Absorbed counts pending subgoals folded into this operator's scan.
 	Absorbed int `json:"absorbed,omitempty"`
-	// Workers is the worker count the operator actually ran with.
+	// Workers is 1 for an operator (one plan run is one goroutine) and,
+	// on a merged group event, the number of parts — in-process or shards
+	// — it merged.
 	Workers int `json:"workers,omitempty"`
 	// Wall is the operator's wall-clock time in nanoseconds.
 	Wall time.Duration `json:"wall_ns,omitempty"`
@@ -184,8 +186,10 @@ func (e Event) cardinalities() string {
 }
 
 // Collector accumulates events. Recording is safe from concurrent
-// goroutines (partitioned operator workers, scattered shard calls); event
-// order across them is then nondeterministic. All methods are nil-safe so producers can hold a
+// goroutines (scattered shard calls, the parts of a partitioned
+// computation, each of which records into its own collector that Absorb
+// folds in part order); event order across concurrent producers is then
+// nondeterministic. All methods are nil-safe so producers can hold a
 // possibly-nil *Collector and call it unconditionally on cold paths; hot
 // paths still guard with a nil check to skip argument construction.
 type Collector struct {
@@ -281,6 +285,33 @@ func (c *Collector) ObserveStorage(segments, deltaRows, bytes uint64) {
 		c.storageBytes = bytes
 	}
 	c.mu.Unlock()
+}
+
+// Absorb folds in the collectors of the parts of one partitioned
+// computation, which ran side by side: their events are appended part by
+// part, their peaks are observed as one sum, and their dictionary and
+// storage counters max-merge. Nil-safe, and nil parts are skipped.
+func (c *Collector) Absorb(parts []*Collector) {
+	if c == nil {
+		return
+	}
+	peak := 0
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for _, e := range p.Events() {
+			c.Record(e)
+		}
+		p.mu.Lock()
+		peak += p.peak
+		dict, hits, misses := p.dictSize, p.internHits, p.internMisses
+		segments, deltaRows, bytes := p.segmentsOpened, p.deltaRows, p.storageBytes
+		p.mu.Unlock()
+		c.ObserveDict(dict, hits, misses)
+		c.ObserveStorage(segments, deltaRows, bytes)
+	}
+	c.ObservePeak(peak)
 }
 
 // Events returns a snapshot of the recorded events.

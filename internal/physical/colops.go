@@ -7,7 +7,6 @@ import (
 
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/obs"
-	"queryflocks/internal/par"
 	"queryflocks/internal/storage"
 )
 
@@ -132,72 +131,67 @@ func (c idCompare) holds(a, b uint32) bool {
 // columns) and bt the base-relation row index.
 type colCheck func(cur []uint32, bt int) bool
 
-// boundCheck is a Check resolved against one execution's catalog: the ID
-// set a membership check probes and the IDs of its constant arguments.
-// Resolving per execution (not on the shared plan node) lets one compiled
-// plan run concurrently against different database snapshots.
-type boundCheck struct {
-	*Check
-	set      *storage.IDTable
-	constIDs []uint32
-	absent   bool // a constant argument is in no stored relation: never a member
-}
-
-// bindChecks resolves the checks absorbed into one operator at its open.
-func bindChecks(ctx *Ctx, checks []*Check) ([]boundCheck, error) {
+// openChecks resolves the checks absorbed into one operator at its open
+// against this execution's catalog — the ID set a membership check probes
+// and the IDs of its constant arguments — into executable form over the
+// operator's base columns. Resolving per execution (not on the shared plan
+// node) lets one compiled plan run concurrently against different
+// database snapshots.
+func openChecks(ctx *Ctx, checks []*Check, baseCols [][]uint32) ([]colCheck, error) {
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	out := make([]boundCheck, len(checks))
+	out := make([]colCheck, len(checks))
 	for i, c := range checks {
-		out[i].Check = c
 		if c.kind == checkCmp {
+			out[i] = compareCheck(c, ctx.dict, baseCols)
 			continue
 		}
 		src, err := openSource(ctx, c.pred, c.desc, len(c.args))
 		if err != nil {
 			return nil, err
 		}
-		if out[i].set, err = src.IDSet(ctx.dict, ctx.Gate.Check); err != nil {
+		set, err := src.IDSet(ctx.dict, ctx.Gate.Check)
+		if err != nil {
 			return nil, fmt.Errorf("physical: %w", err)
 		}
-		out[i].constIDs = make([]uint32, len(c.args))
-		for j, a := range c.args {
-			if a.src != srcConst {
-				continue
-			}
-			id, ok := ctx.dict.Lookup(a.val)
-			if !ok {
-				out[i].absent = true
-			}
-			out[i].constIDs[j] = id
-		}
+		out[i] = memberCheck(c, ctx.dict, set, baseCols)
 	}
 	return out, nil
 }
 
-// instantiate returns one worker's private check. Membership checks own
-// their probe buffer and comparisons their decoder, so concurrent workers
-// never share mutable state.
-func (c *boundCheck) instantiate(dict *storage.Dict, baseCols [][]uint32) colCheck {
-	if c.kind == checkCmp {
-		l, r := c.left, c.right
-		if l.src != srcConst && r.src != srcConst {
-			ck := newIDCompare(c.op, dict)
-			return func(cur []uint32, bt int) bool {
-				return ck.holds(l.colID(cur, baseCols, bt), r.colID(cur, baseCols, bt))
-			}
-		}
-		op, dec := c.op, newDecoder(dict)
+// compareCheck is an absorbed comparison: on IDs when both sides are
+// columns, on decoded values against a constant.
+func compareCheck(c *Check, dict *storage.Dict, baseCols [][]uint32) colCheck {
+	l, r := c.left, c.right
+	if l.src != srcConst && r.src != srcConst {
+		ck := newIDCompare(c.op, dict)
 		return func(cur []uint32, bt int) bool {
-			return op.Eval(l.colValue(dec, cur, baseCols, bt), r.colValue(dec, cur, baseCols, bt))
+			return ck.holds(l.colID(cur, baseCols, bt), r.colID(cur, baseCols, bt))
 		}
 	}
-	want := c.kind == checkMember
-	if c.absent {
-		return func([]uint32, int) bool { return !want }
+	op, dec := c.op, newDecoder(dict)
+	return func(cur []uint32, bt int) bool {
+		return op.Eval(l.colValue(dec, cur, baseCols, bt), r.colValue(dec, cur, baseCols, bt))
 	}
-	args, constIDs, set := c.args, c.constIDs, c.set
+}
+
+// memberCheck is an absorbed semi-join (or, negated, anti-join) probe of
+// set. A constant argument in no stored relation is never a member.
+func memberCheck(c *Check, dict *storage.Dict, set *storage.IDTable, baseCols [][]uint32) colCheck {
+	want := c.kind == checkMember
+	args := c.args
+	constIDs := make([]uint32, len(args))
+	for j, a := range args {
+		if a.src != srcConst {
+			continue
+		}
+		id, ok := dict.Lookup(a.val)
+		if !ok {
+			return func([]uint32, int) bool { return !want }
+		}
+		constIDs[j] = id
+	}
 	probe := make([]uint32, len(args))
 	return func(cur []uint32, bt int) bool {
 		for i, a := range args {
@@ -212,17 +206,6 @@ func (c *boundCheck) instantiate(dict *storage.Dict, baseCols [][]uint32) colChe
 		}
 		return (set.Find(probe) >= 0) == want
 	}
-}
-
-func instantiateAll(checks []boundCheck, dict *storage.Dict, baseCols [][]uint32) []colCheck {
-	if len(checks) == 0 {
-		return nil
-	}
-	out := make([]colCheck, len(checks))
-	for i := range checks {
-		out[i] = checks[i].instantiate(dict, baseCols)
-	}
-	return out
 }
 
 // openSource resolves an atom's base relation at operator open.
@@ -342,15 +325,13 @@ func (o *colScanOp) open(ctx *Ctx) error {
 		start := time.Now()
 		defer func() { o.wall += time.Since(start) }()
 	}
-	bound, err := bindChecks(ctx, o.n.checks)
-	if err != nil {
-		return err
-	}
 	if o.baseCols, err = src.InternedColumns(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
 	}
+	if o.checks, err = openChecks(ctx, o.n.checks, o.baseCols); err != nil {
+		return err
+	}
 	o.rows = src.Len()
-	o.checks = instantiateAll(bound, ctx.dict, o.baseCols)
 	o.constIDs, o.live = lookupConsts(ctx.dict, o.n.consts)
 	return nil
 }
@@ -444,19 +425,18 @@ type colJoinOp struct {
 	idx       *storage.IDIndex
 	constIDs  []uint32
 	live      bool
-	bound     []boundCheck
 	checks    []colCheck
 	pending   colBatch
-	// outCols and sel are the sequential probe's output columns and row
-	// pairs, emptied and reused for every input batch: a consumer that
-	// asks for the next batch is done with the chunks of the last one.
-	outCols [][]uint32
-	sel     joinSel
+	// outCols and selCur/selBase are the probe's output columns and
+	// surviving (binding row, base row) pairs, emptied and reused for every
+	// input batch: a consumer that asks for the next batch is done with the
+	// chunks of the last one.
+	outCols         [][]uint32
+	selCur, selBase []int32
 
 	buildWall time.Duration
 	rowsIn    int
 	rowsOut   int
-	used      int
 	batches   int
 	wall      time.Duration
 }
@@ -469,16 +449,15 @@ func (o *colJoinOp) open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	o.used = 1
 	var start time.Time
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	if o.bound, err = bindChecks(ctx, o.n.checks); err != nil {
-		return err
-	}
 	if o.baseCols, err = src.InternedColumns(ctx.dict, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
+	}
+	if o.checks, err = openChecks(ctx, o.n.checks, o.baseCols); err != nil {
+		return err
 	}
 	if o.idx, err = src.IDIndex(ctx.dict, o.n.Input.idxCols, ctx.Gate.Check); err != nil {
 		return fmt.Errorf("physical: %w", err)
@@ -487,33 +466,26 @@ func (o *colJoinOp) open(ctx *Ctx) error {
 	if ctx.Col != nil {
 		o.buildWall = time.Since(start)
 	}
-	o.checks = instantiateAll(o.bound, ctx.dict, o.baseCols)
 	o.constIDs, o.live = lookupConsts(ctx.dict, o.n.consts)
 	o.outCols = make([][]uint32, len(o.n.cols))
 	return nil
 }
 
-// joinSel is one probe's surviving (binding row, base row) pairs in
-// emission order, before their columns are gathered.
-type joinSel struct{ cur, base []int32 }
-
-// probe scans binding rows [lo, hi) against the ID index and emits
-// surviving joined rows: first the surviving row pairs into sel, then the
-// output one column at a time over out's columns, whose capacity it
-// reuses and whose contents it overwrites. Callers supply private checks,
-// sel and out; all other state is read-only, so concurrent probes never
-// share mutable state. Output order: binding rows in order, matches in
-// base insertion order.
-func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck, sel *joinSel, out colBatch) colBatch {
-	n := o.n
+// probe scans the binding rows of batch against the ID index and emits
+// the surviving joined rows: first the surviving row pairs, then the
+// output one column at a time over o.outCols, whose capacity it reuses
+// and whose contents it overwrites. Output order: binding rows in order,
+// matches in base insertion order.
+func (o *colJoinOp) probe(batch colBatch) colBatch {
+	n, cks := o.n, o.checks
 	ids := make([]uint32, len(o.constIDs)+len(n.probeCur))
 	copy(ids, o.constIDs)
 	var cur []uint32
 	if len(cks) > 0 {
 		cur = make([]uint32, len(batch.cols))
 	}
-	selCur, selBase := sel.cur[:0], sel.base[:0]
-	for i := lo; i < hi; i++ {
+	selCur, selBase := o.selCur[:0], o.selBase[:0]
+	for i := 0; i < batch.n; i++ {
 		for k, p := range n.probeCur {
 			ids[len(o.constIDs)+k] = batch.cols[p][i]
 		}
@@ -538,8 +510,8 @@ func (o *colJoinOp) probe(batch colBatch, lo, hi int, cks []colCheck, sel *joinS
 			selBase = append(selBase, r)
 		}
 	}
-	sel.cur, sel.base = selCur, selBase
-	out.n = len(selCur)
+	o.selCur, o.selBase = selCur, selBase
+	out := colBatch{n: len(selCur), cols: o.outCols}
 	width := len(batch.cols)
 	for c := range out.cols {
 		col := out.cols[c]
@@ -586,40 +558,10 @@ func (o *colJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if !o.live {
 		out = newColBatch(len(o.n.cols))
 	} else {
-		w := par.Resolve(ctx.Workers)
-		if batch.n < minParallelRows {
-			w = 1
-		}
-		if w <= 1 {
-			out = o.probe(batch, 0, batch.n, o.checks, &o.sel, colBatch{cols: o.outCols})
-			// The pending batch gets column headers of its own: emitChunk
-			// advances them, and outCols must keep the columns whole.
-			out.cols = append([][]uint32(nil), out.cols...)
-		} else {
-			// Range-partitioned probe: per-worker outputs concatenated in
-			// worker order reproduce the sequential emission order exactly.
-			outs := make([]colBatch, par.Chunks(batch.n, w))
-			par.Run(batch.n, w, func(wi, lo, hi int) {
-				outs[wi] = o.probe(batch, lo, hi, instantiateAll(o.bound, ctx.dict, o.baseCols), new(joinSel), newColBatch(len(o.n.cols)))
-			})
-			total := 0
-			for _, part := range outs {
-				total += part.n
-			}
-			out = newColBatch(len(o.n.cols))
-			for c := range out.cols {
-				out.cols[c] = make([]uint32, 0, total)
-			}
-			for _, part := range outs {
-				for c := range part.cols {
-					out.cols[c] = append(out.cols[c], part.cols[c]...)
-				}
-				out.n += part.n
-			}
-			if w > o.used {
-				o.used = w
-			}
-		}
+		out = o.probe(batch)
+		// The pending batch gets column headers of its own: emitChunk
+		// advances them, and outCols must keep the columns whole.
+		out.cols = append([][]uint32(nil), out.cols...)
 	}
 	o.rowsIn += batch.n
 	o.rowsOut += out.n
@@ -656,7 +598,7 @@ func (o *colJoinOp) close(ctx *Ctx) {
 	record(ctx, obs.Event{
 		Op: obs.OpJoin, ID: o.id, Desc: o.n.atom,
 		RowsIn: o.rowsIn, RowsOut: o.rowsOut,
-		Absorbed: len(o.n.checks), Workers: o.used, Wall: o.wall,
+		Absorbed: len(o.n.checks), Workers: 1, Wall: o.wall,
 		IDBatches: o.batches,
 	})
 }
@@ -674,9 +616,9 @@ type colAntiJoinOp struct {
 
 	rowsIn  int
 	rowsOut int
-	used    int
 	batches int
 	wall    time.Duration
+	ids     []uint32 // filter's probe key
 }
 
 func (o *colAntiJoinOp) open(ctx *Ctx) error {
@@ -697,8 +639,8 @@ func (o *colAntiJoinOp) open(ctx *Ctx) error {
 	if ctx.Col != nil {
 		o.wall = time.Since(start)
 	}
-	o.used = 1
 	o.live = true
+	o.ids = make([]uint32, o.n.arity)
 	o.constIDs = make([]uint32, len(o.n.srcPos))
 	for j, p := range o.n.srcPos {
 		if p >= 0 {
@@ -713,12 +655,12 @@ func (o *colAntiJoinOp) open(ctx *Ctx) error {
 	return nil
 }
 
-// filter keeps the binding rows of [lo, hi) whose negated-atom key is
-// NOT in the base relation's ID set.
-func (o *colAntiJoinOp) filter(batch colBatch, lo, hi int, ids []uint32) colBatch {
-	n := o.n
+// filter keeps the binding rows of batch whose negated-atom key is NOT in
+// the base relation's ID set.
+func (o *colAntiJoinOp) filter(batch colBatch) colBatch {
+	n, ids := o.n, o.ids
 	out := newColBatch(len(batch.cols))
-	for i := lo; i < hi; i++ {
+	for i := 0; i < batch.n; i++ {
 		if o.live {
 			for j, p := range n.srcPos {
 				if p < 0 {
@@ -748,29 +690,7 @@ func (o *colAntiJoinOp) next(ctx *Ctx) (colBatch, bool, error) {
 	if ctx.Col != nil {
 		start = time.Now()
 	}
-	w := par.Resolve(ctx.Workers)
-	if batch.n < minParallelRows {
-		w = 1
-	}
-	var out colBatch
-	if w <= 1 {
-		out = o.filter(batch, 0, batch.n, make([]uint32, o.n.arity))
-	} else {
-		outs := make([]colBatch, par.Chunks(batch.n, w))
-		par.Run(batch.n, w, func(wi, lo, hi int) {
-			outs[wi] = o.filter(batch, lo, hi, make([]uint32, o.n.arity))
-		})
-		out = newColBatch(len(batch.cols))
-		for _, part := range outs {
-			for c := range part.cols {
-				out.cols[c] = append(out.cols[c], part.cols[c]...)
-			}
-			out.n += part.n
-		}
-		if w > o.used {
-			o.used = w
-		}
-	}
+	out := o.filter(batch)
 	o.rowsIn += batch.n
 	o.rowsOut += out.n
 	o.batches++
@@ -784,7 +704,7 @@ func (o *colAntiJoinOp) close(ctx *Ctx) {
 	o.input.close(ctx)
 	record(ctx, obs.Event{
 		Op: obs.OpAntiJoin, ID: o.id, Desc: o.n.atom,
-		RowsIn: o.rowsIn, RowsOut: o.rowsOut, Workers: o.used, Wall: o.wall,
+		RowsIn: o.rowsIn, RowsOut: o.rowsOut, Workers: 1, Wall: o.wall,
 		IDBatches: o.batches,
 	})
 }

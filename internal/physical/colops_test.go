@@ -34,11 +34,9 @@ func TestRuleShapesPinned(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			r := mustRule(t, c.rule)
-			for _, w := range []int{1, 2, 8} {
-				got := compileRun(t, db, r, c.order, w)
-				if s := fmt.Sprint(got.Tuples()); s != c.want {
-					t.Fatalf("workers=%d answer %s, want %s", w, s, c.want)
-				}
+			got := compileRun(t, db, r, c.order)
+			if s := fmt.Sprint(got.Tuples()); s != c.want {
+				t.Fatalf("answer %s, want %s", s, c.want)
 			}
 		})
 	}
@@ -65,7 +63,7 @@ func TestMissingConstant(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		got := compileRun(t, db, r, order, 1)
+		got := compileRun(t, db, r, order)
 		if s := fmt.Sprint(got.Tuples()); s != c.want {
 			t.Fatalf("%s: answer %s, want %s", c.rule, s, c.want)
 		}
@@ -88,7 +86,7 @@ func TestCrossKindDup(t *testing.T) {
 	e.InsertValues(storage.Int(2), storage.Int(2))
 	e.InsertValues(storage.Int(3), storage.Int(4))
 	db.Add(e)
-	got := compileRun(t, db, mustRule(t, "answer(X) :- e(X,X)"), []int{0}, 1)
+	got := compileRun(t, db, mustRule(t, "answer(X) :- e(X,X)"), []int{0})
 	if s := fmt.Sprint(got.Tuples()); s != "[(1) (2)]" {
 		t.Fatalf("want the Int(1)/Float(1) and Int(2) rows, got %s", s)
 	}
@@ -141,7 +139,7 @@ func TestIDCompareAcrossOrderedBoundary(t *testing.T) {
 		scan := &ScanNode{Pred: "p", atom: "p(X,Y)", arity: 2, newPos: []int{0, 1}, cols: []string{"X", "Y"}}
 		sel := &SelectNode{Probe: scan, desc: "X " + op.String() + " Y", op: op,
 			left: argRef{src: srcCur, pos: 0}, right: argRef{src: srcCur, pos: 1}, cols: scan.cols}
-		got, err := NewPlan(NewMaterialize("answer", sel, nil)).Run(&Ctx{DB: withP, Workers: 1})
+		got, err := NewPlan(NewMaterialize("answer", sel, nil)).Run(&Ctx{DB: withP})
 		if err != nil {
 			t.Fatal(err)
 		}

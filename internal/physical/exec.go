@@ -8,13 +8,9 @@ import (
 )
 
 // batchSize is the number of binding tuples pulled per Next call. Large
-// enough to amortize per-batch overhead and give the partitioned join
-// workers useful chunks, small enough that in-flight batches stay cheap.
+// enough to amortize per-batch overhead, small enough that in-flight
+// batches stay cheap.
 const batchSize = 1024
-
-// minParallelRows is the probe-batch size below which the partitioned
-// operators stay sequential, where goroutine startup dominates.
-const minParallelRows = 256
 
 // Ctx carries one execution's environment and its high-water gauge of
 // tuples buffered in pipeline-breaker state (group maps, materialized
@@ -23,9 +19,6 @@ const minParallelRows = 256
 type Ctx struct {
 	// DB resolves base relations at operator open.
 	DB *storage.Database
-	// Workers is the partitioned-operator worker knob (0 = one per CPU,
-	// 1 = sequential). Answers are identical at every worker count.
-	Workers int
 	// Col, when non-nil, receives one typed event per operator.
 	Col *obs.Collector
 	// Gate, when non-nil, is the evaluation's cancellation and budget
@@ -46,9 +39,19 @@ type Ctx struct {
 func (c *Ctx) track(delta int) {
 	c.buffered += delta
 	if c.buffered > c.peak {
-		c.peak = c.buffered
-		c.Gate.NoteLive(c.buffered)
+		c.grow()
 	}
+}
+
+// grow records a new high-water reading and charges it to the tuple
+// budget — on a Pooled gate, as growth of the sum of the runs' peaks.
+func (c *Ctx) grow() {
+	peak := c.buffered
+	if c.Gate != nil && c.Gate.pool != nil {
+		peak = int(c.Gate.pool.Add(int64(c.buffered - c.peak)))
+	}
+	c.peak = c.buffered
+	c.Gate.NoteLive(peak)
 }
 
 // record sends one event if collection is on.

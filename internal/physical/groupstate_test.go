@@ -57,7 +57,7 @@ func groupPlan(t *testing.T, db *storage.Database, agg Aggregate) *GroupNode {
 func verdicts(t *testing.T, rows []row, agg Aggregate) *storage.Relation {
 	t.Helper()
 	db := rowsDB(rows)
-	rel, err := NewPlan(NewMaterialize("g", groupPlan(t, db, agg), nil)).Run(&Ctx{DB: db, Workers: 1})
+	rel, err := NewPlan(NewMaterialize("g", groupPlan(t, db, agg), nil)).Run(&Ctx{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func verdicts(t *testing.T, rows []row, agg Aggregate) *storage.Relation {
 func export(t *testing.T, rows []row, agg Aggregate, additive bool) *GroupStates {
 	t.Helper()
 	db := rowsDB(rows)
-	st, err := NewPlan(groupPlan(t, db, agg)).ExportGroups(&Ctx{DB: db, Workers: 1}, additive)
+	st, err := NewPlan(groupPlan(t, db, agg)).ExportGroups(&Ctx{DB: db}, additive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,4 +204,18 @@ func TestUnboxedVerdictTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergePanicReachesCaller: the buckets merge on goroutines of their
+// own, and a panic there (here an unsound part whose parameter indexes
+// past its literals) must surface on the caller's goroutine, where the
+// serving layer's recovery turns it into a 500, not kill the process.
+func TestMergePanicReachesCaller(t *testing.T) {
+	bad := &GroupStates{Kind: StateCount, Params: [][]uint32{{5}}, Done: []bool{false}, Count: []int64{1}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic reached the caller")
+		}
+	}()
+	MergeGroupStates(testAggs()["count-star"], false, "g", []string{"P"}, []*GroupStates{bad, bad})
 }

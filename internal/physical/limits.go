@@ -53,12 +53,15 @@ func (l Limits) Zero() bool { return l.Wall == 0 && l.MaxTuples == 0 && l.MaxRow
 // violation. Create one per query (NewGate) and share it across every
 // step, rule, and operator of that query. All methods are nil-safe —
 // a nil *Gate is a free, always-open checkpoint — and safe for
-// concurrent use (partitioned operator workers share one gate). A Gate value is a view: WithoutOutputCap derives views
+// concurrent use (the parts of a partitioned computation share one
+// gate). A Gate value is a view: WithoutOutputCap and Pooled derive views
 // with different enforcement scope over the same shared clock and
 // budget state.
 type Gate struct {
 	state  *gateState
 	limits Limits
+	// pool, on a Pooled view, sums the peaks of the runs charging it.
+	pool *atomic.Int64
 }
 
 // gateState is the part of a Gate shared by every derived view.
@@ -106,9 +109,22 @@ func (g *Gate) WithoutOutputCap() *Gate {
 	if g == nil || g.limits.MaxRows == 0 {
 		return g
 	}
-	c := &Gate{state: g.state, limits: g.limits}
+	c := *g
 	c.limits.MaxRows = 0
-	return c
+	return &c
+}
+
+// Pooled returns a view of the gate for the concurrent runs of one
+// partitioned computation: each run charges its own peak of live tuples
+// to one shared sum, which the tuple budget checks, so a breach that only
+// the runs together cross still aborts. Nil-safe.
+func (g *Gate) Pooled() *Gate {
+	if g == nil {
+		return nil
+	}
+	c := *g
+	c.pool = new(atomic.Int64)
+	return &c
 }
 
 // Check reports the first cancellation or budget violation: a noted
@@ -140,9 +156,13 @@ func (g *Gate) Check() error {
 // tuple budget; a breach latches as the sticky error the next Check
 // returns. Nil-safe and safe for concurrent callers (first breach wins).
 func (g *Gate) NoteLive(n int) {
-	if g == nil || g.limits.MaxTuples <= 0 || n <= g.limits.MaxTuples {
-		return
+	if g != nil && g.limits.MaxTuples > 0 && n > g.limits.MaxTuples {
+		g.breach(n)
 	}
+}
+
+// breach latches a tuple-budget violation of n live tuples.
+func (g *Gate) breach(n int) {
 	err := fmt.Errorf("%w: %d live intermediate tuples exceed the limit of %d",
 		ErrBudgetExceeded, n, g.limits.MaxTuples)
 	g.state.budgetErr.CompareAndSwap(nil, &err)

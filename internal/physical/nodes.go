@@ -113,10 +113,8 @@ func (n *BuildNode) Desc() string {
 }
 
 // JoinNode hash-joins the streamed bindings against a base relation,
-// with absorbed checks applied before joined rows are emitted. Probe
-// batches are range-partitioned across workers; per-worker outputs are
-// concatenated in worker order, so the output order is identical at
-// every worker count.
+// with absorbed checks applied before joined rows are emitted, binding
+// rows in order and each row's matches in base insertion order.
 type JoinNode struct {
 	Input *BuildNode // build side, listed first in Inputs
 	Probe Node       // streamed binding side

@@ -9,9 +9,10 @@
 // dynamic strategy's decision barriers (where its "filter now?" policy
 // observes cardinalities).
 //
-// The compiled plans reproduce eval's materializing executor exactly:
-// identical answers (including tuple order at the materialization
-// points) at every worker count.
+// The compiled plans reproduce eval's materializing executor's answers.
+// One plan run is one goroutine; a FILTER computation runs in parallel as
+// several runs over parts of its input (core's partitioned path), which
+// is why a run shares nothing mutable with another run of the same plan.
 package physical
 
 import (

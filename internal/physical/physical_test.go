@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"queryflocks/internal/datalog"
@@ -44,14 +45,14 @@ func mustRule(t *testing.T, src string) *datalog.Rule {
 
 // compileRun compiles the rule over the given join order and runs the
 // plan to a materialized answer.
-func compileRun(t *testing.T, db *storage.Database, r *datalog.Rule, order []int, workers int) *storage.Relation {
+func compileRun(t *testing.T, db *storage.Database, r *datalog.Rule, order []int) *storage.Relation {
 	t.Helper()
 	node, err := CompileRule(db, r, RuleOpts{Order: order, Out: r.Head.Args, Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := NewPlan(NewMaterialize("answer", node, nil))
-	rel, err := plan.Run(&Ctx{DB: db, Workers: workers})
+	rel, err := plan.Run(&Ctx{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func compileRun(t *testing.T, db *storage.Database, r *datalog.Rule, order []int
 func TestCompileRuleJoinChain(t *testing.T) {
 	db := testDB()
 	r := mustRule(t, "answer(X,Z) :- e(X,Y) AND e(Y,Z)")
-	got := compileRun(t, db, r, []int{0, 1}, 1)
+	got := compileRun(t, db, r, []int{0, 1})
 	want := storage.NewRelation("answer", "X", "Z")
 	// Two-step paths over the edge set above.
 	for _, p := range [][2]int64{{1, 3}, {1, 4}, {2, 4}, {2, 1}, {3, 1}, {4, 2}, {4, 3}} {
@@ -75,7 +76,7 @@ func TestCompileRuleJoinChain(t *testing.T) {
 func TestCompileRuleNegationAndComparison(t *testing.T) {
 	db := testDB()
 	r := mustRule(t, "answer(X,Y) :- e(X,Y) AND NOT blocked(Y) AND X < Y")
-	got := compileRun(t, db, r, []int{0}, 1)
+	got := compileRun(t, db, r, []int{0})
 	want := storage.NewRelation("answer", "X", "Y")
 	for _, p := range [][2]int64{{1, 2}, {1, 3}, {2, 3}} {
 		want.InsertValues(storage.Int(p[0]), storage.Int(p[1]))
@@ -85,19 +86,54 @@ func TestCompileRuleNegationAndComparison(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance checks the core parallelism contract: the
-// materialized answer is identical — including tuple order — at every
-// worker count.
+// TestWorkerCountInvariance checks what the in-process partitions of a
+// FILTER computation rely on: w concurrent runs of one compiled plan over
+// one database, which share its dictionary and relation caches, each
+// produce the sequential run's answer tuple for tuple. Run under -race.
 func TestWorkerCountInvariance(t *testing.T) {
 	db := testDB()
 	r := mustRule(t, "answer(X,Z) :- e(X,Y) AND e(Y,Z) AND l(Z,L) AND NOT blocked(Z)")
-	base := compileRun(t, db, r, []int{0, 1, 2}, 1)
+	node, err := CompileRule(db, r, RuleOpts{Order: []int{0, 1, 2}, Out: r.Head.Args, Dedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPlan(NewMaterialize("answer", node, nil))
+	base := compileRun(t, db, r, []int{0, 1, 2})
 	for _, w := range []int{2, 3, 8} {
-		got := compileRun(t, db, r, []int{0, 1, 2}, w)
-		if got.Dump() != base.Dump() {
-			t.Fatalf("workers=%d answer order differs\ngot:\n%s\nwant:\n%s", w, got.Dump(), base.Dump())
+		got := make([]*storage.Relation, w)
+		errs := make([]error, w)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = plan.Run(&Ctx{DB: db.Clone()})
+			}(i)
+		}
+		wg.Wait()
+		for i, rel := range got {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d run %d: %v", w, i, errs[i])
+			}
+			if !sameOrder(rel, base) {
+				t.Fatalf("workers=%d run %d: answer differs\ngot:\n%s\nwant:\n%s", w, i, rel.Dump(), base.Dump())
+			}
 		}
 	}
+}
+
+// sameOrder reports whether two relations hold equal tuples in the same
+// order.
+func sameOrder(a, b *storage.Relation) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i, t := range a.Tuples() {
+		if !t.Equal(b.Tuples()[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestUnionArityMismatch(t *testing.T) {
@@ -170,7 +206,7 @@ func TestBarrier(t *testing.T) {
 			t.Errorf("explain missing the barrier:\n%s", plan.Explain())
 		}
 		col := obs.NewCollector()
-		rel, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col})
+		rel, err := plan.Run(&Ctx{DB: db, Col: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +240,7 @@ func TestBarrier(t *testing.T) {
 	if out.Filtered || out.RowsAfter != 6 || out.AssignsAfter != 4 {
 		t.Errorf("skip outcome %+v, want the input's 6 rows over 4 assignments", out)
 	}
-	if plain := compileRun(t, db, r, []int{0, 1}, 1); got.Dump() != plain.Dump() {
+	if plain := compileRun(t, db, r, []int{0, 1}); got.Dump() != plain.Dump() {
 		t.Fatalf("a barrier that skips changed the answer:\n%s\nwant:\n%s", got.Dump(), plain.Dump())
 	}
 }
@@ -229,7 +265,7 @@ func TestBarrierDeduplicatesInput(t *testing.T) {
 		Record: func(o BarrierOutcome) { out = o },
 	})
 	col := obs.NewCollector()
-	got, err := NewPlan(NewMaterialize("answer", barrier, nil)).Run(&Ctx{DB: db, Workers: 1, Col: col})
+	got, err := NewPlan(NewMaterialize("answer", barrier, nil)).Run(&Ctx{DB: db, Col: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +302,7 @@ func TestGroupOperator(t *testing.T) {
 	}
 	plan := NewPlan(NewMaterialize("grp", grp, nil))
 	col := obs.NewCollector()
-	got, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col})
+	got, err := plan.Run(&Ctx{DB: db, Col: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,19 +328,16 @@ func TestSelectAndAntiJoinOperators(t *testing.T) {
 		left: argRef{src: srcCur, pos: 0}, right: argRef{src: srcCur, pos: 1}, cols: scan.cols}
 	anti := &AntiJoinNode{Probe: sel, Pred: "blocked", atom: "NOT blocked(Y)", arity: 1,
 		srcPos: []int{1}, constVal: make([]storage.Value, 1), cols: sel.cols}
-	for _, w := range []int{1, 4} {
-		plan := NewPlan(NewMaterialize("answer", anti, nil))
-		got, err := plan.Run(&Ctx{DB: db, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := storage.NewRelation("answer", "X", "Y")
-		for _, p := range [][2]int64{{1, 2}, {1, 3}, {2, 3}} {
-			want.InsertValues(storage.Int(p[0]), storage.Int(p[1]))
-		}
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d:\n%s\nwant:\n%s", w, got.Dump(), want.Dump())
-		}
+	got, err := NewPlan(NewMaterialize("answer", anti, nil)).Run(&Ctx{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storage.NewRelation("answer", "X", "Y")
+	for _, p := range [][2]int64{{1, 2}, {1, 3}, {2, 3}} {
+		want.InsertValues(storage.Int(p[0]), storage.Int(p[1]))
+	}
+	if !got.Equal(want) {
+		t.Fatalf("answer:\n%s\nwant:\n%s", got.Dump(), want.Dump())
 	}
 }
 
@@ -344,7 +377,7 @@ func TestOperatorEventsOrder(t *testing.T) {
 	}
 	plan := NewPlan(NewMaterialize("answer", node, nil))
 	col := obs.NewCollector()
-	if _, err := plan.Run(&Ctx{DB: db, Workers: 1, Col: col}); err != nil {
+	if _, err := plan.Run(&Ctx{DB: db, Col: col}); err != nil {
 		t.Fatal(err)
 	}
 	rep := col.Report("test", 1, 0)

@@ -73,8 +73,8 @@ func crossKindDB() *storage.Database {
 // For each case the ID-space barriers must log exactly the decisions
 // expectDecisions derives from the rule and the materializing executor's
 // relations — same sites, same averages, same verdicts, same
-// cardinalities — and return the boxed direct answer, at workers 1/2/8 on
-// the memory engine and on the disk engine.
+// cardinalities — and return the boxed direct answer, on the memory
+// engine and on the disk engine.
 func TestBarrierMatchesMaterializeOracle(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -226,21 +226,18 @@ COUNT(answer.P) >= 20`,
 			if c.check != nil {
 				c.check(t, want)
 			}
-			for _, w := range []int{1, 2, 8} {
-				for engine, db := range map[string]*storage.Database{"memory": c.db, "disk": diskDB} {
-					o := c.opts
-					o.Workers = w
-					got, err := EvalDynamic(db, f, &o)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", w, err)
-					}
-					what := fmt.Sprintf("workers=%d engine=%s", w, engine)
-					checkDecisions(t, what, got.Decisions, want)
-					// Equal, not Dump: where a value has two spellings the
-					// executors may return different members of its class.
-					if !got.Answer.Equal(direct) {
-						t.Fatalf("%s: answer differs\ndynamic:\n%s\ndirect:\n%s", what, got.Answer.Dump(), direct.Dump())
-					}
+			for engine, db := range map[string]*storage.Database{"memory": c.db, "disk": diskDB} {
+				o := c.opts
+				got, err := EvalDynamic(db, f, &o)
+				if err != nil {
+					t.Fatalf("engine=%s: %v", engine, err)
+				}
+				what := "engine=" + engine
+				checkDecisions(t, what, got.Decisions, want)
+				// Equal, not Dump: where a value has two spellings the
+				// executors may return different members of its class.
+				if !got.Answer.Equal(direct) {
+					t.Fatalf("%s: answer differs\ndynamic:\n%s\ndirect:\n%s", what, got.Answer.Dump(), direct.Dump())
 				}
 			}
 		})
@@ -314,7 +311,7 @@ func TestBarrierBudgetAndCancellation(t *testing.T) {
 answer(B) :- r($m,B) AND s(B,C) AND u(C,D)
 FILTER:
 COUNT(answer.B) >= 3`)
-	opts := func() *DynamicOptions { return &DynamicOptions{FixedOrder: []int{0, 1, 2}, Workers: 1} }
+	opts := func() *DynamicOptions { return &DynamicOptions{FixedOrder: []int{0, 1, 2}} }
 
 	// The first barrier buffers r's 36 rows and skips, so it still holds
 	// them while the second buffers its 16. A budget of 35 dies in the
@@ -386,7 +383,7 @@ func evalDynamicObserved(db *storage.Database, f *core.Flock, opts *DynamicOptio
 			}
 		}
 	}
-	res.Answer, err = eval.RunPlan(db, plan, &eval.Options{Workers: o.Workers, Ctx: o.Ctx, Limits: o.Limits})
+	res.Answer, err = eval.RunPlan(db, plan, &eval.Options{Ctx: o.Ctx, Limits: o.Limits})
 	return res, err
 }
 

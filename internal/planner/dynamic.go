@@ -46,11 +46,10 @@ type DynamicOptions struct {
 	FixedOrder []int
 	// Trace, when non-nil, records engine steps.
 	Trace *eval.Trace
-	// Workers is the streaming executor's worker count for its
-	// partitioned join and anti-join operators: 0 (the default) means one
-	// worker per CPU, 1 forces the sequential paths, larger values are
-	// used as given. Answers and Decisions are identical for every worker
-	// count.
+	// Workers is not read: the dynamic strategy runs sequentially at
+	// every worker count, because its barriers decide on the whole
+	// intermediate rather than on one part of it. Callers that share one
+	// worker setting across strategies may still set it.
 	Workers int
 	// Ctx, when non-nil, cancels the evaluation cooperatively; the
 	// operators observe it at batch boundaries, barriers included, and
@@ -153,7 +152,7 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 		// one wall clock and budget.
 		o.Gate = eval.NewGate(o.Ctx, o.Limits)
 	}
-	db, err := f.MaterializeViews(db, &core.EvalOptions{Trace: o.Trace, Workers: o.Workers, Gate: o.Gate})
+	db, err := f.MaterializeViews(db, &core.EvalOptions{Trace: o.Trace, Gate: o.Gate})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +162,7 @@ func EvalDynamic(db *storage.Database, f *core.Flock, opts *DynamicOptions) (*Dy
 	if err != nil {
 		return nil, err
 	}
-	ans, err := eval.RunPlan(db, plan, &eval.Options{Trace: o.Trace, Workers: o.Workers, Gate: o.Gate})
+	ans, err := eval.RunPlan(db, plan, &eval.Options{Trace: o.Trace, Gate: o.Gate})
 	if err != nil {
 		return nil, err
 	}

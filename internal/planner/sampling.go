@@ -26,10 +26,6 @@ type SampleOptions struct {
 	Fraction float64
 	// Seed drives the sample; fixed default for reproducibility.
 	Seed int64
-	// Workers is the worker count for evaluating the subquery over the
-	// sample (0 = per CPU, 1 = sequential). The estimate is identical for
-	// every worker count.
-	Workers int
 }
 
 func (o *SampleOptions) orDefault() SampleOptions {
@@ -41,7 +37,6 @@ func (o *SampleOptions) orDefault() SampleOptions {
 		out.Fraction = o.Fraction
 	}
 	out.Seed = o.Seed
-	out.Workers = o.Workers
 	return out
 }
 
@@ -79,7 +74,7 @@ func (e *Estimator) SampledSurvivorFraction(sub datalog.Union, params []datalog.
 	if err != nil {
 		return 0, fmt.Errorf("planner: sampling subquery: %w", err)
 	}
-	survivors, err := flock.Eval(sampleDB, &core.EvalOptions{Workers: o.Workers})
+	survivors, err := flock.Eval(sampleDB, &core.EvalOptions{Workers: 1})
 	if err != nil {
 		return 0, err
 	}

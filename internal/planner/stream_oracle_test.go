@@ -33,8 +33,8 @@ type sweepAnswer struct {
 // the naive answer and the answer of the sequential materializing
 // reference (run once; for the dynamic strategy, which has no boxed twin,
 // the decision sequence expectDecisions derives). Streaming runs must
-// additionally agree with each other tuple-for-tuple in order (Dump
-// equality), the determinism contract of the partitioned operators.
+// additionally agree with each other (Dump equality: the same tuples,
+// sorted), the contract of the partitioned FILTER path.
 //
 // The whole sweep runs twice: once unbounded and once under a live
 // context plus generous wall/tuple/row limits, because unhit budgets

@@ -36,7 +36,8 @@ type Config struct {
 	// (eval.Limits semantics; 0 = unlimited).
 	MaxTuples int
 	MaxRows   int
-	// Workers is the engine worker knob (0 = one per CPU).
+	// Workers is core.EvalOptions.Workers: the in-process parts of each
+	// partitionable FILTER computation (0 = one per CPU).
 	Workers int
 	// PlanCacheSize bounds the LRU plan cache (entries; 0 disables).
 	PlanCacheSize int

@@ -129,11 +129,22 @@ func (t *IDTable) Find(key []uint32) int32 {
 	return int32(uint32(t.slots[i])) - 1
 }
 
+// Grow makes room for n more rows: the next n inserts re-seat nothing.
+func (t *IDTable) Grow(n int) {
+	size := len(t.slots)
+	for 2*(t.n+n) > size {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.resize(size)
+	}
+}
+
 // Insert adds key (len == width) unless an equal row is present, and
 // returns the row's entry number and whether this call added it.
 func (t *IDTable) Insert(key []uint32) (entry int32, fresh bool) {
 	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
+		t.resize(2 * len(t.slots))
 	}
 	h, i := t.probe(key)
 	if s := t.slots[i]; s != 0 {
@@ -172,9 +183,10 @@ func (t *IDTable) Columns() [][]uint32 {
 	return cols
 }
 
-// grow doubles the slot array, re-seating every entry by its stored hash.
-func (t *IDTable) grow() {
-	slots := make([]uint64, 2*len(t.slots))
+// resize replaces the slot array with one of size slots (a power of two),
+// re-seating every entry by its stored hash.
+func (t *IDTable) resize(size int) {
+	slots := make([]uint64, size)
 	mask := uint32(len(slots) - 1)
 	for _, s := range t.slots {
 		if s == 0 {
@@ -244,6 +256,22 @@ func buildIDIndex(idCols [][]uint32, cols []int, n int) *IDIndex {
 // key IDs (in index-column order), in scan order. The returned slice must
 // not be mutated. It allocates nothing.
 func (ix *IDIndex) Lookup(ids []uint32) []int32 {
+	if t := ix.keys; t.width == 1 && t.hash == nil {
+		// The join probe's common case, probed in line: on one ID a slot
+		// whose hash matches holds the key (see HashIDs).
+		h := HashIDs(ids)
+		mask := uint32(len(t.slots) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			s := t.slots[i]
+			if s == 0 {
+				return nil
+			}
+			if uint32(s>>32) == h {
+				e := uint32(s) - 1
+				return ix.rows[ix.start[e]:ix.start[e+1]]
+			}
+		}
+	}
 	e := ix.keys.Find(ids)
 	if e < 0 {
 		return nil

@@ -23,8 +23,11 @@ type Relation struct {
 	cols []string
 
 	tuples []Tuple
-	seen   map[string]struct{} // tuple Key -> present
-	keyBuf []byte              // reusable Insert key buffer (single-writer)
+	// seen maps tuple Key -> present; a Subset builds it on first use
+	// (keys), under seenOnce.
+	seen     map[string]struct{}
+	seenOnce sync.Once
+	keyBuf   []byte // reusable Insert key buffer (single-writer)
 
 	mu      sync.Mutex        // guards indexes
 	indexes map[string]*Index // key: joined column positions
@@ -91,10 +94,11 @@ func (r *Relation) insert(t Tuple, clone bool) bool {
 	// The reusable buffer means duplicate inserts allocate nothing; the key
 	// string materializes only when the tuple is actually added.
 	r.keyBuf = t.AppendKey(r.keyBuf[:0])
-	if _, dup := r.seen[string(r.keyBuf)]; dup {
+	seen := r.keys()
+	if _, dup := seen[string(r.keyBuf)]; dup {
 		return false
 	}
-	r.seen[string(r.keyBuf)] = struct{}{}
+	seen[string(r.keyBuf)] = struct{}{}
 	if clone {
 		t = t.Clone()
 	}
@@ -120,7 +124,7 @@ func (r *Relation) InsertValues(vs ...Value) bool { return r.Insert(Tuple(vs)) }
 
 // Contains reports whether the relation holds the given tuple.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.seen[t.Key()]
+	_, ok := r.keys()[t.Key()]
 	return ok
 }
 
@@ -128,8 +132,34 @@ func (r *Relation) Contains(t Tuple) bool {
 // Tuple.AppendKey. It performs no allocation, so probe loops can reuse one
 // buffer per worker. Safe for concurrent readers.
 func (r *Relation) ContainsKey(key []byte) bool {
-	_, ok := r.seen[string(key)]
+	_, ok := r.keys()[string(key)]
 	return ok
+}
+
+// keys returns the membership set, building it on first use for a
+// relation Subset made. Safe for concurrent readers.
+func (r *Relation) keys() map[string]struct{} {
+	r.seenOnce.Do(func() {
+		if r.seen == nil {
+			r.seen = make(map[string]struct{}, len(r.tuples))
+			for _, t := range r.tuples {
+				r.seen[t.Key()] = struct{}{}
+			}
+		}
+	})
+	return r.seen
+}
+
+// Subset returns a relation of r's tuples at the given row positions, in
+// that order, under r's name and columns. Its membership set is built on
+// first use, so a subset that is only read in ID form — a partition's
+// view of a relation — never pays for it.
+func (r *Relation) Subset(rows []int) *Relation {
+	out := &Relation{name: r.name, cols: r.cols, tuples: make([]Tuple, len(rows)), indexes: make(map[string]*Index)}
+	for k, i := range rows {
+		out.tuples[k] = r.tuples[i]
+	}
+	return out
 }
 
 // Tuples returns the stored tuples in insertion order. The slice and its
@@ -165,7 +195,7 @@ func (r *Relation) DistinctCount(col string) (int, error) {
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.name, r.cols...)
 	out.tuples = append([]Tuple(nil), r.tuples...)
-	for k := range r.seen {
+	for k := range r.keys() {
 		out.seen[k] = struct{}{}
 	}
 	return out
@@ -182,7 +212,7 @@ func (r *Relation) Rename(name string, cols []string) *Relation {
 	}
 	out := NewRelation(name, cols...)
 	out.tuples = r.tuples
-	out.seen = r.seen
+	out.seen = r.keys()
 	return out
 }
 
@@ -200,8 +230,9 @@ func (r *Relation) Equal(s *Relation) bool {
 	if r.Arity() != s.Arity() || r.Len() != s.Len() {
 		return false
 	}
-	for k := range r.seen {
-		if _, ok := s.seen[k]; !ok {
+	seen := s.keys()
+	for k := range r.keys() {
+		if _, ok := seen[k]; !ok {
 			return false
 		}
 	}

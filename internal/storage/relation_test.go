@@ -178,6 +178,32 @@ func TestRelationRenameSharesData(t *testing.T) {
 	}
 }
 
+// TestRelationSubsetMembership: a Subset keeps the chosen rows in the
+// given order, and its lazily built membership set holds exactly them —
+// for lookups from concurrent readers and for later inserts alike.
+func TestRelationSubsetMembership(t *testing.T) {
+	r := NewRelation("r", "A")
+	for i := int64(0); i < 10; i++ {
+		r.InsertValues(Int(i))
+	}
+	sub := r.Subset([]int{7, 2, 5})
+	if sub.Name() != "r" || sub.Len() != 3 || !sub.Tuples()[0][0].Equal(Int(7)) {
+		t.Fatalf("Subset rows wrong: %s", sub.Dump())
+	}
+	done := make(chan bool, 4)
+	for g := 0; g < 4; g++ {
+		go func() { done <- sub.Contains(Tuple{Int(2)}) && !sub.Contains(Tuple{Int(3)}) }()
+	}
+	for g := 0; g < 4; g++ {
+		if !<-done {
+			t.Fatal("Subset membership wrong under concurrent readers")
+		}
+	}
+	if sub.Insert(Tuple{Int(5)}) || !sub.Insert(Tuple{Int(3)}) || sub.Len() != 4 || r.Len() != 10 {
+		t.Errorf("Insert into a Subset: len %d, parent len %d", sub.Len(), r.Len())
+	}
+}
+
 func TestRelationCloneIndependent(t *testing.T) {
 	r := NewRelation("r", "A")
 	r.InsertValues(Int(1))

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -519,4 +520,121 @@ func BenchmarkAblation_DirectOnNaiveData(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// relationBytesRows is E2's basket relation: 20,000 baskets over 8,000
+// items, 148,773 rows.
+var relationBytesRows = workload.BasketConfig{Baskets: 20_000, Items: 8_000, MeanSize: 8, Skew: 1.0, Seed: 1998}
+
+// relationBuilds builds the basket relation of src three ways, each into
+// a database holding the dictionary it indexes.
+var relationBuilds = []struct {
+	name  string
+	build func(src *storage.Database, dir string) (*storage.Database, error)
+}{
+	{"insert", func(src *storage.Database, _ string) (*storage.Database, error) {
+		dict, err := src.Dict()
+		if err != nil {
+			return nil, err
+		}
+		from := src.MustRelation("baskets")
+		rel := storage.NewRelationIn(dict, "baskets", from.Columns()...)
+		for _, t := range from.Tuples() {
+			rel.Insert(t)
+		}
+		db := storage.NewDatabase()
+		db.Add(rel)
+		return db, nil
+	}},
+	{"loaddir", func(_ *storage.Database, dir string) (*storage.Database, error) {
+		return storage.LoadDir(filepath.Join(dir, "csv"))
+	}},
+	{"opendir-memory", func(_ *storage.Database, dir string) (*storage.Database, error) {
+		db, _, err := storage.OpenDir(filepath.Join(dir, "seg"), storage.EngineMemory)
+		return db, err
+	}},
+}
+
+// relationBytesInputs generates the basket database and writes it as a
+// CSV directory and as a data directory under dir.
+func relationBytesInputs(dir string) (*storage.Database, error) {
+	src := workload.Baskets(relationBytesRows)
+	if err := os.MkdirAll(filepath.Join(dir, "csv"), 0o755); err != nil {
+		return nil, err
+	}
+	if err := storage.WriteCSVFile(src.MustRelation("baskets"), filepath.Join(dir, "csv", "baskets.csv")); err != nil {
+		return nil, err
+	}
+	return src, storage.CreateDir(filepath.Join(dir, "seg"), src)
+}
+
+// heapAfterGC is the live heap after a full collection.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// relationBytesPerRow is the heap the database's basket relation holds per
+// row: its columns and its dedup table. The dictionary stays reachable
+// (through db) when the relation is dropped, so it is not counted, and a
+// fresh relation has built no ID index.
+func relationBytesPerRow(db *storage.Database) float64 {
+	n := db.MustSource("baskets").Len()
+	with := heapAfterGC()
+	db.Remove("baskets")
+	without := heapAfterGC()
+	runtime.KeepAlive(db)
+	return float64(int64(with)-int64(without)) / float64(n)
+}
+
+// BenchmarkRelationBytes reports the resident bytes per row of E2's
+// basket relation built by Insert, by LoadDir and by OpenDir with the
+// memory engine.
+func BenchmarkRelationBytes(b *testing.B) {
+	dir := b.TempDir()
+	src, err := relationBytesInputs(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rb := range relationBuilds {
+		b.Run(rb.name, func(b *testing.B) {
+			var perRow float64
+			for i := 0; i < b.N; i++ {
+				db, err := rb.build(src, dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				perRow = relationBytesPerRow(db)
+			}
+			b.ReportMetric(perRow, "B/row")
+		})
+	}
+	runtime.KeepAlive(src)
+}
+
+// TestRelationBytes holds each build of BenchmarkRelationBytes to at most
+// 40 bytes per stored row.
+func TestRelationBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 148,773-row relation three ways")
+	}
+	dir := t.TempDir()
+	src, err := relationBytesInputs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rb := range relationBuilds {
+		db, err := rb.build(src, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRow := relationBytesPerRow(db)
+		t.Logf("%s: %.1f B/row", rb.name, perRow)
+		if perRow > 40 {
+			t.Errorf("%s: %.1f B/row, want at most 40", rb.name, perRow)
+		}
+	}
+	runtime.KeepAlive(src)
 }

@@ -77,7 +77,7 @@ func (f *Flock) EvalNaive(db *storage.Database, opts *EvalOptions) (*storage.Rel
 				return err
 			}
 			if pass {
-				out.Insert(tuple.Clone())
+				out.Insert(tuple)
 				if err := gate.CheckOutput(out.Len()); err != nil {
 					return err
 				}

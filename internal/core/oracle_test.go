@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"queryflocks/internal/datalog"
@@ -250,6 +251,64 @@ func TestBoxedReferenceOrderIsDeterministic(t *testing.T) {
 			} else if got != first[j] {
 				t.Fatalf("call %d, path %d: answer order changed\ngot:  %s\nwant: %s", i, j, got, first[j])
 			}
+		}
+	}
+}
+
+// TestSharedRelationTwoDatabases: one free-standing relation added to two
+// independent databases keeps its own dictionary and is read under each
+// database's through a per-class remap. Both databases evaluate it
+// concurrently, on the direct and plan paths at one and two workers, and
+// must match the boxed reference.
+func TestSharedRelationTwoDatabases(t *testing.T) {
+	src := workload.Baskets(workload.BasketConfig{Baskets: 300, Items: 30, MeanSize: 5, Skew: 0.8, Seed: 35})
+	baskets := src.MustRelation("baskets")
+	f := MustParse(fig2Src)
+	want, err := f.Eval(src, &EvalOptions{Exec: eval.ExecMaterialize})
+	if err != nil || want.Len() == 0 {
+		t.Fatalf("reference: %v rows, %v", want, err)
+	}
+	dbs := make([]*storage.Database, 2)
+	for i := range dbs {
+		// A different extra value per database numbers the two
+		// dictionaries differently.
+		extra := storage.NewRelation("extra", "X")
+		extra.InsertValues(storage.Int(int64(-1 - i)))
+		dbs[i] = storage.NewDatabase()
+		dbs[i].Add(extra)
+		dbs[i].Add(baskets)
+	}
+	errs := make([]error, len(dbs))
+	var wg sync.WaitGroup
+	for i, db := range dbs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range []int{1, 2, 1, 2} {
+				opts := &EvalOptions{Workers: w}
+				direct, err := f.Eval(db, opts)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				res, err := TrivialPlan(f).Execute(db, opts)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				for _, got := range []*storage.Relation{direct, res.Answer} {
+					if g, w := fmt.Sprint(got.Sorted()), fmt.Sprint(want.Sorted()); g != w {
+						errs[i] = fmt.Errorf("answer differs from the reference\ngot:  %s\nwant: %s", g, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("database %d: %v", i, err)
 		}
 	}
 }

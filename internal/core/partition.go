@@ -148,11 +148,11 @@ func (m *Map) ShardOf(v storage.Value) int {
 }
 
 // Restrict returns part idx's view of db: the partitioned relation cut
-// down to the tuples this part owns (in original tuple order, with its ID
-// columns cut from the relation's), every other relation passed through
-// whole, and the dictionary and data version shared with db, so the
-// parts of one computation intern into one ID space and a worker shard
-// answers for its coordinator's data version.
+// down to the tuples this part owns (in original tuple order, as ID rows
+// of db's dictionary), every other relation passed through whole, and the
+// dictionary and data version shared with db, so the parts of one
+// computation intern into one ID space and a worker shard answers for its
+// coordinator's data version.
 func (m *Map) Restrict(db *storage.Database, idx int) (*storage.Database, error) {
 	if idx < 0 || idx >= m.Shards {
 		return nil, fmt.Errorf("core: shard index %d out of range [0,%d)", idx, m.Shards)
@@ -161,14 +161,10 @@ func (m *Map) Restrict(db *storage.Database, idx int) (*storage.Database, error)
 	if err != nil {
 		return nil, err
 	}
-	r, err := db.Relation(m.Rel)
-	if err != nil {
-		return nil, err
-	}
+	cut := storage.NewRelationIn(dict, m.Rel, db.MustSource(m.Rel).Columns()...)
 	// owner[id] is the part owning ID id plus one, 0 until first asked.
 	owner := make([]int32, dict.Len())
-	var rows []int
-	cutIDs := make([][]uint32, len(ids))
+	row := make([]uint32, len(ids))
 	for i, id := range ids[m.Col] {
 		if owner[id] == 0 {
 			owner[id] = int32(m.ShardOf(dict.Value(id))) + 1
@@ -176,13 +172,11 @@ func (m *Map) Restrict(db *storage.Database, idx int) (*storage.Database, error)
 		if int(owner[id]) != idx+1 {
 			continue
 		}
-		rows = append(rows, i)
 		for j, col := range ids {
-			cutIDs[j] = append(cutIDs[j], col[i])
+			row[j] = col[i]
 		}
+		cut.InsertIDs(row)
 	}
-	cut := r.Subset(rows)
-	cut.SeedInternedColumns(dict, cutIDs)
 	out := db.Clone()
 	out.Add(cut)
 	return out, nil
@@ -339,8 +333,8 @@ func evalPartitioned(db *storage.Database, params []datalog.Param, query datalog
 	if err != nil {
 		return nil, false, nil // the sequential path reports what is wrong with db
 	}
-	// Cutting a disk source would pin it as boxed tuples, the memory the
-	// disk engine exists to save: it runs sequentially.
+	// Cutting a disk source would copy its ID columns into in-memory
+	// relations beside the resident ones: it runs sequentially.
 	_, inMemory := db.MustSource(m.Rel).(*storage.Relation)
 	if ok, _ := Shardable(m, params, query, filter); !ok || !inMemory {
 		return nil, false, nil

@@ -112,7 +112,7 @@ func executeStep(scratch *storage.Database, p *Plan, step FilterStep, opts *Eval
 }
 
 // reorderToFlockParams projects the final step's relation onto the flock's
-// canonical parameter column order.
+// canonical parameter column order, moving ID rows within its dictionary.
 func reorderToFlockParams(rel *storage.Relation, f *Flock) *storage.Relation {
 	want := f.ParamColumns()
 	pos := make([]int, len(want))
@@ -127,9 +127,14 @@ func reorderToFlockParams(rel *storage.Relation, f *Flock) *storage.Relation {
 	if same {
 		return rel
 	}
-	out := storage.NewRelation(rel.Name(), want...)
-	for _, t := range rel.Tuples() {
-		out.Insert(t.Project(pos))
+	out := storage.NewRelationIn(rel.Dict(), rel.Name(), want...)
+	ids, _ := rel.InternedColumns(rel.Dict(), nil) // its own columns: no build, no error
+	row := make([]uint32, len(pos))
+	for i := 0; i < rel.Len(); i++ {
+		for j, p := range pos {
+			row[j] = ids[p][i]
+		}
+		out.InsertIDs(row)
 	}
 	return out
 }

@@ -97,7 +97,8 @@ func (f *Flock) MaterializeViews(db *storage.Database, opts *EvalOptions) (*stor
 			for i := range v.Head.Args {
 				cols[i] = fmt.Sprintf("c%d", i+1)
 			}
-			rel = storage.NewRelation(v.Head.Pred, cols...)
+			// In the first rule's dictionary, so the union moves ID rows.
+			rel = storage.NewRelationIn(part.Dict(), v.Head.Pred, cols...)
 			rels[v.Head.Pred] = rel
 			out.Add(rel)
 		}
@@ -105,9 +106,7 @@ func (f *Flock) MaterializeViews(db *storage.Database, opts *EvalOptions) (*stor
 			return nil, fmt.Errorf("core: view %q rules disagree on arity (%d vs %d)",
 				v.Head.Pred, rel.Arity(), part.Arity())
 		}
-		for _, t := range part.Tuples() {
-			rel.Insert(t)
-		}
+		rel.InsertAll(part)
 		if opts != nil && opts.Trace != nil {
 			opts.Trace.Collector().Record(obs.Event{
 				Op:      obs.OpView,

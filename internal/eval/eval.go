@@ -200,9 +200,7 @@ func EvalUnion(db *storage.Database, u datalog.Union, outFor func(*datalog.Rule)
 		if result.Arity() != part.Arity() {
 			return nil, fmt.Errorf("eval: union branches project %d vs %d columns", result.Arity(), part.Arity())
 		}
-		for _, t := range part.Tuples() {
-			result.Insert(t)
-		}
+		result.InsertAll(part)
 	}
 	if err := o.gate().CheckOutput(result.Len()); err != nil {
 		return nil, err

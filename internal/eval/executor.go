@@ -235,18 +235,14 @@ func (e *executor) absorbChecks(atom *datalog.Atom) ([]rowCheck, error) {
 }
 
 // membershipCheck builds a rowCheck testing (non-)membership of the
-// resolved tuple in rel. It owns a probe tuple and key buffer, so the
-// membership test encodes into the reused buffer instead of allocating a
-// key string per probed row.
+// resolved tuple in rel. It owns the probe tuple it resolves into.
 func membershipCheck(rel *storage.Relation, gs []func(ct, bt storage.Tuple) storage.Value, want bool) rowCheck {
 	probe := make(storage.Tuple, len(gs))
-	var buf []byte
 	return func(ct, bt storage.Tuple) bool {
 		for i, g := range gs {
 			probe[i] = g(ct, bt)
 		}
-		buf = probe.AppendKey(buf[:0])
-		return rel.ContainsKey(buf) == want
+		return rel.Contains(probe) == want
 	}
 }
 
@@ -476,8 +472,8 @@ func antiJoin(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 		curCols[c] = i
 	}
 	// Column-offset plan for the membership probe: each atom argument is
-	// either a constant (encoded once into the key prefix position) or a cur
-	// column offset. srcPos[i] < 0 means "use constVal[i]".
+	// either a constant or a cur column offset. srcPos[i] < 0 means "use
+	// constVal[i]".
 	srcPos := make([]int, len(atom.Args))
 	constVal := make([]storage.Value, len(atom.Args))
 	for i, t := range atom.Args {
@@ -495,17 +491,16 @@ func antiJoin(db *storage.Database, cur *storage.Relation, atom *datalog.Atom, n
 	}
 
 	out := storage.NewRelation(name, cur.Columns()...)
-	var buf []byte
+	probe := make(storage.Tuple, len(srcPos))
 	for _, ct := range cur.Tuples() {
-		buf = buf[:0]
 		for j, p := range srcPos {
 			if p < 0 {
-				buf = constVal[j].AppendKey(buf)
+				probe[j] = constVal[j]
 			} else {
-				buf = ct[p].AppendKey(buf)
+				probe[j] = ct[p]
 			}
 		}
-		if !base.ContainsKey(buf) {
+		if !base.Contains(probe) {
 			out.Insert(ct)
 		}
 	}

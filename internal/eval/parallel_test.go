@@ -40,7 +40,7 @@ func TestConcurrentIndexBuild(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				cols := []int{(g + k) % 3}
 				ix := r.Index(cols)
-				if ix.GroupCount() == 0 {
+				if got, _ := ix.Lookup(storage.Tuple{storage.Int(0)}, nil); len(got) == 0 {
 					t.Error("empty index")
 					return
 				}

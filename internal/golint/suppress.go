@@ -1,7 +1,6 @@
 package golint
 
 import (
-	"go/ast"
 	"regexp"
 	"strings"
 )
@@ -90,15 +89,4 @@ func applySuppressions(p *Package, findings []Finding) []Finding {
 		}
 	}
 	return kept
-}
-
-// fileFor returns the *ast.File containing pos, for rules that need the
-// file's imports.
-func (p *Package) fileFor(n ast.Node) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= n.Pos() && n.Pos() <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -145,15 +145,16 @@ func levelFlock(relation string, support, k int) (*core.Flock, error) {
 func (r *Result) MaximalItemsets() []storage.Tuple {
 	var out []storage.Tuple
 	for k := 0; k < len(r.Levels); k++ {
-		level := r.Levels[k]
+		var supers []storage.Tuple // level k+1, decoded once
+		if k+1 < len(r.Levels) {
+			supers = r.Levels[k+1].Tuples()
+		}
 	tuples:
-		for _, t := range level.Tuples() {
-			if k+1 < len(r.Levels) {
-				// t is maximal unless some (k+2)-set extends it.
-				for _, super := range r.Levels[k+1].Tuples() {
-					if isSubsetSorted(t, super) {
-						continue tuples
-					}
+		for _, t := range r.Levels[k].Tuples() {
+			// t is maximal unless some (k+2)-set extends it.
+			for _, super := range supers {
+				if isSubsetSorted(t, super) {
+					continue tuples
 				}
 			}
 			out = append(out, t)

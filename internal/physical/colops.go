@@ -1243,21 +1243,14 @@ type colMaterializeOp struct {
 
 func (o *colMaterializeOp) open(ctx *Ctx) error { return o.input.open(ctx) }
 
-// materialize drains the input into a fresh relation, decoding each row
-// back to boxed Values — the pipeline re-boxes only here, for the answer
-// and for a registered step relation — and inserting in arrival order
-// (set semantics; identical to the materializing executor's insertion
-// order), then runs the Register callback. Rows are decoded into a scratch
-// tuple, so a duplicate allocates nothing.
+// materialize drains the input into a fresh relation in the evaluation's
+// dictionary, inserting the ID rows as they arrive (set semantics;
+// identical to the materializing executor's insertion order) — nothing is
+// decoded or re-interned, so a registered step relation is scanned by the
+// next step as it is — then runs the Register callback.
 func (o *colMaterializeOp) materialize(ctx *Ctx) error {
-	rel := storage.NewRelation(o.n.Name, o.n.cols...)
-	dec := newDecoder(ctx.dict)
-	width := len(o.n.cols)
-	// A registered relation is scanned by the next step: keep its rows in
-	// ID form to seed its ID cache with.
-	keepIDs := o.n.Register != nil
-	ids := newColBatch(width)
-	scratch := make(storage.Tuple, width)
+	rel := storage.NewRelationIn(ctx.dict, o.n.Name, o.n.cols...)
+	row := make([]uint32, len(o.n.cols))
 	for {
 		batch, ok, err := o.input.next(ctx)
 		if err != nil {
@@ -1271,15 +1264,11 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 			start = time.Now()
 		}
 		for i := 0; i < batch.n; i++ {
-			for c := 0; c < width; c++ {
-				scratch[c] = dec.value(batch.cols[c][i])
+			for c := range row {
+				row[c] = batch.cols[c][i]
 			}
-			if !rel.InsertCopy(scratch) {
-				continue
-			}
-			ctx.track(1)
-			if keepIDs {
-				ids.appendRow(batch, i)
+			if rel.InsertIDs(row) {
+				ctx.track(1)
 			}
 		}
 		o.rowsIn += batch.n
@@ -1294,9 +1283,6 @@ func (o *colMaterializeOp) materialize(ctx *Ctx) error {
 		}
 	}
 	if o.n.Register != nil {
-		// Hand the next step's scan the IDs instead of letting it intern
-		// every cell again.
-		rel.SeedInternedColumns(ctx.dict, ids.cols)
 		if err := o.n.Register(rel); err != nil {
 			return err
 		}

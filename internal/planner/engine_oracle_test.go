@@ -76,7 +76,7 @@ func assertSameAnswers(t *testing.T, what string, disk, mem *sweepAnswer) {
 // for every program in examples/flocks, the same data directory opened
 // with the disk engine (ID columns built by streaming the sorted
 // segments) must be bit-identical to the memory engine (relations
-// materialized at open) — same answer tuples in the same order (Dump
+// read at open) — same answer tuples in the same order (Dump
 // equality), and for the dynamic strategy the same decision sequence —
 // across strategies direct/static/dynamic and worker counts 1, 2 and 8.
 // Both must equal the naive evaluator's answer set, and every disk run
@@ -168,9 +168,9 @@ func TestDiskEngineMatchesMemoryCorpus(t *testing.T) {
 // append) holding values the persisted DICT has never seen, a cross-kind
 // duplicate of a base row, and rows whose repeated-variable match is
 // itself cross-kind (Int vs Float); the live disk view, the directory
-// reopened by the memory engine, and the naive evaluator must then agree
-// on flocks that join through the new values and on r(X,X,C). Reading
-// the mutated view must not stream the base segment again.
+// reopened by each engine, and the naive evaluator must then agree on
+// flocks that join through the new values and on r(X,X,C). Reading the
+// mutated view must not stream the base segment again.
 func TestDiskEngineAfterDelta(t *testing.T) {
 	base := storage.NewDatabase()
 	r := storage.NewRelation("r", "A", "B", "C")
@@ -240,6 +240,10 @@ func TestDiskEngineAfterDelta(t *testing.T) {
 	if memDB.MustSource("r").Len() != next.Len() {
 		t.Fatalf("reopened memory engine has %d rows, live disk view %d", memDB.MustSource("r").Len(), next.Len())
 	}
+	reopened, _, err := storage.OpenDir(dir, storage.EngineDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, f := range flocks {
 		naive, err := f.EvalNaive(memDB, nil)
@@ -267,6 +271,11 @@ func TestDiskEngineAfterDelta(t *testing.T) {
 				}
 				assertColumnar(t, tr, what)
 				assertSameAnswers(t, what, disk, mem)
+				again, err := run(reopened, w, nil)
+				if err != nil {
+					t.Fatalf("%s reopened disk workers=%d: %v", what, w, err)
+				}
+				assertSameAnswers(t, what+" (reopened)", again, mem)
 				if !disk.rel.Equal(naive) {
 					t.Fatalf("%s workers=%d: disk answer differs from the naive evaluator\ndisk:\n%s\nnaive:\n%s",
 						what, w, disk.rel.Dump(), naive.Dump())

@@ -38,7 +38,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildIndex(r, []int{0})
+		buildIndex(r.Tuples(), []int{0})
 	}
 }
 

@@ -92,7 +92,10 @@ func WriteCSVFile(rel *Relation, path string) error {
 	return f.Close()
 }
 
-// LoadDir loads every *.csv file in dir into a fresh database.
+// LoadDir loads every *.csv file in dir into a fresh database whose
+// relations sit in its dictionary: the files are read, the dictionary is
+// built from them (BuildDict's order-exact build), and each relation is
+// remapped into it once, through a per-class array.
 func LoadDir(dir string) (*Database, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.csv"))
 	if err != nil {
@@ -106,5 +109,15 @@ func LoadDir(dir string) (*Database, error) {
 		}
 		db.Add(rel)
 	}
+	dict, err := BuildDict(db)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range db.Names() {
+		r := db.MustSource(name).(*Relation)
+		ids, _ := remapColumns(r.ids, r.Len(), r.dict, dict, nil)
+		db.Add(newRelationFromColumns(dict, r.name, r.cols, ids, r.Len()))
+	}
+	db.seedDict(dict)
 	return db, nil
 }

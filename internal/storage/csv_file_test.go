@@ -71,12 +71,8 @@ func TestAccessorsSmoke(t *testing.T) {
 		t.Error("Tuples")
 	}
 	ix := r.Index([]int{r.ColumnIndex("A")})
-	if len(ix.Columns()) != 1 || ix.Columns()[0] != 0 {
-		t.Errorf("Index.Columns = %v", ix.Columns())
-	}
-	key := Tuple{Int(1)}.Key()
-	if len(ix.LookupKey(key)) != 1 {
-		t.Error("LookupKey")
+	if got, _ := ix.Lookup(Tuple{Int(1)}, nil); len(got) != 1 {
+		t.Error("Lookup")
 	}
 	if r.String() == "" || r.Dump() == "" {
 		t.Error("String/Dump empty")

@@ -89,7 +89,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for _, u := range rel.Tuples() {
-			if !back.ContainsKey([]byte(u.Key())) {
+			if !back.Contains(u) {
 				return false
 			}
 		}

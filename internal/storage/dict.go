@@ -60,19 +60,28 @@ func NewDict() *Dict {
 // are numbered in Value.Compare order. The whole build is order-exact
 // unless the domain holds a value on which Compare is not a total order
 // of the classes (see orderExactLen); then only null is. This is the
-// load-time bulk build; later values append via Intern. Relations are
-// read through their source iterators (a data directory's engines start
-// from its persisted DICT instead).
+// load-time bulk build; later values append via Intern. An in-memory
+// relation contributes its classes' representatives, other sources their
+// scanned values (a data directory's engines start from its persisted
+// DICT instead).
 func BuildDict(db *Database) (*Dict, error) {
 	classes := make(map[string]Value)
 	var buf []byte
+	note := func(v Value) {
+		buf = v.AppendKey(buf[:0])
+		if _, ok := classes[string(buf)]; !ok {
+			classes[string(buf)] = v
+		}
+	}
 	for _, name := range db.Names() {
-		err := ForEach(db.MustSource(name).Scan(), func(t Tuple) error {
+		src := db.MustSource(name)
+		if r, ok := src.(*Relation); ok {
+			r.eachClass(note) // one value per class, no decoded tuples
+			continue
+		}
+		err := ForEach(src.Scan(), func(t Tuple) error {
 			for _, v := range t {
-				buf = v.AppendKey(buf[:0])
-				if _, ok := classes[string(buf)]; !ok {
-					classes[string(buf)] = v
-				}
+				note(v)
 			}
 			return nil
 		})

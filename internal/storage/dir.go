@@ -25,13 +25,14 @@ import (
 //	               trailer (see AppendDelta), optional
 //
 // Every byte a reader trusts is covered by a CRC: a corrupt file is an
-// error, never a different row set. A base value reads back as its
-// dictionary class's representative (Dict.Value), which is what every
-// executor answer decodes to anyway; delta rows keep their exact values.
-// The memory engine decodes column files + deltas into *Relation at open;
-// the disk engine serves them via DiskRelation. Both present base rows in
-// column-file order, then delta rows in append order — the order the
-// bit-identical evaluation oracle rests on.
+// error, never a different row set. A stored value, base or delta, reads
+// back as its dictionary class's representative (Dict.Value), which is
+// what every executor answer decodes to anyway. The memory engine reads
+// every column file at open into a *Relation over the persisted DICT,
+// taking the IDs as they are, and interns the delta rows on top; the disk
+// engine serves the same IDs via DiskRelation from first touch. Both
+// present base rows in column-file order, then delta rows in append order
+// — the order the bit-identical evaluation oracle rests on.
 const (
 	catalogFile = "CATALOG.json"
 	dictFile    = "DICT"
@@ -179,9 +180,11 @@ func unbucketize(buckets []histBucket) []int {
 }
 
 // OpenDir opens a data directory with the given engine and returns the
-// database plus the directory handle for subsequent delta appends. The
-// disk engine validates each column file's header here and reads its
-// columns at first touch; the memory engine decodes everything now.
+// database plus the directory handle for subsequent delta appends. Both
+// engines start from the persisted dictionary, and delta values intern on
+// top of it, past its order-exact prefix. The disk engine validates each
+// column file's header here and reads its columns at first touch; the
+// memory engine reads them all now.
 func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
@@ -204,7 +207,6 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	db.SetIO(stats)
 	version := cat.Version
 	handle := &Dir{path: dir, engine: engine, io: stats, rels: make(map[string]*dirRel)}
-	anyDelta := false
 
 	for _, rc := range cat.Relations {
 		arity := len(rc.Columns)
@@ -214,7 +216,6 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 		}
 		handle.rels[rc.Name] = &dirRel{arity: arity, deltaEnd: deltaEnd}
 		version = max(version, deltaVersion)
-		anyDelta = anyDelta || len(deltaRows) > 0
 		path := filepath.Join(dir, rc.Name+colExt)
 		stats.addSegmentOpened()
 		switch engine {
@@ -247,32 +248,15 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			rel := NewRelation(rc.Name, rc.Columns...)
-			view := dict.View()
-			for i := 0; i < rc.Rows; i++ {
-				t := make(Tuple, arity)
-				for j, col := range cols {
-					t[j] = view.Value(col[i])
-				}
-				rel.Insert(t)
-			}
+			rel := newRelationFromColumns(dict, rc.Name, rc.Columns, cols, rc.Rows)
 			for _, t := range deltaRows {
 				rel.Insert(t)
-			}
-			if len(deltaRows) == 0 {
-				rel.SeedInternedColumns(dict, cols) // the column file is its ID image
 			}
 			db.Add(rel)
 		}
 	}
 	db.SetVersion(version)
-
-	// The disk engine always starts from the persisted dictionary (delta
-	// values intern on top of it). With a delta present the memory engine
-	// rebuilds it lazily instead, so delta values intern order-preserved.
-	if engine == EngineDisk || !anyDelta {
-		db.seedDict(dict)
-	}
+	db.seedDict(dict)
 	return db, handle, nil
 }
 

@@ -33,9 +33,7 @@ type DiskRelation struct {
 	// only), valid while the delta is empty.
 	hist map[string][]int
 
-	mu     sync.Mutex
-	groups map[string][]int // col -> exact group sizes incl. delta
-	ids    idCache          // lazy ID-space caches (see interned.go)
+	ids idCache // lazy ID-space caches and statistics (see interned.go)
 
 	pinOnce sync.Once
 	pinned  *Relation
@@ -78,37 +76,30 @@ func (e *SegmentError) Error() string {
 
 func (e *SegmentError) Unwrap() error { return e.Err }
 
-// columnIterator streams base rows decoded from the ID columns, then the
-// delta rows as appended, counting the delta tail for the I/O counters.
+// columnIterator streams the rows of ID columns decoded batch by batch,
+// each value its dictionary class's representative. Rows at or past base
+// are a disk source's delta rows, counted for the I/O counters.
 type columnIterator struct {
-	cols  [][]uint32
-	view  DictView
-	base  int
-	delta []Tuple
-	io    *IOStats
-	pos   int
-	out   []Tuple
-	err   error
+	cols    [][]uint32
+	view    DictView
+	n, base int
+	io      *IOStats
+	pos     int
+	out     []Tuple
+	err     error
 }
 
-func (it *columnIterator) Next(max int) ([]Tuple, error) {
-	if it.err != nil {
+func (it *columnIterator) Next(limit int) ([]Tuple, error) {
+	if it.err != nil || it.pos >= it.n {
 		return nil, it.err
 	}
-	if max <= 0 {
-		max = internBatch
+	if limit <= 0 {
+		limit = internBatch
 	}
-	if it.pos >= it.base {
-		lo := it.pos - it.base
-		hi := min(lo+max, len(it.delta))
-		if lo >= hi {
-			return nil, nil
-		}
-		it.pos += hi - lo
-		it.io.addDeltaRows(hi - lo)
-		return it.delta[lo:hi], nil
+	hi := min(it.pos+limit, it.n)
+	if hi > it.base {
+		it.io.addDeltaRows(hi - max(it.pos, it.base))
 	}
-	hi := min(it.pos+max, it.base)
 	it.out = it.out[:0]
 	for ; it.pos < hi; it.pos++ {
 		t := make(Tuple, len(it.cols))
@@ -122,39 +113,38 @@ func (it *columnIterator) Next(max int) ([]Tuple, error) {
 
 func (it *columnIterator) Close() error { return nil }
 
-// Scan streams base rows in column-file (ID-tuple) order, each value its
-// dictionary class's representative, then delta rows in append order —
-// the same total order the memory engine materializes from this data
+// Scan streams base rows in column-file (ID-tuple) order, then delta rows
+// in append order, each value its dictionary class's representative — the
+// same total order and values the memory engine holds for this data
 // directory. A column file that fails to load surfaces from Next.
 func (d *DiskRelation) Scan() Iterator {
 	cols, err := d.InternedColumns(d.dict, nil)
-	return &columnIterator{cols: cols, view: d.dict.View(), base: d.rows, delta: d.delta, io: d.io, err: err}
+	return &columnIterator{cols: cols, view: d.dict.View(), n: d.Len(), base: d.rows, io: d.io, err: err}
 }
 
-// internColumns is the disk column build: the column file read and
-// verified (its IDs are the persisted DICT's, so nothing is decoded or
+// home is the persisted DICT the column file's IDs index.
+func (d *DiskRelation) home() *Dict { return d.dict }
+
+// homeColumns is the disk column build: the column file read and verified
+// (its IDs are the persisted DICT's, so nothing is decoded or
 // re-interned), then the delta rows interned on top.
-func (d *DiskRelation) internColumns(dict *Dict, check func() error) ([][]uint32, error) {
+func (d *DiskRelation) homeColumns(check func() error) ([][]uint32, *IDTable, error) {
 	cols, err := loadColumnFile(d.path, d.name, d.rows, len(d.cols), d.dict.Len(), check, d.io)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	view := d.dict.View()
-	for j, col := range cols {
-		if dict != d.dict { // another database's dictionary (a shard's): translate
-			for i, id := range col {
-				col[i] = dict.Intern(view.Value(id))
-			}
-		}
+	for j := range cols {
 		for _, t := range d.delta {
-			cols[j] = append(cols[j], dict.Intern(t[j]))
+			cols[j] = append(cols[j], d.dict.Intern(t[j]))
 		}
 	}
 	d.io.addDeltaRows(len(d.delta))
-	return cols, nil
+	return cols, nil, nil
 }
 
-// InternedColumns implements RelationSource; see internColumns.
+// InternedColumns implements RelationSource: the home columns (see
+// homeColumns) under the persisted DICT, a cached per-class remap of them
+// under another dictionary (a shard's).
 func (d *DiskRelation) InternedColumns(dict *Dict, check func() error) ([][]uint32, error) {
 	return d.ids.columns(d, dict, check)
 }
@@ -178,62 +168,28 @@ func (d *DiskRelation) DistinctCount(col string) (int, error) {
 }
 
 // GroupSizes returns the exact group-size multiset of the named column,
-// sorted ascending. With an empty delta it is served from the persisted
-// catalog histogram (stored sorted); otherwise it is counted once per
-// view over the ID columns. Exactness and order are a contract: the
-// planner's decisions must be engine-independent, and a map-ordered
-// multiset would leak nondeterminism into anything that indexes it.
+// sorted ascending (see RelationSource): from the persisted catalog
+// histogram while the delta is empty, else counted as the memory engine
+// counts.
 func (d *DiskRelation) GroupSizes(col string) ([]int, error) {
-	p := d.ColumnIndex(col)
-	if p < 0 {
-		return nil, fmt.Errorf("storage: relation %q has no column %q", d.name, col)
-	}
-	if len(d.delta) == 0 {
-		if sizes, ok := d.hist[col]; ok {
-			return sizes, nil
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sizes, ok := d.groups[col]; ok {
+	if sizes, ok := d.hist[col]; ok && len(d.delta) == 0 {
 		return sizes, nil
 	}
-	cols, err := d.InternedColumns(d.dict, nil)
-	if err != nil {
-		return nil, err
-	}
-	// IDs are dense in [0, Len()), and every ID of the columns is below it.
-	counts := make([]int, d.dict.Len())
-	for _, id := range cols[p] {
-		counts[id]++
-	}
-	var sizes []int
-	for _, n := range counts {
-		if n > 0 {
-			sizes = append(sizes, n)
-		}
-	}
-	sort.Ints(sizes)
-	if d.groups == nil {
-		d.groups = make(map[string][]int)
-	}
-	d.groups[col] = sizes
-	return sizes, nil
+	return d.ids.groupSizes(d, col)
 }
 
-// Pin materializes the source into an in-memory Relation (cached), for
-// the consumers that need boxed tuples — the naive oracle, the planner's
-// sampling pass; the executor never does. Rows come from Scan.
+// Pin returns the source as an in-memory Relation (cached) over its ID
+// columns under the persisted DICT, for the consumers that read decoded
+// tuples — the naive oracle, the planner's sampling pass; the executor
+// never does.
 func (d *DiskRelation) Pin() (*Relation, error) {
 	d.pinOnce.Do(func() {
-		rel := NewRelation(d.name, d.cols...)
-		d.pinErr = ForEach(d.Scan(), func(t Tuple) error {
-			rel.Insert(t)
-			return nil
-		})
-		if d.pinErr == nil {
-			d.pinned = rel
+		cols, err := d.InternedColumns(d.dict, nil)
+		if err != nil {
+			d.pinErr = err
+			return
 		}
+		d.pinned = newRelationFromColumns(d.dict, d.name, d.cols, cols, d.Len())
 	})
 	return d.pinned, d.pinErr
 }
@@ -290,7 +246,7 @@ func (d *DiskRelation) WithDelta(tuples []Tuple) (*DiskRelation, []Tuple, error)
 			next[j] = append(next[j], d.dict.Intern(t[j]))
 		}
 	}
-	out.ids.seed(d.dict, out.Len(), next)
+	out.ids.home = &internedState{dict: d.dict, n: out.Len(), cols: next, idx: make(map[string]*IDIndex)}
 	d.io.addDeltaRows(len(added))
 	return out, added, nil
 }

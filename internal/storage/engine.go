@@ -6,9 +6,9 @@ import "fmt"
 type Engine int
 
 const (
-	// EngineMemory materializes every relation into the in-memory
-	// *Relation structures at open time — the default, and the only
-	// engine for plain CSV loading.
+	// EngineMemory holds every relation as an in-memory *Relation, its
+	// ID columns read from the column files at open — the default, and
+	// the only engine for plain CSV loading.
 	EngineMemory Engine = iota
 	// EngineDisk serves relations from their column files: a relation's
 	// file is read and verified at first touch, and what stays resident
@@ -43,9 +43,8 @@ func ParseEngine(s string) (Engine, error) {
 
 // Iterator is a pull cursor over tuples. Next returns up to max tuples and
 // nil at end of stream; the returned batch is only valid until the next
-// call (in-memory sources hand out windows of their backing array, disk
-// sources reuse their batch slice). Close releases any underlying resources and
-// is required even after an error.
+// call (sources decode into a reused batch slice). Close releases any
+// underlying resources and is required even after an error.
 type Iterator interface {
 	Next(max int) ([]Tuple, error)
 	Close() error
@@ -91,33 +90,12 @@ type RelationSource interface {
 	DistinctCount(col string) (int, error)
 	GroupSizes(col string) ([]int, error)
 
-	// Pin materializes the source as an in-memory relation (itself, for
-	// one that already is) for the consumers that need boxed tuples: the
+	// Pin returns the source as an in-memory *Relation (itself, for one
+	// that already is; a disk source's ID columns under its dictionary,
+	// cached) for the consumers that read decoded tuples: the
 	// materializing oracle and the planner's sampling pass.
 	Pin() (*Relation, error)
 }
-
-// sliceIterator streams windows of an in-memory tuple slice: no copying,
-// no allocation beyond the iterator itself.
-type sliceIterator struct {
-	tuples []Tuple
-	pos    int
-}
-
-func (it *sliceIterator) Next(max int) ([]Tuple, error) {
-	if it.pos >= len(it.tuples) {
-		return nil, nil
-	}
-	end := it.pos + max
-	if max <= 0 || end > len(it.tuples) {
-		end = len(it.tuples)
-	}
-	batch := it.tuples[it.pos:end]
-	it.pos = end
-	return batch, nil
-}
-
-func (it *sliceIterator) Close() error { return nil }
 
 // ForEach drains the iterator, calling fn for every tuple, and closes it.
 // The tuple is only valid for the duration of the call (see Iterator).
@@ -141,19 +119,11 @@ func ForEach(it Iterator, fn func(Tuple) error) error {
 
 // --- *Relation as a RelationSource ---
 
-// Scan streams the relation's tuples in insertion order.
-func (r *Relation) Scan() Iterator { return &sliceIterator{tuples: r.tuples} }
-
-// GroupSizes returns the group sizes of the named column, sorted
-// ascending (callers treat the result as a multiset; the order is
-// canonical so both engines present the same slice).
-func (r *Relation) GroupSizes(col string) ([]int, error) {
-	p := r.ColumnIndex(col)
-	if p < 0 {
-		return nil, fmt.Errorf("storage: relation %q has no column %q", r.name, col)
-	}
-	return r.Index([]int{p}).GroupSizes(), nil
+// Scan streams the relation's tuples in insertion order, decoded batch by
+// batch.
+func (r *Relation) Scan() Iterator {
+	return &columnIterator{cols: r.ids, view: r.dict.View(), n: r.Len(), base: r.Len()}
 }
 
-// Pin returns the relation itself; it is already materialized.
+// Pin returns the relation itself; it is already in memory.
 func (r *Relation) Pin() (*Relation, error) { return r, nil }

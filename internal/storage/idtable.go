@@ -24,8 +24,9 @@ func HashIDs(ids []uint32) uint32 {
 
 // IDTable is the one hash table over ID rows: a set of fixed-width
 // dictionary-ID tuples that numbers its members in first-seen order. A
-// relation's membership set is one (RelationSource.IDSet), an IDIndex
-// keeps its distinct keys in one, and the executor's parameter groups,
+// relation's membership set is one (RelationSource.IDSet, over the
+// relation's columns: newIDSet), an IDIndex keeps its distinct keys in
+// one, and the executor's parameter groups,
 // dedup keys, decision-barrier buffer and merged groups are all
 // IDTables. Open addressing with linear probing on HashIDs; a slot holds
 // the key's hash beside its entry number, so a probe touches the row store
@@ -41,12 +42,15 @@ type IDTable struct {
 	// never copies a stored row, so a table of n rows allocates their bytes
 	// once rather than twice over.
 	rows [][]uint32
+	// cols, when set, replaces rows: entry e is row e of these
+	// column-major IDs, which their owner appends to (newIDSet).
+	cols [][]uint32
 	// slots[i] is hash<<32 | entry+1, or 0 when free; len is a power of two.
 	slots []uint64
 	// hash, when set, replaces HashIDs: tests force collisions through it
 	// (on tables wider than one column, whose probes compare rows).
 	hash func([]uint32) uint32
-	key  []uint32 // InsertAt's gather buffer
+	key  []uint32 // gather buffer of InsertAt and Relation.Insert
 }
 
 const (
@@ -68,7 +72,8 @@ func NewIDTable(width int) *IDTable {
 // Len returns the number of distinct rows inserted.
 func (t *IDTable) Len() int { return t.n }
 
-// Row returns entry e's IDs; the slice aliases the table.
+// Row returns entry e's IDs; the slice aliases the table. Row and Columns
+// are for the tables NewIDTable makes, not for a newIDSet.
 func (t *IDTable) Row(e int) []uint32 {
 	if t.width == 0 {
 		return nil
@@ -78,7 +83,7 @@ func (t *IDTable) Row(e int) []uint32 {
 
 // store appends key as entry t.n.
 func (t *IDTable) store(key []uint32) {
-	if t.width == 0 {
+	if t.width == 0 || t.cols != nil {
 		return
 	}
 	c := t.n / idTableChunk
@@ -96,7 +101,7 @@ func (t *IDTable) store(key []uint32) {
 // slot where it would go.
 func (t *IDTable) probe(key []uint32) (h uint32, slot int) {
 	if t.hash != nil {
-		h = t.hash(key)
+		h = t.hash(append([]uint32(nil), key...)) // a copy: key stays on its caller's stack
 	} else {
 		h = HashIDs(key)
 	}
@@ -113,9 +118,17 @@ probe:
 		if t.width == 1 {
 			return h, int(i)
 		}
-		for c, id := range t.Row(int(uint32(s)) - 1) {
-			if id != key[c] {
-				continue probe
+		if e := int(uint32(s)) - 1; t.cols != nil {
+			for c, col := range t.cols {
+				if col[e] != key[c] {
+					continue probe
+				}
+			}
+		} else {
+			for c, id := range t.Row(e) {
+				if id != key[c] {
+					continue probe
+				}
 			}
 		}
 		return h, int(i)
@@ -201,13 +214,18 @@ func (t *IDTable) resize(size int) {
 	t.slots = slots
 }
 
-// newIDSet returns the set of the n rows of the column-major cols.
+// newIDSet returns the set of the first n (distinct) rows of the
+// column-major cols, in row order. It stores no rows but reads cols,
+// sharing its outer slice: an owner that inserts a row, then appends it
+// to every column when fresh (Relation.InsertIDs), keeps the two in step.
 func newIDSet(cols [][]uint32, n int) *IDTable {
 	all := make([]int, len(cols))
 	for j := range all {
 		all[j] = j
 	}
 	s := NewIDTable(len(cols))
+	s.cols = cols
+	s.Grow(n)
 	for i := 0; i < n; i++ {
 		s.InsertAt(cols, all, i)
 	}

@@ -1,62 +1,79 @@
 package storage
 
 import (
+	"fmt"
+	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// This file holds the relation-side caches of the columnar interned
-// executor: the column-major ID image of a relation, its membership set
-// (an IDTable of its rows, the columnar ContainsKey), and its ID indexes
-// (an IDTable of keys plus row lists, the columnar Index; idtable.go). All
-// three are lazy, cached per relation and built under one mutex, and
-// dropped together on any mutation. Keys are the dictionary IDs of
-// internal/storage.Dict, so key equality is exactly Value.Equal — the
-// same classes the byte AppendKey encoding produces.
+// This file holds the ID-space cache both engines embed: a relation's
+// image under a dictionary (column-major IDs, membership set, ID indexes;
+// idtable.go) and the group sizes counted over it. A source stores the IDs
+// of its home dictionary — a Relation's own, a DiskRelation's persisted
+// DICT — and its image under any other is the home columns remapped once
+// per value class, never per cell.
 
-// internedState is the ID-space image of one relation for one dictionary:
-// the column-major IDs plus the membership set and hash indexes derived
-// from them. Immutable once published except for the lazily added set and
-// indexes, which idCache guards.
+// internedState is a relation's image under one dictionary; idCache
+// guards its lazily added set, indexes and sizes.
 type internedState struct {
-	dict *Dict
-	n    int                 // row count (explicit: a relation may have zero columns)
-	cols [][]uint32          // column-major IDs
-	set  *IDTable            // full-tuple membership; nil until built
-	idx  map[string]*IDIndex // indexKey(cols) -> index
+	dict   *Dict
+	n      int                 // row count (explicit: a relation may have zero columns)
+	cols   [][]uint32          // column-major IDs
+	set    *IDTable            // full-tuple membership; nil until built
+	idx    map[string]*IDIndex // indexKey(cols) -> index
+	groups map[int][]int       // column -> ascending group sizes
 }
 
-// columnBuilder is what an idCache needs of the relation embedding it: the
-// row count and the engine's column build (from boxed tuples in memory,
-// from the column file on disk).
-type columnBuilder interface {
+// columnSource is what an idCache needs of the relation embedding it: its
+// shape, its home dictionary and the home column build (with the set, when
+// the source keeps one).
+type columnSource interface {
+	Name() string
+	ColumnIndex(col string) int
 	Len() int
-	internColumns(d *Dict, check func() error) ([][]uint32, error)
+	home() *Dict
+	homeColumns(check func() error) ([][]uint32, *IDTable, error)
 }
 
-// idCache holds a relation's lazily built internedState; both engines
-// embed one. A relation normally meets exactly one dictionary (its
-// database's); a different dictionary rebuilds the cache. mu serializes
-// builds (columns, set, indexes); the published state is read without it.
+// idCache holds a relation's lazily built images, one under its home
+// dictionary and one under the latest other, each valid while its
+// dictionary and row count match (a Relation only grows). mu guards both.
 type idCache struct {
-	mu sync.Mutex
-	st atomic.Pointer[internedState]
+	mu         sync.Mutex
+	home, away *internedState
 }
 
-// state returns the cache for d, building src's columns on first use. A
-// failed (or cancelled) build caches nothing. Callers hold c.mu.
-func (c *idCache) state(src columnBuilder, d *Dict, check func() error) (*internedState, error) {
-	if st := c.st.Load(); st != nil && st.dict == d {
+// state returns the image under d, building it on first use. A failed (or
+// cancelled) build caches nothing. Callers hold c.mu.
+func (c *idCache) state(src columnSource, d *Dict, check func() error) (*internedState, error) {
+	slot := &c.away
+	if d == src.home() {
+		slot = &c.home
+	}
+	if st := *slot; st != nil && st.dict == d && st.n == src.Len() {
 		return st, nil
 	}
-	cols, err := src.internColumns(d, check)
-	if err != nil {
-		return nil, err
+	var cols [][]uint32
+	var set *IDTable
+	if d == src.home() {
+		var err error
+		if cols, set, err = src.homeColumns(check); err != nil {
+			return nil, err
+		}
+	} else {
+		h, err := c.state(src, src.home(), check)
+		if err != nil {
+			return nil, err
+		}
+		if cols, err = remapColumns(h.cols, h.n, h.dict, d, check); err != nil {
+			return nil, err
+		}
 	}
-	return c.seed(d, src.Len(), cols), nil
+	*slot = &internedState{dict: d, n: src.Len(), cols: cols, set: set, idx: make(map[string]*IDIndex)}
+	return *slot, nil
 }
 
-func (c *idCache) columns(src columnBuilder, d *Dict, check func() error) ([][]uint32, error) {
+func (c *idCache) columns(src columnSource, d *Dict, check func() error) ([][]uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, err := c.state(src, d, check)
@@ -66,7 +83,7 @@ func (c *idCache) columns(src columnBuilder, d *Dict, check func() error) ([][]u
 	return st.cols, nil
 }
 
-func (c *idCache) idSet(src columnBuilder, d *Dict, check func() error) (*IDTable, error) {
+func (c *idCache) idSet(src columnSource, d *Dict, check func() error) (*IDTable, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, err := c.state(src, d, check)
@@ -79,7 +96,7 @@ func (c *idCache) idSet(src columnBuilder, d *Dict, check func() error) (*IDTabl
 	return st.set, nil
 }
 
-func (c *idCache) idIndex(src columnBuilder, d *Dict, cols []int, check func() error) (*IDIndex, error) {
+func (c *idCache) idIndex(src columnSource, d *Dict, cols []int, check func() error) (*IDIndex, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, err := c.state(src, d, check)
@@ -95,33 +112,55 @@ func (c *idCache) idIndex(src columnBuilder, d *Dict, cols []int, check func() e
 	return ix, nil
 }
 
-// seed publishes pre-computed columns, sparing the build.
-func (c *idCache) seed(d *Dict, n int, cols [][]uint32) *internedState {
-	st := &internedState{dict: d, n: n, cols: cols, idx: make(map[string]*IDIndex)}
-	c.st.Store(st)
-	return st
-}
-
-// reset drops the cache; the in-memory relation calls it on every
-// mutation, so the common nothing-built case is one load.
-func (c *idCache) reset() {
-	if c.st.Load() != nil {
-		c.st.Store(nil)
+// groupSizes returns the ascending group-size multiset of the named
+// column, counted once per home image over its IDs into a slice indexed
+// by ID — the one statistics path of both engines.
+func (c *idCache) groupSizes(src columnSource, col string) ([]int, error) {
+	p := src.ColumnIndex(col)
+	if p < 0 {
+		return nil, fmt.Errorf("storage: relation %q has no column %q", src.Name(), col)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, err := c.state(src, src.home(), nil)
+	if err != nil {
+		return nil, err
+	}
+	if sizes, ok := st.groups[p]; ok {
+		return sizes, nil
+	}
+	counts := make([]int, st.dict.Len())
+	for _, id := range st.cols[p] {
+		counts[id]++
+	}
+	sizes := []int{}
+	for _, n := range counts {
+		if n > 0 {
+			sizes = append(sizes, n)
+		}
+	}
+	sort.Ints(sizes)
+	if st.groups == nil {
+		st.groups = make(map[int][]int)
+	}
+	st.groups[p] = sizes
+	return sizes, nil
 }
 
-// internBatch is the number of rows a column build interns between two
-// consultations of its check function.
+// internBatch is the number of rows a column build reads, or a scan
+// decodes, between two consultations of its check function.
 const internBatch = 1024
 
-// internColumns is the in-memory column build: tuples interned into one
-// ID slice per column, consulting check (when non-nil) every internBatch
-// rows so a deadline can interrupt a large first-touch build.
-func (r *Relation) internColumns(d *Dict, check func() error) ([][]uint32, error) {
-	n := len(r.tuples)
-	cols := make([][]uint32, len(r.cols))
-	for j := range cols {
-		cols[j] = make([]uint32, n)
+// remapColumns returns the n rows of cols, IDs of from, as IDs of to:
+// each value class is looked up (and interned into to) once, at its first
+// row. check, when non-nil, is consulted once per internBatch rows and
+// aborts the remap with its error.
+func remapColumns(cols [][]uint32, n int, from, to *Dict, check func() error) ([][]uint32, error) {
+	view := from.View()
+	m := make([]uint32, view.Len()) // 0: not yet mapped (null maps to null)
+	out := make([][]uint32, len(cols))
+	for j := range out {
+		out[j] = make([]uint32, n)
 	}
 	for lo := 0; lo < n; lo += internBatch {
 		if check != nil {
@@ -129,57 +168,47 @@ func (r *Relation) internColumns(d *Dict, check func() error) ([][]uint32, error
 				return nil, err
 			}
 		}
-		hi := lo + internBatch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+internBatch, n)
 		for j, col := range cols {
-			for i := lo; i < hi; i++ {
-				col[i] = d.Intern(r.tuples[i][j])
+			for i, id := range col[lo:hi] {
+				t := m[id]
+				if t == NullID && id != NullID {
+					t = to.Intern(view.Value(id))
+					m[id] = t
+				}
+				out[j][lo+i] = t
 			}
 		}
 	}
-	return cols, nil
+	return out, nil
+}
+
+func (r *Relation) home() *Dict { return r.dict }
+
+// homeColumns is the stored columns as they stand (a copy of their
+// headers: later inserts do not lengthen an image handed out).
+func (r *Relation) homeColumns(func() error) ([][]uint32, *IDTable, error) {
+	return append([][]uint32(nil), r.ids...), r.set, nil
 }
 
 // InternedColumns returns the relation's tuples as one []uint32 per
-// column (row i of column j is the dictionary ID of tuple i's j-th
-// value), interning values not yet in d. check, when non-nil, is consulted
-// once per batch of the build and aborts it with its error. The result is
-// cached until the relation mutates; the returned slices must not be
-// modified.
+// column (row i of column j is the ID of tuple i's j-th value): the
+// stored columns under its own dictionary, a cached per-class remap under
+// any other. The returned slices must not be modified.
 func (r *Relation) InternedColumns(d *Dict, check func() error) ([][]uint32, error) {
-	return r.ids.columns(r, d, check)
+	return r.cache.columns(r, d, check)
 }
 
-// SeedInternedColumns installs cols as the relation's ID image for d — for
-// a producer that already holds the rows in ID form (the executor's
-// materialize barrier). cols must be column-major with one ID per stored
-// tuple; a mismatched shape is ignored.
-func (r *Relation) SeedInternedColumns(d *Dict, cols [][]uint32) {
-	if len(cols) != len(r.cols) {
-		return
-	}
-	for _, c := range cols {
-		if len(c) != len(r.tuples) {
-			return
-		}
-	}
-	r.ids.seed(d, len(r.tuples), cols)
-}
-
-// IDSet returns (building and caching on first use) the membership set
-// of the relation's tuples in ID space — the columnar twin of
-// ContainsKey: a tuple is a member when Find returns an entry. Safe for
-// concurrent readers once built.
+// IDSet returns the membership set of the relation's tuples in ID space
+// (under its own dictionary, the table that deduplicates it): a tuple is
+// a member when Find returns an entry. Safe for concurrent readers.
 func (r *Relation) IDSet(d *Dict, check func() error) (*IDTable, error) {
-	return r.ids.idSet(r, d, check)
+	return r.cache.idSet(r, d, check)
 }
 
 // IDIndex returns (building and caching on first use) a hash index from
 // the IDs of the given column positions to the matching row numbers, in
-// insertion order — the columnar twin of Index. Safe for concurrent
-// readers once built.
+// insertion order. Safe for concurrent readers once built.
 func (r *Relation) IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error) {
-	return r.ids.idIndex(r, d, cols, check)
+	return r.cache.idIndex(r, d, cols, check)
 }

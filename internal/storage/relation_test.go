@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,6 +96,23 @@ func TestRelationSetSemantics(t *testing.T) {
 	if r.Contains(Tuple{Int(9), Str("beer")}) {
 		t.Error("Contains found a missing tuple")
 	}
+
+	// Dedup and the dictionary's classes are one notion (AppendKey): Int(1)
+	// and Float(1) are one row, which reads back as the class
+	// representative, the value stored first.
+	x := NewRelation("x", "A")
+	if !x.InsertValues(Int(1)) || x.InsertValues(Float(1)) || x.Len() != 1 {
+		t.Fatalf("Int(1) then Float(1): len %d, want 1", x.Len())
+	}
+	if got := x.Tuples()[0][0]; got.Kind() != KindInt || !x.Contains(Tuple{Float(1)}) {
+		t.Errorf("stored %v (kind %v), want the representative Int(1)", got, got.Kind())
+	}
+	y := NewRelation("y", "A", "B")
+	y.InsertValues(Str("a"), Int(2))
+	y.InsertValues(Str("b"), Float(2)) // a new row, whose Float(2) reads back as Int(2)
+	if tu := y.Tuples(); y.Len() != 2 || tu[1][1].Kind() != KindInt {
+		t.Errorf("second row %v, want (b, 2) with the representative Int(2)", tu)
+	}
 }
 
 func TestRelationArityPanics(t *testing.T) {
@@ -130,18 +149,21 @@ func TestRelationIndex(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("Lookup(BID=1) returned %d tuples, want 2", len(got))
 	}
-	if n := ix.GroupCount(); n != 2 {
-		t.Errorf("GroupCount = %d, want 2", n)
+	if n, err := r.DistinctCount("BID"); err != nil || n != 2 {
+		t.Errorf("DistinctCount(BID) = %d, %v, want 2", n, err)
 	}
 	if n, err := r.DistinctCount("Item"); err != nil || n != 2 {
 		t.Errorf("DistinctCount(Item) = %d, %v, want 2", n, err)
 	}
 
-	// Index invalidation on insert.
+	// Index and statistics invalidation on insert.
 	r.InsertValues(Int(3), Str("relish"))
 	ix2 := r.Index([]int{r.ColumnIndex("BID")})
-	if ix2.GroupCount() != 3 {
-		t.Errorf("post-insert GroupCount = %d, want 3", ix2.GroupCount())
+	if got, _ := ix2.Lookup(Tuple{Int(3)}, nil); len(got) != 1 {
+		t.Errorf("post-insert Lookup(BID=3) returned %d tuples, want 1", len(got))
+	}
+	if sizes, _ := r.GroupSizes("BID"); len(sizes) != 3 {
+		t.Errorf("post-insert GroupSizes(BID) = %v, want 3 groups", sizes)
 	}
 }
 
@@ -167,6 +189,26 @@ func TestRelationSortedAndEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("different-size relations Equal")
 	}
+
+	// In an order-exact dictionary the rows sort on their IDs, which must
+	// give the order of the decoded tuples sorted by value.
+	src := NewRelation("src", "X", "Y")
+	for i := 0; i < 300; i++ {
+		src.InsertValues([]Value{Int(int64(i % 17)), Float(float64(i) / 4), Str(fmt.Sprint(i % 23))}[i%3], Int(int64(i%5)))
+	}
+	db := NewDatabase()
+	db.Add(src)
+	dict, err := BuildDict(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewRelationIn(dict, "in", "X", "Y")
+	in.InsertAll(src)
+	want := in.Tuples()
+	sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+	if got := in.Sorted(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ID-order Sorted differs from value order:\n got %v\nwant %v", got, want)
+	}
 }
 
 func TestRelationRenameSharesData(t *testing.T) {
@@ -178,17 +220,25 @@ func TestRelationRenameSharesData(t *testing.T) {
 	}
 }
 
-// TestRelationSubsetMembership: a Subset keeps the chosen rows in the
-// given order, and its lazily built membership set holds exactly them —
-// for lookups from concurrent readers and for later inserts alike.
-func TestRelationSubsetMembership(t *testing.T) {
+// TestRelationIDRowsMembership: a relation built from some of another's
+// ID rows in its dictionary (as a partition's cut is) keeps them in the
+// given order, and its membership set holds exactly them — for lookups
+// from concurrent readers and for later inserts alike.
+func TestRelationIDRowsMembership(t *testing.T) {
 	r := NewRelation("r", "A")
 	for i := int64(0); i < 10; i++ {
 		r.InsertValues(Int(i))
 	}
-	sub := r.Subset([]int{7, 2, 5})
+	ids, err := r.InternedColumns(r.Dict(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := NewRelationIn(r.Dict(), "r", r.Columns()...)
+	for _, i := range []int{7, 2, 5, 2} {
+		sub.InsertIDs([]uint32{ids[0][i]})
+	}
 	if sub.Name() != "r" || sub.Len() != 3 || !sub.Tuples()[0][0].Equal(Int(7)) {
-		t.Fatalf("Subset rows wrong: %s", sub.Dump())
+		t.Fatalf("ID rows wrong: %s", sub.Dump())
 	}
 	done := make(chan bool, 4)
 	for g := 0; g < 4; g++ {

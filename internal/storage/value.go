@@ -261,7 +261,7 @@ func ParseValue(s string) Value {
 // keyed as its Equal int (see Normalize), so Int(1) and Float(1) hash and
 // join together just as Compare says they should. Hot paths reuse one
 // destination buffer per worker and look keys up without materializing a
-// string (see Index.LookupBytes, Relation.ContainsKey).
+// string (see Index.LookupBytes).
 func (v Value) AppendKey(dst []byte) []byte {
 	if v.kind == KindFloat {
 		v = v.Normalize()

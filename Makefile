@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzIDOrder$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnFile$$' -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameLog$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzSortKey$$' -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzDictCrossKind$$' -fuzztime 10s ./internal/storage/ \
 		|| rm -rf internal/storage/testdata/fuzz/FuzzDictCrossKind

@@ -11,8 +11,9 @@ import (
 // both memo planes (extended answers under an "e|" key prefix, survivor
 // sets under "s|"), bounded by an estimate of the entries' resident bytes.
 // An extended answer is pointer-free dictionary-ID rows; a survivor set is
-// the boxed relation a hit returns as the answer. Values handed to a put
-// become shared and immutable — every later hit returns the same value,
+// the relation (ID columns and their set) a hit returns as the answer.
+// Values handed to a put become shared and immutable — every later hit
+// returns the same value,
 // which is safe because relation reads (including lazy index builds) are
 // concurrent-safe once mutation stops, and ID rows are never written.
 //
@@ -42,10 +43,12 @@ func NewMemo(maxBytes int64) *Memo {
 // key, headers), so even an empty result counts against the bound.
 const entryBytes = 256
 
-// relBytes estimates a boxed relation's resident footprint: per-tuple
-// slice and map-key overhead plus boxed values.
+// relBytes estimates a relation's resident footprint: its ID columns, as
+// idRowsBytes charges them, plus its dedup set at the worst case of 32
+// bytes a row (8-byte slots, doubled at load 1/2).
 func relBytes(rel *storage.Relation) int64 {
-	return int64(rel.Len())*int64(48+24*rel.Arity()) + entryBytes
+	n := int64(rel.Len())
+	return int64(rel.Arity())*(4*n+24) + 32*n + entryBytes
 }
 
 // idRowsBytes estimates ID rows at 4 bytes per cell plus a slice header

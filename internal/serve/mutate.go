@@ -18,13 +18,14 @@ type Mutation struct {
 }
 
 // Mutate appends CSV rows (no header; fields in relation column order) to
-// the named relation. The mutation is copy-on-write under either engine: a new
-// relation view (cloned in-memory relation, or a disk view with the rows
-// in its delta layer) is registered in a cloned catalog, the data-version
-// counter is bumped, and the new database is published atomically —
-// in-flight requests keep evaluating their snapshot, and every cache
-// entry keyed on the old version becomes unreachable. The plan cache and
-// the memo drop their old-version entries at once.
+// the named relation. The mutation is the source's copy-on-write
+// WithDelta under either engine, which interns the values once: the new
+// view is registered in a cloned catalog, the added ID rows are persisted
+// when the server has a data directory, the data-version counter is
+// bumped, and the new database is published atomically — in-flight
+// requests keep evaluating their snapshot, and every cache entry keyed on
+// the old version becomes unreachable. The plan cache and the memo drop
+// their old-version entries at once.
 func (p *Pipeline) Mutate(name, body string) (*Mutation, error) {
 	if p.cfg.Cluster != nil {
 		return nil, statusErrorf(http.StatusNotImplemented,
@@ -57,31 +58,9 @@ func (p *Pipeline) Mutate(name, body string) (*Mutation, error) {
 	}
 
 	newVersion := p.db.Version() + 1
-	var (
-		added    []storage.Tuple
-		totalLen int
-	)
-	db := p.db.Clone()
-	if drel, isDisk := src.(*storage.DiskRelation); isDisk {
-		next, fresh, err := drel.WithDelta(rows)
-		if err != nil {
-			return nil, err
-		}
-		added, totalLen = fresh, next.Len()
-		db.AddSource(next)
-	} else {
-		old, err := p.db.Relation(name)
-		if err != nil {
-			return nil, statusErrorf(http.StatusNotFound, "%v", err)
-		}
-		next := old.Clone()
-		for _, t := range rows {
-			if next.Insert(t) {
-				added = append(added, t)
-			}
-		}
-		totalLen = next.Len()
-		db.Add(next)
+	next, added, err := src.WithDelta(rows)
+	if err != nil {
+		return nil, err
 	}
 	// Durability before visibility: the delta lands on disk before the
 	// bumped database is published, so a crash can lose an acknowledged
@@ -91,9 +70,11 @@ func (p *Pipeline) Mutate(name, body string) (*Mutation, error) {
 			return nil, statusErrorf(http.StatusInternalServerError, "persisting mutation: %v", err)
 		}
 	}
+	db := p.db.Clone()
+	db.AddSource(next)
 	db.SetVersion(newVersion)
 	p.db = db
 	p.plans.Purge(newVersion)
 	p.memo.Purge(newVersion)
-	return &Mutation{Relation: name, Inserted: len(added), Rows: totalLen, Version: newVersion}, nil
+	return &Mutation{Relation: name, Inserted: len(added), Rows: next.Len(), Version: newVersion}, nil
 }

@@ -75,11 +75,11 @@ func idRows(dict *storage.Dict, n int) *physical.IDRows {
 }
 
 func TestMemoByteBoundEvicts(t *testing.T) {
-	// Each 10-row unary relation estimates to 10*(48+24)+256 = 976 bytes.
-	// The quarter-bound rule means at least four same-size entries always
-	// fit, so bound the memo to exactly four and add a fifth entry: 100
-	// one-column ID rows, 100*4+24+256 = 680 bytes.
-	m := NewMemo(4 * 976)
+	// Each 10-row unary relation estimates to (10*4+24)+10*32+256 = 640
+	// bytes. The quarter-bound rule means at least four same-size entries
+	// always fit, so bound the memo to exactly four and add a fifth entry:
+	// 60 one-column ID rows, 60*4+24+256 = 520 bytes.
+	m := NewMemo(4 * 640)
 	v := m.At(0)
 	for _, k := range []string{"k1", "k2", "k3", "k4"} {
 		v.PutSurvivors(k, rel(k, 10))
@@ -87,7 +87,7 @@ func TestMemoByteBoundEvicts(t *testing.T) {
 	if _, ok := v.Survivors("k1"); !ok {
 		t.Fatal("k1 should fit")
 	}
-	v.PutExtended("k5", idRows(nil, 100)) // evicts k2 (k1 was just touched)
+	v.PutExtended("k5", idRows(nil, 60)) // evicts k2 (k1 was just touched)
 	if _, ok := v.Survivors("k2"); ok {
 		t.Fatal("k2 should have been evicted as least recently used")
 	}
@@ -95,7 +95,7 @@ func TestMemoByteBoundEvicts(t *testing.T) {
 		t.Fatal("k5 should be present")
 	}
 	st := m.Stats()
-	if st.Evictions != 1 || st.Entries != 4 || st.Bytes != 3*976+680 {
+	if st.Evictions != 1 || st.Entries != 4 || st.Bytes != 3*640+520 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

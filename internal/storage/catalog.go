@@ -151,20 +151,12 @@ func (db *Database) Names() []string { return db.order }
 // value, so results computed against one version can never answer a
 // request against another. The counter is not synchronized: callers that
 // mutate shared databases concurrently must publish a bumped copy (see
-// Clone + BumpVersion) rather than mutate in place.
+// Clone + SetVersion) rather than mutate in place.
 func (db *Database) Version() uint64 { return db.version }
 
 // SetVersion overwrites the data-mutation counter (used when loading a
 // snapshot that carries its own version).
 func (db *Database) SetVersion(v uint64) { db.version = v }
-
-// BumpVersion increments the data-mutation counter and returns the new
-// value. Call it after any change to stored tuples; every cache entry
-// keyed on the previous version becomes unreachable.
-func (db *Database) BumpVersion() uint64 {
-	db.version++
-	return db.version
-}
 
 // Clone returns a database sharing the relation objects but with an
 // independent name table, so plan executors can register temporary

@@ -134,9 +134,10 @@ func orderExactLen(vals []Value) uint32 {
 
 // newDictFromValues reconstructs a dictionary from a persisted snapshot:
 // vals holds every class representative in ID order (index 0 must be the
-// null value). The order-exact prefix is re-derived from the values, not
-// taken from the file.
-func newDictFromValues(vals []Value) *Dict {
+// null value), the first base of them from the bulk build. The order-exact
+// prefix is re-derived from those, not taken from the file; the values
+// appended after them lie past it, as they did when they were interned.
+func newDictFromValues(vals []Value, base int) *Dict {
 	d := &Dict{
 		ids:   make(map[string]uint32, len(vals)),
 		vals:  vals,
@@ -146,16 +147,8 @@ func newDictFromValues(vals []Value) *Dict {
 		d.kinds[i] = v.Kind()
 		d.ids[string(v.AppendKey(nil))] = uint32(i)
 	}
-	d.exactLen = orderExactLen(vals)
+	d.exactLen = orderExactLen(vals[:base])
 	return d
-}
-
-// snapshotValues returns a copy of the representative values in ID
-// order, for persistence.
-func (d *Dict) snapshotValues() []Value {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]Value(nil), d.vals...)
 }
 
 // Len returns the number of interned value classes (including null).

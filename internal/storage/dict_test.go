@@ -316,7 +316,7 @@ func TestReadDictRederivesOrderExactLen(t *testing.T) {
 	if err := writeDict(path, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readDictFile(path)
+	got, _, err := readDictFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,33 +15,36 @@ import (
 // Data-directory layout — the canonical persistent format both engines
 // open:
 //
-//	CATALOG.json   format 2: relation schemas, row counts, per-column
+//	CATALOG.json   format 3: relation schemas, row counts, per-column
 //	               group-size histograms, and the data version at ingest
-//	DICT           the interned value dictionary, in ID order, CRC-32C
-//	               trailer
+//	DICT           the interned value dictionary in ID order: a frame log
+//	               (see appendFrame) of a base frame, then one append frame
+//	               per mutation that interned new values
 //	<name>.cols    the relation's base rows as ID columns against DICT,
 //	               in ID-tuple order (see colfile.go)
-//	<name>.delta   append-only post-ingest batches, each with a CRC-32C
-//	               trailer (see AppendDelta), optional
+//	<name>.delta   a frame log of post-ingest batches of ID rows against
+//	               DICT (see AppendDelta), optional
 //
 // Every byte a reader trusts is covered by a CRC: a corrupt file is an
-// error, never a different row set. A stored value, base or delta, reads
-// back as its dictionary class's representative (Dict.Value), which is
-// what every executor answer decodes to anyway. The memory engine reads
-// every column file at open into a *Relation over the persisted DICT,
-// taking the IDs as they are, and interns the delta rows on top; the disk
-// engine serves the same IDs via DiskRelation from first touch. Both
-// present base rows in column-file order, then delta rows in append order
-// — the order the bit-identical evaluation oracle rests on.
+// error, never a different row set, and only the final frame of a frame
+// log may be dropped, as never acknowledged. A stored value, base or
+// delta, reads back as its dictionary class's representative
+// (Dict.Value), which is what every executor answer decodes to anyway.
+// Both engines take every ID of the column and delta files as it is: the
+// memory engine reads every column file at open into a *Relation over the
+// persisted DICT and inserts the delta rows after; the disk engine serves
+// the same IDs via DiskRelation from first touch. Both present base rows
+// in column-file order, then delta rows in append order — the order the
+// bit-identical evaluation oracle rests on.
 const (
 	catalogFile = "CATALOG.json"
 	dictFile    = "DICT"
 	colExt      = ".cols"
 	deltaExt    = ".delta"
-	dirFormat   = 2
+	dirFormat   = 3
 
-	dictMagic  = "QFDICT2\n"
-	deltaMagic = "QFDELT2\n"
+	dictMagic  = "QFDICT3\n"
+	deltaMagic = "QFDELT3\n"
 )
 
 type histBucket struct {
@@ -65,25 +68,25 @@ type dirCatalog struct {
 // Dir is the handle to an opened (or created) data directory: the mutate
 // path appends delta batches through it, and the serving layer stores
 // sidecar state (prepared flocks) under Path. A directory has one writer:
-// the handle remembers where each delta file's last good batch ends.
+// the handle remembers where each frame log's last good frame ends and
+// how many of its dictionary's values DICT holds.
 type Dir struct {
-	path   string
-	engine Engine
-	io     *IOStats
-	rels   map[string]*dirRel
+	path    string
+	io      *IOStats
+	dict    *Dict    // the database's dictionary, which DICT persists
+	dictLog frameLog // DICT's append end
+	dictLen int      // values DICT holds, null included
+	rels    map[string]*dirRel
 }
 
 // dirRel is what a Dir knows of one catalog relation.
 type dirRel struct {
-	arity    int
-	deltaEnd int64 // end of the last good delta batch; 0 when there is none
+	arity int
+	delta frameLog
 }
 
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
-
-// Engine returns the engine the directory was opened with.
-func (d *Dir) Engine() Engine { return d.engine }
 
 // IO returns the directory's I/O counters (never nil).
 func (d *Dir) IO() *IOStats { return d.io }
@@ -181,10 +184,10 @@ func unbucketize(buckets []histBucket) []int {
 
 // OpenDir opens a data directory with the given engine and returns the
 // database plus the directory handle for subsequent delta appends. Both
-// engines start from the persisted dictionary, and delta values intern on
-// top of it, past its order-exact prefix. The disk engine validates each
-// column file's header here and reads its columns at first touch; the
-// memory engine reads them all now.
+// engines start from the persisted dictionary and take the delta files'
+// ID rows as they are: nothing is decoded or re-interned. The disk engine
+// validates each column file's header here and reads its columns at first
+// touch; the memory engine reads them all now.
 func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
@@ -198,7 +201,8 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 		return nil, nil, fmt.Errorf("storage: data dir %s has format %d, this build reads format %d: "+
 			"re-create it from the source data with flockgen -data-dir or storage.CreateDir", dir, cat.Format, dirFormat)
 	}
-	dict, err := readDictFile(filepath.Join(dir, dictFile))
+	dictPath := filepath.Join(dir, dictFile)
+	dict, dictEnd, err := readDictFile(dictPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -206,75 +210,75 @@ func OpenDir(dir string, engine Engine) (*Database, *Dir, error) {
 	db := NewDatabase()
 	db.SetIO(stats)
 	version := cat.Version
-	handle := &Dir{path: dir, engine: engine, io: stats, rels: make(map[string]*dirRel)}
+	handle := &Dir{
+		path:    dir,
+		io:      stats,
+		dict:    dict,
+		dictLog: frameLog{path: dictPath, magic: dictMagic, end: dictEnd},
+		dictLen: dict.Len(),
+		rels:    make(map[string]*dirRel),
+	}
 
 	for _, rc := range cat.Relations {
 		arity := len(rc.Columns)
-		deltaRows, deltaVersion, deltaEnd, err := readDelta(filepath.Join(dir, rc.Name+deltaExt), arity)
-		if err != nil {
-			return nil, nil, err
-		}
-		handle.rels[rc.Name] = &dirRel{arity: arity, deltaEnd: deltaEnd}
-		version = max(version, deltaVersion)
 		path := filepath.Join(dir, rc.Name+colExt)
 		stats.addSegmentOpened()
+		var delta *Relation // the relation the delta rows go into
 		switch engine {
 		case EngineDisk:
 			if err := openColumnFile(path, rc.Name, rc.Rows, arity); err != nil {
 				return nil, nil, err
 			}
 			drel := &DiskRelation{
-				path:      path,
-				name:      rc.Name,
-				cols:      rc.Columns,
-				rows:      rc.Rows,
-				dict:      dict,
-				io:        stats,
-				delta:     deltaRows,
-				deltaSeen: make(map[string]struct{}, len(deltaRows)),
-				hist:      make(map[string][]int, len(rc.Histograms)),
+				schema: schema{rc.Name, rc.Columns},
+				path:   path,
+				rows:   rc.Rows,
+				dict:   dict,
+				io:     stats,
+				delta:  NewRelationIn(dict, rc.Name, rc.Columns...),
+				hist:   make(map[string][]int, len(rc.Histograms)),
 			}
-			var buf []byte
-			for _, t := range deltaRows {
-				buf = t.AppendKey(buf[:0])
-				drel.deltaSeen[string(buf)] = struct{}{}
-			}
+			drel.src = drel
 			for col, buckets := range rc.Histograms {
 				drel.hist[col] = unbucketize(buckets)
 			}
 			db.AddSource(drel)
+			delta = drel.delta
 		default:
 			cols, err := loadColumnFile(path, rc.Name, rc.Rows, arity, dict.Len(), nil, stats)
 			if err != nil {
 				return nil, nil, err
 			}
 			rel := newRelationFromColumns(dict, rc.Name, rc.Columns, cols, rc.Rows)
-			for _, t := range deltaRows {
-				rel.Insert(t)
-			}
 			db.Add(rel)
+			delta = rel
 		}
+		deltaPath := filepath.Join(dir, rc.Name+deltaExt)
+		deltaVersion, deltaEnd, err := readDelta(deltaPath, delta)
+		if err != nil {
+			return nil, nil, err
+		}
+		handle.rels[rc.Name] = &dirRel{arity: arity, delta: frameLog{path: deltaPath, magic: deltaMagic, end: deltaEnd}}
+		version = max(version, deltaVersion)
 	}
 	db.SetVersion(version)
 	db.seedDict(dict)
 	return db, handle, nil
 }
 
-// Delta file format: deltaMagic, then one batch per AppendDelta call:
-//
-//	version u64 | count u32 | count × (uvarint length, Tuple.AppendPayload)
-//	| n u32 | CRC-32C u32
-//
-// n is the batch's byte length before it and the CRC covers the batch up
-// to and including n, so the last batch of a file can be found and
-// verified from its end.
-
 // AppendDelta durably appends one mutation batch for the named relation:
-// the rows land in <name>.delta stamped with the post-mutation data
-// version, and are merged back at the next OpenDir (either engine) or by
-// the DiskRelation views already holding them. A torn tail left by an
-// append that never returned is cut off first.
-func (d *Dir) AppendDelta(rel string, rows []Tuple, version uint64) error {
+// rows are IDs of the directory's dictionary (as WithDelta returns them),
+// and land in <name>.delta as one frame,
+//
+//	version u64 | count u32 | count × arity u32 IDs, row-major
+//
+// stamped with the post-mutation data version. First the values the
+// persisted DICT lacks are appended and fsynced as one DICT frame (a run
+// of exact value payloads in ID order, as CreateDir's base frame is), so
+// an acknowledged batch never names an ID the DICT cannot decode; a crash
+// between the two fsyncs leaves DICT entries nothing references. The
+// caller publishes only after it returns.
+func (d *Dir) AppendDelta(rel string, rows [][]uint32, version uint64) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -282,58 +286,129 @@ func (d *Dir) AppendDelta(rel string, rows []Tuple, version uint64) error {
 	if !ok {
 		return fmt.Errorf("storage: no relation %q in data dir %s", rel, d.path)
 	}
-	for _, t := range rows {
-		if len(t) != dr.arity {
-			return fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)", len(t), rel, dr.arity)
+	view := d.dict.View()
+	body := binary.LittleEndian.AppendUint64(nil, version)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(rows)))
+	for _, row := range rows {
+		if len(row) != dr.arity {
+			return fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)", len(row), rel, dr.arity)
+		}
+		for _, id := range row {
+			if int(id) >= view.Len() {
+				return fmt.Errorf("storage: appending ID %d to %q: the dictionary has %d values", id, rel, view.Len())
+			}
+			body = binary.LittleEndian.AppendUint32(body, id)
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(d.path, rel+deltaExt), os.O_CREATE|os.O_WRONLY, 0o644)
+	if view.Len() > d.dictLen {
+		if err := d.dictLog.append(appendValues(nil, view.vals[d.dictLen:])); err != nil {
+			return err
+		}
+		d.dictLen = view.Len()
+	}
+	return dr.delta.append(body)
+}
+
+// Frame logs: DICT and the delta files are each a magic string, then one
+// frame per append:
+//
+//	n u32 | body (n bytes) | n u32 | CRC-32C u32 of the 8+n bytes before it
+//
+// The leading length walks the frames forward, the trailing one finds the
+// last frame from the end of the file. A writer acknowledges a frame only
+// after its fsync, so a final frame that is short or fails its CRC was
+// never acknowledged and is dropped; a bad frame with an intact one after
+// it is corruption, an error.
+const frameOverhead = 12
+
+func appendFrame(b, body []byte) []byte {
+	start := len(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	b = append(b, body...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	return appendCRC(b, start)
+}
+
+// frameEnd verifies the frame at off and returns where it ends.
+func frameEnd(raw []byte, off int) (int, bool) {
+	if off < 0 || len(raw)-off < frameOverhead {
+		return 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(raw[off:]))
+	if n > len(raw)-off-frameOverhead {
+		return 0, false
+	}
+	end := off + n + frameOverhead
+	return end, binary.LittleEndian.Uint32(raw[end-8:]) == uint32(n) &&
+		crc32.Checksum(raw[off:end-4], castagnoli) == binary.LittleEndian.Uint32(raw[end-4:])
+}
+
+// parseFrames returns the bodies (aliasing raw) of a frame log's intact
+// frames and the offset where the last of them ends: 0 for a file torn
+// while it was created, a proper prefix of the magic.
+func parseFrames(raw []byte, magic string) ([][]byte, int, error) {
+	if len(raw) < len(magic) && string(raw) == magic[:len(raw)] {
+		return nil, 0, nil
+	}
+	if len(raw) < len(magic) || string(raw[:len(magic)]) != magic {
+		return nil, 0, fmt.Errorf("bad magic")
+	}
+	var frames [][]byte
+	off := len(magic)
+	for off < len(raw) {
+		end, ok := frameEnd(raw, off)
+		if !ok {
+			// Corruption, unless no intact frame starts after off.
+			if len(raw)-off > frameOverhead {
+				last := len(raw) - frameOverhead - int(binary.LittleEndian.Uint32(raw[len(raw)-8:]))
+				if end, ok := frameEnd(raw, last); ok && last > off && end == len(raw) {
+					return nil, 0, fmt.Errorf("the frame at byte %d fails its checksum", off)
+				}
+			}
+			break
+		}
+		frames = append(frames, raw[off+4:end-8])
+		off = end
+	}
+	return frames, off, nil
+}
+
+// frameLog is the append end of one frame log; its one writer remembers
+// where the last good frame ends (0 when the file has none).
+type frameLog struct {
+	path, magic string
+	end         int64
+}
+
+// append durably appends body as one frame, first cutting off a torn tail
+// left by an append that never returned. It returns after the fsync that
+// makes both durable and, for a file it creates, the directory's: until
+// the entry is durable a crash can lose the file's name with the
+// acknowledged frame.
+func (l *frameLog) append(body []byte) error {
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
+	if err := f.Truncate(l.end); err != nil {
 		return err
 	}
-	if fi.Size() != dr.deltaEnd {
-		if err := f.Truncate(dr.deltaEnd); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
 	var b []byte
-	if dr.deltaEnd == 0 {
-		b = append(b, deltaMagic...)
+	fresh := l.end == 0
+	if fresh {
+		b = append(b, l.magic...)
 	}
-	start := len(b)
-	b = binary.LittleEndian.AppendUint64(b, version)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
-	var payload []byte
-	for _, t := range rows {
-		payload = t.AppendPayload(payload[:0])
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		b = append(b, payload...)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(b)-start))
-	b = appendCRC(b, start)
-	if _, err := f.WriteAt(b, dr.deltaEnd); err != nil {
+	b = appendFrame(b, body)
+	if _, err := f.WriteAt(b, l.end); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	fresh := dr.deltaEnd == 0
-	dr.deltaEnd += int64(len(b))
-	// A freshly created delta file is only durable once its directory
-	// entry is: fsync(file) persists the bytes, but a crash before the
-	// directory itself reaches disk loses the *name*, and with it the
-	// whole acknowledged batch. Existing files skip this — their entry
-	// already survived an earlier sync.
+	l.end += int64(len(b))
 	if fresh {
-		return fsyncDir(d.path)
+		return fsyncDir(filepath.Dir(l.path))
 	}
 	return nil
 }
@@ -383,130 +458,116 @@ func syncFile(path string, data []byte, perm os.FileMode) error {
 	return f.Close()
 }
 
-// readDelta loads every batch of a delta file; a missing file is an empty
-// delta. It returns the rows in append order, the highest batch version,
-// and the offset where the last good batch ends. A final batch that is
-// short or fails its CRC was never acknowledged (AppendDelta returns only
-// after the fsync) and is dropped; a bad batch with an intact one after
-// it is an error naming the file.
-func readDelta(path string, arity int) ([]Tuple, uint64, int64, error) {
+// readDelta inserts a delta file's intact batches into rel, a relation in
+// the persisted dictionary (see insertDelta); a missing file is an empty
+// delta. It returns the highest batch version and the offset where the
+// last good batch ends.
+func readDelta(path string, rel *Relation) (uint64, int64, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	if len(raw) < len(deltaMagic) && string(raw) == deltaMagic[:len(raw)] {
-		return nil, 0, 0, nil // torn while the file was created
-	}
-	if len(raw) < len(deltaMagic) || string(raw[:len(deltaMagic)]) != deltaMagic {
-		return nil, 0, 0, fmt.Errorf("storage: delta %s: bad magic", path)
-	}
-	var rows []Tuple
 	var version uint64
-	off := len(deltaMagic)
-	for off < len(raw) {
-		end, ok := deltaBatchEnd(raw, off)
-		if !ok {
-			if last, ok := lastDeltaBatch(raw); ok && last > off {
-				return nil, 0, 0, fmt.Errorf("storage: delta %s: the batch at byte %d fails its checksum", path, off)
+	frames, end, err := parseFrames(raw, deltaMagic)
+	if err == nil {
+		version, err = insertDelta(rel, frames)
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("storage: delta %s: %w", path, err)
+	}
+	return version, int64(end), nil
+}
+
+// insertDelta inserts the rows of delta batches into rel, taking the IDs
+// as they are, and returns the highest batch version. A CRC-intact batch
+// that is malformed or names an ID past rel's dictionary is an error: the
+// CRC guards against torn writes, not against outside input.
+func insertDelta(rel *Relation, batches [][]byte) (uint64, error) {
+	arity, dictLen := rel.Arity(), rel.dict.Len()
+	var version uint64
+	row := make([]uint32, arity)
+	for _, b := range batches {
+		if len(b) < 12 {
+			return 0, fmt.Errorf("a %d-byte batch", len(b))
+		}
+		count := int(binary.LittleEndian.Uint32(b[8:]))
+		ids := b[12:]
+		if len(ids) != 4*arity*count || arity == 0 && count > 1 {
+			return 0, fmt.Errorf("a batch of %d bytes does not hold %d rows of arity %d", len(b), count, arity)
+		}
+		version = max(version, binary.LittleEndian.Uint64(b))
+		for i := 0; i < count; i++ {
+			for j := range row {
+				row[j] = binary.LittleEndian.Uint32(ids[4*(i*arity+j):])
+				if int(row[j]) >= dictLen {
+					return 0, fmt.Errorf("ID %d is past the DICT's %d values", row[j], dictLen)
+				}
 			}
-			break
+			rel.InsertIDs(row)
 		}
-		version = max(version, binary.LittleEndian.Uint64(raw[off:]))
-		p := off + 12
-		for i := binary.LittleEndian.Uint32(raw[off+8:]); i > 0; i-- {
-			n, sz := binary.Uvarint(raw[p:])
-			t, err := DecodePayloadTuple(raw[p+sz:p+sz+int(n)], arity)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("storage: delta %s: %w", path, err)
-			}
-			rows = append(rows, t)
-			p += sz + int(n)
-		}
-		off = end
 	}
-	return rows, version, int64(off), nil
+	return version, nil
 }
 
-// deltaBatchEnd frames the delta batch at off and verifies its length and
-// CRC, returning where it ends.
-func deltaBatchEnd(raw []byte, off int) (int, bool) {
-	p := off + 12
-	if p > len(raw) {
-		return 0, false
-	}
-	for i := binary.LittleEndian.Uint32(raw[off+8:]); i > 0; i-- {
-		n, sz := binary.Uvarint(raw[p:])
-		if sz <= 0 || n > uint64(len(raw)-p-sz) {
-			return 0, false
-		}
-		p += sz + int(n)
-	}
-	if p+8 > len(raw) || int(binary.LittleEndian.Uint32(raw[p:])) != p-off ||
-		crc32.Checksum(raw[off:p+4], castagnoli) != binary.LittleEndian.Uint32(raw[p+4:]) {
-		return 0, false
-	}
-	return p + 8, true
-}
-
-// lastDeltaBatch finds the file's last batch from its end: the offset it
-// starts at, if its trailer's length and CRC check out.
-func lastDeltaBatch(raw []byte) (int, bool) {
-	p := len(raw) - 8
-	if p < len(deltaMagic) {
-		return 0, false
-	}
-	start := p - int(binary.LittleEndian.Uint32(raw[p:]))
-	if start < len(deltaMagic) || crc32.Checksum(raw[start:p+4], castagnoli) != binary.LittleEndian.Uint32(raw[p+4:]) {
-		return 0, false
-	}
-	return start, true
-}
-
-// writeDict persists the dictionary: its values in ID order (null implied
-// at 0), then a CRC-32C of everything before it. The order-exact prefix
-// is not stored; readDictFile re-derives it from the values.
-func writeDict(path string, d *Dict) error {
-	vals := d.snapshotValues()
-	b := append([]byte(dictMagic), binary.AppendUvarint(nil, uint64(len(vals)))...)
-	for _, v := range vals[1:] { // skip the implied null at ID 0
+// appendValues appends the exact payload of every value of vals to b.
+func appendValues(b []byte, vals []Value) []byte {
+	for _, v := range vals {
 		b = v.AppendPayload(b)
 	}
-	return syncFile(path, appendCRC(b, 0), 0o644)
+	return b
 }
 
-// readDictFile loads and verifies a persisted dictionary.
-func readDictFile(path string) (*Dict, error) {
+// writeDict persists the dictionary as one base frame: its values in ID
+// order from 1 (the null at 0 is implied). The order-exact prefix is not
+// stored; readDictFile re-derives it from the values.
+func writeDict(path string, d *Dict) error {
+	vals := d.View().vals
+	return syncFile(path, appendFrame([]byte(dictMagic), appendValues(nil, vals[1:])), 0o644)
+}
+
+// readDictFile loads and verifies a persisted dictionary (see
+// dictFromFrames) and returns it with the offset where its last good
+// frame ends.
+func readDictFile(path string) (*Dict, int64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("storage: dict: %w", err)
+		return nil, 0, fmt.Errorf("storage: dict: %w", err)
 	}
-	if len(raw) < len(dictMagic)+4 || string(raw[:len(dictMagic)]) != dictMagic {
-		return nil, fmt.Errorf("storage: dict %s: bad magic", path)
+	var d *Dict
+	frames, end, err := parseFrames(raw, dictMagic)
+	if err == nil {
+		d, err = dictFromFrames(frames)
 	}
-	body := raw[:len(raw)-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(raw[len(body):]) {
-		return nil, fmt.Errorf("storage: dict %s fails its checksum", path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: dict %s: %w", path, err)
 	}
-	b := body[len(dictMagic):]
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count == 0 || count > uint64(len(b)) {
-		return nil, fmt.Errorf("storage: dict %s: bad value count", path)
+	return d, int64(end), nil
+}
+
+// dictFromFrames decodes DICT frames: the base frame, which must be
+// there, and the append frames after it. The order-exact prefix is
+// re-derived from the base frame's values, so appended IDs lie past it,
+// as they did when they were interned.
+func dictFromFrames(frames [][]byte) (*Dict, error) {
+	if len(frames) == 0 {
+		return nil, fmt.Errorf("no intact base frame")
 	}
-	b = b[n:]
-	vals := make([]Value, 1, count)
-	vals[0] = Null()
-	for uint64(len(vals)) < count {
-		var v Value
-		if v, b, err = DecodePayloadValue(b); err != nil {
-			return nil, fmt.Errorf("storage: dict %s: %w", path, err)
+	vals := []Value{Null()}
+	base := 0
+	for _, b := range frames {
+		for len(b) > 0 {
+			v, rest, err := DecodePayloadValue(b)
+			if err != nil {
+				return nil, err
+			}
+			vals, b = append(vals, v), rest
 		}
-		vals = append(vals, v)
+		if base == 0 {
+			base = len(vals)
+		}
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("storage: dict %s: %d trailing bytes", path, len(b))
-	}
-	return newDictFromValues(vals), nil
+	return newDictFromValues(vals, base), nil
 }

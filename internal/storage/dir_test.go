@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -58,7 +59,7 @@ func TestAppendDeltaSyncsDirectoryEntry(t *testing.T) {
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
 	}
-	_, handle, err := OpenDir(dir, EngineMemory)
+	db, handle, err := OpenDir(dir, EngineMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +75,13 @@ func TestAppendDeltaSyncsDirectoryEntry(t *testing.T) {
 	}
 	defer func() { fsyncDir = orig }()
 
-	if err := handle.AppendDelta("r", []Tuple{{Int(3), Int(4)}}, 2); err != nil {
+	if err := mutateDir(db, handle, "r", []Tuple{{Int(3), Int(4)}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("fresh delta file: directory synced %d times, want 1 (a crash would lose the new entry)", calls)
 	}
-	if err := handle.AppendDelta("r", []Tuple{{Int(5), Int(6)}}, 3); err != nil {
+	if err := mutateDir(db, handle, "r", []Tuple{{Int(5), Int(6)}}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -124,16 +125,32 @@ func TestAppendDeltaFsyncDirFailure(t *testing.T) {
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
 	}
-	_, handle, err := OpenDir(dir, EngineMemory)
+	db, handle, err := OpenDir(dir, EngineMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := fsyncDir
 	fsyncDir = func(string) error { return errSyncFailed }
 	defer func() { fsyncDir = orig }()
-	if err := handle.AppendDelta("r", []Tuple{{Int(2)}}, 2); err != errSyncFailed {
+	if err := mutateDir(db, handle, "r", []Tuple{{Int(2)}}, 2); err != errSyncFailed {
 		t.Fatalf("AppendDelta with failing directory sync: err = %v, want %v", err, errSyncFailed)
 	}
+}
+
+// mutateDir applies tuples to the named relation of db the way flockd's
+// /mutate does: the source's WithDelta, AppendDelta of the added ID rows
+// stamped with version, then the new view published in db at version.
+func mutateDir(db *Database, h *Dir, rel string, tuples []Tuple, version uint64) error {
+	next, added, err := db.MustSource(rel).WithDelta(tuples)
+	if err != nil {
+		return err
+	}
+	if err := h.AppendDelta(rel, added, version); err != nil {
+		return err
+	}
+	db.AddSource(next)
+	db.SetVersion(version)
+	return nil
 }
 
 var errSyncFailed = errTest("directory sync failed")
@@ -170,12 +187,20 @@ func openScan(dir string, engine Engine) (map[string][]Tuple, uint64, error) {
 }
 
 // TestCorruptDataDirNeverServed flips one bit at every byte of every
-// column file and of DICT: on both engines each flip must end as an
-// OpenDir error or a *SegmentError at first touch, never as a row set
+// column file and of DICT, in a directory whose DICT has an append frame
+// that its delta batch references: on both engines each flip must end as
+// an OpenDir error or a *SegmentError at first touch, never as a row set
 // that differs from the original.
 func TestCorruptDataDirNeverServed(t *testing.T) {
 	dir := t.TempDir()
 	if err := CreateDir(dir, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	db, handle, err := OpenDir(dir, EngineDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mutateDir(db, handle, "baskets", []Tuple{{Int(900), Str("kale")}, {Int(1), Str("mustard")}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	engines := []Engine{EngineMemory, EngineDisk}
@@ -221,23 +246,45 @@ func TestCorruptDataDirNeverServed(t *testing.T) {
 	}
 }
 
-// TestTornDeltaBatchIsUnacknowledged cuts the last delta batch at every
-// byte and flips every byte of it: since AppendDelta acknowledges only
-// after its fsync, such a batch was never acknowledged, and OpenDir must
-// yield the state before it on both engines. The next append cuts the
-// torn tail off, so a reopen then sees the earlier rows plus the new
-// ones. A bad batch followed by an intact one is an error naming the file.
+// TestTornDeltaBatchIsUnacknowledged cuts the last frame of a frame log at
+// every byte and flips every byte of it: the last delta batch (its DICT
+// frame intact), and a DICT append frame with no delta batch after it —
+// the crash between AppendDelta's two fsyncs. Since AppendDelta
+// acknowledges only after its last fsync, neither was acknowledged, and
+// OpenDir must yield the state before it on both engines. The next append
+// cuts the torn tail off, so it leaves both files the size an append to
+// the untorn state leaves, and a reopen sees the earlier rows plus the new
+// ones. A bad batch followed by an intact one, and an intact batch naming
+// an ID the DICT lacks, are errors naming the file.
 func TestTornDeltaBatchIsUnacknowledged(t *testing.T) {
 	dir := t.TempDir()
 	if err := CreateDir(dir, testDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	_, handle, err := OpenDir(dir, EngineDisk)
+	db, handle, err := OpenDir(dir, EngineDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "baskets"+deltaExt)
-	if err := handle.AppendDelta("baskets", []Tuple{{Int(900), Str("beer")}}, 2); err != nil {
+	deltaPath := filepath.Join(dir, "baskets"+deltaExt)
+	dictPath := filepath.Join(dir, dictFile)
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	restore := func(dict, delta []byte) {
+		t.Helper()
+		if err := os.WriteFile(dictPath, dict, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(deltaPath, delta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mutateDir(db, handle, "baskets", []Tuple{{Int(900), Str("beer")}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	engines := []Engine{EngineMemory, EngineDisk}
@@ -247,85 +294,113 @@ func TestTornDeltaBatchIsUnacknowledged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pre, err := os.ReadFile(path)
-	if err != nil {
+	preDict, preDelta := read(dictPath), read(deltaPath)
+	if err := mutateDir(db, handle, "baskets", []Tuple{{Int(901), Str("kale")}, {Int(902), Float(2.5)}}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := handle.AppendDelta("baskets", []Tuple{{Int(901), Str("kale")}, {Int(902), Float(2.5)}}, 3); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	fullDict, fullDelta := read(dictPath), read(deltaPath)
+	if len(fullDict) == len(preDict) {
+		t.Fatal("a batch of new values appended no DICT frame")
 	}
 
-	var torn [][]byte
-	for n := len(pre); n < len(full); n++ {
-		torn = append(torn, full[:n])
-	}
-	for off := len(pre); off < len(full); off++ {
-		flipped := append([]byte(nil), full...)
-		flipped[off] ^= 1 << (off % 8)
-		torn = append(torn, flipped)
+	// torn returns full cut at every byte past pre, and full with every
+	// byte past pre flipped.
+	torn := func(pre, full []byte) [][]byte {
+		var out [][]byte
+		for n := len(pre); n < len(full); n++ {
+			out = append(out, full[:n])
+		}
+		for off := len(pre); off < len(full); off++ {
+			flipped := append([]byte(nil), full...)
+			flipped[off] ^= 1 << (off % 8)
+			out = append(out, flipped)
+		}
+		return out
 	}
 	next := Tuple{Int(903), Str("salsa")}
-	appendNext := func(engine Engine) int64 {
+	// appendNext appends next (a new value) at version 3 after a reopen
+	// with engine and returns the DICT and delta sizes it leaves.
+	appendNext := func(engine Engine) [2]int {
 		t.Helper()
-		_, h, err := OpenDir(dir, engine)
+		db, h, err := OpenDir(dir, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AppendDelta("baskets", []Tuple{next}, 3); err != nil {
+		if err := mutateDir(db, h, "baskets", []Tuple{next}, 3); err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
+		return [2]int{len(read(dictPath)), len(read(deltaPath))}
 	}
-	if err := os.WriteFile(path, pre, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clean := appendNext(EngineDisk) // the file an append to the untorn state leaves
-	for i, b := range torn {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
+	for _, kind := range []struct {
+		what        string
+		dict, delta [][]byte
+	}{
+		{"delta batch", nil, torn(preDelta, fullDelta)},
+		{"DICT frame", torn(preDict, fullDict), nil},
+	} {
+		// The untorn state of each sweep: the delta batch's DICT frame
+		// is intact; the DICT frame has no batch after it.
+		cleanDict := fullDict
+		if kind.dict != nil {
+			cleanDict = preDict
 		}
-		for _, e := range engines {
-			rows, version, err := openScan(dir, e)
-			if err != nil {
-				t.Fatalf("case %d, %v engine: %v", i, e, err)
+		restore(cleanDict, preDelta)
+		clean := appendNext(EngineDisk)
+		cases := len(kind.dict) + len(kind.delta)
+		for i := 0; i < cases; i++ {
+			dict, delta := cleanDict, preDelta
+			if kind.dict != nil {
+				dict = kind.dict[i]
+			} else {
+				delta = kind.delta[i]
 			}
-			if version != 2 || !reflect.DeepEqual(rows, before[e]) {
-				t.Fatalf("case %d, %v engine: version %d, rows differ from the state before the torn batch", i, e, version)
+			restore(dict, delta)
+			for _, e := range engines {
+				rows, version, err := openScan(dir, e)
+				if err != nil {
+					t.Fatalf("%s case %d, %v engine: %v", kind.what, i, e, err)
+				}
+				if version != 2 || !reflect.DeepEqual(rows, before[e]) {
+					t.Fatalf("%s case %d, %v engine: version %d, rows differ from the state before the torn frame", kind.what, i, e, version)
+				}
 			}
-		}
-		if size := appendNext(engines[i%2]); size != clean {
-			t.Fatalf("case %d: the append left a %d-byte delta file, want %d (the torn tail cut off)", i, size, clean)
-		}
-		for _, e := range engines {
-			rows, version, err := openScan(dir, e)
-			if err != nil {
-				t.Fatalf("case %d, %v engine after the next append: %v", i, e, err)
+			if sizes := appendNext(engines[i%2]); sizes != clean {
+				t.Fatalf("%s case %d: the append left DICT and delta of %v bytes, want %v (the torn tail cut off)", kind.what, i, sizes, clean)
 			}
-			got := rows["baskets"]
-			want := append(append([]Tuple(nil), before[e]["baskets"]...), next)
-			if version != 3 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("case %d, %v engine after the next append: version %d, %d rows, want the %d before plus %v",
-					i, e, version, len(got), len(before[e]["baskets"]), next)
+			for _, e := range engines {
+				rows, version, err := openScan(dir, e)
+				if err != nil {
+					t.Fatalf("%s case %d, %v engine after the next append: %v", kind.what, i, e, err)
+				}
+				got := rows["baskets"]
+				want := append(append([]Tuple(nil), before[e]["baskets"]...), next)
+				if version != 3 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s case %d, %v engine after the next append: version %d, %d rows, want the %d before plus %v",
+						kind.what, i, e, version, len(got), len(before[e]["baskets"]), next)
+				}
 			}
 		}
 	}
 
-	corrupt := append([]byte(nil), full...)
+	corrupt := append([]byte(nil), fullDelta...)
 	corrupt[len(deltaMagic)+13] ^= 1 // inside the first, non-final batch
-	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	restore(fullDict, corrupt)
 	for _, e := range engines {
-		if _, _, err := OpenDir(dir, e); err == nil || !strings.Contains(err.Error(), path) {
-			t.Fatalf("%v engine: a corrupt non-final batch gave %v, want an error naming %s", e, err, path)
+		if _, _, err := OpenDir(dir, e); err == nil || !strings.Contains(err.Error(), deltaPath) {
+			t.Fatalf("%v engine: a corrupt non-final batch gave %v, want an error naming %s", e, err, deltaPath)
+		}
+	}
+
+	// A batch whose CRC holds but whose ID the DICT lacks: outside input,
+	// not a torn write.
+	body := binary.LittleEndian.AppendUint64(nil, 4)
+	body = binary.LittleEndian.AppendUint32(body, 1)
+	body = binary.LittleEndian.AppendUint32(body, 1)
+	body = binary.LittleEndian.AppendUint32(body, uint32(mustDict(t, db).Len()+5))
+	restore(fullDict, appendFrame(append([]byte(nil), fullDelta...), body))
+	for _, e := range engines {
+		if _, _, err := OpenDir(dir, e); err == nil || !strings.Contains(err.Error(), deltaPath) {
+			t.Fatalf("%v engine: a batch naming an ID past the DICT gave %v, want an error naming %s", e, err, deltaPath)
 		}
 	}
 }
@@ -342,9 +417,9 @@ func TestOpenDirRejectsOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(raw), `"format": 2`, `"format": 1`, 1)
+	old := strings.Replace(string(raw), `"format": 3`, `"format": 2`, 1)
 	if old == string(raw) {
-		t.Fatal("catalog does not record format 2")
+		t.Fatal("catalog does not record format 3")
 	}
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
@@ -352,7 +427,7 @@ func TestOpenDirRejectsOtherFormats(t *testing.T) {
 	for _, e := range []Engine{EngineMemory, EngineDisk} {
 		_, _, err := OpenDir(dir, e)
 		if err == nil || !strings.Contains(err.Error(), "flockgen -data-dir") || !strings.Contains(err.Error(), "storage.CreateDir") {
-			t.Fatalf("%v engine: format 1 gave %v, want an error naming the migration", e, err)
+			t.Fatalf("%v engine: format 2 gave %v, want an error naming the migration", e, err)
 		}
 	}
 }

@@ -90,6 +90,14 @@ type RelationSource interface {
 	DistinctCount(col string) (int, error)
 	GroupSizes(col string) ([]int, error)
 
+	// WithDelta is the one write of both engines, copy-on-write: it
+	// returns a new source holding the tuples that are new — their values
+	// interned once into the source's dictionary, set semantics dropping
+	// the rest — and the rows it added, as ID rows of that dictionary in
+	// append order (what Dir.AppendDelta persists). The source itself is
+	// untouched.
+	WithDelta(tuples []Tuple) (RelationSource, [][]uint32, error)
+
 	// Pin returns the source as an in-memory *Relation (itself, for one
 	// that already is; a disk source's ID columns under its dictionary,
 	// cached) for the consumers that read decoded tuples: the

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -307,7 +308,7 @@ func TestDeltaAppendAndReopen(t *testing.T) {
 	if err := CreateDir(dir, db); err != nil {
 		t.Fatal(err)
 	}
-	_, handle, err := OpenDir(dir, EngineDisk)
+	live, handle, err := OpenDir(dir, EngineDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestDeltaAppendAndReopen(t *testing.T) {
 		{Int(900), Str("beer")},
 		{Int(900), Str("anchovies")},
 	}
-	if err := handle.AppendDelta("baskets", added, 7); err != nil {
+	if err := mutateDir(live, handle, "baskets", added, 7); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,6 +357,46 @@ func TestDeltaAppendAndReopen(t *testing.T) {
 	if got := disk.IO().DeltaRows(); got == 0 {
 		t.Fatal("delta-merge rows not counted")
 	}
+
+	// Cross-engine writes: each engine mutates through WithDelta with
+	// values the DICT lacks (a string and a float), and the other engine,
+	// reopening, must hold the same rows in the same order at the same
+	// version.
+	for i, step := range []struct{ write, read Engine }{{EngineMemory, EngineDisk}, {EngineDisk, EngineMemory}} {
+		db, h, err := OpenDir(dir, step.write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []Tuple{{Int(int64(910 + i)), Str(fmt.Sprintf("new-%d", i))}, {Int(int64(910 + i)), Float(0.25 + float64(i))}}
+		version := db.Version() + 1
+		if err := mutateDir(db, h, "baskets", rows, version); err != nil {
+			t.Fatal(err)
+		}
+		want := drain(t, db.MustSource("baskets").Scan())
+		if tail := want[len(want)-len(rows):]; !reflect.DeepEqual(tail, rows) {
+			t.Fatalf("%v write: the rows end in %v, want the appended %v", step.write, tail, rows)
+		}
+		re, _, err := OpenDir(dir, step.read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, re.MustSource("baskets").Scan()); !reflect.DeepEqual(got, want) || re.Version() != version {
+			t.Fatalf("%v write, %v reopen: version %d, rows differ from the writer's (want version %d)",
+				step.write, step.read, re.Version(), version)
+		}
+	}
+}
+
+// idTuples decodes ID rows of d.
+func idTuples(d *Dict, rows [][]uint32) []Tuple {
+	out := make([]Tuple, len(rows))
+	for i, row := range rows {
+		out[i] = make(Tuple, len(row))
+		for j, id := range row {
+			out[i][j] = d.Value(id)
+		}
+	}
+	return out
 }
 
 // containsTuple probes a source's ID set for a boxed tuple; a value the
@@ -402,8 +443,9 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 2 || !added[0].Equal(Tuple{Int(777), Str("beer")}) || !added[1].Equal(Tuple{Int(778), Str("kale")}) {
-		t.Fatalf("added %v, want (777, beer) and (778, kale)", added)
+	addedRows := idTuples(dict, added)
+	if len(added) != 2 || !addedRows[0].Equal(Tuple{Int(777), Str("beer")}) || !addedRows[1].Equal(Tuple{Int(778), Str("kale")}) {
+		t.Fatalf("added %v, want (777, beer) and (778, kale)", addedRows)
 	}
 	if src.Len()+2 != next.Len() {
 		t.Fatalf("lens %d -> %d", src.Len(), next.Len())
@@ -427,7 +469,7 @@ func TestWithDeltaCopyOnWrite(t *testing.T) {
 			t.Fatalf("row %d: columns decode to %v, scan has %v", i, row, rows[i])
 		}
 	}
-	for _, tup := range added {
+	for _, tup := range addedRows {
 		if containsTuple(t, src, dict, tup) {
 			t.Fatalf("old view sees the new row %v", tup)
 		}
@@ -703,7 +745,7 @@ func TestDiskIDCachesConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		view := src
+		var view RelationSource = src
 		for i := 0; i < 20; i++ {
 			next, added, err := view.WithDelta([]Tuple{{Int(int64(5000 + i)), Str("kale")}})
 			if err != nil || len(added) != 1 {

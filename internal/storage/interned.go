@@ -38,17 +38,22 @@ type columnSource interface {
 // idCache holds a relation's lazily built images, one under its home
 // dictionary and one under the latest other, each valid while its
 // dictionary and row count match (a Relation only grows). mu guards both.
+// Both engines embed it, so its exported methods are their ID-space
+// access paths; src is the embedding relation.
 type idCache struct {
-	mu         sync.Mutex
-	home, away *internedState
+	src     columnSource
+	mu      sync.Mutex
+	homeImg *internedState
+	awayImg *internedState
 }
 
 // state returns the image under d, building it on first use. A failed (or
 // cancelled) build caches nothing. Callers hold c.mu.
-func (c *idCache) state(src columnSource, d *Dict, check func() error) (*internedState, error) {
-	slot := &c.away
+func (c *idCache) state(d *Dict, check func() error) (*internedState, error) {
+	src := c.src
+	slot := &c.awayImg
 	if d == src.home() {
-		slot = &c.home
+		slot = &c.homeImg
 	}
 	if st := *slot; st != nil && st.dict == d && st.n == src.Len() {
 		return st, nil
@@ -61,7 +66,7 @@ func (c *idCache) state(src columnSource, d *Dict, check func() error) (*interne
 			return nil, err
 		}
 	} else {
-		h, err := c.state(src, src.home(), check)
+		h, err := c.state(src.home(), check)
 		if err != nil {
 			return nil, err
 		}
@@ -73,20 +78,28 @@ func (c *idCache) state(src columnSource, d *Dict, check func() error) (*interne
 	return *slot, nil
 }
 
-func (c *idCache) columns(src columnSource, d *Dict, check func() error) ([][]uint32, error) {
+// InternedColumns returns the relation's tuples as one []uint32 per
+// column (row i of column j is the ID of tuple i's j-th value): the home
+// columns under its home dictionary, a cached per-class remap under any
+// other. The returned slices must not be modified.
+func (c *idCache) InternedColumns(d *Dict, check func() error) ([][]uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.state(src, d, check)
+	st, err := c.state(d, check)
 	if err != nil {
 		return nil, err
 	}
 	return st.cols, nil
 }
 
-func (c *idCache) idSet(src columnSource, d *Dict, check func() error) (*IDTable, error) {
+// IDSet returns the membership set of the relation's tuples in ID space
+// (under a Relation's own dictionary, the table that deduplicates it): a
+// tuple is a member when Find returns an entry. Safe for concurrent
+// readers.
+func (c *idCache) IDSet(d *Dict, check func() error) (*IDTable, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.state(src, d, check)
+	st, err := c.state(d, check)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +109,13 @@ func (c *idCache) idSet(src columnSource, d *Dict, check func() error) (*IDTable
 	return st.set, nil
 }
 
-func (c *idCache) idIndex(src columnSource, d *Dict, cols []int, check func() error) (*IDIndex, error) {
+// IDIndex returns (building and caching on first use) a hash index from
+// the IDs of the given column positions to the matching row numbers, in
+// scan order. Safe for concurrent readers once built.
+func (c *idCache) IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.state(src, d, check)
+	st, err := c.state(d, check)
 	if err != nil {
 		return nil, err
 	}
@@ -115,14 +131,15 @@ func (c *idCache) idIndex(src columnSource, d *Dict, cols []int, check func() er
 // groupSizes returns the ascending group-size multiset of the named
 // column, counted once per home image over its IDs into a slice indexed
 // by ID — the one statistics path of both engines.
-func (c *idCache) groupSizes(src columnSource, col string) ([]int, error) {
+func (c *idCache) groupSizes(col string) ([]int, error) {
+	src := c.src
 	p := src.ColumnIndex(col)
 	if p < 0 {
 		return nil, fmt.Errorf("storage: relation %q has no column %q", src.Name(), col)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.state(src, src.home(), nil)
+	st, err := c.state(src.home(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -189,26 +206,4 @@ func (r *Relation) home() *Dict { return r.dict }
 // headers: later inserts do not lengthen an image handed out).
 func (r *Relation) homeColumns(func() error) ([][]uint32, *IDTable, error) {
 	return append([][]uint32(nil), r.ids...), r.set, nil
-}
-
-// InternedColumns returns the relation's tuples as one []uint32 per
-// column (row i of column j is the ID of tuple i's j-th value): the
-// stored columns under its own dictionary, a cached per-class remap under
-// any other. The returned slices must not be modified.
-func (r *Relation) InternedColumns(d *Dict, check func() error) ([][]uint32, error) {
-	return r.cache.columns(r, d, check)
-}
-
-// IDSet returns the membership set of the relation's tuples in ID space
-// (under its own dictionary, the table that deduplicates it): a tuple is
-// a member when Find returns an entry. Safe for concurrent readers.
-func (r *Relation) IDSet(d *Dict, check func() error) (*IDTable, error) {
-	return r.cache.idSet(r, d, check)
-}
-
-// IDIndex returns (building and caching on first use) a hash index from
-// the IDs of the given column positions to the matching row numbers, in
-// insertion order. Safe for concurrent readers once built.
-func (r *Relation) IDIndex(d *Dict, cols []int, check func() error) (*IDIndex, error) {
-	return r.cache.idIndex(r, d, cols, check)
 }

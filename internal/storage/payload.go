@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Exact payload codec: the value representation of the DICT and of delta
-// files. Unlike the AppendKey equality encoding it preserves the stored
-// value bit-exactly — kind included — so a dictionary or delta row read
-// back from disk is == -identical to the one written (the dictionary's
-// representative rule is kind-sensitive).
+// Exact payload codec: the value representation of the DICT and of the
+// cluster wire format. Unlike the AppendKey equality encoding it preserves
+// the stored value bit-exactly — kind included — so a dictionary value
+// read back from disk is == -identical to the one written (the
+// dictionary's representative rule is kind-sensitive).
 
 // AppendPayload appends the exact binary form of v to dst.
 func (v Value) AppendPayload(dst []byte) []byte {
@@ -60,28 +60,4 @@ func DecodePayloadValue(b []byte) (Value, []byte, error) {
 	default:
 		return Value{}, nil, fmt.Errorf("storage: unknown payload kind %d", kind)
 	}
-}
-
-// AppendPayload appends the exact binary form of every value of t.
-func (t Tuple) AppendPayload(dst []byte) []byte {
-	for _, v := range t {
-		dst = v.AppendPayload(dst)
-	}
-	return dst
-}
-
-// DecodePayloadTuple decodes an arity-value tuple written by
-// Tuple.AppendPayload; the payload must be exactly consumed.
-func DecodePayloadTuple(b []byte, arity int) (Tuple, error) {
-	t := make(Tuple, arity)
-	var err error
-	for i := 0; i < arity; i++ {
-		if t[i], b, err = DecodePayloadValue(b); err != nil {
-			return nil, err
-		}
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after %d-value payload", len(b), arity)
-	}
-	return t, nil
 }

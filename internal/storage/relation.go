@@ -24,15 +24,14 @@ import (
 // concurrently; the lazy indexes and ID images build under an internal
 // lock. Relations sharing a Dict may intern into it concurrently.
 type Relation struct {
-	name string
-	cols []string
+	schema
 	dict *Dict
 	ids  [][]uint32 // column-major dictionary IDs, insertion order
 	set  *IDTable   // the rows: dedup and membership
 
 	mu      sync.Mutex        // guards indexes
 	indexes map[string]*Index // boxed indexes; nil after a mutation
-	cache   idCache           // ID images, indexes and statistics
+	idCache                   // ID images, indexes and statistics
 }
 
 // NewRelation creates an empty relation with the given name and columns,
@@ -56,7 +55,9 @@ func NewRelationIn(d *Dict, name string, cols ...string) *Relation {
 		unique[c] = struct{}{}
 	}
 	ids := make([][]uint32, len(cols))
-	return &Relation{name: name, cols: append([]string(nil), cols...), dict: d, ids: ids, set: newIDSet(ids, 0)}
+	r := &Relation{schema: schema{name, append([]string(nil), cols...)}, dict: d, ids: ids, set: newIDSet(ids, 0)}
+	r.src = r
+	return r
 }
 
 // newRelationFromColumns builds a relation in d over the n distinct rows
@@ -71,30 +72,37 @@ func newRelationFromColumns(d *Dict, name string, cols []string, ids [][]uint32,
 	return r
 }
 
+// schema is a relation's name and column names, the part of the
+// RelationSource contract both engines implement alike.
+type schema struct {
+	name string
+	cols []string
+}
+
 // Name returns the relation's name.
-func (r *Relation) Name() string { return r.name }
+func (s *schema) Name() string { return s.name }
 
 // Columns returns the column names. The returned slice must not be mutated.
-func (r *Relation) Columns() []string { return r.cols }
-
-// Dict returns the dictionary the relation's IDs index.
-func (r *Relation) Dict() *Dict { return r.dict }
+func (s *schema) Columns() []string { return s.cols }
 
 // Arity returns the number of columns.
-func (r *Relation) Arity() int { return len(r.cols) }
-
-// Len returns the number of (distinct) tuples.
-func (r *Relation) Len() int { return r.set.Len() }
+func (s *schema) Arity() int { return len(s.cols) }
 
 // ColumnIndex returns the position of the named column, or -1.
-func (r *Relation) ColumnIndex(col string) int {
-	for i, c := range r.cols {
+func (s *schema) ColumnIndex(col string) int {
+	for i, c := range s.cols {
 		if c == col {
 			return i
 		}
 	}
 	return -1
 }
+
+// Dict returns the dictionary the relation's IDs index.
+func (r *Relation) Dict() *Dict { return r.dict }
+
+// Len returns the number of (distinct) tuples.
+func (r *Relation) Len() int { return r.set.Len() }
 
 // Insert adds a tuple if no Equal one is present and reports whether it
 // was added. The values are interned; the tuple itself is not kept.
@@ -210,7 +218,7 @@ func (r *Relation) DistinctCount(col string) (int, error) {
 
 // GroupSizes returns the group sizes of the named column, sorted
 // ascending (a multiset in the one canonical order both engines present).
-func (r *Relation) GroupSizes(col string) ([]int, error) { return r.cache.groupSizes(r, col) }
+func (r *Relation) GroupSizes(col string) ([]int, error) { return r.groupSizes(col) }
 
 // Clone returns an independent copy sharing only the dictionary.
 func (r *Relation) Clone() *Relation {
@@ -219,6 +227,38 @@ func (r *Relation) Clone() *Relation {
 		ids[j] = append([]uint32(nil), col...)
 	}
 	return newRelationFromColumns(r.dict, r.name, r.cols, ids, r.Len())
+}
+
+// WithDelta implements RelationSource: a copy of the relation with the
+// tuples that are new inserted, their values interned into its
+// dictionary, plus the rows it added as ID rows, in order. The relation
+// itself is untouched, so views serving it never see the write.
+func (r *Relation) WithDelta(tuples []Tuple) (RelationSource, [][]uint32, error) {
+	return r.withRows(tuples, nil)
+}
+
+// withRows is the copy-on-write insert of both engines' WithDelta: a
+// clone of r with each tuple interned into r's dictionary once and
+// inserted unless the clone holds it or skip (when non-nil) reports it
+// present elsewhere, plus the added ID rows in order.
+func (r *Relation) withRows(tuples []Tuple, skip func(ids []uint32) bool) (*Relation, [][]uint32, error) {
+	for _, t := range tuples {
+		if len(t) != len(r.cols) {
+			return nil, nil, fmt.Errorf("storage: arity mismatch appending %d-tuple to %q(%d cols)", len(t), r.name, len(r.cols))
+		}
+	}
+	out := r.Clone()
+	var added [][]uint32
+	for _, t := range tuples {
+		ids := make([]uint32, len(t))
+		for j, v := range t {
+			ids[j] = r.dict.Intern(v)
+		}
+		if (skip == nil || !skip(ids)) && out.InsertIDs(ids) {
+			added = append(added, ids)
+		}
+	}
+	return out, added, nil
 }
 
 // Rename returns a view of the relation with a different name and,

@@ -30,10 +30,10 @@ test-short:
 	$(GO) test -short ./...
 
 # The full race pass covers every package: the partitioned FILTER path
-# (in-process parts of one computation run side by side over one
-# database's dictionary and relation caches, then merge bucket by bucket)
-# is exercised with workers > cores by the *_test.go worker sweeps, so any
-# shared mutable state surfaces here.
+# (in-process parts of one computation run one compiled plan side by side
+# over one database's dictionary and relation caches) is exercised with
+# workers > cores by the *_test.go worker sweeps, so any shared mutable
+# state surfaces here.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/eval/ ./internal/storage/ ./internal/core/ ./internal/planner/ ./internal/cluster/ ./internal/physical/

@@ -308,11 +308,10 @@ func BenchmarkE8_SafetyCheck(b *testing.B) {
 // BenchmarkParallelJoin sweeps the worker knob over the join- and
 // group-dominated Fig. 1 word-pair flock, direct strategy. Workers=1 is
 // the sequential baseline; at w > 1 the computation runs as w in-process
-// parts of the baskets relation (partitioned on the basket column), each
-// joined and grouped on its own goroutine, and their group states merge
-// bucket by bucket. The merge and the per-part restriction are the
-// sequential overhead a speed-up at w=2 has to beat; on a one-core host
-// every count sits at or above the baseline.
+// parts of its first parameter, each joined and grouped on its own
+// goroutine over the whole relation, and the parts' answers are appended
+// with nothing to merge. On a one-core host every count sits at or above
+// the baseline.
 func BenchmarkParallelJoin(b *testing.B) {
 	db := words(b)
 	f := paper.MarketBasket(20)

@@ -9,8 +9,9 @@
 //
 // Without -exp, the whole suite (E1–E10) runs in order; -exp selects a
 // comma-separated subset; -json emits the tables as a JSON array.
-// -workers sets the in-process parts every experiment's partitionable
-// FILTER computations run as (0 = one per CPU, 1 = sequential).
+// -workers sets the in-process parts every experiment's FILTER
+// computations run as, split on their first parameter (0 = one per CPU,
+// 1 = sequential).
 //
 // -json additionally turns on per-operator observability: instrumented
 // experiments attach one "op_reports" entry per strategy run (joins,
@@ -51,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		exp     = fs.String("exp", "", "experiments to run, comma-separated (e.g. E1,E3,E6); empty runs all")
 		scale   = fs.Float64("scale", 1.0, "workload scale factor (1.0 = EXPERIMENTS.md reference)")
 		seed    = fs.Int64("seed", 1998, "generator seed")
-		workers = fs.Int("workers", 0, "in-process parts per partitionable FILTER computation (0 = one per CPU, 1 = sequential)")
+		workers = fs.Int("workers", 0, "in-process parts per FILTER computation, split on its first parameter (0 = one per CPU, 1 = sequential)")
 		asJSON  = fs.Bool("json", false, "emit results as a JSON array (with per-operator op_reports) instead of tables")
 		pprof   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit per strategy evaluation (0 = none); exceeding runs abort with a typed error")

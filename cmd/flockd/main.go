@@ -91,7 +91,6 @@ import (
 	"time"
 
 	"queryflocks/internal/cluster"
-	"queryflocks/internal/core"
 	"queryflocks/internal/obs"
 	"queryflocks/internal/storage"
 )
@@ -158,11 +157,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// Worker mode: cut the loaded database down to this shard's
 		// partition. The map is rebuilt from the full data, so every
 		// worker — and the coordinator — derives the same assignment.
-		rel, col, perr := core.ParseShardBy(*fs.shardBy)
+		rel, col, perr := cluster.ParseShardBy(*fs.shardBy)
 		if perr != nil {
 			return perr
 		}
-		m, merr := core.BuildMap(db, rel, col, *fs.shardCount)
+		m, merr := cluster.BuildMap(db, rel, col, *fs.shardCount)
 		if merr != nil {
 			return merr
 		}
@@ -184,11 +183,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			defer cleanup()
 			shards = spawned
 		}
-		rel, col, perr := core.ParseShardBy(*fs.shardBy)
+		rel, col, perr := cluster.ParseShardBy(*fs.shardBy)
 		if perr != nil {
 			return perr
 		}
-		m, merr := core.BuildMap(db, rel, col, len(shards))
+		m, merr := cluster.BuildMap(db, rel, col, len(shards))
 		if merr != nil {
 			return merr
 		}
@@ -292,7 +291,7 @@ func newFlagSet() *flockdFlags {
 	f.maxQueries = fs.Int("max-queries", 4, "concurrent-query admission cap; excess requests get 503 (0 = no cap)")
 	f.maxTuples = fs.Int("max-tuples", 0, "per-query live-tuple budget (0 = unlimited)")
 	f.maxRows = fs.Int("max-rows", 0, "per-query answer-row budget (0 = unlimited)")
-	f.workers = fs.Int("workers", 0, "in-process parts per partitionable FILTER computation (0 = one per CPU, 1 = sequential)")
+	f.workers = fs.Int("workers", 0, "in-process parts per FILTER computation, split on its first parameter (0 = one per CPU, 1 = sequential)")
 	f.planCache = fs.Int("plan-cache", 256, "LRU plan-cache capacity in entries (0 = disabled)")
 	f.memoMB = fs.Int("memo-mb", 64, "candidate-subquery memo bound in MiB (0 = disabled)")
 	f.pprof = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -331,7 +330,7 @@ func (f *flockdFlags) validate() error {
 	if *f.engine == "disk" && *f.dataDir == "" {
 		return fmt.Errorf("-engine disk requires -data-dir (CSV loading is memory-only)")
 	}
-	if _, _, err := core.ParseShardBy(*f.shardBy); err != nil {
+	if _, _, err := cluster.ParseShardBy(*f.shardBy); err != nil {
 		return err
 	}
 	if *f.shardCount < 0 || *f.spawnWorkers < 0 || *f.shardRetries < 0 {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"queryflocks/internal/cluster"
-	"queryflocks/internal/core"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
@@ -517,7 +516,7 @@ func (w *syncWriter) String() string {
 // programs, and never fires on a single-node server.
 func TestQueryLintShardability(t *testing.T) {
 	db := basketsDB(t)
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := cluster.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}

@@ -50,7 +50,7 @@ func run(args []string) error {
 		minConf = fs.Float64("min-confidence", 0.5, "confidence floor for -rules")
 		out     = fs.String("out", "", "write rules as CSV to this file (with -rules)")
 		top     = fs.Int("top", 10, "rules to print (by confidence)")
-		workers = fs.Int("workers", 0, "in-process parts per partitionable FILTER computation of the flocks engine (0 = one per CPU, 1 = sequential)")
+		workers = fs.Int("workers", 0, "in-process parts per FILTER computation of the flocks engine, split on its first parameter (0 = one per CPU, 1 = sequential)")
 		pprof   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		timeout = fs.Duration("timeout", 0, "wall-clock limit for the whole flocks-engine mining run (0 = none)")
 	)

@@ -108,7 +108,7 @@ func run(args []string) error {
 		explain     = fs.Bool("explain", false, "print subqueries, plans, and decisions")
 		quiet       = fs.Bool("quiet", false, "suppress the answer listing (timing only)")
 		interactive = fs.Bool("i", false, "interactive shell over the loaded relations; starts from -strategy, -workers, -timeout and -explain")
-		workers     = fs.Int("workers", 0, "in-process parts per partitionable FILTER computation (0 = one per CPU, 1 = sequential)")
+		workers     = fs.Int("workers", 0, "in-process parts per FILTER computation, split on its first parameter (0 = one per CPU, 1 = sequential)")
 		metrics     = fs.String("metrics", "", `"json" prints the run's operator report (obs.RunReport) to stdout`)
 		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the evaluation (0 = none); exceeding runs abort with a typed error")
 	)

@@ -15,6 +15,7 @@ import (
 
 	. "queryflocks/internal/cluster"
 	"queryflocks/internal/core"
+	"queryflocks/internal/eval"
 	"queryflocks/internal/planner"
 	"queryflocks/internal/serve"
 	"queryflocks/internal/storage"
@@ -37,7 +38,7 @@ func basketsDB(t *testing.T) *storage.Database {
 
 // spawnWorkers serves each shard's restriction of db over httptest and
 // returns the shard addresses in index order.
-func spawnWorkers(t *testing.T, db *storage.Database, m *core.Map) []string {
+func spawnWorkers(t *testing.T, db *storage.Database, m *Map) []string {
 	t.Helper()
 	addrs := make([]string, m.Shards)
 	for i := 0; i < m.Shards; i++ {
@@ -54,7 +55,7 @@ func spawnWorkers(t *testing.T, db *storage.Database, m *core.Map) []string {
 
 func newTestCoordinator(t *testing.T, db *storage.Database, shards int) (*Coordinator, []string) {
 	t.Helper()
-	m, err := core.BuildMap(db, "", 0, shards)
+	m, err := BuildMap(db, "", 0, shards)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -79,15 +80,15 @@ func TestParseShardBy(t *testing.T) {
 		{"baskets:x", "", 0, true},
 	}
 	for _, c := range cases {
-		rel, col, err := core.ParseShardBy(c.in)
+		rel, col, err := ParseShardBy(c.in)
 		if c.fail {
 			if err == nil {
-				t.Errorf("core.ParseShardBy(%q): expected error", c.in)
+				t.Errorf("ParseShardBy(%q): expected error", c.in)
 			}
 			continue
 		}
 		if err != nil || rel != c.rel || col != c.col {
-			t.Errorf("core.ParseShardBy(%q) = %q,%d,%v; want %q,%d", c.in, rel, col, err, c.rel, c.col)
+			t.Errorf("ParseShardBy(%q) = %q,%d,%v; want %q,%d", c.in, rel, col, err, c.rel, c.col)
 		}
 	}
 }
@@ -100,9 +101,9 @@ func TestShardMapRestrictPartitions(t *testing.T) {
 	full := db.MustRelation("baskets")
 
 	for _, shards := range []int{1, 2, 3, 4} {
-		m, err := core.BuildMap(db, "baskets", 0, shards)
+		m, err := BuildMap(db, "baskets", 0, shards)
 		if err != nil {
-			t.Fatalf("core.BuildMap(%d): %v", shards, err)
+			t.Fatalf("BuildMap(%d): %v", shards, err)
 		}
 		total := 0
 		union := storage.NewRelation("baskets", full.Columns()...)
@@ -136,15 +137,15 @@ func TestShardMapRestrictPartitions(t *testing.T) {
 
 func TestShardMapDeterministic(t *testing.T) {
 	db := basketsDB(t)
-	a, _ := core.BuildMap(db, "baskets", 0, 3)
-	b, _ := core.BuildMap(db, "baskets", 0, 3)
+	a, _ := BuildMap(db, "baskets", 0, 3)
+	b, _ := BuildMap(db, "baskets", 0, 3)
 	for v := int64(-5); v < 200; v++ {
 		if a.ShardOf(storage.Int(v)) != b.ShardOf(storage.Int(v)) {
 			t.Fatalf("ShardOf(%d) differs between identically built maps", v)
 		}
 	}
 	// Default relation selection picks the largest.
-	m, err := core.BuildMap(db, "", 0, 2)
+	m, err := BuildMap(db, "", 0, 2)
 	if err != nil || m.Rel != "baskets" {
 		t.Errorf("default shard relation = %q (%v), want baskets", m.Rel, err)
 	}
@@ -199,6 +200,43 @@ func TestClusterOracleShardCounts(t *testing.T) {
 	}
 }
 
+// TestScatterStateSet covers the merge of a COUNT-distinct whose counted
+// column is not the shard term: a weight W repeats across baskets of
+// different shards, so the shards ship value sets (physical.StateSet),
+// not counts. At this threshold, summing the shards' counts instead would
+// admit groups the full data rejects.
+func TestScatterStateSet(t *testing.T) {
+	db := workload.Baskets(workload.BasketConfig{Baskets: 80, Items: 10, MeanSize: 4, Skew: 1.0, Seed: 11})
+	if err := workload.AttachWeights(db, 9, 13); err != nil {
+		t.Fatal(err)
+	}
+	f := core.MustParse("QUERY:\nanswer(B,W) :- baskets(B,$1) AND importance(B,W)\nFILTER:\nCOUNT(answer.W) >= 9\n")
+	boxed, err := f.Eval(db, &core.EvalOptions{Exec: eval.ExecMaterialize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boxed.Len() == 0 {
+		t.Fatal("empty answer proves nothing")
+	}
+	for _, shards := range []int{2, 3} {
+		co, _ := newTestCoordinator(t, db, shards)
+		if ok, reason := Shardable(co.Map, f.Params, f.Query, f.Filter); !ok || Additive(co.Map, f.Query, f.Filter) {
+			t.Fatalf("want a shardable, non-additive computation on %s (%s)", co.Map, reason)
+		}
+		sess := co.Session()
+		got, err := f.Eval(db, &core.EvalOptions{FilterEval: sess.FilterEval})
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		if !got.Equal(boxed) {
+			t.Fatalf("shards %d: answer differs from the boxed reference\ngot:\n%s\nwant:\n%s", shards, got.Dump(), boxed.Dump())
+		}
+		if st := sess.Stats(); st.Scattered != 1 || st.Fallbacks != 0 {
+			t.Errorf("shards %d: stats %+v, want 1 scattered, 0 fallbacks", shards, st)
+		}
+	}
+}
+
 // TestEmptyShardsMerge: more shards than distinct shard-key values leaves
 // some workers with no tuples; their empty partials must merge as
 // identities (the S2 surface) and the answer must be unchanged.
@@ -238,7 +276,7 @@ func TestIllegalShardingFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := core.BuildMap(db, "baskets", 1, 2)
+	m, err := BuildMap(db, "baskets", 1, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -312,11 +350,11 @@ func TestShardableReasons(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fl := core.MustParse(tc.flock)
-			m, err := core.BuildMap(db, tc.rel, tc.col, 2)
+			m, err := BuildMap(db, tc.rel, tc.col, 2)
 			if err != nil {
 				t.Fatalf("BuildMap: %v", err)
 			}
-			ok, reason := core.Shardable(m, fl.Params, fl.Query, fl.Filter)
+			ok, reason := Shardable(m, fl.Params, fl.Query, fl.Filter)
 			if ok != tc.ok {
 				t.Fatalf("Shardable = %v (%q), want %v", ok, reason, tc.ok)
 			}
@@ -335,7 +373,7 @@ func TestShardableReasons(t *testing.T) {
 func TestDeadShardStructuredError(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -367,7 +405,7 @@ func TestAllowPartialDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -400,7 +438,7 @@ func TestAllowPartialDegraded(t *testing.T) {
 func TestAllShardsDeadFailsEvenWhenPartialAllowed(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -426,7 +464,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local Eval: %v", err)
 	}
-	m, err := core.BuildMap(db, "baskets", 0, 1)
+	m, err := BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -464,7 +502,7 @@ func TestRetryThenSucceed(t *testing.T) {
 func TestVersionMismatchFailsFast(t *testing.T) {
 	db := basketsDB(t)
 	fl := core.MustParse(pairFlock)
-	m, err := core.BuildMap(db, "baskets", 0, 1)
+	m, err := BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}
@@ -505,7 +543,7 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 func TestScatterReusesConnections(t *testing.T) {
 	db := workload.Baskets(workload.BasketConfig{Baskets: 400, Items: 120, MeanSize: 6, Skew: 0.6, Seed: 11})
 	fl := core.MustParse(pairFlock)
-	m, err := core.BuildMap(db, "baskets", 0, 1)
+	m, err := BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatalf("BuildMap: %v", err)
 	}

@@ -1,14 +1,12 @@
 // Package cluster implements flockd's multi-process scale-out: an HTTP
 // scatter/gather client with per-shard timeout/retry, the /partial wire
-// (a dictionary-coded body of group states, wire.go), and a coordinator
-// session that takes over FILTER computations (§4.1) via
-// core.EvalOptions.FilterEval. The partitioning is core's: a worker
-// restricts its data with core.Map.Restrict, the coordinator scatters a
-// computation only when core.Shardable accepts it, and the shards' states
-// merge through core.MergeParts in shard order — the same rule and the
-// same merge the in-process -workers partitions use, so answers are the
-// same set at every shard count. A computation the map cannot legally
-// partition falls back to coordinator-local evaluation.
+// (a dictionary-coded body of group states, wire.go), the data partition
+// (shardmap.go), and a coordinator session that takes over FILTER
+// computations (§4.1) via core.EvalOptions.FilterEval. A worker restricts
+// its data with Map.Restrict, the coordinator scatters a computation only
+// when Shardable accepts it, and the shards' states merge in shard order,
+// so answers are the same set at every shard count. A computation the map
+// cannot legally partition falls back to coordinator-local evaluation.
 package cluster
 
 import (
@@ -18,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
@@ -29,11 +28,11 @@ import (
 // Coordinator owns a shard map and a scatter client and turns FILTER
 // computations into scatter/gather rounds. It is mounted into a request's
 // core.EvalOptions via Session().FilterEval; computations the shard map
-// cannot legally partition (see core.Shardable) are declined back to the
+// cannot legally partition (see Shardable) are declined back to the
 // local evaluator — the coordinator holds the full database, so falling
 // back is always correct, just not distributed.
 type Coordinator struct {
-	Map    *core.Map
+	Map    *Map
 	Client *Client
 	// AllowPartial serves degraded answers when some (not all) shards
 	// fail: the dead shards' partitions are simply missing from the
@@ -46,7 +45,7 @@ type Coordinator struct {
 // New builds a coordinator. baseRels names the relations the workers were
 // started with; anything else a query references (materialized views,
 // earlier FILTER-step results) is shipped inline with each request.
-func New(m *core.Map, c *Client, baseRels []string) *Coordinator {
+func New(m *Map, c *Client, baseRels []string) *Coordinator {
 	base := make(map[string]bool, len(baseRels))
 	for _, n := range baseRels {
 		base[n] = true
@@ -84,12 +83,12 @@ func (s *Session) Stats() *obs.ClusterStats {
 
 // FilterEval is the core.FilterEvalFn the coordinator mounts: scatter the
 // computation to the shards, gather their exported group states, and
-// merge them in shard order through core.MergeParts. Computations the map
-// cannot legally partition return handled=false and run locally.
+// merge them in shard order (physical.MergeGroupStates). Computations the
+// map cannot legally partition return handled=false and run locally.
 func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query datalog.Union,
 	filter core.Filter, name string, opts *core.EvalOptions) (*storage.Relation, bool, error) {
 
-	if ok, _ := core.Shardable(s.co.Map, params, query, filter); !ok {
+	if ok, _ := Shardable(s.co.Map, params, query, filter); !ok {
 		s.mu.Lock()
 		s.stats.Fallbacks++
 		s.mu.Unlock()
@@ -115,6 +114,7 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 		failed       []string
 		firstErr     error
 		parts        []*physical.GroupStates
+		groupsIn     int
 		partialBytes int
 	)
 	for i := range results {
@@ -133,6 +133,7 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 			continue // degraded, if allowed: the dead shard's partition is absent
 		}
 		parts = append(parts, r.Resp.States)
+		groupsIn += r.Resp.States.Len()
 		partialBytes += r.Resp.Bytes
 	}
 	if firstErr != nil && (!s.co.AllowPartial || len(parts) == 0) {
@@ -152,9 +153,39 @@ func (s *Session) FilterEval(db *storage.Database, params []datalog.Param, query
 			}
 		}
 	}
-	rel, merged, err := core.MergeParts(parts, params, filter, name, req.Additive, opts)
+	// Fold the shards' states in shard order, then apply the sequential
+	// group-by's checkpoints: the merged group map and the answer are live
+	// at once, and the answer is capped.
+	start := time.Now()
+	cols := make([]string, len(params))
+	for i, p := range params {
+		cols[i] = "$" + string(p)
+	}
+	rel, merged, err := physical.MergeGroupStates(filter.Aggregate(), req.Additive, name, cols, parts)
 	if err != nil {
 		return nil, true, err
+	}
+	var gate *physical.Gate
+	if opts != nil {
+		gate = opts.Gate
+	}
+	gate.NoteLive(merged + rel.Len())
+	if err := gate.CheckOutput(rel.Len()); err != nil {
+		return nil, true, err
+	}
+	if err := gate.Check(); err != nil {
+		return nil, true, err
+	}
+	if opts != nil && opts.Trace != nil {
+		opts.Trace.Collector().Record(obs.Event{
+			Op:      obs.OpGroup,
+			Desc:    fmt.Sprintf("%s [%s] (merged %d shards)", name, filter, len(parts)),
+			RowsIn:  groupsIn,
+			RowsOut: rel.Len(),
+			Groups:  merged,
+			Workers: len(parts),
+			Wall:    time.Since(start),
+		})
 	}
 
 	s.mu.Lock()
@@ -184,7 +215,7 @@ func (co *Coordinator) buildRequest(db *storage.Database, params []datalog.Param
 		Filter:   filter.String(),
 		Name:     name,
 		Version:  db.Version(),
-		Additive: core.Additive(co.Map, query, filter),
+		Additive: Additive(co.Map, query, filter),
 	}
 	req.Params = make([]string, len(params))
 	for i, p := range params {

@@ -205,7 +205,7 @@ var benchSink *storage.Relation
 func BenchmarkScatterRoundTrip(b *testing.B) {
 	db := workload.Baskets(workload.BasketConfig{Baskets: 2000, Items: 40, MeanSize: 6, Skew: 0.9, Seed: 1998})
 	fl := core.MustParse("QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\nFILTER:\nCOUNT(answer.B) >= 8\n")
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func compileFiltered(db *storage.Database, params []datalog.Param, query datalog.Union,
 	filter Filter, name string, register func(*storage.Relation) error) (*physical.Plan, error) {
 
-	group, err := compileFilteredNode(db, params, query, filter, name)
+	group, err := compileFilteredNode(db, params, query, filter, name, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -30,14 +30,15 @@ func compileFiltered(db *storage.Database, params []datalog.Param, query datalog
 }
 
 // compileFilteredNode builds the FILTER computation's pipeline up to and
-// including the group operator, without the Materialize sink.
+// including the group operator, without the Materialize sink, in parts
+// parts (see compileExtended).
 func compileFilteredNode(db *storage.Database, params []datalog.Param, query datalog.Union,
-	filter Filter, name string) (physical.Node, error) {
+	filter Filter, name string, parts int) (physical.Node, error) {
 
 	if filter.PassesEmpty() {
 		return nil, fmt.Errorf("core: filter %s accepts the empty result; the flock's answer would be infinite", filter)
 	}
-	in, err := compileExtended(db, params, query)
+	in, err := compileExtended(db, params, query, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -47,10 +48,16 @@ func compileFilteredNode(db *storage.Database, params []datalog.Param, query dat
 // compileExtended builds the pipelines producing a FILTER computation's
 // extended answer (params..., head...): one per query rule, concatenated
 // by a union operator. The rows are not deduplicated; the group operator
-// does that.
-func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union) (physical.Node, error) {
+// does that. With parts > 1 every rule's pipeline gets a part check on
+// the first parameter (physical.RuleOpts.Split), so run i of the plan
+// computes the groups of part i only.
+func compileExtended(db *storage.Database, params []datalog.Param, query datalog.Union, parts int) (physical.Node, error) {
 	if err := query.Validate(); err != nil {
 		return nil, err
+	}
+	var split string
+	if parts > 1 {
+		split = "$" + string(params[0])
 	}
 	branches := make([]physical.Node, len(query))
 	for i, r := range query {
@@ -61,6 +68,8 @@ func compileExtended(db *storage.Database, params []datalog.Param, query datalog
 		node, err := physical.CompileRule(db, r, physical.RuleOpts{
 			Order: order,
 			Out:   extendedOut(params, r),
+			Split: split,
+			Parts: parts,
 		})
 		if err != nil {
 			return nil, err

@@ -20,12 +20,12 @@ type EvalOptions struct {
 	// Trace, when non-nil, records the streaming executor's engine steps
 	// and group statistics.
 	Trace *eval.Trace
-	// Workers is the number of in-process parts a FILTER computation
-	// runs as when the partition rule accepts it (see evalPartitioned):
-	// 0 (the default) means one per CPU, 1 (or less) sequential. The memo
-	// path, the materializing reference, disk sources and computations
-	// the rule rejects run sequentially at every count. Answers are the
-	// same set at every count, in an order fixed by the count.
+	// Workers is the number of in-process parts a FILTER computation runs
+	// as, each keeping the groups of its share of the first parameter's
+	// values (see evalPartitioned): 0 (the default) means one per CPU, 1
+	// (or less) sequential. The memo path and the materializing reference
+	// run sequentially at every count. Answers are the same set at every
+	// count, in an order fixed by the count.
 	Workers int
 	// Exec selects the streaming physical-plan executor (default) or the
 	// materializing reference (eval.ExecMaterialize). The reference always
@@ -155,14 +155,12 @@ func evalFiltered(db *storage.Database, params []datalog.Param, query datalog.Un
 		if opts != nil && opts.Memo != nil {
 			return evalFilteredMemo(db, params, query, filter, name, opts, register)
 		}
-		if w := opts.partitions(); w > 1 {
-			rel, handled, err := evalPartitioned(db, params, query, filter, name, w, opts)
+		if w := opts.partitions(); w > 1 && len(params) > 0 {
+			rel, err := evalPartitioned(db, params, query, filter, name, w, opts)
 			if err != nil {
 				return nil, err
 			}
-			if handled {
-				return publish(rel, register)
-			}
+			return publish(rel, register)
 		}
 		plan, err := compileFiltered(db, params, query, filter, name, register)
 		if err != nil {

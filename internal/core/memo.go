@@ -165,7 +165,7 @@ func evalFilteredMemo(db *storage.Database, params []datalog.Param, query datalo
 		}
 		in, err = physical.NewReplay(ext, cols)
 	} else {
-		in, err = compileExtended(db, params, query)
+		in, err = compileExtended(db, params, query, 1)
 	}
 	if err != nil {
 		return nil, err

@@ -40,8 +40,8 @@ func (r *PlanResult) String() string {
 // database so later steps can reference it; the final step's result is the
 // flock's answer. The plan must be valid (NewPlan validates; hand-built
 // plans should call Validate first). opts.Workers applies to every step:
-// a step the partition rule accepts runs as that many in-process parts
-// (see evalPartitioned), with the same step relation for any count.
+// each runs as that many in-process parts of its first parameter (see
+// evalPartitioned), with the same step relation for any count.
 func (p *Plan) Execute(db *storage.Database, opts *EvalOptions) (*PlanResult, error) {
 	if err := p.Flock.CheckDatabase(db); err != nil {
 		return nil, err

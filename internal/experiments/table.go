@@ -121,9 +121,8 @@ type Config struct {
 	// Seed drives every generator.
 	Seed int64
 	// Workers is core.EvalOptions.Workers for every strategy under test:
-	// the in-process parts of each partitionable FILTER computation (0 =
-	// one per CPU, 1 = sequential). Answers are the same set at every
-	// count.
+	// the in-process parts of each FILTER computation (0 = one per CPU,
+	// 1 = sequential). Answers are the same set at every count.
 	Workers int
 	// Metrics enables per-operator observability collection: instrumented
 	// experiments attach one obs.RunReport per strategy run to the table

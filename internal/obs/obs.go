@@ -84,8 +84,8 @@ type Event struct {
 	// Absorbed counts pending subgoals folded into this operator's scan.
 	Absorbed int `json:"absorbed,omitempty"`
 	// Workers is 1 for an operator (one plan run is one goroutine) and,
-	// on a merged group event, the number of parts — in-process or shards
-	// — it merged.
+	// on a coordinator's merged group event, the number of shards it
+	// merged.
 	Workers int `json:"workers,omitempty"`
 	// Wall is the operator's wall-clock time in nanoseconds.
 	Wall time.Duration `json:"wall_ns,omitempty"`

@@ -143,19 +143,22 @@ func openChecks(ctx *Ctx, checks []*Check, baseCols [][]uint32) ([]colCheck, err
 	}
 	out := make([]colCheck, len(checks))
 	for i, c := range checks {
-		if c.kind == checkCmp {
+		switch c.kind {
+		case checkCmp:
 			out[i] = compareCheck(c, ctx.dict, baseCols)
-			continue
+		case checkPart:
+			out[i] = partCheck(c, ctx.Part, baseCols)
+		default:
+			src, err := openSource(ctx, c.pred, c.desc, len(c.args))
+			if err != nil {
+				return nil, err
+			}
+			set, err := src.IDSet(ctx.dict, ctx.Gate.Check)
+			if err != nil {
+				return nil, fmt.Errorf("physical: %w", err)
+			}
+			out[i] = memberCheck(c, ctx.dict, set, baseCols)
 		}
-		src, err := openSource(ctx, c.pred, c.desc, len(c.args))
-		if err != nil {
-			return nil, err
-		}
-		set, err := src.IDSet(ctx.dict, ctx.Gate.Check)
-		if err != nil {
-			return nil, fmt.Errorf("physical: %w", err)
-		}
-		out[i] = memberCheck(c, ctx.dict, set, baseCols)
 	}
 	return out, nil
 }
@@ -173,6 +176,17 @@ func compareCheck(c *Check, dict *storage.Dict, baseCols [][]uint32) colCheck {
 	op, dec := c.op, newDecoder(dict)
 	return func(cur []uint32, bt int) bool {
 		return op.Eval(l.colValue(dec, cur, baseCols, bt), r.colValue(dec, cur, baseCols, bt))
+	}
+}
+
+// partCheck keeps the base rows whose column value falls in this run's
+// part. A value's part is the high bits of its ID's HashIDs scaled to the
+// part count: an ID table places a key by the low bits, so a part's groups
+// still spread over every slot of its tables.
+func partCheck(c *Check, part int, baseCols [][]uint32) colCheck {
+	col, parts := baseCols[c.left.pos], uint64(c.parts)
+	return func(_ []uint32, bt int) bool {
+		return int(uint64(storage.HashIDs(col[bt:bt+1]))*parts>>32) == part
 	}
 }
 

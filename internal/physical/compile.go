@@ -48,6 +48,12 @@ type RuleOpts struct {
 	// Barrier, when non-nil, is consulted after each joined atom (and its
 	// pushed-down selections/negations) for a decision barrier.
 	Barrier BarrierFactory
+	// Split and Parts, with Parts > 1, compile one run of the plan per
+	// part: the scan or join that first binds column Split gets a part
+	// check, so run i (Ctx.Part) keeps only the rows whose Split value
+	// falls in part i of Parts.
+	Split string
+	Parts int
 }
 
 // CompileRule compiles one safe rule to an operator pipeline ending in a
@@ -80,6 +86,8 @@ func CompileRule(db *storage.Database, r *datalog.Rule, opts RuleOpts) (Node, er
 		joined:     make([]bool, len(atoms)),
 		pendingCmp: r.Comparisons(),
 		pendingNeg: r.NegatedAtoms(),
+		split:      opts.Split,
+		parts:      opts.Parts,
 	}
 	for _, i := range opts.Order {
 		if i < 0 || i >= len(atoms) {
@@ -140,6 +148,11 @@ type ruleCompiler struct {
 	pendingCmp []*datalog.Comparison
 	pendingNeg []*datalog.Atom
 	steps      int
+
+	// split and parts are RuleOpts.Split and Parts: the first atom that
+	// binds column split gets the part check (later atoms find it bound).
+	split string
+	parts int
 }
 
 // setCols replaces the bound-column state after emitting an operator.
@@ -288,6 +301,11 @@ func (c *ruleCompiler) joinAtom(i int) error {
 		firstNew[col] = p
 		newCols = append(newCols, col)
 		newPos = append(newPos, p)
+	}
+	if p, ok := firstNew[c.split]; ok && c.parts > 1 {
+		part := &Check{kind: checkPart, desc: fmt.Sprintf("part(%s) of %d", c.split, c.parts),
+			left: argRef{src: srcBase, pos: p}, parts: c.parts}
+		checks = append([]*Check{part}, checks...)
 	}
 	c.steps++
 	if c.node == nil {

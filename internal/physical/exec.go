@@ -25,6 +25,9 @@ type Ctx struct {
 	// checkpoint: operators consult it at batch boundaries, and the
 	// buffered-tuple gauge feeds its tuple budget. Nil means unlimited.
 	Gate *Gate
+	// Part is this run's part of a plan compiled in parts (RuleOpts.Parts):
+	// its part checks keep the rows of part Part only.
+	Part int
 
 	// dict is DB's value dictionary, resolved by Run: operators stream
 	// batches of its uint32 IDs.

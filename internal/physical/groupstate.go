@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"queryflocks/internal/datalog"
@@ -431,95 +430,39 @@ func (t *mergeTable) of(v storage.Value) uint32 {
 // values; the caller vouches for both by asking for additive. The second
 // result is the number of distinct groups across all parts.
 //
-// The groups are hash-split into one bucket per part, and the buckets
-// merge side by side: the answer lists each bucket's passing groups in
-// first-seen order, bucket by bucket — an order fixed by the part count.
-//
 // Every part must be structurally sound — equal column lengths, indexes
 // inside Lits — as the operator's export and the wire decoder guarantee.
 func MergeGroupStates(agg Aggregate, additive bool, name string, cols []string, parts []*GroupStates) (*storage.Relation, int, error) {
 	want, np := agg.StateKind(additive), len(cols)
 	tab := &mergeTable{ids: make(map[string]uint32)}
-	// xlats[p][i] is the merged ID of part p's literal i.
-	xlats := make([][]uint32, len(parts))
-	for pi, part := range parts {
-		if part.Kind != want || len(part.Params) != np {
-			return nil, 0, fmt.Errorf("physical: part %d carries state kind %d over %d params, want kind %d over %d",
-				pi, part.Kind, len(part.Params), want, np)
-		}
-		xlats[pi] = make([]uint32, len(part.Lits))
-		for i, v := range part.Lits {
-			xlats[pi][i] = tab.of(v)
-		}
-	}
-	buckets := make([]mergeBucket, max(len(parts), 1))
-	panics := make([]any, len(buckets))
-	var wg sync.WaitGroup
-	for b := range buckets {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			defer func() { panics[b] = recover() }()
-			buckets[b].merge(agg, want, np, tab.lits, parts, xlats, uint32(b), uint32(len(buckets)))
-		}(b)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p) // on the caller's goroutine, where the serving layer recovers
-		}
-	}
-	out := storage.NewRelation(name, cols...)
-	groups := 0
-	for _, bk := range buckets {
-		groups += bk.index.Len()
-		for _, gi := range bk.passing {
-			t := make(storage.Tuple, np)
-			for j, id := range bk.index.Row(int(gi)) {
-				t[j] = tab.lits[id]
-			}
-			out.Insert(t)
-		}
-	}
-	return out, groups, nil
-}
-
-// mergeBucket is the merge of the groups whose parameters hash to one
-// bucket.
-type mergeBucket struct {
-	index   *storage.IDTable // the bucket's groups, first-seen order
-	passing []int32          // the entries of index that pass, in order
-}
-
-// merge folds bucket b of n: the groups of every part, in part order,
-// whose merged parameter IDs hash to b.
-func (bk *mergeBucket) merge(agg Aggregate, want StateKind, np int, lits []storage.Value,
-	parts []*GroupStates, xlats [][]uint32, b, n uint32) {
-
-	value := func(id uint32) storage.Value { return lits[id] }
-	expect := 0 // the bucket's share of the parts' groups
+	value := func(id uint32) storage.Value { return tab.lits[id] }
+	expect := 0 // at most every part's groups, when no two parts share one
 	for _, part := range parts {
 		expect += part.Len()
 	}
-	expect /= int(n)
-	bk.index = storage.NewIDTable(np)
-	bk.index.Grow(expect)
+	index := storage.NewIDTable(np) // the merged groups, first-seen order
+	index.Grow(expect)
 	var (
 		groups = make([]groupState, 0, expect)
 		seen   = storage.NewIDTable(2) // StateSet: (group, value) pairs counted so far
 		pair   = make([]uint32, 2)     // seen's probe buffer
 		row    = make([]uint32, np)    // one group's parameters as merged IDs
+		xlat   []uint32                // the current part's literal index → merged ID
 	)
 	for pi, part := range parts {
-		xlat := xlats[pi]
+		if part.Kind != want || len(part.Params) != np {
+			return nil, 0, fmt.Errorf("physical: part %d carries state kind %d over %d params, want kind %d over %d",
+				pi, part.Kind, len(part.Params), want, np)
+		}
+		xlat = xlat[:0]
+		for _, v := range part.Lits {
+			xlat = append(xlat, tab.of(v))
+		}
 		for g := 0; g < part.Len(); g++ {
 			for j, col := range part.Params {
 				row[j] = xlat[col[g]]
 			}
-			if n > 1 && storage.HashIDs(row)%n != b {
-				continue
-			}
-			gi, fresh := bk.index.Insert(row)
+			gi, fresh := index.Insert(row)
 			if fresh {
 				groups = append(groups, groupState{})
 			}
@@ -557,9 +500,16 @@ func (bk *mergeBucket) merge(agg Aggregate, want StateKind, np int, lits []stora
 			}
 		}
 	}
+	out := storage.NewRelation(name, cols...)
 	for gi := range groups {
-		if m := &groups[gi]; m.done || agg.passes(m, value) {
-			bk.passing = append(bk.passing, int32(gi))
+		if m := &groups[gi]; !m.done && !agg.passes(m, value) {
+			continue
 		}
+		t := make(storage.Tuple, np)
+		for j, id := range index.Row(gi) {
+			t[j] = value(id)
+		}
+		out.Insert(t)
 	}
+	return out, len(groups), nil
 }

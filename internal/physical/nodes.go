@@ -33,6 +33,7 @@ const (
 	checkCmp        checkKind = iota // arithmetic comparison
 	checkMember                      // positive atom absorbed as a semi-join
 	checkAntiMember                  // negated atom absorbed into the scan
+	checkPart                        // the row's part of a partitioned plan
 )
 
 // Check is one subgoal absorbed into a scan or join: decided per scanned
@@ -48,6 +49,9 @@ type Check struct {
 	// Membership checks: probe (args...) against the pred relation.
 	pred string
 	args []argRef
+
+	// Part checks: the base column left, split into parts runs.
+	parts int
 }
 
 // constPos is one constant argument position of a joined atom.

@@ -11,8 +11,9 @@
 //
 // The compiled plans reproduce eval's materializing executor's answers.
 // One plan run is one goroutine; a FILTER computation runs in parallel as
-// several runs over parts of its input (core's partitioned path), which
-// is why a run shares nothing mutable with another run of the same plan.
+// several runs of one plan, one per part of its first parameter (core's
+// partitioned path), which is why a run shares nothing mutable with
+// another run of the same plan.
 package physical
 
 import (

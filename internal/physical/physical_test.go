@@ -89,7 +89,9 @@ func TestCompileRuleNegationAndComparison(t *testing.T) {
 // TestWorkerCountInvariance checks what the in-process partitions of a
 // FILTER computation rely on: w concurrent runs of one compiled plan over
 // one database, which share its dictionary and relation caches, each
-// produce the sequential run's answer tuple for tuple. Run under -race.
+// produce the sequential run's answer tuple for tuple, and the w runs of
+// the plan compiled in w parts of X split that answer into disjoint
+// parts. Run under -race.
 func TestWorkerCountInvariance(t *testing.T) {
 	db := testDB()
 	r := mustRule(t, "answer(X,Z) :- e(X,Y) AND e(Y,Z) AND l(Z,L) AND NOT blocked(Z)")
@@ -100,24 +102,36 @@ func TestWorkerCountInvariance(t *testing.T) {
 	plan := NewPlan(NewMaterialize("answer", node, nil))
 	base := compileRun(t, db, r, []int{0, 1, 2})
 	for _, w := range []int{2, 3, 8} {
-		got := make([]*storage.Relation, w)
-		errs := make([]error, w)
+		splitNode, err := CompileRule(db, r, RuleOpts{Order: []int{0, 1, 2}, Out: r.Head.Args, Dedup: true, Split: "X", Parts: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := NewPlan(NewMaterialize("answer", splitNode, nil))
+		got, parts := make([]*storage.Relation, w), make([]*storage.Relation, w)
+		errs := make([]error, 2*w)
 		var wg sync.WaitGroup
 		for i := range got {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				got[i], errs[i] = plan.Run(&Ctx{DB: db.Clone()})
+				parts[i], errs[w+i] = split.Run(&Ctx{DB: db, Part: i})
 			}(i)
 		}
 		wg.Wait()
+		union, n := storage.NewRelation("answer", base.Columns()...), 0
 		for i, rel := range got {
-			if errs[i] != nil {
-				t.Fatalf("workers=%d run %d: %v", w, i, errs[i])
+			if errs[i] != nil || errs[w+i] != nil {
+				t.Fatalf("workers=%d run %d: %v, %v", w, i, errs[i], errs[w+i])
 			}
 			if !sameOrder(rel, base) {
 				t.Fatalf("workers=%d run %d: answer differs\ngot:\n%s\nwant:\n%s", w, i, rel.Dump(), base.Dump())
 			}
+			union.InsertAll(parts[i])
+			n += parts[i].Len()
+		}
+		if n != base.Len() || !union.Equal(base) {
+			t.Fatalf("workers=%d: %d rows in parts, union\n%s\nwant\n%s", w, n, union.Dump(), base.Dump())
 		}
 	}
 }

@@ -5,14 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"queryflocks/internal/core"
+	"queryflocks/internal/datalog"
 	"queryflocks/internal/eval"
 	"queryflocks/internal/obs"
 	"queryflocks/internal/paper"
+	"queryflocks/internal/physical"
 	"queryflocks/internal/storage"
 	"queryflocks/internal/workload"
 )
@@ -56,18 +57,18 @@ func TestDynamicParallelRaceSoak(t *testing.T) {
 
 // TestWorkerSweepCorpus is the worker-count oracle of the partitioned
 // FILTER path: for every program in examples/flocks, direct and static,
-// at worker counts 0 (one per CPU), 1, 2, 3, 8 and -3 (sequential), the
-// answer must be the same set as at one worker and as the boxed
-// reference. fig2 and fig10 (a SUM, merged as StateSum) must report a
-// merged group over as many parts as the count resolves to; fig6 binds
-// different terms at the partition column (rule 3) and never merges.
+// under the memory and the disk engine, at worker counts 0 (one per CPU),
+// 1, 2, 3, 8 and -3 (sequential), the answer must be the same set as at
+// one worker and as the boxed reference, and every FILTER computation
+// must run in as many parts as the count resolves to: one group operator
+// per part and computation, fig6 included, whose groups add up to the
+// sequential run's (the parts are disjoint and cover every group).
 func TestWorkerSweepCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "flocks")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merges := map[string]bool{"fig2-baskets.flock": true, "fig10-weighted.flock": true, "fig6-graphpaths.flock": false}
 	for _, e := range entries {
 		name := e.Name()
 		if filepath.Ext(name) != ".flock" {
@@ -79,57 +80,59 @@ func TestWorkerSweepCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := core.MustParse(string(src))
-			db := corpusDB(t, name)
-			plan, err := PlanStatic(f, NewEstimator(db), nil)
+			base := corpusDB(t, name)
+			dataDir := t.TempDir()
+			if err := storage.CreateDir(dataDir, base); err != nil {
+				t.Fatal(err)
+			}
+			diskDB, _, err := storage.OpenDir(dataDir, storage.EngineDisk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := map[string]func(*core.EvalOptions) (*storage.Relation, error){
-				"direct": func(o *core.EvalOptions) (*storage.Relation, error) { return f.Eval(db, o) },
-				"static": func(o *core.EvalOptions) (*storage.Relation, error) {
-					res, err := plan.Execute(db, o)
-					if err != nil {
-						return nil, err
-					}
-					return res.Answer, nil
-				},
+			plan, err := PlanStatic(f, NewEstimator(base), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, strategy := range []string{"direct", "static"} {
-				boxed, err := run[strategy](&core.EvalOptions{Exec: eval.ExecMaterialize})
-				if err != nil {
-					t.Fatal(err)
+			for engine, db := range map[string]*storage.Database{"memory": base, "disk": diskDB} {
+				run := map[string]func(*core.EvalOptions) (*storage.Relation, error){
+					"direct": func(o *core.EvalOptions) (*storage.Relation, error) { return f.Eval(db, o) },
+					"static": func(o *core.EvalOptions) (*storage.Relation, error) {
+						res, err := plan.Execute(db, o)
+						if err != nil {
+							return nil, err
+						}
+						return res.Answer, nil
+					},
 				}
-				one, err := run[strategy](&core.EvalOptions{Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !one.Equal(boxed) {
-					t.Fatalf("%s workers=1: answer differs from the boxed reference", strategy)
-				}
-				for _, w := range []int{0, 2, 3, 8, -3} {
-					tr := &eval.Trace{}
-					got, err := run[strategy](&core.EvalOptions{Workers: w, Trace: tr})
+				computations := map[string]int{"direct": 1, "static": len(plan.Steps)}
+				for _, strategy := range []string{"direct", "static"} {
+					boxed, err := run[strategy](&core.EvalOptions{Exec: eval.ExecMaterialize})
 					if err != nil {
-						t.Fatalf("%s workers=%d: %v", strategy, w, err)
+						t.Fatal(err)
 					}
-					if !got.Equal(one) {
-						t.Fatalf("%s workers=%d: answer differs from workers=1\ngot:\n%s\nwant:\n%s", strategy, w, got.Dump(), one.Dump())
+					oneTrace := &eval.Trace{}
+					one, err := run[strategy](&core.EvalOptions{Workers: 1, Trace: oneTrace})
+					if err != nil {
+						t.Fatal(err)
 					}
-					parts := w
-					if w == 0 {
-						parts = runtime.GOMAXPROCS(0)
+					_, groups := groupRuns(oneTrace)
+					if !one.Equal(boxed) {
+						t.Fatalf("%s %s workers=1: answer differs from the boxed reference", engine, strategy)
 					}
-					merged := mergedParts(tr)
-					if want, ok := merges[name]; ok && strategy == "direct" {
-						if want && parts > 1 && merged != parts {
-							t.Errorf("direct workers=%d: merged group over %d parts, want %d", w, merged, parts)
+					for _, w := range []int{0, 2, 3, 8, -3} {
+						tr := &eval.Trace{}
+						got, err := run[strategy](&core.EvalOptions{Workers: w, Trace: tr})
+						if err != nil {
+							t.Fatalf("%s %s workers=%d: %v", engine, strategy, w, err)
 						}
-						if !want && merged != 0 {
-							t.Errorf("direct workers=%d: merged group over %d parts, want none", w, merged)
+						if !got.Equal(one) {
+							t.Fatalf("%s %s workers=%d: answer differs from workers=1\ngot:\n%s\nwant:\n%s", engine, strategy, w, got.Dump(), one.Dump())
 						}
-					}
-					if parts <= 1 && merged != 0 {
-						t.Errorf("%s workers=%d: merged group over %d parts at one part", strategy, w, merged)
+						n, g := groupRuns(tr)
+						if want := computations[strategy] * resolvedParts(w); n != want || g != groups {
+							t.Errorf("%s %s workers=%d: %d group runs over %d groups, want %d over %d",
+								engine, strategy, w, n, g, want, groups)
+						}
 					}
 				}
 			}
@@ -137,50 +140,51 @@ func TestWorkerSweepCorpus(t *testing.T) {
 	}
 }
 
-// mergedParts returns the part count of the first merged group event of
-// a traced run, 0 when no computation ran partitioned.
-func mergedParts(tr *eval.Trace) int {
-	for _, e := range tr.Events() {
-		if e.Op == obs.OpGroup && strings.Contains(e.Desc, "(merged ") {
-			return e.Workers
-		}
+// resolvedParts is the part count a Workers setting resolves to.
+func resolvedParts(w int) int {
+	if w == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return 0
+	return max(w, 1)
 }
 
-// TestWorkerSweepStateSet covers the partitioned merge of a COUNT-distinct
-// whose counted column is not the partition term: a weight W repeats
-// across baskets of different parts, so the parts ship value sets
-// (physical.StateSet), not counts. At this threshold, summing the parts'
-// counts instead would admit groups the full data rejects.
-func TestWorkerSweepStateSet(t *testing.T) {
-	db := corpusDB(t, "fig10-weighted.flock")
-	f := core.MustParse("QUERY:\nanswer(B,W) :- baskets(B,$1) AND importance(B,W)\nFILTER:\nCOUNT(answer.W) >= 9\n")
-	m, err := core.BuildMap(db, "", 0, 2)
+// groupRuns counts the group operators a traced run executed, one per
+// FILTER computation and part, and the groups they built.
+func groupRuns(tr *eval.Trace) (runs, groups int) {
+	for _, e := range tr.Events() {
+		if e.Op == obs.OpGroup {
+			runs++
+			groups += e.Groups
+		}
+	}
+	return runs, groups
+}
+
+// TestWorkerSweepNegatedLargest checks a flock that negates the largest
+// relation, the one a split of the data would cut: the parts split the
+// parameters instead and read the negated relation whole, so at every
+// worker count the answer is the naive one.
+func TestWorkerSweepNegatedLargest(t *testing.T) {
+	db := corpusDB(t, "fig2-baskets.flock")
+	f := core.MustParse("QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(C,$2) AND NOT baskets(B,$2) AND $1 < $2\nFILTER:\nCOUNT(answer.B) >= 20\n")
+	naive, err := f.EvalNaive(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, reason := core.Shardable(m, f.Params, f.Query, f.Filter); !ok || core.Additive(m, f.Query, f.Filter) {
-		t.Fatalf("want a shardable, non-additive computation on %s (%s)", m, reason)
-	}
-	boxed, err := f.Eval(db, &core.EvalOptions{Exec: eval.ExecMaterialize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if boxed.Len() == 0 {
+	if naive.Len() == 0 {
 		t.Fatal("empty answer proves nothing")
 	}
-	for _, w := range []int{2, 3, 8} {
+	for _, w := range []int{1, 2, 3, 8} {
 		tr := &eval.Trace{}
 		got, err := f.Eval(db, &core.EvalOptions{Workers: w, Trace: tr})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !got.Equal(boxed) {
-			t.Fatalf("workers=%d: answer differs from the boxed reference\ngot:\n%s\nwant:\n%s", w, got.Dump(), boxed.Dump())
+		if !got.Equal(naive) {
+			t.Fatalf("workers=%d: answer differs from naive\ngot:\n%s\nwant:\n%s", w, got.Dump(), naive.Dump())
 		}
-		if n := mergedParts(tr); n != w {
-			t.Errorf("workers=%d: merged group over %d parts", w, n)
+		if n, _ := groupRuns(tr); n != w {
+			t.Errorf("workers=%d: %d group runs, want %d", w, n, w)
 		}
 	}
 }
@@ -188,7 +192,8 @@ func TestWorkerSweepStateSet(t *testing.T) {
 // TestWorkerSweepBudgetSumsParts pins what the tuple budget charges at
 // two workers: the sum of the two parts' peaks of live tuples. A limit
 // one below the sum aborts, though each part alone stays under it; a
-// limit at the sum passes.
+// limit at the sum passes. The answer-row cap likewise applies to the
+// parts' answers together.
 func TestWorkerSweepBudgetSumsParts(t *testing.T) {
 	db := corpusDB(t, "fig2-baskets.flock")
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "flocks", "fig2-baskets.flock"))
@@ -196,27 +201,25 @@ func TestWorkerSweepBudgetSumsParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := core.MustParse(string(src))
-	m, err := core.BuildMap(db, "", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := compileParts(t, db, f, 2)
 	var peaks []int
 	for i := 0; i < 2; i++ {
-		part, err := m.Restrict(db, i)
-		if err != nil {
+		col := obs.NewCollector()
+		if _, err := plan.Run(&physical.Ctx{DB: db, Col: col, Part: i}); err != nil {
 			t.Fatal(err)
 		}
-		tr := &eval.Trace{}
-		states, err := core.EvalPartialGroups(part, f.Params, f.Query, f.Filter, "flock",
-			core.Additive(m, f.Query, f.Filter), &core.EvalOptions{Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		peaks = append(peaks, tr.Report("part", 1, states.Len()).PeakTuples)
+		peaks = append(peaks, col.Report("part", 1, 0).PeakTuples)
 	}
 	sum := peaks[0] + peaks[1]
 	if max(peaks[0], peaks[1]) >= sum-1 {
 		t.Fatalf("part peaks %v: one part alone would reach the limit", peaks)
+	}
+	tr := &eval.Trace{}
+	if _, err := f.Eval(db, &core.EvalOptions{Workers: 2, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Report("direct", 2, 0).PeakTuples; got != sum {
+		t.Errorf("traced peak at two workers %d, want the parts' sum %d", got, sum)
 	}
 	run := func(limit int) error {
 		_, err := f.Eval(db, &core.EvalOptions{Workers: 2, Limits: eval.Limits{MaxTuples: limit}})
@@ -228,4 +231,42 @@ func TestWorkerSweepBudgetSumsParts(t *testing.T) {
 	if err := run(sum); err != nil {
 		t.Errorf("MaxTuples at the parts' sum %v: %v", peaks, err)
 	}
+	pairs := core.MustParse("QUERY:\nanswer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2\nFILTER:\nCOUNT(answer.B) >= 5\n")
+	answer, err := pairs.Eval(db, &core.EvalOptions{Workers: 1})
+	if err != nil || answer.Len() < 4 {
+		t.Fatalf("answer of %d rows (%v): too small to split", answer.Len(), err)
+	}
+	for _, rows := range []int{answer.Len() - 1, answer.Len()} {
+		_, err := pairs.Eval(db, &core.EvalOptions{Workers: 2, Limits: eval.Limits{MaxRows: rows}})
+		if over := rows < answer.Len(); over != errors.Is(err, eval.ErrBudgetExceeded) || !over && err != nil {
+			t.Errorf("MaxRows %d on a %d-row answer at two workers: %v", rows, answer.Len(), err)
+		}
+	}
+}
+
+// compileParts compiles a one-rule flock's direct plan as the partitioned
+// path does: a part check on the first parameter, then group and sink.
+func compileParts(t *testing.T, db *storage.Database, f *core.Flock, parts int) *physical.Plan {
+	t.Helper()
+	r := f.Query[0]
+	order, err := eval.JoinOrder(db, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]datalog.Term, 0, len(f.Params)+len(r.Head.Args))
+	for _, p := range f.Params {
+		out = append(out, p)
+	}
+	out = append(out, r.Head.Args...)
+	rule, err := physical.CompileRule(db, r, physical.RuleOpts{
+		Order: order, Out: out, Split: "$" + string(f.Params[0]), Parts: parts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := physical.NewGroup("flock", len(f.Params), f.Filter.Aggregate(), f.Filter.String(), rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return physical.NewPlan(physical.NewMaterialize("flock", group, nil))
 }

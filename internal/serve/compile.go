@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"queryflocks/internal/analysis"
+	"queryflocks/internal/cluster"
 	"queryflocks/internal/core"
 	"queryflocks/internal/datalog"
 	"queryflocks/internal/storage"
@@ -105,7 +106,7 @@ func (p *Pipeline) lintOptions(db *storage.Database, strategy string) analysis.O
 			// shardability pass has nothing to add.
 			return true, ""
 		}
-		return core.Shardable(co.Map, flock.Params, flock.Query, flock.Filter)
+		return cluster.Shardable(co.Map, flock.Params, flock.Query, flock.Filter)
 	}
 	return opts
 }

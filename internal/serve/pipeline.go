@@ -37,7 +37,7 @@ type Config struct {
 	MaxTuples int
 	MaxRows   int
 	// Workers is core.EvalOptions.Workers: the in-process parts of each
-	// partitionable FILTER computation (0 = one per CPU).
+	// FILTER computation (0 = one per CPU).
 	Workers int
 	// PlanCacheSize bounds the LRU plan cache (entries; 0 disables).
 	PlanCacheSize int

@@ -250,7 +250,7 @@ func TestStatusTable(t *testing.T) {
 	full.Slots <- struct{}{}
 
 	db := basketsDB()
-	m, err := core.BuildMap(db, "baskets", 0, 1)
+	m, err := cluster.BuildMap(db, "baskets", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestPartialRunsInsideTheBounds(t *testing.T) {
 // surfaced by the coordinator as a shard error.
 func TestPartialBudgetIsNotRetried(t *testing.T) {
 	db := explosiveDB(4, 30)
-	m, err := core.BuildMap(db, "pairs", 0, 1)
+	m, err := cluster.BuildMap(db, "pairs", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // /partial handler.
 type testCluster struct {
 	pipe  *Pipeline
-	m     *core.Map
+	m     *cluster.Map
 	addrs []string
 
 	mu       sync.Mutex
@@ -34,7 +34,7 @@ type testCluster struct {
 // a shard whose server is closed before the first request.
 func startCluster(t *testing.T, db *storage.Database, rel string, col, shards, dead int) *testCluster {
 	t.Helper()
-	m, err := core.BuildMap(db, rel, col, shards)
+	m, err := cluster.BuildMap(db, rel, col, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestScatterEmptyAndDeadShards(t *testing.T) {
 // never a panic, a hang or a wrong answer.
 func TestHostilePartialBodies(t *testing.T) {
 	db := basketsDB()
-	m, err := core.BuildMap(db, "baskets", 0, 2)
+	m, err := cluster.BuildMap(db, "baskets", 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

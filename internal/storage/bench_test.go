@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -92,5 +93,36 @@ func BenchmarkSurvivorFraction(b *testing.B) {
 		if f := st.SurvivorFraction("bench", "A", 10); f <= 0 {
 			b.Fatal("no survivors")
 		}
+	}
+}
+
+// BenchmarkOpenDir opens a data directory of the shape `flockgen -kind
+// words -n 3000` writes — 3000 documents of 1–29 words from an 18,000-word
+// Zipf (s = 1.1) vocabulary — under each engine. The dictionary decode is
+// the part both engines share.
+func BenchmarkOpenDir(b *testing.B) {
+	rng := rand.New(rand.NewSource(1998))
+	zipf := rand.NewZipf(rng, 1.1, 1, 17_999)
+	rel := NewRelation("baskets", "BID", "Item")
+	for d := 0; d < 3000; d++ {
+		for n := 1 + rng.Intn(29); n > 0; n-- {
+			rel.InsertValues(Int(int64(d)), Int(int64(zipf.Uint64())))
+		}
+	}
+	db := NewDatabase()
+	db.Add(rel)
+	dir := b.TempDir()
+	if err := CreateDir(dir, db); err != nil {
+		b.Fatal(err)
+	}
+	for _, engine := range []Engine{EngineMemory, EngineDisk} {
+		b.Run(engine.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := OpenDir(dir, engine); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -322,5 +323,23 @@ func TestReadDictRederivesOrderExactLen(t *testing.T) {
 	}
 	if got.OrderExactLen() != 2 {
 		t.Fatalf("reloaded OrderExactLen = %d, want 2 (null and Int(3))", got.OrderExactLen())
+	}
+}
+
+// TestPayloadLen: the length that presizes a DICT decode agrees with the
+// decode on every payload kind, and rejects a malformed tail.
+func TestPayloadLen(t *testing.T) {
+	for _, v := range []Value{Null(), Int(-7), Float(2.5), Str(""), Str(strings.Repeat("w", 300))} {
+		b := append(v.AppendPayload(nil), 0xee)
+		n, err := payloadLen(b)
+		if _, rest, derr := DecodePayloadValue(b); err != nil || derr != nil || n != len(b)-len(rest) {
+			t.Errorf("%v: payloadLen = %d, %v; decode left %d of %d bytes (%v)", v, n, err, len(rest), len(b), derr)
+		}
+		if _, err := payloadLen(b[:n-1]); n > 1 && err == nil {
+			t.Errorf("%v: truncated payload accepted", v)
+		}
+	}
+	if _, err := payloadLen([]byte{0xff}); err == nil {
+		t.Error("unknown kind accepted")
 	}
 }

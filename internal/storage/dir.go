@@ -555,7 +555,15 @@ func dictFromFrames(frames [][]byte) (*Dict, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("no intact base frame")
 	}
-	vals := []Value{Null()}
+	// Count the values first, so the slice is allocated once; a malformed
+	// payload ends the count, and the decode below reports it.
+	n := 1
+	for _, b := range frames {
+		for size, err := payloadLen(b); err == nil; size, err = payloadLen(b) {
+			b, n = b[size:], n+1
+		}
+	}
+	vals := append(make([]Value, 0, n), Null())
 	base := 0
 	for _, b := range frames {
 		for len(b) > 0 {

@@ -33,31 +33,45 @@ func (v Value) AppendPayload(dst []byte) []byte {
 // DecodePayloadValue decodes one value written by AppendPayload and
 // returns it with the remaining bytes.
 func DecodePayloadValue(b []byte) (Value, []byte, error) {
-	if len(b) == 0 {
-		return Value{}, nil, fmt.Errorf("storage: truncated value payload")
+	n, err := payloadLen(b)
+	if err != nil {
+		return Value{}, nil, err
 	}
-	kind, b := Kind(b[0]), b[1:]
-	switch kind {
-	case KindNull:
-		return Null(), b, nil
+	p, rest := b[1:n], b[n:]
+	switch Kind(b[0]) {
 	case KindInt:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("storage: truncated int payload")
-		}
-		return Int(int64(binary.LittleEndian.Uint64(b))), b[8:], nil
+		return Int(int64(binary.LittleEndian.Uint64(p))), rest, nil
 	case KindFloat:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("storage: truncated float payload")
-		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), b[8:], nil
+		return Float(math.Float64frombits(binary.LittleEndian.Uint64(p))), rest, nil
 	case KindString:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
-			return Value{}, nil, fmt.Errorf("storage: truncated string payload")
-		}
-		b = b[sz:]
-		return Str(string(b[:n])), b[n:], nil
-	default:
-		return Value{}, nil, fmt.Errorf("storage: unknown payload kind %d", kind)
+		_, sz := binary.Uvarint(p)
+		return Str(string(p[sz:])), rest, nil
 	}
+	return Null(), rest, nil
+}
+
+// payloadLen returns the length of the payload at the start of b: the
+// kind byte, then 8 bytes for an int or a float, or a uvarint length and
+// that many bytes for a string.
+func payloadLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("storage: truncated value payload")
+	}
+	n := 1
+	switch kind := Kind(b[0]); kind {
+	case KindNull:
+	case KindInt, KindFloat:
+		if n += 8; n > len(b) {
+			return 0, fmt.Errorf("storage: truncated %s payload", kind)
+		}
+	case KindString:
+		l, sz := binary.Uvarint(b[1:])
+		if sz <= 0 || uint64(len(b)-1-sz) < l {
+			return 0, fmt.Errorf("storage: truncated string payload")
+		}
+		n += sz + int(l)
+	default:
+		return 0, fmt.Errorf("storage: unknown payload kind %d", kind)
+	}
+	return n, nil
 }
